@@ -314,46 +314,70 @@ def _edge_find_lower(jobs):
     ``est >= a``.  If such a set together with an outside job ``i`` cannot
     fit before ``b``, job ``i`` must run after the whole set, lifting its
     earliest start to the set's earliest completion.  Restricting to these
-    interval sets loses no deductions; the scans are quadratic per
-    candidate edge, which is fine at the model sizes seen per state.
+    interval sets loses no deductions.
+
+    Each edge ``b`` takes one pass over ``T_b``, the jobs with
+    ``lct <= b`` in descending-est order, whose prefixes are the candidate
+    sets; the pass also runs the overload check.  Two facts keep the rest
+    cheap.  A job with ``lct_i <= b`` is never lifted by window ``b``: the
+    set plus ``i`` lies inside an est-suffix of ``T_b`` that already fits
+    before ``b``.  For a job with ``lct_i > b`` the lift is the ECT of the
+    largest qualifying prefix, since ECTs never decrease along the order;
+    the prefixes whose ests all exceed ``est_i`` need one test, the rest a
+    bisection over suffix maxima of ``est + energy``.  Total cost is
+    O(n^2 log n).
     """
     by_est_desc = sorted(jobs, key=lambda j: (-j[0], j[2]))
-    lcts = sorted({j[2] for j in jobs})
-    # Overload check: some window [a, b] packed beyond its span.
-    for b in lcts:
+    best = [None] * len(jobs)
+    for b in sorted({j[2] for j in jobs}):
+        neg_ests = []  # -est of each prefix's last member (ascending)
+        energies = []  # prefix energies E_k
+        ects = []  # prefix earliest completion times
+        bounds = []  # est_k + E_k
         energy = 0
+        ect = None
         for est, p, lct, _key in by_est_desc:
             if lct > b:
                 continue
             energy += p
-            if est + energy > b:
+            cand = est + energy
+            if cand > b:
                 return None
-    lifts = {}
-    for est_i, p_i, lct_i, key_i in jobs:
-        best = None
-        for b in lcts:
-            energy = 0
-            ect = None  # earliest completion of the current suffix set
-            seen_member = False
-            for est, p, lct, key in by_est_desc:
-                if key == key_i or lct > b:
-                    continue
-                seen_member = True
-                energy += p
-                cand = est + energy
-                if ect is None or cand > ect:
-                    ect = cand
-                # i cannot fit inside [min(est_i, est), b] with this set.
-                if min(est_i, est) + energy + p_i > b and ect > est_i:
-                    if best is None or ect > best:
-                        best = ect
-            # i alone cannot finish by b: it runs after every member.
-            if seen_member and est_i + p_i > b and ect > est_i:
-                if best is None or ect > best:
-                    best = ect
-        if best is not None:
-            lifts[key_i] = best
-    return lifts
+            if ect is None or cand > ect:
+                ect = cand
+            neg_ests.append(-est)
+            energies.append(energy)
+            ects.append(ect)
+            bounds.append(cand)
+        # neg_suf[k] = -max(bounds[k:]) ascends, so bisection finds the
+        # largest k with bounds[k] above a threshold.
+        neg_suf = bounds[:]
+        top = None
+        for k in range(len(bounds) - 1, -1, -1):
+            if top is None or bounds[k] > top:
+                top = bounds[k]
+            neg_suf[k] = -top
+        last = len(bounds) - 1
+        for x, (est_i, p_i, lct_i, _key) in enumerate(jobs):
+            if lct_i <= b:
+                continue
+            if est_i + p_i > b:
+                # i alone cannot finish by b: it runs after every member.
+                k = last
+            else:
+                # Largest prefix k whose set plus i cannot fit in
+                # [min(est_i, a_k), b].  Past the first r prefixes
+                # (a_k <= est_i) that is a_k + E_k + p_i > b; within them
+                # it is est_i + E_k + p_i > b, which grows with k.
+                k = bisect_left(neg_suf, p_i - b) - 1
+                r = bisect_left(neg_ests, -est_i)
+                if k < r:
+                    k = r - 1 if r and est_i + energies[r - 1] + p_i > b else -1
+            if k >= 0:
+                lift = ects[k]
+                if lift > est_i and (best[x] is None or lift > best[x]):
+                    best[x] = lift
+    return {jobs[x][3]: v for x, v in enumerate(best) if v is not None}
 
 
 class Cumulative:

@@ -537,6 +537,8 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
     preds: Dict[int, Set[int]] = {j: set() for j in durations}
     succs: Dict[int, Set[int]] = {j: set() for j in durations}
     for job, slist in successors.items():
+        if job not in durations:
+            raise ParseError(f"precedence row for job {job} has no request row", path)
         for s in slist:
             if s not in durations:
                 raise ParseError(f"successor {s} of job {job} unknown", path)

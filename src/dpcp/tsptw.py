@@ -208,17 +208,27 @@ class TsptwAdapter(PropagationAdapter):
         for i in live:
             r, d = inst.windows[i]
             arrivals[i] = Interval(max(state.time, r), d)
+            if arrivals[i].is_empty():
+                # A missed window: the store is infeasible from the start,
+                # so no duration domain or propagator is needed.
+                return DomainStore(arrivals + durations + [Interval(0, 0)]), []
+        # The salesperson leaves i toward some unvisited location or the
+        # depot; the depot leg is dropped when another remaining location
+        # must be visited after i, so i cannot be last.  That holds iff the
+        # latest earliest arrival over the other unvisited locations is at
+        # or past d_i, so only the two largest such arrivals are needed.
+        first = second = None
+        first_at = -1
+        for j in _iter_bits(state.unvisited):
+            t = max(state.time, inst.windows[j][0])
+            if first is None or t > first:
+                first, second, first_at = t, first, j
+            elif second is None or t > second:
+                second = t
         for i in live:
-            # The salesperson leaves i toward some unvisited location or the
-            # depot; the depot leg is dropped when another remaining
-            # location must be visited after i, so i cannot be last.
+            latest = second if i == first_at else first
             targets = [j for j in _iter_bits(state.unvisited) if j != i]
-            last_possible = True
-            for j in targets:
-                if max(state.time, inst.windows[j][0]) >= inst.windows[i][1]:
-                    last_possible = False
-                    break
-            if last_possible:
+            if latest is None or latest < inst.windows[i][1]:
                 targets.append(0)
             values = [inst.travel[i][j] for j in targets if inst.travel[i][j] is not None]
             durations[i] = FiniteSet(values)

@@ -72,6 +72,17 @@ def test_solve_malformed_file(tmp_path, capsys):
     assert main(["solve", str(bad), "--problem", "smswt"]) == 1
 
 
+def test_solve_psplib_precedence_row_without_request_row(tmp_path, capsys):
+    text = (DATA / "small.sm").read_text()
+    row = "   6        1          0\n"
+    assert row in text
+    bad = tmp_path / "orphan.sm"
+    bad.write_text(text.replace(row, row + "   7        1          1           6\n"))
+    assert main(["solve", str(bad), "--problem", "rcpsp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpcp: error") and "job 7" in err
+
+
 def test_solve_usage_error_exit_one(tmp_path):
     assert main(["solve", "--problem", "nope", "x.json"]) == 1
 

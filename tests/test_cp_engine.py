@@ -20,6 +20,9 @@ from dpcp import (
     time_table_cumulative,
 )
 
+from dpcp import cp_engine
+from dpcp.cp_engine import _edge_find_lower
+
 from conftest import MICRO_FAMILIES, check_micro_model, domain_values
 
 
@@ -153,6 +156,123 @@ def test_edge_finding_variable_durations_use_lower_bound():
     store = DomainStore([Interval(0, 10), Interval(1, 2), FiniteSet([3, 6])])
     edge_finding_disjunctive(store, [(0, 5), (1, VarDuration(2))])
     assert store.lb(0) == 4
+
+
+def reference_edge_find_lower(jobs):
+    """Cubic edge-finder kept as the oracle for ``_edge_find_lower``.
+
+    For every job and every lct edge it rescans the descending-est order,
+    so it follows the rule directly with no shortcuts.
+    """
+    by_est_desc = sorted(jobs, key=lambda j: (-j[0], j[2]))
+    lcts = sorted({j[2] for j in jobs})
+    # Overload check: some window [a, b] packed beyond its span.
+    for b in lcts:
+        energy = 0
+        for est, p, lct, _key in by_est_desc:
+            if lct > b:
+                continue
+            energy += p
+            if est + energy > b:
+                return None
+    lifts = {}
+    for est_i, p_i, lct_i, key_i in jobs:
+        best = None
+        for b in lcts:
+            energy = 0
+            ect = None  # earliest completion of the current suffix set
+            seen_member = False
+            for est, p, lct, key in by_est_desc:
+                if key == key_i or lct > b:
+                    continue
+                seen_member = True
+                energy += p
+                cand = est + energy
+                if ect is None or cand > ect:
+                    ect = cand
+                # i cannot fit inside [min(est_i, est), b] with this set.
+                if min(est_i, est) + energy + p_i > b and ect > est_i:
+                    if best is None or ect > best:
+                        best = ect
+            # i alone cannot finish by b: it runs after every member.
+            if seen_member and est_i + p_i > b and ect > est_i:
+                if best is None or ect > best:
+                    best = ect
+        if best is not None:
+            lifts[key_i] = best
+    return lifts
+
+
+def random_job_set(rng):
+    """``(est, p, lct, key)`` jobs; a third of the sets draw est and lct
+    from three values each so ties are common."""
+    n = rng.randint(1, 9)
+    horizon = rng.randint(10, 80)
+    tied = rng.random() < 1 / 3
+    jobs = []
+    for key in range(n):
+        p = rng.randint(1, max(1, horizon // 4))
+        if tied:
+            est = rng.choice((0, horizon // 4, horizon // 2))
+            lct = rng.choice((horizon // 2, 3 * horizon // 4, horizon)) + p
+        else:
+            est = rng.randint(0, horizon)
+            lct = rng.randint(est, horizon) + p
+        jobs.append((est, p, lct, key))
+    return jobs
+
+
+def test_edge_finder_matches_cubic_reference():
+    rng = random.Random(2004)
+    outcomes = {"overload": 0, "lifted": 0, "unchanged": 0}
+    for _ in range(3000):
+        jobs = random_job_set(rng)
+        # The mirrored copy is what Disjunctive passes for upper bounds.
+        mirrored = [(-lct, p, -est, key) for est, p, lct, key in jobs]
+        for js in (jobs, mirrored):
+            expected = reference_edge_find_lower(js)
+            got = _edge_find_lower(js)
+            assert got == expected, js
+            if expected is None:
+                outcomes["overload"] += 1
+            else:
+                assert list(got) == list(expected), js  # same application order
+                outcomes["lifted" if expected else "unchanged"] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+def test_disjunctive_vardur_finite_sets_match_reference(monkeypatch):
+    # The TSPTW shape: durations are variables over FiniteSets (the start
+    # domains here are FiniteSets with holes as well).
+    rng = random.Random(77)
+    changed = infeasible = 0
+    for _ in range(600):
+        k = rng.randint(1, 7)
+        horizon = rng.randint(10, 80)
+        domains = []
+        for _ in range(k):
+            lo = rng.randint(0, horizon)
+            hi = rng.randint(lo, horizon)
+            values = rng.sample(range(lo, hi + 1), rng.randint(1, min(4, hi - lo + 1)))
+            domains.append(FiniteSet(values + [lo, hi]))
+        for _ in range(k):
+            domains.append(FiniteSet(rng.sample(range(1, 12), rng.randint(1, 3))))
+        props = [Disjunctive([(i, VarDuration(k + i)) for i in range(k)])]
+        results = []
+        for finder in (reference_edge_find_lower, _edge_find_lower):
+            monkeypatch.setattr(cp_engine, "_edge_find_lower", finder)
+            store = propagate_once(DomainStore([d.copy() for d in domains]), props)
+            results.append(
+                (
+                    store.infeasible,
+                    store.revision,
+                    [domain_values(store.domain(x)) for x in range(len(store))],
+                )
+            )
+        assert results[0] == results[1]
+        infeasible += results[1][0]
+        changed += results[1][1] > 0 and not results[1][0]
+    assert changed >= 50 and infeasible >= 50, (changed, infeasible)
 
 
 def test_time_table_lifts_past_compulsory_block():

@@ -121,6 +121,21 @@ def test_depot_leg_dropped_when_cannot_be_last():
     assert sorted(store.domain(n + 2).values) == [3, 9]
 
 
+def test_depot_leg_kept_for_latest_point_window():
+    # Location 2 has the latest release and a point window; nothing else
+    # must follow it, so the tour may end there and keep c(2,0)=9.
+    inst = TsptwInstance(
+        [[0, 4, 9], [7, 0, 2], [9, 3, 0]],
+        [(0, 100), (0, 50), (20, 20)],
+    )
+    model = TsptwModel(inst)
+    adapter = TsptwAdapter(model)
+    store, _props = adapter.build(model.target_state())
+    n = 3
+    assert sorted(store.domain(n + 2).values) == [3, 9]
+    assert sorted(store.domain(n + 1).values) == [2, 7]
+
+
 def test_shared_travel_value_survives_depot_drop():
     # The depot leg of location 1 is dropped, but visiting 2 costs the same
     # amount; the value must survive and the successor stays feasible.
