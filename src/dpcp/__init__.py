@@ -32,11 +32,8 @@ from .cp_engine import (
     SumLe,
     VarDuration,
     ect_envelope,
-    edge_finding_disjunctive,
     propagate_fixpoint,
     propagate_once,
-    sum_le,
-    time_table_cumulative,
 )
 from .metrics import NegativeGap, RunMetrics, optimality_gap
 from .search import (
@@ -46,8 +43,6 @@ from .search import (
     SearchNode,
     astar,
     cabs,
-    gen_succ_propagation,
-    register,
 )
 
 __version__ = "0.1.0"
@@ -84,15 +79,10 @@ __all__ = [
     "brute_force_value",
     "cabs",
     "ect_envelope",
-    "edge_finding_disjunctive",
     "enumerate_state_values",
     "evaluate_solution",
-    "gen_succ_propagation",
     "is_finite",
     "optimality_gap",
     "propagate_fixpoint",
     "propagate_once",
-    "register",
-    "sum_le",
-    "time_table_cumulative",
 ]

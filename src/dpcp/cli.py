@@ -4,7 +4,7 @@ Subcommands: ``solve`` one instance to a JSON report, ``generate`` random
 scheduling instances, ``oracle`` exact reference answers for small
 instances, and ``bench`` a manifest of runs into CSV.  Exit codes: 0 for a
 proven answer (optimal or infeasible), 2 when a resource limit fired, and
-1 for usage, format, or parse errors.
+1 for usage, format, parse, or file-access errors.
 """
 
 from __future__ import annotations
@@ -147,6 +147,14 @@ def _run_solver(model, adapter, algo: str, propagation: str, limits: SolveLimits
     return cabs(model, adapter, limits, BeamConfig(), mode)
 
 
+def _emit(payload: str, output) -> None:
+    """Write ``payload`` to the ``output`` path, or to stdout without one."""
+    if output:
+        Path(output).write_text(payload)
+    else:
+        sys.stdout.write(payload)
+
+
 def _cmd_solve(args) -> int:
     _instance, model, adapter = _load(args.problem, args.instance, args.format)
     limits = _limits_from(args.time_limit, args.mem_limit, args.expansion_cap)
@@ -177,11 +185,7 @@ def _cmd_solve(args) -> int:
         "solution": solution,
         "verified": solution is not None,
     }
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        Path(args.output).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
     if result.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
         return 0
     return 2
@@ -261,9 +265,11 @@ def _cmd_bench(args) -> int:
         raise ParseError(str(exc), args.manifest) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}", args.manifest, exc.lineno) from exc
-    rows = manifest["runs"] if isinstance(manifest, dict) else manifest
-    if not isinstance(rows, list):
-        raise ParseError("manifest must be a list of runs or {'runs': [...]}", args.manifest)
+    rows = manifest.get("runs") if isinstance(manifest, dict) else manifest
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ParseError(
+            "manifest must be a list of run objects or {'runs': [...]}", args.manifest
+        )
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -283,11 +289,7 @@ def _cmd_bench(args) -> int:
         summary["status"] = f"solved {solved.get(key, 0)}/{totals[key]}"
         summary["solved_count"] = solved.get(key, 0)
         writer.writerow(summary)
-    payload = buffer.getvalue()
-    if args.output:
-        Path(args.output).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(buffer.getvalue(), args.output)
     return 0
 
 
@@ -344,7 +346,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (ParseError, UnknownFormat, TooLarge, ValueError) as exc:
+    # OSError covers unreadable inputs and unwritable output paths.
+    except (ParseError, UnknownFormat, TooLarge, ValueError, OSError) as exc:
         print(f"dpcp: error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,8 +7,8 @@ cost.  Models also supply a dominance relation (used for duplicate
 detection) and an admissible dual bound (used as the search heuristic).
 
 This module holds the abstract contract, replay validation of solutions,
-and a memoized exhaustive recursion used as a verification oracle by the
-test suites.
+a memoized exhaustive recursion used as a verification oracle by the test
+suites, and the set-bit iterator the bitmask models share.
 """
 
 from __future__ import annotations
@@ -23,6 +23,14 @@ from .cost import Cost, INFINITY, add
 # Transition labels are problem-specific small integers (job/task/location
 # index); they must be stable across a solve so solutions can be replayed.
 Label = int
+
+
+def iter_bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class InvalidTransition(Exception):
@@ -227,8 +235,6 @@ def enumerate_state_values(model: DpModel, depth_cap: int = 64):
         if depth >= depth_cap:
             raise DepthExceeded(depth_cap)
         best: Cost = INFINITY
-        # Mark before recursing; successors never revisit their input, and
-        # models here are acyclic, so the placeholder is never read.
         for weight, _label, succ in model.successors(s):
             value = add(weight, rec(succ, depth + 1))
             if value < best:

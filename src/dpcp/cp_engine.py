@@ -520,28 +520,6 @@ def propagate_fixpoint(store: DomainStore, props: Sequence[Propagator]) -> Domai
     return store
 
 
-def edge_finding_disjunctive(
-    store: DomainStore, items: Iterable[Tuple[int, DurationSpec]]
-) -> DomainStore:
-    """One edge-finding application over ``items``; returns the store."""
-    Disjunctive(items).propagate(store)
-    return store
-
-
-def time_table_cumulative(
-    store: DomainStore, tasks: Iterable[Tuple[int, int, int]], capacity: int
-) -> DomainStore:
-    """One time-table filtering application; returns the store."""
-    Cumulative(tasks, capacity).propagate(store)
-    return store
-
-
-def sum_le(store: DomainStore, terms: Sequence[int], cap: Cost) -> DomainStore:
-    """One bounded-sum filtering application; returns the store."""
-    SumLe(tuple(terms), cap).propagate(store)
-    return store
-
-
 def ect_envelope(tasks: Sequence[Tuple[int, int, int]], capacity: int) -> int:
     """Earliest-completion envelope of ``(lb_start, duration, usage)`` tasks.
 
@@ -570,9 +548,13 @@ class PropagationAdapter(ABC):
 
     ``build`` is deterministic for equal states.  The current path cost and
     primal bound are passed in so objective-capping constraints can be
-    emitted.  ``dual_cp`` may be evaluated for a successor state against
-    its parent's propagated store: the parent's domains remain valid for
-    every successor, which is what makes the per-successor bound sound.
+    emitted; the search reads infeasibility from ``store.infeasible``.
+    ``dual_cp`` may be evaluated for a successor state against its
+    parent's propagated store: the parent's domains remain valid for every
+    successor, which is what makes the per-successor bound sound.  The
+    transition rule lives only in the model's ``successors``, so the
+    successor veto is handed the state it produced and reduces to domain
+    lookups.
     """
 
     @abstractmethod
@@ -581,13 +563,11 @@ class PropagationAdapter(ABC):
     ) -> Tuple[DomainStore, List[Propagator]]:
         """CP variables, domains, and propagators representing ``state``."""
 
-    def is_infeasible(self, state, store: DomainStore) -> bool:
-        return store.infeasible
-
     @abstractmethod
     def dual_cp(self, state, store: DomainStore) -> Cost:
         """Lower bound on remaining cost of ``state`` under ``store``."""
 
     @abstractmethod
-    def is_succ_infeasible(self, label, state, store: DomainStore) -> bool:
-        """True when the transition ``label`` out of ``state`` is pruned."""
+    def is_succ_infeasible(self, label, state, succ, store: DomainStore) -> bool:
+        """True when ``store`` rules out the transition ``label`` taking
+        ``state`` to ``succ``."""

@@ -10,9 +10,10 @@ completion of pending work); they telescope, so the path cost charged from
 the target's estimate equals the final makespan.
 
 Dual bounds, both the model's own (critical path, resource energy) and the
-propagation-based ones (completion envelope, latest finish, objective
-variable), naturally bound the total makespan; they are converted to
-remaining cost by subtracting the state's current estimate, floored at 0.
+propagation-based ones (completion envelope, and the objective variable,
+which its links lift to the latest pending finish), naturally bound the
+total makespan; they are converted to remaining cost by subtracting the
+state's current estimate, floored at 0.
 """
 
 from __future__ import annotations
@@ -364,6 +365,10 @@ class RcpspAdapter(PropagationAdapter):
             props.append(Cumulative(members, cap))
         for i, j in inst.precedences:
             props.append(PrecedenceLe(i, tasks[i].duration, j))
+        # The objective links come last: nothing after them moves a task's
+        # lower bound, so after a single pass (or a fixed point) lb(obj) is
+        # at least lb(i) + p_i for every pending task i.  ``dual_cp``
+        # relies on this instead of taking the latest finish itself.
         for i in pending:
             props.append(PrecedenceLe(i, tasks[i].duration, self._obj))
         return store, props
@@ -383,39 +388,18 @@ class RcpspAdapter(PropagationAdapter):
                 total = cand
         return self.model._remaining(total, state)
 
-    def finish_bound(self, state: RcpspState, store: DomainStore) -> Cost:
-        """Latest pending earliest-finish, as remaining cost."""
-        inst = self.instance
-        total = 0
-        for i, s in enumerate(state.starts):
-            if s is None:
-                cand = store.lb(i) + inst.tasks[i].duration
-                if cand > total:
-                    total = cand
-        return self.model._remaining(total, state)
-
     def dual_cp(self, state: RcpspState, store: DomainStore) -> Cost:
-        inst = self.instance
-        pending = [i for i, s in enumerate(state.starts) if s is None]
-        total = store.lb(self._obj)
-        for i in pending:
-            cand = store.lb(i) + inst.tasks[i].duration
-            if cand > total:
-                total = cand
-        for r, cap in enumerate(inst.capacities):
-            cand = ect_envelope(
-                [(store.lb(i), inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in pending],
-                cap,
-            )
-            if cand > total:
-                total = cand
-        return self.model._remaining(total, state)
+        # The objective links in ``build`` already give lb(obj) >= every
+        # pending earliest finish, so no separate finish term is needed.
+        return max(
+            self.model._remaining(store.lb(self._obj), state),
+            self.envelope_bound(state, store),
+        )
 
-    def is_succ_infeasible(self, label: int, state: RcpspState, store: DomainStore) -> bool:
-        slot = self.model.earliest_time(state, label)
-        if slot is None:
-            return True
-        return not store.contains(label, slot)
+    def is_succ_infeasible(
+        self, label: int, state: RcpspState, succ: RcpspState, store: DomainStore
+    ) -> bool:
+        return not store.contains(label, succ.starts[label])
 
 
 def ordering_optimum(instance: RcpspInstance) -> int:

@@ -130,11 +130,6 @@ class Registry:
         return bad
 
 
-def register(reg: Registry, model: DpModel, state, g: Cost, node=None) -> bool:
-    """Functional form of ``Registry.register``."""
-    return reg.register(model, state, g, node)
-
-
 def _resolve_mode(mode: Optional[PropagationMode], adapter) -> PropagationMode:
     if mode is None:
         return PropagationMode.ONCE if adapter is not None else PropagationMode.OFF
@@ -146,9 +141,13 @@ def _resolve_mode(mode: Optional[PropagationMode], adapter) -> PropagationMode:
 def _gen_succ_cp(model, adapter, state, g, primal, mode, metrics):
     """Propagation-wrapped successor generation.
 
-    Returns ``(successors, cp_dual, expanded)`` where successors are
-    ``(weight, label, state, succ_cp_dual)`` and ``expanded`` is False when
-    the state was pruned before its successors were enumerated.
+    Builds and propagates the state's CP model and returns
+    ``(successors, cp_dual, expanded)``.  ``expanded`` is False, with no
+    successors, when the store is infeasible (``cp_dual`` is then
+    INFINITY) or ``g + cp_dual`` cannot beat ``primal``.  Surviving
+    successors are ``(weight, label, state, succ_cp_dual)``: the CP dual
+    bound of each is evaluated under the parent's propagated domains, so
+    callers can set ``h = max(model dual, CP dual)``.
     """
     started = time.perf_counter()
     store, props = adapter.build(state, g, primal)
@@ -160,42 +159,19 @@ def _gen_succ_cp(model, adapter, state, g, primal, mode, metrics):
     if metrics is not None:
         metrics.propagation_calls += 1
         metrics.propagation_time += time.perf_counter() - started
-    if adapter.is_infeasible(state, store):
+    if store.infeasible:
         return [], INFINITY, False
     cp_dual = adapter.dual_cp(state, store)
     if add(g, cp_dual) >= primal:
         return [], cp_dual, False
     out = []
     for weight, label, succ in model.successors(state):
-        if adapter.is_succ_infeasible(label, state, store):
+        if adapter.is_succ_infeasible(label, state, succ, store):
             if metrics is not None:
                 metrics.pruned_by_cp += 1
             continue
         out.append((weight, label, succ, adapter.dual_cp(succ, store)))
     return out, cp_dual, True
-
-
-def gen_succ_propagation(
-    model: DpModel,
-    adapter: PropagationAdapter,
-    state,
-    g: Cost,
-    primal: Cost,
-    mode: PropagationMode = PropagationMode.ONCE,
-    metrics: Optional[RunMetrics] = None,
-):
-    """Generate successors of ``state`` under constraint propagation.
-
-    Builds and propagates the state's CP model, returns ``([], cp_dual)``
-    when the state is infeasible or cannot beat the incumbent, and
-    otherwise returns the surviving successors.  Each survivor carries the
-    CP dual bound evaluated for it under the parent's propagated domains,
-    so callers can set ``h = max(model dual, CP dual)``.
-    """
-    if mode is PropagationMode.OFF:
-        raise ValueError("propagation mode is off")
-    succs, cp_dual, _ = _gen_succ_cp(model, adapter, state, g, primal, mode, metrics)
-    return succs, cp_dual
 
 
 class _SolveContext:
@@ -208,6 +184,7 @@ class _SolveContext:
         self.mode = mode
         self.observer = observer
         self.metrics = RunMetrics()
+        self.status: Optional[SolveStatus] = None
         self.primal: Cost = INFINITY
         self.incumbent: Optional[SearchNode] = None
         self.best_dual: Optional[Cost] = None
@@ -241,15 +218,44 @@ class _SolveContext:
             self.best_dual = value
             self.metrics.dual_trace.append((self.elapsed(), value))
 
-    def offer_incumbent(self, node: SearchNode) -> bool:
-        """Record a popped base node; True when it improved the incumbent."""
+    def offer_incumbent(self, node: SearchNode) -> None:
+        """Record a popped base node if it improves the incumbent."""
         total = add(node.g, self.model.base_cost(node.state))
         if total < self.primal:
             self.primal = total
             self.incumbent = node
             self.metrics.incumbent_trace.append((self.elapsed(), total))
-            return True
-        return False
+
+    def exhausted(self) -> SolveStatus:
+        """Status once nothing is left to search."""
+        return SolveStatus.OPTIMAL if self.incumbent else SolveStatus.INFEASIBLE
+
+    def process(self, node: SearchNode, registry: Registry, open_count: int) -> List[SearchNode]:
+        """Handle one live node taken off the open list or the beam layer.
+
+        A base node is offered as the incumbent.  Any other node is checked
+        against the limits (a fired limit sets ``status``) and expanded;
+        the children that satisfy ``f <= primal`` and pass registry
+        admission are returned in generation order.
+        """
+        model = self.model
+        if model.is_base(node.state):
+            self.metrics.base_pops += 1
+            self.offer_incumbent(node)
+            return []
+        self.status = self.limit_status(registry, open_count)
+        if self.status is not None:
+            return []
+        succs = self.expand(node)
+        if succs is None:
+            return []
+        admitted = []
+        for weight, label, state, h_cp in succs:
+            child = self.child(node, weight, label, state, h_cp)
+            self.metrics.generated += 1
+            if child.f <= self.primal and registry.register(model, state, child.g, node=child):
+                admitted.append(child)
+        return admitted
 
     def expand(self, node: SearchNode):
         """Successors of a popped node, or None if propagation pruned it.
@@ -284,7 +290,8 @@ class _SolveContext:
             h = h_cp
         return SearchNode(state, g, h, parent=node, label=label, seq=next(self.counter))
 
-    def finish(self, status: SolveStatus) -> SolveResult:
+    def finish(self) -> SolveResult:
+        status = self.status
         m = self.metrics
         if status is SolveStatus.OPTIMAL:
             self.note_dual(self.primal)
@@ -323,35 +330,21 @@ def astar(
     root = ctx.make_root()
     registry.register(model, root.state, root.g, node=root)
     heap = [(root.f, -root.g, root.seq, root)]
-    status = None
-    while status is None:
+    while ctx.status is None:
         if not heap:
-            status = SolveStatus.OPTIMAL if ctx.incumbent else SolveStatus.INFEASIBLE
+            ctx.status = ctx.exhausted()
             break
         f, _neg_g, _seq, node = heappop(heap)
         if node.stale:
             ctx.metrics.stale_skips += 1
             continue
         if ctx.incumbent is not None and f >= ctx.primal:
-            status = SolveStatus.OPTIMAL
+            ctx.status = SolveStatus.OPTIMAL
             break
         ctx.note_dual(min(ctx.primal, f))
-        if model.is_base(node.state):
-            ctx.metrics.base_pops += 1
-            ctx.offer_incumbent(node)
-            continue
-        status = ctx.limit_status(registry, len(heap))
-        if status is not None:
-            break
-        succs = ctx.expand(node)
-        if succs is None:
-            continue
-        for weight, label, state, h_cp in succs:
-            child = ctx.child(node, weight, label, state, h_cp)
-            ctx.metrics.generated += 1
-            if child.f <= ctx.primal and registry.register(model, state, child.g, node=child):
-                heappush(heap, (child.f, -child.g, child.seq, child))
-    return ctx.finish(status)
+        for child in ctx.process(node, registry, len(heap)):
+            heappush(heap, (child.f, -child.g, child.seq, child))
+    return ctx.finish()
 
 
 def cabs(
@@ -366,61 +359,56 @@ def cabs(
 
     Runs repeated layered beam passes; each layer keeps the ``width`` best
     nodes by (f, larger g, insertion order).  The incumbent persists across
-    passes while duplicate detection restarts per pass.  A pass that never
-    discards a node at the width cut and does not improve the incumbent is
-    exhaustive, proving the incumbent optimal or the instance infeasible.
-    Expansion counts accumulate across passes.
+    passes while duplicate detection restarts per pass.  Expansion counts
+    accumulate across passes.
+
+    A pass that never discards a node at the width cut is exhaustive, even
+    if it improved the incumbent, so it proves the final incumbent optimal
+    (or the instance infeasible when there is none).  Without width cuts a
+    node leaves the pass only in these ways:
+
+    * it is pruned against the primal current at that moment, by
+      ``f > primal`` at admission or by its CP bound or infeasibility at
+      expansion (a vetoed successor has no feasible completion); the
+      primal only falls during the pass, so it is never below the final
+      primal, and the pruned node cannot lead to anything cheaper than
+      the final primal;
+    * the registry rejects it, or later evicts it, in favour of a
+      registered node of the same pass that dominates it at no larger
+      path cost; that node sits in a layer, so it is itself expanded or
+      pruned on its bound, and its best completion is no worse.
+
+    So every solution strictly cheaper than the final primal would have
+    been reached and recorded, and none exists.
     """
     mode = _resolve_mode(mode, adapter)
     beam = beam or BeamConfig()
     ctx = _SolveContext(model, adapter, limits or SolveLimits(), mode, observer)
     width = beam.initial_width
-    status = None
-    while status is None:
+    while ctx.status is None:
         ctx.metrics.beam_widths.append(width)
         registry = Registry()
         root = ctx.make_root()
         registry.register(model, root.state, root.g, node=root)
         layer: List[SearchNode] = [root]
         discarded = False
-        improved = False
-        while layer and status is None:
+        while layer and ctx.status is None:
             candidates: List[SearchNode] = []
             for node in layer:
-                if status is not None:
-                    break
                 if node.stale:
                     ctx.metrics.stale_skips += 1
                     continue
-                if model.is_base(node.state):
-                    ctx.metrics.base_pops += 1
-                    if ctx.offer_incumbent(node):
-                        improved = True
-                    continue
-                status = ctx.limit_status(registry, len(layer) + len(candidates))
-                if status is not None:
+                candidates += ctx.process(node, registry, len(layer) + len(candidates))
+                if ctx.status is not None:
                     break
-                succs = ctx.expand(node)
-                if succs is None:
-                    continue
-                for weight, label, state, h_cp in succs:
-                    child = ctx.child(node, weight, label, state, h_cp)
-                    ctx.metrics.generated += 1
-                    if child.f <= ctx.primal and registry.register(
-                        model, state, child.g, node=child
-                    ):
-                        candidates.append(child)
-            if status is not None:
-                break
             candidates.sort(key=lambda n: (n.f, -n.g, n.seq))
             if len(candidates) > width:
                 discarded = True
                 candidates = candidates[:width]
             layer = candidates
-        if status is not None:
-            break
-        if not discarded and not improved:
-            status = SolveStatus.OPTIMAL if ctx.incumbent else SolveStatus.INFEASIBLE
-        else:
-            width *= beam.growth_factor
-    return ctx.finish(status)
+        if ctx.status is None:
+            if discarded:
+                width *= beam.growth_factor
+            else:
+                ctx.status = ctx.exhausted()
+    return ctx.finish()

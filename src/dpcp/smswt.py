@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
-from .core import DpModel
+from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY
 from .cp_engine import (
     Disjunctive,
@@ -78,13 +78,6 @@ class SmsState(NamedTuple):
     time: int
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class SmsModel(DpModel):
     """State-transition model minimising total weighted tardiness."""
 
@@ -110,7 +103,7 @@ class SmsModel(DpModel):
         jobs = self.instance.jobs
         t = state.time
         finishes = []
-        for i in _iter_bits(state.unscheduled):
+        for i in iter_bits(state.unscheduled):
             f = max(t, jobs[i].r) + jobs[i].p
             # A pending job already past its deadline can never recover:
             # the state is a dead end regardless of order.
@@ -131,7 +124,7 @@ class SmsModel(DpModel):
         jobs = self.instance.jobs
         t = state.time
         total = 0
-        for i in _iter_bits(state.unscheduled):
+        for i in iter_bits(state.unscheduled):
             total += jobs[i].w * max(0, max(jobs[i].r, t) + jobs[i].p - jobs[i].d)
         return total
 
@@ -155,21 +148,22 @@ class SmsAdapter(PropagationAdapter):
             else:
                 domains.append(Interval(0, 0))  # inert placeholder
         store = DomainStore(domains)
-        items = [(i, jobs[i].p) for i in _iter_bits(state.unscheduled)]
+        items = [(i, jobs[i].p) for i in iter_bits(state.unscheduled)]
         return store, [Disjunctive(items)]
 
     def dual_cp(self, state: SmsState, store: DomainStore) -> Cost:
         jobs = self.instance.jobs
         total = 0
-        for i in _iter_bits(state.unscheduled):
+        for i in iter_bits(state.unscheduled):
             total += jobs[i].w * max(0, store.lb(i) + jobs[i].p - jobs[i].d)
         return total
 
-    def is_succ_infeasible(self, label: int, state: SmsState, store: DomainStore) -> bool:
-        # The transition starts the job immediately; it dies when that
-        # earliest start was propagated out of the job's domain.
-        job = self.instance.jobs[label]
-        return not store.contains(label, max(state.time, job.r))
+    def is_succ_infeasible(
+        self, label: int, state: SmsState, succ: SmsState, store: DomainStore
+    ) -> bool:
+        # The job finishes at the successor's clock; the transition dies
+        # when its start was propagated out of the job's domain.
+        return not store.contains(label, succ.time - self.instance.jobs[label].p)
 
 
 def permutation_optimum(instance: SmsInstance) -> Cost:

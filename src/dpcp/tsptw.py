@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import DpModel
+from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, is_finite
 from .cp_engine import (
     Disjunctive,
@@ -123,13 +123,6 @@ class TsptwState(NamedTuple):
     time: int
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class TsptwModel(DpModel):
     def __init__(self, instance: TsptwInstance):
         self.instance = instance
@@ -153,12 +146,12 @@ class TsptwModel(DpModel):
         here = state.location
         # Dead end when some unvisited location misses its window even via
         # the shortest possible travel.
-        for j in _iter_bits(state.unvisited):
+        for j in iter_bits(state.unvisited):
             sp = inst.shortest[here][j]
             if sp is None or t + sp > inst.windows[j][1]:
                 return []
         out = []
-        for j in _iter_bits(state.unvisited):
+        for j in iter_bits(state.unvisited):
             arc = inst.travel[here][j]
             if arc is None or t + arc > inst.windows[j][1]:
                 continue
@@ -175,7 +168,7 @@ class TsptwModel(DpModel):
         inst = self.instance
         into = inst.min_to[0]
         out_of = inst.min_from[state.location]
-        for i in _iter_bits(state.unvisited):
+        for i in iter_bits(state.unvisited):
             into = into + inst.min_to[i]
             out_of = out_of + inst.min_from[i]
         return max(into, out_of)
@@ -202,7 +195,7 @@ class TsptwAdapter(PropagationAdapter):
     def build(self, state: TsptwState, g: Cost = 0, primal: Cost = INFINITY):
         inst = self.instance
         n = inst.n
-        live = sorted(set(_iter_bits(state.unvisited)) | {state.location})
+        live = sorted(set(iter_bits(state.unvisited)) | {state.location})
         arrivals: List = [Interval(0, 0) for _ in range(n)]
         durations: List = [Interval(0, 0) for _ in range(n)]
         for i in live:
@@ -219,7 +212,7 @@ class TsptwAdapter(PropagationAdapter):
         # or past d_i, so only the two largest such arrivals are needed.
         first = second = None
         first_at = -1
-        for j in _iter_bits(state.unvisited):
+        for j in iter_bits(state.unvisited):
             t = max(state.time, inst.windows[j][0])
             if first is None or t > first:
                 first, second, first_at = t, first, j
@@ -227,7 +220,7 @@ class TsptwAdapter(PropagationAdapter):
                 second = t
         for i in live:
             latest = second if i == first_at else first
-            targets = [j for j in _iter_bits(state.unvisited) if j != i]
+            targets = [j for j in iter_bits(state.unvisited) if j != i]
             if latest is None or latest < inst.windows[i][1]:
                 targets.append(0)
             values = [inst.travel[i][j] for j in targets if inst.travel[i][j] is not None]
@@ -247,16 +240,16 @@ class TsptwAdapter(PropagationAdapter):
 
     def dual_cp(self, state: TsptwState, store: DomainStore) -> Cost:
         total = store.lb(self._dur(state.location))
-        for i in _iter_bits(state.unvisited):
+        for i in iter_bits(state.unvisited):
             total += store.lb(self._dur(i))
         return total
 
-    def is_succ_infeasible(self, label: int, state: TsptwState, store: DomainStore) -> bool:
-        inst = self.instance
-        arc = inst.travel[state.location][label]
-        arrive = max(state.time + arc, inst.windows[label][0])
-        if not store.contains(label, arrive):
+    def is_succ_infeasible(
+        self, label: int, state: TsptwState, succ: TsptwState, store: DomainStore
+    ) -> bool:
+        if not store.contains(label, succ.time):
             return True
+        arc = self.instance.travel[state.location][label]
         return not store.contains(self._dur(state.location), arc)
 
 

@@ -83,6 +83,13 @@ def solve_all_modes(model, adapter, limits=None):
     return out
 
 
+def vetoed(adapter, state, label, store) -> bool:
+    """The adapter's veto on the model's transition ``label`` out of
+    ``state``, handed the successor state the model produces."""
+    succ = next(s for _w, lbl, s in adapter.model.successors(state) if lbl == label)
+    return adapter.is_succ_infeasible(label, state, succ, store)
+
+
 # --- micro-models for propagator soundness -------------------------------
 
 def domain_values(domain):

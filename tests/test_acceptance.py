@@ -168,7 +168,7 @@ def test_criterion_5_bound_admissibility():
                 propagate_once(store, props)
                 if not store.infeasible:
                     assert adapter.envelope_bound(state, store) <= value
-                    assert adapter.finish_bound(state, store) <= value
+                    assert store.lb(inst.n) - model.makespan_estimate(state) <= value
                     assert adapter.dual_cp(state, store) <= value
 
 
@@ -189,7 +189,7 @@ def test_criterion_6_propagation_reduces_expansions():
             once_expansions.append(once.metrics.expansions)
             store, props = adapter.build(model.target_state())
             propagate_once(store, props)
-            if adapter.is_infeasible(model.target_state(), store):
+            if store.infeasible:
                 assert once.status is SolveStatus.INFEASIBLE
                 assert once.metrics.expansions == 0
         assert statistics.median(once_expansions) <= statistics.median(off_expansions)

@@ -1,0 +1,162 @@
+"""The adapter contract: successor vetoes are domain lookups on the
+successor state, and the RCPSP objective links carry the finish bound.
+
+The reference functions below recompute each transition from the parent
+state, the way the vetoes did before they were handed the successor; the
+differential tests check that both readings agree on every successor of
+every enumerated state, under single-pass and fixed-point propagation.
+"""
+
+import random
+
+from dpcp import (
+    INFINITY,
+    enumerate_state_values,
+    is_finite,
+    propagate_fixpoint,
+    propagate_once,
+)
+from dpcp import rcpsp, smswt, tsptw
+from dpcp.cp_engine import ect_envelope
+
+from conftest import random_rcpsp_instance, random_sms_instance, random_tsptw_instance
+
+MODES = (propagate_once, propagate_fixpoint)
+
+
+def reference_sms_veto(adapter, label, state, store):
+    job = adapter.instance.jobs[label]
+    return not store.contains(label, max(state.time, job.r))
+
+
+def reference_tsptw_veto(adapter, label, state, store):
+    inst = adapter.instance
+    arc = inst.travel[state.location][label]
+    arrive = max(state.time + arc, inst.windows[label][0])
+    if not store.contains(label, arrive):
+        return True
+    return not store.contains(inst.n + state.location, arc)
+
+
+def reference_rcpsp_veto(adapter, label, state, store):
+    slot = adapter.model.earliest_time(state, label)
+    if slot is None:
+        return True
+    return not store.contains(label, slot)
+
+
+def reference_rcpsp_dual_cp(adapter, state, store):
+    """Objective, latest pending finish and envelope, taken separately."""
+    inst = adapter.instance
+    pending = [i for i, s in enumerate(state.starts) if s is None]
+    total = store.lb(inst.n)
+    for i in pending:
+        total = max(total, store.lb(i) + inst.tasks[i].duration)
+    for r, cap in enumerate(inst.capacities):
+        tasks = [(store.lb(i), inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in pending]
+        total = max(total, ect_envelope(tasks, cap))
+    return adapter.model._remaining(total, state)
+
+
+def propagated_stores(model, adapter, primal_of):
+    """``(state, store)`` for every non-base enumerated state and
+    propagation mode, built once without and once with an incumbent cap."""
+    for state, value in enumerate_state_values(model).items():
+        if model.is_base(state):
+            continue
+        for g, primal in ((0, INFINITY), primal_of(state, value)):
+            for propagate in MODES:
+                store, props = adapter.build(state, g, primal)
+                if store.infeasible:
+                    continue
+                propagate(store, props)
+                if not store.infeasible:
+                    yield state, store
+
+
+def assert_vetoes_agree(model, adapter, reference, primal_of):
+    checked = vetoed = 0
+    for state, store in propagated_stores(model, adapter, primal_of):
+        for _w, label, succ in model.successors(state):
+            new = adapter.is_succ_infeasible(label, state, succ, store)
+            assert new == reference(adapter, label, state, store), (state, label)
+            checked += 1
+            vetoed += new
+    return checked, vetoed
+
+
+def tight_total(state, value):
+    # Path cost 0 and an incumbent equal to the best completion.
+    return 0, value if is_finite(value) else INFINITY
+
+
+def test_sms_veto_matches_transition_reference():
+    rng = random.Random(101)
+    checked = vetoed = 0
+    for _ in range(12):
+        model = smswt.SmsModel(random_sms_instance(rng, rng.randint(3, 7)))
+        c, v = assert_vetoes_agree(
+            model, smswt.SmsAdapter(model), reference_sms_veto, tight_total
+        )
+        checked, vetoed = checked + c, vetoed + v
+    assert checked > 3000 and vetoed > 1000, (checked, vetoed)
+
+
+def test_tsptw_veto_matches_transition_reference():
+    rng = random.Random(103)
+    checked = vetoed = 0
+    for _ in range(30):
+        model = tsptw.TsptwModel(random_tsptw_instance(rng, rng.randint(3, 7)))
+        c, v = assert_vetoes_agree(
+            model, tsptw.TsptwAdapter(model), reference_tsptw_veto, tight_total
+        )
+        checked, vetoed = checked + c, vetoed + v
+    assert checked > 1500 and vetoed > 150, (checked, vetoed)
+
+
+def rcpsp_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        inst = random_rcpsp_instance(rng, 7)
+        # Without left-shift pruning every reachable order is enumerated.
+        yield inst, rcpsp.RcpspModel(inst, use_left_shift=False)
+
+
+def rcpsp_makespan_cap(model):
+    # The makespan variable is capped at the incumbent total, reached at
+    # path cost equal to the state's makespan estimate.
+    def primal_of(state, value):
+        g = model.makespan_estimate(state)
+        return g, g + value
+
+    return primal_of
+
+
+def test_rcpsp_veto_matches_transition_reference():
+    checked = vetoed = 0
+    for _inst, model in rcpsp_cases(107, 30):
+        c, v = assert_vetoes_agree(
+            model, rcpsp.RcpspAdapter(model), reference_rcpsp_veto, rcpsp_makespan_cap(model)
+        )
+        checked, vetoed = checked + c, vetoed + v
+    assert checked > 8000 and vetoed > 80, (checked, vetoed)
+
+
+def test_rcpsp_objective_links_carry_pending_finishes():
+    # After any single pass or fixed point, lb(obj) >= lb(i) + p_i for
+    # every pending i, which is why dual_cp needs no finish term of its
+    # own; the full reference bound (with that term) must agree, also for
+    # successors evaluated under their parent's store, as the search does.
+    checked = 0
+    for inst, model in rcpsp_cases(109, 30):
+        adapter = rcpsp.RcpspAdapter(model)
+        for state, store in propagated_stores(model, adapter, rcpsp_makespan_cap(model)):
+            for i, s in enumerate(state.starts):
+                if s is None:
+                    assert store.lb(inst.n) >= store.lb(i) + inst.tasks[i].duration
+            for bounded in [state] + [succ for _w, _l, succ in model.successors(state)]:
+                assert adapter.dual_cp(bounded, store) == reference_rcpsp_dual_cp(
+                    adapter, bounded, store
+                )
+            checked += 1
+    assert checked > 3000, checked

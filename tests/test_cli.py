@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from dpcp.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -81,6 +83,13 @@ def test_solve_psplib_precedence_row_without_request_row(tmp_path, capsys):
     assert main(["solve", str(bad), "--problem", "rcpsp"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("dpcp: error") and "job 7" in err
+
+
+def test_solve_unwritable_output(tmp_path, capsys):
+    inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
+    out = tmp_path / "missing" / "dir" / "x.json"
+    assert main(["solve", str(inst), "--problem", "smswt", "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("dpcp: error")
 
 
 def test_solve_usage_error_exit_one(tmp_path):
@@ -188,3 +197,17 @@ def test_bench_rows_summary_and_determinism(tmp_path):
     for a, b in zip(rows, rows2):
         for col in ("instance", "status", "cost", "expansions", "generated", "final_gap"):
             assert a[col] == b[col]
+
+
+@pytest.mark.parametrize("manifest", [{"foo": 1}, [1, 2]])
+def test_bench_malformed_manifest(tmp_path, capsys, manifest):
+    mpath = write_json(tmp_path / "manifest.json", manifest)
+    assert main(["bench", str(mpath)]) == 1
+    assert capsys.readouterr().err.startswith("dpcp: error")
+
+
+def test_bench_unwritable_output(tmp_path, capsys):
+    mpath = write_json(tmp_path / "manifest.json", [])
+    out = tmp_path / "missing" / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("dpcp: error")

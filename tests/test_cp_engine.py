@@ -5,19 +5,18 @@ import pytest
 
 from dpcp import (
     AdapterFailure,
+    Cumulative,
     Disjunctive,
     DomainStore,
     FiniteSet,
     INFINITY,
     Interval,
     PrecedenceLe,
+    SumLe,
     VarDuration,
     ect_envelope,
-    edge_finding_disjunctive,
     propagate_fixpoint,
     propagate_once,
-    sum_le,
-    time_table_cumulative,
 )
 
 from dpcp import cp_engine
@@ -123,20 +122,20 @@ def test_fixpoint_noop_when_already_stable():
 
 def test_edge_finding_lifts_competing_job():
     store = DomainStore([Interval(0, 10), Interval(1, 2)])
-    edge_finding_disjunctive(store, [(0, 5), (1, 3)])
+    Disjunctive([(0, 5), (1, 3)]).propagate(store)
     assert store.lb(0) == 4
     assert (store.lb(1), store.ub(1)) == (1, 2)
 
 
 def test_edge_finding_single_job_unchanged():
     store = DomainStore([Interval(3, 7)])
-    edge_finding_disjunctive(store, [(0, 2)])
+    Disjunctive([(0, 2)]).propagate(store)
     assert (store.lb(0), store.ub(0)) == (3, 7)
 
 
 def test_edge_finding_overload_infeasible():
     store = DomainStore([Interval(0, 0), Interval(0, 0)])
-    edge_finding_disjunctive(store, [(0, 5), (1, 3)])
+    Disjunctive([(0, 5), (1, 3)]).propagate(store)
     assert store.infeasible
 
 
@@ -154,7 +153,7 @@ def test_edge_finding_matches_once_and_fixpoint():
 def test_edge_finding_variable_durations_use_lower_bound():
     # Duration of job 1 is a variable in {3, 6}; only the 3 is assumed.
     store = DomainStore([Interval(0, 10), Interval(1, 2), FiniteSet([3, 6])])
-    edge_finding_disjunctive(store, [(0, 5), (1, VarDuration(2))])
+    Disjunctive([(0, 5), (1, VarDuration(2))]).propagate(store)
     assert store.lb(0) == 4
 
 
@@ -277,35 +276,35 @@ def test_disjunctive_vardur_finite_sets_match_reference(monkeypatch):
 
 def test_time_table_lifts_past_compulsory_block():
     store = DomainStore([Interval(2, 2), Interval(0, 8)])
-    time_table_cumulative(store, [(0, 4, 2), (1, 3, 1)], 2)
+    Cumulative([(0, 4, 2), (1, 3, 1)], 2).propagate(store)
     assert (store.lb(1), store.ub(1)) == (6, 8)
 
 
 def test_time_table_usage_exceeds_capacity():
     store = DomainStore([Interval(0, 5)])
-    time_table_cumulative(store, [(0, 2, 3)], 2)
+    Cumulative([(0, 2, 3)], 2).propagate(store)
     assert store.infeasible
 
 
 def test_time_table_no_compulsory_parts_unchanged():
     store = DomainStore([Interval(0, 20), Interval(0, 20)])
-    time_table_cumulative(store, [(0, 3, 2), (1, 4, 2)], 2)
+    Cumulative([(0, 3, 2), (1, 4, 2)], 2).propagate(store)
     assert (store.lb(0), store.ub(0)) == (0, 20)
     assert (store.lb(1), store.ub(1)) == (0, 20)
 
 
 def test_sum_le_examples():
     store = DomainStore([FiniteSet([2, 5, 9]), FiniteSet([3, 4])])
-    sum_le(store, [0, 1], 9)
+    SumLe((0, 1), 9).propagate(store)
     assert domain_values(store.domain(0)) == [2, 5]
     assert domain_values(store.domain(1)) == [3, 4]
 
     store = DomainStore([Interval(4, 9), Interval(6, 9)])
-    sum_le(store, [0, 1], 9)
+    SumLe((0, 1), 9).propagate(store)
     assert store.infeasible
 
     store = DomainStore([FiniteSet([2, 5, 9])])
-    sum_le(store, [0], INFINITY)
+    SumLe((0,), INFINITY).propagate(store)
     assert domain_values(store.domain(0)) == [2, 5, 9]
 
 

@@ -26,7 +26,7 @@ from dpcp.rcpsp import (
     parse_psplib,
 )
 
-from conftest import random_rcpsp_instance, solve_all_modes
+from conftest import random_rcpsp_instance, solve_all_modes, vetoed
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,7 +145,8 @@ def test_build_objective_and_fixed_starts():
 
 def test_dual_cp_precedence_lift():
     # Unscheduled task 1 must follow the running task 0 (finish 2), so its
-    # earliest finish moves to 5; estimate is 3, leaving remaining cost 2.
+    # earliest finish moves to 5, and its link lifts the objective (id 2)
+    # there too; estimate is 3, leaving remaining cost 2.
     inst = instance_of([(2, (0,)), (3, (0,))], (1,), [(0, 1)])
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
@@ -153,7 +154,7 @@ def test_dual_cp_precedence_lift():
     store, props = adapter.build(state)
     propagate_once(store, props)
     assert store.lb(1) == 2
-    assert adapter.finish_bound(state, store) == 2
+    assert store.lb(2) == 5
     assert adapter.dual_cp(state, store) == 2
     values = enumerate_state_values(model)
     assert values[state] == 2
@@ -197,10 +198,10 @@ def test_succ_infeasible_when_upper_side_cut():
     assert model.earliest_time(state, 1) == 5
     store, _props = adapter.build(state)
     store.set_ub(1, 4)
-    assert adapter.is_succ_infeasible(1, state, store)
+    assert vetoed(adapter, state, 1, store)
     store, props = adapter.build(state)
     propagate_once(store, props)
-    assert not adapter.is_succ_infeasible(1, state, store)
+    assert not vetoed(adapter, state, 1, store)
 
 
 def test_tight_primal_kills_state_via_objective_cap():
@@ -212,7 +213,7 @@ def test_tight_primal_kills_state_via_objective_cap():
     state = RcpspState((0, None), 0)
     store, props = adapter.build(state, g=model.makespan_estimate(state), primal=7)
     propagate_once(store, props)
-    assert adapter.is_infeasible(state, store)
+    assert store.infeasible
 
 
 def test_succ_infeasible_via_fixpoint_time_table():
@@ -224,7 +225,7 @@ def test_succ_infeasible_via_fixpoint_time_table():
     state = model.target_state()
     store, props = adapter.build(state, g=model.makespan_estimate(state), primal=8)
     propagate_fixpoint(store, props)
-    assert adapter.is_succ_infeasible(1, state, store)
+    assert vetoed(adapter, state, 1, store)
 
 
 def test_parse_psplib_fixture():
@@ -320,7 +321,7 @@ def test_cp_bounds_below_oracle_values():
             assert model.chain_bound(state) <= value
             assert model.energy_bound(state) <= value
             assert adapter.envelope_bound(state, store) <= value
-            assert adapter.finish_bound(state, store) <= value
+            assert store.lb(inst.n) - model.makespan_estimate(state) <= value
             assert adapter.dual_cp(state, store) <= value
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import dpcp
 from dpcp import (
     BeamConfig,
     INFINITY,
@@ -13,10 +14,9 @@ from dpcp import (
     brute_force_value,
     cabs,
     enumerate_state_values,
-    gen_succ_propagation,
-    register,
 )
 from dpcp import smswt
+from dpcp.search import SearchNode, _gen_succ_cp
 
 from conftest import random_sms_instance, solve_all_modes
 
@@ -85,6 +85,21 @@ def test_cabs_two_job_optimal_and_width_trace():
     assert all(x > y for x, y in zip(costs, costs[1:]))
 
 
+def test_cabs_stops_after_first_pass_without_width_cut():
+    # Here the pass at width 4 cuts nothing but still improves the
+    # incumbent; it is exhaustive all the same, so no width-8 pass runs.
+    rng = random.Random(116)
+    inst = random_sms_instance(rng, rng.randint(4, 8))
+    model = smswt.SmsModel(inst)
+    assert inst.n == 8
+    for mode in (PropagationMode.OFF, PropagationMode.ONCE):
+        adapter = None if mode is PropagationMode.OFF else smswt.SmsAdapter(model)
+        result = cabs(model, adapter, mode=mode)
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.metrics.beam_widths == [1, 2, 4]
+        assert result.cost == smswt.permutation_optimum(inst) == 4
+
+
 def test_cabs_infeasible():
     result = cabs(infeasible_model())
     assert result.status is SolveStatus.INFEASIBLE
@@ -102,21 +117,19 @@ def test_register_admission_cases():
     model = two_job_model()
     reg = Registry()
     any_state = smswt.SmsState(0b01, 4)
-    assert register(reg, model, any_state, 7)
+    assert reg.register(model, any_state, 7)
 
     reg = Registry()
     state = smswt.SmsState(0b01, 4)
-    assert register(reg, model, state, 4)
-    assert not register(reg, model, state, 5)
+    assert reg.register(model, state, 4)
+    assert not reg.register(model, state, 5)
 
     reg = Registry()
-    assert register(reg, model, smswt.SmsState(0b10, 3), 2)
-    assert not register(reg, model, smswt.SmsState(0b10, 5), 2)
+    assert reg.register(model, smswt.SmsState(0b10, 3), 2)
+    assert not reg.register(model, smswt.SmsState(0b10, 5), 2)
 
 
 def test_register_eviction_marks_stale():
-    from dpcp.search import SearchNode
-
     model = two_job_model()
     reg = Registry()
     old = SearchNode(smswt.SmsState(0b10, 9), 5, 0)
@@ -144,11 +157,12 @@ def test_gen_succ_infeasible_store_short_circuits():
     inst = smswt.SmsInstance((smswt.SmsJob(5, 0, 3, 4, 1),))
     model = smswt.SmsModel(inst)
     adapter = smswt.SmsAdapter(model)
-    succs, cp_dual = gen_succ_propagation(
-        model, adapter, model.target_state(), 0, INFINITY
+    succs, cp_dual, expanded = _gen_succ_cp(
+        model, adapter, model.target_state(), 0, INFINITY, PropagationMode.ONCE, None
     )
     assert succs == []
     assert cp_dual is INFINITY
+    assert not expanded
 
 
 def test_gen_succ_bound_test_short_circuits():
@@ -157,9 +171,12 @@ def test_gen_succ_bound_test_short_circuits():
     inst = smswt.SmsInstance((smswt.SmsJob(2, 0, 1, 10, 3),))
     model = smswt.SmsModel(inst)
     adapter = smswt.SmsAdapter(model)
-    succs, cp_dual = gen_succ_propagation(model, adapter, model.target_state(), 0, 3)
+    succs, cp_dual, expanded = _gen_succ_cp(
+        model, adapter, model.target_state(), 0, 3, PropagationMode.ONCE, None
+    )
     assert succs == []
     assert cp_dual == 3
+    assert not expanded
 
 
 def test_gen_succ_filters_lifted_successor():
@@ -170,21 +187,17 @@ def test_gen_succ_filters_lifted_successor():
     )
     model = smswt.SmsModel(inst)
     adapter = smswt.SmsAdapter(model)
-    succs, cp_dual = gen_succ_propagation(
-        model, adapter, model.target_state(), 0, INFINITY
+    succs, cp_dual, expanded = _gen_succ_cp(
+        model, adapter, model.target_state(), 0, INFINITY, PropagationMode.ONCE, None
     )
+    assert expanded
     assert [label for _w, label, _s, _h in succs] == [1]
     # CP dual sees job 0 started at its lifted bound: 2 * (4 + 5 - 4) = 10.
     assert cp_dual == 10
 
 
-def test_gen_succ_requires_propagation_mode():
-    model = two_job_model()
-    adapter = smswt.SmsAdapter(model)
-    with pytest.raises(ValueError):
-        gen_succ_propagation(
-            model, adapter, model.target_state(), 0, INFINITY, PropagationMode.OFF
-        )
+def test_public_names_resolve():
+    assert [name for name in dpcp.__all__ if not hasattr(dpcp, name)] == []
 
 
 def test_mode_requires_adapter():

@@ -9,11 +9,12 @@ from dpcp import (
     SolveStatus,
     astar,
     brute_force_value,
+    PropagationMode,
     enumerate_state_values,
-    gen_succ_propagation,
     is_finite,
     propagate_once,
 )
+from dpcp.search import _gen_succ_cp
 from dpcp.smswt import (
     SmsAdapter,
     SmsGeneratorConfig,
@@ -25,7 +26,7 @@ from dpcp.smswt import (
     permutation_optimum,
 )
 
-from conftest import random_sms_instance
+from conftest import random_sms_instance, vetoed
 
 
 def model_of(*jobs):
@@ -132,8 +133,8 @@ def test_succ_infeasible_after_lift():
     state = model.target_state()
     store, props = adapter.build(state)
     propagate_once(store, props)
-    assert adapter.is_succ_infeasible(0, state, store)
-    assert not adapter.is_succ_infeasible(1, state, store)
+    assert vetoed(adapter, state, 0, store)
+    assert not vetoed(adapter, state, 1, store)
 
 
 def test_succ_infeasible_false_without_pruning():
@@ -142,8 +143,8 @@ def test_succ_infeasible_false_without_pruning():
     state = model.target_state()
     store, props = adapter.build(state)
     propagate_once(store, props)
-    assert not adapter.is_succ_infeasible(0, state, store)
-    assert not adapter.is_succ_infeasible(1, state, store)
+    assert not vetoed(adapter, state, 0, store)
+    assert not vetoed(adapter, state, 1, store)
 
 
 def test_generator_determinism_and_ranges():
@@ -230,7 +231,9 @@ def test_propagation_never_filters_optimal_path():
         state = model.target_state()
         g = 0
         for label in result.solution:
-            succs, _dual = gen_succ_propagation(model, adapter, state, g, INFINITY)
+            succs, _dual, _expanded = _gen_succ_cp(
+                model, adapter, state, g, INFINITY, PropagationMode.ONCE, None
+            )
             labels = [lbl for _w, lbl, _s, _h in succs]
             assert label in labels
             for w, lbl, s, _h in succs:

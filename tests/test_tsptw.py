@@ -21,7 +21,7 @@ from dpcp.tsptw import (
     permutation_optimum,
 )
 
-from conftest import random_tsptw_instance, solve_all_modes
+from conftest import random_tsptw_instance, solve_all_modes, vetoed
 
 DATA = Path(__file__).parent / "data"
 
@@ -149,7 +149,7 @@ def test_shared_travel_value_survives_depot_drop():
     store, props = adapter.build(state)
     propagate_once(store, props)
     assert store.contains(3 + 1, 7)
-    assert not adapter.is_succ_infeasible(2, state, store)
+    assert not vetoed(adapter, state, 2, store)
 
 
 def test_empty_duration_domain_flags_store():
@@ -220,8 +220,8 @@ def test_succ_infeasible_when_arrival_lifted_away():
     store, props = adapter.build(state)
     propagate_once(store, props)
     assert store.lb(1) == 4
-    assert adapter.is_succ_infeasible(1, state, store)
-    assert not adapter.is_succ_infeasible(2, state, store)
+    assert vetoed(adapter, state, 1, store)
+    assert not vetoed(adapter, state, 2, store)
     # The filtered move is genuinely useless, the optimum visits 2 first.
     assert permutation_optimum(inst) == 6
 
@@ -235,7 +235,7 @@ def test_succ_infeasible_when_travel_value_pruned():
     # Leaving the depot toward 2 costs 3, pruned by the residual budget:
     # 3 > 8 - (2 + 4)? No: pruned values are per-variable uppers; check
     # the actual filter outcome against the surviving domain.
-    filtered = adapter.is_succ_infeasible(2, state, store)
+    filtered = vetoed(adapter, state, 2, store)
     assert filtered == (not store.contains(3 + 0, 3))
 
 
