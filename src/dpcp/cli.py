@@ -132,6 +132,8 @@ def _load(problem: str, path: str, fmt: str):
 def _limits_from(time_limit, mem_limit_mb, expansion_cap) -> SolveLimits:
     memory_limit = None
     if mem_limit_mb is not None:
+        if not mem_limit_mb > 0:
+            raise ValueError(f"memory limit must be positive, got {mem_limit_mb} MB")
         memory_limit = max(1, int(mem_limit_mb * 1024 * 1024))
     return SolveLimits(
         time_limit=time_limit, memory_limit=memory_limit, expansion_cap=expansion_cap

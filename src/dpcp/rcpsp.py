@@ -484,6 +484,8 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
         succ = row[3:]
         if len(succ) != nsucc:
             raise ParseError("successor count mismatch", path, idx + 1)
+        if job in successors:
+            raise ParseError(f"second precedence row for job {job}", path, idx + 1)
         successors[job] = succ
 
     durations: Dict[int, int] = {}
@@ -497,6 +499,10 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
         if len(row) < 3 + n_renew:
             raise ParseError("short request/duration row", path, idx + 1)
         job = row[0]
+        if job in durations:
+            raise ParseError(f"second request/duration row for job {job}", path, idx + 1)
+        if row[2] < 0:
+            raise ParseError("negative duration", path, idx + 1)
         durations[job] = row[2]
         usages[job] = row[3 : 3 + n_renew]
 
@@ -528,25 +534,37 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
                 raise ParseError(f"successor {s} of job {job} unknown", path)
             succs[job].add(s)
             preds[s].add(job)
+    # Check the whole graph for a cycle first: contracting one through a
+    # dummy would drop it silently.  On an acyclic graph the contraction
+    # below cannot create a self-loop.
+    indegree = {j: len(preds[j]) for j in durations}
+    ready = [j for j, d in indegree.items() if d == 0]
+    for j in ready:
+        for s in succs[j]:
+            indegree[s] -= 1
+            if indegree[s] == 0:
+                ready.append(s)
+    if len(ready) != len(durations):
+        raise ParseError("precedence relations contain a cycle", path)
     for dummy in sorted(j for j in durations if durations[j] == 0):
         dummy_preds = preds.pop(dummy)
         dummy_succs = succs.pop(dummy)
         for a in dummy_preds:
             succs[a].discard(dummy)
-            succs[a].update(b for b in dummy_succs if b != a)
+            succs[a].update(dummy_succs)
         for b in dummy_succs:
             preds[b].discard(dummy)
-            preds[b].update(a for a in dummy_preds if a != b)
+            preds[b].update(dummy_preds)
 
     real = sorted(j for j in durations if durations[j] > 0)
     if not real:
         raise ParseError("no non-dummy jobs", path)
     index = {job: k for k, job in enumerate(real)}
-    tasks = [RcpspTask(durations[j], tuple(usages[j])) for j in real]
     edges = sorted(
         (index[a], index[b]) for a in real for b in succs.get(a, ()) if b in index
     )
     try:
+        tasks = [RcpspTask(durations[j], tuple(usages[j])) for j in real]
         return RcpspInstance(tasks, tuple(capacities), edges)
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc

@@ -1,14 +1,23 @@
 """Best-first and anytime-beam solvers over the model contract.
 
-Both drivers keep a registry of encountered states per signature bucket and
-admit a successor only if no registered state dominates it at no larger
-path cost; admission also requires ``f <= primal``.  With propagation
-enabled, successor generation is wrapped: the expanded state's CP model is
-built and propagated once (or to a fixed point), the state can be pruned
-outright by infeasibility or by its CP dual bound against the incumbent,
-surviving successors are filtered individually, and their heuristic values
-are strengthened by the CP dual bound evaluated under the parent's
-propagated domains (which remain valid for every successor).
+Both drivers keep a registry of encountered states per signature bucket.
+Each generated successor is admitted in this order, cheapest test first:
+
+1. its path cost ``g`` and state signature are computed;
+2. it is dropped if a registered state dominates it at no larger ``g``;
+3. otherwise its heuristic is the model dual, raised to the CP dual bound
+   only when propagation is on and ``g`` plus the model dual still does
+   not exceed the incumbent (``h = max`` of the two, so the CP dual cannot
+   rescue a child the model dual already rejects);
+4. only if ``f = g + h <= primal`` is its search node created, the
+   registered states it dominates evicted, and the node stored.
+
+With propagation enabled, the expanded state's CP model is built and
+propagated once (or to a fixed point); the state can be pruned outright by
+infeasibility or by its CP dual bound against the incumbent, and surviving
+successors are filtered individually.  The CP dual of a successor is
+evaluated under the parent's propagated domains, which remain valid for
+every successor.
 """
 
 from __future__ import annotations
@@ -86,38 +95,54 @@ class _Entry:
 class Registry:
     """Dominance-aware duplicate detection, bucketed by state signature.
 
-    ``register`` admits a state unless some stored entry dominates it at no
-    larger path cost; on admission it evicts stored entries that the new
-    state dominates at no larger cost, marking their open-list nodes stale
-    so they are skipped lazily on pop.
+    ``register`` is the single admission step: it tests dominance first
+    and builds the open-list node only for a state that survives it.
     """
 
     def __init__(self):
         self._buckets = {}
         self.size = 0
 
-    def register(self, model: DpModel, state, g: Cost, node: Optional[SearchNode] = None) -> bool:
+    def register(
+        self, model: DpModel, state, g: Cost, build: Callable[[], Optional[SearchNode]]
+    ) -> Optional[SearchNode]:
+        """Admit ``state`` at path cost ``g``, or return None.
+
+        The state is rejected if a stored entry dominates it at no larger
+        path cost; this test has no side effects.  Only then is ``build``
+        called: it returns the state's open-list node, or None to decline
+        the state (a child whose ``f`` exceeds the incumbent), and then
+        nothing is stored or evicted.  On admission the stored entries
+        that the state dominates at no larger cost are evicted, and their
+        open-list nodes marked stale so they are skipped lazily on pop.
+        Returns the admitted node.
+        """
         sig = model.state_signature(state)
         bucket = self._buckets.get(sig)
+        if bucket is not None:
+            for e in bucket:
+                if e.g <= g and model.dominates(e.state, state):
+                    return None
+        node = build()
+        if node is None:
+            return None
         if bucket is None:
+            # An exact-size list: appending to an empty one would reserve
+            # room for four entries in every new bucket.
             self._buckets[sig] = [_Entry(state, g, node)]
             self.size += 1
-            return True
-        for e in bucket:
-            if e.g <= g and model.dominates(e.state, state):
-                return False
+            return node
         kept = []
         for e in bucket:
             if g <= e.g and model.dominates(state, e.state):
-                if e.node is not None:
-                    e.node.stale = True
+                e.node.stale = True
                 self.size -= 1
             else:
                 kept.append(e)
         kept.append(_Entry(state, g, node))
         self._buckets[sig] = kept
         self.size += 1
-        return True
+        return node
 
     def rejection_violations(self, model: DpModel) -> int:
         """Pairs of stored entries that should have rejected each other."""
@@ -142,12 +167,13 @@ def _gen_succ_cp(model, adapter, state, g, primal, mode, metrics):
     """Propagation-wrapped successor generation.
 
     Builds and propagates the state's CP model and returns
-    ``(successors, cp_dual, expanded)``.  ``expanded`` is False, with no
+    ``(successors, cp_dual, store)``.  ``store`` is None, with no
     successors, when the store is infeasible (``cp_dual`` is then
-    INFINITY) or ``g + cp_dual`` cannot beat ``primal``.  Surviving
-    successors are ``(weight, label, state, succ_cp_dual)``: the CP dual
-    bound of each is evaluated under the parent's propagated domains, so
-    callers can set ``h = max(model dual, CP dual)``.
+    INFINITY) or ``g + cp_dual`` cannot beat ``primal``.  Otherwise the
+    successors the store does not veto are the model's
+    ``(weight, label, state)`` triples, and ``store`` holds the parent's
+    propagated domains, under which each successor's CP dual bound may be
+    evaluated at admission.
     """
     started = time.perf_counter()
     store, props = adapter.build(state, g, primal)
@@ -160,18 +186,18 @@ def _gen_succ_cp(model, adapter, state, g, primal, mode, metrics):
         metrics.propagation_calls += 1
         metrics.propagation_time += time.perf_counter() - started
     if store.infeasible:
-        return [], INFINITY, False
+        return [], INFINITY, None
     cp_dual = adapter.dual_cp(state, store)
     if add(g, cp_dual) >= primal:
-        return [], cp_dual, False
+        return [], cp_dual, None
     out = []
     for weight, label, succ in model.successors(state):
         if adapter.is_succ_infeasible(label, state, succ, store):
             if metrics is not None:
                 metrics.pruned_by_cp += 1
             continue
-        out.append((weight, label, succ, adapter.dual_cp(succ, store)))
-    return out, cp_dual, True
+        out.append((weight, label, succ))
+    return out, cp_dual, store
 
 
 class _SolveContext:
@@ -235,8 +261,10 @@ class _SolveContext:
 
         A base node is offered as the incumbent.  Any other node is checked
         against the limits (a fired limit sets ``status``) and expanded;
-        the children that satisfy ``f <= primal`` and pass registry
-        admission are returned in generation order.
+        its children are offered to the registry in generation order, and
+        the admitted ones are returned in that order.  A child's heuristic
+        is computed only once the registry's dominance test has passed
+        (see the module docstring for the order).
         """
         model = self.model
         if model.is_base(node.state):
@@ -246,49 +274,59 @@ class _SolveContext:
         self.status = self.limit_status(registry, open_count)
         if self.status is not None:
             return []
-        succs = self.expand(node)
-        if succs is None:
+        expanded = self.expand(node)
+        if expanded is None:
             return []
+        succs, store = expanded
+        adapter, primal, counter = self.adapter, self.primal, self.counter
+
+        def bounded(g, label, state):
+            h = model.dual(state)
+            if add(g, h) > primal:
+                return None
+            if store is not None:
+                h_cp = adapter.dual_cp(state, store)
+                if h_cp > h:
+                    h = h_cp
+            child = SearchNode(state, g, h, parent=node, label=label, seq=next(counter))
+            return child if child.f <= primal else None
+
         admitted = []
-        for weight, label, state, h_cp in succs:
-            child = self.child(node, weight, label, state, h_cp)
+        for weight, label, state in succs:
             self.metrics.generated += 1
-            if child.f <= self.primal and registry.register(model, state, child.g, node=child):
+            g = add(node.g, weight)
+            child = registry.register(model, state, g, lambda: bounded(g, label, state))
+            if child is not None:
                 admitted.append(child)
         return admitted
 
     def expand(self, node: SearchNode):
-        """Successors of a popped node, or None if propagation pruned it.
+        """``(successors, store)`` of a popped node, or None if propagation
+        pruned it.
 
-        Counts the expansion only when the model's successor enumeration
-        actually runs; propagation-pruned pops count toward
-        ``pruned_by_cp`` instead.
+        ``store`` is the node's propagated CP store, or None with
+        propagation off.  Counts the expansion only when the model's
+        successor enumeration actually runs; propagation-pruned pops count
+        toward ``pruned_by_cp`` instead.
         """
         if self.mode is PropagationMode.OFF:
             self.metrics.expansions += 1
             if self.observer is not None:
                 self.observer(node.state, node.g, node.h)
-            return [(w, lbl, s, None) for w, lbl, s in self.model.successors(node.state)]
-        succs, cp_dual, expanded = _gen_succ_cp(
+            return self.model.successors(node.state), None
+        succs, cp_dual, store = _gen_succ_cp(
             self.model, self.adapter, node.state, node.g, self.primal, self.mode, self.metrics
         )
         if node.parent is None:
             # Only at the root is g + CP dual a bound on the global optimum.
             self.note_dual(add(node.g, cp_dual))
-        if not expanded:
+        if store is None:
             self.metrics.pruned_by_cp += 1
             return None
         self.metrics.expansions += 1
         if self.observer is not None:
             self.observer(node.state, node.g, node.h)
-        return succs
-
-    def child(self, node: SearchNode, weight: Cost, label, state, h_cp) -> SearchNode:
-        g = add(node.g, weight)
-        h = self.model.dual(state)
-        if h_cp is not None and h_cp > h:
-            h = h_cp
-        return SearchNode(state, g, h, parent=node, label=label, seq=next(self.counter))
+        return succs, store
 
     def finish(self) -> SolveResult:
         status = self.status
@@ -328,7 +366,7 @@ def astar(
     ctx = _SolveContext(model, adapter, limits or SolveLimits(), mode, observer)
     registry = Registry()
     root = ctx.make_root()
-    registry.register(model, root.state, root.g, node=root)
+    registry.register(model, root.state, root.g, lambda: root)
     heap = [(root.f, -root.g, root.seq, root)]
     while ctx.status is None:
         if not heap:
@@ -389,7 +427,7 @@ def cabs(
         ctx.metrics.beam_widths.append(width)
         registry = Registry()
         root = ctx.make_root()
-        registry.register(model, root.state, root.g, node=root)
+        registry.register(model, root.state, root.g, lambda: root)
         layer: List[SearchNode] = [root]
         discarded = False
         while layer and ctx.status is None:

@@ -56,6 +56,14 @@ def criterion(num: int, description: str):
     print(f"criterion {num}: PASS - {description}")
 
 
+def assert_dual_trace_admissible(result, oracle, key):
+    """Every dual bound the run reported, at any time, is at most the
+    oracle's optimum (trivially so when the oracle finds no solution)."""
+    assert result.metrics.dual_trace, key
+    for _t, value in result.metrics.dual_trace:
+        assert value <= oracle, (key, value, oracle)
+
+
 def sms_stream(count=200):
     rng = random.Random(SMS_SEED)
     for _ in range(count):
@@ -75,12 +83,14 @@ def rcpsp_stream(count=100):
 
 
 def test_criterion_1_sms_oracle_equivalence():
-    with criterion(1, "SMS: 200 random instances match the exhaustive oracle in every mode"):
+    with criterion(1, "SMS: 200 random instances match the exhaustive oracle in every mode, and every dual trace stays below it"):
         for inst in sms_stream():
             model = smswt.SmsModel(inst)
             adapter = smswt.SmsAdapter(model)
             oracle = brute_force_value(model, model.target_state())
+            assert oracle == smswt.permutation_optimum(inst)
             for (algo, mode), result in solve_all_modes(model, adapter).items():
+                assert_dual_trace_admissible(result, oracle, (algo, mode))
                 if is_finite(oracle):
                     assert result.status is SolveStatus.OPTIMAL, (algo, mode)
                     assert result.cost == oracle, (algo, mode)
@@ -89,7 +99,7 @@ def test_criterion_1_sms_oracle_equivalence():
 
 
 def test_criterion_2_tsptw_oracle_equivalence():
-    with criterion(2, "TSPTW: 200 random instances match the permutation oracle in every mode"):
+    with criterion(2, "TSPTW: 200 random instances match the permutation oracle in every mode, and every dual trace stays below it"):
         feasible = infeasible = 0
         for inst in tsptw_stream():
             model = tsptw.TsptwModel(inst)
@@ -100,6 +110,7 @@ def test_criterion_2_tsptw_oracle_equivalence():
             else:
                 infeasible += 1
             for (algo, mode), result in solve_all_modes(model, adapter).items():
+                assert_dual_trace_admissible(result, oracle, (algo, mode))
                 if is_finite(oracle):
                     assert result.status is SolveStatus.OPTIMAL, (algo, mode)
                     assert result.cost == oracle, (algo, mode)
@@ -112,12 +123,13 @@ def test_criterion_2_tsptw_oracle_equivalence():
 
 
 def test_criterion_3_rcpsp_oracle_equivalence():
-    with criterion(3, "RCPSP: 100 random instances match the ordering oracle in every mode"):
+    with criterion(3, "RCPSP: 100 random instances match the ordering oracle in every mode, and every dual trace stays below it"):
         for inst in rcpsp_stream():
             model = rcpsp.RcpspModel(inst)
             adapter = rcpsp.RcpspAdapter(model)
             oracle = rcpsp.ordering_optimum(inst)
             for (algo, mode), result in solve_all_modes(model, adapter).items():
+                assert_dual_trace_admissible(result, oracle, (algo, mode))
                 assert result.status is SolveStatus.OPTIMAL, (algo, mode)
                 assert result.cost == oracle, (algo, mode)
 

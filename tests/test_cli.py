@@ -85,6 +85,31 @@ def test_solve_psplib_precedence_row_without_request_row(tmp_path, capsys):
     assert err.startswith("dpcp: error") and "job 7" in err
 
 
+def test_solve_psplib_dummy_self_loop(tmp_path, capsys):
+    # The dummy source listing itself as a successor used to escape the
+    # dummy contraction as a KeyError.
+    text = (DATA / "small.sm").read_text()
+    row = "   1        1          2           2   3\n"
+    assert row in text
+    bad = tmp_path / "loop.sm"
+    bad.write_text(text.replace(row, "   1        1          3           1   2   3\n"))
+    assert main(["solve", str(bad), "--problem", "rcpsp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpcp: error") and "cycle" in err
+
+
+@pytest.mark.parametrize("mb", ["-3", "0"])
+def test_solve_rejects_non_positive_mem_limit(capsys, mb):
+    code = main(
+        ["solve", str(DATA / "small.sm"), "--problem", "rcpsp", "--format", "psplib",
+         "--mem-limit", mb]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dpcp: error") and "memory limit" in captured.err
+
+
 def test_solve_unwritable_output(tmp_path, capsys):
     inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
     out = tmp_path / "missing" / "dir" / "x.json"
@@ -197,6 +222,20 @@ def test_bench_rows_summary_and_determinism(tmp_path):
     for a, b in zip(rows, rows2):
         for col in ("instance", "status", "cost", "expansions", "generated", "final_gap"):
             assert a[col] == b[col]
+
+
+def test_bench_rejects_non_positive_mem_limit(tmp_path):
+    inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
+    manifest = [
+        {"instance": str(inst), "problem": "smswt", "mem_limit_mb": mb} for mb in (0, -3)
+    ]
+    mpath = write_json(tmp_path / "manifest.json", manifest)
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 0
+    rows = [r for r in csv.DictReader(out.read_text().splitlines())
+            if r["instance"] != "[summary]"]
+    assert [r["status"] for r in rows] == ["Error", "Error"]
+    assert all("memory limit" in r["error"] and r["expansions"] == "" for r in rows)
 
 
 @pytest.mark.parametrize("manifest", [{"foo": 1}, [1, 2]])

@@ -15,10 +15,16 @@ from dpcp import (
     cabs,
     enumerate_state_values,
 )
-from dpcp import smswt
+from dpcp import rcpsp, smswt, tsptw
 from dpcp.search import SearchNode, _gen_succ_cp
 
-from conftest import random_sms_instance, solve_all_modes
+from conftest import (
+    ALL_MODES,
+    random_rcpsp_instance,
+    random_sms_instance,
+    random_tsptw_instance,
+    solve_all_modes,
+)
 
 
 def two_job_model():
@@ -113,29 +119,49 @@ def test_beam_config_validation():
         BeamConfig(growth_factor=1)
 
 
+def admit(reg, model, state, g):
+    """Register ``state`` with a plain node, as the drivers do for a root."""
+    return reg.register(model, state, g, lambda: SearchNode(state, g, 0))
+
+
 def test_register_admission_cases():
     model = two_job_model()
     reg = Registry()
     any_state = smswt.SmsState(0b01, 4)
-    assert reg.register(model, any_state, 7)
+    assert admit(reg, model, any_state, 7)
 
     reg = Registry()
     state = smswt.SmsState(0b01, 4)
-    assert reg.register(model, state, 4)
-    assert not reg.register(model, state, 5)
+    assert admit(reg, model, state, 4)
+    assert not admit(reg, model, state, 5)
 
     reg = Registry()
-    assert reg.register(model, smswt.SmsState(0b10, 3), 2)
-    assert not reg.register(model, smswt.SmsState(0b10, 5), 2)
+    assert admit(reg, model, smswt.SmsState(0b10, 3), 2)
+    assert not admit(reg, model, smswt.SmsState(0b10, 5), 2)
+
+
+def test_register_builds_only_after_dominance_and_may_decline():
+    model = two_job_model()
+    reg = Registry()
+    old = SearchNode(smswt.SmsState(0b10, 4), 5, 0)
+    assert reg.register(model, old.state, old.g, lambda: old) is old
+    built = []
+    dominated = smswt.SmsState(0b10, 6)
+    assert reg.register(model, dominated, 5, lambda: built.append(1)) is None
+    assert built == []
+    # A declined state is neither stored nor allowed to evict.
+    better = smswt.SmsState(0b10, 2)
+    assert reg.register(model, better, 5, lambda: None) is None
+    assert reg.size == 1 and not old.stale
 
 
 def test_register_eviction_marks_stale():
     model = two_job_model()
     reg = Registry()
     old = SearchNode(smswt.SmsState(0b10, 9), 5, 0)
-    assert reg.register(model, old.state, old.g, node=old)
+    assert reg.register(model, old.state, old.g, lambda: old)
     new = SearchNode(smswt.SmsState(0b10, 4), 5, 0)
-    assert reg.register(model, new.state, new.g, node=new)
+    assert reg.register(model, new.state, new.g, lambda: new)
     assert old.stale and not new.stale
     assert reg.size == 1
 
@@ -146,7 +172,7 @@ def test_registry_never_holds_mutually_rejecting_entries():
     reg = Registry()
     for _ in range(300):
         state = smswt.SmsState(rng.randint(0, 3), rng.randint(0, 12))
-        reg.register(model, state, rng.randint(0, 10))
+        admit(reg, model, state, rng.randint(0, 10))
         assert reg.rejection_violations(model) == 0
 
 
@@ -157,12 +183,12 @@ def test_gen_succ_infeasible_store_short_circuits():
     inst = smswt.SmsInstance((smswt.SmsJob(5, 0, 3, 4, 1),))
     model = smswt.SmsModel(inst)
     adapter = smswt.SmsAdapter(model)
-    succs, cp_dual, expanded = _gen_succ_cp(
+    succs, cp_dual, store = _gen_succ_cp(
         model, adapter, model.target_state(), 0, INFINITY, PropagationMode.ONCE, None
     )
     assert succs == []
     assert cp_dual is INFINITY
-    assert not expanded
+    assert store is None
 
 
 def test_gen_succ_bound_test_short_circuits():
@@ -171,12 +197,12 @@ def test_gen_succ_bound_test_short_circuits():
     inst = smswt.SmsInstance((smswt.SmsJob(2, 0, 1, 10, 3),))
     model = smswt.SmsModel(inst)
     adapter = smswt.SmsAdapter(model)
-    succs, cp_dual, expanded = _gen_succ_cp(
+    succs, cp_dual, store = _gen_succ_cp(
         model, adapter, model.target_state(), 0, 3, PropagationMode.ONCE, None
     )
     assert succs == []
     assert cp_dual == 3
-    assert not expanded
+    assert store is None
 
 
 def test_gen_succ_filters_lifted_successor():
@@ -187,11 +213,11 @@ def test_gen_succ_filters_lifted_successor():
     )
     model = smswt.SmsModel(inst)
     adapter = smswt.SmsAdapter(model)
-    succs, cp_dual, expanded = _gen_succ_cp(
+    succs, cp_dual, store = _gen_succ_cp(
         model, adapter, model.target_state(), 0, INFINITY, PropagationMode.ONCE, None
     )
-    assert expanded
-    assert [label for _w, label, _s, _h in succs] == [1]
+    assert store is not None
+    assert [label for _w, label, _s in succs] == [1]
     # CP dual sees job 0 started at its lifted bound: 2 * (4 + 5 - 4) = 10.
     assert cp_dual == 10
 
@@ -203,6 +229,159 @@ def test_public_names_resolve():
 def test_mode_requires_adapter():
     with pytest.raises(ValueError):
         astar(two_job_model(), None, mode=PropagationMode.ONCE)
+
+
+# --- pinned search counts ------------------------------------------------------
+
+PINNED_KINDS = {
+    "smswt": (lambda rng: smswt.SmsModel(random_sms_instance(rng, 10)), smswt.SmsAdapter),
+    "tsptw": (lambda rng: tsptw.TsptwModel(random_tsptw_instance(rng, 10)), tsptw.TsptwAdapter),
+    "rcpsp": (lambda rng: rcpsp.RcpspModel(random_rcpsp_instance(rng, 10)), rcpsp.RcpspAdapter),
+}
+
+# (status, cost, expansions, generated, pruned_by_cp, stale_skips, CABS
+# passes) per (kind, seed, algo, mode).  The order of the admission tests
+# never changes which children are admitted, so these counts are exact.
+PINNED_COUNTS = {
+    ("smswt", 0, "astar", "off"): ("Optimal", 406, 89, 193, 0, 1, 0),
+    ("smswt", 0, "astar", "once"): ("Optimal", 406, 34, 130, 46, 1, 0),
+    ("smswt", 0, "astar", "fixpoint"): ("Optimal", 406, 34, 130, 46, 1, 0),
+    ("smswt", 0, "cabs", "off"): ("Optimal", 406, 279, 719, 0, 2, 6),
+    ("smswt", 0, "cabs", "once"): ("Optimal", 406, 97, 366, 142, 2, 5),
+    ("smswt", 0, "cabs", "fixpoint"): ("Optimal", 406, 97, 366, 142, 2, 5),
+    ("smswt", 1, "astar", "off"): ("Optimal", 506, 386, 663, 0, 63, 0),
+    ("smswt", 1, "astar", "once"): ("Optimal", 506, 59, 143, 207, 6, 0),
+    ("smswt", 1, "astar", "fixpoint"): ("Optimal", 506, 59, 143, 207, 6, 0),
+    ("smswt", 1, "cabs", "off"): ("Optimal", 506, 1183, 2819, 0, 158, 9),
+    ("smswt", 1, "cabs", "once"): ("Optimal", 506, 113, 299, 411, 14, 5),
+    ("smswt", 1, "cabs", "fixpoint"): ("Optimal", 506, 113, 299, 411, 14, 5),
+    ("smswt", 2, "astar", "off"): ("Infeasible", None, 46, 55, 0, 0, 0),
+    ("smswt", 2, "astar", "once"): ("Infeasible", None, 0, 0, 1, 0, 0),
+    ("smswt", 2, "astar", "fixpoint"): ("Infeasible", None, 0, 0, 1, 0, 0),
+    ("smswt", 2, "cabs", "off"): ("Infeasible", None, 150, 313, 0, 0, 7),
+    ("smswt", 2, "cabs", "once"): ("Infeasible", None, 0, 0, 1, 0, 1),
+    ("smswt", 2, "cabs", "fixpoint"): ("Infeasible", None, 0, 0, 1, 0, 1),
+    ("smswt", 4, "astar", "off"): ("Optimal", 472, 682, 2511, 0, 120, 0),
+    ("smswt", 4, "astar", "once"): ("Optimal", 472, 174, 549, 585, 29, 0),
+    ("smswt", 4, "astar", "fixpoint"): ("Optimal", 472, 174, 549, 585, 29, 0),
+    ("smswt", 4, "cabs", "off"): ("Optimal", 472, 1828, 8073, 0, 220, 9),
+    ("smswt", 4, "cabs", "once"): ("Optimal", 472, 343, 1622, 970, 67, 8),
+    ("smswt", 4, "cabs", "fixpoint"): ("Optimal", 472, 343, 1622, 970, 67, 8),
+    ("smswt", 5, "astar", "off"): ("Optimal", 176, 101, 561, 0, 7, 0),
+    ("smswt", 5, "astar", "once"): ("Optimal", 176, 93, 502, 59, 7, 0),
+    ("smswt", 5, "astar", "fixpoint"): ("Optimal", 176, 93, 502, 59, 7, 0),
+    ("smswt", 5, "cabs", "off"): ("Optimal", 176, 300, 1659, 0, 23, 6),
+    ("smswt", 5, "cabs", "once"): ("Optimal", 176, 265, 1490, 97, 23, 6),
+    ("smswt", 5, "cabs", "fixpoint"): ("Optimal", 176, 265, 1490, 97, 23, 6),
+    ("tsptw", 0, "astar", "off"): ("Optimal", 95, 84, 107, 0, 3, 0),
+    ("tsptw", 0, "astar", "once"): ("Optimal", 95, 32, 105, 46, 2, 0),
+    ("tsptw", 0, "astar", "fixpoint"): ("Optimal", 95, 32, 105, 46, 2, 0),
+    ("tsptw", 0, "cabs", "off"): ("Optimal", 95, 221, 331, 0, 9, 6),
+    ("tsptw", 0, "cabs", "once"): ("Optimal", 95, 89, 310, 138, 6, 6),
+    ("tsptw", 0, "cabs", "fixpoint"): ("Optimal", 95, 89, 310, 138, 6, 6),
+    ("tsptw", 2, "astar", "off"): ("Infeasible", None, 64, 69, 0, 0, 0),
+    ("tsptw", 2, "astar", "once"): ("Infeasible", None, 19, 64, 45, 0, 0),
+    ("tsptw", 2, "astar", "fixpoint"): ("Infeasible", None, 19, 64, 45, 0, 0),
+    ("tsptw", 2, "cabs", "off"): ("Infeasible", None, 171, 223, 0, 0, 6),
+    ("tsptw", 2, "cabs", "once"): ("Infeasible", None, 63, 226, 123, 0, 6),
+    ("tsptw", 2, "cabs", "fixpoint"): ("Infeasible", None, 63, 226, 123, 0, 6),
+    ("tsptw", 9, "astar", "off"): ("Optimal", 67, 109, 156, 0, 14, 0),
+    ("tsptw", 9, "astar", "once"): ("Optimal", 67, 54, 152, 54, 9, 0),
+    ("tsptw", 9, "astar", "fixpoint"): ("Optimal", 67, 54, 152, 54, 9, 0),
+    ("tsptw", 9, "cabs", "off"): ("Optimal", 67, 258, 402, 0, 26, 6),
+    ("tsptw", 9, "cabs", "once"): ("Optimal", 67, 115, 387, 146, 19, 6),
+    ("tsptw", 9, "cabs", "fixpoint"): ("Optimal", 67, 115, 387, 146, 19, 6),
+    ("tsptw", 13, "astar", "off"): ("Optimal", 65, 88, 122, 0, 6, 0),
+    ("tsptw", 13, "astar", "once"): ("Optimal", 65, 35, 120, 45, 5, 0),
+    ("tsptw", 13, "astar", "fixpoint"): ("Optimal", 65, 35, 120, 45, 5, 0),
+    ("tsptw", 13, "cabs", "off"): ("Optimal", 65, 265, 419, 0, 13, 6),
+    ("tsptw", 13, "cabs", "once"): ("Optimal", 65, 115, 374, 171, 11, 6),
+    ("tsptw", 13, "cabs", "fixpoint"): ("Optimal", 65, 115, 374, 171, 11, 6),
+    ("rcpsp", 0, "astar", "off"): ("Optimal", 26, 35, 62, 0, 1, 0),
+    ("rcpsp", 0, "astar", "once"): ("Optimal", 26, 30, 56, 0, 0, 0),
+    ("rcpsp", 0, "astar", "fixpoint"): ("Optimal", 26, 30, 56, 0, 0, 0),
+    ("rcpsp", 0, "cabs", "off"): ("Optimal", 26, 87, 156, 0, 1, 4),
+    ("rcpsp", 0, "cabs", "once"): ("Optimal", 26, 51, 108, 21, 0, 4),
+    ("rcpsp", 0, "cabs", "fixpoint"): ("Optimal", 26, 24, 53, 13, 0, 3),
+    ("rcpsp", 8, "astar", "off"): ("Optimal", 9, 40, 73, 0, 0, 0),
+    ("rcpsp", 8, "astar", "once"): ("Optimal", 9, 28, 49, 0, 0, 0),
+    ("rcpsp", 8, "astar", "fixpoint"): ("Optimal", 9, 28, 49, 0, 0, 0),
+    ("rcpsp", 8, "cabs", "off"): ("Optimal", 9, 95, 181, 0, 5, 5),
+    ("rcpsp", 8, "cabs", "once"): ("Optimal", 9, 24, 64, 23, 1, 4),
+    ("rcpsp", 8, "cabs", "fixpoint"): ("Optimal", 9, 24, 64, 23, 1, 4),
+    ("rcpsp", 12, "astar", "off"): ("Optimal", 21, 155, 360, 0, 2, 0),
+    ("rcpsp", 12, "astar", "once"): ("Optimal", 21, 97, 255, 0, 5, 0),
+    ("rcpsp", 12, "astar", "fixpoint"): ("Optimal", 21, 97, 255, 0, 5, 0),
+    ("rcpsp", 12, "cabs", "off"): ("Optimal", 21, 531, 1283, 0, 65, 7),
+    ("rcpsp", 12, "cabs", "once"): ("Optimal", 21, 266, 667, 85, 39, 7),
+    ("rcpsp", 12, "cabs", "fixpoint"): ("Optimal", 21, 262, 657, 83, 40, 7),
+    ("rcpsp", 16, "astar", "off"): ("Optimal", 15, 45, 78, 0, 1, 0),
+    ("rcpsp", 16, "astar", "once"): ("Optimal", 15, 43, 76, 0, 0, 0),
+    ("rcpsp", 16, "astar", "fixpoint"): ("Optimal", 15, 43, 76, 0, 0, 0),
+    ("rcpsp", 16, "cabs", "off"): ("Optimal", 15, 88, 149, 0, 0, 4),
+    ("rcpsp", 16, "cabs", "once"): ("Optimal", 15, 82, 171, 32, 8, 5),
+    ("rcpsp", 16, "cabs", "fixpoint"): ("Optimal", 15, 82, 171, 32, 8, 5),
+}
+
+
+def pinned_runs():
+    """Each pinned (kind, seed, algo, mode) with a fresh model and adapter."""
+    for kind, seed, algo, mode in PINNED_COUNTS:
+        make, make_adapter = PINNED_KINDS[kind]
+        model = make(random.Random(seed))
+        adapter = None if mode == "off" else make_adapter(model)
+        yield (kind, seed, algo, mode), model, adapter
+
+
+def test_pinned_search_counts(monkeypatch):
+    """Exact counts on the pinned runs, and ``model.dual`` and ``dual_cp``
+    run for a child only once the registry's dominance test let it through.
+
+    The dominance test is recounted here from the registry's buckets.  A
+    ``dual_cp`` call is a child's unless it is the first on its store (the
+    expanded state's own bound); roots are registered and bounded once.
+    """
+    assert {k[3] for k in PINNED_COUNTS} == {m.value for m in ALL_MODES}
+    original = Registry.register
+    rejected_somewhere = False
+    for key, model, adapter in pinned_runs():
+        counts = {"offered": 0, "passed": 0, "dual": 0, "dual_cp": 0}
+        stores = {}
+
+        def register(reg, model, state, g, *args, **kwargs):
+            counts["offered"] += 1
+            bucket = reg._buckets.get(model.state_signature(state), ())
+            if not any(e.g <= g and model.dominates(e.state, state) for e in bucket):
+                counts["passed"] += 1
+            return original(reg, model, state, g, *args, **kwargs)
+
+        def dual(state, inner=model.dual):
+            counts["dual"] += 1
+            return inner(state)
+
+        def dual_cp(state, store, inner=adapter and adapter.dual_cp):
+            if id(store) in stores:
+                counts["dual_cp"] += 1
+            stores[id(store)] = store  # held, so that no id is reused
+            return inner(state, store)
+
+        monkeypatch.setattr(Registry, "register", register)
+        model.dual = dual
+        if adapter is not None:
+            adapter.dual_cp = dual_cp
+        solver = astar if key[2] == "astar" else cabs
+        result = solver(model, adapter, mode=PropagationMode(key[3]))
+        m = result.metrics
+        got = (
+            result.status.value, result.cost, m.expansions, m.generated,
+            m.pruned_by_cp, m.stale_skips, len(m.beam_widths),
+        )
+        assert got == PINNED_COUNTS[key], key
+        assert counts["dual"] <= counts["passed"], (key, counts)
+        assert counts["dual_cp"] <= counts["passed"], (key, counts)
+        rejected_somewhere |= counts["passed"] < counts["offered"]
+    # The registry rejected children on these runs, so the check has teeth.
+    assert rejected_somewhere
 
 
 # --- cross-mode agreement and admissibility ----------------------------------

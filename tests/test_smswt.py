@@ -231,12 +231,12 @@ def test_propagation_never_filters_optimal_path():
         state = model.target_state()
         g = 0
         for label in result.solution:
-            succs, _dual, _expanded = _gen_succ_cp(
+            succs, _dual, _store = _gen_succ_cp(
                 model, adapter, state, g, INFINITY, PropagationMode.ONCE, None
             )
-            labels = [lbl for _w, lbl, _s, _h in succs]
+            labels = [lbl for _w, lbl, _s in succs]
             assert label in labels
-            for w, lbl, s, _h in succs:
+            for w, lbl, s in succs:
                 if lbl == label:
                     g += w
                     state = s
