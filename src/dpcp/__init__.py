@@ -37,7 +37,6 @@ from .cp_engine import (
 )
 from .metrics import NegativeGap, RunMetrics, optimality_gap
 from .search import (
-    BeamConfig,
     PropagationMode,
     Registry,
     SearchNode,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdapterFailure",
-    "BeamConfig",
     "Cost",
     "CostOverflow",
     "Cumulative",

@@ -21,7 +21,7 @@ from . import rcpsp, smswt, tsptw
 from .core import SolveLimits, SolveStatus, evaluate_solution
 from .cost import cost_to_json, is_finite
 from .parsing import ParseError, UnknownFormat
-from .search import BeamConfig, PropagationMode, astar, cabs
+from .search import PropagationMode, astar, cabs
 
 PROBLEMS = ("smswt", "rcpsp", "tsptw")
 MODES = {
@@ -140,13 +140,27 @@ def _limits_from(time_limit, mem_limit_mb, expansion_cap) -> SolveLimits:
     )
 
 
-def _run_solver(model, adapter, algo: str, propagation: str, limits: SolveLimits):
+def _solve_verified(model, adapter, algo: str, propagation: str, limits: SolveLimits):
+    """``(result, wall_s)`` of one solve whose incumbent, if any, replays
+    through ``evaluate_solution`` to the reported cost.
+
+    A replay that disagrees is a solver bug and raises ``RuntimeError``.
+    """
     mode = MODES[propagation]
     if mode is PropagationMode.OFF:
         adapter = None
-    if algo == "astar":
-        return astar(model, adapter, limits, mode)
-    return cabs(model, adapter, limits, BeamConfig(), mode)
+    solver = astar if algo == "astar" else cabs
+    started = time.perf_counter()
+    result = solver(model, adapter, limits, mode)
+    wall = time.perf_counter() - started
+    if result.incumbent is not None:
+        cost, labels = result.incumbent
+        replayed = evaluate_solution(model, labels)
+        if replayed != cost:
+            raise RuntimeError(
+                f"solver bug: replayed cost {replayed!r} != reported {cost!r}"
+            )
+    return result, wall
 
 
 def _emit(payload: str, output) -> None:
@@ -160,18 +174,8 @@ def _emit(payload: str, output) -> None:
 def _cmd_solve(args) -> int:
     _instance, model, adapter = _load(args.problem, args.instance, args.format)
     limits = _limits_from(args.time_limit, args.mem_limit, args.expansion_cap)
-    started = time.perf_counter()
-    result = _run_solver(model, adapter, args.algo, args.propagation, limits)
-    wall = time.perf_counter() - started
-    solution = None
-    if result.incumbent is not None:
-        cost, labels = result.incumbent
-        replayed = evaluate_solution(model, labels)
-        if replayed != cost:
-            raise RuntimeError(
-                f"solver bug: replayed cost {replayed!r} != reported {cost!r}"
-            )
-        solution = list(labels)
+    result, wall = _solve_verified(model, adapter, args.algo, args.propagation, limits)
+    solution = None if result.solution is None else list(result.solution)
     report = {
         "instance": args.instance,
         "problem": args.problem,
@@ -243,9 +247,9 @@ def _bench_row(row: dict) -> dict:
         limits = _limits_from(
             row.get("time_limit"), row.get("mem_limit_mb"), row.get("expansion_cap")
         )
-        started = time.perf_counter()
-        result = _run_solver(model, adapter, out["algo"], out["propagation"], limits)
-        wall = time.perf_counter() - started
+        result, wall = _solve_verified(
+            model, adapter, out["algo"], out["propagation"], limits
+        )
         out["status"] = result.status.value
         if result.cost is not None:
             out["cost"] = cost_to_json(result.cost)

@@ -129,9 +129,10 @@ class SolveLimits:
     expansion_cap: Optional[int] = None
 
     def __post_init__(self):
-        if self.time_limit is not None and self.time_limit <= 0:
+        # ``not x > 0`` also rejects NaN, which no elapsed time would reach.
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if self.memory_limit is not None and self.memory_limit <= 0:
+        if self.memory_limit is not None and not self.memory_limit > 0:
             raise ValueError("memory_limit must be positive")
         if self.expansion_cap is not None and self.expansion_cap < 0:
             raise ValueError("expansion_cap must be >= 0")

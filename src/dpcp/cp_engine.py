@@ -172,29 +172,6 @@ class DomainStore:
             if d.is_empty():
                 self.infeasible = True
 
-    def remove_value(self, x: int, v: int) -> None:
-        """Remove a single value.
-
-        Finite sets can lose interior values.  Intervals cannot represent
-        holes, so an interior removal is dropped (a sound weakening); at a
-        bound it moves the bound instead.
-        """
-        if self.infeasible:
-            return
-        d = self.domain(x)
-        if isinstance(d, Interval):
-            if v == d.lb:
-                self.set_lb(x, v + 1)
-            elif v == d.ub:
-                self.set_ub(x, v - 1)
-        else:
-            i = bisect_left(d.values, v)
-            if i < len(d.values) and d.values[i] == v:
-                del d.values[i]
-                self.revision += 1
-                if d.is_empty():
-                    self.infeasible = True
-
 
 class VarDuration(NamedTuple):
     """Marks a disjunctive item duration given by a variable's lower bound."""

@@ -29,10 +29,6 @@ def int_token(token: str, path: str, line: Optional[int] = None) -> int:
     return int(token)
 
 
-def int_tokens(line_text: str, path: str, line: Optional[int] = None) -> List[int]:
-    return [int_token(tok, path, line) for tok in line_text.split()]
-
-
 def all_int_tokens(line_text: str) -> Optional[List[int]]:
     """The line's tokens as ints, or None if any token is not an integer."""
     toks = line_text.split()

@@ -94,11 +94,6 @@ class SmsModel(DpModel):
     def base_cost(self, state: SmsState) -> Cost:
         return 0
 
-    def next_time(self, t: int, i: int) -> int:
-        """Machine time after appending job ``i`` at time ``t``."""
-        job = self.instance.jobs[i]
-        return max(t, job.r) + job.p
-
     def successors(self, state: SmsState):
         jobs = self.instance.jobs
         t = state.time

@@ -110,6 +110,18 @@ def test_solve_rejects_non_positive_mem_limit(capsys, mb):
     assert captured.err.startswith("dpcp: error") and "memory limit" in captured.err
 
 
+def test_solve_rejects_nan_time_limit(capsys):
+    # NaN compares false with every elapsed time, so it would never fire.
+    code = main(
+        ["solve", str(DATA / "small.sm"), "--problem", "rcpsp", "--time-limit", "nan",
+         "--algo", "astar"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dpcp: error") and "time_limit" in captured.err
+
+
 def test_solve_unwritable_output(tmp_path, capsys):
     inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
     out = tmp_path / "missing" / "dir" / "x.json"
@@ -236,6 +248,28 @@ def test_bench_rejects_non_positive_mem_limit(tmp_path):
             if r["instance"] != "[summary]"]
     assert [r["status"] for r in rows] == ["Error", "Error"]
     assert all("memory limit" in r["error"] and r["expansions"] == "" for r in rows)
+
+
+def test_bench_rejects_nan_time_limit(tmp_path):
+    inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
+    manifest = [{"instance": str(inst), "problem": "smswt", "time_limit": float("nan")}]
+    mpath = write_json(tmp_path / "manifest.json", manifest)
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 0
+    row = next(csv.DictReader(out.read_text().splitlines()))
+    assert row["status"] == "Error" and "time_limit" in row["error"]
+    assert row["expansions"] == ""
+
+
+def test_bench_row_whose_incumbent_does_not_replay_is_error(tmp_path, monkeypatch):
+    inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
+    mpath = write_json(tmp_path / "manifest.json", [{"instance": str(inst), "problem": "smswt"}])
+    monkeypatch.setattr("dpcp.cli.evaluate_solution", lambda model, labels: 4)
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 0
+    row = next(csv.DictReader(out.read_text().splitlines()))
+    assert row["status"] == "Error" and row["cost"] == ""
+    assert "replayed cost 4 != reported 3" in row["error"]
 
 
 @pytest.mark.parametrize("manifest", [{"foo": 1}, [1, 2]])

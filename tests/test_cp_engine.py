@@ -45,21 +45,12 @@ def test_finite_set_ops():
     store = DomainStore([FiniteSet([7, 1, 4, 4])])
     assert domain_values(store.domain(0)) == [1, 4, 7]
     assert store.contains(0, 4) and not store.contains(0, 5)
-    store.remove_value(0, 4)
-    assert domain_values(store.domain(0)) == [1, 7]
     store.set_lb(0, 2)
+    assert domain_values(store.domain(0)) == [4, 7]
+    store.set_lb(0, 5)
     assert domain_values(store.domain(0)) == [7]
     store.set_ub(0, 6)
     assert store.infeasible
-
-
-def test_interval_interior_removal_is_dropped():
-    store = DomainStore([Interval(0, 5)])
-    store.remove_value(0, 3)
-    assert (store.lb(0), store.ub(0)) == (0, 5)
-    store.remove_value(0, 0)
-    store.remove_value(0, 5)
-    assert (store.lb(0), store.ub(0)) == (1, 4)
 
 
 def test_empty_domain_at_construction_flags_store():

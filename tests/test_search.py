@@ -4,7 +4,6 @@ import pytest
 
 import dpcp
 from dpcp import (
-    BeamConfig,
     INFINITY,
     PropagationMode,
     Registry,
@@ -14,6 +13,8 @@ from dpcp import (
     brute_force_value,
     cabs,
     enumerate_state_values,
+    propagate_fixpoint,
+    propagate_once,
 )
 from dpcp import rcpsp, smswt, tsptw
 from dpcp.search import SearchNode, _gen_succ_cp
@@ -72,7 +73,11 @@ def test_limits_validation():
     with pytest.raises(ValueError):
         SolveLimits(time_limit=0)
     with pytest.raises(ValueError):
+        SolveLimits(time_limit=float("nan"))  # would never fire
+    with pytest.raises(ValueError):
         SolveLimits(memory_limit=0)
+    with pytest.raises(ValueError):
+        SolveLimits(memory_limit=float("nan"))
     with pytest.raises(ValueError):
         SolveLimits(expansion_cap=-1)
     SolveLimits(expansion_cap=0)  # explicitly allowed: forbids all work
@@ -112,16 +117,9 @@ def test_cabs_infeasible():
     assert result.incumbent is None
 
 
-def test_beam_config_validation():
-    with pytest.raises(ValueError):
-        BeamConfig(initial_width=0)
-    with pytest.raises(ValueError):
-        BeamConfig(growth_factor=1)
-
-
 def admit(reg, model, state, g):
     """Register ``state`` with a plain node, as the drivers do for a root."""
-    return reg.register(model, state, g, lambda: SearchNode(state, g, 0))
+    return reg.register(model, state, g, lambda: SearchNode(state, g, g))
 
 
 def test_register_admission_cases():
@@ -143,7 +141,7 @@ def test_register_admission_cases():
 def test_register_builds_only_after_dominance_and_may_decline():
     model = two_job_model()
     reg = Registry()
-    old = SearchNode(smswt.SmsState(0b10, 4), 5, 0)
+    old = SearchNode(smswt.SmsState(0b10, 4), 5, 5)
     assert reg.register(model, old.state, old.g, lambda: old) is old
     built = []
     dominated = smswt.SmsState(0b10, 6)
@@ -158,9 +156,9 @@ def test_register_builds_only_after_dominance_and_may_decline():
 def test_register_eviction_marks_stale():
     model = two_job_model()
     reg = Registry()
-    old = SearchNode(smswt.SmsState(0b10, 9), 5, 0)
+    old = SearchNode(smswt.SmsState(0b10, 9), 5, 5)
     assert reg.register(model, old.state, old.g, lambda: old)
-    new = SearchNode(smswt.SmsState(0b10, 4), 5, 0)
+    new = SearchNode(smswt.SmsState(0b10, 4), 5, 5)
     assert reg.register(model, new.state, new.g, lambda: new)
     assert old.stale and not new.stale
     assert reg.size == 1
@@ -401,18 +399,45 @@ def test_all_modes_agree_with_oracle_small_sweep():
                 assert result.cost == oracle, (algo, mode)
 
 
-def test_expanded_heuristics_admissible_under_propagation():
+def test_successor_bounds_admissible_under_parent_store():
+    """The bound a child gets at admission never exceeds its value.
+
+    Each non-base enumerated state's store is built without an incumbent
+    cap and propagated once, and separately to a fixed point; every
+    successor the store does not veto must have ``max(model dual, CP dual
+    under that store)`` at most its exact value.
+    """
     rng = random.Random(31)
-    for _ in range(10):
-        inst = random_sms_instance(rng, rng.randint(2, 5))
-        model = smswt.SmsModel(inst)
-        adapter = smswt.SmsAdapter(model)
-        values = enumerate_state_values(model)
-        seen = []
-        astar(model, adapter, observer=lambda s, g, h: seen.append((s, h)))
-        for state, h in seen:
-            value = values.get(state, brute_force_value(model, state))
-            assert h <= value
+    kinds = {
+        "smswt": (lambda: smswt.SmsModel(random_sms_instance(rng, rng.randint(2, 7))),
+                  smswt.SmsAdapter),
+        "tsptw": (lambda: tsptw.TsptwModel(random_tsptw_instance(rng, rng.randint(2, 7))),
+                  tsptw.TsptwAdapter),
+        "rcpsp": (lambda: rcpsp.RcpspModel(random_rcpsp_instance(rng, 7)),
+                  rcpsp.RcpspAdapter),
+    }
+    for kind, (make, make_adapter) in kinds.items():
+        checked = 0
+        for _ in range(20):
+            model = make()
+            adapter = make_adapter(model)
+            values = enumerate_state_values(model)
+            for state in values:
+                if model.is_base(state):
+                    continue
+                for propagate in (propagate_once, propagate_fixpoint):
+                    store, props = adapter.build(state)
+                    if not store.infeasible:
+                        propagate(store, props)
+                    if store.infeasible:
+                        continue
+                    for _w, label, succ in model.successors(state):
+                        if adapter.is_succ_infeasible(label, state, succ, store):
+                            continue
+                        bound = max(model.dual(succ), adapter.dual_cp(succ, store))
+                        assert bound <= values[succ], (kind, state, label)
+                        checked += 1
+        assert checked > 0, kind
 
 
 def test_incumbent_trace_strictly_decreasing_everywhere():

@@ -38,9 +38,16 @@ TWO_JOB = ((2, 0, 2, 10, 1), (3, 0, 3, 10, 2))
 
 def test_next_time():
     model = model_of((4, 3, 9, 99, 1), (2, 7, 9, 99, 1), (1, 2, 9, 99, 1))
-    assert model.next_time(5, 0) == 9
-    assert model.next_time(0, 1) == 9
-    assert model.next_time(2, 2) == 3
+
+    def next_time(t, i):
+        # The machine time after job ``i``, appended at time ``t``.
+        [(_w, label, succ)] = model.successors(SmsState(1 << i, t))
+        assert label == i
+        return succ.time
+
+    assert next_time(5, 0) == 9
+    assert next_time(0, 1) == 9
+    assert next_time(2, 2) == 3
 
 
 def test_successors_two_job_target():
