@@ -5,6 +5,9 @@ scheduling instances, ``oracle`` exact reference answers for small
 instances, and ``bench`` a manifest of runs into CSV.  Exit codes: 0 for a
 proven answer (optimal or infeasible), 2 when a resource limit fired, and
 1 for usage, format, parse, or file-access errors.
+
+``PROBLEMS`` is the one per-problem table: each kind's module (whose
+``load_instance`` reads every instance file), model, adapter and oracle.
 """
 
 from __future__ import annotations
@@ -13,9 +16,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
+from types import ModuleType
+from typing import Callable, NamedTuple
 
 from . import rcpsp, smswt, tsptw
 from .core import SolveLimits, SolveStatus, evaluate_solution
@@ -23,13 +29,27 @@ from .cost import cost_to_json, is_finite
 from .parsing import ParseError, UnknownFormat
 from .search import PropagationMode, astar, cabs
 
-PROBLEMS = ("smswt", "rcpsp", "tsptw")
+
+class Problem(NamedTuple):
+    """One row of ``PROBLEMS``."""
+
+    module: ModuleType
+    model: type
+    adapter: type
+    oracle: Callable
+
+
+PROBLEMS = {
+    "smswt": Problem(smswt, smswt.SmsModel, smswt.SmsAdapter, smswt.permutation_optimum),
+    "rcpsp": Problem(rcpsp, rcpsp.RcpspModel, rcpsp.RcpspAdapter, rcpsp.ordering_optimum),
+    "tsptw": Problem(tsptw, tsptw.TsptwModel, tsptw.TsptwAdapter, tsptw.permutation_optimum),
+}
 MODES = {
     "off": PropagationMode.OFF,
     "once": PropagationMode.ONCE,
     "fixpoint": PropagationMode.FIXPOINT,
 }
-ORACLE_CAPS = {"smswt": 10, "rcpsp": 10, "tsptw": 10}
+ORACLE_CAP = 10  # largest n the exhaustive oracles accept
 
 CSV_COLUMNS = [
     "instance",
@@ -59,82 +79,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _detect_format(path: str, problem: str, fmt: str) -> str:
-    if fmt != "auto":
-        return fmt
-    suffix = Path(path).suffix.lower()
-    if suffix == ".sm":
-        return "psplib"
-    if suffix == ".json":
-        return "json"
-    try:
-        with open(path) as fh:
-            head = fh.read(4096)
-    except OSError as exc:
-        raise ParseError(str(exc), path) from exc
-    if head.lstrip().startswith("{"):
-        return "json"
-    if problem == "tsptw":
-        return "tsptw-matrix"
-    if problem == "rcpsp":
-        return "psplib"
-    raise UnknownFormat(f"cannot determine format of {path}")
+def _load(kind: str, path: str, fmt: str):
+    """``(problem, instance)`` for one problem kind and instance file."""
+    if kind not in PROBLEMS:
+        raise UnknownFormat(f"unknown problem kind {kind}")
+    problem = PROBLEMS[kind]
+    return problem, problem.module.load_instance(path, fmt)
 
 
-def _load(problem: str, path: str, fmt: str):
-    """Instance, model, and adapter for one problem/file pair."""
-    fmt = _detect_format(path, problem, fmt)
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(str(exc), path) from exc
-    if fmt == "json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}", path, exc.lineno) from exc
-    if problem == "smswt":
-        if fmt != "json":
-            raise UnknownFormat("smswt instances are JSON only")
-        try:
-            instance = smswt.SmsInstance.from_json(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(str(exc), path) from exc
-        model = smswt.SmsModel(instance)
-        return instance, model, smswt.SmsAdapter(model)
-    if problem == "rcpsp":
-        if fmt == "json":
-            try:
-                instance = rcpsp.RcpspInstance.from_json(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(str(exc), path) from exc
-        elif fmt == "psplib":
-            instance = rcpsp.parse_psplib(text, path)
-        else:
-            raise UnknownFormat(f"format {fmt} not valid for rcpsp")
-        model = rcpsp.RcpspModel(instance)
-        return instance, model, rcpsp.RcpspAdapter(model)
-    if problem == "tsptw":
-        if fmt == "json":
-            try:
-                instance = tsptw.TsptwInstance.from_json(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(str(exc), path) from exc
-        elif fmt == "tsptw-matrix":
-            instance = tsptw.parse_matrix(text, path)
-        else:
-            raise UnknownFormat(f"format {fmt} not valid for tsptw")
-        model = tsptw.TsptwModel(instance)
-        return instance, model, tsptw.TsptwAdapter(model)
-    raise UnknownFormat(f"unknown problem kind {problem}")
+def _build(kind: str, path: str, fmt: str):
+    """``(model, adapter)`` for one problem kind and instance file."""
+    problem, instance = _load(kind, path, fmt)
+    model = problem.model(instance)
+    return model, problem.adapter(model)
 
 
 def _limits_from(time_limit, mem_limit_mb, expansion_cap) -> SolveLimits:
+    if time_limit is not None and math.isinf(time_limit):
+        raise ValueError(f"time_limit must be finite, got {time_limit}")
     memory_limit = None
     if mem_limit_mb is not None:
-        if not mem_limit_mb > 0:
-            raise ValueError(f"memory limit must be positive, got {mem_limit_mb} MB")
-        memory_limit = max(1, int(mem_limit_mb * 1024 * 1024))
+        limit_bytes = mem_limit_mb * 1024 * 1024
+        if not 0 < limit_bytes < math.inf:
+            raise ValueError(
+                f"memory limit must be positive and finite, got {mem_limit_mb} MB"
+            )
+        memory_limit = max(1, int(limit_bytes))
     return SolveLimits(
         time_limit=time_limit, memory_limit=memory_limit, expansion_cap=expansion_cap
     )
@@ -172,7 +142,7 @@ def _emit(payload: str, output) -> None:
 
 
 def _cmd_solve(args) -> int:
-    _instance, model, adapter = _load(args.problem, args.instance, args.format)
+    model, adapter = _build(args.problem, args.instance, args.format)
     limits = _limits_from(args.time_limit, args.mem_limit, args.expansion_cap)
     result, wall = _solve_verified(model, adapter, args.algo, args.propagation, limits)
     solution = None if result.solution is None else list(result.solution)
@@ -181,7 +151,6 @@ def _cmd_solve(args) -> int:
         "problem": args.problem,
         "algo": args.algo,
         "propagation": args.propagation,
-        "seed": args.seed,
         "status": result.status.value,
         "cost": cost_to_json(result.cost),
         "root_dual": cost_to_json(result.root_dual),
@@ -198,8 +167,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.kind != "smswt":
-        raise UnknownFormat("only smswt instances can be generated")
     config = smswt.SmsGeneratorConfig(
         n=args.n, tau=args.tau, rho=args.rho, phi=args.phi, seed=args.seed, count=args.count
     )
@@ -214,17 +181,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    instance, _model, _adapter = _load(args.problem, args.instance, args.format)
-    cap = ORACLE_CAPS[args.problem]
-    size = instance.n
-    if size > cap:
-        raise TooLarge(f"{args.problem} oracle refuses n={size} (cap {cap})")
-    if args.problem == "smswt":
-        value = smswt.permutation_optimum(instance)
-    elif args.problem == "rcpsp":
-        value = rcpsp.ordering_optimum(instance)
-    else:
-        value = tsptw.permutation_optimum(instance)
+    problem, instance = _load(args.problem, args.instance, args.format)
+    if instance.n > ORACLE_CAP:
+        raise TooLarge(f"{args.problem} oracle refuses n={instance.n} (cap {ORACLE_CAP})")
+    value = problem.oracle(instance)
     print("INFEASIBLE" if not is_finite(value) else int(value))
     return 0
 
@@ -236,14 +196,11 @@ def _bench_row(row: dict) -> dict:
     out["algo"] = row.get("algo", "cabs")
     out["propagation"] = row.get("propagation", "once")
     try:
-        problem = row["problem"]
-        if problem not in PROBLEMS:
-            raise UnknownFormat(f"unknown problem kind {problem}")
         if out["algo"] not in ("astar", "cabs"):
             raise UnknownFormat(f"unknown algorithm {out['algo']}")
         if out["propagation"] not in MODES:
             raise UnknownFormat(f"unknown propagation mode {out['propagation']}")
-        _instance, model, adapter = _load(problem, row["instance"], row.get("format", "auto"))
+        model, adapter = _build(row["problem"], row["instance"], row.get("format", "auto"))
         limits = _limits_from(
             row.get("time_limit"), row.get("mem_limit_mb"), row.get("expansion_cap")
         )
@@ -304,11 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_shared(p):
-        p.add_argument("--problem", choices=PROBLEMS, required=True)
+        p.add_argument("--problem", choices=tuple(PROBLEMS), required=True)
         p.add_argument(
             "--format", choices=("auto", "json", "psplib", "tsptw-matrix"), default="auto"
         )
-        p.add_argument("--seed", type=int, default=0)
 
     solve = sub.add_parser("solve", parents=[], help="solve one instance")
     solve.add_argument("instance")
@@ -322,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=_cmd_solve)
 
     gen = sub.add_parser("generate", help="generate random instances")
-    gen.add_argument("kind", choices=PROBLEMS)
+    gen.add_argument("kind", choices=("smswt",))
     gen.add_argument("--n", type=int, default=50)
     gen.add_argument("--tau", type=float, default=0.2)
     gen.add_argument("--rho", type=float, default=0.25)

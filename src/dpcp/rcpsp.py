@@ -18,7 +18,6 @@ state's current estimate, floored at 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -32,7 +31,7 @@ from .cp_engine import (
     PropagationAdapter,
     ect_envelope,
 )
-from .parsing import ParseError, all_int_tokens
+from .parsing import ParseError, all_int_tokens, read_instance
 
 
 @dataclass(frozen=True)
@@ -570,10 +569,6 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
         raise ParseError(str(exc), path) from exc
 
 
-def load_instance(path: str) -> RcpspInstance:
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return RcpspInstance.from_json(json.loads(text))
-    return parse_psplib(text, path)
+def load_instance(path: str, fmt: str = "auto") -> RcpspInstance:
+    """The JSON or PSPLIB instance at ``path``; see ``parsing.read_instance``."""
+    return read_instance(path, fmt, RcpspInstance.from_json, ("psplib", parse_psplib))

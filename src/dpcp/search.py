@@ -126,16 +126,6 @@ class Registry:
         self.size += 1
         return node
 
-    def rejection_violations(self, model: DpModel) -> int:
-        """Pairs of stored nodes that should have rejected each other."""
-        bad = 0
-        for bucket in self._buckets.values():
-            for a in bucket:
-                for b in bucket:
-                    if a is not b and a.g <= b.g and model.dominates(a.state, b.state):
-                        bad += 1
-        return bad
-
 
 def _resolve_mode(mode: Optional[PropagationMode], adapter) -> PropagationMode:
     if mode is None:

@@ -13,7 +13,6 @@ tardiness sum if every job started at its propagated earliest start.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
@@ -26,6 +25,7 @@ from .cp_engine import (
     Interval,
     PropagationAdapter,
 )
+from .parsing import read_instance
 
 
 @dataclass(frozen=True)
@@ -242,6 +242,6 @@ def generate_instances(config: SmsGeneratorConfig) -> List[SmsInstance]:
     return out
 
 
-def load_instance(path: str) -> SmsInstance:
-    with open(path) as fh:
-        return SmsInstance.from_json(json.load(fh))
+def load_instance(path: str, fmt: str = "auto") -> SmsInstance:
+    """The JSON instance at ``path``; see ``parsing.read_instance``."""
+    return read_instance(path, fmt, SmsInstance.from_json)

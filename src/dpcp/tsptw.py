@@ -15,7 +15,6 @@ constraint over arrivals, and a residual-budget cap on the travel sum.
 
 from __future__ import annotations
 
-import json
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import DpModel, iter_bits
@@ -29,7 +28,7 @@ from .cp_engine import (
     SumLe,
     VarDuration,
 )
-from .parsing import ParseError, int_token
+from .parsing import ParseError, int_token, read_instance
 
 
 class TsptwInstance:
@@ -180,9 +179,9 @@ class TsptwModel(DpModel):
 class TsptwAdapter(PropagationAdapter):
     """CP view over the remaining tour.
 
-    Variable ids: arrivals are the location ids, outgoing-travel variables
-    are offset by n, and the objective is 2n.  Only the unvisited set and
-    the current location get live domains.
+    Variable ids: arrivals are the location ids and outgoing-travel
+    variables are offset by n.  Only the unvisited set and the current
+    location get live domains.
     """
 
     def __init__(self, model: TsptwModel):
@@ -204,7 +203,7 @@ class TsptwAdapter(PropagationAdapter):
             if arrivals[i].is_empty():
                 # A missed window: the store is infeasible from the start,
                 # so no duration domain or propagator is needed.
-                return DomainStore(arrivals + durations + [Interval(0, 0)]), []
+                return DomainStore(arrivals + durations), []
         # The salesperson leaves i toward some unvisited location or the
         # depot; the depot leg is dropped when another remaining location
         # must be visited after i, so i cannot be last.  That holds iff the
@@ -225,12 +224,7 @@ class TsptwAdapter(PropagationAdapter):
                 targets.append(0)
             values = [inst.travel[i][j] for j in targets if inst.travel[i][j] is not None]
             durations[i] = FiniteSet(values)
-        obj_ub = 0
-        for i in live:
-            arc = inst.travel[i][0]
-            if arc is not None:
-                obj_ub = max(obj_ub, inst.windows[i][1] + arc)
-        store = DomainStore(arrivals + durations + [Interval(0, obj_ub)])
+        store = DomainStore(arrivals + durations)
         items = [(i, VarDuration(self._dur(i))) for i in live]
         cap: Cost = INFINITY
         if is_finite(primal):
@@ -337,9 +331,6 @@ def parse_matrix(text: str, path: str = "<tsptw>") -> TsptwInstance:
         raise ParseError(str(exc), path) from exc
 
 
-def load_instance(path: str) -> TsptwInstance:
-    with open(path) as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return TsptwInstance.from_json(json.loads(text))
-    return parse_matrix(text, path)
+def load_instance(path: str, fmt: str = "auto") -> TsptwInstance:
+    """The JSON or matrix instance at ``path``; see ``parsing.read_instance``."""
+    return read_instance(path, fmt, TsptwInstance.from_json, ("tsptw-matrix", parse_matrix))

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from dpcp import rcpsp, smswt, tsptw
 from dpcp.cli import main
+from dpcp.parsing import ParseError
 
 DATA = Path(__file__).parent / "data"
 
@@ -26,6 +28,33 @@ TWO_JOB_SMS = {
 def write_json(path: Path, data) -> Path:
     path.write_text(json.dumps(data))
     return path
+
+
+def small_rcpsp_json() -> dict:
+    return rcpsp.load_instance(str(DATA / "small.sm")).to_json()
+
+
+@pytest.mark.parametrize(
+    "module, doc, key",
+    [
+        (smswt, lambda: TWO_JOB_SMS, "jobs"),
+        (tsptw, lambda: TINY_TSPTW_JSON, "windows"),
+        (rcpsp, small_rcpsp_json, "capacities"),
+    ],
+    ids=["smswt", "tsptw", "rcpsp"],
+)
+@pytest.mark.parametrize("damage", ["truncated", "missing-key"])
+def test_load_instance_maps_bad_json_to_parse_error(tmp_path, module, doc, key, damage):
+    # The library loader is the CLI's loader, so it maps errors the same way.
+    doc = doc()
+    if damage == "truncated":
+        text = json.dumps(doc)[:-3]
+    else:
+        text = json.dumps({k: v for k, v in doc.items() if k != key})
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(ParseError):
+        module.load_instance(str(bad))
 
 
 def test_solve_tsptw_optimal(tmp_path, capsys):
@@ -98,7 +127,7 @@ def test_solve_psplib_dummy_self_loop(tmp_path, capsys):
     assert err.startswith("dpcp: error") and "cycle" in err
 
 
-@pytest.mark.parametrize("mb", ["-3", "0"])
+@pytest.mark.parametrize("mb", ["-3", "0", "inf", "1e308"])
 def test_solve_rejects_non_positive_mem_limit(capsys, mb):
     code = main(
         ["solve", str(DATA / "small.sm"), "--problem", "rcpsp", "--format", "psplib",
@@ -131,6 +160,31 @@ def test_solve_unwritable_output(tmp_path, capsys):
 
 def test_solve_usage_error_exit_one(tmp_path):
     assert main(["solve", "--problem", "nope", "x.json"]) == 1
+
+
+@pytest.mark.parametrize(
+    "problem, doc", [("tsptw", lambda: TINY_TSPTW_JSON), ("rcpsp", small_rcpsp_json)]
+)
+def test_solve_json_without_suffix(tmp_path, capsys, problem, doc):
+    # ``auto`` decides the format from the content, not the file name.
+    inst = write_json(tmp_path / "instance.txt", doc())
+    assert main(["solve", str(inst), "--problem", problem, "--algo", "astar"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "Optimal" and report["cost"] == 9
+
+
+@pytest.mark.parametrize(
+    "problem, path, fmt",
+    [
+        ("tsptw", DATA / "tiny_tsptw.txt", "psplib"),
+        ("smswt", DATA / "tiny_tsptw.txt", "auto"),
+        ("smswt", DATA / "small.sm", "tsptw-matrix"),
+    ],
+)
+def test_solve_rejects_format_the_problem_cannot_read(capsys, problem, path, fmt):
+    assert main(["solve", str(path), "--problem", problem, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("dpcp: error")
 
 
 def test_solve_psplib_and_matrix_formats(tmp_path, capsys):
@@ -239,7 +293,23 @@ def test_bench_rows_summary_and_determinism(tmp_path):
 def test_bench_rejects_non_positive_mem_limit(tmp_path):
     inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
     manifest = [
-        {"instance": str(inst), "problem": "smswt", "mem_limit_mb": mb} for mb in (0, -3)
+        {"instance": str(inst), "problem": "smswt", "mem_limit_mb": mb}
+        for mb in (0, -3, float("inf"))
+    ]
+    mpath = write_json(tmp_path / "manifest.json", manifest)
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 0
+    rows = [r for r in csv.DictReader(out.read_text().splitlines())
+            if r["instance"] != "[summary]"]
+    assert [r["status"] for r in rows] == ["Error", "Error", "Error"]
+    assert all("memory limit" in r["error"] and r["expansions"] == "" for r in rows)
+
+
+def test_bench_rejects_nan_time_limit(tmp_path):
+    inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
+    manifest = [
+        {"instance": str(inst), "problem": "smswt", "time_limit": limit}
+        for limit in (float("nan"), float("inf"))
     ]
     mpath = write_json(tmp_path / "manifest.json", manifest)
     out = tmp_path / "runs.csv"
@@ -247,18 +317,7 @@ def test_bench_rejects_non_positive_mem_limit(tmp_path):
     rows = [r for r in csv.DictReader(out.read_text().splitlines())
             if r["instance"] != "[summary]"]
     assert [r["status"] for r in rows] == ["Error", "Error"]
-    assert all("memory limit" in r["error"] and r["expansions"] == "" for r in rows)
-
-
-def test_bench_rejects_nan_time_limit(tmp_path):
-    inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
-    manifest = [{"instance": str(inst), "problem": "smswt", "time_limit": float("nan")}]
-    mpath = write_json(tmp_path / "manifest.json", manifest)
-    out = tmp_path / "runs.csv"
-    assert main(["bench", str(mpath), "--output", str(out)]) == 0
-    row = next(csv.DictReader(out.read_text().splitlines()))
-    assert row["status"] == "Error" and "time_limit" in row["error"]
-    assert row["expansions"] == ""
+    assert all("time_limit" in r["error"] and r["expansions"] == "" for r in rows)
 
 
 def test_bench_row_whose_incumbent_does_not_replay_is_error(tmp_path, monkeypatch):

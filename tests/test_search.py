@@ -171,7 +171,15 @@ def test_registry_never_holds_mutually_rejecting_entries():
     for _ in range(300):
         state = smswt.SmsState(rng.randint(0, 3), rng.randint(0, 12))
         admit(reg, model, state, rng.randint(0, 10))
-        assert reg.rejection_violations(model) == 0
+        # No stored node may dominate another at no larger cost.
+        violations = sum(
+            1
+            for bucket in reg._buckets.values()
+            for a in bucket
+            for b in bucket
+            if a is not b and a.g <= b.g and model.dominates(a.state, b.state)
+        )
+        assert violations == 0
 
 
 # --- propagation-wrapped generation ------------------------------------------
