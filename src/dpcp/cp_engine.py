@@ -6,7 +6,8 @@ or finite sets) and a handful of stateless propagator descriptors:
 * ``Disjunctive`` -- non-overlapping jobs, filtered by edge-finding,
 * ``Cumulative``  -- capacity-limited tasks, filtered by time-table
   reasoning over compulsory parts,
-* ``PrecedenceLe`` -- ``start_i + offset <= start_j`` bounds arithmetic,
+* ``PrecedenceLe`` -- an ordered list of ``start_i + offset <= start_j``
+  arcs, each applied once by bounds arithmetic,
 * ``SumLe``       -- a sum of variables capped by a constant.
 
 Propagators only ever shrink domains; an emptied domain flips the store's
@@ -19,7 +20,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .cost import Cost, INFINITY, is_finite
 
@@ -105,10 +107,24 @@ class DomainStore:
         return len(self._domains)
 
     def domain(self, x: int) -> Domain:
+        if x < 0:
+            raise AdapterFailure(f"variable id {x} out of range")
         try:
             return self._domains[x]
         except IndexError:
             raise AdapterFailure(f"variable id {x} out of range") from None
+
+    def domains(self, lo: int, hi: int) -> List[Domain]:
+        """The domain list itself, after checking that ids ``lo..hi`` are
+        in range.
+
+        While the store is feasible no domain is empty, so a propagator may
+        read bounds from it directly instead of through ``lb``/``ub``;
+        writes still go through ``set_lb``/``set_ub``.
+        """
+        if lo < 0 or hi >= len(self._domains):
+            raise AdapterFailure(f"variable ids {lo}..{hi} out of range")
+        return self._domains
 
     def lb(self, x: int) -> int:
         d = self.domain(x)
@@ -186,21 +202,40 @@ def _duration_lb(store: DomainStore, d: DurationSpec) -> int:
     return d if isinstance(d, int) else store.lb(d.var)
 
 
-@dataclass(frozen=True)
 class PrecedenceLe:
-    """``start_i + offset <= start_j``."""
+    """``start_i + offset <= start_j`` for each ``(i, offset, j)`` arc.
 
-    i: int
-    offset: int
-    j: int
+    The arcs are applied once each, in list order: lift ``lb(j)`` to
+    ``lb(i) + offset``, then cut ``ub(i)`` to ``ub(j) - offset``, each arc
+    seeing the shrinks of the arcs before it.  One call therefore does what
+    one single-arc propagator per arc, run in sequence, would do.
+    """
+
+    def __init__(self, arcs: Iterable[Tuple[int, int, int]]):
+        self.arcs = list(arcs)
+        self._lo, self._hi = 0, -1
+        if self.arcs:
+            tails, _offsets, heads = zip(*self.arcs)
+            self._lo = min(min(tails), min(heads))
+            self._hi = max(max(tails), max(heads))
 
     def propagate(self, store: DomainStore) -> None:
         if store.infeasible:
             return
-        store.set_lb(self.j, store.lb(self.i) + self.offset)
-        if store.infeasible:
-            return
-        store.set_ub(self.i, store.ub(self.j) - self.offset)
+        doms = store.domains(self._lo, self._hi)
+        for i, offset, j in self.arcs:
+            di = doms[i]
+            dj = doms[j]
+            v = di.lb + offset
+            if v > dj.lb:
+                store.set_lb(j, v)
+                if store.infeasible:
+                    return
+            v = dj.ub - offset
+            if v < di.ub:
+                store.set_ub(i, v)
+                if store.infeasible:
+                    return
 
 
 @dataclass(frozen=True)
@@ -371,101 +406,102 @@ class Cumulative:
     def __init__(self, tasks: Iterable[Tuple[int, int, int]], capacity: int):
         self.tasks = list(tasks)
         self.capacity = capacity
+        # Tasks that use nothing constrain nothing; one that alone exceeds
+        # the capacity makes every store infeasible.
+        self._live = [t for t in self.tasks if t[1] > 0 and t[2] > 0]
+        self._lo, self._hi, self._overfull = 0, -1, False
+        if self._live:
+            ids, _durations, usages = zip(*self._live)
+            self._lo, self._hi = min(ids), max(ids)
+            self._overfull = max(usages) > capacity
 
     def propagate(self, store: DomainStore) -> None:
         if store.infeasible:
             return
-        live = [(v, p, u) for v, p, u in self.tasks if p > 0 and u > 0]
-        for _v, _p, u in live:
-            if u > self.capacity:
-                store.mark_infeasible()
-                return
-        if not live:
-            return
-        bounds = {v: (store.lb(v), store.ub(v)) for v, _p, _u in live}
-        segments = self._profile(live, bounds)
-        if segments is None:
+        if self._overfull:
             store.mark_infeasible()
             return
-        if not segments:
+        live = self._live
+        if not live:
             return
-        new_bounds = []
-        for v, p, u in live:
-            lb, ub = bounds[v]
-            cp = self._compulsory(lb, ub, p)
-            new_lb = self._sweep_up(segments, lb, p, u, cp)
-            new_ub = self._sweep_down(segments, ub, p, u, cp)
-            new_bounds.append((v, new_lb, new_ub))
-        for v, new_lb, new_ub in new_bounds:
-            store.set_lb(v, new_lb)
-            if store.infeasible:
-                return
-            store.set_ub(v, new_ub)
-            if store.infeasible:
-                return
-
-    @staticmethod
-    def _compulsory(lb: int, ub: int, p: int) -> Optional[Tuple[int, int]]:
-        """Interval occupied in every schedule, or None."""
-        if ub < lb + p:
-            return (ub, lb + p)
-        return None
-
-    def _profile(self, live, bounds):
-        """Maximal constant segments ``(a, b, height)`` of compulsory usage.
-
-        Returns None when the profile alone exceeds the capacity.
-        """
+        doms = store.domains(self._lo, self._hi)
+        capacity = self.capacity
+        # The compulsory part of a task is [ub, lb + p) when ub < lb + p.
+        bounds = []
         events: dict = {}
         for v, p, u in live:
-            cp = self._compulsory(*bounds[v], p)
-            if cp is None:
-                continue
-            events[cp[0]] = events.get(cp[0], 0) + u
-            events[cp[1]] = events.get(cp[1], 0) - u
+            d = doms[v]
+            lb, ub = d.lb, d.ub
+            bounds.append((lb, ub))
+            end = lb + p
+            if ub < end:
+                events[ub] = events.get(ub, 0) + u
+                events[end] = events.get(end, 0) - u
         if not events:
-            return []
+            return
+        # Maximal segments (a, b, height) of nonzero compulsory usage.
         points = sorted(events)
         segments = []
-        height = 0
+        height = top = 0
         for a, b in zip(points, points[1:]):
             height += events[a]
-            if height > self.capacity:
-                return None
+            if height > capacity:
+                store.mark_infeasible()
+                return
             if height > 0:
                 segments.append((a, b, height))
-        return segments
-
-    def _overlap_height(self, seg, cp, u):
-        """Profile height at ``seg`` minus the task's own contribution."""
-        a, b, height = seg
-        if cp is not None and cp[0] <= a and cp[1] >= b:
-            return height - u
-        return height
-
-    def _sweep_up(self, segments, lb, p, u, cp):
-        cur = lb
-        for seg in segments:
-            a, b, _h = seg
-            if a >= cur + p:
-                break
-            if b <= cur:
+                if height > top:
+                    top = height
+        if not segments:
+            return
+        # New bounds come from the entry bounds alone, so each is written
+        # as soon as it is known; the sweeps only raise lb and lower ub,
+        # and an unmoved bound is not written.  A task that fits on top of
+        # the highest segment cannot be moved.
+        for (v, p, u), (lb, ub) in zip(live, bounds):
+            if top + u <= capacity:
                 continue
-            if self._overlap_height(seg, cp, u) + u > self.capacity:
-                cur = b
-        return cur
+            new_lb, new_ub = self._sweep(segments, lb, ub, p, u, capacity - u)
+            if new_lb != lb:
+                store.set_lb(v, new_lb)
+                if store.infeasible:
+                    return
+            if new_ub != ub:
+                store.set_ub(v, new_ub)
+                if store.infeasible:
+                    return
 
-    def _sweep_down(self, segments, ub, p, u, cp):
-        cur = ub
-        for seg in reversed(segments):
-            a, b, _h = seg
-            if b <= cur:
+    @staticmethod
+    def _sweep(segments, lb, ub, p, u, limit):
+        """``(lb, ub)`` of one task pushed past every segment whose height,
+        less the task's own compulsory usage there, exceeds ``limit``.
+
+        The task's compulsory part ``[ub, lb + p)`` covers segment
+        ``[a, b)`` when ``ub <= a`` and ``b <= lb + p``; without a
+        compulsory part (``ub >= lb + p``) no segment passes that test.
+        """
+        end = lb + p
+        new_lb = lb
+        for a, b, h in segments:
+            if a >= new_lb + p:
                 break
-            if a >= cur + p:
+            if b <= new_lb:
                 continue
-            if self._overlap_height(seg, cp, u) + u > self.capacity:
-                cur = a - p
-        return cur
+            if ub <= a and b <= end:
+                h -= u
+            if h > limit:
+                new_lb = b
+        new_ub = ub
+        for a, b, h in reversed(segments):
+            if b <= new_ub:
+                break
+            if a >= new_ub + p:
+                continue
+            if ub <= a and b <= end:
+                h -= u
+            if h > limit:
+                new_ub = a - p
+        return new_lb, new_ub
 
 
 Propagator = Union[PrecedenceLe, SumLe, Disjunctive, Cumulative]
@@ -505,18 +541,28 @@ def ect_envelope(tasks: Sequence[Tuple[int, int, int]], capacity: int) -> int:
     evaluating: replacing any subset by all tasks with ``lb >= min_lb``
     of that subset can only add energy at the same left edge.
     """
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    if not tasks:
-        return 0
-    by_lb_desc = sorted(tasks, key=lambda t: -t[0])
+    return ect_envelope_max([(lb, (u * p,)) for lb, p, u in tasks], (capacity,))
+
+
+def ect_envelope_max(tasks: Sequence[Tuple[int, Sequence[int]]], capacities: Sequence[int]) -> int:
+    """Largest ``ect_envelope`` over several resources, from one sort.
+
+    ``tasks`` are ``(lb_start, energies)`` with one ``usage * duration``
+    per resource.  Tasks tied in ``lb`` may come in any order: the suffix
+    ending at the last of them holds the most energy at that left edge,
+    so the maximum does not depend on it.
+    """
+    by_lb_desc = sorted(tasks, key=itemgetter(0), reverse=True)
     best = 0
-    energy = 0
-    for lb, p, u in by_lb_desc:
-        energy += u * p
-        cand = lb + -(-energy // capacity)
-        if cand > best:
-            best = cand
+    for r, capacity in enumerate(capacities):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        energy = 0
+        for lb, energies in by_lb_desc:
+            energy += energies[r]
+            cand = lb + -(-energy // capacity)
+            if cand > best:
+                best = cand
     return best
 
 

@@ -29,7 +29,7 @@ from .cp_engine import (
     Interval,
     PrecedenceLe,
     PropagationAdapter,
-    ect_envelope,
+    ect_envelope_max,
 )
 from .parsing import ParseError, all_int_tokens, read_instance
 
@@ -332,6 +332,9 @@ class RcpspAdapter(PropagationAdapter):
         self.model = model
         self.instance = model.instance
         self._obj = self.instance.n  # objective variable id
+        tasks = self.instance.tasks
+        self._arcs = [(i, tasks[i].duration, j) for i, j in self.instance.precedences]
+        self._energies = [tuple(u * t.duration for u in t.usages) for t in tasks]
 
     def build(self, state: RcpspState, g: Cost = 0, primal: Cost = INFINITY):
         inst = self.instance
@@ -362,38 +365,32 @@ class RcpspAdapter(PropagationAdapter):
                 if tasks[i].usages[r] > 0
             ]
             props.append(Cumulative(members, cap))
-        for i, j in inst.precedences:
-            props.append(PrecedenceLe(i, tasks[i].duration, j))
         # The objective links come last: nothing after them moves a task's
         # lower bound, so after a single pass (or a fixed point) lb(obj) is
         # at least lb(i) + p_i for every pending task i.  ``dual_cp``
         # relies on this instead of taking the latest finish itself.
-        for i in pending:
-            props.append(PrecedenceLe(i, tasks[i].duration, self._obj))
+        links = [(i, tasks[i].duration, self._obj) for i in pending]
+        props.append(PrecedenceLe(self._arcs + links))
         return store, props
+
+    def _envelope(self, state: RcpspState, store: DomainStore) -> int:
+        """Completion envelope of the pending tasks, over all resources."""
+        energies = self._energies
+        return ect_envelope_max(
+            [(store.lb(i), energies[i]) for i, s in enumerate(state.starts) if s is None],
+            self.instance.capacities,
+        )
 
     def envelope_bound(self, state: RcpspState, store: DomainStore) -> Cost:
         """Completion envelope of pending tasks per resource, as remaining
         cost: the tightest left-edge-plus-energy packing argument."""
-        inst = self.instance
-        pending = [i for i, s in enumerate(state.starts) if s is None]
-        total = 0
-        for r, cap in enumerate(inst.capacities):
-            cand = ect_envelope(
-                [(store.lb(i), inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in pending],
-                cap,
-            )
-            if cand > total:
-                total = cand
-        return self.model._remaining(total, state)
+        return self.model._remaining(self._envelope(state, store), state)
 
     def dual_cp(self, state: RcpspState, store: DomainStore) -> Cost:
         # The objective links in ``build`` already give lb(obj) >= every
         # pending earliest finish, so no separate finish term is needed.
-        return max(
-            self.model._remaining(store.lb(self._obj), state),
-            self.envelope_bound(state, store),
-        )
+        total = max(store.lb(self._obj), self._envelope(state, store))
+        return self.model._remaining(total, state)
 
     def is_succ_infeasible(
         self, label: int, state: RcpspState, succ: RcpspState, store: DomainStore

@@ -386,6 +386,11 @@ def cabs(
 
     So every solution strictly cheaper than the final primal would have
     been reached and recorded, and none exists.
+
+    By the same argument, a completed pass that did cut nodes misses only
+    solutions through them, each costing at least its node's ``f``; so it
+    notes ``min(primal, smallest cut f)`` as a dual bound.  A pass that a
+    limit stops gives no bound.
     """
     mode = _resolve_mode(mode, adapter)
     ctx = _SolveContext(model, adapter, limits or SolveLimits(), mode)
@@ -396,7 +401,7 @@ def cabs(
         root = ctx.make_root()
         registry.register(model, root.state, root.g, lambda: root)
         layer: List[SearchNode] = [root]
-        discarded = False
+        min_cut_f: Optional[Cost] = None  # smallest f discarded at the width cut
         while layer and ctx.status is None:
             candidates: List[SearchNode] = []
             for node in layer:
@@ -408,11 +413,16 @@ def cabs(
                     break
             candidates.sort(key=lambda n: (n.f, -n.g, n.seq))
             if len(candidates) > width:
-                discarded = True
+                cut_f = candidates[width].f
+                if min_cut_f is None or cut_f < min_cut_f:
+                    min_cut_f = cut_f
                 candidates = candidates[:width]
             layer = candidates
         if ctx.status is None:
-            if discarded:
+            if min_cut_f is not None:
+                # A completed pass misses only solutions through its cut
+                # nodes, so none is cheaper than the smallest cut f.
+                ctx.note_dual(min(ctx.primal, min_cut_f))
                 width *= 2
             else:
                 ctx.status = ctx.exhausted()

@@ -172,10 +172,10 @@ def micro_precedence(rng: random.Random):
     pairs = []
     for _ in range(rng.randint(1, 3)):
         i, j = rng.sample(range(k), 2)
-        pairs.append(PrecedenceLe(i, rng.randint(0, 4), j))
+        pairs.append(PrecedenceLe([(i, rng.randint(0, 4), j)]))
 
     def check(vals):
-        return all(vals[p.i] + p.offset <= vals[p.j] for p in pairs)
+        return all(vals[i] + off <= vals[j] for p in pairs for i, off, j in p.arcs)
 
     return domains, list(pairs), check
 

@@ -20,9 +20,9 @@ from dpcp import (
 )
 
 from dpcp import cp_engine
-from dpcp.cp_engine import _edge_find_lower
+from dpcp.cp_engine import _edge_find_lower, ect_envelope_max
 
-from conftest import MICRO_FAMILIES, check_micro_model, domain_values
+from conftest import MICRO_FAMILIES, check_micro_model, domain_values, random_domain
 
 
 # --- domains ---------------------------------------------------------------
@@ -66,10 +66,11 @@ def test_infeasibility_is_sticky():
     assert store.domain(1).ub == 9
 
 
-def test_bad_variable_id_raises_adapter_failure():
-    store = DomainStore([Interval(0, 1)])
+@pytest.mark.parametrize("x", [3, -1])
+def test_bad_variable_id_raises_adapter_failure(x):
+    store = DomainStore([Interval(0, 1), Interval(5, 9)])
     with pytest.raises(AdapterFailure):
-        store.lb(3)
+        store.lb(x)
 
 
 # --- propagators: pinned examples -------------------------------------------
@@ -83,20 +84,20 @@ def test_propagate_once_empty_list_identity():
 
 def test_precedence_single_application():
     store = DomainStore([Interval(0, 10), Interval(0, 10)])
-    propagate_once(store, [PrecedenceLe(0, 4, 1)])
+    propagate_once(store, [PrecedenceLe([(0, 4, 1)])])
     assert (store.lb(1), store.ub(1)) == (4, 10)
     assert (store.lb(0), store.ub(0)) == (0, 6)
 
 
 def test_precedence_infeasible():
     store = DomainStore([Interval(8, 10), Interval(0, 5)])
-    propagate_once(store, [PrecedenceLe(0, 4, 1)])
+    propagate_once(store, [PrecedenceLe([(0, 4, 1)])])
     assert store.infeasible
 
 
 def test_precedence_chain_fixpoint():
     store = DomainStore([Interval(0, 10) for _ in range(3)])
-    propagate_fixpoint(store, [PrecedenceLe(0, 1, 1), PrecedenceLe(1, 1, 2)])
+    propagate_fixpoint(store, [PrecedenceLe([(0, 1, 1)]), PrecedenceLe([(1, 1, 2)])])
     assert (store.lb(0), store.ub(0)) == (0, 8)
     assert (store.lb(1), store.ub(1)) == (1, 9)
     assert (store.lb(2), store.ub(2)) == (2, 10)
@@ -104,11 +105,71 @@ def test_precedence_chain_fixpoint():
 
 def test_fixpoint_noop_when_already_stable():
     store = DomainStore([Interval(0, 8), Interval(1, 9), Interval(2, 10)])
-    props = [PrecedenceLe(0, 1, 1), PrecedenceLe(1, 1, 2)]
+    props = [PrecedenceLe([(0, 1, 1)]), PrecedenceLe([(1, 1, 2)])]
     propagate_fixpoint(store, props)
     rev = store.revision
     propagate_fixpoint(store, props)
     assert store.revision == rev
+
+
+def reference_precedence(store, arcs):
+    """One single-arc propagator per arc, run in sequence, with guarded
+    reads and unconditional writes: the oracle for ``PrecedenceLe``."""
+    for i, offset, j in arcs:
+        if store.infeasible:
+            return
+        store.set_lb(j, store.lb(i) + offset)
+        if store.infeasible:
+            return
+        store.set_ub(i, store.ub(j) - offset)
+
+
+def snapshot(store):
+    return (
+        store.infeasible,
+        store.revision,
+        [domain_values(store.domain(x)) for x in range(len(store))],
+    )
+
+
+def random_store_domains(rng, k, max_value=30):
+    """Interval and FiniteSet domains; about one store in twenty starts
+    with an empty domain, so it is infeasible on entry."""
+    domains = [random_domain(rng, max_value, max_size=max_value) for _ in range(k)]
+    if rng.random() < 0.05:
+        domains[rng.randrange(k)] = Interval(5, 4)
+    return domains
+
+
+def test_precedence_arc_list_matches_per_arc_reference():
+    rng = random.Random(31)
+    outcomes = {"infeasible": 0, "tightened": 0, "unchanged": 0}
+    for _ in range(3000):
+        k = rng.randint(2, 7)
+        domains = random_store_domains(rng, k)
+        arcs = []
+        for _ in range(rng.randint(1, 6)):
+            i, j = rng.sample(range(k), 2)
+            arcs.append((i, rng.randint(-4, 5), j))
+        expected = DomainStore([d.copy() for d in domains])
+        reference_precedence(expected, arcs)
+        got = DomainStore([d.copy() for d in domains])
+        PrecedenceLe(arcs).propagate(got)
+        assert snapshot(got) == snapshot(expected), (domains, arcs)
+        if expected.infeasible:
+            outcomes["infeasible"] += 1
+        else:
+            outcomes["tightened" if expected.revision else "unchanged"] += 1
+    assert min(outcomes.values()) >= 150, outcomes
+
+
+@pytest.mark.parametrize("bad", [5, -1])
+def test_precedence_out_of_range_id_raises(bad):
+    arcs = [(0, 1, bad), (0, 1, 1)]
+    for apply in (reference_precedence, lambda store, a: PrecedenceLe(a).propagate(store)):
+        store = DomainStore([Interval(0, 9), Interval(0, 9)])
+        with pytest.raises(AdapterFailure):
+            apply(store, arcs)
 
 
 def test_edge_finding_lifts_competing_job():
@@ -284,6 +345,112 @@ def test_time_table_no_compulsory_parts_unchanged():
     assert (store.lb(1), store.ub(1)) == (0, 20)
 
 
+class ReferenceCumulative:
+    """Time-table filtering with guarded reads and an unconditional write
+    of every new bound: the oracle for ``Cumulative``."""
+
+    def __init__(self, tasks, capacity):
+        self.tasks = list(tasks)
+        self.capacity = capacity
+
+    def propagate(self, store):
+        if store.infeasible:
+            return
+        live = [(v, p, u) for v, p, u in self.tasks if p > 0 and u > 0]
+        for _v, _p, u in live:
+            if u > self.capacity:
+                store.mark_infeasible()
+                return
+        if not live:
+            return
+        bounds = {v: (store.lb(v), store.ub(v)) for v, _p, _u in live}
+        events = {}
+        for v, p, u in live:
+            lb, ub = bounds[v]
+            if ub < lb + p:
+                events[ub] = events.get(ub, 0) + u
+                events[lb + p] = events.get(lb + p, 0) - u
+        points = sorted(events)
+        segments = []
+        height = 0
+        for a, b in zip(points, points[1:]):
+            height += events[a]
+            if height > self.capacity:
+                store.mark_infeasible()
+                return
+            if height > 0:
+                segments.append((a, b, height))
+        if not segments:
+            return
+        new_bounds = []
+        for v, p, u in live:
+            lb, ub = bounds[v]
+            cp = (ub, lb + p) if ub < lb + p else None
+
+            def overflows(a, b, h):
+                own = u if cp is not None and cp[0] <= a and cp[1] >= b else 0
+                return h - own + u > self.capacity
+
+            new_lb = lb
+            for a, b, h in segments:
+                if a >= new_lb + p:
+                    break
+                if b > new_lb and overflows(a, b, h):
+                    new_lb = b
+            new_ub = ub
+            for a, b, h in reversed(segments):
+                if b <= new_ub:
+                    break
+                if a < new_ub + p and overflows(a, b, h):
+                    new_ub = a - p
+            new_bounds.append((v, new_lb, new_ub))
+        for v, new_lb, new_ub in new_bounds:
+            store.set_lb(v, new_lb)
+            if store.infeasible:
+                return
+            store.set_ub(v, new_ub)
+            if store.infeasible:
+                return
+
+
+def test_cumulative_matches_reference():
+    rng = random.Random(4242)
+    outcomes = {"infeasible": 0, "tightened": 0, "unchanged": 0}
+    for _ in range(3000):
+        k = rng.randint(1, 7)
+        cap = rng.randint(1, 5)
+        # Mostly narrow windows, so compulsory parts are common.
+        domains = []
+        for _ in range(k):
+            lo = rng.randint(0, 20)
+            domains.append(Interval(lo, lo + rng.randint(0, 6)))
+        if rng.random() < 0.05:
+            domains[rng.randrange(k)] = Interval(5, 4)
+        tasks = [
+            (rng.randrange(k), rng.randint(0, 6), rng.randint(0, cap + (rng.random() < 0.05)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        results = []
+        for cls in (ReferenceCumulative, Cumulative):
+            store = DomainStore([d.copy() for d in domains])
+            cls(tasks, cap).propagate(store)
+            results.append(snapshot(store))
+        assert results[0] == results[1], (domains, tasks, cap)
+        if results[0][0]:
+            outcomes["infeasible"] += 1
+        else:
+            outcomes["tightened" if results[0][1] else "unchanged"] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_cumulative_out_of_range_id_raises(bad):
+    for cls in (ReferenceCumulative, Cumulative):
+        store = DomainStore([Interval(0, 9), Interval(0, 9)])
+        with pytest.raises(AdapterFailure):
+            cls([(0, 2, 1), (bad, 2, 1)], 2).propagate(store)
+
+
 def test_sum_le_examples():
     store = DomainStore([FiniteSet([2, 5, 9]), FiniteSet([3, 4])])
     SumLe((0, 1), 9).propagate(store)
@@ -322,6 +489,35 @@ def test_ect_envelope_against_subset_brute_force():
         tasks = [(rng.randint(0, 20), rng.randint(1, 6), rng.randint(0, 4)) for _ in range(k)]
         cap = rng.randint(1, 4)
         assert ect_envelope(tasks, cap) == brute_force_envelope(tasks, cap)
+
+
+def reference_ect_envelope(tasks, capacity):
+    """Per-resource envelope with its own sort: the oracle for one
+    resource of ``ect_envelope_max``."""
+    best = 0
+    energy = 0
+    for lb, p, u in sorted(tasks, key=lambda t: -t[0]):
+        energy += u * p
+        best = max(best, lb + -(-energy // capacity))
+    return best
+
+
+def test_ect_envelope_max_matches_per_resource_reference():
+    rng = random.Random(808)
+    for _ in range(3000):
+        caps = [rng.randint(1, 6) for _ in range(rng.randint(0, 3))]
+        tasks = []
+        for _ in range(rng.randint(0, 9)):
+            # Few distinct lower bounds, so ties are common.
+            lb = rng.randint(0, 12) if rng.random() < 0.5 else rng.choice((0, 4, 8))
+            tasks.append((lb, rng.randint(1, 8), [rng.randint(0, c) for c in caps]))
+        per_resource = [
+            reference_ect_envelope([(lb, p, us[r]) for lb, p, us in tasks], cap)
+            for r, cap in enumerate(caps)
+        ]
+        expected = max(per_resource, default=0)
+        got = ect_envelope_max([(lb, tuple(u * p for u in us)) for lb, p, us in tasks], caps)
+        assert got == expected, (tasks, caps)
 
 
 # --- propagator soundness & drivers -----------------------------------------

@@ -111,6 +111,28 @@ def test_cabs_stops_after_first_pass_without_width_cut():
         assert result.cost == smswt.permutation_optimum(inst) == 4
 
 
+def test_cabs_limit_stopped_dual_from_width_cuts():
+    # Every completed pass with width cuts bounds the optimum by its
+    # smallest cut f, so a limit-stopped run no longer reports only the
+    # root dual (0 here, a gap of 1.0).
+    config = smswt.SmsGeneratorConfig(n=20, tau=0.4, rho=0.05, phi=0.9, seed=1, count=3)
+    first, second = smswt.generate_instances(config)[:2]
+    model = smswt.SmsModel(first)
+    adapter = smswt.SmsAdapter(model)
+    optimum = astar(model, adapter).cost
+    limits = SolveLimits(expansion_cap=3000)
+    for mode in (PropagationMode.OFF, PropagationMode.ONCE):
+        result = cabs(model, adapter, limits=limits, mode=mode)
+        assert result.status is SolveStatus.EXPANSION_LIMIT
+        assert result.metrics.final_gap < 1
+        assert 0 < result.root_dual <= optimum
+        assert all(v <= optimum for _t, v in result.metrics.dual_trace)
+    # Without an incumbent the gap stays 1.0, but the bound is still found.
+    result = cabs(smswt.SmsModel(second), limits=limits, mode=PropagationMode.OFF)
+    assert result.status is SolveStatus.EXPANSION_LIMIT and result.incumbent is None
+    assert result.root_dual > 0
+
+
 def test_cabs_infeasible():
     result = cabs(infeasible_model())
     assert result.status is SolveStatus.INFEASIBLE
