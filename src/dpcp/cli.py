@@ -116,12 +116,9 @@ def _solve_verified(model, adapter, algo: str, propagation: str, limits: SolveLi
 
     A replay that disagrees is a solver bug and raises ``RuntimeError``.
     """
-    mode = MODES[propagation]
-    if mode is PropagationMode.OFF:
-        adapter = None
     solver = astar if algo == "astar" else cabs
     started = time.perf_counter()
-    result = solver(model, adapter, limits, mode)
+    result = solver(model, adapter, limits, MODES[propagation])
     wall = time.perf_counter() - started
     if result.incumbent is not None:
         cost, labels = result.incumbent

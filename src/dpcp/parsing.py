@@ -51,7 +51,9 @@ def read_instance(
         with open(path) as fh:
             text = fh.read()
         if fmt == "json" or (fmt == "auto" and text.lstrip().startswith("{")):
-            return from_json(json.loads(text))
+            return from_json(
+                json.loads(text, parse_float=_not_integer, parse_constant=_not_integer)
+            )
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}", path, exc.lineno) from exc
     except (OSError, KeyError, TypeError, ValueError) as exc:
@@ -59,6 +61,11 @@ def read_instance(
     if parse_native is None:
         raise UnknownFormat(f"{path}: not JSON, the only format of this problem")
     return parse_native(text, path)
+
+
+def _not_integer(token: str):
+    # Instance numbers are integers: the solver core has no floating point.
+    raise ValueError(f"expected an integer, got {token}")
 
 
 def int_token(token: str, path: str, line: Optional[int] = None) -> int:

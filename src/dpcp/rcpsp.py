@@ -167,19 +167,13 @@ def energy_ceiling(instance: RcpspInstance, mask: int) -> int:
 class RcpspModel(DpModel):
     """Schedule one task at a time at its earliest feasible start.
 
-    ``use_left_shift`` and ``use_dominance`` exist so the pruning rules can
-    be cross-checked against unpruned search; both default on.
+    Left-shift pruning drops a candidate that another candidate finishes
+    before, and ``dominates`` compares states of equal signature by their
+    clocks and running tasks.
     """
 
-    def __init__(
-        self,
-        instance: RcpspInstance,
-        use_left_shift: bool = True,
-        use_dominance: bool = True,
-    ):
+    def __init__(self, instance: RcpspInstance):
         self.instance = instance
-        self.use_left_shift = use_left_shift
-        self.use_dominance = use_dominance
 
     def target_state(self) -> RcpspState:
         return RcpspState((None,) * self.instance.n, 0)
@@ -188,7 +182,7 @@ class RcpspModel(DpModel):
         return self.makespan_estimate(self.target_state())
 
     def is_base(self, state: RcpspState) -> bool:
-        return all(s is not None for s in state.starts)
+        return None not in state.starts
 
     def base_cost(self, state: RcpspState) -> Cost:
         return 0
@@ -248,26 +242,19 @@ class RcpspModel(DpModel):
         for task in range(inst.n):
             if state.starts[task] is not None:
                 continue
-            if any(state.starts[j] is None for j in inst.predecessors[task]):
-                continue
             slot = self.earliest_time(state, task)
             if slot is not None:
                 candidates.append((task, slot))
-        if self.use_left_shift:
-            # Drop a candidate when another candidate finishes before its
-            # slot even starts: scheduling the short one first can only help.
-            kept = []
-            for task, slot in candidates:
-                beaten = any(
-                    other != task and oslot + tasks[other].duration <= slot
-                    for other, oslot in candidates
-                )
-                if not beaten:
-                    kept.append((task, slot))
-            candidates = kept
         mse0 = self.makespan_estimate(state)
         out = []
         for task, slot in candidates:
+            # Drop a candidate when another candidate finishes before its
+            # slot even starts: scheduling the short one first can only help.
+            if any(
+                other != task and oslot + tasks[other].duration <= slot
+                for other, oslot in candidates
+            ):
+                continue
             starts = list(state.starts)
             starts[task] = slot
             succ = RcpspState(tuple(starts), slot)
@@ -275,8 +262,6 @@ class RcpspModel(DpModel):
         return out
 
     def dominates(self, a: RcpspState, b: RcpspState) -> bool:
-        if not self.use_dominance:
-            return a == b
         if a.time > b.time:
             return False
         tasks = self.instance.tasks
@@ -291,26 +276,13 @@ class RcpspModel(DpModel):
         return True
 
     def dual(self, state: RcpspState) -> Cost:
-        return max(self.chain_bound(state), self.energy_bound(state))
-
-    def chain_bound(self, state: RcpspState) -> Cost:
-        """Critical-path floor on pending work, as remaining cost."""
-        mask = self._unscheduled_mask(state)
-        total = state.time + critical_path_length(self.instance, mask)
-        return self._remaining(total, state)
-
-    def energy_bound(self, state: RcpspState) -> Cost:
-        """Resource-energy floor on pending work, as remaining cost."""
-        mask = self._unscheduled_mask(state)
-        total = state.time + energy_ceiling(self.instance, mask)
-        return self._remaining(total, state)
-
-    def _unscheduled_mask(self, state: RcpspState) -> int:
-        mask = 0
-        for i, s in enumerate(state.starts):
-            if s is None:
-                mask |= 1 << i
-        return mask
+        """Critical-path and resource-energy floors on the pending work, as
+        remaining cost."""
+        mask = ((1 << self.instance.n) - 1) ^ self.state_signature(state)
+        pending = max(
+            critical_path_length(self.instance, mask), energy_ceiling(self.instance, mask)
+        )
+        return self._remaining(state.time + pending, state)
 
     def _remaining(self, total_bound: int, state: RcpspState) -> int:
         return max(0, total_bound - self.makespan_estimate(state))
@@ -381,11 +353,6 @@ class RcpspAdapter(PropagationAdapter):
             self.instance.capacities,
         )
 
-    def envelope_bound(self, state: RcpspState, store: DomainStore) -> Cost:
-        """Completion envelope of pending tasks per resource, as remaining
-        cost: the tightest left-edge-plus-energy packing argument."""
-        return self.model._remaining(self._envelope(state, store), state)
-
     def dual_cp(self, state: RcpspState, store: DomainStore) -> Cost:
         # The objective links in ``build`` already give lb(obj) >= every
         # pending earliest finish, so no separate finish term is needed.
@@ -400,34 +367,49 @@ class RcpspAdapter(PropagationAdapter):
 
 def ordering_optimum(instance: RcpspInstance) -> int:
     """Minimum makespan over all precedence-feasible task orderings, each
-    scheduled greedily at its earliest feasible start."""
-    model = RcpspModel(instance)
+    task scheduled greedily at its earliest feasible start no sooner than
+    the previous task's start.
+
+    Shares no code with ``RcpspModel``: a start is found by stepping one
+    time unit at a time until the task fits under every capacity at every
+    instant it runs, given the tasks already placed.
+    """
+    tasks = instance.tasks
+    starts: List[Optional[int]] = [None] * instance.n
     best: Optional[int] = None
 
-    def rec(state: RcpspState):
+    def fits(task: int, t: int) -> bool:
+        for instant in range(t, t + tasks[task].duration):
+            for r, cap in enumerate(instance.capacities):
+                load = tasks[task].usages[r]
+                for j, s in enumerate(starts):
+                    if s is not None and s <= instant < s + tasks[j].duration:
+                        load += tasks[j].usages[r]
+                if load > cap:
+                    return False
+        return True
+
+    def rec(previous: int, placed: int):
         nonlocal best
-        if all(s is not None for s in state.starts):
-            makespan = max(
-                s + instance.tasks[i].duration for i, s in enumerate(state.starts)
-            )
+        if placed == instance.n:
+            makespan = max(s + tasks[i].duration for i, s in enumerate(starts))
             if best is None or makespan < best:
                 best = makespan
             return
         for task in range(instance.n):
-            if state.starts[task] is not None:
+            preds = instance.predecessors[task]
+            if starts[task] is not None or any(starts[j] is None for j in preds):
                 continue
-            if any(state.starts[j] is None for j in instance.predecessors[task]):
-                continue
-            slot = model.earliest_time(state, task)
-            if slot is None:
-                continue
-            starts = list(state.starts)
-            starts[task] = slot
-            rec(RcpspState(tuple(starts), slot))
+            t = max([previous] + [starts[j] + tasks[j].duration for j in preds])
+            # Terminates: no single task exceeds a capacity, so it fits once
+            # every placed task has finished.
+            while not fits(task, t):
+                t += 1
+            starts[task] = t
+            rec(t, placed + 1)
+            starts[task] = None
 
-    rec(model.target_state())
-    if best is None:
-        raise ValueError("instance admits no schedule")
+    rec(0, 0)
     return best
 
 

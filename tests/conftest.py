@@ -70,6 +70,38 @@ def random_rcpsp_instance(rng: random.Random, max_tasks: int = 8) -> rcpsp.Rcpsp
     return rcpsp.RcpspInstance(tasks, capacities, precedences)
 
 
+class ReferenceRcpspModel(rcpsp.RcpspModel):
+    """``RcpspModel`` with its pruning rules switchable off, to check them
+    against unpruned search.  Without left shift every precedence- and
+    resource-feasible task is a successor, so enumeration reaches every
+    ordering; without dominance only equal states dominate."""
+
+    def __init__(self, instance, left_shift=True, dominance=True):
+        super().__init__(instance)
+        self.left_shift = left_shift
+        self.dominance = dominance
+
+    def successors(self, state):
+        if self.left_shift:
+            return super().successors(state)
+        before = self.makespan_estimate(state)
+        out = []
+        for task in range(self.instance.n):
+            if state.starts[task] is not None:
+                continue
+            slot = self.earliest_time(state, task)
+            if slot is None:
+                continue
+            starts = list(state.starts)
+            starts[task] = slot
+            succ = rcpsp.RcpspState(tuple(starts), slot)
+            out.append((self.makespan_estimate(succ) - before, task, succ))
+        return out
+
+    def dominates(self, a, b):
+        return super().dominates(a, b) if self.dominance else a == b
+
+
 ALL_MODES = (PropagationMode.OFF, PropagationMode.ONCE, PropagationMode.FIXPOINT)
 
 

@@ -19,7 +19,12 @@ from dpcp import (
 from dpcp import rcpsp, smswt, tsptw
 from dpcp.cp_engine import ect_envelope
 
-from conftest import random_rcpsp_instance, random_sms_instance, random_tsptw_instance
+from conftest import (
+    ReferenceRcpspModel,
+    random_rcpsp_instance,
+    random_sms_instance,
+    random_tsptw_instance,
+)
 
 MODES = (propagate_once, propagate_fixpoint)
 
@@ -119,7 +124,7 @@ def rcpsp_cases(seed, count):
     for _ in range(count):
         inst = random_rcpsp_instance(rng, 7)
         # Without left-shift pruning every reachable order is enumerated.
-        yield inst, rcpsp.RcpspModel(inst, use_left_shift=False)
+        yield inst, ReferenceRcpspModel(inst, left_shift=False)
 
 
 def rcpsp_makespan_cap(model):

@@ -97,6 +97,31 @@ def test_solve_time_limit_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "TimeLimit"
 
 
+@pytest.mark.parametrize(
+    "problem, doc, where",
+    [
+        ("smswt", lambda: TWO_JOB_SMS, ("jobs", 0, "p")),
+        ("tsptw", lambda: TINY_TSPTW_JSON, ("c", 0, 1)),
+        ("rcpsp", small_rcpsp_json, ("tasks", 0, "p")),
+    ],
+    ids=["smswt", "tsptw", "rcpsp"],
+)
+@pytest.mark.parametrize("token", ["2.5", "1e3", "NaN"])
+def test_solve_rejects_non_integer_json_numbers(tmp_path, capsys, problem, doc, where, token):
+    doc = json.loads(json.dumps(doc()))
+    *outer, last = where
+    parent = doc
+    for key in outer:
+        parent = parent[key]
+    # Spliced into the text as written, so json.dumps cannot re-encode it.
+    parent[last] = "@NUMBER@"
+    bad = write_json(tmp_path / "bad.json", doc)
+    bad.write_text(bad.read_text().replace('"@NUMBER@"', token))
+    assert main(["solve", str(bad), "--problem", problem, "--algo", "astar"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpcp: error") and token in err
+
+
 def test_solve_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

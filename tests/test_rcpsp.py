@@ -26,7 +26,7 @@ from dpcp.rcpsp import (
     parse_psplib,
 )
 
-from conftest import random_rcpsp_instance, solve_all_modes, vetoed
+from conftest import ReferenceRcpspModel, random_rcpsp_instance, solve_all_modes, vetoed
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,7 +86,7 @@ def test_left_shift_prunes_delayed_candidate():
     state = RcpspState((0, None, None), 0)
     labels = [lbl for _w, lbl, _s in model.successors(state)]
     assert labels == [1]
-    unpruned = RcpspModel(inst, use_left_shift=False)
+    unpruned = ReferenceRcpspModel(inst, left_shift=False)
     assert [lbl for _w, lbl, _s in unpruned.successors(state)] == [1, 2]
 
 
@@ -110,6 +110,28 @@ def test_dual_bound_helpers():
     assert energy_ceiling(pair, 0b11) == 6
     model = RcpspModel(pair)
     assert model.dual(RcpspState((0, 3), 3)) == 0
+
+
+def reference_dual(model, state):
+    """Critical-path and energy floors, each as remaining cost on its own,
+    the larger taken."""
+    inst = model.instance
+    mask = sum(1 << i for i, s in enumerate(state.starts) if s is None)
+    estimate = model.makespan_estimate(state)
+    chain = max(0, state.time + critical_path_length(inst, mask) - estimate)
+    energy = max(0, state.time + energy_ceiling(inst, mask) - estimate)
+    return max(chain, energy)
+
+
+def test_dual_matches_two_floor_reference():
+    rng = random.Random(21)
+    checked = 0
+    for _ in range(20):
+        model = ReferenceRcpspModel(random_rcpsp_instance(rng, 7), left_shift=False)
+        for state in enumerate_state_values(model):
+            assert model.dual(state) == reference_dual(model, state), state
+            checked += 1
+    assert checked > 2000, checked
 
 
 def test_path_cost_telescopes_to_makespan():
@@ -183,7 +205,7 @@ def test_dual_cp_envelope_component():
         for r, cap in enumerate(inst.capacities)
     )
     assert ect_envelope([(0, 3, 2), (4, 2, 2)], 2) == 6
-    assert adapter.envelope_bound(state, store) == max(
+    assert adapter.dual_cp(state, store) == max(
         0, expected - model.makespan_estimate(state)
     )
 
@@ -261,6 +283,17 @@ def test_json_roundtrip_and_equal_solve():
     assert first.cost == second.cost == ordering_optimum(inst)
 
 
+def test_ordering_optimum_uses_no_model_code(monkeypatch):
+    inst = parse_psplib((DATA / "small.sm").read_text(), "small.sm")
+
+    def refuse(*_args):
+        raise AssertionError("the oracle called the model it checks")
+
+    monkeypatch.setattr(RcpspModel, "earliest_time", refuse)
+    monkeypatch.setattr(RcpspModel, "successors", refuse)
+    assert ordering_optimum(inst) == 9
+
+
 def test_oracle_equivalence_all_modes():
     rng = random.Random(6)
     for _ in range(12):
@@ -280,7 +313,7 @@ def test_pruning_rules_preserve_optimum():
         oracle = ordering_optimum(inst)
         for left_shift in (True, False):
             for dominance in (True, False):
-                model = RcpspModel(inst, use_left_shift=left_shift, use_dominance=dominance)
+                model = ReferenceRcpspModel(inst, left_shift=left_shift, dominance=dominance)
                 assert astar(model).cost == oracle
 
 
@@ -290,7 +323,7 @@ def test_dominance_sound_in_path_cost_form():
     rng = random.Random(14)
     for _ in range(25):
         inst = random_rcpsp_instance(rng, 6)
-        model = RcpspModel(inst, use_left_shift=False)
+        model = ReferenceRcpspModel(inst, left_shift=False)
         values = enumerate_state_values(model)
         buckets = {}
         for s in values:
@@ -309,7 +342,7 @@ def test_cp_bounds_below_oracle_values():
     rng = random.Random(16)
     for _ in range(10):
         inst = random_rcpsp_instance(rng, 5)
-        model = RcpspModel(inst, use_left_shift=False)
+        model = ReferenceRcpspModel(inst, left_shift=False)
         adapter = RcpspAdapter(model)
         for state, value in enumerate_state_values(model).items():
             if model.is_base(state):
@@ -318,9 +351,7 @@ def test_cp_bounds_below_oracle_values():
             propagate_once(store, props)
             if store.infeasible:
                 continue
-            assert model.chain_bound(state) <= value
-            assert model.energy_bound(state) <= value
-            assert adapter.envelope_bound(state, store) <= value
+            assert model.dual(state) <= value
             assert store.lb(inst.n) - model.makespan_estimate(state) <= value
             assert adapter.dual_cp(state, store) <= value
 
