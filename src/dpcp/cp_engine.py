@@ -198,10 +198,6 @@ class VarDuration(NamedTuple):
 DurationSpec = Union[int, VarDuration]
 
 
-def _duration_lb(store: DomainStore, d: DurationSpec) -> int:
-    return d if isinstance(d, int) else store.lb(d.var)
-
-
 class PrecedenceLe:
     """``start_i + offset <= start_j`` for each ``(i, offset, j)`` arc.
 
@@ -274,41 +270,40 @@ class Disjunctive:
 
     Jobs whose duration bound is zero impose nothing and are skipped.
     One application runs the overload check, a lower-bound lifting pass,
-    and the mirrored upper-bound pass, all from the entry bounds.
+    and the same pass on the time-reversed jobs for upper bounds, all from
+    the entry bounds.
     """
 
     def __init__(self, items: Iterable[Tuple[int, DurationSpec]]):
         self.items = list(items)
+        ids = [v for v, _ in self.items]
+        ids += [d.var for _, d in self.items if not isinstance(d, int)]
+        self._lo, self._hi = (min(ids), max(ids)) if ids else (0, -1)
 
     def propagate(self, store: DomainStore) -> None:
         if store.infeasible:
             return
-        live = []
-        for var, dur in self.items:
-            p = _duration_lb(store, dur)
+        doms = store.domains(self._lo, self._hi)
+        jobs, mirrored = [], []
+        for v, dur in self.items:
+            p = dur if isinstance(dur, int) else doms[dur.var].lb
             if p <= 0:
                 continue
-            live.append((var, p))
-        if not live:
+            est, lct = doms[v].lb, doms[v].ub + p
+            jobs.append((est, p, lct, v))
+            mirrored.append((-lct, p, -est, v))
+        if not jobs:
             return
-        # Forward axis: lift earliest starts of jobs forced after a set.
-        jobs = [(store.lb(v), p, store.ub(v) + p, v) for v, p in live]
         lifts = _edge_find_lower(jobs)
-        if lifts is None:
-            store.mark_infeasible()
-            return
-        # Mirrored axis (time reversal): the same pass tightens latest
-        # starts of jobs forced before a set.
-        mirrored = [(-(store.ub(v) + p), p, -store.lb(v), v) for v, p in live]
-        drops = _edge_find_lower(mirrored)
+        drops = _edge_find_lower(mirrored) if lifts is not None else None
         if drops is None:
             store.mark_infeasible()
             return
-        durations = dict(live)
         for v, new_est in lifts.items():
             store.set_lb(v, new_est)
             if store.infeasible:
                 return
+        durations = {v: p for _est, p, _lct, v in jobs} if drops else {}
         for v, new_mirror_est in drops.items():
             store.set_ub(v, -new_mirror_est - durations[v])
             if store.infeasible:
@@ -316,80 +311,85 @@ class Disjunctive:
 
 
 def _edge_find_lower(jobs):
-    """Edge-finding lower-bound lifts over task-interval sets.
+    """Edge-finding lower-bound lifts over task-interval sets (Vilim,
+    "O(n log n) Filtering Algorithms for Unary Resource Constraint", 2004).
 
-    ``jobs`` is a list of ``(est, p, lct, key)``.  Returns ``{key: new_est}``
-    for strictly improved bounds, or ``None`` on detected overload.
+    ``jobs`` holds ``(est, p, lct, key)`` with ``p > 0``.  Returns ``{key:
+    new_est}`` for strictly improved bounds, in ``jobs`` order, or ``None``
+    on overload.
 
-    A candidate set is characterised by an upper window edge ``b`` (a job
-    lct) and a lower edge ``a`` (a job est): the jobs with ``lct <= b`` and
-    ``est >= a``.  If such a set together with an outside job ``i`` cannot
-    fit before ``b``, job ``i`` must run after the whole set, lifting its
-    earliest start to the set's earliest completion.  Restricting to these
-    interval sets loses no deductions.
+    A candidate set, the jobs with ``lct <= b`` and ``est >= a`` for a job
+    lct ``b`` and a job est ``a``, forces an outside job ``i`` after all of
+    it when they cannot fit in ``[min(a, est_i), b]``.  These interval sets
+    lose no deductions.
 
-    Each edge ``b`` takes one pass over ``T_b``, the jobs with
-    ``lct <= b`` in descending-est order, whose prefixes are the candidate
-    sets; the pass also runs the overload check.  Two facts keep the rest
-    cheap.  A job with ``lct_i <= b`` is never lifted by window ``b``: the
-    set plus ``i`` lies inside an est-suffix of ``T_b`` that already fits
-    before ``b``.  For a job with ``lct_i > b`` the lift is the ECT of the
-    largest qualifying prefix, since ECTs never decrease along the order;
-    the prefixes whose ests all exceed ``est_i`` need one test, the rest a
-    bisection over suffix maxima of ``est + energy``.  Total cost is
-    O(n^2 log n).
+    One pass over ``T_b``, the jobs with ``lct <= b`` in descending-est
+    order, gives ``ECT(T_b)``, the largest ``a + E`` over its prefixes;
+    overload is ``ECT(T_b) > b``.  A firing window ``b`` lifts ``i`` to
+    ``ECT(T_b)``: its largest firing prefix already reaches that maximum.
+    That falls with ``b``, so edges run in descending order and a job
+    leaves the test once lifted or once ``est_i >= ECT(T_b)``.  As
+    ``ECT(T_b + i) <= max(ECT(T_b), est_i) + p_i``, a job with ``p_i <= b -
+    ECT(T_b)`` cannot fire.  A survivor that could finish alone by ``b``
+    needs the exact test over prefix arrays built once per edge: prefixes
+    with ``a > est_i`` are settled by the last of them, the rest by a
+    suffix maximum of ``a + E``.  Total cost is O(n^2 log n).
     """
-    by_est_desc = sorted(jobs, key=lambda j: (-j[0], j[2]))
-    best = [None] * len(jobs)
-    for b in sorted({j[2] for j in jobs}):
-        neg_ests = []  # -est of each prefix's last member (ascending)
-        energies = []  # prefix energies E_k
-        ects = []  # prefix earliest completion times
-        bounds = []  # est_k + E_k
+    by_est_desc = sorted(jobs, key=itemgetter(0), reverse=True)
+    by_lct_desc = sorted(jobs, key=itemgetter(2), reverse=True)
+    floor = by_est_desc[-1][0]  # below every a + E
+    lifted = {}
+    outside = []  # jobs with lct > b that may still fire
+    pos = 0
+    while True:
+        b = by_lct_desc[pos][2]
         energy = 0
-        ect = None
+        ect = floor
         for est, p, lct, _key in by_est_desc:
-            if lct > b:
-                continue
-            energy += p
-            cand = est + energy
-            if cand > b:
-                return None
-            if ect is None or cand > ect:
-                ect = cand
-            neg_ests.append(-est)
-            energies.append(energy)
-            ects.append(ect)
-            bounds.append(cand)
-        # neg_suf[k] = -max(bounds[k:]) ascends, so bisection finds the
-        # largest k with bounds[k] above a threshold.
-        neg_suf = bounds[:]
-        top = None
-        for k in range(len(bounds) - 1, -1, -1):
-            if top is None or bounds[k] > top:
-                top = bounds[k]
-            neg_suf[k] = -top
-        last = len(bounds) - 1
-        for x, (est_i, p_i, lct_i, _key) in enumerate(jobs):
-            if lct_i <= b:
-                continue
-            if est_i + p_i > b:
-                # i alone cannot finish by b: it runs after every member.
-                k = last
-            else:
-                # Largest prefix k whose set plus i cannot fit in
-                # [min(est_i, a_k), b].  Past the first r prefixes
-                # (a_k <= est_i) that is a_k + E_k + p_i > b; within them
-                # it is est_i + E_k + p_i > b, which grows with k.
-                k = bisect_left(neg_suf, p_i - b) - 1
-                r = bisect_left(neg_ests, -est_i)
-                if k < r:
-                    k = r - 1 if r and est_i + energies[r - 1] + p_i > b else -1
-            if k >= 0:
-                lift = ects[k]
-                if lift > est_i and (best[x] is None or lift > best[x]):
-                    best[x] = lift
-    return {jobs[x][3]: v for x, v in enumerate(best) if v is not None}
+            if lct <= b:
+                energy += p
+                if est + energy > ect:
+                    ect = est + energy
+        if ect > b:
+            return None
+        if outside:
+            slack = b - ect
+            neg_ests = None
+            waiting = []
+            for job in outside:
+                est_i, p_i, _lct, _key = job
+                if est_i >= ect:
+                    continue
+                if p_i <= slack:
+                    waiting.append(job)
+                    continue
+                if est_i + p_i <= b:
+                    if neg_ests is None:
+                        # -a (ascending), E, then suffix maxima of a + E.
+                        neg_ests, energies, bounds, energy = [], [], [], 0
+                        for est, p, lct, _key in by_est_desc:
+                            if lct <= b:
+                                energy += p
+                                neg_ests.append(-est)
+                                energies.append(energy)
+                                bounds.append(est + energy)
+                        for k in range(len(bounds) - 2, -1, -1):
+                            if bounds[k] < bounds[k + 1]:
+                                bounds[k] = bounds[k + 1]
+                        bounds.append(floor)  # r past the end: floor <= room
+                    room = b - p_i
+                    r = bisect_left(neg_ests, -est_i)
+                    if bounds[r] <= room and not (r and est_i + energies[r - 1] > room):
+                        waiting.append(job)
+                        continue
+                lifted[job] = ect
+            outside = waiting
+        if by_lct_desc[-1][2] == b:
+            break
+        while by_lct_desc[pos][2] == b:
+            outside.append(by_lct_desc[pos])
+            pos += 1
+    return {job[3]: lifted[job] for job in jobs if job in lifted} if lifted else {}
 
 
 class Cumulative:

@@ -51,9 +51,10 @@ def read_instance(
         with open(path) as fh:
             text = fh.read()
         if fmt == "json" or (fmt == "auto" and text.lstrip().startswith("{")):
-            return from_json(
-                json.loads(text, parse_float=_not_integer, parse_constant=_not_integer)
-            )
+            doc = json.loads(text, parse_float=_not_integer, parse_constant=_not_integer)
+            if "true" in text or "false" in text:  # the walk costs more than the parse
+                _reject_booleans(doc)
+            return from_json(doc)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}", path, exc.lineno) from exc
     except (OSError, KeyError, TypeError, ValueError) as exc:
@@ -66,6 +67,19 @@ def read_instance(
 def _not_integer(token: str):
     # Instance numbers are integers: the solver core has no floating point.
     raise ValueError(f"expected an integer, got {token}")
+
+
+def _reject_booleans(doc) -> None:
+    # ``bool`` subclasses ``int``, so no model's ``from_json`` would notice.
+    stack = [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, bool):
+            _not_integer(json.dumps(value))
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
 
 
 def int_token(token: str, path: str, line: Optional[int] = None) -> int:

@@ -106,7 +106,7 @@ def test_solve_time_limit_exit_code(tmp_path, capsys):
     ],
     ids=["smswt", "tsptw", "rcpsp"],
 )
-@pytest.mark.parametrize("token", ["2.5", "1e3", "NaN"])
+@pytest.mark.parametrize("token", ["2.5", "1e3", "NaN", "true", "false"])
 def test_solve_rejects_non_integer_json_numbers(tmp_path, capsys, problem, doc, where, token):
     doc = json.loads(json.dumps(doc()))
     *outer, last = where

@@ -179,6 +179,14 @@ def test_edge_finding_lifts_competing_job():
     assert (store.lb(1), store.ub(1)) == (1, 2)
 
 
+def test_edge_finding_lowers_latest_start_of_competing_job():
+    # The time-reversed case: job 0 cannot follow job 1, so it ends by 9.
+    store = DomainStore([Interval(0, 10), Interval(8, 9)])
+    Disjunctive([(0, 5), (1, 3)]).propagate(store)
+    assert store.ub(0) == 4
+    assert (store.lb(1), store.ub(1)) == (8, 9)
+
+
 def test_edge_finding_single_job_unchanged():
     store = DomainStore([Interval(3, 7)])
     Disjunctive([(0, 2)]).propagate(store)
@@ -207,6 +215,14 @@ def test_edge_finding_variable_durations_use_lower_bound():
     store = DomainStore([Interval(0, 10), Interval(1, 2), FiniteSet([3, 6])])
     Disjunctive([(0, 5), (1, VarDuration(2))]).propagate(store)
     assert store.lb(0) == 4
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_disjunctive_out_of_range_id_raises(bad):
+    for items in ([(0, 2), (bad, 2)], [(0, 2), (1, VarDuration(bad))]):
+        store = DomainStore([Interval(0, 9), Interval(0, 9)])
+        with pytest.raises(AdapterFailure):
+            Disjunctive(items).propagate(store)
 
 
 def reference_edge_find_lower(jobs):
@@ -254,15 +270,15 @@ def reference_edge_find_lower(jobs):
     return lifts
 
 
-def random_job_set(rng):
-    """``(est, p, lct, key)`` jobs; a third of the sets draw est and lct
-    from three values each so ties are common."""
-    n = rng.randint(1, 9)
+def random_job_set(rng, n, p_share):
+    """``n`` jobs ``(est, p, lct, key)`` with ``p`` up to ``1/p_share`` of
+    the horizon; a third of the sets draw est and lct from three values
+    each so ties are common."""
     horizon = rng.randint(10, 80)
     tied = rng.random() < 1 / 3
     jobs = []
     for key in range(n):
-        p = rng.randint(1, max(1, horizon // 4))
+        p = rng.randint(1, max(1, horizon // p_share))
         if tied:
             est = rng.choice((0, horizon // 4, horizon // 2))
             lct = rng.choice((horizon // 2, 3 * horizon // 4, horizon)) + p
@@ -273,11 +289,9 @@ def random_job_set(rng):
     return jobs
 
 
-def test_edge_finder_matches_cubic_reference():
-    rng = random.Random(2004)
+def assert_matches_cubic_reference(job_sets):
     outcomes = {"overload": 0, "lifted": 0, "unchanged": 0}
-    for _ in range(3000):
-        jobs = random_job_set(rng)
+    for jobs in job_sets:
         # The mirrored copy is what Disjunctive passes for upper bounds.
         mirrored = [(-lct, p, -est, key) for est, p, lct, key in jobs]
         for js in (jobs, mirrored):
@@ -292,13 +306,29 @@ def test_edge_finder_matches_cubic_reference():
     assert min(outcomes.values()) >= 300, outcomes
 
 
+def test_edge_finder_matches_cubic_reference():
+    rng = random.Random(2004)
+    assert_matches_cubic_reference(
+        random_job_set(rng, rng.randint(1, 9), 4) for _ in range(3000)
+    )
+
+
+def test_edge_finder_matches_cubic_reference_at_workload_sizes():
+    # SMS and TSPTW nodes pass up to 16 jobs.  Shorter jobs keep overloads
+    # from crowding out the other outcomes at these sizes.
+    rng = random.Random(2004)
+    assert_matches_cubic_reference(
+        random_job_set(rng, rng.randint(10, 16), 16) for _ in range(1000)
+    )
+
+
 def test_disjunctive_vardur_finite_sets_match_reference(monkeypatch):
     # The TSPTW shape: durations are variables over FiniteSets (the start
     # domains here are FiniteSets with holes as well).
     rng = random.Random(77)
     changed = infeasible = 0
     for _ in range(600):
-        k = rng.randint(1, 7)
+        k = rng.randint(1, 14)
         horizon = rng.randint(10, 80)
         domains = []
         for _ in range(k):
