@@ -25,13 +25,10 @@ from .cp_engine import (
     Cumulative,
     Disjunctive,
     DomainStore,
-    FiniteSet,
-    Interval,
     PrecedenceLe,
     PropagationAdapter,
     SumLe,
     VarDuration,
-    ect_envelope,
     propagate_fixpoint,
     propagate_once,
 )
@@ -55,9 +52,7 @@ __all__ = [
     "Disjunctive",
     "DomainStore",
     "DpModel",
-    "FiniteSet",
     "INFINITY",
-    "Interval",
     "InvalidTransition",
     "NegativeGap",
     "NotBase",
@@ -76,7 +71,6 @@ __all__ = [
     "astar",
     "brute_force_value",
     "cabs",
-    "ect_envelope",
     "enumerate_state_values",
     "evaluate_solution",
     "is_finite",

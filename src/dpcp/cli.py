@@ -190,8 +190,10 @@ def _bench_row(row: dict) -> dict:
     out = {c: "" for c in CSV_COLUMNS}
     out["instance"] = row.get("instance", "")
     out["problem"] = row.get("problem", "")
-    out["algo"] = row.get("algo", "cabs")
-    out["propagation"] = row.get("propagation", "once")
+    # Rendered as text before any check, so a value of the wrong JSON type
+    # becomes an Error row and sorts with the others in the summary.
+    out["algo"] = str(row.get("algo", "cabs"))
+    out["propagation"] = str(row.get("propagation", "once"))
     try:
         if out["algo"] not in ("astar", "cabs"):
             raise UnknownFormat(f"unknown algorithm {out['algo']}")

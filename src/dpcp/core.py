@@ -193,36 +193,20 @@ def evaluate_solution(model: DpModel, seq: Sequence[Label]) -> Cost:
 def brute_force_value(model: DpModel, state, depth_cap: int = 64) -> Cost:
     """Exact optimal remaining cost of ``state`` by exhaustive recursion.
 
-    Memoizes on exact state equality.  Returns ``INFINITY`` when no base
-    state is reachable.  Raises ``DepthExceeded`` if any path needs more
-    than ``depth_cap`` transitions, signalling the instance is too large
-    for this oracle.  Does not include the model's root charge.
+    Returns ``INFINITY`` when no base state is reachable.  Raises
+    ``DepthExceeded`` if any path needs more than ``depth_cap``
+    transitions, signalling the instance is too large for this oracle.
+    Does not include the model's root charge.
     """
-    memo: dict = {}
-
-    def rec(s, depth: int) -> Cost:
-        if model.is_base(s):
-            return model.base_cost(s)
-        cached = memo.get(s)
-        if cached is not None:
-            return cached
-        if depth >= depth_cap:
-            raise DepthExceeded(depth_cap)
-        best: Cost = INFINITY
-        for weight, _label, succ in model.successors(s):
-            value = add(weight, rec(succ, depth + 1))
-            if value < best:
-                best = value
-        memo[s] = best
-        return best
-
-    return rec(state, 0)
+    return enumerate_state_values(model, depth_cap, state)[state]
 
 
-def enumerate_state_values(model: DpModel, depth_cap: int = 64):
-    """All states reachable from the target with their exact values.
+def enumerate_state_values(model: DpModel, depth_cap: int = 64, start=None):
+    """All states reachable from ``start`` (the target state by default)
+    with their exact values.
 
-    Returns ``{state: value}`` including base states.  Used by invariant
+    Returns ``{state: value}`` including base states, memoizing on exact
+    state equality; a dead end is worth ``INFINITY``.  Used by invariant
     suites that check dual bounds and dominance against the oracle.
     """
     values: dict = {}
@@ -243,5 +227,5 @@ def enumerate_state_values(model: DpModel, depth_cap: int = 64):
         values[s] = best
         return best
 
-    rec(model.target_state(), 0)
+    rec(model.target_state() if start is None else start, 0)
     return values

@@ -1,7 +1,8 @@
 """Small constraint-propagation engine: integer domains and propagators.
 
-The engine owns a per-solve ``DomainStore`` of integer domains (intervals
-or finite sets) and a handful of stateless propagator descriptors:
+The engine owns a per-solve ``DomainStore`` of integer interval domains,
+kept as two bound lists, and a handful of stateless propagator
+descriptors:
 
 * ``Disjunctive`` -- non-overlapping jobs, filtered by edge-finding,
 * ``Cumulative``  -- capacity-limited tasks, filtered by time-table
@@ -18,7 +19,7 @@ once each in registration order or to a fixed point.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
@@ -30,116 +31,59 @@ class AdapterFailure(Exception):
     """A propagation adapter produced an inconsistent model build."""
 
 
-class Interval:
-    """Contiguous integer domain; only its bounds ever move."""
-
-    __slots__ = ("lb", "ub")
-
-    def __init__(self, lb: int, ub: int):
-        self.lb = lb
-        self.ub = ub
-
-    def is_empty(self) -> bool:
-        return self.lb > self.ub
-
-    def contains(self, v: int) -> bool:
-        return self.lb <= v <= self.ub
-
-    def copy(self) -> "Interval":
-        return Interval(self.lb, self.ub)
-
-    def __repr__(self):
-        return f"[{self.lb}, {self.ub}]"
-
-
-class FiniteSet:
-    """Sorted distinct integers; supports removal of interior values."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Iterable[int]):
-        self.values = sorted(set(values))
-
-    def is_empty(self) -> bool:
-        return not self.values
-
-    @property
-    def lb(self) -> int:
-        return self.values[0]
-
-    @property
-    def ub(self) -> int:
-        return self.values[-1]
-
-    def contains(self, v: int) -> bool:
-        i = bisect_left(self.values, v)
-        return i < len(self.values) and self.values[i] == v
-
-    def copy(self) -> "FiniteSet":
-        c = FiniteSet.__new__(FiniteSet)
-        c.values = list(self.values)
-        return c
-
-    def __repr__(self):
-        return "{" + ", ".join(map(str, self.values)) + "}"
-
-
-Domain = Union[Interval, FiniteSet]
-
-
 class DomainStore:
-    """Indexed domains with a sticky infeasibility flag.
+    """Interval domains ``[lbs[x], ubs[x]]`` with a sticky infeasibility
+    flag.
 
     All mutation goes through the store so the monotone-shrink invariant,
     emptiness detection, and the change revision counter live in one place.
-    A store is owned by a single solve; sharing is read-only.
+    A store is owned by a single solve; sharing is read-only.  No model
+    needs a hole in a domain, so two bound lists are the whole state.
     """
 
-    def __init__(self, domains: Sequence[Domain]):
-        self._domains: List[Domain] = list(domains)
-        self.infeasible = False
+    def __init__(self, lbs: List[int], ubs: List[int]):
+        if len(lbs) != len(ubs):
+            raise AdapterFailure(f"{len(lbs)} lower bounds for {len(ubs)} upper bounds")
+        self.lbs = lbs
+        self.ubs = ubs
+        self.infeasible = any(lb > ub for lb, ub in zip(lbs, ubs))
         self.revision = 0
-        for d in self._domains:
-            if d.is_empty():
-                self.infeasible = True
 
     def __len__(self):
-        return len(self._domains)
+        return len(self.lbs)
 
-    def domain(self, x: int) -> Domain:
-        if x < 0:
-            raise AdapterFailure(f"variable id {x} out of range")
-        try:
-            return self._domains[x]
-        except IndexError:
-            raise AdapterFailure(f"variable id {x} out of range") from None
-
-    def domains(self, lo: int, hi: int) -> List[Domain]:
-        """The domain list itself, after checking that ids ``lo..hi`` are
-        in range.
+    def bounds(self, lo: int, hi: int) -> Tuple[List[int], List[int]]:
+        """The bound lists themselves, after checking that ids ``lo..hi``
+        are in range.
 
         While the store is feasible no domain is empty, so a propagator may
-        read bounds from it directly instead of through ``lb``/``ub``;
+        read bounds from them directly instead of through ``lb``/``ub``;
         writes still go through ``set_lb``/``set_ub``.
         """
-        if lo < 0 or hi >= len(self._domains):
+        if lo < 0 or hi >= len(self.lbs):
             raise AdapterFailure(f"variable ids {lo}..{hi} out of range")
-        return self._domains
+        return self.lbs, self.ubs
 
     def lb(self, x: int) -> int:
-        d = self.domain(x)
-        if d.is_empty():
+        if not 0 <= x < len(self.lbs):
+            raise AdapterFailure(f"variable id {x} out of range")
+        lb = self.lbs[x]
+        if lb > self.ubs[x]:
             raise AdapterFailure(f"lb() on empty domain of variable {x}")
-        return d.lb
+        return lb
 
     def ub(self, x: int) -> int:
-        d = self.domain(x)
-        if d.is_empty():
+        if not 0 <= x < len(self.lbs):
+            raise AdapterFailure(f"variable id {x} out of range")
+        ub = self.ubs[x]
+        if self.lbs[x] > ub:
             raise AdapterFailure(f"ub() on empty domain of variable {x}")
-        return d.ub
+        return ub
 
     def contains(self, x: int, v: int) -> bool:
-        return self.domain(x).contains(v)
+        if not 0 <= x < len(self.lbs):
+            raise AdapterFailure(f"variable id {x} out of range")
+        return self.lbs[x] <= v <= self.ubs[x]
 
     def mark_infeasible(self) -> None:
         if not self.infeasible:
@@ -150,43 +94,27 @@ class DomainStore:
         """Shrink the lower bound of ``x`` up to ``v`` (no-op if weaker)."""
         if self.infeasible:
             return
-        d = self.domain(x)
-        if isinstance(d, Interval):
-            if v <= d.lb:
-                return
-            d.lb = v
-            self.revision += 1
-            if d.is_empty():
-                self.infeasible = True
-        else:
-            i = bisect_left(d.values, v)
-            if i == 0:
-                return
-            del d.values[:i]
-            self.revision += 1
-            if d.is_empty():
-                self.infeasible = True
+        if not 0 <= x < len(self.lbs):
+            raise AdapterFailure(f"variable id {x} out of range")
+        if v <= self.lbs[x]:
+            return
+        self.lbs[x] = v
+        self.revision += 1
+        if v > self.ubs[x]:
+            self.infeasible = True
 
     def set_ub(self, x: int, v: int) -> None:
         """Shrink the upper bound of ``x`` down to ``v`` (no-op if weaker)."""
         if self.infeasible:
             return
-        d = self.domain(x)
-        if isinstance(d, Interval):
-            if v >= d.ub:
-                return
-            d.ub = v
-            self.revision += 1
-            if d.is_empty():
-                self.infeasible = True
-        else:
-            i = bisect_right(d.values, v)
-            if i == len(d.values):
-                return
-            del d.values[i:]
-            self.revision += 1
-            if d.is_empty():
-                self.infeasible = True
+        if not 0 <= x < len(self.ubs):
+            raise AdapterFailure(f"variable id {x} out of range")
+        if v >= self.ubs[x]:
+            return
+        self.ubs[x] = v
+        self.revision += 1
+        if v < self.lbs[x]:
+            self.infeasible = True
 
 
 class VarDuration(NamedTuple):
@@ -218,17 +146,15 @@ class PrecedenceLe:
     def propagate(self, store: DomainStore) -> None:
         if store.infeasible:
             return
-        doms = store.domains(self._lo, self._hi)
+        lbs, ubs = store.bounds(self._lo, self._hi)
         for i, offset, j in self.arcs:
-            di = doms[i]
-            dj = doms[j]
-            v = di.lb + offset
-            if v > dj.lb:
+            v = lbs[i] + offset
+            if v > lbs[j]:
                 store.set_lb(j, v)
                 if store.infeasible:
                     return
-            v = dj.ub - offset
-            if v < di.ub:
+            v = ubs[j] - offset
+            if v < ubs[i]:
                 store.set_ub(i, v)
                 if store.infeasible:
                     return
@@ -283,13 +209,13 @@ class Disjunctive:
     def propagate(self, store: DomainStore) -> None:
         if store.infeasible:
             return
-        doms = store.domains(self._lo, self._hi)
+        lbs, ubs = store.bounds(self._lo, self._hi)
         jobs, mirrored = [], []
         for v, dur in self.items:
-            p = dur if isinstance(dur, int) else doms[dur.var].lb
+            p = dur if isinstance(dur, int) else lbs[dur.var]
             if p <= 0:
                 continue
-            est, lct = doms[v].lb, doms[v].ub + p
+            est, lct = lbs[v], ubs[v] + p
             jobs.append((est, p, lct, v))
             mirrored.append((-lct, p, -est, v))
         if not jobs:
@@ -424,14 +350,13 @@ class Cumulative:
         live = self._live
         if not live:
             return
-        doms = store.domains(self._lo, self._hi)
+        lbs, ubs = store.bounds(self._lo, self._hi)
         capacity = self.capacity
         # The compulsory part of a task is [ub, lb + p) when ub < lb + p.
         bounds = []
         events: dict = {}
         for v, p, u in live:
-            d = doms[v]
-            lb, ub = d.lb, d.ub
+            lb, ub = lbs[v], ubs[v]
             bounds.append((lb, ub))
             end = lb + p
             if ub < end:
@@ -533,22 +458,16 @@ def propagate_fixpoint(store: DomainStore, props: Sequence[Propagator]) -> Domai
     return store
 
 
-def ect_envelope(tasks: Sequence[Tuple[int, int, int]], capacity: int) -> int:
-    """Earliest-completion envelope of ``(lb_start, duration, usage)`` tasks.
-
-    Maximises ``ceil((C * min_lb + sum(usage * duration)) / C)`` over all
-    non-empty task subsets.  Only suffix sets by start lower bound need
-    evaluating: replacing any subset by all tasks with ``lb >= min_lb``
-    of that subset can only add energy at the same left edge.
-    """
-    return ect_envelope_max([(lb, (u * p,)) for lb, p, u in tasks], (capacity,))
-
-
 def ect_envelope_max(tasks: Sequence[Tuple[int, Sequence[int]]], capacities: Sequence[int]) -> int:
-    """Largest ``ect_envelope`` over several resources, from one sort.
+    """Largest earliest-completion envelope over several resources, from
+    one sort.
 
     ``tasks`` are ``(lb_start, energies)`` with one ``usage * duration``
-    per resource.  Tasks tied in ``lb`` may come in any order: the suffix
+    per resource.  For each resource of capacity ``C`` the envelope is the
+    largest ``min_lb + ceil(sum(energy) / C)`` over non-empty task subsets.
+    Only suffix sets by start lower bound need evaluating: replacing any
+    subset by all tasks with ``lb >= min_lb`` of that subset can only add
+    energy at the same left edge.  Tasks tied in ``lb`` may come in any order: the suffix
     ending at the last of them holds the most energy at that left edge,
     so the maximum does not depend on it.
     """

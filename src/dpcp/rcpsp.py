@@ -26,7 +26,6 @@ from .cost import Cost, INFINITY, is_finite
 from .cp_engine import (
     Cumulative,
     DomainStore,
-    Interval,
     PrecedenceLe,
     PropagationAdapter,
     ect_envelope_max,
@@ -312,17 +311,14 @@ class RcpspAdapter(PropagationAdapter):
         inst = self.instance
         tasks = inst.tasks
         horizon = inst.horizon
-        domains: List[Interval] = []
-        for i, s in enumerate(state.starts):
-            if s is not None:
-                domains.append(Interval(s, s))
-            else:
-                domains.append(Interval(state.time, horizon - tasks[i].duration))
+        lbs = [state.time if s is None else s for s in state.starts]
+        ubs = [horizon - t.duration if s is None else s for s, t in zip(state.starts, tasks)]
         obj_ub = horizon
         if is_finite(primal) and primal < obj_ub:
             obj_ub = primal
-        domains.append(Interval(0, obj_ub))
-        store = DomainStore(domains)
+        lbs.append(0)
+        ubs.append(obj_ub)
+        store = DomainStore(lbs, ubs)
         props: list = []
         pending = [i for i, s in enumerate(state.starts) if s is None]
         running = [

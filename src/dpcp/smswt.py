@@ -22,7 +22,6 @@ from .cost import Cost, INFINITY
 from .cp_engine import (
     Disjunctive,
     DomainStore,
-    Interval,
     PropagationAdapter,
 )
 from .parsing import read_instance
@@ -136,15 +135,15 @@ class SmsAdapter(PropagationAdapter):
 
     def build(self, state: SmsState, g: Cost = 0, primal: Cost = INFINITY):
         jobs = self.instance.jobs
-        domains = []
-        for i, job in enumerate(jobs):
-            if state.unscheduled >> i & 1:
-                domains.append(Interval(max(job.r, state.time), job.deadline - job.p))
-            else:
-                domains.append(Interval(0, 0))  # inert placeholder
-        store = DomainStore(domains)
-        items = [(i, jobs[i].p) for i in iter_bits(state.unscheduled)]
-        return store, [Disjunctive(items)]
+        lbs = [0] * len(jobs)  # scheduled jobs keep the inert [0, 0]
+        ubs = [0] * len(jobs)
+        items = []
+        for i in iter_bits(state.unscheduled):
+            job = jobs[i]
+            lbs[i] = max(job.r, state.time)
+            ubs[i] = job.deadline - job.p
+            items.append((i, job.p))
+        return DomainStore(lbs, ubs), [Disjunctive(items)]
 
     def dual_cp(self, state: SmsState, store: DomainStore) -> Cost:
         jobs = self.instance.jobs

@@ -22,8 +22,6 @@ from .cost import Cost, INFINITY, is_finite
 from .cp_engine import (
     Disjunctive,
     DomainStore,
-    FiniteSet,
-    Interval,
     PropagationAdapter,
     SumLe,
     VarDuration,
@@ -195,15 +193,15 @@ class TsptwAdapter(PropagationAdapter):
         inst = self.instance
         n = inst.n
         live = sorted(set(iter_bits(state.unvisited)) | {state.location})
-        arrivals: List = [Interval(0, 0) for _ in range(n)]
-        durations: List = [Interval(0, 0) for _ in range(n)]
+        lbs = [0] * (2 * n)  # variables off the remaining tour keep [0, 0]
+        ubs = [0] * (2 * n)
         for i in live:
             r, d = inst.windows[i]
-            arrivals[i] = Interval(max(state.time, r), d)
-            if arrivals[i].is_empty():
+            lbs[i], ubs[i] = max(state.time, r), d
+            if lbs[i] > d:
                 # A missed window: the store is infeasible from the start,
                 # so no duration domain or propagator is needed.
-                return DomainStore(arrivals + durations), []
+                return DomainStore(lbs, ubs), []
         # The salesperson leaves i toward some unvisited location or the
         # depot; the depot leg is dropped when another remaining location
         # must be visited after i, so i cannot be last.  That holds iff the
@@ -223,8 +221,11 @@ class TsptwAdapter(PropagationAdapter):
             if latest is None or latest < inst.windows[i][1]:
                 targets.append(0)
             values = [inst.travel[i][j] for j in targets if inst.travel[i][j] is not None]
-            durations[i] = FiniteSet(values)
-        store = DomainStore(arrivals + durations)
+            # The hull of the travel values (empty without any): no reader
+            # can observe a hole, see the README's "Propagation engine".
+            k = self._dur(i)
+            lbs[k], ubs[k] = (min(values), max(values)) if values else (1, 0)
+        store = DomainStore(lbs, ubs)
         items = [(i, VarDuration(self._dur(i))) for i in live]
         cap: Cost = INFINITY
         if is_finite(primal):

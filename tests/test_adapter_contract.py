@@ -17,10 +17,10 @@ from dpcp import (
     propagate_once,
 )
 from dpcp import rcpsp, smswt, tsptw
-from dpcp.cp_engine import ect_envelope
 
 from conftest import (
     ReferenceRcpspModel,
+    one_resource_envelope,
     random_rcpsp_instance,
     random_sms_instance,
     random_tsptw_instance,
@@ -59,7 +59,7 @@ def reference_rcpsp_dual_cp(adapter, state, store):
         total = max(total, store.lb(i) + inst.tasks[i].duration)
     for r, cap in enumerate(inst.capacities):
         tasks = [(store.lb(i), inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in pending]
-        total = max(total, ect_envelope(tasks, cap))
+        total = max(total, one_resource_envelope(tasks, cap))
     return adapter.model._remaining(total, state)
 
 

@@ -356,6 +356,29 @@ def test_bench_row_whose_incumbent_does_not_replay_is_error(tmp_path, monkeypatc
     assert "replayed cost 4 != reported 3" in row["error"]
 
 
+def test_bench_rows_with_non_string_algo_or_mode_are_errors(tmp_path):
+    # Rows never abort the batch: each bad value is one Error row, and the
+    # summary groups it under its text.
+    inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
+    manifest = [
+        {"instance": str(inst), "problem": "smswt"},
+        {"instance": str(inst), "problem": "smswt", "algo": ["astar"]},
+        {"instance": str(inst), "problem": "smswt", "algo": 1},
+        {"instance": str(inst), "problem": "smswt", "propagation": None},
+    ]
+    mpath = write_json(tmp_path / "manifest.json", manifest)
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    results = [r for r in rows if r["instance"] != "[summary]"]
+    assert [r["status"] for r in results] == ["Optimal", "Error", "Error", "Error"]
+    assert [(r["algo"], r["propagation"]) for r in results[1:]] == [
+        ("['astar']", "once"), ("1", "once"), ("cabs", "None")
+    ]
+    summaries = [r for r in rows if r["instance"] == "[summary]"]
+    assert len(summaries) == 4
+
+
 @pytest.mark.parametrize("manifest", [{"foo": 1}, [1, 2]])
 def test_bench_malformed_manifest(tmp_path, capsys, manifest):
     mpath = write_json(tmp_path / "manifest.json", manifest)

@@ -8,13 +8,10 @@ from dpcp import (
     Cumulative,
     Disjunctive,
     DomainStore,
-    FiniteSet,
     INFINITY,
-    Interval,
     PrecedenceLe,
     SumLe,
     VarDuration,
-    ect_envelope,
     propagate_fixpoint,
     propagate_once,
 )
@@ -22,17 +19,27 @@ from dpcp import (
 from dpcp import cp_engine
 from dpcp.cp_engine import _edge_find_lower, ect_envelope_max
 
-from conftest import MICRO_FAMILIES, check_micro_model, domain_values, random_domain
+from conftest import (
+    MICRO_FAMILIES,
+    check_micro_model,
+    domain_values,
+    one_resource_envelope,
+    random_domain,
+    store_domains,
+    store_of,
+)
 
 
 # --- domains ---------------------------------------------------------------
 
 def test_interval_basics():
-    store = DomainStore([Interval(2, 9)])
+    store = store_of([(2, 9)])
     assert store.lb(0) == 2 and store.ub(0) == 9
     store.set_lb(0, 4)
     store.set_ub(0, 7)
     assert (store.lb(0), store.ub(0)) == (4, 7)
+    assert store.contains(0, 4) and store.contains(0, 7)
+    assert not store.contains(0, 3) and not store.contains(0, 8)
     store.set_lb(0, 3)  # weaker: no-op
     assert store.lb(0) == 4
     store.set_lb(0, 7)
@@ -41,62 +48,68 @@ def test_interval_basics():
     assert store.infeasible
 
 
-def test_finite_set_ops():
-    store = DomainStore([FiniteSet([7, 1, 4, 4])])
-    assert domain_values(store.domain(0)) == [1, 4, 7]
-    assert store.contains(0, 4) and not store.contains(0, 5)
-    store.set_lb(0, 2)
-    assert domain_values(store.domain(0)) == [4, 7]
-    store.set_lb(0, 5)
-    assert domain_values(store.domain(0)) == [7]
-    store.set_ub(0, 6)
-    assert store.infeasible
-
-
 def test_empty_domain_at_construction_flags_store():
-    assert DomainStore([Interval(4, 3)]).infeasible
-    assert DomainStore([FiniteSet([])]).infeasible
+    assert store_of([(4, 3)]).infeasible
+    assert store_of([(0, 9), (1, 0)]).infeasible  # an empty TSPTW travel domain
+    assert not store_of([(0, 0)]).infeasible
+
+
+def test_unequal_bound_lists_raise_adapter_failure():
+    with pytest.raises(AdapterFailure):
+        DomainStore([0, 1], [5])
 
 
 def test_infeasibility_is_sticky():
-    store = DomainStore([Interval(0, 1), Interval(0, 9)])
+    store = store_of([(0, 1), (0, 9)])
     store.set_lb(0, 5)
     assert store.infeasible
     store.set_ub(1, 3)  # ignored once infeasible
-    assert store.domain(1).ub == 9
+    assert store_domains(store)[1] == (0, 9)
 
 
 @pytest.mark.parametrize("x", [3, -1])
 def test_bad_variable_id_raises_adapter_failure(x):
-    store = DomainStore([Interval(0, 1), Interval(5, 9)])
-    with pytest.raises(AdapterFailure):
-        store.lb(x)
+    # 3 is len(store); -1 must not wrap around to the last variable.
+    store = store_of([(0, 1), (5, 9), (2, 4)])
+    calls = {
+        "lb": lambda: store.lb(x),
+        "ub": lambda: store.ub(x),
+        "contains": lambda: store.contains(x, 3),
+        "set_lb": lambda: store.set_lb(x, 3),
+        "set_ub": lambda: store.set_ub(x, 3),
+    }
+    for name, call in calls.items():
+        with pytest.raises(AdapterFailure):
+            call()
+            pytest.fail(f"{name}({x}) did not raise")
+    assert store_domains(store) == [(0, 1), (5, 9), (2, 4)]
+    assert store.revision == 0 and not store.infeasible
 
 
 # --- propagators: pinned examples -------------------------------------------
 
 def test_propagate_once_empty_list_identity():
-    store = DomainStore([Interval(0, 9)])
+    store = store_of([(0, 9)])
     before = store.revision
     propagate_once(store, [])
     assert store.revision == before
 
 
 def test_precedence_single_application():
-    store = DomainStore([Interval(0, 10), Interval(0, 10)])
+    store = store_of([(0, 10), (0, 10)])
     propagate_once(store, [PrecedenceLe([(0, 4, 1)])])
     assert (store.lb(1), store.ub(1)) == (4, 10)
     assert (store.lb(0), store.ub(0)) == (0, 6)
 
 
 def test_precedence_infeasible():
-    store = DomainStore([Interval(8, 10), Interval(0, 5)])
+    store = store_of([(8, 10), (0, 5)])
     propagate_once(store, [PrecedenceLe([(0, 4, 1)])])
     assert store.infeasible
 
 
 def test_precedence_chain_fixpoint():
-    store = DomainStore([Interval(0, 10) for _ in range(3)])
+    store = store_of([(0, 10) for _ in range(3)])
     propagate_fixpoint(store, [PrecedenceLe([(0, 1, 1)]), PrecedenceLe([(1, 1, 2)])])
     assert (store.lb(0), store.ub(0)) == (0, 8)
     assert (store.lb(1), store.ub(1)) == (1, 9)
@@ -104,7 +117,7 @@ def test_precedence_chain_fixpoint():
 
 
 def test_fixpoint_noop_when_already_stable():
-    store = DomainStore([Interval(0, 8), Interval(1, 9), Interval(2, 10)])
+    store = store_of([(0, 8), (1, 9), (2, 10)])
     props = [PrecedenceLe([(0, 1, 1)]), PrecedenceLe([(1, 1, 2)])]
     propagate_fixpoint(store, props)
     rev = store.revision
@@ -128,16 +141,16 @@ def snapshot(store):
     return (
         store.infeasible,
         store.revision,
-        [domain_values(store.domain(x)) for x in range(len(store))],
+        store_domains(store),
     )
 
 
 def random_store_domains(rng, k, max_value=30):
-    """Interval and FiniteSet domains; about one store in twenty starts
-    with an empty domain, so it is infeasible on entry."""
+    """Interval domains; about one store in twenty starts with an empty
+    domain, so it is infeasible on entry."""
     domains = [random_domain(rng, max_value, max_size=max_value) for _ in range(k)]
     if rng.random() < 0.05:
-        domains[rng.randrange(k)] = Interval(5, 4)
+        domains[rng.randrange(k)] = (5, 4)
     return domains
 
 
@@ -151,9 +164,9 @@ def test_precedence_arc_list_matches_per_arc_reference():
         for _ in range(rng.randint(1, 6)):
             i, j = rng.sample(range(k), 2)
             arcs.append((i, rng.randint(-4, 5), j))
-        expected = DomainStore([d.copy() for d in domains])
+        expected = store_of(domains)
         reference_precedence(expected, arcs)
-        got = DomainStore([d.copy() for d in domains])
+        got = store_of(domains)
         PrecedenceLe(arcs).propagate(got)
         assert snapshot(got) == snapshot(expected), (domains, arcs)
         if expected.infeasible:
@@ -167,13 +180,13 @@ def test_precedence_arc_list_matches_per_arc_reference():
 def test_precedence_out_of_range_id_raises(bad):
     arcs = [(0, 1, bad), (0, 1, 1)]
     for apply in (reference_precedence, lambda store, a: PrecedenceLe(a).propagate(store)):
-        store = DomainStore([Interval(0, 9), Interval(0, 9)])
+        store = store_of([(0, 9), (0, 9)])
         with pytest.raises(AdapterFailure):
             apply(store, arcs)
 
 
 def test_edge_finding_lifts_competing_job():
-    store = DomainStore([Interval(0, 10), Interval(1, 2)])
+    store = store_of([(0, 10), (1, 2)])
     Disjunctive([(0, 5), (1, 3)]).propagate(store)
     assert store.lb(0) == 4
     assert (store.lb(1), store.ub(1)) == (1, 2)
@@ -181,27 +194,27 @@ def test_edge_finding_lifts_competing_job():
 
 def test_edge_finding_lowers_latest_start_of_competing_job():
     # The time-reversed case: job 0 cannot follow job 1, so it ends by 9.
-    store = DomainStore([Interval(0, 10), Interval(8, 9)])
+    store = store_of([(0, 10), (8, 9)])
     Disjunctive([(0, 5), (1, 3)]).propagate(store)
     assert store.ub(0) == 4
     assert (store.lb(1), store.ub(1)) == (8, 9)
 
 
 def test_edge_finding_single_job_unchanged():
-    store = DomainStore([Interval(3, 7)])
+    store = store_of([(3, 7)])
     Disjunctive([(0, 2)]).propagate(store)
     assert (store.lb(0), store.ub(0)) == (3, 7)
 
 
 def test_edge_finding_overload_infeasible():
-    store = DomainStore([Interval(0, 0), Interval(0, 0)])
+    store = store_of([(0, 0), (0, 0)])
     Disjunctive([(0, 5), (1, 3)]).propagate(store)
     assert store.infeasible
 
 
 def test_edge_finding_matches_once_and_fixpoint():
     def fresh():
-        return DomainStore([Interval(0, 10), Interval(1, 2)])
+        return store_of([(0, 10), (1, 2)])
 
     props = [Disjunctive([(0, 5), (1, 3)])]
     once = propagate_once(fresh(), props)
@@ -211,8 +224,8 @@ def test_edge_finding_matches_once_and_fixpoint():
 
 
 def test_edge_finding_variable_durations_use_lower_bound():
-    # Duration of job 1 is a variable in {3, 6}; only the 3 is assumed.
-    store = DomainStore([Interval(0, 10), Interval(1, 2), FiniteSet([3, 6])])
+    # Duration of job 1 is a variable in [3, 6]; only the 3 is assumed.
+    store = store_of([(0, 10), (1, 2), (3, 6)])
     Disjunctive([(0, 5), (1, VarDuration(2))]).propagate(store)
     assert store.lb(0) == 4
 
@@ -220,7 +233,7 @@ def test_edge_finding_variable_durations_use_lower_bound():
 @pytest.mark.parametrize("bad", [4, -1])
 def test_disjunctive_out_of_range_id_raises(bad):
     for items in ([(0, 2), (bad, 2)], [(0, 2), (1, VarDuration(bad))]):
-        store = DomainStore([Interval(0, 9), Interval(0, 9)])
+        store = store_of([(0, 9), (0, 9)])
         with pytest.raises(AdapterFailure):
             Disjunctive(items).propagate(store)
 
@@ -322,9 +335,8 @@ def test_edge_finder_matches_cubic_reference_at_workload_sizes():
     )
 
 
-def test_disjunctive_vardur_finite_sets_match_reference(monkeypatch):
-    # The TSPTW shape: durations are variables over FiniteSets (the start
-    # domains here are FiniteSets with holes as well).
+def test_disjunctive_vardur_matches_reference(monkeypatch):
+    # The TSPTW shape: durations are variables whose lower bounds are used.
     rng = random.Random(77)
     changed = infeasible = 0
     for _ in range(600):
@@ -333,23 +345,15 @@ def test_disjunctive_vardur_finite_sets_match_reference(monkeypatch):
         domains = []
         for _ in range(k):
             lo = rng.randint(0, horizon)
-            hi = rng.randint(lo, horizon)
-            values = rng.sample(range(lo, hi + 1), rng.randint(1, min(4, hi - lo + 1)))
-            domains.append(FiniteSet(values + [lo, hi]))
+            domains.append((lo, rng.randint(lo, horizon)))
         for _ in range(k):
-            domains.append(FiniteSet(rng.sample(range(1, 12), rng.randint(1, 3))))
+            lo = rng.randint(1, 11)
+            domains.append((lo, rng.randint(lo, 11)))
         props = [Disjunctive([(i, VarDuration(k + i)) for i in range(k)])]
         results = []
         for finder in (reference_edge_find_lower, _edge_find_lower):
             monkeypatch.setattr(cp_engine, "_edge_find_lower", finder)
-            store = propagate_once(DomainStore([d.copy() for d in domains]), props)
-            results.append(
-                (
-                    store.infeasible,
-                    store.revision,
-                    [domain_values(store.domain(x)) for x in range(len(store))],
-                )
-            )
+            results.append(snapshot(propagate_once(store_of(domains), props)))
         assert results[0] == results[1]
         infeasible += results[1][0]
         changed += results[1][1] > 0 and not results[1][0]
@@ -357,19 +361,19 @@ def test_disjunctive_vardur_finite_sets_match_reference(monkeypatch):
 
 
 def test_time_table_lifts_past_compulsory_block():
-    store = DomainStore([Interval(2, 2), Interval(0, 8)])
+    store = store_of([(2, 2), (0, 8)])
     Cumulative([(0, 4, 2), (1, 3, 1)], 2).propagate(store)
     assert (store.lb(1), store.ub(1)) == (6, 8)
 
 
 def test_time_table_usage_exceeds_capacity():
-    store = DomainStore([Interval(0, 5)])
+    store = store_of([(0, 5)])
     Cumulative([(0, 2, 3)], 2).propagate(store)
     assert store.infeasible
 
 
 def test_time_table_no_compulsory_parts_unchanged():
-    store = DomainStore([Interval(0, 20), Interval(0, 20)])
+    store = store_of([(0, 20), (0, 20)])
     Cumulative([(0, 3, 2), (1, 4, 2)], 2).propagate(store)
     assert (store.lb(0), store.ub(0)) == (0, 20)
     assert (store.lb(1), store.ub(1)) == (0, 20)
@@ -453,16 +457,16 @@ def test_cumulative_matches_reference():
         domains = []
         for _ in range(k):
             lo = rng.randint(0, 20)
-            domains.append(Interval(lo, lo + rng.randint(0, 6)))
+            domains.append((lo, lo + rng.randint(0, 6)))
         if rng.random() < 0.05:
-            domains[rng.randrange(k)] = Interval(5, 4)
+            domains[rng.randrange(k)] = (5, 4)
         tasks = [
             (rng.randrange(k), rng.randint(0, 6), rng.randint(0, cap + (rng.random() < 0.05)))
             for _ in range(rng.randint(1, 6))
         ]
         results = []
         for cls in (ReferenceCumulative, Cumulative):
-            store = DomainStore([d.copy() for d in domains])
+            store = store_of(domains)
             cls(tasks, cap).propagate(store)
             results.append(snapshot(store))
         assert results[0] == results[1], (domains, tasks, cap)
@@ -476,30 +480,29 @@ def test_cumulative_matches_reference():
 @pytest.mark.parametrize("bad", [4, -1])
 def test_cumulative_out_of_range_id_raises(bad):
     for cls in (ReferenceCumulative, Cumulative):
-        store = DomainStore([Interval(0, 9), Interval(0, 9)])
+        store = store_of([(0, 9), (0, 9)])
         with pytest.raises(AdapterFailure):
             cls([(0, 2, 1), (bad, 2, 1)], 2).propagate(store)
 
 
 def test_sum_le_examples():
-    store = DomainStore([FiniteSet([2, 5, 9]), FiniteSet([3, 4])])
+    store = store_of([(2, 9), (3, 4)])
     SumLe((0, 1), 9).propagate(store)
-    assert domain_values(store.domain(0)) == [2, 5]
-    assert domain_values(store.domain(1)) == [3, 4]
+    assert store_domains(store) == [(2, 6), (3, 4)]
 
-    store = DomainStore([Interval(4, 9), Interval(6, 9)])
+    store = store_of([(4, 9), (6, 9)])
     SumLe((0, 1), 9).propagate(store)
     assert store.infeasible
 
-    store = DomainStore([FiniteSet([2, 5, 9])])
+    store = store_of([(2, 9)])
     SumLe((0,), INFINITY).propagate(store)
-    assert domain_values(store.domain(0)) == [2, 5, 9]
+    assert store_domains(store) == [(2, 9)]
 
 
 def test_ect_envelope_examples():
-    assert ect_envelope([(0, 3, 2)], 2) == 3
-    assert ect_envelope([(0, 3, 2), (4, 2, 2)], 2) == 6
-    assert ect_envelope([], 2) == 0
+    assert one_resource_envelope([(0, 3, 2)], 2) == 3
+    assert one_resource_envelope([(0, 3, 2), (4, 2, 2)], 2) == 6
+    assert one_resource_envelope([], 2) == 0
 
 
 def brute_force_envelope(tasks, capacity):
@@ -518,7 +521,7 @@ def test_ect_envelope_against_subset_brute_force():
         k = rng.randint(1, 8)
         tasks = [(rng.randint(0, 20), rng.randint(1, 6), rng.randint(0, 4)) for _ in range(k)]
         cap = rng.randint(1, 4)
-        assert ect_envelope(tasks, cap) == brute_force_envelope(tasks, cap)
+        assert one_resource_envelope(tasks, cap) == brute_force_envelope(tasks, cap)
 
 
 def reference_ect_envelope(tasks, capacity):
@@ -565,8 +568,7 @@ def test_fixpoint_is_idempotent_for_every_propagator():
     for family, build in sorted(MICRO_FAMILIES.items()):
         for _ in range(40):
             domains, props, _check = build(rng)
-            store = DomainStore([d.copy() for d in domains])
-            propagate_fixpoint(store, props)
+            store = propagate_fixpoint(store_of(domains), props)
             if store.infeasible:
                 continue
             rev = store.revision
@@ -581,9 +583,8 @@ def test_monotone_shrink_under_all_propagators():
         for _ in range(40):
             domains, props, _check = build(rng)
             before = [set(domain_values(d)) for d in domains]
-            store = DomainStore([d.copy() for d in domains])
-            propagate_once(store, props)
+            store = propagate_once(store_of(domains), props)
             if store.infeasible:
                 continue
-            for x, prior in enumerate(before):
-                assert set(domain_values(store.domain(x))) <= prior
+            for prior, domain in zip(before, store_domains(store)):
+                assert set(domain_values(domain)) <= prior

@@ -7,7 +7,6 @@ import pytest
 from dpcp import (
     SolveStatus,
     astar,
-    ect_envelope,
     enumerate_state_values,
     evaluate_solution,
     propagate_fixpoint,
@@ -26,7 +25,13 @@ from dpcp.rcpsp import (
     parse_psplib,
 )
 
-from conftest import ReferenceRcpspModel, random_rcpsp_instance, solve_all_modes, vetoed
+from conftest import (
+    ReferenceRcpspModel,
+    one_resource_envelope,
+    random_rcpsp_instance,
+    solve_all_modes,
+    vetoed,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -195,7 +200,7 @@ def test_dual_cp_envelope_component():
     propagate_fixpoint(store, props)
     pending = [1, 2]
     expected = max(
-        ect_envelope(
+        one_resource_envelope(
             [
                 (store.lb(i), inst.tasks[i].duration, inst.tasks[i].usages[r])
                 for i in pending
@@ -204,7 +209,7 @@ def test_dual_cp_envelope_component():
         )
         for r, cap in enumerate(inst.capacities)
     )
-    assert ect_envelope([(0, 3, 2), (4, 2, 2)], 2) == 6
+    assert one_resource_envelope([(0, 3, 2), (4, 2, 2)], 2) == 6
     assert adapter.dual_cp(state, store) == max(
         0, expected - model.makespan_estimate(state)
     )

@@ -90,9 +90,9 @@ def test_build_duration_domains():
     adapter = TsptwAdapter(model)
     store, props = adapter.build(model.target_state())
     n = 3
-    assert sorted(store.domain(n + 0).values) == [2, 3]
-    assert sorted(store.domain(n + 1).values) == [2, 4]
-    assert sorted(store.domain(n + 2).values) == [3, 4]
+    assert (store.lb(n + 0), store.ub(n + 0)) == (2, 3)
+    assert (store.lb(n + 1), store.ub(n + 1)) == (2, 4)
+    assert (store.lb(n + 2), store.ub(n + 2)) == (3, 4)
     assert len(props) == 2
     assert props[1].cap is INFINITY  # no incumbent: the sum cap is vacuous
 
@@ -117,8 +117,8 @@ def test_depot_leg_dropped_when_cannot_be_last():
     adapter = TsptwAdapter(model)
     store, _props = adapter.build(model.target_state())
     n = 3
-    assert sorted(store.domain(n + 1).values) == [2]  # c(1,0)=7 dropped
-    assert sorted(store.domain(n + 2).values) == [3, 9]
+    assert (store.lb(n + 1), store.ub(n + 1)) == (2, 2)  # c(1,0)=7 dropped
+    assert (store.lb(n + 2), store.ub(n + 2)) == (3, 9)
 
 
 def test_depot_leg_kept_for_latest_point_window():
@@ -132,8 +132,8 @@ def test_depot_leg_kept_for_latest_point_window():
     adapter = TsptwAdapter(model)
     store, _props = adapter.build(model.target_state())
     n = 3
-    assert sorted(store.domain(n + 2).values) == [3, 9]
-    assert sorted(store.domain(n + 1).values) == [2, 7]
+    assert (store.lb(n + 2), store.ub(n + 2)) == (3, 9)
+    assert (store.lb(n + 1), store.ub(n + 1)) == (2, 7)
 
 
 def test_shared_travel_value_survives_depot_drop():
@@ -202,8 +202,8 @@ def test_sum_cap_prunes_expensive_travel_options():
     # Residual budget 8 against lower bounds 2+2+3: each variable keeps
     # only values within cap minus the sum of the other minima.
     n = 3
-    assert sorted(store.domain(n + 1).values) == [2]  # 4 > 8 - (2 + 3)
-    assert sorted(store.domain(n + 2).values) == [3, 4]  # 4 <= 8 - (2 + 2)
+    assert (store.lb(n + 1), store.ub(n + 1)) == (2, 3)  # ub cut to 8 - (2 + 3)
+    assert (store.lb(n + 2), store.ub(n + 2)) == (3, 4)  # 4 <= 8 - (2 + 2)
 
 
 def test_succ_infeasible_when_arrival_lifted_away():
