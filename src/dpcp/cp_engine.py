@@ -22,8 +22,9 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
+from .core import iter_bits
 from .cost import Cost, INFINITY, is_finite
 
 
@@ -485,16 +486,57 @@ def ect_envelope_max(tasks: Sequence[Tuple[int, Sequence[int]]], capacities: Seq
     return best
 
 
+class StoreSum:
+    """``sum(term(store, i) for i in mask)`` with a one-entry memo.
+
+    The memo holds the last sum computed in full, keyed on the store's
+    identity, its ``revision`` and the mask.  A call with the same key
+    returns it, and a call whose mask drops one bit of the memo's returns
+    it less that bit's term, so the children bounded under one parent
+    store cost O(1) each.  Any other call sums afresh and replaces the
+    memo.  The memo keeps a reference to its store, so no later store can
+    take its identity.
+    """
+
+    __slots__ = ("_term", "_store", "_revision", "_mask", "_total")
+
+    def __init__(self, term: Callable[[DomainStore, int], int]):
+        self._term = term
+        self._store = None
+        self._revision = self._mask = self._total = 0
+
+    def __call__(self, store: DomainStore, mask: int) -> int:
+        if store is self._store and store.revision == self._revision:
+            gone = self._mask ^ mask
+            if not gone:
+                return self._total
+            if not gone & mask and not gone & (gone - 1):
+                return self._total - self._term(store, gone.bit_length() - 1)
+        term = self._term
+        total = 0
+        for i in iter_bits(mask):
+            total += term(store, i)
+        self._store, self._revision, self._mask, self._total = store, store.revision, mask, total
+        return total
+
+
 class PropagationAdapter(ABC):
     """Bridge from a DP model's states to a CP model over a domain store.
 
     ``build`` is deterministic for equal states.  The current path cost and
     primal bound are passed in so objective-capping constraints can be
     emitted; the search reads infeasibility from ``store.infeasible``.
-    ``dual_cp`` may be evaluated for a successor state against its
-    parent's propagated store: the parent's domains remain valid for every
-    successor, which is what makes the per-successor bound sound.  The
-    transition rule lives only in the model's ``successors``, so the
+
+    The search calls ``dual_cp`` for a popped state under its own
+    propagated store, then, in generation order and under that same store,
+    for each successor that the store does not veto and that neither the
+    registry nor the model dual has rejected: the parent's domains remain
+    valid for every successor, which is what makes the per-successor bound
+    sound.  So an adapter may reuse one sum per store, keyed on the
+    store's identity and ``revision`` (``StoreSum``); a reused value must
+    equal the one computed afresh, whatever the call order.
+
+    The transition rule lives only in the model's ``successors``, so the
     successor veto is handed the state it produced and reduces to domain
     lookups.
     """

@@ -13,6 +13,7 @@ tardiness sum if every job started at its propagated earliest start.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
@@ -23,6 +24,7 @@ from .cp_engine import (
     Disjunctive,
     DomainStore,
     PropagationAdapter,
+    StoreSum,
 )
 from .parsing import read_instance
 
@@ -132,6 +134,12 @@ class SmsAdapter(PropagationAdapter):
     def __init__(self, model: SmsModel):
         self.model = model
         self.instance = model.instance
+        jobs = model.instance.jobs
+        # One sum per store: a child's pending set is its parent's less the
+        # chosen job, so its bound is the parent's total less one term.
+        self._tardiness_sum = StoreSum(
+            lambda store, i: jobs[i].w * max(0, store.lb(i) + jobs[i].p - jobs[i].d)
+        )
 
     def build(self, state: SmsState, g: Cost = 0, primal: Cost = INFINITY):
         jobs = self.instance.jobs
@@ -146,11 +154,7 @@ class SmsAdapter(PropagationAdapter):
         return DomainStore(lbs, ubs), [Disjunctive(items)]
 
     def dual_cp(self, state: SmsState, store: DomainStore) -> Cost:
-        jobs = self.instance.jobs
-        total = 0
-        for i in iter_bits(state.unscheduled):
-            total += jobs[i].w * max(0, store.lb(i) + jobs[i].p - jobs[i].d)
-        return total
+        return self._tardiness_sum(store, state.unscheduled)
 
     def is_succ_infeasible(
         self, label: int, state: SmsState, succ: SmsState, store: DomainStore
@@ -203,10 +207,12 @@ class SmsGeneratorConfig:
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        if self.rho <= 0:
-            raise ValueError("rho must be > 0")
-        if self.phi <= 0:
-            raise ValueError("phi must be > 0")
+        # The chained test is false for NaN too; an infinite span has no
+        # integer width.
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be finite and > 0")
+        if not 0 < self.phi < math.inf:
+            raise ValueError("phi must be finite and > 0")
         if self.n < 1 or self.count < 1:
             raise ValueError("n and count must be >= 1")
 

@@ -23,6 +23,7 @@ from .cp_engine import (
     Disjunctive,
     DomainStore,
     PropagationAdapter,
+    StoreSum,
     SumLe,
     VarDuration,
 )
@@ -120,9 +121,27 @@ class TsptwState(NamedTuple):
     time: int
 
 
+def _finite_parts(costs: Sequence[Cost]) -> Tuple[List[int], int]:
+    """``costs`` with each INFINITY read as 0, and the mask of those."""
+    parts, missing = [], 0
+    for i, c in enumerate(costs):
+        if c is INFINITY:
+            parts.append(0)
+            missing |= 1 << i
+        else:
+            parts.append(c)
+    return parts, missing
+
+
 class TsptwModel(DpModel):
     def __init__(self, instance: TsptwInstance):
         self.instance = instance
+        # The cheapest-arc terms of ``dual``: finite parts, with the
+        # locations whose entry or exit has no arc at all as masks.
+        self._to, self._to_missing = _finite_parts(instance.min_to)
+        self._from, self._from_missing = _finite_parts(instance.min_from)
+        self._sums_mask = -1  # the set whose two sums are kept below
+        self._sum_to = self._sum_from = 0
 
     def target_state(self) -> TsptwState:
         mask = ((1 << self.instance.n) - 1) & ~1
@@ -161,13 +180,26 @@ class TsptwModel(DpModel):
 
     def dual(self, state: TsptwState) -> Cost:
         """Cheapest-arc relaxation: every remaining location must still be
-        entered once and left once."""
-        inst = self.instance
-        into = inst.min_to[0]
-        out_of = inst.min_from[state.location]
-        for i in iter_bits(state.unvisited):
-            into = into + inst.min_to[i]
-            out_of = out_of + inst.min_from[i]
+        entered once and left once.
+
+        Over ``M``, the unvisited set plus the current location, that is
+        the larger of ``min_to[0] + S_to(M) - min_to[location]`` and
+        ``S_from(M)``.  The children of one state share ``M``, the
+        parent's unvisited set, so the last ``M``'s two sums are kept.
+        """
+        here = state.location
+        mask = state.unvisited | (1 << here)
+        if mask != self._sums_mask:
+            to_sum = from_sum = 0
+            for i in iter_bits(mask):
+                to_sum += self._to[i]
+                from_sum += self._from[i]
+            self._sums_mask, self._sum_to, self._sum_from = mask, to_sum, from_sum
+        if (state.unvisited | 1) & self._to_missing:
+            into = INFINITY
+        else:
+            into = self._to[0] + self._sum_to - self._to[here]
+        out_of = INFINITY if mask & self._from_missing else self._sum_from
         return max(into, out_of)
 
     def state_signature(self, state: TsptwState):
@@ -185,59 +217,90 @@ class TsptwAdapter(PropagationAdapter):
     def __init__(self, model: TsptwModel):
         self.model = model
         self.instance = model.instance
-
-    def _dur(self, i: int) -> int:
-        return self.instance.n + i
+        n = self._n = model.instance.n
+        # Built by the first ``build``, so that a solve without
+        # propagation spends nothing on them.
+        self._tables = None
+        # One sum per store: a child's travel lower bounds sum over its
+        # parent's unvisited set, which is the same for every sibling.
+        self._lb_sum = StoreSum(lambda store, i: store.lb(n + i))
 
     def build(self, state: TsptwState, g: Cost = 0, primal: Cost = INFINITY):
-        inst = self.instance
-        n = inst.n
-        live = sorted(set(iter_bits(state.unvisited)) | {state.location})
-        lbs = [0] * (2 * n)  # variables off the remaining tour keep [0, 0]
-        ubs = [0] * (2 * n)
-        for i in live:
-            r, d = inst.windows[i]
-            lbs[i], ubs[i] = max(state.time, r), d
-            if lbs[i] > d:
-                # A missed window: the store is infeasible from the start,
-                # so no duration domain or propagator is needed.
-                return DomainStore(lbs, ubs), []
+        windows = self.instance.windows
+        n = self._n
+        t = state.time
+        here = state.location
         # The salesperson leaves i toward some unvisited location or the
         # depot; the depot leg is dropped when another remaining location
         # must be visited after i, so i cannot be last.  That holds iff the
         # latest earliest arrival over the other unvisited locations is at
-        # or past d_i, so only the two largest such arrivals are needed.
-        first = second = None
-        first_at = -1
-        for j in iter_bits(state.unvisited):
-            t = max(state.time, inst.windows[j][0])
-            if first is None or t > first:
-                first, second, first_at = t, first, j
-            elif second is None or t > second:
-                second = t
-        for i in live:
-            latest = second if i == first_at else first
-            targets = [j for j in iter_bits(state.unvisited) if j != i]
-            if latest is None or latest < inst.windows[i][1]:
-                targets.append(0)
-            values = [inst.travel[i][j] for j in targets if inst.travel[i][j] is not None]
+        # or past d_i, so only the two largest such arrivals are needed
+        # (-1 stands for none, as every arrival is at least 0).
+        first = second = first_at = -1
+        live = []
+        arrivals = []
+        for i in iter_bits(state.unvisited | (1 << here)):
+            r, d = windows[i]
+            a = t if t > r else r
+            if a > d:
+                # A missed window: the store is infeasible from the start,
+                # so no duration domain or propagator is needed.
+                lbs = [0] * (2 * n)
+                ubs = [0] * (2 * n)
+                lbs[i], ubs[i] = a, d
+                return DomainStore(lbs, ubs), []
+            live.append(i)
+            arrivals.append(a)
+            if i != here:
+                if a > first:
+                    first, second, first_at = a, first, i
+                elif a > second:
+                    second = a
+        lbs = [0] * (2 * n)  # variables off the remaining tour keep [0, 0]
+        ubs = [0] * (2 * n)
+        travel = self.instance.travel
+        by_travel, all_items = self._tables or self._build_tables()
+        for i, a in zip(live, arrivals):
+            d = windows[i][1]
+            lbs[i], ubs[i] = a, d
+            targets = state.unvisited
+            if (second if i == first_at else first) < d:
+                targets |= 1
             # The hull of the travel values (empty without any): no reader
             # can observe a hole, see the README's "Propagation engine".
-            k = self._dur(i)
-            lbs[k], ubs[k] = (min(values), max(values)) if values else (1, 0)
+            row, heads = travel[i], by_travel[i]
+            lo, hi = 1, 0
+            for j in heads:
+                if targets >> j & 1:
+                    lo = row[j]
+                    break
+            for j in reversed(heads):
+                if targets >> j & 1:
+                    hi = row[j]
+                    break
+            lbs[n + i], ubs[n + i] = lo, hi
         store = DomainStore(lbs, ubs)
-        items = [(i, VarDuration(self._dur(i))) for i in live]
+        items = [all_items[i] for i in live]
         cap: Cost = INFINITY
         if is_finite(primal):
             cap = primal - g  # residual travel budget for the remaining legs
-        props = [Disjunctive(items), SumLe(tuple(self._dur(i) for i in live), cap)]
+        props = [Disjunctive(items), SumLe(tuple(n + i for i in live), cap)]
         return store, props
 
+    def _build_tables(self):
+        """Each location's arc heads, cheapest arc first, so that a travel
+        hull ends at the first head from either end that is a target; and
+        each location's disjunctive item."""
+        n = self._n
+        by_travel = [
+            sorted((j for j, c in enumerate(row) if c is not None), key=row.__getitem__)
+            for row in self.instance.travel
+        ]
+        self._tables = by_travel, [(i, VarDuration(n + i)) for i in range(n)]
+        return self._tables
+
     def dual_cp(self, state: TsptwState, store: DomainStore) -> Cost:
-        total = store.lb(self._dur(state.location))
-        for i in iter_bits(state.unvisited):
-            total += store.lb(self._dur(i))
-        return total
+        return self._lb_sum(store, state.unvisited | (1 << state.location))
 
     def is_succ_infeasible(
         self, label: int, state: TsptwState, succ: TsptwState, store: DomainStore
@@ -245,7 +308,7 @@ class TsptwAdapter(PropagationAdapter):
         if not store.contains(label, succ.time):
             return True
         arc = self.instance.travel[state.location][label]
-        return not store.contains(self._dur(state.location), arc)
+        return not store.contains(self._n + state.location, arc)
 
 
 def permutation_optimum(instance: TsptwInstance) -> Cost:

@@ -1,5 +1,6 @@
 """The adapter contract: successor vetoes are domain lookups on the
-successor state, and the RCPSP objective links carry the finish bound.
+successor state, the RCPSP objective links carry the finish bound, and a
+CP dual reused across siblings equals the one summed afresh.
 
 The reference functions below recompute each transition from the parent
 state, the way the vetoes did before they were handed the successor; the
@@ -17,6 +18,7 @@ from dpcp import (
     propagate_once,
 )
 from dpcp import rcpsp, smswt, tsptw
+from dpcp.core import iter_bits
 
 from conftest import (
     ReferenceRcpspModel,
@@ -61,6 +63,20 @@ def reference_rcpsp_dual_cp(adapter, state, store):
         tasks = [(store.lb(i), inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in pending]
         total = max(total, one_resource_envelope(tasks, cap))
     return adapter.model._remaining(total, state)
+
+
+def reference_sms_dual_cp(adapter, state, store):
+    jobs = adapter.instance.jobs
+    return sum(
+        jobs[i].w * max(0, store.lb(i) + jobs[i].p - jobs[i].d)
+        for i in iter_bits(state.unscheduled)
+    )
+
+
+def reference_tsptw_dual_cp(adapter, state, store):
+    n = adapter.instance.n
+    total = store.lb(n + state.location)
+    return total + sum(store.lb(n + i) for i in iter_bits(state.unvisited))
 
 
 def propagated_stores(model, adapter, primal_of):
@@ -165,3 +181,86 @@ def test_rcpsp_objective_links_carry_pending_finishes():
                 )
             checked += 1
     assert checked > 3000, checked
+
+
+def raise_one_lower_bound(store, ids):
+    """Lift the first variable of ``ids`` whose domain is wider than a
+    point to its upper bound; the store stays feasible and its revision
+    moves.  Returns False when every domain is a point."""
+    for x in ids:
+        if store.lb(x) < store.ub(x):
+            before = store.revision
+            store.set_lb(x, store.ub(x))
+            assert store.revision > before and not store.infeasible
+            return True
+    return False
+
+
+def assert_sibling_sums_fresh(model, adapter, reference, term_ids, seed):
+    """``dual_cp`` against a from-scratch sum: in the search's order (the
+    parent, then each successor it does not veto, under the parent's
+    store), shuffled among the previous store's calls, and again after a
+    lower bound moves."""
+    rng = random.Random(seed)
+    checked = lifted = 0
+    previous = []
+
+    def check(calls):
+        nonlocal checked
+        for state, store in calls:
+            assert adapter.dual_cp(state, store) == reference(adapter, state, store), state
+            checked += 1
+
+    for state, store in propagated_stores(model, adapter, tight_total):
+        family = [state] + [
+            succ
+            for _w, label, succ in model.successors(state)
+            if not adapter.is_succ_infeasible(label, state, succ, store)
+        ]
+        calls = [(bounded, store) for bounded in family]
+        check(calls)
+        mixed = calls + previous
+        rng.shuffle(mixed)
+        check(mixed)
+        if raise_one_lower_bound(store, term_ids(state)):
+            lifted += 1
+            check(calls)
+        previous = calls
+    return checked, lifted
+
+
+def test_sms_sibling_dual_cp_matches_fresh_sum():
+    rng = random.Random(113)
+    checked = lifted = 0
+    for k in range(12):
+        model = smswt.SmsModel(random_sms_instance(rng, rng.randint(3, 7)))
+        adapter = smswt.SmsAdapter(model)
+        # Lifting a pending job's start moves its tardiness term once the
+        # job would finish past its due date.
+        c, v = assert_sibling_sums_fresh(
+            model,
+            adapter,
+            reference_sms_dual_cp,
+            lambda state: list(iter_bits(state.unscheduled)),
+            k,
+        )
+        checked, lifted = checked + c, lifted + v
+    assert checked > 5000 and lifted > 500, (checked, lifted)
+
+
+def test_tsptw_sibling_dual_cp_matches_fresh_sum():
+    rng = random.Random(127)
+    checked = lifted = 0
+    for k in range(30):
+        inst = random_tsptw_instance(rng, rng.randint(3, 7))
+        model = tsptw.TsptwModel(inst)
+        adapter = tsptw.TsptwAdapter(model)
+        c, v = assert_sibling_sums_fresh(
+            model,
+            adapter,
+            reference_tsptw_dual_cp,
+            lambda state: [inst.n + i for i in iter_bits(state.unvisited | 1 << state.location)],
+            k,
+        )
+        checked, lifted = checked + c, lifted + v
+    assert checked > 8000 and lifted > 600, (checked, lifted)

@@ -245,6 +245,17 @@ def test_generate_deterministic_and_tau_zero(tmp_path, capsys):
         assert all(job["r"] == 0 for job in data["jobs"])
 
 
+@pytest.mark.parametrize("knob", ["--rho", "--phi"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_generate_rejects_non_finite_spans(tmp_path, capsys, knob, value):
+    args = ["generate", "smswt", "--n", "5", knob, value, "--output-dir", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    # The error names the knob, not an integer conversion deep inside.
+    assert err.startswith("dpcp: error") and knob[2:] in err, err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_generate_rejects_other_kinds(tmp_path):
     assert main(["generate", "rcpsp", "--output-dir", str(tmp_path)]) == 1
 

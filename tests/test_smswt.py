@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -181,6 +182,12 @@ def test_generator_config_validation():
         SmsGeneratorConfig(n=5, tau=1.5, rho=0.25, phi=0.9)
     with pytest.raises(ValueError):
         SmsGeneratorConfig(n=5, tau=0.5, rho=0.0, phi=0.9)
+    # A span of rho * P or phi * P must be a finite number.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SmsGeneratorConfig(n=5, tau=0.5, rho=bad, phi=0.9)
+        with pytest.raises(ValueError):
+            SmsGeneratorConfig(n=5, tau=0.5, rho=0.25, phi=bad)
 
 
 def test_json_roundtrip():

@@ -11,6 +11,7 @@ from dpcp import (
     is_finite,
     propagate_once,
 )
+from dpcp.core import iter_bits
 from dpcp.parsing import ParseError
 from dpcp.tsptw import (
     TsptwAdapter,
@@ -83,6 +84,51 @@ def test_dual_examples():
     into = inst.min_to[0] + inst.min_to[1] + inst.min_to[2]
     out_of = inst.min_from[0] + inst.min_from[1] + inst.min_from[2]
     assert into == out_of == 7
+
+
+def reference_dual(model, state):
+    """The cheapest-arc relaxation summed afresh for one state."""
+    inst = model.instance
+    into = inst.min_to[0]
+    out_of = inst.min_from[state.location]
+    for i in iter_bits(state.unvisited):
+        into = into + inst.min_to[i]
+        out_of = out_of + inst.min_from[i]
+    return max(into, out_of)
+
+
+def without_arcs(travel, arcs):
+    return [[None if (i, j) in arcs else c for j, c in enumerate(row)] for i, row in enumerate(travel)]
+
+
+def test_dual_matches_per_state_sum():
+    # The model keeps the last set's two sums.  Taken in the search's
+    # order, a state and then each of its successors, every value must
+    # equal the sum taken afresh, also where a cheapest arc is INFINITY.
+    rng = random.Random(131)
+    instances = [random_tsptw_instance(rng, rng.randint(3, 7)) for _ in range(20)]
+    travel = [[None, 3, 4, 2, 6], [5, None, 2, 6, 1], [7, 1, None, 3, 2],
+              [2, 4, 5, None, 3], [4, 2, 6, 1, None]]
+    windows = [(0, 100)] * 5
+    cut = {
+        "location 2 has no incoming arc": {(i, 2) for i in range(5)},
+        "the depot has no incoming arc": {(i, 0) for i in range(5)},
+        "location 3 has no outgoing arc": {(3, j) for j in range(5)},
+    }
+    for arcs in cut.values():
+        instances.append(TsptwInstance(without_arcs(travel, arcs), windows))
+    no_entry, no_depot_entry, no_exit = instances[-3:]
+    assert no_entry.min_to[2] is no_depot_entry.min_to[0] is no_exit.min_from[3] is INFINITY
+    checked = infinite = 0
+    for inst in instances:
+        model = TsptwModel(inst)
+        for state in enumerate_state_values(model):
+            for bounded in [state] + [succ for _w, _l, succ in model.successors(state)]:
+                value = model.dual(bounded)
+                assert value == reference_dual(model, bounded), bounded
+                checked += 1
+                infinite += not is_finite(value)
+    assert checked > 500 and infinite > 100, (checked, infinite)
 
 
 def test_build_duration_domains():
