@@ -4,7 +4,8 @@ Subcommands: ``solve`` one instance to a JSON report, ``generate`` random
 scheduling instances, ``oracle`` exact reference answers for small
 instances, and ``bench`` a manifest of runs into CSV.  Exit codes: 0 for a
 proven answer (optimal or infeasible), 2 when a resource limit fired, and
-1 for usage, format, parse, or file-access errors.
+1 for usage, format, parse, or file-access errors and for a cost sum that
+overflows.
 
 ``PROBLEMS`` is the one per-problem table: each kind's module (whose
 ``load_instance`` reads every instance file), model, adapter and oracle.
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from . import rcpsp, smswt, tsptw
 from .core import SolveLimits, SolveStatus, evaluate_solution
-from .cost import cost_to_json, is_finite
+from .cost import CostOverflow, cost_to_json, is_finite
 from .parsing import ParseError, UnknownFormat
 from .search import PropagationMode, astar, cabs
 
@@ -182,7 +183,7 @@ def _cmd_oracle(args) -> int:
     if instance.n > ORACLE_CAP:
         raise TooLarge(f"{args.problem} oracle refuses n={instance.n} (cap {ORACLE_CAP})")
     value = problem.oracle(instance)
-    print("INFEASIBLE" if not is_finite(value) else int(value))
+    print(value if is_finite(value) else "INFEASIBLE")
     return 0
 
 
@@ -307,8 +308,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    # OSError covers unreadable inputs and unwritable output paths.
-    except (ParseError, UnknownFormat, TooLarge, ValueError, OSError) as exc:
+    # OSError covers unreadable inputs and unwritable output paths, and
+    # CostOverflow a finite cost sum above MAX_COST.
+    except (ParseError, UnknownFormat, TooLarge, ValueError, CostOverflow, OSError) as exc:
         print(f"dpcp: error: {exc}", file=sys.stderr)
         return 1
 

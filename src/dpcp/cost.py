@@ -1,85 +1,38 @@
-"""Integer cost values with a distinguished, absorbing infinity.
+"""Integer cost values with a saturating infinity.
 
-All solver arithmetic is exact 64-bit-range integer math.  ``INFINITY`` is a
-singleton marker (not a float) so that "no solution exists" composes safely
-through additions and comparisons.
+A cost is a plain ``int``; there is no floating point.  Finite costs lie in
+``0..MAX_COST``, and ``INFINITY`` is ``MAX_COST + 1``, so it compares above
+every finite cost.  ``add`` saturates: a sum with an ``INFINITY`` operand
+is ``INFINITY``, while a finite sum above ``MAX_COST`` raises
+``CostOverflow``, which the CLI reports as ``dpcp: error``.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
 MAX_COST = 2**63 - 1
+INFINITY = MAX_COST + 1
+
+Cost = int
 
 
 class CostOverflow(ArithmeticError):
     """A finite cost sum left the 64-bit non-negative range."""
 
 
-class Infinite:
-    """Absorbing infinite cost; greater than every finite cost."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, Infinite)
-
-    def __gt__(self, other):
-        return not isinstance(other, Infinite)
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, Infinite)
-
-    def __ne__(self, other):
-        return not isinstance(other, Infinite)
-
-    def __hash__(self):
-        return hash("dpcp.INFINITY")
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = Infinite()
-
-Cost = Union[int, Infinite]
-
-
 def is_finite(c: Cost) -> bool:
-    return not isinstance(c, Infinite)
+    return c != INFINITY
 
 
 def add(a: Cost, b: Cost) -> Cost:
     """Add two costs; infinity absorbs, finite overflow raises."""
-    if isinstance(a, Infinite) or isinstance(b, Infinite):
-        return INFINITY
     s = a + b
     if s > MAX_COST:
+        if a == INFINITY or b == INFINITY:
+            return INFINITY
         raise CostOverflow(f"cost sum {s} exceeds {MAX_COST}")
     return s
 
 
 def cost_to_json(c: Cost | None):
     """JSON encoding: finite ints stay ints, infinity becomes the string 'inf'."""
-    if c is None:
-        return None
-    if isinstance(c, Infinite):
-        return "inf"
-    return int(c)
+    return "inf" if c == INFINITY else c

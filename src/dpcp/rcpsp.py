@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import DpModel
-from .cost import Cost, INFINITY, is_finite
+from .cost import Cost, INFINITY
 from .cp_engine import (
     Cumulative,
     DomainStore,
@@ -313,11 +313,8 @@ class RcpspAdapter(PropagationAdapter):
         horizon = inst.horizon
         lbs = [state.time if s is None else s for s in state.starts]
         ubs = [horizon - t.duration if s is None else s for s, t in zip(state.starts, tasks)]
-        obj_ub = horizon
-        if is_finite(primal) and primal < obj_ub:
-            obj_ub = primal
         lbs.append(0)
-        ubs.append(obj_ub)
+        ubs.append(min(horizon, primal))
         store = DomainStore(lbs, ubs)
         props: list = []
         pending = [i for i, s in enumerate(state.starts) if s is None]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY
@@ -165,14 +165,18 @@ class SmsAdapter(PropagationAdapter):
 
 
 def permutation_optimum(instance: SmsInstance) -> Cost:
-    """Exact optimum by enumerating every feasible job order."""
+    """Exact optimum by enumerating every feasible job order.
+
+    Sums with plain ``+``, so an optimum above ``MAX_COST`` comes back
+    exact; ``INFINITY`` only when no order is feasible.
+    """
     jobs = instance.jobs
-    best: Cost = INFINITY
+    best: Optional[int] = None
 
     def rec(mask: int, t: int, acc: int):
         nonlocal best
         if mask == 0:
-            if acc < best:
+            if best is None or acc < best:
                 best = acc
             return
         rest = mask
@@ -186,7 +190,7 @@ def permutation_optimum(instance: SmsInstance) -> Cost:
             rec(mask ^ low, f, acc + jobs[i].w * max(0, f - jobs[i].d))
 
     rec((1 << instance.n) - 1, 0, 0)
-    return best
+    return INFINITY if best is None else best
 
 
 @dataclass(frozen=True)

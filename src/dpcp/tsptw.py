@@ -121,25 +121,10 @@ class TsptwState(NamedTuple):
     time: int
 
 
-def _finite_parts(costs: Sequence[Cost]) -> Tuple[List[int], int]:
-    """``costs`` with each INFINITY read as 0, and the mask of those."""
-    parts, missing = [], 0
-    for i, c in enumerate(costs):
-        if c is INFINITY:
-            parts.append(0)
-            missing |= 1 << i
-        else:
-            parts.append(c)
-    return parts, missing
-
-
 class TsptwModel(DpModel):
     def __init__(self, instance: TsptwInstance):
         self.instance = instance
-        # The cheapest-arc terms of ``dual``: finite parts, with the
-        # locations whose entry or exit has no arc at all as masks.
-        self._to, self._to_missing = _finite_parts(instance.min_to)
-        self._from, self._from_missing = _finite_parts(instance.min_from)
+        self._to, self._from = instance.min_to, instance.min_from
         self._sums_mask = -1  # the set whose two sums are kept below
         self._sum_to = self._sum_from = 0
 
@@ -185,7 +170,9 @@ class TsptwModel(DpModel):
         Over ``M``, the unvisited set plus the current location, that is
         the larger of ``min_to[0] + S_to(M) - min_to[location]`` and
         ``S_from(M)``.  The children of one state share ``M``, the
-        parent's unvisited set, so the last ``M``'s two sums are kept.
+        parent's unvisited set, so the last ``M``'s two sums are kept.  A
+        location with no arc in or out has the term ``INFINITY``, so a sum
+        that holds one is at least that, and the bound is capped there.
         """
         here = state.location
         mask = state.unvisited | (1 << here)
@@ -195,12 +182,8 @@ class TsptwModel(DpModel):
                 to_sum += self._to[i]
                 from_sum += self._from[i]
             self._sums_mask, self._sum_to, self._sum_from = mask, to_sum, from_sum
-        if (state.unvisited | 1) & self._to_missing:
-            into = INFINITY
-        else:
-            into = self._to[0] + self._sum_to - self._to[here]
-        out_of = INFINITY if mask & self._from_missing else self._sum_from
-        return max(into, out_of)
+        into = self._to[0] + self._sum_to - self._to[here]
+        return min(INFINITY, max(into, self._sum_from))
 
     def state_signature(self, state: TsptwState):
         return (state.unvisited, state.location)
@@ -312,10 +295,14 @@ class TsptwAdapter(PropagationAdapter):
 
 
 def permutation_optimum(instance: TsptwInstance) -> Cost:
-    """Exact optimum by enumerating every window-feasible visit order."""
+    """Exact optimum by enumerating every window-feasible visit order.
+
+    Sums with plain ``+``, so an optimum above ``MAX_COST`` comes back
+    exact; ``INFINITY`` only when no order is feasible.
+    """
     travel = instance.travel
     windows = instance.windows
-    best: Cost = INFINITY
+    best: Optional[int] = None
 
     def rec(mask: int, here: int, t: int, acc: int):
         nonlocal best
@@ -323,7 +310,7 @@ def permutation_optimum(instance: TsptwInstance) -> Cost:
             back = travel[here][0] if here != 0 else 0
             if back is not None:
                 total = acc + back
-                if total < best:
+                if best is None or total < best:
                     best = total
             return
         rest = mask
@@ -338,7 +325,7 @@ def permutation_optimum(instance: TsptwInstance) -> Cost:
 
     full = ((1 << instance.n) - 1) & ~1
     rec(full, 0, 0, 0)
-    return best
+    return INFINITY if best is None else best
 
 
 def parse_matrix(text: str, path: str = "<tsptw>") -> TsptwInstance:

@@ -285,6 +285,59 @@ def test_oracle_too_large(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+# Every arc is 2**62, so every tour costs 3 * 2**62, above MAX_COST.
+OVERFLOW_TSPTW = {
+    "n": 3,
+    "c": [[None, 2**62, 2**62], [2**62, None, 2**62], [2**62, 2**62, None]],
+    "windows": [[0, 10**30]] * 3,
+}
+
+
+def overflow_instance(tmp_path, problem) -> Path:
+    if problem == "smswt":
+        return DATA / "overflow_sms.json"  # one weight is MAX_COST
+    return write_json(tmp_path / "overflow.json", OVERFLOW_TSPTW)
+
+
+@pytest.mark.parametrize(
+    "problem, optimum",
+    [("smswt", 18446744073709551634), ("tsptw", 13835058055282163712)],
+)
+def test_oracle_stays_exact_above_infinity(tmp_path, capsys, problem, optimum):
+    # Both optima exceed INFINITY = MAX_COST + 1, yet a feasible order
+    # exists, so the oracle must not answer INFEASIBLE.
+    path = overflow_instance(tmp_path, problem)
+    assert main(["oracle", str(path), "--problem", problem]) == 0
+    assert capsys.readouterr().out.strip() == str(optimum)
+
+
+@pytest.mark.parametrize("problem", ["smswt", "tsptw"])
+@pytest.mark.parametrize("algo", ["astar", "cabs"])
+@pytest.mark.parametrize("mode", ["off", "once", "fixpoint"])
+def test_solve_refuses_costs_above_max_cost(tmp_path, capsys, problem, algo, mode):
+    # The search cannot represent these optima, so it must neither report
+    # one (Optimal) nor read the overflow as a dead end (Infeasible).
+    path = overflow_instance(tmp_path, problem)
+    code = main(["solve", str(path), "--problem", problem, "--algo", algo,
+                 "--propagation", mode])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("dpcp: error") and "exceeds" in err, err
+
+
+def test_bench_row_with_cost_above_max_cost_is_error(tmp_path):
+    manifest = [
+        {"instance": str(overflow_instance(tmp_path, problem)), "problem": problem}
+        for problem in ("smswt", "tsptw")
+    ]
+    mpath = write_json(tmp_path / "manifest.json", manifest)
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))[:2]
+    assert [r["status"] for r in rows] == ["Error", "Error"]
+    assert all("exceeds" in r["error"] and r["cost"] == "" for r in rows)
+
+
 def test_bench_rows_summary_and_determinism(tmp_path):
     smswt_path = write_json(tmp_path / "two.json", TWO_JOB_SMS)
     tsptw_path = write_json(tmp_path / "tiny.json", TINY_TSPTW_JSON)

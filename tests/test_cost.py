@@ -19,8 +19,16 @@ def test_infinity_ordering():
 def test_infinity_absorbs_addition():
     assert add(INFINITY, 3) is INFINITY
     assert add(3, INFINITY) is INFINITY
-    assert (3 + INFINITY) is INFINITY
-    assert (INFINITY + INFINITY) is INFINITY
+    for x in (0, MAX_COST, INFINITY):
+        assert add(INFINITY, x) == INFINITY
+        assert add(x, INFINITY) == INFINITY
+    assert add(MAX_COST, 0) == MAX_COST
+    # Only an INFINITY operand saturates: a finite operand above MAX_COST
+    # still overflows.
+    with pytest.raises(CostOverflow):
+        add(MAX_COST, 1)
+    with pytest.raises(CostOverflow):
+        add(INFINITY + 1, 0)
 
 
 def test_finite_addition_exact():

@@ -7,6 +7,7 @@ import pytest
 from dpcp import (
     INFINITY,
     SolveStatus,
+    add,
     enumerate_state_values,
     is_finite,
     propagate_once,
@@ -92,8 +93,8 @@ def reference_dual(model, state):
     into = inst.min_to[0]
     out_of = inst.min_from[state.location]
     for i in iter_bits(state.unvisited):
-        into = into + inst.min_to[i]
-        out_of = out_of + inst.min_from[i]
+        into = add(into, inst.min_to[i])
+        out_of = add(out_of, inst.min_from[i])
     return max(into, out_of)
 
 
