@@ -4,8 +4,8 @@ Subcommands: ``solve`` one instance to a JSON report, ``generate`` random
 scheduling instances, ``oracle`` exact reference answers for small
 instances, and ``bench`` a manifest of runs into CSV.  Exit codes: 0 for a
 proven answer (optimal or infeasible), 2 when a resource limit fired, and
-1 for usage, format, parse, or file-access errors and for a cost sum that
-overflows.
+1 for usage, format, parse, or file-access errors, for an instance whose
+costs could pass ``MAX_COST``, and for a cost sum that overflows.
 
 ``PROBLEMS`` is the one per-problem table: each kind's module (whose
 ``load_instance`` reads every instance file), model, adapter and oracle.
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from . import rcpsp, smswt, tsptw
 from .core import SolveLimits, SolveStatus, evaluate_solution
-from .cost import CostOverflow, cost_to_json, is_finite
+from .cost import CostOverflow, cost_to_json
 from .parsing import ParseError, UnknownFormat
 from .search import PropagationMode, astar, cabs
 
@@ -37,13 +37,13 @@ class Problem(NamedTuple):
     module: ModuleType
     model: type
     adapter: type
-    oracle: Callable
+    oracle: Callable  # the exact optimum, None if no order is feasible
 
 
 PROBLEMS = {
-    "smswt": Problem(smswt, smswt.SmsModel, smswt.SmsAdapter, smswt.permutation_optimum),
+    "smswt": Problem(smswt, smswt.SmsModel, smswt.SmsAdapter, smswt.exact_optimum),
     "rcpsp": Problem(rcpsp, rcpsp.RcpspModel, rcpsp.RcpspAdapter, rcpsp.ordering_optimum),
-    "tsptw": Problem(tsptw, tsptw.TsptwModel, tsptw.TsptwAdapter, tsptw.permutation_optimum),
+    "tsptw": Problem(tsptw, tsptw.TsptwModel, tsptw.TsptwAdapter, tsptw.exact_optimum),
 }
 MODES = {
     "off": PropagationMode.OFF,
@@ -183,7 +183,7 @@ def _cmd_oracle(args) -> int:
     if instance.n > ORACLE_CAP:
         raise TooLarge(f"{args.problem} oracle refuses n={instance.n} (cap {ORACLE_CAP})")
     value = problem.oracle(instance)
-    print(value if is_finite(value) else "INFEASIBLE")
+    print("INFEASIBLE" if value is None else value)
     return 0
 
 
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # OSError covers unreadable inputs and unwritable output paths, and
-    # CostOverflow a finite cost sum above MAX_COST.
+    # CostOverflow an instance or a finite cost sum above MAX_COST.
     except (ParseError, UnknownFormat, TooLarge, ValueError, CostOverflow, OSError) as exc:
         print(f"dpcp: error: {exc}", file=sys.stderr)
         return 1

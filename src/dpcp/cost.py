@@ -5,6 +5,10 @@ A cost is a plain ``int``; there is no floating point.  Finite costs lie in
 every finite cost.  ``add`` saturates: a sum with an ``INFINITY`` operand
 is ``INFINITY``, while a finite sum above ``MAX_COST`` raises
 ``CostOverflow``, which the CLI reports as ``dpcp: error``.
+
+A cost of exactly ``INFINITY`` would read as a dead end, so each model
+refuses, through ``check_ceiling``, an instance whose costs could pass
+``MAX_COST``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ Cost = int
 
 
 class CostOverflow(ArithmeticError):
-    """A finite cost sum left the 64-bit non-negative range."""
+    """A finite cost, or a model's cost ceiling, above ``MAX_COST``."""
 
 
 def is_finite(c: Cost) -> bool:
@@ -31,6 +35,13 @@ def add(a: Cost, b: Cost) -> Cost:
             return INFINITY
         raise CostOverflow(f"cost sum {s} exceeds {MAX_COST}")
     return s
+
+
+def check_ceiling(ceiling: int) -> None:
+    """Refuse a model when ``ceiling``, a bound on every cost term and plain
+    sum it and its adapter compute, is above ``MAX_COST``."""
+    if ceiling > MAX_COST:
+        raise CostOverflow(f"instance costs may reach {ceiling}, which exceeds {MAX_COST}")
 
 
 def cost_to_json(c: Cost | None):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import DpModel
-from .cost import Cost, INFINITY
+from .cost import Cost, INFINITY, check_ceiling
 from .cp_engine import (
     Cumulative,
     DomainStore,
@@ -173,6 +173,9 @@ class RcpspModel(DpModel):
 
     def __init__(self, instance: RcpspInstance):
         self.instance = instance
+        # Starts and store bounds stay within the horizon, as do the pending
+        # work floors, so every time is at most twice that.
+        check_ceiling(2 * instance.horizon)
 
     def target_state(self) -> RcpspState:
         return RcpspState((None,) * self.instance.n, 0)

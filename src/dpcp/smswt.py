@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 from .core import DpModel, iter_bits
-from .cost import Cost, INFINITY
+from .cost import Cost, INFINITY, check_ceiling
 from .cp_engine import (
     Disjunctive,
     DomainStore,
@@ -85,6 +85,10 @@ class SmsModel(DpModel):
     def __init__(self, instance: SmsInstance):
         self.instance = instance
         self._full = (1 << instance.n) - 1
+        # The clock, each finish and each live start bound end by the latest
+        # deadline, which bounds every tardiness term.
+        latest = max((j.deadline for j in instance.jobs), default=0)
+        check_ceiling(sum(j.w * max(0, max(j.r, latest) + j.p - j.d) for j in instance.jobs))
 
     def target_state(self) -> SmsState:
         return SmsState(self._full, 0)
@@ -164,12 +168,9 @@ class SmsAdapter(PropagationAdapter):
         return not store.contains(label, succ.time - self.instance.jobs[label].p)
 
 
-def permutation_optimum(instance: SmsInstance) -> Cost:
-    """Exact optimum by enumerating every feasible job order.
-
-    Sums with plain ``+``, so an optimum above ``MAX_COST`` comes back
-    exact; ``INFINITY`` only when no order is feasible.
-    """
+def exact_optimum(instance: SmsInstance) -> Optional[int]:
+    """Exact optimum over every feasible job order, None if there is none;
+    plain ``+`` keeps an optimum of ``INFINITY`` or above exact."""
     jobs = instance.jobs
     best: Optional[int] = None
 
@@ -190,6 +191,12 @@ def permutation_optimum(instance: SmsInstance) -> Cost:
             rec(mask ^ low, f, acc + jobs[i].w * max(0, f - jobs[i].d))
 
     rec((1 << instance.n) - 1, 0, 0)
+    return best
+
+
+def permutation_optimum(instance: SmsInstance) -> Cost:
+    """``exact_optimum`` as a cost, ``INFINITY`` if there is none."""
+    best = exact_optimum(instance)
     return INFINITY if best is None else best
 
 

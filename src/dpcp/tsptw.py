@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import DpModel, iter_bits
-from .cost import Cost, INFINITY, is_finite
+from .cost import Cost, INFINITY, check_ceiling, is_finite
 from .cp_engine import (
     Disjunctive,
     DomainStore,
@@ -124,6 +124,10 @@ class TsptwState(NamedTuple):
 class TsptwModel(DpModel):
     def __init__(self, instance: TsptwInstance):
         self.instance = instance
+        # A tour, and each sum below or in the adapter, has at most n terms,
+        # each the longest arc or less, or ``INFINITY`` for a missing arc.
+        longest = max((c for row in instance.travel for c in row if c is not None), default=0)
+        check_ceiling(instance.n * longest)
         self._to, self._from = instance.min_to, instance.min_from
         self._sums_mask = -1  # the set whose two sums are kept below
         self._sum_to = self._sum_from = 0
@@ -294,12 +298,9 @@ class TsptwAdapter(PropagationAdapter):
         return not store.contains(self._n + state.location, arc)
 
 
-def permutation_optimum(instance: TsptwInstance) -> Cost:
-    """Exact optimum by enumerating every window-feasible visit order.
-
-    Sums with plain ``+``, so an optimum above ``MAX_COST`` comes back
-    exact; ``INFINITY`` only when no order is feasible.
-    """
+def exact_optimum(instance: TsptwInstance) -> Optional[int]:
+    """Exact optimum over every window-feasible visit order, None if there
+    is none; plain ``+`` keeps an optimum of ``INFINITY`` or above exact."""
     travel = instance.travel
     windows = instance.windows
     best: Optional[int] = None
@@ -325,6 +326,12 @@ def permutation_optimum(instance: TsptwInstance) -> Cost:
 
     full = ((1 << instance.n) - 1) & ~1
     rec(full, 0, 0, 0)
+    return best
+
+
+def permutation_optimum(instance: TsptwInstance) -> Cost:
+    """``exact_optimum`` as a cost, ``INFINITY`` if there is none."""
+    best = exact_optimum(instance)
     return INFINITY if best is None else best
 
 

@@ -285,39 +285,73 @@ def test_oracle_too_large(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-# Every arc is 2**62, so every tour costs 3 * 2**62, above MAX_COST.
-OVERFLOW_TSPTW = {
-    "n": 3,
-    "c": [[None, 2**62, 2**62], [2**62, None, 2**62], [2**62, 2**62, None]],
-    "windows": [[0, 10**30]] * 3,
+def late_job(w: int, deadline: int = 100) -> dict:
+    """A job that finishes 2 units past its due date when started at 0."""
+    return {"p": 3, "r": 0, "d": 1, "deadline": deadline, "w": w}
+
+
+WIDE = [0, 10**30]
+
+# Instances whose costs reach INFINITY = MAX_COST + 1 = 2**63 or pass it,
+# as (problem, JSON document or None for tests/data/overflow_sms.json,
+# exact optimum or None where the oracle is not run).
+ABOVE_MAX_COST = {
+    # One weight is MAX_COST.
+    "sms-max-weight": ("smswt", None, 18446744073709551634),
+    # The one order costs exactly 2**63.
+    "sms-exactly-infinity": (
+        "smswt", {"n": 1, "jobs": [late_job(2**62)]}, 2**63,
+    ),
+    # Both jobs start at 0 in the root store, so its tardiness sum is 2**63.
+    "sms-sum-infinity": (
+        "smswt", {"n": 2, "jobs": [late_job(2**61)] * 2}, 16140901064495857664,
+    ),
+    # Every arc is 2**62, so every tour costs 3 * 2**62.
+    "tsptw-all-arcs": (
+        "tsptw",
+        {"n": 3, "c": [[None, 2**62, 2**62], [2**62, None, 2**62], [2**62, 2**62, None]],
+         "windows": [WIDE] * 3},
+        13835058055282163712,
+    ),
+    # One arc of 2**63 and one of 0: the one tour costs exactly 2**63.
+    "tsptw-arc-infinity": (
+        "tsptw", {"n": 2, "c": [[None, 2**63], [0, None]], "windows": [WIDE] * 2}, 2**63,
+    ),
+    # The one task's makespan is 2**63; the oracle would step through it.
+    "rcpsp-duration-infinity": (
+        "rcpsp", {"tasks": [{"p": 2**63, "u": [1]}], "capacities": [1], "precedences": []},
+        None,
+    ),
 }
 
 
-def overflow_instance(tmp_path, problem) -> Path:
-    if problem == "smswt":
-        return DATA / "overflow_sms.json"  # one weight is MAX_COST
-    return write_json(tmp_path / "overflow.json", OVERFLOW_TSPTW)
+def above_max_cost(tmp_path, case: str):
+    """``(problem, path, optimum)`` of one ``ABOVE_MAX_COST`` case."""
+    problem, doc, optimum = ABOVE_MAX_COST[case]
+    if doc is None:
+        return problem, DATA / "overflow_sms.json", optimum
+    return problem, write_json(tmp_path / f"{case}.json", doc), optimum
 
 
 @pytest.mark.parametrize(
-    "problem, optimum",
-    [("smswt", 18446744073709551634), ("tsptw", 13835058055282163712)],
+    "case", [case for case, (_p, _d, optimum) in ABOVE_MAX_COST.items() if optimum]
 )
-def test_oracle_stays_exact_above_infinity(tmp_path, capsys, problem, optimum):
-    # Both optima exceed INFINITY = MAX_COST + 1, yet a feasible order
-    # exists, so the oracle must not answer INFEASIBLE.
-    path = overflow_instance(tmp_path, problem)
+def test_oracle_stays_exact_above_infinity(tmp_path, capsys, case):
+    # Every optimum is INFINITY or above, yet a feasible order exists, so
+    # the oracle must print it exactly and not answer INFEASIBLE.
+    problem, path, optimum = above_max_cost(tmp_path, case)
+    assert optimum >= 2**63
     assert main(["oracle", str(path), "--problem", problem]) == 0
     assert capsys.readouterr().out.strip() == str(optimum)
 
 
-@pytest.mark.parametrize("problem", ["smswt", "tsptw"])
+@pytest.mark.parametrize("case", list(ABOVE_MAX_COST))
 @pytest.mark.parametrize("algo", ["astar", "cabs"])
 @pytest.mark.parametrize("mode", ["off", "once", "fixpoint"])
-def test_solve_refuses_costs_above_max_cost(tmp_path, capsys, problem, algo, mode):
-    # The search cannot represent these optima, so it must neither report
-    # one (Optimal) nor read the overflow as a dead end (Infeasible).
-    path = overflow_instance(tmp_path, problem)
+def test_solve_refuses_costs_above_max_cost(tmp_path, capsys, case, algo, mode):
+    # The search cannot represent these costs, so it must neither report
+    # an optimum (Optimal) nor read one as a dead end (Infeasible).
+    problem, path, _optimum = above_max_cost(tmp_path, case)
     code = main(["solve", str(path), "--problem", problem, "--algo", algo,
                  "--propagation", mode])
     out, err = capsys.readouterr()
@@ -326,15 +360,15 @@ def test_solve_refuses_costs_above_max_cost(tmp_path, capsys, problem, algo, mod
 
 
 def test_bench_row_with_cost_above_max_cost_is_error(tmp_path):
-    manifest = [
-        {"instance": str(overflow_instance(tmp_path, problem)), "problem": problem}
-        for problem in ("smswt", "tsptw")
-    ]
+    manifest = []
+    for case in ABOVE_MAX_COST:
+        problem, path, _optimum = above_max_cost(tmp_path, case)
+        manifest.append({"instance": str(path), "problem": problem})
     mpath = write_json(tmp_path / "manifest.json", manifest)
     out = tmp_path / "runs.csv"
     assert main(["bench", str(mpath), "--output", str(out)]) == 0
-    rows = list(csv.DictReader(out.read_text().splitlines()))[:2]
-    assert [r["status"] for r in rows] == ["Error", "Error"]
+    rows = list(csv.DictReader(out.read_text().splitlines()))[: len(manifest)]
+    assert [r["status"] for r in rows] == ["Error"] * len(manifest)
     assert all("exceeds" in r["error"] and r["cost"] == "" for r in rows)
 
 

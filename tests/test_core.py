@@ -58,7 +58,7 @@ def test_brute_force_base_state():
 def test_brute_force_infeasible_single_job():
     inst = smswt.SmsInstance((smswt.SmsJob(3, 5, 7, 7, 1),))
     model = smswt.SmsModel(inst)
-    assert brute_force_value(model, model.target_state()) is INFINITY
+    assert brute_force_value(model, model.target_state()) == INFINITY
 
 
 def test_brute_force_depth_cap():

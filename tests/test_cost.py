@@ -1,7 +1,7 @@
 import pytest
 
 from dpcp import CostOverflow, INFINITY, add, is_finite
-from dpcp.cost import MAX_COST, cost_to_json
+from dpcp.cost import MAX_COST, check_ceiling, cost_to_json
 
 
 def test_infinity_ordering():
@@ -17,8 +17,8 @@ def test_infinity_ordering():
 
 
 def test_infinity_absorbs_addition():
-    assert add(INFINITY, 3) is INFINITY
-    assert add(3, INFINITY) is INFINITY
+    assert add(INFINITY, 3) == INFINITY
+    assert add(3, INFINITY) == INFINITY
     for x in (0, MAX_COST, INFINITY):
         assert add(INFINITY, x) == INFINITY
         assert add(x, INFINITY) == INFINITY
@@ -41,9 +41,16 @@ def test_overflow_detected():
         add(MAX_COST, 1)
 
 
+def test_check_ceiling_refuses_only_above_max_cost():
+    check_ceiling(0)
+    check_ceiling(MAX_COST)
+    with pytest.raises(CostOverflow, match="exceeds"):
+        check_ceiling(INFINITY)
+
+
 def test_min_max_mix():
     assert min(3, INFINITY) == 3
-    assert max(3, INFINITY) is INFINITY
+    assert max(3, INFINITY) == INFINITY
     assert sorted([INFINITY, 2, 9, INFINITY, 0])[:3] == [0, 2, 9]
 
 

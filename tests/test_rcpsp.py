@@ -12,6 +12,7 @@ from dpcp import (
     propagate_fixpoint,
     propagate_once,
 )
+from dpcp.cost import MAX_COST, CostOverflow
 from dpcp.parsing import ParseError
 from dpcp.rcpsp import (
     RcpspAdapter,
@@ -38,6 +39,14 @@ DATA = Path(__file__).parent / "data"
 
 def instance_of(tasks, capacities, precedences=()):
     return RcpspInstance([RcpspTask(p, tuple(u)) for p, u in tasks], capacities, precedences)
+
+
+def test_model_refuses_horizons_that_could_pass_max_cost():
+    # Every time the model computes is at most twice the horizon.
+    half = MAX_COST // 2
+    RcpspModel(instance_of([(half - 1, [1]), (1, [1])], [1]))
+    with pytest.raises(CostOverflow, match="exceeds"):
+        RcpspModel(instance_of([(half, [1]), (1, [1])], [1]))
 
 
 def test_earliest_time_after_resource_conflict():

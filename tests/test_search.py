@@ -215,7 +215,7 @@ def test_gen_succ_infeasible_store_short_circuits():
         model, adapter, model.target_state(), 0, INFINITY, PropagationMode.ONCE, None
     )
     assert succs == []
-    assert cp_dual is INFINITY
+    assert cp_dual == INFINITY
     assert store is None
 
 
@@ -422,7 +422,7 @@ def test_all_modes_agree_with_oracle_small_sweep():
         adapter = smswt.SmsAdapter(model)
         oracle = brute_force_value(model, model.target_state())
         for (algo, mode), result in solve_all_modes(model, adapter).items():
-            if oracle is INFINITY:
+            if oracle == INFINITY:
                 assert result.status is SolveStatus.INFEASIBLE, (algo, mode)
             else:
                 assert result.status is SolveStatus.OPTIMAL, (algo, mode)

@@ -15,6 +15,7 @@ from dpcp import (
     is_finite,
     propagate_once,
 )
+from dpcp.cost import MAX_COST, CostOverflow
 from dpcp.search import _gen_succ_cp
 from dpcp.smswt import (
     SmsAdapter,
@@ -35,6 +36,19 @@ def model_of(*jobs):
 
 
 TWO_JOB = ((2, 0, 2, 10, 1), (3, 0, 3, 10, 2))
+
+
+def test_model_refuses_tardiness_that_could_pass_max_cost():
+    # The ceiling starts every job no earlier than the latest deadline, 1,
+    # so a job (p, r, d, deadline, w) = (1, 0, 1, 1, w) counts w * 1.
+    half = MAX_COST // 2
+    model_of((1, 0, 1, 1, MAX_COST))
+    model_of((1, 0, 1, 1, half), (1, 0, 1, 1, half + 1))
+    with pytest.raises(CostOverflow, match="exceeds"):
+        model_of((1, 0, 1, 1, MAX_COST + 1))
+    # No one term passes MAX_COST, but their sum does.
+    with pytest.raises(CostOverflow, match="exceeds"):
+        model_of((1, 0, 1, 1, half + 1), (1, 0, 1, 1, half + 1))
 
 
 def test_next_time():

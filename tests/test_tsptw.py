@@ -13,6 +13,7 @@ from dpcp import (
     propagate_once,
 )
 from dpcp.core import iter_bits
+from dpcp.cost import MAX_COST, CostOverflow
 from dpcp.parsing import ParseError
 from dpcp.tsptw import (
     TsptwAdapter,
@@ -58,11 +59,23 @@ def test_waiting_for_release():
     assert arrival.time == 7  # waits from 2 to the release
 
 
+def test_model_refuses_tours_that_could_pass_max_cost():
+    # Seven legs of MAX_COST // 7 reach MAX_COST exactly: 7 divides 2**63 - 1.
+    leg = MAX_COST // 7
+    assert 7 * leg == MAX_COST
+    windows = [(0, 10**30)] * 7
+    TsptwModel(TsptwInstance([[leg] * 7 for _ in range(7)], windows))
+    longer = [[leg] * 7 for _ in range(7)]
+    longer[3][5] = leg + 1
+    with pytest.raises(CostOverflow, match="exceeds"):
+        TsptwModel(TsptwInstance(longer, windows))
+
+
 def test_base_cost_returns_to_depot():
     model = triangle_model()
     assert model.base_cost(TsptwState(0, 1, 9)) == 2
     missing = TsptwInstance([[0, 2], [None, 0]], [(0, 9), (0, 9)])
-    assert TsptwModel(missing).base_cost(TsptwState(0, 1, 3)) is INFINITY
+    assert TsptwModel(missing).base_cost(TsptwState(0, 1, 3)) == INFINITY
     assert model.base_cost(TsptwState(0, 0, 0)) == 0
 
 
@@ -119,7 +132,7 @@ def test_dual_matches_per_state_sum():
     for arcs in cut.values():
         instances.append(TsptwInstance(without_arcs(travel, arcs), windows))
     no_entry, no_depot_entry, no_exit = instances[-3:]
-    assert no_entry.min_to[2] is no_depot_entry.min_to[0] is no_exit.min_from[3] is INFINITY
+    assert no_entry.min_to[2] == no_depot_entry.min_to[0] == no_exit.min_from[3] == INFINITY
     checked = infinite = 0
     for inst in instances:
         model = TsptwModel(inst)
@@ -141,7 +154,7 @@ def test_build_duration_domains():
     assert (store.lb(n + 1), store.ub(n + 1)) == (2, 4)
     assert (store.lb(n + 2), store.ub(n + 2)) == (3, 4)
     assert len(props) == 2
-    assert props[1].cap is INFINITY  # no incumbent: the sum cap is vacuous
+    assert props[1].cap == INFINITY  # no incumbent: the sum cap is vacuous
 
 
 def test_build_arrival_windows_respect_time():
