@@ -21,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import gt, itemgetter
 from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .core import iter_bits
@@ -47,7 +47,7 @@ class DomainStore:
             raise AdapterFailure(f"{len(lbs)} lower bounds for {len(ubs)} upper bounds")
         self.lbs = lbs
         self.ubs = ubs
-        self.infeasible = any(lb > ub for lb, ub in zip(lbs, ubs))
+        self.infeasible = any(map(gt, lbs, ubs))
         self.revision = 0
 
     def __len__(self):

@@ -9,6 +9,12 @@ the increase of a makespan estimate (finished work plus the best possible
 completion of pending work); they telescope, so the path cost charged from
 the target's estimate equals the final makespan.
 
+A state is derived once, from its parent, and carries what every layer
+reads of it: the bit mask of its scheduled tasks (its signature), the
+tasks still running at its clock, and its makespan estimate.  So the
+successor rule, dominance, both dual bounds and the CP build read those
+fields instead of rescanning all n starts.
+
 Dual bounds, both the model's own (critical path, resource energy) and the
 propagation-based ones (completion envelope, and the objective variable,
 which its links lift to the latest pending finish), naturally bound the
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .core import DpModel
+from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, check_ceiling
 from .cp_engine import (
     Cumulative,
@@ -127,48 +133,31 @@ class RcpspInstance:
 
 
 class RcpspState(NamedTuple):
+    """A partial schedule.  Build one with ``RcpspModel.make_state``: the
+    last three fields are derived from ``starts`` and ``time``."""
+
     starts: Tuple[Optional[int], ...]  # None while unscheduled
-    time: int
-
-
-def critical_path_length(instance: RcpspInstance, mask: int) -> int:
-    """Longest duration sum along precedence chains within ``mask``."""
-    best = 0
-    longest: Dict[int, int] = {}
-    for i in instance.topo_order:
-        if not (mask >> i & 1):
-            continue
-        base = longest.get(i, instance.tasks[i].duration)
-        if base > best:
-            best = base
-        for j in instance.successors[i]:
-            if mask >> j & 1:
-                cand = base + instance.tasks[j].duration
-                if cand > longest.get(j, 0):
-                    longest[j] = cand
-    return best
-
-
-def energy_ceiling(instance: RcpspInstance, mask: int) -> int:
-    """Resource-energy floor: time to fit the pending work in any order."""
-    best = 0
-    for r, cap in enumerate(instance.capacities):
-        energy = 0
-        for i in range(instance.n):
-            if mask >> i & 1:
-                energy += instance.tasks[i].usages[r] * instance.tasks[i].duration
-        cand = -(-energy // cap)
-        if cand > best:
-            best = cand
-    return best
+    time: int  # start of the task scheduled last; no start lies after it
+    scheduled: int  # bit mask of the scheduled tasks: the state signature
+    running: Tuple[int, ...]  # scheduled tasks with start + p > time, ascending
+    estimate: int  # latest finish, pending tasks taken as starting at time
 
 
 class RcpspModel(DpModel):
     """Schedule one task at a time at its earliest feasible start.
 
-    Left-shift pruning drops a candidate that another candidate finishes
-    before, and ``dominates`` compares states of equal signature by their
-    clocks and running tasks.
+    A state carries, next to its starts and clock, the bit mask of its
+    scheduled tasks, the tasks still running at its clock, and its makespan
+    estimate ``max(time + longest pending p, latest running finish)``.  The
+    task scheduled last starts at ``time``, so a scheduled task that is not
+    running finishes before the latest running finish, and the estimate is
+    the latest finish over all tasks with the pending ones started now.
+    ``successors`` derives a child's fields from its parent's, and no rule
+    scans every start: ``earliest_time`` checks capacity against the
+    running tasks, left-shift pruning drops a candidate that another
+    candidate finishes before, ``dominates`` compares states of equal
+    signature by their clocks and the dominator's running tasks, and
+    ``dual`` takes precomputed tails and energies over the pending tasks.
     """
 
     def __init__(self, instance: RcpspInstance):
@@ -176,125 +165,194 @@ class RcpspModel(DpModel):
         # Starts and store bounds stay within the horizon, as do the pending
         # work floors, so every time is at most twice that.
         check_ceiling(2 * instance.horizon)
+        tasks = instance.tasks
+        durations = tuple(t.duration for t in tasks)
+        self._durations = durations
+        self._usages = tuple(t.usages for t in tasks)
+        self._full = (1 << instance.n) - 1
+        self._pred_masks = tuple(sum(1 << j for j in p) for p in instance.predecessors)
+        # (resource, usage, capacity) for each resource a task uses.
+        self._needs = tuple(
+            tuple(
+                (r, u, cap)
+                for r, (u, cap) in enumerate(zip(t.usages, instance.capacities))
+                if u > 0
+            )
+            for t in tasks
+        )
+        # Longest duration sum along a precedence chain from each task.
+        # Every successor of a pending task is pending, so the largest tail
+        # over the pending tasks is their critical path.
+        tails = [0] * instance.n
+        for i in reversed(instance.topo_order):
+            tails[i] = durations[i] + max((tails[j] for j in instance.successors[i]), default=0)
+        self._tails = tuple(tails)
+        self._energies = tuple(tuple(u * t.duration for u in t.usages) for t in tasks)
+        self._longest_first = tuple(sorted(range(instance.n), key=lambda i: -durations[i]))
+        # One tuple per running set, shared by every state that has it.  A
+        # race between solves sharing the model at worst stores an equal
+        # tuple twice.
+        self._running_sets: Dict[int, Tuple[int, ...]] = {}
+
+    def _running(self, mask: int) -> Tuple[int, ...]:
+        running = self._running_sets.get(mask)
+        if running is None:
+            running = self._running_sets[mask] = tuple(iter_bits(mask))
+        return running
+
+    def make_state(self, starts: Sequence[Optional[int]], time: int) -> RcpspState:
+        """The state with these starts and clock, its other fields derived
+        from scratch."""
+        durations = self._durations
+        scheduled = running = estimate = 0
+        for i, s in enumerate(starts):
+            if s is None:
+                finish = time + durations[i]
+            elif s > time:
+                raise ValueError(f"task {i} starts at {s}, after the state's time {time}")
+            else:
+                scheduled |= 1 << i
+                finish = s + durations[i]
+                if finish > time:
+                    running |= 1 << i
+            if finish > estimate:
+                estimate = finish
+        return RcpspState(tuple(starts), time, scheduled, self._running(running), estimate)
 
     def target_state(self) -> RcpspState:
-        return RcpspState((None,) * self.instance.n, 0)
+        return self.make_state((None,) * self.instance.n, 0)
 
     def root_cost(self) -> Cost:
-        return self.makespan_estimate(self.target_state())
+        return self.target_state().estimate
 
     def is_base(self, state: RcpspState) -> bool:
-        return None not in state.starts
+        return state.scheduled == self._full
 
     def base_cost(self, state: RcpspState) -> Cost:
         return 0
 
-    def makespan_estimate(self, state: RcpspState) -> int:
-        """Finished-work horizon: scheduled completions and the best-case
-        completions of pending tasks started right now."""
-        tasks = self.instance.tasks
-        best = 0
-        for i, s in enumerate(state.starts):
-            cand = (state.time if s is None else s) + tasks[i].duration
-            if cand > best:
-                best = cand
-        return best
-
     def earliest_time(self, state: RcpspState, task: int) -> Optional[int]:
         """Earliest start in [time, horizon] with all predecessors finished
         and no resource conflict against the running scheduled tasks."""
-        inst = self.instance
-        tasks = inst.tasks
+        if self._pred_masks[task] & ~state.scheduled:
+            return None
+        durations = self._durations
+        starts = state.starts
         h = state.time
-        for j in inst.predecessors[task]:
-            s = state.starts[j]
-            if s is None:
-                return None
-            finish = s + tasks[j].duration
+        for j in self.instance.predecessors[task]:
+            finish = starts[j] + durations[j]
             if finish > h:
                 h = finish
-        running = []
-        for j, s in enumerate(state.starts):
-            if s is not None and s + tasks[j].duration > h:
-                running.append((j, s + tasks[j].duration))
-        need = tasks[task].usages
-        candidates = [h] + sorted(f for _j, f in running if f > h)
-        for cand in candidates:
-            if cand > inst.horizon:
+        # Every scheduled start is at most ``time``, so a task finishing
+        # after ``h`` runs throughout [time, its finish).
+        usages = self._usages
+        busy = []
+        for j in state.running:
+            finish = starts[j] + durations[j]
+            if finish > h:
+                busy.append((finish, usages[j]))
+        need = self._needs[task]
+        horizon = self.instance.horizon
+        if not (need and busy):
+            return h if h <= horizon else None
+        for cand in [h] + sorted([f for f, _u in busy]):
+            if cand > horizon:
                 return None
-            ok = True
-            for r, u in enumerate(need):
-                if u == 0:
-                    continue
+            for r, u, cap in need:
                 load = u
-                for j, f in running:
-                    if f > cand and state.starts[j] <= cand:
-                        load += tasks[j].usages[r]
-                if load > inst.capacities[r]:
-                    ok = False
+                for finish, usage in busy:
+                    if finish > cand:
+                        load += usage[r]
+                if load > cap:
                     break
-            if ok:
+            else:
                 return cand
         return None
 
     def successors(self, state: RcpspState):
-        inst = self.instance
-        tasks = inst.tasks
+        starts, time, scheduled, running, estimate = state
+        durations = self._durations
         candidates = []
-        for task in range(inst.n):
-            if state.starts[task] is not None:
+        # The two smallest candidate finishes, and the task of the first.
+        first = second = 2 * self.instance.horizon + 1
+        first_task = None
+        for task in range(len(starts)):
+            if scheduled >> task & 1:
                 continue
             slot = self.earliest_time(state, task)
-            if slot is not None:
-                candidates.append((task, slot))
-        mse0 = self.makespan_estimate(state)
+            if slot is None:
+                continue
+            candidates.append((task, slot))
+            finish = slot + durations[task]
+            if finish < second:
+                if finish < first:
+                    first, second, first_task = finish, first, task
+                else:
+                    second = finish
         out = []
         for task, slot in candidates:
             # Drop a candidate when another candidate finishes before its
             # slot even starts: scheduling the short one first can only help.
-            if any(
-                other != task and oslot + tasks[other].duration <= slot
-                for other, oslot in candidates
-            ):
+            if (second if task == first_task else first) <= slot:
                 continue
-            starts = list(state.starts)
-            starts[task] = slot
-            succ = RcpspState(tuple(starts), slot)
-            out.append((self.makespan_estimate(succ) - mse0, task, succ))
+            # The child's running tasks are the parent's still running at
+            # the slot, and the task itself.
+            kept = 1 << task
+            latest = slot + durations[task]
+            for j in running:
+                finish = starts[j] + durations[j]
+                if finish > slot:
+                    kept |= 1 << j
+                    if finish > latest:
+                        latest = finish
+            done = scheduled | 1 << task
+            for j in self._longest_first:
+                if not done >> j & 1:
+                    if slot + durations[j] > latest:
+                        latest = slot + durations[j]
+                    break
+            succ = RcpspState(
+                starts[:task] + (slot,) + starts[task + 1 :],
+                slot,
+                done,
+                self._running(kept),
+                latest,
+            )
+            out.append((latest - estimate, task, succ))
         return out
 
     def dominates(self, a: RcpspState, b: RcpspState) -> bool:
-        if a.time > b.time:
-            return False
-        tasks = self.instance.tasks
+        # Tasks still running at the dominated state's clock must have
+        # started no later in the dominator.  One that started later in
+        # ``a`` and runs past ``b.time >= a.time`` is running in ``a``.
         tb = b.time
-        for i, (sa, sb) in enumerate(zip(a.starts, b.starts)):
-            if sa is None:
-                continue  # equal signature: sb is None too
-            # Tasks still running at the dominated state's clock must have
-            # started no later in the dominator.
-            if max(sa, sb) + tasks[i].duration > tb and sa > sb:
+        if a.time > tb:
+            return False
+        durations = self._durations
+        starts_a, starts_b = a.starts, b.starts
+        for i in a.running:
+            sa = starts_a[i]
+            if sa > starts_b[i] and sa + durations[i] > tb:
                 return False
         return True
 
     def dual(self, state: RcpspState) -> Cost:
         """Critical-path and resource-energy floors on the pending work, as
         remaining cost."""
-        mask = ((1 << self.instance.n) - 1) ^ self.state_signature(state)
-        pending = max(
-            critical_path_length(self.instance, mask), energy_ceiling(self.instance, mask)
-        )
-        return self._remaining(state.time + pending, state)
-
-    def _remaining(self, total_bound: int, state: RcpspState) -> int:
-        return max(0, total_bound - self.makespan_estimate(state))
+        scheduled = state.scheduled
+        pending = [i for i in range(len(self._tails)) if not scheduled >> i & 1]
+        tails, energies = self._tails, self._energies
+        floor = max([tails[i] for i in pending], default=0)
+        for energy, cap in zip(
+            map(sum, zip(*[energies[i] for i in pending])), self.instance.capacities
+        ):
+            need = -(-energy // cap)
+            if need > floor:
+                floor = need
+        return max(0, state.time + floor - state.estimate)
 
     def state_signature(self, state: RcpspState):
-        mask = 0
-        for i, s in enumerate(state.starts):
-            if s is not None:
-                mask |= 1 << i
-        return mask
+        return state.scheduled
 
 
 class RcpspAdapter(PropagationAdapter):
@@ -305,55 +363,52 @@ class RcpspAdapter(PropagationAdapter):
     def __init__(self, model: RcpspModel):
         self.model = model
         self.instance = model.instance
-        self._obj = self.instance.n  # objective variable id
-        tasks = self.instance.tasks
-        self._arcs = [(i, tasks[i].duration, j) for i, j in self.instance.precedences]
-        self._energies = [tuple(u * t.duration for u in t.usages) for t in tasks]
+        inst = self.instance
+        tasks = inst.tasks
+        self._obj = inst.n  # objective variable id
+        self._arcs = [(i, tasks[i].duration, j) for i, j in inst.precedences]
+        self._links = [(i, t.duration, self._obj) for i, t in enumerate(tasks)]
+        self._latest = [inst.horizon - t.duration for t in tasks]
+        self._energies = model._energies
+        # Per resource, the (task, duration, usage) rows of its users.
+        self._members = [
+            [(i, t.duration, t.usages[r]) for i, t in enumerate(tasks) if t.usages[r] > 0]
+            for r in range(inst.n_resources)
+        ]
 
     def build(self, state: RcpspState, g: Cost = 0, primal: Cost = INFINITY):
         inst = self.instance
-        tasks = inst.tasks
-        horizon = inst.horizon
-        lbs = [state.time if s is None else s for s in state.starts]
-        ubs = [horizon - t.duration if s is None else s for s, t in zip(state.starts, tasks)]
+        starts, time, scheduled = state.starts, state.time, state.scheduled
+        lbs = [time if s is None else s for s in starts]
+        ubs = [late if s is None else s for s, late in zip(starts, self._latest)]
         lbs.append(0)
-        ubs.append(min(horizon, primal))
+        ubs.append(min(inst.horizon, primal))
         store = DomainStore(lbs, ubs)
-        props: list = []
-        pending = [i for i, s in enumerate(state.starts) if s is None]
-        running = [
-            i
-            for i, s in enumerate(state.starts)
-            if s is not None and s + tasks[i].duration > state.time
+        live = ~scheduled  # pending tasks, and the running ones below
+        for j in state.running:
+            live |= 1 << j
+        props: list = [
+            Cumulative([m for m in members if live >> m[0] & 1], cap)
+            for members, cap in zip(self._members, inst.capacities)
         ]
-        for r, cap in enumerate(inst.capacities):
-            members = [
-                (i, tasks[i].duration, tasks[i].usages[r])
-                for i in pending + running
-                if tasks[i].usages[r] > 0
-            ]
-            props.append(Cumulative(members, cap))
         # The objective links come last: nothing after them moves a task's
         # lower bound, so after a single pass (or a fixed point) lb(obj) is
         # at least lb(i) + p_i for every pending task i.  ``dual_cp``
         # relies on this instead of taking the latest finish itself.
-        links = [(i, tasks[i].duration, self._obj) for i in pending]
+        links = [link for link in self._links if not scheduled >> link[0] & 1]
         props.append(PrecedenceLe(self._arcs + links))
         return store, props
-
-    def _envelope(self, state: RcpspState, store: DomainStore) -> int:
-        """Completion envelope of the pending tasks, over all resources."""
-        energies = self._energies
-        return ect_envelope_max(
-            [(store.lb(i), energies[i]) for i, s in enumerate(state.starts) if s is None],
-            self.instance.capacities,
-        )
 
     def dual_cp(self, state: RcpspState, store: DomainStore) -> Cost:
         # The objective links in ``build`` already give lb(obj) >= every
         # pending earliest finish, so no separate finish term is needed.
-        total = max(store.lb(self._obj), self._envelope(state, store))
-        return self.model._remaining(total, state)
+        # The store is feasible here, so its bound lists are read directly.
+        lbs = store.lbs
+        envelope = ect_envelope_max(
+            [(lb, e) for s, lb, e in zip(state.starts, lbs, self._energies) if s is None],
+            self.instance.capacities,
+        )
+        return max(0, max(lbs[self._obj], envelope) - state.estimate)
 
     def is_succ_infeasible(
         self, label: int, state: RcpspState, succ: RcpspState, store: DomainStore

@@ -37,9 +37,9 @@ from .metrics import RunMetrics, optimality_gap
 # Fixed per-node bookkeeping estimate used for the memory limit.  Measured
 # as the ``tracemalloc`` peak of a solve over its peak registry size
 # (``perfbench/run.py --trace 1``, seed 1, CPython 3.11 on x86-64), a
-# stored node costs 410-448 B for smswt, 485-525 B for tsptw and 419-427 B
-# for rcpsp, with propagation off and on: the estimate is up to 25% high
-# and up to 3% low.
+# stored node costs 399-448 B for smswt, 485-521 B for tsptw and 471-472 B
+# for rcpsp, with propagation off and on: the estimate is up to 28% high
+# (smswt), 8-9% high for rcpsp and up to 2% low (tsptw).
 NODE_ESTIMATE_BYTES = 512
 
 

@@ -69,6 +69,67 @@ def random_rcpsp_instance(rng: random.Random, max_tasks: int = 8) -> rcpsp.Rcpsp
     return rcpsp.RcpspInstance(tasks, capacities, precedences)
 
 
+def critical_path_length(instance: rcpsp.RcpspInstance, mask: int) -> int:
+    """Longest duration sum along precedence chains within ``mask``."""
+    best = 0
+    longest = {}
+    for i in instance.topo_order:
+        if not (mask >> i & 1):
+            continue
+        base = longest.get(i, instance.tasks[i].duration)
+        if base > best:
+            best = base
+        for j in instance.successors[i]:
+            if mask >> j & 1:
+                cand = base + instance.tasks[j].duration
+                if cand > longest.get(j, 0):
+                    longest[j] = cand
+    return best
+
+
+def energy_ceiling(instance: rcpsp.RcpspInstance, mask: int) -> int:
+    """Resource-energy floor: time to fit the pending work in any order."""
+    best = 0
+    for r, cap in enumerate(instance.capacities):
+        energy = 0
+        for i in range(instance.n):
+            if mask >> i & 1:
+                energy += instance.tasks[i].usages[r] * instance.tasks[i].duration
+        cand = -(-energy // cap)
+        if cand > best:
+            best = cand
+    return best
+
+
+def rcpsp_fields(instance: rcpsp.RcpspInstance, state):
+    """``(scheduled, running, estimate)`` of ``state`` from one scan of its
+    starts: the makespan estimate is the latest finish with every pending
+    task started at the state's time."""
+    scheduled, running, estimate = 0, [], 0
+    for i, s in enumerate(state.starts):
+        p = instance.tasks[i].duration
+        if s is not None:
+            scheduled |= 1 << i
+            if s + p > state.time:
+                running.append(i)
+        estimate = max(estimate, (state.time if s is None else s) + p)
+    return scheduled, tuple(running), estimate
+
+
+def reference_rcpsp_dominates(instance: rcpsp.RcpspInstance, a, b) -> bool:
+    """Dominance by a scan of every scheduled task: ``a`` dominates ``b``
+    when its clock is no later and every task still running at ``b``'s
+    clock started no later in ``a``."""
+    if a.time > b.time:
+        return False
+    for i, (sa, sb) in enumerate(zip(a.starts, b.starts)):
+        if sa is None:
+            continue  # equal signature: sb is None too
+        if max(sa, sb) + instance.tasks[i].duration > b.time and sa > sb:
+            return False
+    return True
+
+
 class ReferenceRcpspModel(rcpsp.RcpspModel):
     """``RcpspModel`` with its pruning rules switchable off, to check them
     against unpruned search.  Without left shift every precedence- and
@@ -83,7 +144,6 @@ class ReferenceRcpspModel(rcpsp.RcpspModel):
     def successors(self, state):
         if self.left_shift:
             return super().successors(state)
-        before = self.makespan_estimate(state)
         out = []
         for task in range(self.instance.n):
             if state.starts[task] is not None:
@@ -93,8 +153,8 @@ class ReferenceRcpspModel(rcpsp.RcpspModel):
                 continue
             starts = list(state.starts)
             starts[task] = slot
-            succ = rcpsp.RcpspState(tuple(starts), slot)
-            out.append((self.makespan_estimate(succ) - before, task, succ))
+            succ = self.make_state(starts, slot)
+            out.append((succ.estimate - state.estimate, task, succ))
         return out
 
     def dominates(self, a, b):

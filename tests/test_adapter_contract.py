@@ -24,6 +24,7 @@ from conftest import (
     ReferenceRcpspModel,
     one_resource_envelope,
     random_rcpsp_instance,
+    rcpsp_fields,
     random_sms_instance,
     random_tsptw_instance,
 )
@@ -62,7 +63,8 @@ def reference_rcpsp_dual_cp(adapter, state, store):
     for r, cap in enumerate(inst.capacities):
         tasks = [(store.lb(i), inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in pending]
         total = max(total, one_resource_envelope(tasks, cap))
-    return adapter.model._remaining(total, state)
+    _scheduled, _running, estimate = rcpsp_fields(inst, state)
+    return max(0, total - estimate)
 
 
 def reference_sms_dual_cp(adapter, state, store):
@@ -143,21 +145,17 @@ def rcpsp_cases(seed, count):
         yield inst, ReferenceRcpspModel(inst, left_shift=False)
 
 
-def rcpsp_makespan_cap(model):
+def rcpsp_makespan_cap(state, value):
     # The makespan variable is capped at the incumbent total, reached at
     # path cost equal to the state's makespan estimate.
-    def primal_of(state, value):
-        g = model.makespan_estimate(state)
-        return g, g + value
-
-    return primal_of
+    return state.estimate, state.estimate + value
 
 
 def test_rcpsp_veto_matches_transition_reference():
     checked = vetoed = 0
     for _inst, model in rcpsp_cases(107, 30):
         c, v = assert_vetoes_agree(
-            model, rcpsp.RcpspAdapter(model), reference_rcpsp_veto, rcpsp_makespan_cap(model)
+            model, rcpsp.RcpspAdapter(model), reference_rcpsp_veto, rcpsp_makespan_cap
         )
         checked, vetoed = checked + c, vetoed + v
     assert checked > 8000 and vetoed > 80, (checked, vetoed)
@@ -171,7 +169,7 @@ def test_rcpsp_objective_links_carry_pending_finishes():
     checked = 0
     for inst, model in rcpsp_cases(109, 30):
         adapter = rcpsp.RcpspAdapter(model)
-        for state, store in propagated_stores(model, adapter, rcpsp_makespan_cap(model)):
+        for state, store in propagated_stores(model, adapter, rcpsp_makespan_cap):
             for i, s in enumerate(state.starts):
                 if s is None:
                     assert store.lb(inst.n) >= store.lb(i) + inst.tasks[i].duration

@@ -18,18 +18,19 @@ from dpcp.rcpsp import (
     RcpspAdapter,
     RcpspInstance,
     RcpspModel,
-    RcpspState,
     RcpspTask,
-    critical_path_length,
-    energy_ceiling,
     ordering_optimum,
     parse_psplib,
 )
 
 from conftest import (
     ReferenceRcpspModel,
+    critical_path_length,
+    energy_ceiling,
     one_resource_envelope,
     random_rcpsp_instance,
+    rcpsp_fields,
+    reference_rcpsp_dominates,
     solve_all_modes,
     vetoed,
 )
@@ -52,14 +53,14 @@ def test_model_refuses_horizons_that_could_pass_max_cost():
 def test_earliest_time_after_resource_conflict():
     inst = instance_of([(3, (1,)), (2, (1,))], (1,))
     model = RcpspModel(inst)
-    state = RcpspState((0, None), 0)
+    state = model.make_state((0, None), 0)
     assert model.earliest_time(state, 1) == 3
 
 
 def test_earliest_time_waits_for_predecessor():
     inst = instance_of([(5, (0,)), (2, (0,))], (1,), [(0, 1)])
     model = RcpspModel(inst)
-    state = RcpspState((2, None), 2)
+    state = model.make_state((2, None), 2)
     assert model.earliest_time(state, 1) == 7
 
 
@@ -68,7 +69,7 @@ def test_earliest_time_none_when_blocked_through_horizon():
     # capacity past the horizon, leaving no slot for the other task.
     inst = instance_of([(5, (1,)), (3, (1,))], (1,))
     model = RcpspModel(inst)
-    state = RcpspState((4, None), 4)
+    state = model.make_state((4, None), 4)
     assert model.earliest_time(state, 1) is None
 
 
@@ -78,10 +79,8 @@ def test_successors_single_forced_move():
     succs = model.successors(model.target_state())
     assert len(succs) == 1
     weight, label, succ = succs[0]
-    assert label == 0 and succ == RcpspState((0,), 0)
-    assert weight == model.makespan_estimate(succ) - model.makespan_estimate(
-        model.target_state()
-    )
+    assert label == 0 and succ == model.make_state((0,), 0)
+    assert weight == succ.estimate - model.target_state().estimate == 0
 
 
 def test_left_shift_literal_no_prune_for_simultaneous_slots():
@@ -97,7 +96,7 @@ def test_left_shift_prunes_delayed_candidate():
     # A zero-usage quick task fits entirely before the delayed task's slot.
     inst = instance_of([(4, (1,)), (1, (0,)), (2, (1,))], (1,))
     model = RcpspModel(inst)
-    state = RcpspState((0, None, None), 0)
+    state = model.make_state((0, None, None), 0)
     labels = [lbl for _w, lbl, _s in model.successors(state)]
     assert labels == [1]
     unpruned = ReferenceRcpspModel(inst, left_shift=False)
@@ -107,13 +106,13 @@ def test_left_shift_prunes_delayed_candidate():
 def test_dominates_cases():
     inst = instance_of([(3, (1,)), (2, (1,))], (2,))
     model = RcpspModel(inst)
-    a = RcpspState((0, None), 4)
-    b = RcpspState((0, None), 6)
+    a = model.make_state((0, None), 4)
+    b = model.make_state((0, None), 6)
     assert model.dominates(a, b)
     assert not model.dominates(b, a)
     # A still-running task that started later in the would-be dominator.
-    c = RcpspState((2, None), 2)
-    d = RcpspState((0, None), 3)
+    c = model.make_state((2, None), 2)
+    d = model.make_state((0, None), 3)
     assert not model.dominates(c, d)
 
 
@@ -123,7 +122,7 @@ def test_dual_bound_helpers():
     pair = instance_of([(3, (2,)), (3, (2,))], (2,))
     assert energy_ceiling(pair, 0b11) == 6
     model = RcpspModel(pair)
-    assert model.dual(RcpspState((0, 3), 3)) == 0
+    assert model.dual(model.make_state((0, 3), 3)) == 0
 
 
 def reference_dual(model, state):
@@ -131,7 +130,7 @@ def reference_dual(model, state):
     the larger taken."""
     inst = model.instance
     mask = sum(1 << i for i, s in enumerate(state.starts) if s is None)
-    estimate = model.makespan_estimate(state)
+    _scheduled, _running, estimate = rcpsp_fields(inst, state)
     chain = max(0, state.time + critical_path_length(inst, mask) - estimate)
     energy = max(0, state.time + energy_ceiling(inst, mask) - estimate)
     return max(chain, energy)
@@ -171,7 +170,7 @@ def test_build_objective_and_fixed_starts():
     inst = instance_of([(3, (1,)), (2, (1,))], (2,))
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
-    state = RcpspState((3, None), 3)
+    state = model.make_state((3, None), 3)
     store, _props = adapter.build(state)
     assert (store.lb(2), store.ub(2)) == (0, inst.horizon)
     assert (store.lb(0), store.ub(0)) == (3, 3)
@@ -186,7 +185,7 @@ def test_dual_cp_precedence_lift():
     inst = instance_of([(2, (0,)), (3, (0,))], (1,), [(0, 1)])
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
-    state = RcpspState((0, None), 0)
+    state = model.make_state((0, None), 0)
     store, props = adapter.build(state)
     propagate_once(store, props)
     assert store.lb(1) == 2
@@ -204,7 +203,7 @@ def test_dual_cp_envelope_component():
     )
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
-    state = RcpspState((0, None, None), 0)
+    state = model.make_state((0, None, None), 0)
     store, props = adapter.build(state)
     propagate_fixpoint(store, props)
     pending = [1, 2]
@@ -220,7 +219,7 @@ def test_dual_cp_envelope_component():
     )
     assert one_resource_envelope([(0, 3, 2), (4, 2, 2)], 2) == 6
     assert adapter.dual_cp(state, store) == max(
-        0, expected - model.makespan_estimate(state)
+        0, expected - state.estimate
     )
 
 
@@ -230,7 +229,7 @@ def test_succ_infeasible_when_upper_side_cut():
     inst = instance_of([(5, (1,)), (3, (1,))], (1,))
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
-    state = RcpspState((0, None), 0)
+    state = model.make_state((0, None), 0)
     assert model.earliest_time(state, 1) == 5
     store, _props = adapter.build(state)
     store.set_ub(1, 4)
@@ -246,8 +245,8 @@ def test_tight_primal_kills_state_via_objective_cap():
     inst = instance_of([(5, (1,)), (3, (1,))], (1,))
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
-    state = RcpspState((0, None), 0)
-    store, props = adapter.build(state, g=model.makespan_estimate(state), primal=7)
+    state = model.make_state((0, None), 0)
+    store, props = adapter.build(state, g=state.estimate, primal=7)
     propagate_once(store, props)
     assert store.infeasible
 
@@ -259,7 +258,7 @@ def test_succ_infeasible_via_fixpoint_time_table():
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
     state = model.target_state()
-    store, props = adapter.build(state, g=model.makespan_estimate(state), primal=8)
+    store, props = adapter.build(state, g=state.estimate, primal=8)
     propagate_fixpoint(store, props)
     assert vetoed(adapter, state, 1, store)
 
@@ -347,8 +346,7 @@ def test_dominance_sound_in_path_cost_form():
                 for b in states:
                     if a is not b and model.dominates(a, b):
                         assert (
-                            model.makespan_estimate(a) + values[a]
-                            <= model.makespan_estimate(b) + values[b]
+                            a.estimate + values[a] <= b.estimate + values[b]
                         )
 
 
@@ -366,7 +364,7 @@ def test_cp_bounds_below_oracle_values():
             if store.infeasible:
                 continue
             assert model.dual(state) <= value
-            assert store.lb(inst.n) - model.makespan_estimate(state) <= value
+            assert store.lb(inst.n) - state.estimate <= value
             assert adapter.dual_cp(state, store) <= value
 
 
@@ -377,3 +375,72 @@ def test_validation_rejects_bad_instances():
         instance_of([(3, (1,)), (2, (1,))], (2,), [(0, 1), (1, 0)])  # cycle
     with pytest.raises(ValueError):
         RcpspTask(0, (1,))
+
+
+def carried_field_cases(seed, count):
+    """``(instance, model, states)`` for random instances of up to 7 tasks,
+    each under the search's model and under the unpruned reference, whose
+    enumeration reaches every ordering."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        inst = random_rcpsp_instance(rng, 7)
+        for model in (RcpspModel(inst), ReferenceRcpspModel(inst, left_shift=False)):
+            yield inst, model, list(enumerate_state_values(model))
+
+
+def test_carried_fields_match_a_scan_of_the_starts():
+    checked = 0
+    for inst, model, states in carried_field_cases(31, 25):
+        for state in states:
+            assert (state.scheduled, state.running, state.estimate) == rcpsp_fields(
+                inst, state
+            ), state
+            assert model.state_signature(state) == state.scheduled
+            assert model.make_state(state.starts, state.time) == state
+            checked += 1
+    assert checked > 3000, checked
+
+
+def test_make_state_refuses_a_start_after_the_clock():
+    model = RcpspModel(instance_of([(3, (1,)), (2, (1,))], (2,)))
+    with pytest.raises(ValueError, match="after the state's time"):
+        model.make_state((4, None), 3)
+
+
+def test_dominates_matches_full_scan_on_every_same_signature_pair():
+    checked = dominated = 0
+    for inst, model, states in carried_field_cases(33, 25):
+        buckets = {}
+        for state in states:
+            buckets.setdefault(state.scheduled, []).append(state)
+        for bucket in buckets.values():
+            for a in bucket:
+                for b in bucket:
+                    got = model.dominates(a, b)
+                    assert got == reference_rcpsp_dominates(inst, a, b), (a, b)
+                    checked += 1
+                    dominated += got and a != b
+    assert checked > 20000 and dominated > 1000, (checked, dominated)
+
+
+def test_successors_match_pairwise_left_shift():
+    # The unpruned successors less every candidate that some other
+    # candidate finishes by the time it starts.
+    checked = pruned = 0
+    for inst, model, states in carried_field_cases(35, 25):
+        search_model = RcpspModel(inst)
+        unpruned = ReferenceRcpspModel(inst, left_shift=False)
+        for state in states:
+            every = unpruned.successors(state)
+            expected = [
+                (w, label, succ)
+                for w, label, succ in every
+                if not any(
+                    other != label and o.time + inst.tasks[other].duration <= succ.time
+                    for _w, other, o in every
+                )
+            ]
+            assert search_model.successors(state) == expected, state
+            checked += 1
+            pruned += len(every) - len(expected)
+    assert checked > 2500 and pruned > 250, (checked, pruned)
