@@ -149,9 +149,10 @@ class RcpspModel(DpModel):
     A state carries, next to its starts and clock, the bit mask of its
     scheduled tasks, the tasks still running at its clock, and its makespan
     estimate ``max(time + longest pending p, latest running finish)``.  The
-    task scheduled last starts at ``time``, so a scheduled task that is not
-    running finishes before the latest running finish, and the estimate is
-    the latest finish over all tasks with the pending ones started now.
+    task scheduled last starts at ``time`` and so is running, and every
+    other scheduled task has finished by ``time`` or is running too.  So
+    the estimate is the latest finish over all tasks, with the pending ones
+    started at ``time``.
     ``successors`` derives a child's fields from its parent's, and no rule
     scans every start: ``earliest_time`` checks capacity against the
     running tasks, left-shift pruning drops a candidate that another
@@ -270,7 +271,7 @@ class RcpspModel(DpModel):
         return None
 
     def successors(self, state: RcpspState):
-        starts, time, scheduled, running, estimate = state
+        starts, _time, scheduled, running, estimate = state
         durations = self._durations
         candidates = []
         # The two smallest candidate finishes, and the task of the first.
