@@ -24,9 +24,9 @@ from conftest import (
     ReferenceRcpspModel,
     one_resource_envelope,
     random_rcpsp_instance,
-    rcpsp_fields,
     random_sms_instance,
     random_tsptw_instance,
+    rcpsp_fields,
 )
 
 MODES = (propagate_once, propagate_fixpoint)
