@@ -171,7 +171,8 @@ class RcpspModel(DpModel):
         self._durations = durations
         self._usages = tuple(t.usages for t in tasks)
         self._full = (1 << instance.n) - 1
-        self._pred_masks = tuple(sum(1 << j for j in p) for p in instance.predecessors)
+        # A set, since an instance may repeat a precedence pair.
+        self._pred_masks = tuple(sum(1 << j for j in set(p)) for p in instance.predecessors)
         # (resource, usage, capacity) for each resource a task uses.
         self._needs = tuple(
             tuple(
@@ -254,8 +255,6 @@ class RcpspModel(DpModel):
                 busy.append((finish, usages[j]))
         need = self._needs[task]
         horizon = self.instance.horizon
-        if not (need and busy):
-            return h if h <= horizon else None
         for cand in [h] + sorted([f for f, _u in busy]):
             if cand > horizon:
                 return None
@@ -403,7 +402,10 @@ class RcpspAdapter(PropagationAdapter):
     def dual_cp(self, state: RcpspState, store: DomainStore) -> Cost:
         # The objective links in ``build`` already give lb(obj) >= every
         # pending earliest finish, so no separate finish term is needed.
-        # The store is feasible here, so its bound lists are read directly.
+        # The bound lists are read directly, so an empty domain is caught
+        # here: it leaves no completion at all.
+        if store.infeasible:
+            return INFINITY
         lbs = store.lbs
         envelope = ect_envelope_max(
             [(lb, e) for s, lb, e in zip(state.starts, lbs, self._energies) if s is None],

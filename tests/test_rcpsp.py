@@ -12,7 +12,7 @@ from dpcp import (
     propagate_fixpoint,
     propagate_once,
 )
-from dpcp.cost import MAX_COST, CostOverflow
+from dpcp.cost import INFINITY, MAX_COST, CostOverflow
 from dpcp.parsing import ParseError
 from dpcp.rcpsp import (
     RcpspAdapter,
@@ -249,6 +249,8 @@ def test_tight_primal_kills_state_via_objective_cap():
     store, props = adapter.build(state, g=state.estimate, primal=7)
     propagate_once(store, props)
     assert store.infeasible
+    # No completion exists under an empty domain.
+    assert adapter.dual_cp(state, store) == INFINITY
 
 
 def test_succ_infeasible_via_fixpoint_time_table():
@@ -315,6 +317,28 @@ def test_oracle_equivalence_all_modes():
         adapter = RcpspAdapter(model)
         oracle = ordering_optimum(inst)
         for (algo, mode), result in solve_all_modes(model, adapter).items():
+            assert result.status is SolveStatus.OPTIMAL, (algo, mode)
+            assert result.cost == oracle, (algo, mode)
+
+
+def test_repeated_precedence_pair_solves_to_the_oracle():
+    # A JSON instance may list a pair twice; the successor rule must still
+    # wait for the predecessor once, not read the doubled pair as another task.
+    cases = [
+        ([(2, [1]), (1, [1])], [[0, 1], [0, 1]]),
+        ([(2, [1]), (1, [0]), (3, [1])], [[0, 2], [0, 2]]),
+    ]
+    for tasks, precedences in cases:
+        data = {
+            "tasks": [{"p": p, "u": u} for p, u in tasks],
+            "capacities": [1],
+            "precedences": precedences,
+        }
+        inst = RcpspInstance.from_json(data)
+        assert inst.precedences == tuple(map(tuple, precedences))
+        model = RcpspModel(inst)
+        oracle = ordering_optimum(inst)
+        for (algo, mode), result in solve_all_modes(model, RcpspAdapter(model)).items():
             assert result.status is SolveStatus.OPTIMAL, (algo, mode)
             assert result.cost == oracle, (algo, mode)
 
