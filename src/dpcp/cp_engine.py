@@ -549,9 +549,7 @@ class PropagationAdapter(ABC):
 
     @abstractmethod
     def dual_cp(self, state, store: DomainStore) -> Cost:
-        """Lower bound on remaining cost of ``state`` under ``store``.  The
-        search calls it only under a feasible store, and an adapter may
-        assume one: under an infeasible store the value means nothing."""
+        """Lower bound on remaining cost of ``state`` under ``store``."""
 
     @abstractmethod
     def is_succ_infeasible(self, label, state, succ, store: DomainStore) -> bool:
