@@ -28,7 +28,6 @@ from .cp_engine import (
     PrecedenceLe,
     PropagationAdapter,
     SumLe,
-    VarDuration,
     propagate_fixpoint,
     propagate_once,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "SolveResult",
     "SolveStatus",
     "SumLe",
-    "VarDuration",
     "add",
     "astar",
     "brute_force_value",

@@ -22,7 +22,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import gt, itemgetter
-from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 from .core import iter_bits
 from .cost import Cost, INFINITY, is_finite
@@ -118,15 +118,6 @@ class DomainStore:
             self.infeasible = True
 
 
-class VarDuration(NamedTuple):
-    """Marks a disjunctive item duration given by a variable's lower bound."""
-
-    var: int
-
-
-DurationSpec = Union[int, VarDuration]
-
-
 class PrecedenceLe:
     """``start_i + offset <= start_j`` for each ``(i, offset, j)`` arc.
 
@@ -189,22 +180,21 @@ class SumLe:
 class Disjunctive:
     """A set of jobs that must not overlap, filtered by edge-finding.
 
-    Each item is ``(start_var, duration)`` where the duration is either a
-    constant or a variable reference resolved to its current lower bound.
-    Substituting minimum durations yields a relaxation of the real jobs
-    (shrinking a job preserves disjointness), so every deduction made here
-    is sound for the original durations.
+    Each item is ``(start_var, duration)`` with a constant duration, as
+    edge-finding is defined over fixed processing times.  A model whose
+    true durations may exceed the one it passes (TSPTW hands over each
+    travel lower bound) gets a relaxation: shrinking a job preserves
+    disjointness, so every deduction made here is sound for the longer
+    jobs.
 
-    Jobs whose duration bound is zero impose nothing and are skipped.
-    One application runs the overload check, a lower-bound lifting pass,
-    and the same pass on the time-reversed jobs for upper bounds, all from
-    the entry bounds.
+    Jobs of duration zero impose nothing and are skipped.  One application
+    runs the overload check, a lower-bound lifting pass, and the same pass
+    on the time-reversed jobs for upper bounds, all from the entry bounds.
     """
 
-    def __init__(self, items: Iterable[Tuple[int, DurationSpec]]):
+    def __init__(self, items: Iterable[Tuple[int, int]]):
         self.items = list(items)
         ids = [v for v, _ in self.items]
-        ids += [d.var for _, d in self.items if not isinstance(d, int)]
         self._lo, self._hi = (min(ids), max(ids)) if ids else (0, -1)
 
     def propagate(self, store: DomainStore) -> None:
@@ -212,8 +202,7 @@ class Disjunctive:
             return
         lbs, ubs = store.bounds(self._lo, self._hi)
         jobs, mirrored = [], []
-        for v, dur in self.items:
-            p = dur if isinstance(dur, int) else lbs[dur.var]
+        for v, p in self.items:
             if p <= 0:
                 continue
             est, lct = lbs[v], ubs[v] + p
@@ -447,13 +436,10 @@ def propagate_once(store: DomainStore, props: Sequence[Propagator]) -> DomainSto
 
 
 def propagate_fixpoint(store: DomainStore, props: Sequence[Propagator]) -> DomainStore:
-    """Repeat full passes until no propagator changes anything."""
+    """Repeat ``propagate_once`` until a pass changes nothing."""
     while not store.infeasible:
         before = store.revision
-        for p in props:
-            if store.infeasible:
-                break
-            p.propagate(store)
+        propagate_once(store, props)
         if store.revision == before:
             break
     return store

@@ -135,43 +135,6 @@ def _resolve_mode(mode: Optional[PropagationMode], adapter) -> PropagationMode:
     return mode
 
 
-def _gen_succ_cp(model, adapter, state, g, primal, mode, metrics):
-    """Propagation-wrapped successor generation.
-
-    Builds and propagates the state's CP model and returns
-    ``(successors, cp_dual, store)``.  ``store`` is None, with no
-    successors, when the store is infeasible (``cp_dual`` is then
-    INFINITY) or ``g + cp_dual`` cannot beat ``primal``.  Otherwise the
-    successors the store does not veto are the model's
-    ``(weight, label, state)`` triples, and ``store`` holds the parent's
-    propagated domains, under which each successor's CP dual bound may be
-    evaluated at admission.
-    """
-    started = time.perf_counter()
-    store, props = adapter.build(state, g, primal)
-    if not store.infeasible:
-        if mode is PropagationMode.FIXPOINT:
-            propagate_fixpoint(store, props)
-        else:
-            propagate_once(store, props)
-    if metrics is not None:
-        metrics.propagation_calls += 1
-        metrics.propagation_time += time.perf_counter() - started
-    if store.infeasible:
-        return [], INFINITY, None
-    cp_dual = adapter.dual_cp(state, store)
-    if add(g, cp_dual) >= primal:
-        return [], cp_dual, None
-    out = []
-    for weight, label, succ in model.successors(state):
-        if adapter.is_succ_infeasible(label, state, succ, store):
-            if metrics is not None:
-                metrics.pruned_by_cp += 1
-            continue
-        out.append((weight, label, succ))
-    return out, cp_dual, store
-
-
 class _SolveContext:
     """State shared by the two drivers for one solve."""
 
@@ -278,24 +241,44 @@ class _SolveContext:
         """``(successors, store)`` of a popped node, or None if propagation
         pruned it.
 
-        ``store`` is the node's propagated CP store, or None with
-        propagation off.  Counts the expansion only when the model's
-        successor enumeration actually runs; propagation-pruned pops count
-        toward ``pruned_by_cp`` instead.
+        With propagation off, ``successors`` is the model's and ``store``
+        is None.  Otherwise the node's CP model is built and propagated;
+        the node is pruned if the store is infeasible or ``g`` plus its CP
+        dual cannot beat the incumbent, and each successor the store vetoes
+        is dropped.  ``store`` then holds the node's propagated domains,
+        under which each successor's CP dual may be evaluated at admission.
+        Counts the expansion only when the model's successor enumeration
+        actually runs; a pruned pop and each vetoed successor count toward
+        ``pruned_by_cp`` instead.
         """
+        model, state, m = self.model, node.state, self.metrics
         if self.mode is PropagationMode.OFF:
-            self.metrics.expansions += 1
-            return self.model.successors(node.state), None
-        succs, cp_dual, store = _gen_succ_cp(
-            self.model, self.adapter, node.state, node.g, self.primal, self.mode, self.metrics
-        )
+            m.expansions += 1
+            return model.successors(state), None
+        adapter = self.adapter
+        started = time.perf_counter()
+        store, props = adapter.build(state, node.g, self.primal)
+        if not store.infeasible:
+            if self.mode is PropagationMode.FIXPOINT:
+                propagate_fixpoint(store, props)
+            else:
+                propagate_once(store, props)
+        m.propagation_calls += 1
+        m.propagation_time += time.perf_counter() - started
+        bound = INFINITY if store.infeasible else add(node.g, adapter.dual_cp(state, store))
         if node.parent is None:
             # Only at the root is g + CP dual a bound on the global optimum.
-            self.note_dual(add(node.g, cp_dual))
-        if store is None:
-            self.metrics.pruned_by_cp += 1
+            self.note_dual(bound)
+        if bound >= self.primal:
+            m.pruned_by_cp += 1
             return None
-        self.metrics.expansions += 1
+        m.expansions += 1
+        succs = []
+        for weight, label, succ in model.successors(state):
+            if adapter.is_succ_infeasible(label, state, succ, store):
+                m.pruned_by_cp += 1
+            else:
+                succs.append((weight, label, succ))
         return succs, store
 
     def finish(self) -> SolveResult:

@@ -8,9 +8,11 @@ unvisited location cannot be reached within its window even along the
 all-pairs shortest travel paths.
 
 The propagation side pairs an arrival variable per remaining location with
-a finite-set variable for its outgoing travel time (the depot leg is
-dropped from locations that provably cannot be last), a non-overlap
-constraint over arrivals, and a residual-budget cap on the travel sum.
+an interval variable for its outgoing travel time, the hull of the arcs it
+may take (the depot leg is dropped from locations that provably cannot be
+last).  A non-overlap constraint over arrivals takes each travel lower
+bound as a constant duration, and a residual-budget cap bounds the travel
+sum.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, check_ceiling, is_finite
-from .cp_engine import (
-    Disjunctive,
-    DomainStore,
-    PropagationAdapter,
-    StoreSum,
-    SumLe,
-    VarDuration,
-)
+from .cp_engine import Disjunctive, DomainStore, PropagationAdapter, StoreSum, SumLe
 from .parsing import ParseError, int_token, read_instance
 
 
@@ -177,9 +172,13 @@ class TsptwModel(DpModel):
         parent's unvisited set, so the last ``M``'s two sums are kept.  A
         location with no arc in or out has the term ``INFINITY``, so a sum
         that holds one is at least that, and the bound is capped there.
+        The depot alone (``M`` is just location 0, only in a one-location
+        instance) is a finished tour that enters and leaves nothing: 0.
         """
         here = state.location
         mask = state.unvisited | (1 << here)
+        if mask == 1:
+            return 0
         if mask != self._sums_mask:
             to_sum = from_sum = 0
             for i in iter_bits(mask):
@@ -206,8 +205,8 @@ class TsptwAdapter(PropagationAdapter):
         self.instance = model.instance
         n = self._n = model.instance.n
         # Built by the first ``build``, so that a solve without
-        # propagation spends nothing on them.
-        self._tables = None
+        # propagation spends nothing on it.
+        self._by_travel = None
         # One sum per store: a child's travel lower bounds sum over its
         # parent's unvisited set, which is the same for every sibling.
         self._lb_sum = StoreSum(lambda store, i: store.lb(n + i))
@@ -246,7 +245,8 @@ class TsptwAdapter(PropagationAdapter):
         lbs = [0] * (2 * n)  # variables off the remaining tour keep [0, 0]
         ubs = [0] * (2 * n)
         travel = self.instance.travel
-        by_travel, all_items = self._tables or self._build_tables()
+        by_travel = self._by_travel or self._build_by_travel()
+        items = []
         for i, a in zip(live, arrivals):
             d = windows[i][1]
             lbs[i], ubs[i] = a, d
@@ -266,25 +266,24 @@ class TsptwAdapter(PropagationAdapter):
                     hi = row[j]
                     break
             lbs[n + i], ubs[n + i] = lo, hi
+            # No propagator raises a travel lower bound (SumLe cuts only
+            # upper bounds), so ``lo`` is the duration throughout.
+            items.append((i, lo))
         store = DomainStore(lbs, ubs)
-        items = [all_items[i] for i in live]
         cap: Cost = INFINITY
         if is_finite(primal):
             cap = primal - g  # residual travel budget for the remaining legs
         props = [Disjunctive(items), SumLe(tuple(n + i for i in live), cap)]
         return store, props
 
-    def _build_tables(self):
+    def _build_by_travel(self):
         """Each location's arc heads, cheapest arc first, so that a travel
-        hull ends at the first head from either end that is a target; and
-        each location's disjunctive item."""
-        n = self._n
-        by_travel = [
+        hull ends at the first head from either end that is a target."""
+        self._by_travel = [
             sorted((j for j, c in enumerate(row) if c is not None), key=row.__getitem__)
             for row in self.instance.travel
         ]
-        self._tables = by_travel, [(i, VarDuration(n + i)) for i in range(n)]
-        return self._tables
+        return self._by_travel
 
     def dual_cp(self, state: TsptwState, store: DomainStore) -> Cost:
         return self._lb_sum(store, state.unvisited | (1 << state.location))

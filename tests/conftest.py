@@ -9,10 +9,11 @@ from dpcp import (
     Cumulative,
     Disjunctive,
     DomainStore,
+    INFINITY,
     PrecedenceLe,
     PropagationMode,
+    SolveLimits,
     SumLe,
-    VarDuration,
     astar,
     cabs,
     propagate_fixpoint,
@@ -20,6 +21,7 @@ from dpcp import (
 )
 from dpcp import rcpsp, smswt, tsptw
 from dpcp.cp_engine import ect_envelope_max
+from dpcp.search import SearchNode, _SolveContext
 
 SMS_TAUS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 SMS_RHOS = (0.05, 0.25, 0.5)
@@ -174,6 +176,22 @@ def solve_all_modes(model, adapter, limits=None):
     return out
 
 
+def expand_once(model, adapter, state, g=0, primal=INFINITY):
+    """Pop ``state`` as a root node at path cost ``g`` against the
+    incumbent ``primal`` through the search's own step, propagating once.
+
+    Returns the successors that survive the veto (empty when the pop is
+    pruned), the dual bound the root notes (``g`` plus its CP dual,
+    ``INFINITY`` for an infeasible store) and the propagated store (None
+    when the pop is pruned).
+    """
+    ctx = _SolveContext(model, adapter, SolveLimits(), PropagationMode.ONCE)
+    ctx.primal = primal
+    expanded = ctx.expand(SearchNode(state, g, g))
+    succs, store = expanded if expanded is not None else ([], None)
+    return list(succs), ctx.best_dual, store
+
+
 def vetoed(adapter, state, label, store) -> bool:
     """The adapter's veto on the model's transition ``label`` out of
     ``state``, handed the successor state the model produces."""
@@ -221,28 +239,6 @@ def micro_disjunctive(rng: random.Random):
             for j in range(i + 1, k):
                 a, b = vals[i], vals[j]
                 if not (a + durations[i] <= b or b + durations[j] <= a):
-                    return False
-        return True
-
-    return domains, props, check
-
-
-def micro_disjunctive_vardur(rng: random.Random):
-    k = rng.randint(1, 3)
-    starts = [random_domain(rng) for _ in range(k)]
-    dur_domains = []
-    for _ in range(k):
-        lo = rng.randint(1, 4)
-        dur_domains.append((lo, rng.randint(lo, min(4, lo + 2))))
-    domains = starts + dur_domains
-    props = [Disjunctive([(i, VarDuration(k + i)) for i in range(k)])]
-
-    def check(vals):
-        for i in range(k):
-            for j in range(i + 1, k):
-                a, pa = vals[i], vals[k + i]
-                b, pb = vals[j], vals[k + j]
-                if not (a + pa <= b or b + pb <= a):
                     return False
         return True
 
@@ -298,7 +294,6 @@ def micro_sumle(rng: random.Random):
 
 MICRO_FAMILIES = {
     "disjunctive": micro_disjunctive,
-    "disjunctive_vardur": micro_disjunctive_vardur,
     "cumulative": micro_cumulative,
     "precedence": micro_precedence,
     "sumle": micro_sumle,

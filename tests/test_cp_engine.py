@@ -11,7 +11,6 @@ from dpcp import (
     INFINITY,
     PrecedenceLe,
     SumLe,
-    VarDuration,
     propagate_fixpoint,
     propagate_once,
 )
@@ -223,19 +222,11 @@ def test_edge_finding_matches_once_and_fixpoint():
         assert (once.lb(x), once.ub(x)) == (fixed.lb(x), fixed.ub(x))
 
 
-def test_edge_finding_variable_durations_use_lower_bound():
-    # Duration of job 1 is a variable in [3, 6]; only the 3 is assumed.
-    store = store_of([(0, 10), (1, 2), (3, 6)])
-    Disjunctive([(0, 5), (1, VarDuration(2))]).propagate(store)
-    assert store.lb(0) == 4
-
-
 @pytest.mark.parametrize("bad", [4, -1])
 def test_disjunctive_out_of_range_id_raises(bad):
-    for items in ([(0, 2), (bad, 2)], [(0, 2), (1, VarDuration(bad))]):
-        store = store_of([(0, 9), (0, 9)])
-        with pytest.raises(AdapterFailure):
-            Disjunctive(items).propagate(store)
+    store = store_of([(0, 9), (0, 9)])
+    with pytest.raises(AdapterFailure):
+        Disjunctive([(0, 2), (bad, 2)]).propagate(store)
 
 
 def reference_edge_find_lower(jobs):
@@ -336,7 +327,9 @@ def test_edge_finder_matches_cubic_reference_at_workload_sizes():
 
 
 def test_disjunctive_vardur_matches_reference(monkeypatch):
-    # The TSPTW shape: durations are variables whose lower bounds are used.
+    # The TSPTW shape: arrivals at ids 0..k-1 next to travel-time variables
+    # at k..2k-1, each job's duration being its travel lower bound.  The
+    # upper bounds are drawn but unused, keeping the draws of every set.
     rng = random.Random(77)
     changed = infeasible = 0
     for _ in range(600):
@@ -349,7 +342,7 @@ def test_disjunctive_vardur_matches_reference(monkeypatch):
         for _ in range(k):
             lo = rng.randint(1, 11)
             domains.append((lo, rng.randint(lo, 11)))
-        props = [Disjunctive([(i, VarDuration(k + i)) for i in range(k)])]
+        props = [Disjunctive([(i, domains[k + i][0]) for i in range(k)])]
         results = []
         for finder in (reference_edge_find_lower, _edge_find_lower):
             monkeypatch.setattr(cp_engine, "_edge_find_lower", finder)

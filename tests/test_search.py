@@ -17,10 +17,11 @@ from dpcp import (
     propagate_once,
 )
 from dpcp import rcpsp, smswt, tsptw
-from dpcp.search import SearchNode, _gen_succ_cp
+from dpcp.search import SearchNode
 
 from conftest import (
     ALL_MODES,
+    expand_once,
     random_rcpsp_instance,
     random_sms_instance,
     random_tsptw_instance,
@@ -204,16 +205,14 @@ def test_registry_never_holds_mutually_rejecting_entries():
         assert violations == 0
 
 
-# --- propagation-wrapped generation ------------------------------------------
+# --- propagation at expansion ------------------------------------------------
 
 def test_gen_succ_infeasible_store_short_circuits():
     # Window [0, -1] is empty: the adapter emits an infeasible store.
     inst = smswt.SmsInstance((smswt.SmsJob(5, 0, 3, 4, 1),))
     model = smswt.SmsModel(inst)
     adapter = smswt.SmsAdapter(model)
-    succs, cp_dual, store = _gen_succ_cp(
-        model, adapter, model.target_state(), 0, INFINITY, PropagationMode.ONCE, None
-    )
+    succs, cp_dual, store = expand_once(model, adapter, model.target_state(), 0, INFINITY)
     assert succs == []
     assert cp_dual == INFINITY
     assert store is None
@@ -225,9 +224,7 @@ def test_gen_succ_bound_test_short_circuits():
     inst = smswt.SmsInstance((smswt.SmsJob(2, 0, 1, 10, 3),))
     model = smswt.SmsModel(inst)
     adapter = smswt.SmsAdapter(model)
-    succs, cp_dual, store = _gen_succ_cp(
-        model, adapter, model.target_state(), 0, 3, PropagationMode.ONCE, None
-    )
+    succs, cp_dual, store = expand_once(model, adapter, model.target_state(), 0, 3)
     assert succs == []
     assert cp_dual == 3
     assert store is None
@@ -241,9 +238,7 @@ def test_gen_succ_filters_lifted_successor():
     )
     model = smswt.SmsModel(inst)
     adapter = smswt.SmsAdapter(model)
-    succs, cp_dual, store = _gen_succ_cp(
-        model, adapter, model.target_state(), 0, INFINITY, PropagationMode.ONCE, None
-    )
+    succs, cp_dual, store = expand_once(model, adapter, model.target_state(), 0, INFINITY)
     assert store is not None
     assert [label for _w, label, _s in succs] == [1]
     # CP dual sees job 0 started at its lifted bound: 2 * (4 + 5 - 4) = 10.

@@ -6,17 +6,14 @@ import pytest
 
 from dpcp import (
     Disjunctive,
-    INFINITY,
     SolveStatus,
     astar,
     brute_force_value,
-    PropagationMode,
     enumerate_state_values,
     is_finite,
     propagate_once,
 )
 from dpcp.cost import MAX_COST, CostOverflow
-from dpcp.search import _gen_succ_cp
 from dpcp.smswt import (
     SmsAdapter,
     SmsGeneratorConfig,
@@ -28,7 +25,7 @@ from dpcp.smswt import (
     permutation_optimum,
 )
 
-from conftest import random_sms_instance, vetoed
+from conftest import expand_once, random_sms_instance, vetoed
 
 
 def model_of(*jobs):
@@ -259,9 +256,7 @@ def test_propagation_never_filters_optimal_path():
         state = model.target_state()
         g = 0
         for label in result.solution:
-            succs, _dual, _store = _gen_succ_cp(
-                model, adapter, state, g, INFINITY, PropagationMode.ONCE, None
-            )
+            succs, _dual, _store = expand_once(model, adapter, state, g)
             labels = [lbl for _w, lbl, _s in succs]
             assert label in labels
             for w, lbl, s in succs:

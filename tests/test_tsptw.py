@@ -8,8 +8,10 @@ from dpcp import (
     INFINITY,
     SolveStatus,
     add,
+    brute_force_value,
     enumerate_state_values,
     is_finite,
+    propagate_fixpoint,
     propagate_once,
 )
 from dpcp.core import iter_bits
@@ -98,6 +100,17 @@ def test_dual_examples():
     into = inst.min_to[0] + inst.min_to[1] + inst.min_to[2]
     out_of = inst.min_from[0] + inst.min_from[1] + inst.min_from[2]
     assert into == out_of == 7
+
+
+def test_depot_only_instance_has_zero_dual():
+    # The one-location tour is finished at the target: it enters and
+    # leaves nothing, and the instance has no arc to take a minimum over.
+    model = TsptwModel(TsptwInstance.from_json({"n": 1, "c": [[None]], "windows": [[0, 5]]}))
+    target = model.target_state()
+    assert model.dual(target) <= brute_force_value(model, target) == 0
+    for key, result in solve_all_modes(model, TsptwAdapter(model)).items():
+        assert result.status is SolveStatus.OPTIMAL, key
+        assert result.root_dual == result.cost == 0, key
 
 
 def reference_dual(model, state):
@@ -392,3 +405,37 @@ def test_propagated_windows_keep_oracle_arrivals():
                     checked += 1
                     assert store.contains(label, succ.time)
     assert checked > 50
+
+
+def test_travel_lower_bounds_never_move():
+    # Disjunctive takes each travel lower bound as a constant duration when
+    # the store is built.  That is exact because no propagator raises one:
+    # SumLe cuts only upper bounds, and Disjunctive writes only arrivals.
+    # An incumbent near each state's value makes SumLe cut.
+    rng = random.Random(59)
+    checked = cut = 0
+    for _ in range(40):
+        inst = random_tsptw_instance(rng, rng.randint(3, 7))
+        model = TsptwModel(inst)
+        adapter = TsptwAdapter(model)
+        n = inst.n
+        for state, value in enumerate_state_values(model).items():
+            if model.is_base(state):
+                continue
+            g = rng.randint(0, 30)
+            primal = INFINITY
+            if is_finite(value) and rng.random() < 0.7:
+                primal = g + value + rng.randint(-5, 10)
+            live = list(iter_bits(state.unvisited | (1 << state.location)))
+            for driver in (propagate_once, propagate_fixpoint):
+                store, props = adapter.build(state, g, primal)
+                if not props:
+                    continue  # a missed window: infeasible with no propagator
+                travel_lbs = [store.lbs[n + i] for i in live]
+                travel_ubs = [store.ubs[n + i] for i in live]
+                assert props[0].items == list(zip(live, travel_lbs)), state
+                driver(store, props)
+                assert [store.lbs[n + i] for i in live] == travel_lbs, (state, primal)
+                checked += 1
+                cut += [store.ubs[n + i] for i in live] != travel_ubs
+    assert checked > 800 and cut > 120, (checked, cut)
