@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import gt, itemgetter
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
@@ -36,10 +35,13 @@ class DomainStore:
     """Interval domains ``[lbs[x], ubs[x]]`` with a sticky infeasibility
     flag.
 
-    All mutation goes through the store so the monotone-shrink invariant,
-    emptiness detection, and the change revision counter live in one place.
-    A store is owned by a single solve; sharing is read-only.  No model
-    needs a hole in a domain, so two bound lists are the whole state.
+    The two bound lists are the whole state, as no model needs a hole in a
+    domain, and the only way to read a domain.  A propagator reads them
+    through ``bounds``, which checks its id range once; an adapter reads
+    the variables it filled itself.  Every write goes through ``set_lb``,
+    ``set_ub`` or ``mark_infeasible``, so the monotone-shrink invariant,
+    emptiness detection, and the change revision counter live in one
+    place.  A store is owned by a single solve; sharing is read-only.
     """
 
     def __init__(self, lbs: List[int], ubs: List[int]):
@@ -50,36 +52,17 @@ class DomainStore:
         self.infeasible = any(map(gt, lbs, ubs))
         self.revision = 0
 
-    def __len__(self):
-        return len(self.lbs)
-
     def bounds(self, lo: int, hi: int) -> Tuple[List[int], List[int]]:
         """The bound lists themselves, after checking that ids ``lo..hi``
         are in range.
 
-        While the store is feasible no domain is empty, so a propagator may
-        read bounds from them directly instead of through ``lb``/``ub``;
-        writes still go through ``set_lb``/``set_ub``.
+        While the store is feasible no domain is empty, so a propagator
+        reads bounds from them directly; writes still go through
+        ``set_lb``/``set_ub``.
         """
         if lo < 0 or hi >= len(self.lbs):
             raise AdapterFailure(f"variable ids {lo}..{hi} out of range")
         return self.lbs, self.ubs
-
-    def lb(self, x: int) -> int:
-        if not 0 <= x < len(self.lbs):
-            raise AdapterFailure(f"variable id {x} out of range")
-        lb = self.lbs[x]
-        if lb > self.ubs[x]:
-            raise AdapterFailure(f"lb() on empty domain of variable {x}")
-        return lb
-
-    def ub(self, x: int) -> int:
-        if not 0 <= x < len(self.lbs):
-            raise AdapterFailure(f"variable id {x} out of range")
-        ub = self.ubs[x]
-        if self.lbs[x] > ub:
-            raise AdapterFailure(f"ub() on empty domain of variable {x}")
-        return ub
 
     def contains(self, x: int, v: int) -> bool:
         if not 0 <= x < len(self.lbs):
@@ -121,8 +104,8 @@ class DomainStore:
 class PrecedenceLe:
     """``start_i + offset <= start_j`` for each ``(i, offset, j)`` arc.
 
-    The arcs are applied once each, in list order: lift ``lb(j)`` to
-    ``lb(i) + offset``, then cut ``ub(i)`` to ``ub(j) - offset``, each arc
+    The arcs are applied once each, in list order: lift ``lbs[j]`` to
+    ``lbs[i] + offset``, then cut ``ubs[i]`` to ``ubs[j] - offset``, each arc
     seeing the shrinks of the arcs before it.  One call therefore does what
     one single-arc propagator per arc, run in sequence, would do.
     """
@@ -152,29 +135,36 @@ class PrecedenceLe:
                     return
 
 
-@dataclass(frozen=True)
 class SumLe:
-    """``sum(terms) <= cap`` with lower-bound-consistent pruning.
+    """``sum(terms) <= cap`` with lower-bound-consistent pruning: each
+    term's upper bound is cut to ``cap`` less the other terms' lower
+    bounds.
 
-    An infinite cap (no incumbent yet) makes the constraint vacuous.
+    Only upper bounds are written.  An infinite cap (no incumbent yet)
+    makes the constraint vacuous.
     """
 
-    terms: Tuple[int, ...]
-    cap: Cost
+    def __init__(self, terms: Iterable[int], cap: Cost):
+        self.terms = tuple(terms)
+        self.cap = cap
+        self._lo, self._hi = (min(self.terms), max(self.terms)) if self.terms else (0, -1)
 
     def propagate(self, store: DomainStore) -> None:
-        if store.infeasible or not is_finite(self.cap) or not self.terms:
+        cap = self.cap
+        if store.infeasible or not is_finite(cap) or not self.terms:
             return
-        lbs = [store.lb(x) for x in self.terms]
-        total = sum(lbs)
-        if total > self.cap:
+        lbs, ubs = store.bounds(self._lo, self._hi)
+        total = sum(map(lbs.__getitem__, self.terms))
+        if total > cap:
             store.mark_infeasible()
             return
-        for x, lb in zip(self.terms, lbs):
-            # Values above cap - sum(other lower bounds) cannot appear.
-            store.set_ub(x, self.cap - (total - lb))
-            if store.infeasible:
-                return
+        # Values above cap - sum(other lower bounds) cannot appear.  As
+        # ``slack >= 0`` no cut goes below a lower bound.
+        slack = cap - total
+        for x in self.terms:
+            v = slack + lbs[x]
+            if v < ubs[x]:
+                store.set_ub(x, v)
 
 
 class Disjunctive:
@@ -320,11 +310,10 @@ class Cumulative:
     """
 
     def __init__(self, tasks: Iterable[Tuple[int, int, int]], capacity: int):
-        self.tasks = list(tasks)
         self.capacity = capacity
         # Tasks that use nothing constrain nothing; one that alone exceeds
         # the capacity makes every store infeasible.
-        self._live = [t for t in self.tasks if t[1] > 0 and t[2] > 0]
+        self._live = [t for t in tasks if t[1] > 0 and t[2] > 0]
         self._lo, self._hi, self._overfull = 0, -1, False
         if self._live:
             ids, _durations, usages = zip(*self._live)

@@ -154,14 +154,16 @@ class _SolveContext:
     def elapsed(self) -> float:
         return time.perf_counter() - self.started
 
-    def limit_status(self, registry: Registry, open_count: int = 0) -> Optional[SolveStatus]:
+    def limit_status(self, registry: Registry) -> Optional[SolveStatus]:
         lim = self.limits
         if lim.expansion_cap is not None and self.metrics.expansions >= lim.expansion_cap:
             return SolveStatus.EXPANSION_LIMIT
         if lim.time_limit is not None and self.elapsed() >= lim.time_limit:
             return SolveStatus.TIME_LIMIT
         if lim.memory_limit is not None:
-            estimate = (registry.size + open_count) * NODE_ESTIMATE_BYTES
+            # Every live open-list or layer entry is a registered node, and
+            # the per-node estimate is calibrated on the registry size.
+            estimate = registry.size * NODE_ESTIMATE_BYTES
             if estimate > lim.memory_limit:
                 return SolveStatus.MEMORY_LIMIT
         return None
@@ -191,7 +193,7 @@ class _SolveContext:
         """Status once nothing is left to search."""
         return SolveStatus.OPTIMAL if self.incumbent else SolveStatus.INFEASIBLE
 
-    def process(self, node: SearchNode, registry: Registry, open_count: int) -> List[SearchNode]:
+    def process(self, node: SearchNode, registry: Registry) -> List[SearchNode]:
         """Handle one live node taken off the open list or the beam layer.
 
         A base node is offered as the incumbent.  Any other node is checked
@@ -206,7 +208,7 @@ class _SolveContext:
             self.metrics.base_pops += 1
             self.offer_incumbent(node)
             return []
-        self.status = self.limit_status(registry, open_count)
+        self.status = self.limit_status(registry)
         if self.status is not None:
             return []
         expanded = self.expand(node)
@@ -295,8 +297,6 @@ class _SolveContext:
         incumbent = None
         if self.incumbent is not None:
             incumbent = (self.primal, self.incumbent.path_labels())
-        if status is SolveStatus.INFEASIBLE:
-            incumbent = None
         return SolveResult(
             status=status, incumbent=incumbent, root_dual=self.best_dual, metrics=m
         )
@@ -332,7 +332,7 @@ def astar(
             ctx.status = SolveStatus.OPTIMAL
             break
         ctx.note_dual(min(ctx.primal, f))
-        for child in ctx.process(node, registry, len(heap)):
+        for child in ctx.process(node, registry):
             heappush(heap, (child.f, -child.g, child.seq, child))
     return ctx.finish()
 
@@ -391,7 +391,7 @@ def cabs(
                 if node.stale:
                     ctx.metrics.stale_skips += 1
                     continue
-                candidates += ctx.process(node, registry, len(layer) + len(candidates))
+                candidates += ctx.process(node, registry)
                 if ctx.status is not None:
                     break
             candidates.sort(key=lambda n: (n.f, -n.g, n.seq))

@@ -102,18 +102,17 @@ class SmsModel(DpModel):
     def successors(self, state: SmsState):
         jobs = self.instance.jobs
         t = state.time
-        finishes = []
-        for i in iter_bits(state.unscheduled):
-            f = max(t, jobs[i].r) + jobs[i].p
+        mask = state.unscheduled
+        out = []
+        for i in iter_bits(mask):
+            job = jobs[i]
+            f = (t if t > job.r else job.r) + job.p
             # A pending job already past its deadline can never recover:
             # the state is a dead end regardless of order.
-            if f > jobs[i].deadline:
+            if f > job.deadline:
                 return []
-            finishes.append((i, f))
-        out = []
-        for i, f in finishes:
-            weight = jobs[i].w * max(0, f - jobs[i].d)
-            out.append((weight, i, SmsState(state.unscheduled ^ (1 << i), f)))
+            late = f - job.d
+            out.append((job.w * late if late > 0 else 0, i, SmsState(mask ^ (1 << i), f)))
         return out
 
     def dominates(self, a: SmsState, b: SmsState) -> bool:
@@ -142,7 +141,7 @@ class SmsAdapter(PropagationAdapter):
         # One sum per store: a child's pending set is its parent's less the
         # chosen job, so its bound is the parent's total less one term.
         self._tardiness_sum = StoreSum(
-            lambda store, i: jobs[i].w * max(0, store.lb(i) + jobs[i].p - jobs[i].d)
+            lambda store, i: jobs[i].w * max(0, store.lbs[i] + jobs[i].p - jobs[i].d)
         )
 
     def build(self, state: SmsState, g: Cost = 0, primal: Cost = INFINITY):

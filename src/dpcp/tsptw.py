@@ -143,20 +143,21 @@ class TsptwModel(DpModel):
     def successors(self, state: TsptwState):
         inst = self.instance
         t = state.time
-        here = state.location
-        # Dead end when some unvisited location misses its window even via
-        # the shortest possible travel.
-        for j in iter_bits(state.unvisited):
-            sp = inst.shortest[here][j]
-            if sp is None or t + sp > inst.windows[j][1]:
-                return []
+        shortest, travel = inst.shortest[state.location], inst.travel[state.location]
+        windows = inst.windows
+        mask = state.unvisited
         out = []
-        for j in iter_bits(state.unvisited):
-            arc = inst.travel[here][j]
-            if arc is None or t + arc > inst.windows[j][1]:
-                continue
-            arrive = max(t + arc, inst.windows[j][0])
-            out.append((arc, j, TsptwState(state.unvisited ^ (1 << j), j, arrive)))
+        for j in iter_bits(mask):
+            r, d = windows[j]
+            # Dead end when some unvisited location misses its window even
+            # via the shortest possible travel.
+            sp = shortest[j]
+            if sp is None or t + sp > d:
+                return []
+            arc = travel[j]
+            if arc is not None and t + arc <= d:
+                a = t + arc
+                out.append((arc, j, TsptwState(mask ^ (1 << j), j, a if a > r else r)))
         return out
 
     def dominates(self, a: TsptwState, b: TsptwState) -> bool:
@@ -209,7 +210,7 @@ class TsptwAdapter(PropagationAdapter):
         self._by_travel = None
         # One sum per store: a child's travel lower bounds sum over its
         # parent's unvisited set, which is the same for every sibling.
-        self._lb_sum = StoreSum(lambda store, i: store.lb(n + i))
+        self._lb_sum = StoreSum(lambda store, i: store.lbs[n + i])
 
     def build(self, state: TsptwState, g: Cost = 0, primal: Cost = INFINITY):
         windows = self.instance.windows

@@ -179,7 +179,7 @@ def test_criterion_5_bound_admissibility():
                 store, props = adapter.build(state)
                 propagate_once(store, props)
                 if not store.infeasible:
-                    assert store.lb(inst.n) - state.estimate <= value
+                    assert store.lbs[inst.n] - state.estimate <= value
                     assert adapter.dual_cp(state, store) <= value
 
 

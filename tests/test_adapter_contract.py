@@ -57,11 +57,11 @@ def reference_rcpsp_dual_cp(adapter, state, store):
     """Objective, latest pending finish and envelope, taken separately."""
     inst = adapter.instance
     pending = [i for i, s in enumerate(state.starts) if s is None]
-    total = store.lb(inst.n)
+    total = store.lbs[inst.n]
     for i in pending:
-        total = max(total, store.lb(i) + inst.tasks[i].duration)
+        total = max(total, store.lbs[i] + inst.tasks[i].duration)
     for r, cap in enumerate(inst.capacities):
-        tasks = [(store.lb(i), inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in pending]
+        tasks = [(store.lbs[i], inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in pending]
         total = max(total, one_resource_envelope(tasks, cap))
     _scheduled, _running, estimate = rcpsp_fields(inst, state)
     return max(0, total - estimate)
@@ -70,15 +70,15 @@ def reference_rcpsp_dual_cp(adapter, state, store):
 def reference_sms_dual_cp(adapter, state, store):
     jobs = adapter.instance.jobs
     return sum(
-        jobs[i].w * max(0, store.lb(i) + jobs[i].p - jobs[i].d)
+        jobs[i].w * max(0, store.lbs[i] + jobs[i].p - jobs[i].d)
         for i in iter_bits(state.unscheduled)
     )
 
 
 def reference_tsptw_dual_cp(adapter, state, store):
     n = adapter.instance.n
-    total = store.lb(n + state.location)
-    return total + sum(store.lb(n + i) for i in iter_bits(state.unvisited))
+    total = store.lbs[n + state.location]
+    return total + sum(store.lbs[n + i] for i in iter_bits(state.unvisited))
 
 
 def propagated_stores(model, adapter, primal_of):
@@ -172,7 +172,7 @@ def test_rcpsp_objective_links_carry_pending_finishes():
         for state, store in propagated_stores(model, adapter, rcpsp_makespan_cap):
             for i, s in enumerate(state.starts):
                 if s is None:
-                    assert store.lb(inst.n) >= store.lb(i) + inst.tasks[i].duration
+                    assert store.lbs[inst.n] >= store.lbs[i] + inst.tasks[i].duration
             for bounded in [state] + [succ for _w, _l, succ in model.successors(state)]:
                 assert adapter.dual_cp(bounded, store) == reference_rcpsp_dual_cp(
                     adapter, bounded, store
@@ -186,9 +186,9 @@ def raise_one_lower_bound(store, ids):
     point to its upper bound; the store stays feasible and its revision
     moves.  Returns False when every domain is a point."""
     for x in ids:
-        if store.lb(x) < store.ub(x):
+        if store.lbs[x] < store.ubs[x]:
             before = store.revision
-            store.set_lb(x, store.ub(x))
+            store.set_lb(x, store.ubs[x])
             assert store.revision > before and not store.infeasible
             return True
     return False

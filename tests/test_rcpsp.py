@@ -172,10 +172,10 @@ def test_build_objective_and_fixed_starts():
     adapter = RcpspAdapter(model)
     state = model.make_state((3, None), 3)
     store, _props = adapter.build(state)
-    assert (store.lb(2), store.ub(2)) == (0, inst.horizon)
-    assert (store.lb(0), store.ub(0)) == (3, 3)
+    assert (store.lbs[2], store.ubs[2]) == (0, inst.horizon)
+    assert (store.lbs[0], store.ubs[0]) == (3, 3)
     store, _props = adapter.build(state, g=0, primal=12)
-    assert store.ub(2) == min(12, inst.horizon)
+    assert store.ubs[2] == min(12, inst.horizon)
 
 
 def test_dual_cp_precedence_lift():
@@ -188,8 +188,8 @@ def test_dual_cp_precedence_lift():
     state = model.make_state((0, None), 0)
     store, props = adapter.build(state)
     propagate_once(store, props)
-    assert store.lb(1) == 2
-    assert store.lb(2) == 5
+    assert store.lbs[1] == 2
+    assert store.lbs[2] == 5
     assert adapter.dual_cp(state, store) == 2
     values = enumerate_state_values(model)
     assert values[state] == 2
@@ -210,7 +210,7 @@ def test_dual_cp_envelope_component():
     expected = max(
         one_resource_envelope(
             [
-                (store.lb(i), inst.tasks[i].duration, inst.tasks[i].usages[r])
+                (store.lbs[i], inst.tasks[i].duration, inst.tasks[i].usages[r])
                 for i in pending
             ],
             cap,
@@ -388,7 +388,7 @@ def test_cp_bounds_below_oracle_values():
             if store.infeasible:
                 continue
             assert model.dual(state) <= value
-            assert store.lb(inst.n) - state.estimate <= value
+            assert store.lbs[inst.n] - state.estimate <= value
             assert adapter.dual_cp(state, store) <= value
 
 

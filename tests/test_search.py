@@ -17,7 +17,7 @@ from dpcp import (
     propagate_once,
 )
 from dpcp import rcpsp, smswt, tsptw
-from dpcp.search import SearchNode
+from dpcp.search import NODE_ESTIMATE_BYTES, SearchNode
 
 from conftest import (
     ALL_MODES,
@@ -62,6 +62,57 @@ def test_astar_expansion_cap_zero():
 def test_astar_memory_limit():
     result = astar(two_job_model(), limits=SolveLimits(memory_limit=1))
     assert result.status is SolveStatus.MEMORY_LIMIT
+
+
+def solve_with_peak_registry(monkeypatch, solve):
+    """``solve()`` and the largest number of nodes its registries held."""
+    peak = 0
+    register = Registry.register
+
+    def tracked(self, *args):
+        nonlocal peak
+        node = register(self, *args)
+        peak = max(peak, self.size)
+        return node
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Registry, "register", tracked)
+        result = solve()
+    return result, peak
+
+
+def solve_counts(result):
+    m = result.metrics
+    return (
+        result.status, result.incumbent, m.expansions, m.generated,
+        m.pruned_by_cp, m.stale_skips, m.beam_widths,
+    )
+
+
+@pytest.mark.parametrize("algo", [astar, cabs])
+@pytest.mark.parametrize("mode", [PropagationMode.OFF, PropagationMode.ONCE])
+@pytest.mark.parametrize("family", ["sms", "tsptw"])
+def test_memory_limit_counts_each_stored_node_once(monkeypatch, algo, mode, family):
+    # A budget of a solve's own peak stored-node count never stops it;
+    # half of it does.
+    rng = random.Random(0)
+    if family == "sms":
+        model = smswt.SmsModel(random_sms_instance(rng, 10))
+        adapter = smswt.SmsAdapter(model)
+    else:
+        model = tsptw.TsptwModel(random_tsptw_instance(rng, 10))
+        adapter = tsptw.TsptwAdapter(model)
+    if mode is PropagationMode.OFF:
+        adapter = None
+    unlimited, peak = solve_with_peak_registry(
+        monkeypatch, lambda: algo(model, adapter, mode=mode)
+    )
+    assert unlimited.status is SolveStatus.OPTIMAL and peak > 50
+    budget = peak * NODE_ESTIMATE_BYTES
+    limited = algo(model, adapter, limits=SolveLimits(memory_limit=budget), mode=mode)
+    assert solve_counts(limited) == solve_counts(unlimited)
+    halved = algo(model, adapter, limits=SolveLimits(memory_limit=budget // 2), mode=mode)
+    assert halved.status is SolveStatus.MEMORY_LIMIT
 
 
 def test_time_limit_statuses():

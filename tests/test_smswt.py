@@ -101,7 +101,7 @@ def test_build_window():
     model = model_of((4, 3, 10, 20, 1))
     adapter = SmsAdapter(model)
     store, props = adapter.build(SmsState(0b1, 5))
-    assert (store.lb(0), store.ub(0)) == (5, 16)
+    assert (store.lbs[0], store.ubs[0]) == (5, 16)
     assert len(props) == 1 and isinstance(props[0], Disjunctive)
 
 
@@ -115,7 +115,7 @@ def test_build_empty_window_is_infeasible():
 def test_build_two_job_target_counts():
     model = model_of(*TWO_JOB)
     store, props = SmsAdapter(model).build(model.target_state())
-    assert len(store) == 2
+    assert len(store.lbs) == 2
     assert len(props) == 1
     assert len(props[0].items) == 2
 
@@ -141,7 +141,7 @@ def test_dual_cp_after_edge_finding_lift():
     state = model.target_state()
     store, props = adapter.build(state)
     propagate_once(store, props)
-    assert store.lb(0) == 4
+    assert store.lbs[0] == 4
     assert adapter.dual_cp(state, store) == 10
     assert adapter.dual_cp(SmsState(0, 9), store) == 0
 

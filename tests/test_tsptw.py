@@ -163,9 +163,9 @@ def test_build_duration_domains():
     adapter = TsptwAdapter(model)
     store, props = adapter.build(model.target_state())
     n = 3
-    assert (store.lb(n + 0), store.ub(n + 0)) == (2, 3)
-    assert (store.lb(n + 1), store.ub(n + 1)) == (2, 4)
-    assert (store.lb(n + 2), store.ub(n + 2)) == (3, 4)
+    assert (store.lbs[n + 0], store.ubs[n + 0]) == (2, 3)
+    assert (store.lbs[n + 1], store.ubs[n + 1]) == (2, 4)
+    assert (store.lbs[n + 2], store.ubs[n + 2]) == (3, 4)
     assert len(props) == 2
     assert props[1].cap == INFINITY  # no incumbent: the sum cap is vacuous
 
@@ -175,8 +175,8 @@ def test_build_arrival_windows_respect_time():
     model = TsptwModel(inst)
     adapter = TsptwAdapter(model)
     store, _props = adapter.build(TsptwState(0b110, 0, 5))
-    assert (store.lb(1), store.ub(1)) == (7, 50)
-    assert (store.lb(2), store.ub(2)) == (5, 60)
+    assert (store.lbs[1], store.ubs[1]) == (7, 50)
+    assert (store.lbs[2], store.ubs[2]) == (5, 60)
 
 
 def test_depot_leg_dropped_when_cannot_be_last():
@@ -190,8 +190,8 @@ def test_depot_leg_dropped_when_cannot_be_last():
     adapter = TsptwAdapter(model)
     store, _props = adapter.build(model.target_state())
     n = 3
-    assert (store.lb(n + 1), store.ub(n + 1)) == (2, 2)  # c(1,0)=7 dropped
-    assert (store.lb(n + 2), store.ub(n + 2)) == (3, 9)
+    assert (store.lbs[n + 1], store.ubs[n + 1]) == (2, 2)  # c(1,0)=7 dropped
+    assert (store.lbs[n + 2], store.ubs[n + 2]) == (3, 9)
 
 
 def test_depot_leg_kept_for_latest_point_window():
@@ -205,8 +205,8 @@ def test_depot_leg_kept_for_latest_point_window():
     adapter = TsptwAdapter(model)
     store, _props = adapter.build(model.target_state())
     n = 3
-    assert (store.lb(n + 2), store.ub(n + 2)) == (3, 9)
-    assert (store.lb(n + 1), store.ub(n + 1)) == (2, 7)
+    assert (store.lbs[n + 2], store.ubs[n + 2]) == (3, 9)
+    assert (store.lbs[n + 1], store.ubs[n + 1]) == (2, 7)
 
 
 def test_shared_travel_value_survives_depot_drop():
@@ -245,7 +245,7 @@ def test_dual_cp_target_and_single_leg():
     assert adapter.dual_cp(state, store) == 7
     solo = TsptwState(0, 1, 5)
     store, _props = adapter.build(solo)
-    assert adapter.dual_cp(solo, store) == store.lb(3 + 1)
+    assert adapter.dual_cp(solo, store) == store.lbs[3 + 1]
 
 
 def test_depot_drop_strictly_raises_travel_bound():
@@ -275,8 +275,8 @@ def test_sum_cap_prunes_expensive_travel_options():
     # Residual budget 8 against lower bounds 2+2+3: each variable keeps
     # only values within cap minus the sum of the other minima.
     n = 3
-    assert (store.lb(n + 1), store.ub(n + 1)) == (2, 3)  # ub cut to 8 - (2 + 3)
-    assert (store.lb(n + 2), store.ub(n + 2)) == (3, 4)  # 4 <= 8 - (2 + 2)
+    assert (store.lbs[n + 1], store.ubs[n + 1]) == (2, 3)  # ub cut to 8 - (2 + 3)
+    assert (store.lbs[n + 2], store.ubs[n + 2]) == (3, 4)  # 4 <= 8 - (2 + 2)
 
 
 def test_succ_infeasible_when_arrival_lifted_away():
@@ -292,7 +292,7 @@ def test_succ_infeasible_when_arrival_lifted_away():
     state = model.target_state()
     store, props = adapter.build(state)
     propagate_once(store, props)
-    assert store.lb(1) == 4
+    assert store.lbs[1] == 4
     assert vetoed(adapter, state, 1, store)
     assert not vetoed(adapter, state, 2, store)
     # The filtered move is genuinely useless, the optimum visits 2 first.
