@@ -79,7 +79,9 @@ class DpModel(ABC):
     def successors(self, state) -> List[Tuple[Cost, Label, Any]]:
         """Ordered ``(weight, label, state)`` transitions out of ``state``.
 
-        An empty list marks a dead end (no solution through ``state``).
+        An empty list marks a dead end (no solution through ``state``).  A
+        model may omit a child that has no feasible completion, as a DIDP
+        state constraint drops a violating state when it is generated.
         """
 
     @abstractmethod

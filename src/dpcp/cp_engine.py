@@ -502,14 +502,16 @@ class PropagationAdapter(ABC):
     primal bound are passed in so objective-capping constraints can be
     emitted; the search reads infeasibility from ``store.infeasible``.
 
-    The search calls ``dual_cp`` for a popped state under its own
-    propagated store, then, in generation order and under that same store,
-    for each successor that the store does not veto and that neither the
-    registry nor the model dual has rejected: the parent's domains remain
-    valid for every successor, which is what makes the per-successor bound
-    sound.  So an adapter may reuse one sum per store, keyed on the
-    store's identity and ``revision`` (``StoreSum``); a reused value must
-    equal the one computed afresh, whatever the call order.
+    The search calls ``dual_cp`` only on a feasible store, so an adapter
+    need not guard an empty domain.  It calls it for a popped state under
+    its own propagated store, then, in generation order and under that
+    same store, for each successor that the store does not veto and that
+    neither the registry nor the model dual has rejected: the parent's
+    domains remain valid for every successor, which is what makes the
+    per-successor bound sound.  So an adapter may reuse one sum per store,
+    keyed on the store's identity and ``revision`` (``StoreSum``); a
+    reused value must equal the one computed afresh, whatever the call
+    order.
 
     The transition rule lives only in the model's ``successors``, so the
     successor veto is handed the state it produced and reduces to domain
@@ -524,7 +526,8 @@ class PropagationAdapter(ABC):
 
     @abstractmethod
     def dual_cp(self, state, store: DomainStore) -> Cost:
-        """Lower bound on remaining cost of ``state`` under ``store``."""
+        """Lower bound on remaining cost of ``state`` under ``store``,
+        which is feasible."""
 
     @abstractmethod
     def is_succ_infeasible(self, label, state, succ, store: DomainStore) -> bool:

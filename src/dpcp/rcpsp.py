@@ -402,10 +402,6 @@ class RcpspAdapter(PropagationAdapter):
     def dual_cp(self, state: RcpspState, store: DomainStore) -> Cost:
         # The objective links in ``build`` already give lb(obj) >= every
         # pending earliest finish, so no separate finish term is needed.
-        # The bound lists are read directly, so an empty domain is caught
-        # here: it leaves no completion at all.
-        if store.infeasible:
-            return INFINITY
         lbs = store.lbs
         envelope = ect_envelope_max(
             [(lb, e) for s, lb, e in zip(state.starts, lbs, self._energies) if s is None],

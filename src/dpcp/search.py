@@ -37,9 +37,11 @@ from .metrics import RunMetrics, optimality_gap
 # Fixed per-node bookkeeping estimate used for the memory limit.  Measured
 # as the ``tracemalloc`` peak of a solve over its peak registry size
 # (``perfbench/run.py --trace 1``, seed 1, CPython 3.11 on x86-64), a
-# stored node costs 399-448 B for smswt, 485-521 B for tsptw and 471-472 B
-# for rcpsp, with propagation off and on: the estimate is up to 28% high
-# (smswt), 8-9% high for rcpsp and up to 2% low (tsptw).
+# stored node costs 407-446 B for smswt, 460-675 B for tsptw and 471-472 B
+# for rcpsp, with propagation off and on: the estimate is up to 26% high
+# (smswt), 8-9% high for rcpsp, and for tsptw from 11% high (A*, off) to
+# 24% low (CABS, once, where the short-lived propagation lists in the peak
+# are spread over the fewest stored nodes).
 NODE_ESTIMATE_BYTES = 512
 
 
@@ -365,7 +367,9 @@ def cabs(
     * the registry rejects it, or later evicts it, in favour of a
       registered node of the same pass that dominates it at no larger
       path cost; that node sits in a layer, so it is itself expanded or
-      pruned on its bound, and its best completion is no worse.
+      pruned on its bound, and its best completion is no worse;
+    * it was never generated, because the model's ``successors`` omits a
+      child with no feasible completion.
 
     So every solution strictly cheaper than the final primal would have
     been reached and recorded, and none exists.

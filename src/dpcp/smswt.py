@@ -4,7 +4,11 @@ Jobs have a duration, a release time, a due date (tardiness is weighted
 lateness past it), and a hard deadline (latest allowed finish).  The model
 schedules one job at a time: a state is the set of still-unscheduled jobs
 plus the machine's current time.  Scheduling job ``i`` at time ``t`` starts
-it at ``max(t, r_i)`` and charges ``w_i * max(0, finish - d_i)``.
+it at ``max(t, r_i)`` and charges ``w_i * max(0, finish - d_i)``.  A state
+is a dead end when some pending job would miss its deadline even if it
+started now.  As a DIDP state constraint would, ``successors`` drops each
+child that is a dead end by that rule, so only the target state, or a
+state built by hand, is ever found dead when it is expanded.
 
 The propagation side builds one start variable per unscheduled job over
 its live window and a single non-overlap constraint; its dual bound is the
@@ -100,10 +104,21 @@ class SmsModel(DpModel):
         return 0
 
     def successors(self, state: SmsState):
+        """Each pending job scheduled next, less the children that are
+        dead ends themselves.
+
+        A child at clock ``f`` is dead when ``f`` passes the latest start
+        ``deadline - p`` of a job it leaves pending (every such job's
+        release is at or before its latest start, or the state itself is
+        dead).  So only the two smallest latest starts are kept, and each
+        child is tested against the smallest one of another job.
+        """
         jobs = self.instance.jobs
         t = state.time
         mask = state.unscheduled
-        out = []
+        finishes = []
+        first = second = INFINITY
+        first_at = -1
         for i in iter_bits(mask):
             job = jobs[i]
             f = (t if t > job.r else job.r) + job.p
@@ -111,6 +126,17 @@ class SmsModel(DpModel):
             # the state is a dead end regardless of order.
             if f > job.deadline:
                 return []
+            finishes.append((i, f))
+            latest = job.deadline - job.p
+            if latest < first:
+                first, second, first_at = latest, first, i
+            elif latest < second:
+                second = latest
+        out = []
+        for i, f in finishes:
+            if f > (second if i == first_at else first):
+                continue
+            job = jobs[i]
             late = f - job.d
             out.append((job.w * late if late > 0 else 0, i, SmsState(mask ^ (1 << i), f)))
         return out

@@ -5,7 +5,10 @@ location exactly once inside its window; arriving early waits for free.
 The model visits one location at a time: a state is the unvisited set, the
 current location, and the clock.  A state is a dead end as soon as some
 unvisited location cannot be reached within its window even along the
-all-pairs shortest travel paths.
+all-pairs shortest travel paths.  As a DIDP state constraint would,
+``successors`` drops each child that is a dead end by that rule, so only
+the target state, or a state built by hand, is ever found dead when it is
+expanded, and every arrival in a built store is within its window.
 
 The propagation side pairs an arrival variable per remaining location with
 an interval variable for its outgoing travel time, the hull of the arcs it
@@ -126,6 +129,20 @@ class TsptwModel(DpModel):
         self._to, self._from = instance.min_to, instance.min_from
         self._sums_mask = -1  # the set whose two sums are kept below
         self._sum_to = self._sum_from = 0
+        # For each location j, the latest arrival at j from which each other
+        # location k is still reachable in time, ``d_k - shortest[j][k]``,
+        # as ``(latest, k)`` pairs in ascending order.  A missing path gets
+        # -1, below every arrival (each is at least 0), so it reads as a
+        # missed window.  The depot is never unvisited, so it has no pair.
+        windows, shortest = instance.windows, instance.shortest
+        self._latest = tuple(
+            sorted(
+                (-1 if shortest[j][k] is None else windows[k][1] - shortest[j][k], k)
+                for k in range(1, instance.n)
+                if k != j
+            )
+            for j in range(instance.n)
+        )
 
     def target_state(self) -> TsptwState:
         mask = ((1 << self.instance.n) - 1) & ~1
@@ -141,10 +158,18 @@ class TsptwModel(DpModel):
         return INFINITY if arc is None else arc
 
     def successors(self, state: TsptwState):
+        """Each unvisited location reached next by its direct arc in time,
+        less the children that are dead ends themselves.
+
+        Child ``j`` at arrival ``a`` is dead when a location ``k`` it leaves
+        unvisited has no path from ``j`` or ``a + shortest[j][k] > d_k``.
+        The first pair of ``j``'s ascending latest arrivals whose ``k`` is
+        still unvisited holds the smallest of them, so it decides.
+        """
         inst = self.instance
         t = state.time
         shortest, travel = inst.shortest[state.location], inst.travel[state.location]
-        windows = inst.windows
+        windows, latest = inst.windows, self._latest
         mask = state.unvisited
         out = []
         for j in iter_bits(mask):
@@ -157,7 +182,15 @@ class TsptwModel(DpModel):
             arc = travel[j]
             if arc is not None and t + arc <= d:
                 a = t + arc
-                out.append((arc, j, TsptwState(mask ^ (1 << j), j, a if a > r else r)))
+                if a < r:
+                    a = r
+                for limit, k in latest[j]:
+                    if mask >> k & 1:
+                        break
+                else:
+                    limit = a  # j is the last location left: never dead
+                if a <= limit:
+                    out.append((arc, j, TsptwState(mask ^ (1 << j), j, a)))
         return out
 
     def dominates(self, a: TsptwState, b: TsptwState) -> bool:
@@ -227,15 +260,8 @@ class TsptwAdapter(PropagationAdapter):
         live = []
         arrivals = []
         for i in iter_bits(state.unvisited | (1 << here)):
-            r, d = windows[i]
+            r = windows[i][0]
             a = t if t > r else r
-            if a > d:
-                # A missed window: the store is infeasible from the start,
-                # so no duration domain or propagator is needed.
-                lbs = [0] * (2 * n)
-                ubs = [0] * (2 * n)
-                lbs[i], ubs[i] = a, d
-                return DomainStore(lbs, ubs), []
             live.append(i)
             arrivals.append(a)
             if i != here:

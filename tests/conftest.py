@@ -40,20 +40,25 @@ def random_sms_instance(rng: random.Random, n: int) -> smswt.SmsInstance:
     return smswt.generate_instances(config)[0]
 
 
-def random_tsptw_instance(rng: random.Random, n: int) -> tsptw.TsptwInstance:
-    # Calibrated so that roughly a quarter of sampled instances have no
-    # window-feasible tour.  Travel times are strictly positive.
+def random_tsptw_instance(
+    rng: random.Random, n: int, widths: tuple = (8, 30)
+) -> tsptw.TsptwInstance:
+    # With the default widths, calibrated so that roughly a quarter of
+    # sampled instances have no window-feasible tour.  Travel times are
+    # strictly positive.
     travel = [[None if i == j else rng.randint(1, 20) for j in range(n)] for i in range(n)]
     windows = [(0, 600)]
     span = 11 * (n - 1)
     for _ in range(1, n):
         r = rng.randint(0, span)
-        windows.append((r, r + rng.randint(8, 30)))
+        windows.append((r, r + rng.randint(*widths)))
     return tsptw.TsptwInstance(travel, windows)
 
 
-def random_rcpsp_instance(rng: random.Random, max_tasks: int = 8) -> rcpsp.RcpspInstance:
-    n = rng.randint(2, max_tasks)
+def random_rcpsp_instance(
+    rng: random.Random, max_tasks: int = 8, min_tasks: int = 2
+) -> rcpsp.RcpspInstance:
+    n = rng.randint(min_tasks, max_tasks)
     n_res = rng.randint(1, 2)
     capacities = tuple(rng.randint(2, 4) for _ in range(n_res))
     tasks = [
@@ -161,6 +166,107 @@ class ReferenceRcpspModel(rcpsp.RcpspModel):
 
     def dominates(self, a, b):
         return super().dominates(a, b) if self.dominance else a == b
+
+
+def sms_blocked(instance: smswt.SmsInstance, state) -> bool:
+    """The SMS dead-end rule: some pending job misses its deadline even if
+    it starts now."""
+    return any(
+        max(state.time, job.r) + job.p > job.deadline
+        for i, job in enumerate(instance.jobs)
+        if state.unscheduled >> i & 1
+    )
+
+
+def tsptw_blocked(instance: tsptw.TsptwInstance, state) -> bool:
+    """The TSPTW dead-end rule: some unvisited location has no path from
+    here, or misses its window even along the shortest path."""
+    row = instance.shortest[state.location]
+    return any(
+        row[k] is None or state.time + row[k] > instance.windows[k][1]
+        for k in range(instance.n)
+        if state.unvisited >> k & 1
+    )
+
+
+class UnfilteredSmsModel(smswt.SmsModel):
+    """``SmsModel`` whose transition is written out here without the
+    dead-end filter: a blocked state has no successor, and any other state
+    has one per pending job, blocked children included."""
+
+    def successors(self, state):
+        if sms_blocked(self.instance, state):
+            return []
+        out = []
+        for i, job in enumerate(self.instance.jobs):
+            if state.unscheduled >> i & 1:
+                f = max(state.time, job.r) + job.p
+                succ = smswt.SmsState(state.unscheduled ^ (1 << i), f)
+                out.append((job.w * max(0, f - job.d), i, succ))
+        return out
+
+
+class UnfilteredTsptwModel(tsptw.TsptwModel):
+    """``TsptwModel`` whose transition is written out here without the
+    dead-end filter: a blocked state has no successor, and any other state
+    has one per unvisited location its direct arc reaches in time, blocked
+    children included."""
+
+    def successors(self, state):
+        inst = self.instance
+        if tsptw_blocked(inst, state):
+            return []
+        out = []
+        for j in range(inst.n):
+            arc = inst.travel[state.location][j]
+            r, d = inst.windows[j]
+            if state.unvisited >> j & 1 and arc is not None and state.time + arc <= d:
+                succ = tsptw.TsptwState(state.unvisited ^ (1 << j), j, max(state.time + arc, r))
+                out.append((arc, j, succ))
+        return out
+
+
+def check_dropped_children_dead(model, unfiltered, blocked):
+    """Over every state that ``unfiltered``'s transition reaches from the
+    target, compare ``model.successors`` with the unfiltered children.
+
+    The model must keep them in order and omit exactly the blocked ones;
+    each omitted child must have no feasible completion, by a recursion
+    over the unfiltered transition here.  Returns the counts of kept and
+    omitted children.
+    """
+    feasible = {}
+
+    def completes(state) -> bool:
+        if state not in feasible:
+            if unfiltered.is_base(state):
+                feasible[state] = unfiltered.base_cost(state) < INFINITY
+            else:
+                feasible[state] = any(
+                    completes(child) for _w, _l, child in unfiltered.successors(state)
+                )
+        return feasible[state]
+
+    kept = omitted = 0
+    seen = set()
+    stack = [unfiltered.target_state()]
+    while stack:
+        state = stack.pop()
+        if state in seen or unfiltered.is_base(state):
+            continue
+        seen.add(state)
+        children = unfiltered.successors(state)
+        stack.extend(child for _w, _l, child in children)
+        assert model.successors(state) == [
+            c for c in children if not blocked(unfiltered.instance, c[2])
+        ], state
+        for _w, _l, child in children:
+            if blocked(unfiltered.instance, child):
+                assert not completes(child), (state, child)
+                omitted += 1
+            else:
+                kept += 1
+    return kept, omitted
 
 
 ALL_MODES = (PropagationMode.OFF, PropagationMode.ONCE, PropagationMode.FIXPOINT)

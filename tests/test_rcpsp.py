@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from dpcp import (
+    PropagationMode,
+    SolveLimits,
     SolveStatus,
     astar,
     enumerate_state_values,
@@ -12,7 +14,7 @@ from dpcp import (
     propagate_fixpoint,
     propagate_once,
 )
-from dpcp.cost import INFINITY, MAX_COST, CostOverflow
+from dpcp.cost import MAX_COST, CostOverflow
 from dpcp.parsing import ParseError
 from dpcp.rcpsp import (
     RcpspAdapter,
@@ -22,6 +24,7 @@ from dpcp.rcpsp import (
     ordering_optimum,
     parse_psplib,
 )
+from dpcp.search import SearchNode, _SolveContext
 
 from conftest import (
     ReferenceRcpspModel,
@@ -249,8 +252,12 @@ def test_tight_primal_kills_state_via_objective_cap():
     store, props = adapter.build(state, g=state.estimate, primal=7)
     propagate_once(store, props)
     assert store.infeasible
-    # No completion exists under an empty domain.
-    assert adapter.dual_cp(state, store) == INFINITY
+    # A search pops the state and prunes it there, without asking for a CP
+    # dual under the empty store: its successors are never enumerated.
+    ctx = _SolveContext(model, adapter, SolveLimits(), PropagationMode.ONCE)
+    ctx.primal = 7
+    assert ctx.expand(SearchNode(state, state.estimate, state.estimate)) is None
+    assert (ctx.metrics.pruned_by_cp, ctx.metrics.expansions) == (1, 0)
 
 
 def test_succ_infeasible_via_fixpoint_time_table():

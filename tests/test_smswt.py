@@ -25,7 +25,14 @@ from dpcp.smswt import (
     permutation_optimum,
 )
 
-from conftest import expand_once, random_sms_instance, vetoed
+from conftest import (
+    UnfilteredSmsModel,
+    check_dropped_children_dead,
+    expand_once,
+    random_sms_instance,
+    sms_blocked,
+    vetoed,
+)
 
 
 def model_of(*jobs):
@@ -147,9 +154,13 @@ def test_dual_cp_after_edge_finding_lift():
 
 
 def test_succ_infeasible_after_lift():
+    # Job 0 first finishes at 5, past job 1's latest start 2, so the model
+    # never generates that child; the veto is checked on the unfiltered
+    # transition, which does.
     model = model_of((5, 0, 4, 20, 2), (3, 1, 4, 5, 1))
-    adapter = SmsAdapter(model)
     state = model.target_state()
+    assert [label for _w, label, _s in model.successors(state)] == [1]
+    adapter = SmsAdapter(UnfilteredSmsModel(model.instance))
     store, props = adapter.build(state)
     propagate_once(store, props)
     assert vetoed(adapter, state, 0, store)
@@ -208,6 +219,8 @@ def test_json_roundtrip():
 
 
 def test_dead_end_matches_deadline_test():
+    # No successor exactly when the state is blocked or every child of the
+    # unfiltered transition is.
     rng = random.Random(19)
     for _ in range(40):
         inst = random_sms_instance(rng, rng.randint(2, 6))
@@ -217,12 +230,22 @@ def test_dead_end_matches_deadline_test():
             mask = rng.randint(1, (1 << n) - 1)
             t = rng.randint(0, 60)
             state = SmsState(mask, t)
-            blocked = any(
-                max(t, inst.jobs[i].r) + inst.jobs[i].p > inst.jobs[i].deadline
-                for i in range(n)
+            blocked = sms_blocked(inst, state) or all(
+                sms_blocked(inst, SmsState(mask ^ (1 << i), max(t, job.r) + job.p))
+                for i, job in enumerate(inst.jobs)
                 if mask >> i & 1
             )
             assert (model.successors(state) == []) == blocked
+
+
+def test_dropped_children_have_no_completion():
+    rng = random.Random(37)
+    kept = omitted = 0
+    for _ in range(30):
+        inst = random_sms_instance(rng, rng.randint(3, 8))
+        k, o = check_dropped_children_dead(SmsModel(inst), UnfilteredSmsModel(inst), sms_blocked)
+        kept, omitted = kept + k, omitted + o
+    assert kept > 12000 and omitted > 3000, (kept, omitted)
 
 
 def test_oracle_equivalence_and_bound_chain():

@@ -26,7 +26,14 @@ from dpcp.tsptw import (
     permutation_optimum,
 )
 
-from conftest import random_tsptw_instance, solve_all_modes, vetoed
+from conftest import (
+    UnfilteredTsptwModel,
+    check_dropped_children_dead,
+    random_tsptw_instance,
+    solve_all_modes,
+    tsptw_blocked,
+    vetoed,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -128,12 +135,29 @@ def without_arcs(travel, arcs):
     return [[None if (i, j) in arcs else c for j, c in enumerate(row)] for i, row in enumerate(travel)]
 
 
+def test_dropped_children_have_no_completion():
+    # Narrow and wide windows, and an instance where location 4 has no
+    # outgoing arc, so no path leads from it to any other location.
+    rng = random.Random(41)
+    instances = [random_tsptw_instance(rng, rng.randint(3, 8)) for _ in range(25)]
+    instances += [random_tsptw_instance(rng, rng.randint(3, 8), widths=(30, 80)) for _ in range(15)]
+    travel = [[None, 3, 4, 2, 6], [5, None, 2, 6, 1], [7, 1, None, 3, 2],
+              [2, 4, 5, None, 3], [4, 2, 6, 1, None]]
+    instances.append(TsptwInstance(without_arcs(travel, {(4, j) for j in range(5)}), [(0, 100)] * 5))
+    assert instances[-1].shortest[4][1] is None
+    kept = omitted = 0
+    for inst in instances:
+        k, o = check_dropped_children_dead(TsptwModel(inst), UnfilteredTsptwModel(inst), tsptw_blocked)
+        kept, omitted = kept + k, omitted + o
+    assert kept > 2500 and omitted > 800, (kept, omitted)
+
+
 def test_dual_matches_per_state_sum():
     # The model keeps the last set's two sums.  Taken in the search's
     # order, a state and then each of its successors, every value must
     # equal the sum taken afresh, also where a cheapest arc is INFINITY.
     rng = random.Random(131)
-    instances = [random_tsptw_instance(rng, rng.randint(3, 7)) for _ in range(20)]
+    instances = [random_tsptw_instance(rng, rng.randint(3, 7)) for _ in range(30)]
     travel = [[None, 3, 4, 2, 6], [5, None, 2, 6, 1], [7, 1, None, 3, 2],
               [2, 4, 5, None, 3], [4, 2, 6, 1, None]]
     windows = [(0, 100)] * 5
@@ -282,14 +306,17 @@ def test_sum_cap_prunes_expensive_travel_options():
 def test_succ_infeasible_when_arrival_lifted_away():
     # Location 2 is pinned at [1, 1] and occupies [1, 4); location 1 cannot
     # be visited before it, so non-overlap lifts 1's arrival to 4, past the
-    # direct arrival time 2: visiting 1 first is filtered.
+    # direct arrival time 2: visiting 1 first is filtered.  The model never
+    # generates that child, as location 2 is missed from there; the veto is
+    # checked on the unfiltered transition, which does.
     inst = TsptwInstance(
         [[0, 2, 1], [2, 0, 2], [3, 3, 0]],
         [(0, 100), (0, 20), (1, 1)],
     )
     model = TsptwModel(inst)
-    adapter = TsptwAdapter(model)
     state = model.target_state()
+    assert [label for _w, label, _s in model.successors(state)] == [2]
+    adapter = TsptwAdapter(UnfilteredTsptwModel(inst))
     store, props = adapter.build(state)
     propagate_once(store, props)
     assert store.lbs[1] == 4
@@ -414,7 +441,7 @@ def test_travel_lower_bounds_never_move():
     # An incumbent near each state's value makes SumLe cut.
     rng = random.Random(59)
     checked = cut = 0
-    for _ in range(40):
+    for _ in range(70):
         inst = random_tsptw_instance(rng, rng.randint(3, 7))
         model = TsptwModel(inst)
         adapter = TsptwAdapter(model)
@@ -429,8 +456,6 @@ def test_travel_lower_bounds_never_move():
             live = list(iter_bits(state.unvisited | (1 << state.location)))
             for driver in (propagate_once, propagate_fixpoint):
                 store, props = adapter.build(state, g, primal)
-                if not props:
-                    continue  # a missed window: infeasible with no propagator
                 travel_lbs = [store.lbs[n + i] for i in live]
                 travel_ubs = [store.ubs[n + i] for i in live]
                 assert props[0].items == list(zip(live, travel_lbs)), state
