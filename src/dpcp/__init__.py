@@ -27,7 +27,6 @@ from .cp_engine import (
     DomainStore,
     PrecedenceLe,
     PropagationAdapter,
-    SumLe,
     propagate_fixpoint,
     propagate_once,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "SolveLimits",
     "SolveResult",
     "SolveStatus",
-    "SumLe",
     "add",
     "astar",
     "brute_force_value",

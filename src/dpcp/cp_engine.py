@@ -8,8 +8,7 @@ descriptors:
 * ``Cumulative``  -- capacity-limited tasks, filtered by time-table
   reasoning over compulsory parts,
 * ``PrecedenceLe`` -- an ordered list of ``start_i + offset <= start_j``
-  arcs, each applied once by bounds arithmetic,
-* ``SumLe``       -- a sum of variables capped by a constant.
+  arcs, each applied once by bounds arithmetic.
 
 Propagators only ever shrink domains; an emptied domain flips the store's
 ``infeasible`` flag, which is sticky.  Drivers run the propagators either
@@ -24,7 +23,7 @@ from operator import gt, itemgetter
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 from .core import iter_bits
-from .cost import Cost, INFINITY, is_finite
+from .cost import Cost, INFINITY
 
 
 class AdapterFailure(Exception):
@@ -133,38 +132,6 @@ class PrecedenceLe:
                 store.set_ub(i, v)
                 if store.infeasible:
                     return
-
-
-class SumLe:
-    """``sum(terms) <= cap`` with lower-bound-consistent pruning: each
-    term's upper bound is cut to ``cap`` less the other terms' lower
-    bounds.
-
-    Only upper bounds are written.  An infinite cap (no incumbent yet)
-    makes the constraint vacuous.
-    """
-
-    def __init__(self, terms: Iterable[int], cap: Cost):
-        self.terms = tuple(terms)
-        self.cap = cap
-        self._lo, self._hi = (min(self.terms), max(self.terms)) if self.terms else (0, -1)
-
-    def propagate(self, store: DomainStore) -> None:
-        cap = self.cap
-        if store.infeasible or not is_finite(cap) or not self.terms:
-            return
-        lbs, ubs = store.bounds(self._lo, self._hi)
-        total = sum(map(lbs.__getitem__, self.terms))
-        if total > cap:
-            store.mark_infeasible()
-            return
-        # Values above cap - sum(other lower bounds) cannot appear.  As
-        # ``slack >= 0`` no cut goes below a lower bound.
-        slack = cap - total
-        for x in self.terms:
-            v = slack + lbs[x]
-            if v < ubs[x]:
-                store.set_ub(x, v)
 
 
 class Disjunctive:
@@ -408,7 +375,7 @@ class Cumulative:
         return new_lb, new_ub
 
 
-Propagator = Union[PrecedenceLe, SumLe, Disjunctive, Cumulative]
+Propagator = Union[PrecedenceLe, Disjunctive, Cumulative]
 
 
 def propagate_once(store: DomainStore, props: Sequence[Propagator]) -> DomainStore:
@@ -498,9 +465,11 @@ class StoreSum:
 class PropagationAdapter(ABC):
     """Bridge from a DP model's states to a CP model over a domain store.
 
-    ``build`` is deterministic for equal states.  The current path cost and
-    primal bound are passed in so objective-capping constraints can be
-    emitted; the search reads infeasibility from ``store.infeasible``.
+    ``build`` is deterministic for equal states and primal bounds.  The
+    primal is passed in so that an objective variable can be capped by it;
+    the search reads infeasibility from ``store.infeasible``.  The path
+    cost is not passed: the search prunes on ``g`` plus ``dual_cp`` itself,
+    so a cap on the remaining cost would only repeat that test.
 
     The search calls ``dual_cp`` only on a feasible store, so an adapter
     need not guard an empty domain.  It calls it for a popped state under
@@ -519,10 +488,9 @@ class PropagationAdapter(ABC):
     """
 
     @abstractmethod
-    def build(
-        self, state, g: Cost = 0, primal: Cost = INFINITY
-    ) -> Tuple[DomainStore, List[Propagator]]:
-        """CP variables, domains, and propagators representing ``state``."""
+    def build(self, state, primal: Cost = INFINITY) -> Tuple[DomainStore, List[Propagator]]:
+        """CP variables, domains, and propagators representing ``state``
+        against the incumbent cost ``primal``."""
 
     @abstractmethod
     def dual_cp(self, state, store: DomainStore) -> Cost:

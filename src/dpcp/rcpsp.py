@@ -376,7 +376,7 @@ class RcpspAdapter(PropagationAdapter):
             for r in range(inst.n_resources)
         ]
 
-    def build(self, state: RcpspState, g: Cost = 0, primal: Cost = INFINITY):
+    def build(self, state: RcpspState, primal: Cost = INFINITY):
         inst = self.instance
         starts, time, scheduled = state.starts, state.time, state.scheduled
         lbs = [time if s is None else s for s in starts]

@@ -261,7 +261,7 @@ class _SolveContext:
             return model.successors(state), None
         adapter = self.adapter
         started = time.perf_counter()
-        store, props = adapter.build(state, node.g, self.primal)
+        store, props = adapter.build(state, self.primal)
         if not store.infeasible:
             if self.mode is PropagationMode.FIXPOINT:
                 propagate_fixpoint(store, props)

@@ -170,7 +170,7 @@ class SmsAdapter(PropagationAdapter):
             lambda store, i: jobs[i].w * max(0, store.lbs[i] + jobs[i].p - jobs[i].d)
         )
 
-    def build(self, state: SmsState, g: Cost = 0, primal: Cost = INFINITY):
+    def build(self, state: SmsState, primal: Cost = INFINITY):
         jobs = self.instance.jobs
         lbs = [0] * len(jobs)  # scheduled jobs keep the inert [0, 0]
         ubs = [0] * len(jobs)

@@ -14,8 +14,10 @@ The propagation side pairs an arrival variable per remaining location with
 an interval variable for its outgoing travel time, the hull of the arcs it
 may take (the depot leg is dropped from locations that provably cannot be
 last).  A non-overlap constraint over arrivals takes each travel lower
-bound as a constant duration, and a residual-budget cap bounds the travel
-sum.
+bound as a constant duration, and the CP dual sums those lower bounds.
+No propagator writes a travel variable, so an empty hull is the only
+deduction made from travel.  The incumbent does not enter the model: the
+search itself prunes a node whose path cost plus that sum cannot beat it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import DpModel, iter_bits
-from .cost import Cost, INFINITY, check_ceiling, is_finite
-from .cp_engine import Disjunctive, DomainStore, PropagationAdapter, StoreSum, SumLe
+from .cost import Cost, INFINITY, check_ceiling
+from .cp_engine import Disjunctive, DomainStore, PropagationAdapter, StoreSum
 from .parsing import ParseError, int_token, read_instance
 
 
@@ -127,8 +129,9 @@ class TsptwModel(DpModel):
         longest = max((c for row in instance.travel for c in row if c is not None), default=0)
         check_ceiling(instance.n * longest)
         self._to, self._from = instance.min_to, instance.min_from
-        self._sums_mask = -1  # the set whose two sums are kept below
-        self._sum_to = self._sum_from = 0
+        # The last set passed to ``dual`` with its two sums, written in one
+        # assignment so that a concurrent solve never reads a torn memo.
+        self._sums = (-1, 0, 0)
         # For each location j, the latest arrival at j from which each other
         # location k is still reachable in time, ``d_k - shortest[j][k]``,
         # as ``(latest, k)`` pairs in ascending order.  A missing path gets
@@ -213,14 +216,15 @@ class TsptwModel(DpModel):
         mask = state.unvisited | (1 << here)
         if mask == 1:
             return 0
-        if mask != self._sums_mask:
+        sums_mask, to_sum, from_sum = self._sums
+        if mask != sums_mask:
             to_sum = from_sum = 0
             for i in iter_bits(mask):
                 to_sum += self._to[i]
                 from_sum += self._from[i]
-            self._sums_mask, self._sum_to, self._sum_from = mask, to_sum, from_sum
-        into = self._to[0] + self._sum_to - self._to[here]
-        return min(INFINITY, max(into, self._sum_from))
+            self._sums = (mask, to_sum, from_sum)
+        into = self._to[0] + to_sum - self._to[here]
+        return min(INFINITY, max(into, from_sum))
 
     def state_signature(self, state: TsptwState):
         return (state.unvisited, state.location)
@@ -245,7 +249,7 @@ class TsptwAdapter(PropagationAdapter):
         # parent's unvisited set, which is the same for every sibling.
         self._lb_sum = StoreSum(lambda store, i: store.lbs[n + i])
 
-    def build(self, state: TsptwState, g: Cost = 0, primal: Cost = INFINITY):
+    def build(self, state: TsptwState, primal: Cost = INFINITY):
         windows = self.instance.windows
         n = self._n
         t = state.time
@@ -293,15 +297,10 @@ class TsptwAdapter(PropagationAdapter):
                     hi = row[j]
                     break
             lbs[n + i], ubs[n + i] = lo, hi
-            # No propagator raises a travel lower bound (SumLe cuts only
-            # upper bounds), so ``lo`` is the duration throughout.
+            # No propagator writes a travel variable, so ``lo`` is the
+            # duration throughout.
             items.append((i, lo))
-        store = DomainStore(lbs, ubs)
-        cap: Cost = INFINITY
-        if is_finite(primal):
-            cap = primal - g  # residual travel budget for the remaining legs
-        props = [Disjunctive(items), SumLe(tuple(n + i for i in live), cap)]
-        return store, props
+        return DomainStore(lbs, ubs), [Disjunctive(items)]
 
     def _build_by_travel(self):
         """Each location's arc heads, cheapest arc first, so that a travel
@@ -318,10 +317,7 @@ class TsptwAdapter(PropagationAdapter):
     def is_succ_infeasible(
         self, label: int, state: TsptwState, succ: TsptwState, store: DomainStore
     ) -> bool:
-        if not store.contains(label, succ.time):
-            return True
-        arc = self.instance.travel[state.location][label]
-        return not store.contains(self._n + state.location, arc)
+        return not store.contains(label, succ.time)
 
 
 def exact_optimum(instance: TsptwInstance) -> Optional[int]:

@@ -13,7 +13,6 @@ from dpcp import (
     PrecedenceLe,
     PropagationMode,
     SolveLimits,
-    SumLe,
     astar,
     cabs,
     propagate_fixpoint,
@@ -386,23 +385,10 @@ def micro_precedence(rng: random.Random):
     return domains, list(pairs), check
 
 
-def micro_sumle(rng: random.Random):
-    k = rng.randint(1, 5)
-    domains = [random_domain(rng) for _ in range(k)]
-    cap = rng.randint(0, 11 * k)
-    props = [SumLe(tuple(range(k)), cap)]
-
-    def check(vals):
-        return sum(vals) <= cap
-
-    return domains, props, check
-
-
 MICRO_FAMILIES = {
     "disjunctive": micro_disjunctive,
     "cumulative": micro_cumulative,
     "precedence": micro_precedence,
-    "sumle": micro_sumle,
 }
 
 

@@ -45,10 +45,7 @@ def reference_sms_veto(adapter, label, state, store):
 def reference_tsptw_veto(adapter, label, state, store):
     inst = adapter.instance
     arc = inst.travel[state.location][label]
-    arrive = max(state.time + arc, inst.windows[label][0])
-    if not store.contains(label, arrive):
-        return True
-    return not store.contains(inst.n + state.location, arc)
+    return not store.contains(label, max(state.time + arc, inst.windows[label][0]))
 
 
 def reference_rcpsp_veto(adapter, label, state, store):
@@ -92,9 +89,9 @@ def propagated_stores(model, adapter, primal_of):
     for state, value in enumerate_state_values(model).items():
         if model.is_base(state):
             continue
-        for g, primal in ((0, INFINITY), primal_of(state, value)):
+        for primal in (INFINITY, primal_of(state, value)):
             for propagate in MODES:
-                store, props = adapter.build(state, g, primal)
+                store, props = adapter.build(state, primal)
                 if store.infeasible:
                     continue
                 propagate(store, props)
@@ -114,8 +111,8 @@ def assert_vetoes_agree(model, adapter, reference, primal_of):
 
 
 def tight_total(state, value):
-    # Path cost 0 and an incumbent equal to the best completion.
-    return 0, value if is_finite(value) else INFINITY
+    # An incumbent equal to the best completion at path cost 0.
+    return value if is_finite(value) else INFINITY
 
 
 def test_sms_veto_matches_transition_reference():
@@ -133,7 +130,7 @@ def test_sms_veto_matches_transition_reference():
 def test_tsptw_veto_matches_transition_reference():
     rng = random.Random(103)
     checked = vetoed = 0
-    for _ in range(30):
+    for _ in range(120):
         model = UnfilteredTsptwModel(random_tsptw_instance(rng, rng.randint(3, 7)))
         c, v = assert_vetoes_agree(
             model, tsptw.TsptwAdapter(model), reference_tsptw_veto, tight_total
@@ -153,7 +150,7 @@ def rcpsp_cases(seed, count):
 def rcpsp_makespan_cap(state, value):
     # The makespan variable is capped at the incumbent total, reached at
     # path cost equal to the state's makespan estimate.
-    return state.estimate, state.estimate + value
+    return state.estimate + value
 
 
 def test_rcpsp_veto_matches_transition_reference():

@@ -8,9 +8,7 @@ from dpcp import (
     Cumulative,
     Disjunctive,
     DomainStore,
-    INFINITY,
     PrecedenceLe,
-    SumLe,
     propagate_fixpoint,
     propagate_once,
 )
@@ -476,28 +474,6 @@ def test_cumulative_out_of_range_id_raises(bad):
         store = store_of([(0, 9), (0, 9)])
         with pytest.raises(AdapterFailure):
             cls([(0, 2, 1), (bad, 2, 1)], 2).propagate(store)
-
-
-def test_sum_le_examples():
-    store = store_of([(2, 9), (3, 4)])
-    SumLe((0, 1), 9).propagate(store)
-    assert store_domains(store) == [(2, 6), (3, 4)]
-
-    store = store_of([(4, 9), (6, 9)])
-    SumLe((0, 1), 9).propagate(store)
-    assert store.infeasible
-
-    store = store_of([(2, 9)])
-    SumLe((0,), INFINITY).propagate(store)
-    assert store_domains(store) == [(2, 9)]
-
-
-@pytest.mark.parametrize("bad", [2, -1])
-def test_sum_le_out_of_range_id_raises(bad):
-    store = store_of([(0, 9), (0, 9)])
-    with pytest.raises(AdapterFailure):
-        SumLe((0, bad), 9).propagate(store)
-    assert store_domains(store) == [(0, 9), (0, 9)] and store.revision == 0
 
 
 def test_ect_envelope_examples():

@@ -177,7 +177,7 @@ def test_build_objective_and_fixed_starts():
     store, _props = adapter.build(state)
     assert (store.lbs[2], store.ubs[2]) == (0, inst.horizon)
     assert (store.lbs[0], store.ubs[0]) == (3, 3)
-    store, _props = adapter.build(state, g=0, primal=12)
+    store, _props = adapter.build(state, primal=12)
     assert store.ubs[2] == min(12, inst.horizon)
 
 
@@ -249,7 +249,7 @@ def test_tight_primal_kills_state_via_objective_cap():
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
     state = model.make_state((0, None), 0)
-    store, props = adapter.build(state, g=state.estimate, primal=7)
+    store, props = adapter.build(state, primal=7)
     propagate_once(store, props)
     assert store.infeasible
     # A search pops the state and prunes it there, without asking for a CP
@@ -267,7 +267,7 @@ def test_succ_infeasible_via_fixpoint_time_table():
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
     state = model.target_state()
-    store, props = adapter.build(state, g=state.estimate, primal=8)
+    store, props = adapter.build(state, primal=8)
     propagate_fixpoint(store, props)
     assert vetoed(adapter, state, 1, store)
 

@@ -356,8 +356,8 @@ PINNED_COUNTS = {
     ("tsptw", 0, "astar", "once"): ("Optimal", 95, 22, 27, 0, 0, 0),
     ("tsptw", 0, "astar", "fixpoint"): ("Optimal", 95, 22, 27, 0, 0, 0),
     ("tsptw", 0, "cabs", "off"): ("Optimal", 95, 47, 60, 0, 0, 3),
-    ("tsptw", 0, "cabs", "once"): ("Optimal", 95, 44, 59, 3, 0, 3),
-    ("tsptw", 0, "cabs", "fixpoint"): ("Optimal", 95, 44, 59, 3, 0, 3),
+    ("tsptw", 0, "cabs", "once"): ("Optimal", 95, 44, 60, 2, 0, 3),
+    ("tsptw", 0, "cabs", "fixpoint"): ("Optimal", 95, 44, 60, 2, 0, 3),
     ("tsptw", 2, "astar", "off"): ("Infeasible", None, 10, 10, 0, 0, 0),
     ("tsptw", 2, "astar", "once"): ("Infeasible", None, 10, 10, 0, 0, 0),
     ("tsptw", 2, "astar", "fixpoint"): ("Infeasible", None, 10, 10, 0, 0, 0),
@@ -368,14 +368,14 @@ PINNED_COUNTS = {
     ("tsptw", 9, "astar", "once"): ("Optimal", 67, 39, 61, 0, 2, 0),
     ("tsptw", 9, "astar", "fixpoint"): ("Optimal", 67, 39, 61, 0, 2, 0),
     ("tsptw", 9, "cabs", "off"): ("Optimal", 67, 125, 189, 0, 14, 5),
-    ("tsptw", 9, "cabs", "once"): ("Optimal", 67, 113, 176, 13, 8, 5),
-    ("tsptw", 9, "cabs", "fixpoint"): ("Optimal", 67, 113, 176, 13, 8, 5),
+    ("tsptw", 9, "cabs", "once"): ("Optimal", 67, 113, 178, 11, 8, 5),
+    ("tsptw", 9, "cabs", "fixpoint"): ("Optimal", 67, 113, 178, 11, 8, 5),
     ("tsptw", 13, "astar", "off"): ("Optimal", 65, 26, 40, 0, 2, 0),
     ("tsptw", 13, "astar", "once"): ("Optimal", 65, 24, 38, 0, 1, 0),
     ("tsptw", 13, "astar", "fixpoint"): ("Optimal", 65, 24, 38, 0, 1, 0),
     ("tsptw", 13, "cabs", "off"): ("Optimal", 65, 75, 117, 0, 3, 4),
-    ("tsptw", 13, "cabs", "once"): ("Optimal", 65, 63, 95, 18, 1, 4),
-    ("tsptw", 13, "cabs", "fixpoint"): ("Optimal", 65, 63, 95, 18, 1, 4),
+    ("tsptw", 13, "cabs", "once"): ("Optimal", 65, 63, 105, 8, 1, 4),
+    ("tsptw", 13, "cabs", "fixpoint"): ("Optimal", 65, 63, 105, 8, 1, 4),
     ("rcpsp", 0, "astar", "off"): ("Optimal", 26, 35, 62, 0, 1, 0),
     ("rcpsp", 0, "astar", "once"): ("Optimal", 26, 30, 56, 0, 0, 0),
     ("rcpsp", 0, "astar", "fixpoint"): ("Optimal", 26, 30, 56, 0, 0, 0),
