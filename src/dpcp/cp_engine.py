@@ -466,8 +466,9 @@ class PropagationAdapter(ABC):
     """Bridge from a DP model's states to a CP model over a domain store.
 
     ``build`` is deterministic for equal states and primal bounds.  The
-    primal is passed in so that an objective variable can be capped by it;
-    the search reads infeasibility from ``store.infeasible``.  The path
+    primal is passed in so that an adapter may cap the latest starts of
+    pending tasks by it; the search reads infeasibility from
+    ``store.infeasible``.  The path
     cost is not passed: the search prunes on ``g`` plus ``dual_cp`` itself,
     so a cap on the remaining cost would only repeat that test.
 

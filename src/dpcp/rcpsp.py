@@ -16,10 +16,10 @@ successor rule, dominance, both dual bounds and the CP build read those
 fields instead of rescanning all n starts.
 
 Dual bounds, both the model's own (critical path, resource energy) and the
-propagation-based ones (completion envelope, and the objective variable,
-which its links lift to the latest pending finish), naturally bound the
-total makespan; they are converted to remaining cost by subtracting the
-state's current estimate, floored at 0.
+propagation-based ones (latest pending finish and completion envelope over
+the propagated start bounds), naturally bound the total makespan; they are
+converted to remaining cost by subtracting the state's current estimate,
+floored at 0.
 """
 
 from __future__ import annotations
@@ -356,19 +356,18 @@ class RcpspModel(DpModel):
 
 
 class RcpspAdapter(PropagationAdapter):
-    """CP view: fixed starts for scheduled tasks, windows for pending ones,
-    a makespan variable capped by the incumbent, capacity propagators fed
-    with the running tasks as fixed blocks, and all precedence links."""
+    """CP view: fixed starts for scheduled tasks, and for pending ones
+    windows whose latest start lets them finish by the incumbent;
+    capacity propagators fed with the running tasks as fixed blocks, and
+    all precedence links."""
 
     def __init__(self, model: RcpspModel):
         self.model = model
         self.instance = model.instance
         inst = self.instance
         tasks = inst.tasks
-        self._obj = inst.n  # objective variable id
-        self._arcs = [(i, tasks[i].duration, j) for i, j in inst.precedences]
-        self._links = [(i, t.duration, self._obj) for i, t in enumerate(tasks)]
-        self._latest = [inst.horizon - t.duration for t in tasks]
+        self._durations = model._durations
+        self._precedences = PrecedenceLe((i, tasks[i].duration, j) for i, j in inst.precedences)
         self._energies = model._energies
         # Per resource, the (task, duration, usage) rows of its users.
         self._members = [
@@ -379,10 +378,10 @@ class RcpspAdapter(PropagationAdapter):
     def build(self, state: RcpspState, primal: Cost = INFINITY):
         inst = self.instance
         starts, time, scheduled = state.starts, state.time, state.scheduled
+        # A pending task must finish by the horizon, and by the incumbent.
+        finish_by = min(inst.horizon, primal)
         lbs = [time if s is None else s for s in starts]
-        ubs = [late if s is None else s for s, late in zip(starts, self._latest)]
-        lbs.append(0)
-        ubs.append(min(inst.horizon, primal))
+        ubs = [finish_by - p if s is None else s for s, p in zip(starts, self._durations)]
         store = DomainStore(lbs, ubs)
         live = ~scheduled  # pending tasks, and the running ones below
         for j in state.running:
@@ -391,23 +390,21 @@ class RcpspAdapter(PropagationAdapter):
             Cumulative([m for m in members if live >> m[0] & 1], cap)
             for members, cap in zip(self._members, inst.capacities)
         ]
-        # The objective links come last: nothing after them moves a task's
-        # lower bound, so after a single pass (or a fixed point) lb(obj) is
-        # at least lb(i) + p_i for every pending task i.  ``dual_cp``
-        # relies on this instead of taking the latest finish itself.
-        links = [link for link in self._links if not scheduled >> link[0] & 1]
-        props.append(PrecedenceLe(self._arcs + links))
+        props.append(self._precedences)
         return store, props
 
     def dual_cp(self, state: RcpspState, store: DomainStore) -> Cost:
-        # The objective links in ``build`` already give lb(obj) >= every
-        # pending earliest finish, so no separate finish term is needed.
-        lbs = store.lbs
-        envelope = ect_envelope_max(
-            [(lb, e) for s, lb, e in zip(state.starts, lbs, self._energies) if s is None],
-            self.instance.capacities,
-        )
-        return max(0, max(lbs[self._obj], envelope) - state.estimate)
+        # The latest earliest finish of a pending task, and the completion
+        # envelope, each bound the makespan.
+        finish = 0
+        pending = []
+        for s, lb, p, e in zip(state.starts, store.lbs, self._durations, self._energies):
+            if s is None:
+                pending.append((lb, e))
+                if lb + p > finish:
+                    finish = lb + p
+        envelope = ect_envelope_max(pending, self.instance.capacities)
+        return max(0, max(finish, envelope) - state.estimate)
 
     def is_succ_infeasible(
         self, label: int, state: RcpspState, succ: RcpspState, store: DomainStore

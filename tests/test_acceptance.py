@@ -179,7 +179,12 @@ def test_criterion_5_bound_admissibility():
                 store, props = adapter.build(state)
                 propagate_once(store, props)
                 if not store.infeasible:
-                    assert store.lbs[inst.n] - state.estimate <= value
+                    finish = max(
+                        store.lbs[i] + inst.tasks[i].duration
+                        for i, s in enumerate(state.starts)
+                        if s is None
+                    )
+                    assert finish - state.estimate <= value
                     assert adapter.dual_cp(state, store) <= value
 
 

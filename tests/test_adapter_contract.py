@@ -1,6 +1,7 @@
 """The adapter contract: successor vetoes are domain lookups on the
-successor state, the RCPSP objective links carry the finish bound, and a
-CP dual reused across siblings equals the one summed afresh.
+successor state, the RCPSP CP dual equals its latest pending finish and
+envelopes taken separately, and a CP dual reused across siblings equals
+the one summed afresh.
 
 The reference functions below recompute each transition from the parent
 state, the way the vetoes did before they were handed the successor; the
@@ -56,10 +57,11 @@ def reference_rcpsp_veto(adapter, label, state, store):
 
 
 def reference_rcpsp_dual_cp(adapter, state, store):
-    """Objective, latest pending finish and envelope, taken separately."""
+    """Latest pending finish and each resource's envelope, taken
+    separately."""
     inst = adapter.instance
     pending = [i for i, s in enumerate(state.starts) if s is None]
-    total = store.lbs[inst.n]
+    total = 0
     for i in pending:
         total = max(total, store.lbs[i] + inst.tasks[i].duration)
     for r, cap in enumerate(inst.capacities):
@@ -148,8 +150,8 @@ def rcpsp_cases(seed, count):
 
 
 def rcpsp_makespan_cap(state, value):
-    # The makespan variable is capped at the incumbent total, reached at
-    # path cost equal to the state's makespan estimate.
+    # An incumbent equal to the best makespan below the state: the path
+    # cost to a state equals its makespan estimate.
     return state.estimate + value
 
 
@@ -163,18 +165,14 @@ def test_rcpsp_veto_matches_transition_reference():
     assert checked > 8000 and vetoed > 80, (checked, vetoed)
 
 
-def test_rcpsp_objective_links_carry_pending_finishes():
-    # After any single pass or fixed point, lb(obj) >= lb(i) + p_i for
-    # every pending i, which is why dual_cp needs no finish term of its
-    # own; the full reference bound (with that term) must agree, also for
-    # successors evaluated under their parent's store, as the search does.
+def test_rcpsp_dual_cp_matches_reference():
+    # After any single pass or fixed point, with and without an incumbent
+    # cap, dual_cp equals the reference bound, also for successors
+    # evaluated under their parent's store, as the search does.
     checked = 0
-    for inst, model in rcpsp_cases(109, 30):
+    for _inst, model in rcpsp_cases(109, 30):
         adapter = rcpsp.RcpspAdapter(model)
         for state, store in propagated_stores(model, adapter, rcpsp_makespan_cap):
-            for i, s in enumerate(state.starts):
-                if s is None:
-                    assert store.lbs[inst.n] >= store.lbs[i] + inst.tasks[i].duration
             for bounded in [state] + [succ for _w, _l, succ in model.successors(state)]:
                 assert adapter.dual_cp(bounded, store) == reference_rcpsp_dual_cp(
                     adapter, bounded, store

@@ -174,17 +174,23 @@ def test_build_objective_and_fixed_starts():
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
     state = model.make_state((3, None), 3)
+    latest = inst.horizon - 2
     store, _props = adapter.build(state)
-    assert (store.lbs[2], store.ubs[2]) == (0, inst.horizon)
+    assert (store.lbs[1], store.ubs[1]) == (3, latest)
     assert (store.lbs[0], store.ubs[0]) == (3, 3)
+    assert len(store.lbs) == inst.n
     store, _props = adapter.build(state, primal=12)
-    assert store.ubs[2] == min(12, inst.horizon)
+    assert store.ubs[1] == min(latest, 12 - 2)
+    assert (store.lbs[0], store.ubs[0]) == (3, 3)
+    # An incumbent of 4 leaves the pending task no start that lets it
+    # finish by then.
+    store, _props = adapter.build(state, primal=4)
+    assert store.ubs[1] == 2 and store.infeasible
 
 
 def test_dual_cp_precedence_lift():
     # Unscheduled task 1 must follow the running task 0 (finish 2), so its
-    # earliest finish moves to 5, and its link lifts the objective (id 2)
-    # there too; estimate is 3, leaving remaining cost 2.
+    # earliest finish moves to 5; estimate is 3, leaving remaining cost 2.
     inst = instance_of([(2, (0,)), (3, (0,))], (1,), [(0, 1)])
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
@@ -192,7 +198,6 @@ def test_dual_cp_precedence_lift():
     store, props = adapter.build(state)
     propagate_once(store, props)
     assert store.lbs[1] == 2
-    assert store.lbs[2] == 5
     assert adapter.dual_cp(state, store) == 2
     values = enumerate_state_values(model)
     assert values[state] == 2
@@ -228,7 +233,7 @@ def test_dual_cp_envelope_component():
 
 def test_succ_infeasible_when_upper_side_cut():
     # Membership fails on the upper side once the window is cut below the
-    # greedy slot, the way an objective cap would cut it.
+    # greedy slot, the way an incumbent cap would cut it.
     inst = instance_of([(5, (1,)), (3, (1,))], (1,))
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
@@ -243,7 +248,7 @@ def test_succ_infeasible_when_upper_side_cut():
 
 
 def test_tight_primal_kills_state_via_objective_cap():
-    # The delayed task cannot finish within primal 7, so the objective link
+    # The delayed task cannot finish within primal 7, so its capped window
     # empties the store: the whole state is pruned, not just one successor.
     inst = instance_of([(5, (1,)), (3, (1,))], (1,))
     model = RcpspModel(inst)
@@ -258,6 +263,24 @@ def test_tight_primal_kills_state_via_objective_cap():
     ctx.primal = 7
     assert ctx.expand(SearchNode(state, state.estimate, state.estimate)) is None
     assert (ctx.metrics.pruned_by_cp, ctx.metrics.expansions) == (1, 0)
+
+
+def test_single_pass_sees_incumbent_cap():
+    # The cap is in the initial windows, so Cumulative already sweeps
+    # under it: with primal 6 the long task's window [0, 1] has the
+    # compulsory part [1, 5), which leaves the short one no start in [0, 3].
+    inst = instance_of([(5, (1,)), (3, (1,))], (1,))
+    model = RcpspModel(inst)
+    adapter = RcpspAdapter(model)
+    state = model.target_state()
+    for propagate in (propagate_once, propagate_fixpoint):
+        store, props = adapter.build(state, primal=6)
+        assert propagate(store, props).infeasible
+        # At the optimum 8 both fit, and the envelope 0 + 8 / 1 beats the
+        # estimate 5 by 3.
+        store, props = adapter.build(state, primal=8)
+        assert not propagate(store, props).infeasible
+        assert adapter.dual_cp(state, store) == 3
 
 
 def test_succ_infeasible_via_fixpoint_time_table():
@@ -395,7 +418,12 @@ def test_cp_bounds_below_oracle_values():
             if store.infeasible:
                 continue
             assert model.dual(state) <= value
-            assert store.lbs[inst.n] - state.estimate <= value
+            finish = max(
+                store.lbs[i] + inst.tasks[i].duration
+                for i, s in enumerate(state.starts)
+                if s is None
+            )
+            assert finish - state.estimate <= value
             assert adapter.dual_cp(state, store) <= value
 
 

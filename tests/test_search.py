@@ -400,6 +400,14 @@ PINNED_COUNTS = {
     ("rcpsp", 16, "cabs", "off"): ("Optimal", 15, 88, 149, 0, 0, 4),
     ("rcpsp", 16, "cabs", "once"): ("Optimal", 15, 82, 171, 32, 8, 5),
     ("rcpsp", 16, "cabs", "fixpoint"): ("Optimal", 15, 82, 171, 32, 8, 5),
+    # n = 6.  CABS + once sees the incumbent cap in its single pass, so it
+    # equals CABS + fixpoint.
+    ("rcpsp", 23, "astar", "off"): ("Optimal", 11, 15, 24, 0, 0, 0),
+    ("rcpsp", 23, "astar", "once"): ("Optimal", 11, 14, 23, 0, 0, 0),
+    ("rcpsp", 23, "astar", "fixpoint"): ("Optimal", 11, 14, 23, 0, 0, 0),
+    ("rcpsp", 23, "cabs", "off"): ("Optimal", 11, 31, 52, 0, 0, 3),
+    ("rcpsp", 23, "cabs", "once"): ("Optimal", 11, 20, 38, 5, 0, 3),
+    ("rcpsp", 23, "cabs", "fixpoint"): ("Optimal", 11, 20, 38, 5, 0, 3),
 }
 
 
