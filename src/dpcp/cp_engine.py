@@ -43,6 +43,8 @@ class DomainStore:
     place.  A store is owned by a single solve; sharing is read-only.
     """
 
+    __slots__ = ("lbs", "ubs", "infeasible", "revision")
+
     def __init__(self, lbs: List[int], ubs: List[int]):
         if len(lbs) != len(ubs):
             raise AdapterFailure(f"{len(lbs)} lower bounds for {len(ubs)} upper bounds")

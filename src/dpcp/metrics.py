@@ -34,7 +34,11 @@ class RunMetrics:
     enumeration actually ran; states short-circuited by propagation
     (infeasible or bound-pruned before enumerating) are counted in
     ``pruned_by_cp`` instead.  ``generated`` counts successor candidates
-    handed to the admission test.  Traces carry wall-clock offsets;
+    handed to the admission test.  With propagation on, each popped,
+    non-stale, non-base state either builds and propagates its CP model
+    (``propagation_calls``) or, in CABS, reuses what propagation found for
+    it earlier under the same incumbent (``reused``).  Traces carry
+    wall-clock offsets;
     incumbent costs are strictly decreasing and dual bounds non-decreasing.
     """
 
@@ -42,6 +46,7 @@ class RunMetrics:
     generated: int = 0
     pruned_by_cp: int = 0
     propagation_calls: int = 0
+    reused: int = 0
     propagation_time: float = 0.0
     base_pops: int = 0
     stale_skips: int = 0
@@ -58,6 +63,7 @@ class RunMetrics:
             "generated": self.generated,
             "pruned_by_cp": self.pruned_by_cp,
             "propagation_calls": self.propagation_calls,
+            "reused": self.reused,
             "propagation_time": self.propagation_time,
             "base_pops": self.base_pops,
             "stale_skips": self.stale_skips,

@@ -19,6 +19,11 @@ infeasibility or by its CP dual bound against the incumbent, and surviving
 successors are filtered individually.  The CP dual of a successor is
 evaluated under the parent's propagated domains, which remain valid for
 every successor.
+
+CABS restarts duplicate detection with each pass, but what propagation
+found for a popped state carries over one pass: a state popped again under
+the same incumbent, in this pass or the last, reuses its propagated store
+(or its prune) instead of building and propagating its CP model afresh.
 """
 
 from __future__ import annotations
@@ -41,7 +46,10 @@ from .metrics import RunMetrics, optimality_gap
 # for rcpsp, with propagation off and on: the estimate is up to 26% high
 # (smswt), 8-9% high for rcpsp, and for tsptw from 11% high (A*, off) to
 # 24% low (CABS, once, where the short-lived propagation lists in the peak
-# are spread over the fewest stored nodes).
+# are spread over the fewest stored nodes).  CABS counts each entry of its
+# tables of propagation outcomes as a node too, which is conservative: at
+# their largest on the perfbench instance ``sms-tight:55`` (CABS, once),
+# 4,993 entries held about 340 B each by ``tracemalloc``.
 NODE_ESTIMATE_BYTES = 512
 
 
@@ -152,6 +160,11 @@ class _SolveContext:
         self.best_dual: Optional[Cost] = None
         self.counter = itertools.count()
         self.started = time.perf_counter()
+        # CABS only: ``state -> (primal, h, store)`` for the states popped
+        # in the current pass and in the last one (see ``expand``), which
+        # stay empty with propagation off.  ``this_pass`` stays None in A*.
+        self.last_pass: dict = {}
+        self.this_pass: Optional[dict] = None
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.started
@@ -164,11 +177,18 @@ class _SolveContext:
             return SolveStatus.TIME_LIMIT
         if lim.memory_limit is not None:
             # Every live open-list or layer entry is a registered node, and
-            # the per-node estimate is calibrated on the registry size.
-            estimate = registry.size * NODE_ESTIMATE_BYTES
+            # the per-node estimate is calibrated on the registry size.  An
+            # entry of the CABS tables counts as a node.
+            stored = registry.size + len(self.last_pass) + len(self.this_pass or ())
+            estimate = stored * NODE_ESTIMATE_BYTES
             if estimate > lim.memory_limit:
                 return SolveStatus.MEMORY_LIMIT
         return None
+
+    def start_pass(self) -> None:
+        """Begin a CABS pass: keep the last pass's propagation outcomes and
+        drop the older ones."""
+        self.last_pass, self.this_pass = self.this_pass or {}, {}
 
     def make_root(self) -> SearchNode:
         target = self.model.target_state()
@@ -254,26 +274,50 @@ class _SolveContext:
         Counts the expansion only when the model's successor enumeration
         actually runs; a pruned pop and each vetoed successor count toward
         ``pruned_by_cp`` instead.
+
+        In CABS, each pop records ``(primal, h, store)`` for its state: the
+        incumbent it was propagated under, its CP dual (``INFINITY`` when
+        infeasible), and its store, or None if it was pruned.  ``build`` is
+        deterministic for equal states and primals, so a later pop of the
+        state under the same primal, in this pass or the next, reuses the
+        entry (counted in ``reused``, not ``propagation_calls``) and takes
+        exactly the decisions a fresh store would: a pruned entry only while
+        its ``g`` still prunes it, and a store after ``dual_cp`` has been
+        asked again for the popped state's own bound.
         """
         model, state, m = self.model, node.state, self.metrics
         if self.mode is PropagationMode.OFF:
             m.expansions += 1
             return model.successors(state), None
-        adapter = self.adapter
-        started = time.perf_counter()
-        store, props = adapter.build(state, self.primal)
-        if not store.infeasible:
-            if self.mode is PropagationMode.FIXPOINT:
-                propagate_fixpoint(store, props)
-            else:
-                propagate_once(store, props)
-        m.propagation_calls += 1
-        m.propagation_time += time.perf_counter() - started
-        bound = INFINITY if store.infeasible else add(node.g, adapter.dual_cp(state, store))
+        adapter, primal, table = self.adapter, self.primal, self.this_pass
+        entry = None if table is None else table.get(state) or self.last_pass.pop(state, None)
+        if (
+            entry is not None
+            and entry[0] == primal
+            and (entry[2] is not None or add(node.g, entry[1]) >= primal)
+        ):
+            _, h, store = entry
+            if store is not None:
+                h = adapter.dual_cp(state, store)
+            m.reused += 1
+        else:
+            started = time.perf_counter()
+            store, props = adapter.build(state, primal)
+            if not store.infeasible:
+                if self.mode is PropagationMode.FIXPOINT:
+                    propagate_fixpoint(store, props)
+                else:
+                    propagate_once(store, props)
+            m.propagation_calls += 1
+            m.propagation_time += time.perf_counter() - started
+            h = INFINITY if store.infeasible else adapter.dual_cp(state, store)
+        bound = add(node.g, h)
+        if table is not None:
+            table[state] = (primal, h, store if bound < primal else None)
         if node.parent is None:
             # Only at the root is g + CP dual a bound on the global optimum.
             self.note_dual(bound)
-        if bound >= self.primal:
+        if bound >= primal:
             m.pruned_by_cp += 1
             return None
         m.expansions += 1
@@ -351,7 +395,10 @@ def cabs(
     pass doubling the width of the one before; each layer keeps the
     ``width`` best nodes by (f, larger g, insertion order).  The incumbent persists across
     passes while duplicate detection restarts per pass.  Expansion counts
-    accumulate across passes.
+    accumulate across passes.  With propagation on, what propagation found
+    for each popped state carries over one pass: a state popped again under
+    the same incumbent reuses it (see ``_SolveContext.expand``), which
+    leaves the search unchanged and only saves ``propagation_calls``.
 
     A pass that never discards a node at the width cut is exhaustive, even
     if it improved the incumbent, so it proves the final incumbent optimal
@@ -384,6 +431,7 @@ def cabs(
     width = 1
     while ctx.status is None:
         ctx.metrics.beam_widths.append(width)
+        ctx.start_pass()
         registry = Registry()
         root = ctx.make_root()
         registry.register(model, root.state, root.g, lambda: root)

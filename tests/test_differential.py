@@ -5,6 +5,8 @@ With no oracle to compare against, the answers are checked against each
 other: both algorithms reach one status and cost in every propagation
 mode, relabelling the jobs, locations (the depot stays 0) or tasks leaves
 the optimum unchanged, and scaling every SMS weight by k scales it by k.
+CABS's reuse of propagation outcomes across passes is checked against
+the same search with reuse switched off.
 """
 
 import random
@@ -21,6 +23,7 @@ from dpcp import (
     smswt,
     tsptw,
 )
+from dpcp.search import _SolveContext
 
 from conftest import random_rcpsp_instance, random_tsptw_instance, solve_all_modes
 
@@ -125,3 +128,47 @@ def test_sms_weight_scaling_scales_the_optimum(k):
         want = (status, None if cost is None else k * cost)
         assert answer_of(scaled, smswt.SmsAdapter(scaled), astar, PropagationMode.ONCE) == want
         assert answer_of(scaled, None, cabs, PropagationMode.OFF) == want
+
+
+class Forgetful(dict):
+    """A table of propagation outcomes that never returns an entry."""
+
+    def get(self, key, default=None):
+        return default
+
+    def pop(self, key, default=None):
+        return default
+
+
+def trajectory(result):
+    """Everything a solve decides, without its wall-clock offsets."""
+    m = result.metrics
+    return (
+        result.status, result.incumbent,
+        [c for _, c in m.incumbent_trace], [c for _, c in m.dual_trace],
+        m.beam_widths, m.expansions, m.generated, m.pruned_by_cp, m.stale_skips,
+    )
+
+
+@pytest.mark.parametrize("mode", [PropagationMode.ONCE, PropagationMode.FIXPOINT])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_cabs_reuse_leaves_the_search_unchanged(monkeypatch, family, mode):
+    """Reusing a state's propagated store or prune from this pass or the
+    last changes no decision; it only replaces propagation calls."""
+    draw, make_model, make_adapter, _ = FAMILIES[family]
+    reused = 0
+    for inst in draw():
+        model = make_model(inst)
+        shipped = cabs(model, make_adapter(model), mode=mode)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                _SolveContext, "start_pass",
+                lambda ctx: setattr(ctx, "this_pass", Forgetful()),
+            )
+            fresh = cabs(model, make_adapter(model), mode=mode)
+        assert fresh.metrics.reused == 0
+        assert trajectory(shipped) == trajectory(fresh)
+        calls = shipped.metrics.propagation_calls + shipped.metrics.reused
+        assert calls == fresh.metrics.propagation_calls
+        reused += shipped.metrics.reused
+    assert reused > 0

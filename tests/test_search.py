@@ -17,7 +17,7 @@ from dpcp import (
     propagate_once,
 )
 from dpcp import rcpsp, smswt, tsptw
-from dpcp.search import NODE_ESTIMATE_BYTES, SearchNode
+from dpcp.search import NODE_ESTIMATE_BYTES, SearchNode, _SolveContext
 
 from conftest import (
     ALL_MODES,
@@ -65,18 +65,40 @@ def test_astar_memory_limit():
 
 
 def solve_with_peak_registry(monkeypatch, solve):
-    """``solve()`` and the largest number of nodes its registries held."""
+    """``solve()`` and the largest number of nodes its registries held,
+    counting each entry of the CABS tables of propagation outcomes as one.
+
+    Sampled after each registration and at each limit check: a pruned pop
+    grows a table without registering anything.
+    """
     peak = 0
-    register = Registry.register
+    init, register, limit_status = (
+        _SolveContext.__init__, Registry.register, _SolveContext.limit_status
+    )
+    contexts = []
+
+    def sample(registry):
+        nonlocal peak
+        ctx = contexts[-1]
+        peak = max(peak, registry.size + len(ctx.last_pass) + len(ctx.this_pass or ()))
+
+    def created(self, *args):
+        init(self, *args)
+        contexts.append(self)
 
     def tracked(self, *args):
-        nonlocal peak
         node = register(self, *args)
-        peak = max(peak, self.size)
+        sample(self)
         return node
 
+    def checked(self, registry):
+        sample(registry)
+        return limit_status(self, registry)
+
     with monkeypatch.context() as patch:
+        patch.setattr(_SolveContext, "__init__", created)
         patch.setattr(Registry, "register", tracked)
+        patch.setattr(_SolveContext, "limit_status", checked)
         result = solve()
     return result, peak
 
@@ -425,8 +447,9 @@ def test_pinned_search_counts(monkeypatch):
     run for a child only once the registry's dominance test let it through.
 
     The dominance test is recounted here from the registry's buckets.  A
-    ``dual_cp`` call is a child's unless it is the first on its store (the
-    expanded state's own bound); roots are registered and bounded once.
+    ``dual_cp`` call is a child's unless its state is the one that first
+    used its store (the expanded state's own bound, asked again when CABS
+    reuses the store); roots are registered and bounded once.
     """
     assert {k[3] for k in PINNED_COUNTS} == {m.value for m in ALL_MODES}
     original = Registry.register
@@ -447,9 +470,10 @@ def test_pinned_search_counts(monkeypatch):
             return inner(state)
 
         def dual_cp(state, store, inner=adapter and adapter.dual_cp):
-            if id(store) in stores:
+            # The store is held, so that no id is reused.
+            owner = stores.setdefault(id(store), (store, state))[1]
+            if state != owner:
                 counts["dual_cp"] += 1
-            stores[id(store)] = store  # held, so that no id is reused
             return inner(state, store)
 
         monkeypatch.setattr(Registry, "register", register)
