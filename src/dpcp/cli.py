@@ -9,6 +9,7 @@ costs could pass ``MAX_COST``, and for a cost sum that overflows.
 
 ``PROBLEMS`` is the one per-problem table: each kind's module (whose
 ``load_instance`` reads every instance file), model, adapter and oracle.
+No command takes a format: the file's content decides it.
 """
 
 from __future__ import annotations
@@ -80,17 +81,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load(kind: str, path: str, fmt: str):
+def _load(kind: str, path: str):
     """``(problem, instance)`` for one problem kind and instance file."""
     if kind not in PROBLEMS:
         raise UnknownFormat(f"unknown problem kind {kind}")
     problem = PROBLEMS[kind]
-    return problem, problem.module.load_instance(path, fmt)
+    return problem, problem.module.load_instance(path)
 
 
-def _build(kind: str, path: str, fmt: str):
+def _build(kind: str, path: str):
     """``(model, adapter)`` for one problem kind and instance file."""
-    problem, instance = _load(kind, path, fmt)
+    problem, instance = _load(kind, path)
     model = problem.model(instance)
     return model, problem.adapter(model)
 
@@ -140,7 +141,7 @@ def _emit(payload: str, output) -> None:
 
 
 def _cmd_solve(args) -> int:
-    model, adapter = _build(args.problem, args.instance, args.format)
+    model, adapter = _build(args.problem, args.instance)
     limits = _limits_from(args.time_limit, args.mem_limit, args.expansion_cap)
     result, wall = _solve_verified(model, adapter, args.algo, args.propagation, limits)
     solution = None if result.solution is None else list(result.solution)
@@ -179,7 +180,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    problem, instance = _load(args.problem, args.instance, args.format)
+    problem, instance = _load(args.problem, args.instance)
     if instance.n > ORACLE_CAP:
         raise TooLarge(f"{args.problem} oracle refuses n={instance.n} (cap {ORACLE_CAP})")
     value = problem.oracle(instance)
@@ -200,7 +201,7 @@ def _bench_row(row: dict) -> dict:
             raise UnknownFormat(f"unknown algorithm {out['algo']}")
         if out["propagation"] not in MODES:
             raise UnknownFormat(f"unknown propagation mode {out['propagation']}")
-        model, adapter = _build(row["problem"], row["instance"], row.get("format", "auto"))
+        model, adapter = _build(row["problem"], row["instance"])
         limits = _limits_from(
             row.get("time_limit"), row.get("mem_limit_mb"), row.get("expansion_cap")
         )
@@ -260,15 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dpcp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p):
-        p.add_argument("--problem", choices=tuple(PROBLEMS), required=True)
-        p.add_argument(
-            "--format", choices=("auto", "json", "psplib", "tsptw-matrix"), default="auto"
-        )
-
     solve = sub.add_parser("solve", parents=[], help="solve one instance")
     solve.add_argument("instance")
-    add_shared(solve)
+    solve.add_argument("--problem", choices=tuple(PROBLEMS), required=True)
     solve.add_argument("--algo", choices=("astar", "cabs"), default="cabs")
     solve.add_argument("--propagation", choices=tuple(MODES), default="once")
     solve.add_argument("--time-limit", type=float, default=None, metavar="SEC")
@@ -290,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="exact answer for a small instance")
     oracle.add_argument("instance")
-    add_shared(oracle)
+    oracle.add_argument("--problem", choices=tuple(PROBLEMS), required=True)
     oracle.set_defaults(func=_cmd_oracle)
 
     bench = sub.add_parser("bench", help="run a manifest of solves into CSV")

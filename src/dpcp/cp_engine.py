@@ -486,8 +486,8 @@ class PropagationAdapter(ABC):
     order.
 
     The transition rule lives only in the model's ``successors``, so the
-    successor veto is handed the state it produced and reduces to domain
-    lookups.
+    successor veto is handed the state it produced, not its parent, and
+    reduces to domain lookups.
     """
 
     @abstractmethod
@@ -501,6 +501,6 @@ class PropagationAdapter(ABC):
         which is feasible."""
 
     @abstractmethod
-    def is_succ_infeasible(self, label, state, succ, store: DomainStore) -> bool:
-        """True when ``store`` rules out the transition ``label`` taking
-        ``state`` to ``succ``."""
+    def is_succ_infeasible(self, label, succ, store: DomainStore) -> bool:
+        """True when ``store``, the parent's propagated store, rules out the
+        transition ``label`` that produced ``succ``."""

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
-from .cost import Cost, is_finite
+from .cost import Cost, cost_to_json, is_finite
 
 
 class NegativeGap(Exception):
@@ -56,19 +56,8 @@ class RunMetrics:
     final_gap: float = 1.0
 
     def to_json(self) -> dict:
-        from .cost import cost_to_json
-
-        return {
-            "expansions": self.expansions,
-            "generated": self.generated,
-            "pruned_by_cp": self.pruned_by_cp,
-            "propagation_calls": self.propagation_calls,
-            "reused": self.reused,
-            "propagation_time": self.propagation_time,
-            "base_pops": self.base_pops,
-            "stale_skips": self.stale_skips,
-            "incumbent_trace": [[t, cost_to_json(c)] for t, c in self.incumbent_trace],
-            "dual_trace": [[t, cost_to_json(c)] for t, c in self.dual_trace],
-            "beam_widths": list(self.beam_widths),
-            "final_gap": self.final_gap,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("incumbent_trace", "dual_trace"):
+            out[name] = [[t, cost_to_json(c)] for t, c in out[name]]
+        out["beam_widths"] = list(self.beam_widths)
+        return out

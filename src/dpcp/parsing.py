@@ -2,9 +2,9 @@
 
 ``read_instance`` is the one loader: each model's ``load_instance`` calls
 it, and the CLI and the benchmark call those.  It reads the file once and
-decides the format from the content under ``auto`` (text that starts with
-``{`` is JSON, anything else goes to the model's native parser), so the
-file's suffix never matters.  Every malformed or unreadable file ends in
+decides the format from the content alone (text that starts with ``{`` is
+JSON, anything else goes to the model's native parser), so the file's
+suffix never matters.  Every malformed or unreadable file ends in
 ``ParseError``; a format the model cannot read ends in ``UnknownFormat``.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -31,26 +31,17 @@ class UnknownFormat(Exception):
     """Instance format could not be determined."""
 
 
-def read_instance(
-    path: str,
-    fmt: str,
-    from_json: Callable,
-    native: Optional[Tuple[str, Callable]] = None,
-):
+def read_instance(path: str, from_json: Callable, parse_native: Optional[Callable] = None):
     """The instance in the file at ``path``.
 
-    ``fmt`` is ``auto``, ``json`` or the name in ``native``, a pair of the
-    model's native format and its parser ``(text, path) -> instance``;
-    ``from_json`` builds the instance from decoded JSON.
+    ``from_json`` builds the instance from decoded JSON, and
+    ``parse_native``, if the model has a native format, parses its text
+    as ``(text, path) -> instance``.
     """
-    native_fmt, parse_native = native or (None, None)
-    if fmt not in ("auto", "json", native_fmt):
-        readable = ", ".join(f for f in ("auto", "json", native_fmt) if f)
-        raise UnknownFormat(f"{path}: format {fmt} is not one of {readable}")
     try:
         with open(path) as fh:
             text = fh.read()
-        if fmt == "json" or (fmt == "auto" and text.lstrip().startswith("{")):
+        if text.lstrip().startswith("{"):
             doc = json.loads(text, parse_float=_not_integer, parse_constant=_not_integer)
             if "true" in text or "false" in text:  # the walk costs more than the parse
                 _reject_booleans(doc)

@@ -406,9 +406,7 @@ class RcpspAdapter(PropagationAdapter):
         envelope = ect_envelope_max(pending, self.instance.capacities)
         return max(0, max(finish, envelope) - state.estimate)
 
-    def is_succ_infeasible(
-        self, label: int, state: RcpspState, succ: RcpspState, store: DomainStore
-    ) -> bool:
+    def is_succ_infeasible(self, label: int, succ: RcpspState, store: DomainStore) -> bool:
         return not store.contains(label, succ.starts[label])
 
 
@@ -595,6 +593,6 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
         raise ParseError(str(exc), path) from exc
 
 
-def load_instance(path: str, fmt: str = "auto") -> RcpspInstance:
+def load_instance(path: str) -> RcpspInstance:
     """The JSON or PSPLIB instance at ``path``; see ``parsing.read_instance``."""
-    return read_instance(path, fmt, RcpspInstance.from_json, ("psplib", parse_psplib))
+    return read_instance(path, RcpspInstance.from_json, parse_psplib)

@@ -323,7 +323,7 @@ class _SolveContext:
         m.expansions += 1
         succs = []
         for weight, label, succ in model.successors(state):
-            if adapter.is_succ_infeasible(label, state, succ, store):
+            if adapter.is_succ_infeasible(label, succ, store):
                 m.pruned_by_cp += 1
             else:
                 succs.append((weight, label, succ))

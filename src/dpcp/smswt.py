@@ -185,9 +185,7 @@ class SmsAdapter(PropagationAdapter):
     def dual_cp(self, state: SmsState, store: DomainStore) -> Cost:
         return self._tardiness_sum(store, state.unscheduled)
 
-    def is_succ_infeasible(
-        self, label: int, state: SmsState, succ: SmsState, store: DomainStore
-    ) -> bool:
+    def is_succ_infeasible(self, label: int, succ: SmsState, store: DomainStore) -> bool:
         # The job finishes at the successor's clock; the transition dies
         # when its start was propagated out of the job's domain.
         return not store.contains(label, succ.time - self.instance.jobs[label].p)
@@ -283,6 +281,6 @@ def generate_instances(config: SmsGeneratorConfig) -> List[SmsInstance]:
     return out
 
 
-def load_instance(path: str, fmt: str = "auto") -> SmsInstance:
+def load_instance(path: str) -> SmsInstance:
     """The JSON instance at ``path``; see ``parsing.read_instance``."""
-    return read_instance(path, fmt, SmsInstance.from_json)
+    return read_instance(path, SmsInstance.from_json)

@@ -11,13 +11,13 @@ the target state, or a state built by hand, is ever found dead when it is
 expanded, and every arrival in a built store is within its window.
 
 The propagation side pairs an arrival variable per remaining location with
-an interval variable for its outgoing travel time, the hull of the arcs it
-may take (the depot leg is dropped from locations that provably cannot be
-last).  A non-overlap constraint over arrivals takes each travel lower
-bound as a constant duration, and the CP dual sums those lower bounds.
-No propagator writes a travel variable, so an empty hull is the only
-deduction made from travel.  The incumbent does not enter the model: the
-search itself prunes a node whose path cost plus that sum cannot beat it.
+a constant outgoing travel time: the cheapest arc it may take (the depot
+leg is dropped from locations that provably cannot be last).  A
+non-overlap constraint over arrivals takes each travel time as a
+duration, and the CP dual sums them.  A live location with no remaining
+target has an empty travel domain, which makes the whole store
+infeasible.  The incumbent does not enter the model: the search itself
+prunes a node whose path cost plus that sum cannot beat it.
 """
 
 from __future__ import annotations
@@ -284,27 +284,20 @@ class TsptwAdapter(PropagationAdapter):
             targets = state.unvisited
             if (second if i == first_at else first) < d:
                 targets |= 1
-            # The hull of the travel values (empty without any): no reader
-            # can observe a hole, see the README's "Propagation engine".
-            row, heads = travel[i], by_travel[i]
+            # The cheapest arc to a target, as a constant; without any
+            # target the domain is empty and the store infeasible.
             lo, hi = 1, 0
-            for j in heads:
+            for j in by_travel[i]:
                 if targets >> j & 1:
-                    lo = row[j]
-                    break
-            for j in reversed(heads):
-                if targets >> j & 1:
-                    hi = row[j]
+                    lo = hi = travel[i][j]
                     break
             lbs[n + i], ubs[n + i] = lo, hi
-            # No propagator writes a travel variable, so ``lo`` is the
-            # duration throughout.
             items.append((i, lo))
         return DomainStore(lbs, ubs), [Disjunctive(items)]
 
     def _build_by_travel(self):
-        """Each location's arc heads, cheapest arc first, so that a travel
-        hull ends at the first head from either end that is a target."""
+        """Each location's arc heads, cheapest arc first, so that the first
+        head that is a target gives the travel time."""
         self._by_travel = [
             sorted((j for j, c in enumerate(row) if c is not None), key=row.__getitem__)
             for row in self.instance.travel
@@ -314,9 +307,7 @@ class TsptwAdapter(PropagationAdapter):
     def dual_cp(self, state: TsptwState, store: DomainStore) -> Cost:
         return self._lb_sum(store, state.unvisited | (1 << state.location))
 
-    def is_succ_infeasible(
-        self, label: int, state: TsptwState, succ: TsptwState, store: DomainStore
-    ) -> bool:
+    def is_succ_infeasible(self, label: int, succ: TsptwState, store: DomainStore) -> bool:
         return not store.contains(label, succ.time)
 
 
@@ -411,6 +402,6 @@ def parse_matrix(text: str, path: str = "<tsptw>") -> TsptwInstance:
         raise ParseError(str(exc), path) from exc
 
 
-def load_instance(path: str, fmt: str = "auto") -> TsptwInstance:
+def load_instance(path: str) -> TsptwInstance:
     """The JSON or matrix instance at ``path``; see ``parsing.read_instance``."""
-    return read_instance(path, fmt, TsptwInstance.from_json, ("tsptw-matrix", parse_matrix))
+    return read_instance(path, TsptwInstance.from_json, parse_matrix)

@@ -301,7 +301,7 @@ def vetoed(adapter, state, label, store) -> bool:
     """The adapter's veto on the model's transition ``label`` out of
     ``state``, handed the successor state the model produces."""
     succ = next(s for _w, lbl, s in adapter.model.successors(state) if lbl == label)
-    return adapter.is_succ_infeasible(label, state, succ, store)
+    return adapter.is_succ_infeasible(label, succ, store)
 
 
 # --- micro-models for propagator soundness -------------------------------

@@ -105,7 +105,7 @@ def assert_vetoes_agree(model, adapter, reference, primal_of):
     checked = vetoed = 0
     for state, store in propagated_stores(model, adapter, primal_of):
         for _w, label, succ in model.successors(state):
-            new = adapter.is_succ_infeasible(label, state, succ, store)
+            new = adapter.is_succ_infeasible(label, succ, store)
             assert new == reference(adapter, label, state, store), (state, label)
             checked += 1
             vetoed += new
@@ -213,7 +213,7 @@ def assert_sibling_sums_fresh(model, adapter, reference, term_ids, seed):
         family = [state] + [
             succ
             for _w, label, succ in model.successors(state)
-            if not adapter.is_succ_infeasible(label, state, succ, store)
+            if not adapter.is_succ_infeasible(label, succ, store)
         ]
         calls = [(bounded, store) for bounded in family]
         check(calls)
@@ -253,11 +253,13 @@ def test_tsptw_sibling_dual_cp_matches_fresh_sum():
         inst = random_tsptw_instance(rng, rng.randint(3, 7))
         model = tsptw.TsptwModel(inst)
         adapter = tsptw.TsptwAdapter(model)
+        # Travel times are constants, so lift an arrival: no term moves,
+        # but the store's revision does.
         c, v = assert_sibling_sums_fresh(
             model,
             adapter,
             reference_tsptw_dual_cp,
-            lambda state: [inst.n + i for i in iter_bits(state.unvisited | 1 << state.location)],
+            lambda state: list(iter_bits(state.unvisited | 1 << state.location)),
             k,
         )
         checked, lifted = checked + c, lifted + v

@@ -155,8 +155,7 @@ def test_solve_psplib_dummy_self_loop(tmp_path, capsys):
 @pytest.mark.parametrize("mb", ["-3", "0", "inf", "1e308"])
 def test_solve_rejects_non_positive_mem_limit(capsys, mb):
     code = main(
-        ["solve", str(DATA / "small.sm"), "--problem", "rcpsp", "--format", "psplib",
-         "--mem-limit", mb]
+        ["solve", str(DATA / "small.sm"), "--problem", "rcpsp", "--mem-limit", mb]
     )
     assert code == 1
     captured = capsys.readouterr()
@@ -191,25 +190,18 @@ def test_solve_usage_error_exit_one(tmp_path):
     "problem, doc", [("tsptw", lambda: TINY_TSPTW_JSON), ("rcpsp", small_rcpsp_json)]
 )
 def test_solve_json_without_suffix(tmp_path, capsys, problem, doc):
-    # ``auto`` decides the format from the content, not the file name.
+    # The content decides the format, not the file name.
     inst = write_json(tmp_path / "instance.txt", doc())
     assert main(["solve", str(inst), "--problem", problem, "--algo", "astar"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "Optimal" and report["cost"] == 9
 
 
-@pytest.mark.parametrize(
-    "problem, path, fmt",
-    [
-        ("tsptw", DATA / "tiny_tsptw.txt", "psplib"),
-        ("smswt", DATA / "tiny_tsptw.txt", "auto"),
-        ("smswt", DATA / "small.sm", "tsptw-matrix"),
-    ],
-)
-def test_solve_rejects_format_the_problem_cannot_read(capsys, problem, path, fmt):
-    assert main(["solve", str(path), "--problem", problem, "--format", fmt]) == 1
+def test_solve_rejects_format_the_problem_cannot_read(capsys):
+    assert main(["solve", str(DATA / "tiny_tsptw.txt"), "--problem", "smswt"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("dpcp: error")
+    assert "the only format of this problem" in captured.err
 
 
 def test_solve_psplib_and_matrix_formats(tmp_path, capsys):
@@ -217,8 +209,7 @@ def test_solve_psplib_and_matrix_formats(tmp_path, capsys):
     assert code == 0
     rc_report = json.loads(capsys.readouterr().out)
     code = main(
-        ["solve", str(DATA / "tiny_tsptw.txt"), "--problem", "tsptw",
-         "--format", "tsptw-matrix", "--algo", "astar"]
+        ["solve", str(DATA / "tiny_tsptw.txt"), "--problem", "tsptw", "--algo", "astar"]
     )
     assert code == 0
     ts_report = json.loads(capsys.readouterr().out)
@@ -386,6 +377,9 @@ def test_bench_rows_summary_and_determinism(tmp_path):
          "propagation": "once", "mem_limit_mb": 0.000001},
         {"instance": str(tmp_path / "missing.json"), "problem": "smswt",
          "algo": "cabs", "propagation": "off"},
+        # A leftover ``format`` key is ignored like any other unknown key.
+        {"instance": str(DATA / "tiny_tsptw.txt"), "problem": "tsptw", "algo": "astar",
+         "propagation": "once", "format": "tsptw-matrix"},
     ]
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps(manifest))
@@ -394,15 +388,16 @@ def test_bench_rows_summary_and_determinism(tmp_path):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     results = [r for r in rows if r["instance"] != "[summary]"]
     summaries = [r for r in rows if r["instance"] == "[summary]"]
-    assert len(results) == 5
+    assert len(results) == 6
     assert results[0]["status"] == "Optimal" and results[0]["cost"] == "3"
     assert results[3]["status"] == "MemoryLimit" and results[3]["cost"] == ""
     assert results[4]["status"] == "Error" and results[4]["error"]
+    assert results[5]["status"] == "Optimal" and results[5]["cost"] == "9"
     assert {(s["algo"], s["propagation"]) for s in summaries} == {
         ("cabs", "off"), ("cabs", "once"), ("astar", "once")
     }
     astar_summary = next(s for s in summaries if s["algo"] == "astar")
-    assert astar_summary["solved_count"] == "1"
+    assert astar_summary["solved_count"] == "2"
 
     # Identical rerun reproduces the deterministic columns exactly.
     out2 = tmp_path / "runs2.csv"

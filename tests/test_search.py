@@ -545,7 +545,7 @@ def test_successor_bounds_admissible_under_parent_store():
                     if store.infeasible:
                         continue
                     for _w, label, succ in model.successors(state):
-                        if adapter.is_succ_infeasible(label, state, succ, store):
+                        if adapter.is_succ_infeasible(label, succ, store):
                             continue
                         bound = max(model.dual(succ), adapter.dual_cp(succ, store))
                         assert bound <= values[succ], (kind, state, label)

@@ -193,9 +193,9 @@ def test_build_duration_domains():
     adapter = TsptwAdapter(model)
     store, props = adapter.build(model.target_state())
     n = 3
-    assert (store.lbs[n + 0], store.ubs[n + 0]) == (2, 3)
-    assert (store.lbs[n + 1], store.ubs[n + 1]) == (2, 4)
-    assert (store.lbs[n + 2], store.ubs[n + 2]) == (3, 4)
+    assert (store.lbs[n + 0], store.ubs[n + 0]) == (2, 2)
+    assert (store.lbs[n + 1], store.ubs[n + 1]) == (2, 2)
+    assert (store.lbs[n + 2], store.ubs[n + 2]) == (3, 3)
     assert len(props) == 1 and isinstance(props[0], Disjunctive)
 
 
@@ -210,32 +210,32 @@ def test_build_arrival_windows_respect_time():
 
 def test_depot_leg_dropped_when_cannot_be_last():
     # Location 2 releases only after location 1's deadline, so the tour
-    # cannot end at 1: its travel domain loses the depot leg value.
+    # cannot end at 1: its travel time skips the cheaper depot leg.
     inst = TsptwInstance(
-        [[0, 4, 9], [7, 0, 2], [9, 3, 0]],
+        [[0, 4, 9], [1, 0, 2], [1, 3, 0]],
         [(0, 100), (0, 10), (50, 100)],
     )
     model = TsptwModel(inst)
     adapter = TsptwAdapter(model)
     store, _props = adapter.build(model.target_state())
     n = 3
-    assert (store.lbs[n + 1], store.ubs[n + 1]) == (2, 2)  # c(1,0)=7 dropped
-    assert (store.lbs[n + 2], store.ubs[n + 2]) == (3, 9)
+    assert (store.lbs[n + 1], store.ubs[n + 1]) == (2, 2)  # c(1,0)=1 dropped
+    assert (store.lbs[n + 2], store.ubs[n + 2]) == (1, 1)  # c(2,0)=1 kept
 
 
 def test_depot_leg_kept_for_latest_point_window():
     # Location 2 has the latest release and a point window; nothing else
-    # must follow it, so the tour may end there and keep c(2,0)=9.
+    # must follow it, so the tour may end there and keep c(2,0)=1.
     inst = TsptwInstance(
-        [[0, 4, 9], [7, 0, 2], [9, 3, 0]],
+        [[0, 4, 9], [1, 0, 2], [1, 3, 0]],
         [(0, 100), (0, 50), (20, 20)],
     )
     model = TsptwModel(inst)
     adapter = TsptwAdapter(model)
     store, _props = adapter.build(model.target_state())
     n = 3
-    assert (store.lbs[n + 2], store.ubs[n + 2]) == (3, 9)
-    assert (store.lbs[n + 1], store.ubs[n + 1]) == (2, 7)
+    assert (store.lbs[n + 2], store.ubs[n + 2]) == (1, 1)
+    assert (store.lbs[n + 1], store.ubs[n + 1]) == (1, 1)
 
 
 def test_shared_travel_value_survives_depot_drop():
@@ -414,8 +414,9 @@ def test_propagated_windows_keep_oracle_arrivals():
 
 
 def test_travel_lower_bounds_never_move():
-    # Disjunctive takes each travel lower bound as a constant duration when
-    # the store is built, and the CP dual sums them.  That is exact because
+    # Each live travel slot is a constant, the empty pair (1, 0) only in an
+    # infeasible store.  Disjunctive takes it as a duration when the store
+    # is built, and the CP dual sums the slots.  That is exact because
     # nothing writes a travel variable: Disjunctive writes only arrivals.
     rng = random.Random(59)
     checked = 0
@@ -434,6 +435,8 @@ def test_travel_lower_bounds_never_move():
             for driver in (propagate_once, propagate_fixpoint):
                 store, props = adapter.build(state, primal)
                 travel = [(store.lbs[n + i], store.ubs[n + i]) for i in live]
+                for lo, hi in travel:
+                    assert lo == hi or ((lo, hi) == (1, 0) and store.infeasible), state
                 assert props[0].items == [(i, lo) for i, (lo, _hi) in zip(live, travel)], state
                 driver(store, props)
                 assert [(store.lbs[n + i], store.ubs[n + i]) for i in live] == travel, state
