@@ -142,9 +142,8 @@ class Disjunctive:
     Each item is ``(start_var, duration)`` with a constant duration, as
     edge-finding is defined over fixed processing times.  A model whose
     true durations may exceed the one it passes (TSPTW hands over each
-    travel lower bound) gets a relaxation: shrinking a job preserves
-    disjointness, so every deduction made here is sound for the longer
-    jobs.
+    leave cost) gets a relaxation: shrinking a job preserves disjointness,
+    so every deduction made here is sound for the longer jobs.
 
     Jobs of duration zero impose nothing and are skipped.  One application
     runs the overload check, a lower-bound lifting pass, and the same pass
@@ -470,9 +469,11 @@ class PropagationAdapter(ABC):
     ``build`` is deterministic for equal states and primal bounds.  The
     primal is passed in so that an adapter may cap the latest starts of
     pending tasks by it; the search reads infeasibility from
-    ``store.infeasible``.  The path
-    cost is not passed: the search prunes on ``g`` plus ``dual_cp`` itself,
-    so a cap on the remaining cost would only repeat that test.
+    ``store.infeasible``.  The path cost is not passed: the search prunes
+    on the larger of the node's ``f`` and ``g`` plus ``dual_cp`` itself, so
+    a cap on the remaining cost would only repeat that test.  A
+    ``dual_cp`` of 0 adds nothing, and the pop still prunes on ``f``, which
+    holds the model dual: an adapter whose bound is all there returns 0.
 
     The search calls ``dual_cp`` only on a feasible store, so an adapter
     need not guard an empty domain.  It calls it for a popped state under

@@ -15,10 +15,10 @@ Each generated successor is admitted in this order, cheapest test first:
 
 With propagation enabled, the expanded state's CP model is built and
 propagated once (or to a fixed point); the state can be pruned outright by
-infeasibility or by its CP dual bound against the incumbent, and surviving
-successors are filtered individually.  The CP dual of a successor is
-evaluated under the parent's propagated domains, which remain valid for
-every successor.
+infeasibility or by its bound against the incumbent, the larger of its
+``f`` and ``g`` plus its CP dual, and surviving successors are filtered
+individually.  The CP dual of a successor is evaluated under the parent's
+propagated domains, which remain valid for every successor.
 
 CABS restarts duplicate detection with each pass, but what propagation
 found for a popped state carries over one pass: a state popped again under
@@ -267,10 +267,10 @@ class _SolveContext:
 
         With propagation off, ``successors`` is the model's and ``store``
         is None.  Otherwise the node's CP model is built and propagated;
-        the node is pruned if the store is infeasible or ``g`` plus its CP
-        dual cannot beat the incumbent, and each successor the store vetoes
-        is dropped.  ``store`` then holds the node's propagated domains,
-        under which each successor's CP dual may be evaluated at admission.
+        the node is pruned if the store is infeasible or the larger of its
+        ``f`` and ``g`` plus its CP dual cannot beat the incumbent, and each
+        successor the store vetoes is dropped.  ``store`` then holds the
+        node's propagated domains, for each successor's CP dual.
         Counts the expansion only when the model's successor enumeration
         actually runs; a pruned pop and each vetoed successor count toward
         ``pruned_by_cp`` instead.
@@ -311,11 +311,11 @@ class _SolveContext:
             m.propagation_calls += 1
             m.propagation_time += time.perf_counter() - started
             h = INFINITY if store.infeasible else adapter.dual_cp(state, store)
-        bound = add(node.g, h)
+        bound = max(node.f, add(node.g, h))
         if table is not None:
             table[state] = (primal, h, store if bound < primal else None)
         if node.parent is None:
-            # Only at the root is g + CP dual a bound on the global optimum.
+            # Only at the root is this bound one on the global optimum.
             self.note_dual(bound)
         if bound >= primal:
             m.pruned_by_cp += 1

@@ -10,14 +10,12 @@ all-pairs shortest travel paths.  As a DIDP state constraint would,
 the target state, or a state built by hand, is ever found dead when it is
 expanded, and every arrival in a built store is within its window.
 
-The propagation side pairs an arrival variable per remaining location with
-a constant outgoing travel time: the cheapest arc it may take (the depot
-leg is dropped from locations that provably cannot be last).  A
-non-overlap constraint over arrivals takes each travel time as a
-duration, and the CP dual sums them.  A live location with no remaining
-target has an empty travel domain, which makes the whole store
-infeasible.  The incumbent does not enter the model: the search itself
-prunes a node whose path cost plus that sum cannot beat it.
+The dual bound is the larger of two cheapest-arc sums: every remaining
+location is entered once, and left once along an arc it can still take
+in time (``leave_costs``).  The CP model is an arrival per remaining
+location under a non-overlap constraint that takes each leave cost as a
+duration.  Its store is infeasible where the dual is ``INFINITY``, and
+its CP dual is 0: the search prunes a popped node on its own ``f``.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, check_ceiling
-from .cp_engine import Disjunctive, DomainStore, PropagationAdapter, StoreSum
+from .cp_engine import Disjunctive, DomainStore, PropagationAdapter
 from .parsing import ParseError, int_token, read_instance
 
 
@@ -64,8 +62,9 @@ class TsptwInstance:
             wins.append((int(r), int(d)))
         self.windows: Tuple[Tuple[int, int], ...] = tuple(wins)
         self.shortest = self._all_pairs_shortest()
-        self.min_to = tuple(self._column_min(j) for j in range(n))
-        self.min_from = tuple(self._row_min(i) for i in range(n))
+        self.min_to = tuple(
+            min((c for c in col if c is not None), default=INFINITY) for col in zip(*rows)
+        )
 
     @property
     def n(self) -> int:
@@ -92,14 +91,6 @@ class TsptwInstance:
                         di[j] = alt
         return tuple(tuple(row) for row in dist)
 
-    def _column_min(self, j: int) -> Cost:
-        vals = [self.travel[i][j] for i in range(self.n) if i != j and self.travel[i][j] is not None]
-        return min(vals) if vals else INFINITY
-
-    def _row_min(self, i: int) -> Cost:
-        vals = [self.travel[i][j] for j in range(self.n) if j != i and self.travel[i][j] is not None]
-        return min(vals) if vals else INFINITY
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -124,14 +115,16 @@ class TsptwState(NamedTuple):
 class TsptwModel(DpModel):
     def __init__(self, instance: TsptwInstance):
         self.instance = instance
-        # A tour, and each sum below or in the adapter, has at most n terms,
-        # each the longest arc or less, or ``INFINITY`` for a missing arc.
+        # A tour, and the leave-cost sum in ``dual``, has at most n terms,
+        # each the longest arc or less; ``dual`` caps its entered sum.
         longest = max((c for row in instance.travel for c in row if c is not None), default=0)
         check_ceiling(instance.n * longest)
-        self._to, self._from = instance.min_to, instance.min_from
-        # The last set passed to ``dual`` with its two sums, written in one
-        # assignment so that a concurrent solve never reads a torn memo.
-        self._sums = (-1, 0, 0)
+        self._to = instance.min_to
+        # The last set passed to ``dual`` with its entered sum, written in
+        # one assignment so that a concurrent solve never reads a torn memo.
+        self._sums = (-1, 0)
+        # Built by the first ``leave_costs``, so that set-up spends nothing.
+        self._by_travel = None
         # For each location j, the latest arrival at j from which each other
         # location k is still reachable in time, ``d_k - shortest[j][k]``,
         # as ``(latest, k)`` pairs in ascending order.  A missing path gets
@@ -201,30 +194,82 @@ class TsptwModel(DpModel):
 
     def dual(self, state: TsptwState) -> Cost:
         """Cheapest-arc relaxation: every remaining location must still be
-        entered once and left once.
+        entered once and left once in time.
 
         Over ``M``, the unvisited set plus the current location, that is
-        the larger of ``min_to[0] + S_to(M) - min_to[location]`` and
-        ``S_from(M)``.  The children of one state share ``M``, the
-        parent's unvisited set, so the last ``M``'s two sums are kept.  A
-        location with no arc in or out has the term ``INFINITY``, so a sum
-        that holds one is at least that, and the bound is capped there.
-        The depot alone (``M`` is just location 0, only in a one-location
+        the larger of ``min_to[0] + S_to(M) - min_to[location]`` and the
+        sum of ``leave_costs``, or ``INFINITY`` where there are none.  The
+        children of one state share ``M``, so the last ``M``'s entered sum
+        is kept.  A location with no arc in has the term ``INFINITY``, and
+        the bound is capped there.  The depot alone (only in a one-location
         instance) is a finished tour that enters and leaves nothing: 0.
         """
         here = state.location
         mask = state.unvisited | (1 << here)
         if mask == 1:
             return 0
-        sums_mask, to_sum, from_sum = self._sums
+        items = self.leave_costs(state)
+        if items is None:
+            return INFINITY
+        sums_mask, to_sum = self._sums
         if mask != sums_mask:
-            to_sum = from_sum = 0
+            to_sum = 0
             for i in iter_bits(mask):
                 to_sum += self._to[i]
-                from_sum += self._from[i]
-            self._sums = (mask, to_sum, from_sum)
+            self._sums = (mask, to_sum)
         into = self._to[0] + to_sum - self._to[here]
-        return min(INFINITY, max(into, from_sum))
+        return min(INFINITY, max(into, sum(c for _i, c in items)))
+
+    def leave_costs(self, state: TsptwState) -> Optional[List[Tuple[int, int]]]:
+        """``(i, c_i)`` for each ``i`` in ``M``, ascending, where ``c_i`` is
+        the cheapest arc out of ``i`` that a completion may still take, or
+        None if some ``i`` has none.
+
+        ``i`` is left no earlier than ``a_i = max(r_i, t)``, toward an
+        unvisited ``j`` that must be reached by ``d_j``: only arcs with
+        ``a_i + c_ij <= d_j`` count (arc elimination by time windows,
+        Dumas, Desrosiers, Gelinas and Solomon, *Operations Research*,
+        1995).  The depot is a target only where ``i`` may be last, as no
+        other unvisited location's earliest arrival is at or past ``d_i``,
+        and its leg is not tested against a window, as no tour's is.
+        """
+        windows = self.instance.windows
+        t, here, unvisited = state.time, state.location, state.unvisited
+        by_travel = self._by_travel or self._build_by_travel()
+        # The two largest earliest arrivals over the unvisited set decide
+        # each depot leg (-1 stands for none, as every arrival is >= 0).
+        first = second = first_at = -1
+        live = []
+        for i in iter_bits(unvisited | (1 << here)):
+            r, d = windows[i]
+            a = t if t > r else r
+            live.append((i, a, d))
+            if i != here:
+                if a > first:
+                    first, second, first_at = a, first, i
+                elif a > second:
+                    second = a
+        items = []
+        for i, a, d in live:
+            # Bit 0, the depot, is a target where i may be last.
+            targets = unvisited | ((second if i == first_at else first) < d)
+            for c, j, due in by_travel[i]:
+                if targets >> j & 1 and a + c <= due:
+                    items.append((i, c))
+                    break
+            else:
+                return None
+        return items
+
+    def _build_by_travel(self):
+        """Each location's arcs as ``(travel, head, deadline)``, cheapest
+        first; the depot's deadline is ``INFINITY``: no window drops it."""
+        due = [INFINITY] + [d for _r, d in self.instance.windows[1:]]
+        self._by_travel = by_travel = [
+            sorted((c, j, due[j]) for j, c in enumerate(row) if c is not None)
+            for row in self.instance.travel
+        ]
+        return by_travel
 
     def state_signature(self, state: TsptwState):
         return (state.unvisited, state.location)
@@ -233,79 +278,32 @@ class TsptwModel(DpModel):
 class TsptwAdapter(PropagationAdapter):
     """CP view over the remaining tour.
 
-    Variable ids: arrivals are the location ids and outgoing-travel
-    variables are offset by n.  Only the unvisited set and the current
-    location get live domains.
+    Variable ids are the location ids: an arrival per location, live only
+    for the unvisited set and the current location.  The durations and
+    the bound are the model's (``TsptwModel.leave_costs`` and ``dual``).
     """
 
     def __init__(self, model: TsptwModel):
         self.model = model
         self.instance = model.instance
-        n = self._n = model.instance.n
-        # Built by the first ``build``, so that a solve without
-        # propagation spends nothing on it.
-        self._by_travel = None
-        # One sum per store: a child's travel lower bounds sum over its
-        # parent's unvisited set, which is the same for every sibling.
-        self._lb_sum = StoreSum(lambda store, i: store.lbs[n + i])
 
     def build(self, state: TsptwState, primal: Cost = INFINITY):
-        windows = self.instance.windows
-        n = self._n
-        t = state.time
-        here = state.location
-        # The salesperson leaves i toward some unvisited location or the
-        # depot; the depot leg is dropped when another remaining location
-        # must be visited after i, so i cannot be last.  That holds iff the
-        # latest earliest arrival over the other unvisited locations is at
-        # or past d_i, so only the two largest such arrivals are needed
-        # (-1 stands for none, as every arrival is at least 0).
-        first = second = first_at = -1
-        live = []
-        arrivals = []
-        for i in iter_bits(state.unvisited | (1 << here)):
-            r = windows[i][0]
-            a = t if t > r else r
-            live.append(i)
-            arrivals.append(a)
-            if i != here:
-                if a > first:
-                    first, second, first_at = a, first, i
-                elif a > second:
-                    second = a
-        lbs = [0] * (2 * n)  # variables off the remaining tour keep [0, 0]
-        ubs = [0] * (2 * n)
-        travel = self.instance.travel
-        by_travel = self._by_travel or self._build_by_travel()
-        items = []
-        for i, a in zip(live, arrivals):
-            d = windows[i][1]
-            lbs[i], ubs[i] = a, d
-            targets = state.unvisited
-            if (second if i == first_at else first) < d:
-                targets |= 1
-            # The cheapest arc to a target, as a constant; without any
-            # target the domain is empty and the store infeasible.
-            lo, hi = 1, 0
-            for j in by_travel[i]:
-                if targets >> j & 1:
-                    lo = hi = travel[i][j]
-                    break
-            lbs[n + i], ubs[n + i] = lo, hi
-            items.append((i, lo))
+        windows, t = self.instance.windows, state.time
+        lbs = [0] * len(windows)  # locations off the remaining tour keep [0, 0]
+        ubs = [0] * len(windows)
+        items = self.model.leave_costs(state)
+        if items is None:
+            store = DomainStore(lbs, ubs)
+            store.mark_infeasible()
+            return store, []
+        for i, _c in items:
+            r, d = windows[i]
+            lbs[i], ubs[i] = (t if t > r else r), d
         return DomainStore(lbs, ubs), [Disjunctive(items)]
 
-    def _build_by_travel(self):
-        """Each location's arc heads, cheapest arc first, so that the first
-        head that is a target gives the travel time."""
-        self._by_travel = [
-            sorted((j for j, c in enumerate(row) if c is not None), key=row.__getitem__)
-            for row in self.instance.travel
-        ]
-        return self._by_travel
-
     def dual_cp(self, state: TsptwState, store: DomainStore) -> Cost:
-        return self._lb_sum(store, state.unvisited | (1 << state.location))
+        # Nothing in the store moves the bound: it is all in the model dual.
+        return 0
 
     def is_succ_infeasible(self, label: int, succ: TsptwState, store: DomainStore) -> bool:
         return not store.contains(label, succ.time)

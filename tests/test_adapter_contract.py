@@ -79,12 +79,6 @@ def reference_sms_dual_cp(adapter, state, store):
     )
 
 
-def reference_tsptw_dual_cp(adapter, state, store):
-    n = adapter.instance.n
-    total = store.lbs[n + state.location]
-    return total + sum(store.lbs[n + i] for i in iter_bits(state.unvisited))
-
-
 def propagated_stores(model, adapter, primal_of):
     """``(state, store)`` for every non-base enumerated state and
     propagation mode, built once without and once with an incumbent cap."""
@@ -244,23 +238,3 @@ def test_sms_sibling_dual_cp_matches_fresh_sum():
         )
         checked, lifted = checked + c, lifted + v
     assert checked > 5000 and lifted > 500, (checked, lifted)
-
-
-def test_tsptw_sibling_dual_cp_matches_fresh_sum():
-    rng = random.Random(127)
-    checked = lifted = 0
-    for k in range(36):
-        inst = random_tsptw_instance(rng, rng.randint(3, 7))
-        model = tsptw.TsptwModel(inst)
-        adapter = tsptw.TsptwAdapter(model)
-        # Travel times are constants, so lift an arrival: no term moves,
-        # but the store's revision does.
-        c, v = assert_sibling_sums_fresh(
-            model,
-            adapter,
-            reference_tsptw_dual_cp,
-            lambda state: list(iter_bits(state.unvisited | 1 << state.location)),
-            k,
-        )
-        checked, lifted = checked + c, lifted + v
-    assert checked > 8000 and lifted > 600, (checked, lifted)

@@ -47,7 +47,7 @@ def test_interval_basics():
 
 def test_empty_domain_at_construction_flags_store():
     assert store_of([(4, 3)]).infeasible
-    assert store_of([(0, 9), (1, 0)]).infeasible  # an empty TSPTW travel domain
+    assert store_of([(0, 9), (1, 0)]).infeasible  # an empty second domain
     assert not store_of([(0, 0)]).infeasible
 
 
@@ -323,9 +323,9 @@ def test_edge_finder_matches_cubic_reference_at_workload_sizes():
 
 
 def test_disjunctive_vardur_matches_reference(monkeypatch):
-    # The TSPTW shape: arrivals at ids 0..k-1 next to travel-time variables
-    # at k..2k-1, each job's duration being its travel lower bound.  The
-    # upper bounds are drawn but unused, keeping the draws of every set.
+    # Starts at ids 0..k-1 next to k more variables, each job's duration
+    # being the lower bound of its partner at k..2k-1.  The upper bounds
+    # are drawn but unused, keeping the draws of every set.
     rng = random.Random(77)
     changed = infeasible = 0
     for _ in range(600):

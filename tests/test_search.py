@@ -123,7 +123,7 @@ def test_memory_limit_counts_each_stored_node_once(monkeypatch, algo, mode, fami
         model = smswt.SmsModel(random_sms_instance(rng, 11))
         adapter = smswt.SmsAdapter(model)
     else:
-        model = tsptw.TsptwModel(random_tsptw_instance(rng, 10, widths=(30, 80)))
+        model = tsptw.TsptwModel(random_tsptw_instance(rng, 12, widths=(30, 80)))
         adapter = tsptw.TsptwAdapter(model)
     if mode is PropagationMode.OFF:
         adapter = None
@@ -374,30 +374,33 @@ PINNED_COUNTS = {
     ("smswt", 5, "cabs", "off"): ("Optimal", 176, 292, 1352, 0, 23, 6),
     ("smswt", 5, "cabs", "once"): ("Optimal", 176, 265, 1325, 24, 23, 6),
     ("smswt", 5, "cabs", "fixpoint"): ("Optimal", 176, 265, 1325, 24, 23, 6),
-    ("tsptw", 0, "astar", "off"): ("Optimal", 95, 23, 27, 0, 0, 0),
-    ("tsptw", 0, "astar", "once"): ("Optimal", 95, 22, 27, 0, 0, 0),
-    ("tsptw", 0, "astar", "fixpoint"): ("Optimal", 95, 22, 27, 0, 0, 0),
-    ("tsptw", 0, "cabs", "off"): ("Optimal", 95, 47, 60, 0, 0, 3),
-    ("tsptw", 0, "cabs", "once"): ("Optimal", 95, 44, 60, 2, 0, 3),
-    ("tsptw", 0, "cabs", "fixpoint"): ("Optimal", 95, 44, 60, 2, 0, 3),
+    # TSPTW's dual tests each leave arc against the time windows.  The
+    # stronger bound cuts most counts; it reorders CABS + off's beam on
+    # seed 2, which then expands one state more.
+    ("tsptw", 0, "astar", "off"): ("Optimal", 95, 20, 27, 0, 0, 0),
+    ("tsptw", 0, "astar", "once"): ("Optimal", 95, 20, 27, 0, 0, 0),
+    ("tsptw", 0, "astar", "fixpoint"): ("Optimal", 95, 20, 27, 0, 0, 0),
+    ("tsptw", 0, "cabs", "off"): ("Optimal", 95, 43, 60, 0, 0, 3),
+    ("tsptw", 0, "cabs", "once"): ("Optimal", 95, 43, 60, 0, 0, 3),
+    ("tsptw", 0, "cabs", "fixpoint"): ("Optimal", 95, 43, 60, 0, 0, 3),
     ("tsptw", 2, "astar", "off"): ("Infeasible", None, 10, 10, 0, 0, 0),
     ("tsptw", 2, "astar", "once"): ("Infeasible", None, 10, 10, 0, 0, 0),
     ("tsptw", 2, "astar", "fixpoint"): ("Infeasible", None, 10, 10, 0, 0, 0),
-    ("tsptw", 2, "cabs", "off"): ("Infeasible", None, 22, 25, 0, 0, 3),
-    ("tsptw", 2, "cabs", "once"): ("Infeasible", None, 23, 27, 0, 0, 3),
-    ("tsptw", 2, "cabs", "fixpoint"): ("Infeasible", None, 23, 27, 0, 0, 3),
-    ("tsptw", 9, "astar", "off"): ("Optimal", 67, 41, 62, 0, 5, 0),
-    ("tsptw", 9, "astar", "once"): ("Optimal", 67, 39, 61, 0, 2, 0),
-    ("tsptw", 9, "astar", "fixpoint"): ("Optimal", 67, 39, 61, 0, 2, 0),
-    ("tsptw", 9, "cabs", "off"): ("Optimal", 67, 125, 189, 0, 14, 5),
-    ("tsptw", 9, "cabs", "once"): ("Optimal", 67, 113, 178, 11, 8, 5),
-    ("tsptw", 9, "cabs", "fixpoint"): ("Optimal", 67, 113, 178, 11, 8, 5),
-    ("tsptw", 13, "astar", "off"): ("Optimal", 65, 26, 40, 0, 2, 0),
-    ("tsptw", 13, "astar", "once"): ("Optimal", 65, 24, 38, 0, 1, 0),
-    ("tsptw", 13, "astar", "fixpoint"): ("Optimal", 65, 24, 38, 0, 1, 0),
-    ("tsptw", 13, "cabs", "off"): ("Optimal", 65, 75, 117, 0, 3, 4),
-    ("tsptw", 13, "cabs", "once"): ("Optimal", 65, 63, 105, 8, 1, 4),
-    ("tsptw", 13, "cabs", "fixpoint"): ("Optimal", 65, 63, 105, 8, 1, 4),
+    ("tsptw", 2, "cabs", "off"): ("Infeasible", None, 23, 26, 0, 0, 3),
+    ("tsptw", 2, "cabs", "once"): ("Infeasible", None, 23, 26, 0, 0, 3),
+    ("tsptw", 2, "cabs", "fixpoint"): ("Infeasible", None, 23, 26, 0, 0, 3),
+    ("tsptw", 9, "astar", "off"): ("Optimal", 67, 34, 56, 0, 0, 0),
+    ("tsptw", 9, "astar", "once"): ("Optimal", 67, 34, 56, 0, 0, 0),
+    ("tsptw", 9, "astar", "fixpoint"): ("Optimal", 67, 34, 56, 0, 0, 0),
+    ("tsptw", 9, "cabs", "off"): ("Optimal", 67, 81, 134, 0, 2, 4),
+    ("tsptw", 9, "cabs", "once"): ("Optimal", 67, 78, 131, 3, 2, 4),
+    ("tsptw", 9, "cabs", "fixpoint"): ("Optimal", 67, 78, 131, 3, 2, 4),
+    ("tsptw", 13, "astar", "off"): ("Optimal", 65, 22, 35, 0, 1, 0),
+    ("tsptw", 13, "astar", "once"): ("Optimal", 65, 22, 35, 0, 1, 0),
+    ("tsptw", 13, "astar", "fixpoint"): ("Optimal", 65, 22, 35, 0, 1, 0),
+    ("tsptw", 13, "cabs", "off"): ("Optimal", 65, 65, 105, 0, 1, 4),
+    ("tsptw", 13, "cabs", "once"): ("Optimal", 65, 63, 103, 2, 1, 4),
+    ("tsptw", 13, "cabs", "fixpoint"): ("Optimal", 65, 63, 103, 2, 1, 4),
     ("rcpsp", 0, "astar", "off"): ("Optimal", 26, 35, 62, 0, 1, 0),
     ("rcpsp", 0, "astar", "once"): ("Optimal", 26, 30, 56, 0, 0, 0),
     ("rcpsp", 0, "astar", "fixpoint"): ("Optimal", 26, 30, 56, 0, 0, 0),

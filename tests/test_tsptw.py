@@ -103,16 +103,17 @@ def test_dominates_requires_smaller_time():
 
 def test_dual_examples():
     model = triangle_model()
-    assert model.dual(model.target_state()) == 7
+    target = model.target_state()
+    assert model.dual(target) == 7
     assert permutation_optimum(model.instance) == 9
-    # Single remaining leg: both relaxation terms stay below the true arc.
-    state = TsptwState(0, 1, 5)
-    assert model.dual(state) <= model.base_cost(state)
-    # Symmetric matrix: entering and leaving relaxations agree.
+    # Symmetric matrix and wide windows: entering and leaving agree.
     inst = model.instance
-    into = inst.min_to[0] + inst.min_to[1] + inst.min_to[2]
-    out_of = inst.min_from[0] + inst.min_from[1] + inst.min_from[2]
-    assert into == out_of == 7
+    assert inst.min_to[0] + inst.min_to[1] + inst.min_to[2] == 7
+    assert model.leave_costs(target) == [(0, 2), (1, 2), (2, 3)]
+    # Single remaining leg: the bound is that leg, back to the depot.
+    state = TsptwState(0, 1, 5)
+    assert model.leave_costs(state) == [(1, 2)]
+    assert model.dual(state) == model.base_cost(state) == 2
 
 
 def test_depot_only_instance_has_zero_dual():
@@ -126,14 +127,50 @@ def test_depot_only_instance_has_zero_dual():
         assert result.root_dual == result.cost == 0, key
 
 
+def reference_leave_costs(inst, state):
+    """The cheapest arc out of each location in ``M`` that stays in time,
+    found by scanning its whole row; None if one location has none."""
+    t = state.time
+    arrival = {j: max(t, inst.windows[j][0]) for j in iter_bits(state.unvisited)}
+    items = []
+    for i in iter_bits(state.unvisited | 1 << state.location):
+        a, d = max(t, inst.windows[i][0]), inst.windows[i][1]
+        may_be_last = all(arrival[k] < d for k in arrival if k != i)
+        costs = [
+            c
+            for j, c in enumerate(inst.travel[i])
+            if c is not None
+            and ((j in arrival and a + c <= inst.windows[j][1]) or (j == 0 and may_be_last))
+        ]
+        if not costs:
+            return None
+        items.append((i, min(costs)))
+    return items
+
+
 def reference_dual(model, state):
     """The cheapest-arc relaxation summed afresh for one state."""
     inst = model.instance
+    if state.unvisited == 0 and state.location == 0:
+        return 0
+    items = reference_leave_costs(inst, state)
+    if items is None:
+        return INFINITY
     into = inst.min_to[0]
-    out_of = inst.min_from[state.location]
     for i in iter_bits(state.unvisited):
         into = add(into, inst.min_to[i])
-        out_of = add(out_of, inst.min_from[i])
+    return max(into, sum(c for _i, c in items))
+
+
+def entered_left_dual(inst, state):
+    """The bound before leave costs tested time windows: the larger of the
+    entered sum and the cheapest arc out of each location in ``M``."""
+    into, out_of = inst.min_to[0], 0
+    for i in iter_bits(state.unvisited | 1 << state.location):
+        if i != state.location:
+            into = add(into, inst.min_to[i])
+        row = [c for c in inst.travel[i] if c is not None]
+        out_of = add(out_of, min(row) if row else INFINITY)
     return max(into, out_of)
 
 
@@ -159,9 +196,10 @@ def test_dropped_children_have_no_completion():
 
 
 def test_dual_matches_per_state_sum():
-    # The model keeps the last set's two sums.  Taken in the search's
+    # The model keeps the last set's entered sum.  Taken in the search's
     # order, a state and then each of its successors, every value must
-    # equal the sum taken afresh, also where a cheapest arc is INFINITY.
+    # equal the bound taken afresh, with each leave cost found by scanning
+    # its whole row, also where a cheapest arc is INFINITY or missing.
     rng = random.Random(131)
     instances = [random_tsptw_instance(rng, rng.randint(3, 7)) for _ in range(30)]
     travel = [[None, 3, 4, 2, 6], [5, None, 2, 6, 1], [7, 1, None, 3, 2],
@@ -175,7 +213,8 @@ def test_dual_matches_per_state_sum():
     for arcs in cut.values():
         instances.append(TsptwInstance(without_arcs(travel, arcs), windows))
     no_entry, no_depot_entry, no_exit = instances[-3:]
-    assert no_entry.min_to[2] == no_depot_entry.min_to[0] == no_exit.min_from[3] == INFINITY
+    assert no_entry.min_to[2] == no_depot_entry.min_to[0] == INFINITY
+    assert TsptwModel(no_exit).leave_costs(TsptwModel(no_exit).target_state()) is None
     checked = infinite = 0
     for inst in instances:
         model = TsptwModel(inst)
@@ -189,14 +228,13 @@ def test_dual_matches_per_state_sum():
 
 
 def test_build_duration_domains():
+    # One arrival per location, and the leave costs as durations.
     model = triangle_model()
     adapter = TsptwAdapter(model)
     store, props = adapter.build(model.target_state())
-    n = 3
-    assert (store.lbs[n + 0], store.ubs[n + 0]) == (2, 2)
-    assert (store.lbs[n + 1], store.ubs[n + 1]) == (2, 2)
-    assert (store.lbs[n + 2], store.ubs[n + 2]) == (3, 3)
+    assert len(store.lbs) == len(store.ubs) == 3
     assert len(props) == 1 and isinstance(props[0], Disjunctive)
+    assert props[0].items == [(0, 2), (1, 2), (2, 3)]
 
 
 def test_build_arrival_windows_respect_time():
@@ -210,17 +248,15 @@ def test_build_arrival_windows_respect_time():
 
 def test_depot_leg_dropped_when_cannot_be_last():
     # Location 2 releases only after location 1's deadline, so the tour
-    # cannot end at 1: its travel time skips the cheaper depot leg.
+    # cannot end at 1: its leave cost skips the cheaper depot leg.
     inst = TsptwInstance(
         [[0, 4, 9], [1, 0, 2], [1, 3, 0]],
         [(0, 100), (0, 10), (50, 100)],
     )
     model = TsptwModel(inst)
-    adapter = TsptwAdapter(model)
-    store, _props = adapter.build(model.target_state())
-    n = 3
-    assert (store.lbs[n + 1], store.ubs[n + 1]) == (2, 2)  # c(1,0)=1 dropped
-    assert (store.lbs[n + 2], store.ubs[n + 2]) == (1, 1)  # c(2,0)=1 kept
+    costs = dict(model.leave_costs(model.target_state()))
+    assert costs[1] == 2  # c(1,0)=1 dropped
+    assert costs[2] == 1  # c(2,0)=1 kept
 
 
 def test_depot_leg_kept_for_latest_point_window():
@@ -231,11 +267,9 @@ def test_depot_leg_kept_for_latest_point_window():
         [(0, 100), (0, 50), (20, 20)],
     )
     model = TsptwModel(inst)
-    adapter = TsptwAdapter(model)
-    store, _props = adapter.build(model.target_state())
-    n = 3
-    assert (store.lbs[n + 2], store.ubs[n + 2]) == (1, 1)
-    assert (store.lbs[n + 1], store.ubs[n + 1]) == (1, 1)
+    costs = dict(model.leave_costs(model.target_state()))
+    assert costs[2] == 1
+    assert costs[1] == 1
 
 
 def test_shared_travel_value_survives_depot_drop():
@@ -248,9 +282,10 @@ def test_shared_travel_value_survives_depot_drop():
     model = TsptwModel(inst)
     adapter = TsptwAdapter(model)
     state = TsptwState(0b100, 1, 4)  # at 1 after visiting it, 2 pending
+    assert dict(model.leave_costs(state))[1] == 7
     store, props = adapter.build(state)
     propagate_once(store, props)
-    assert store.contains(3 + 1, 7)
+    assert not store.infeasible
     assert not vetoed(adapter, state, 2, store)
 
 
@@ -267,32 +302,33 @@ def test_empty_duration_domain_flags_store():
 
 
 def test_dual_cp_target_and_single_leg():
+    # The model dual holds the whole bound, and the CP dual adds nothing:
+    # on the target and on a single remaining leg, whose duration and
+    # bound are that leg.
     model = triangle_model()
     adapter = TsptwAdapter(model)
-    state = model.target_state()
-    store, _props = adapter.build(state)
-    assert adapter.dual_cp(state, store) == 7
-    solo = TsptwState(0, 1, 5)
-    store, _props = adapter.build(solo)
-    assert adapter.dual_cp(solo, store) == store.lbs[3 + 1]
+    for state, bound in ((model.target_state(), 7), (TsptwState(0, 1, 5), 2)):
+        store, props = adapter.build(state)
+        assert model.dual(state) == bound
+        assert adapter.dual_cp(state, store) == 0
+    assert props[0].items == [(1, 2)]
 
 
 def test_depot_drop_strictly_raises_travel_bound():
-    # Dropping an unshared cheapest depot leg lifts the travel-sum bound.
+    # Dropping an unshared cheapest depot leg lifts the leave sum above
+    # the entered sum, and so the dual: location 1 must leave by c(1,2)=6,
+    # not by the depot leg c(1,0)=1.  With wide windows both legs count.
     inst = TsptwInstance(
         [[0, 4, 9], [1, 0, 6], [9, 3, 0]],
         [(0, 100), (0, 10), (50, 100)],
     )
     model = TsptwModel(inst)
-    adapter = TsptwAdapter(model)
-    state = model.target_state()
-    store, _props = adapter.build(state)
-    with_drop = adapter.dual_cp(state, store)
-    loose = TsptwInstance(inst.travel, [(0, 100), (0, 100), (0, 100)])
-    loose_adapter = TsptwAdapter(TsptwModel(loose))
-    store2, _p = loose_adapter.build(TsptwModel(loose).target_state())
-    without_drop = loose_adapter.dual_cp(TsptwModel(loose).target_state(), store2)
-    assert with_drop > without_drop
+    target = model.target_state()
+    assert dict(model.leave_costs(target))[1] == 6
+    assert model.dual(target) == 4 + 6 + 9 > entered_left_dual(inst, target) == 10
+    loose = TsptwModel(TsptwInstance(inst.travel, [(0, 100), (0, 100), (0, 100)]))
+    assert dict(loose.leave_costs(target))[1] == 1
+    assert model.dual(target) > loose.dual(target)
 
 
 def test_succ_infeasible_when_arrival_lifted_away():
@@ -389,6 +425,59 @@ def test_bounds_below_oracle_values():
             assert adapter.dual_cp(state, store) <= value
 
 
+def varied_tsptw_instances(rng, count):
+    """Instances at n = 3-8 with narrow, mid and wide windows; every other
+    one has a depot deadline of 20-80, which the tour's last leg may
+    pass: neither the cost nor the oracles test it."""
+    out = []
+    for k in range(count):
+        widths = ((2, 10), (8, 30), (30, 90))[k % 3]
+        inst = random_tsptw_instance(rng, rng.randint(3, 8), widths=widths)
+        if k % 2:
+            windows = [(0, rng.randint(20, 80))] + list(inst.windows[1:])
+            inst = TsptwInstance(inst.travel, windows)
+        out.append(inst)
+    return out
+
+
+def test_dual_admissible_on_every_state():
+    rng = random.Random(71)
+    checked = late = 0
+    for inst in varied_tsptw_instances(rng, 150):
+        model = TsptwModel(inst)
+        values = enumerate_state_values(model)
+        for state, value in values.items():
+            if model.is_base(state):
+                continue
+            assert model.dual(state) <= value, (inst.to_json(), state)
+            checked += 1
+        best = permutation_optimum(inst)
+        late += is_finite(best) and any(
+            is_finite(v) and model.is_base(s) and s.time + v > inst.windows[0][1]
+            for s, v in values.items()
+        )
+    # Tours that return after the depot's deadline still count.
+    assert checked > 5000 and late > 20, (checked, late)
+
+
+def test_dual_dominates_entered_left_bound():
+    # Each leave cost is at least its location's cheapest arc, so the dual
+    # is never below the bound that ignored time windows; on states built
+    # at later clocks too, where fewer arcs stay in time.
+    rng = random.Random(73)
+    checked = above = 0
+    for inst in varied_tsptw_instances(rng, 60):
+        model = TsptwModel(inst)
+        states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
+        for state in states + [s._replace(time=s.time + rng.randint(0, 30)) for s in states]:
+            old = min(INFINITY, entered_left_dual(inst, state))
+            value = model.dual(state)
+            assert value >= old, state
+            checked += 1
+            above += value > old
+    assert checked > 2000 and above > 500, (checked, above)
+
+
 def test_propagated_windows_keep_oracle_arrivals():
     # Any arrival time realised by a feasible completion must survive in
     # the propagated window of its location.
@@ -414,34 +503,34 @@ def test_propagated_windows_keep_oracle_arrivals():
 
 
 def test_travel_lower_bounds_never_move():
-    # Each live travel slot is a constant, the empty pair (1, 0) only in an
-    # infeasible store.  Disjunctive takes it as a duration when the store
-    # is built, and the CP dual sums the slots.  That is exact because
-    # nothing writes a travel variable: Disjunctive writes only arrivals.
+    # A built store holds one arrival per location, and its Disjunctive
+    # takes the model's leave costs as durations; the store is infeasible
+    # from the start exactly where there are none.  Nothing writes a
+    # duration, so propagation leaves them as built.  Hand-built states
+    # at random clocks reach the None case often.
     rng = random.Random(59)
-    checked = 0
+    checked = empty = 0
     for _ in range(70):
         inst = random_tsptw_instance(rng, rng.randint(3, 7))
         model = TsptwModel(inst)
         adapter = TsptwAdapter(model)
-        n = inst.n
-        for state, value in enumerate_state_values(model).items():
-            if model.is_base(state):
-                continue
-            primal = INFINITY
-            if is_finite(value) and rng.random() < 0.7:
-                primal = value + rng.randint(-5, 10)
-            live = list(iter_bits(state.unvisited | (1 << state.location)))
+        states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
+        states += [s._replace(time=s.time + rng.randint(0, 40)) for s in states]
+        for state in states:
+            items = model.leave_costs(state)
+            assert items == reference_leave_costs(inst, state), state
             for driver in (propagate_once, propagate_fixpoint):
-                store, props = adapter.build(state, primal)
-                travel = [(store.lbs[n + i], store.ubs[n + i]) for i in live]
-                for lo, hi in travel:
-                    assert lo == hi or ((lo, hi) == (1, 0) and store.infeasible), state
-                assert props[0].items == [(i, lo) for i, (lo, _hi) in zip(live, travel)], state
+                store, props = adapter.build(state, rng.choice((INFINITY, rng.randint(0, 90))))
+                assert len(store.lbs) == len(store.ubs) == inst.n
+                if items is None:
+                    assert store.infeasible and props == [], state
+                    empty += 1
+                    continue
+                assert [p.items for p in props] == [items], state
                 driver(store, props)
-                assert [(store.lbs[n + i], store.ubs[n + i]) for i in live] == travel, state
+                assert props[0].items == items, state
                 checked += 1
-    assert checked > 800, checked
+    assert checked > 800 and empty > 100, (checked, empty)
 
 
 class OfferLog(Registry):
@@ -457,18 +546,16 @@ class OfferLog(Registry):
 
 
 def test_admission_rejects_children_over_the_travel_budget():
-    # A child ``here -> j`` with ``g + c(here, j) + sum(lo) - lo(here)`` above
-    # the incumbent, summing the travel lower bounds over the popped live
-    # set, costs more than the incumbent allows.  The CP model caps no
-    # travel sum, so it is offered to the registry, and its CP dual under
-    # the parent's store, ``sum(lo) - lo(here)``, must reject it there.
+    # The CP model caps no travel sum and vetoes no child for its cost, so
+    # a child ``here -> j`` whose ``g + c(here, j) + dual`` is above the
+    # incumbent is offered to the registry, and its model dual must reject
+    # it there.
     rng = random.Random(61)
     over = 0
     for _ in range(200):
         inst = random_tsptw_instance(rng, rng.randint(3, 7))
         model = TsptwModel(inst)
         adapter = TsptwAdapter(model)
-        n = inst.n
         for state, value in enumerate_state_values(model).items():
             if model.is_base(state) or not is_finite(value):
                 continue
@@ -477,12 +564,9 @@ def test_admission_rejects_children_over_the_travel_budget():
             ctx.primal = g + value + rng.randint(-5, 10)
             registry = OfferLog()
             admitted = {child.state for child in ctx.process(SearchNode(state, g, g), registry)}
-            store, _props = adapter.build(state)
-            here = state.location
-            live_sum = sum(store.lbs[n + i] for i in iter_bits(state.unvisited | 1 << here))
             for succ in registry.offered:
-                arc = inst.travel[here][succ.location]
-                if g + arc + live_sum - store.lbs[n + here] > ctx.primal:
+                arc = inst.travel[state.location][succ.location]
+                if g + arc + reference_dual(model, succ) > ctx.primal:
                     assert succ not in admitted, (state, succ, ctx.primal)
                     over += 1
     assert over > 100, over
