@@ -31,10 +31,10 @@ class RunMetrics:
     """Counters and anytime traces for one solve.
 
     An expansion is a popped, non-stale, non-base state whose successor
-    enumeration actually ran; states short-circuited by propagation
-    (infeasible or bound-pruned before enumerating) are counted in
-    ``pruned_by_cp`` instead.  ``generated`` counts successor candidates
-    handed to the admission test.  With propagation on, each popped,
+    enumeration actually ran; a state pruned by its propagated store
+    counts in ``pruned_by_cp`` instead, and one pruned on its own ``f``
+    in neither.  ``generated`` counts successor candidates handed to the
+    admission test.  With propagation on, each popped,
     non-stale, non-base state either builds and propagates its CP model
     (``propagation_calls``) or, in CABS, reuses what propagation found for
     it earlier under the same incumbent (``reused``).  Traces carry

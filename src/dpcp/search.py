@@ -267,23 +267,22 @@ class _SolveContext:
 
         With propagation off, ``successors`` is the model's and ``store``
         is None.  Otherwise the node's CP model is built and propagated;
-        the node is pruned if the store is infeasible or the larger of its
-        ``f`` and ``g`` plus its CP dual cannot beat the incumbent, and each
+        the node is pruned if the store is infeasible or ``g`` plus its CP
+        dual, or else its own ``f``, cannot beat the incumbent, and each
         successor the store vetoes is dropped.  ``store`` then holds the
-        node's propagated domains, for each successor's CP dual.
-        Counts the expansion only when the model's successor enumeration
-        actually runs; a pruned pop and each vetoed successor count toward
-        ``pruned_by_cp`` instead.
+        node's propagated domains, for each successor's CP dual.  Counts
+        the expansion only when the model's successor enumeration runs; a
+        pop pruned by its store and each vetoed successor count toward
+        ``pruned_by_cp`` instead, and a pop pruned on its ``f`` in neither.
 
         In CABS, each pop records ``(primal, h, store)`` for its state: the
         incumbent it was propagated under, its CP dual (``INFINITY`` when
-        infeasible), and its store, or None if it was pruned.  ``build`` is
-        deterministic for equal states and primals, so a later pop of the
-        state under the same primal, in this pass or the next, reuses the
-        entry (counted in ``reused``, not ``propagation_calls``) and takes
-        exactly the decisions a fresh store would: a pruned entry only while
-        its ``g`` still prunes it, and a store after ``dual_cp`` has been
-        asked again for the popped state's own bound.
+        infeasible), and its store, or None if the store pruned it.  As
+        ``build`` is deterministic for equal states and primals, a later pop
+        of the state under the same primal, in this pass or the next, reuses
+        the entry (counted in ``reused``) and takes exactly the decisions a
+        fresh store would: a pruned entry only while ``g + h`` still prunes
+        it, and a store (kept also where ``f`` pruned) after a new ``dual_cp``.
         """
         model, state, m = self.model, node.state, self.metrics
         if self.mode is PropagationMode.OFF:
@@ -311,14 +310,15 @@ class _SolveContext:
             m.propagation_calls += 1
             m.propagation_time += time.perf_counter() - started
             h = INFINITY if store.infeasible else adapter.dual_cp(state, store)
-        bound = max(node.f, add(node.g, h))
+        reach = add(node.g, h)
+        bound = max(node.f, reach)
         if table is not None:
-            table[state] = (primal, h, store if bound < primal else None)
+            table[state] = (primal, h, store if reach < primal else None)
         if node.parent is None:
             # Only at the root is this bound one on the global optimum.
             self.note_dual(bound)
         if bound >= primal:
-            m.pruned_by_cp += 1
+            m.pruned_by_cp += reach >= primal
             return None
         m.expansions += 1
         succs = []

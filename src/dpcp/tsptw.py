@@ -229,16 +229,16 @@ class TsptwModel(DpModel):
         unvisited ``j`` that must be reached by ``d_j``: only arcs with
         ``a_i + c_ij <= d_j`` count (arc elimination by time windows,
         Dumas, Desrosiers, Gelinas and Solomon, *Operations Research*,
-        1995).  The depot is a target only where ``i`` may be last, as no
-        other unvisited location's earliest arrival is at or past ``d_i``,
-        and its leg is not tested against a window, as no tour's is.
+        1995).  The depot is a target only where ``i`` may be last, entered
+        after each other unvisited ``k`` by ``a_k + min_to[i] <= d_i``, and
+        its leg is not tested against a window, as no tour's is.
         """
-        windows = self.instance.windows
+        windows, to = self.instance.windows, self._to
         t, here, unvisited = state.time, state.location, state.unvisited
         by_travel = self._by_travel or self._build_by_travel()
         # The two largest earliest arrivals over the unvisited set decide
-        # each depot leg (-1 stands for none, as every arrival is >= 0).
-        first = second = first_at = -1
+        # each depot leg (-INFINITY stands for none).
+        first = second = first_at = -INFINITY
         live = []
         for i in iter_bits(unvisited | (1 << here)):
             r, d = windows[i]
@@ -252,7 +252,7 @@ class TsptwModel(DpModel):
         items = []
         for i, a, d in live:
             # Bit 0, the depot, is a target where i may be last.
-            targets = unvisited | ((second if i == first_at else first) < d)
+            targets = unvisited | ((second if i == first_at else first) + to[i] <= d)
             for c, j, due in by_travel[i]:
                 if targets >> j & 1 and a + c <= due:
                     items.append((i, c))

@@ -135,7 +135,7 @@ def reference_leave_costs(inst, state):
     items = []
     for i in iter_bits(state.unvisited | 1 << state.location):
         a, d = max(t, inst.windows[i][0]), inst.windows[i][1]
-        may_be_last = all(arrival[k] < d for k in arrival if k != i)
+        may_be_last = all(arrival[k] + inst.min_to[i] <= d for k in arrival if k != i)
         costs = [
             c
             for j, c in enumerate(inst.travel[i])
@@ -440,10 +440,26 @@ def varied_tsptw_instances(rng, count):
     return out
 
 
+def with_zero_arcs(rng, inst, share=0.3):
+    """``inst`` with about ``share`` of its arcs made free of travel."""
+    travel = [[c if c is None or rng.random() >= share else 0 for c in row] for row in inst.travel]
+    return TsptwInstance(travel, inst.windows)
+
+
+# Zero travel lets location 1 follow location 2 at 2's release, which is
+# 1's deadline: the tour 0 -> 2 -> 1 -> 0 costs 6, and 1 may be last.
+ZERO_TRAVEL_LAST = TsptwInstance(
+    [[None, 0, 5], [1, None, 50], [100, 0, None]],
+    [(0, 600), (0, 5), (5, 10)],
+)
+
+
 def test_dual_admissible_on_every_state():
     rng = random.Random(71)
+    instances = varied_tsptw_instances(rng, 150)
+    zeros = [ZERO_TRAVEL_LAST] + [with_zero_arcs(rng, i) for i in varied_tsptw_instances(rng, 60)]
     checked = late = 0
-    for inst in varied_tsptw_instances(rng, 150):
+    for inst in instances + zeros:
         model = TsptwModel(inst)
         values = enumerate_state_values(model)
         for state, value in values.items():
@@ -457,7 +473,11 @@ def test_dual_admissible_on_every_state():
             for s, v in values.items()
         )
     # Tours that return after the depot's deadline still count.
-    assert checked > 5000 and late > 20, (checked, late)
+    assert checked > 8000 and late > 20, (checked, late)
+    model = TsptwModel(ZERO_TRAVEL_LAST)
+    assert model.dual(model.target_state()) <= permutation_optimum(ZERO_TRAVEL_LAST) == 6
+    for key, result in solve_all_modes(model, TsptwAdapter(model)).items():
+        assert result.cost == result.root_dual == 6, key
 
 
 def test_dual_dominates_entered_left_bound():
@@ -507,11 +527,14 @@ def test_travel_lower_bounds_never_move():
     # takes the model's leave costs as durations; the store is infeasible
     # from the start exactly where there are none.  Nothing writes a
     # duration, so propagation leaves them as built.  Hand-built states
-    # at random clocks reach the None case often.
+    # at random clocks reach the None case often; every other instance has
+    # arcs free of travel.
     rng = random.Random(59)
     checked = empty = 0
-    for _ in range(70):
+    for k in range(70):
         inst = random_tsptw_instance(rng, rng.randint(3, 7))
+        if k % 2:
+            inst = with_zero_arcs(rng, inst)
         model = TsptwModel(inst)
         adapter = TsptwAdapter(model)
         states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
