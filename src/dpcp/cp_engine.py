@@ -469,11 +469,16 @@ class PropagationAdapter(ABC):
     ``build`` is deterministic for equal states and primal bounds.  The
     primal is passed in so that an adapter may cap the latest starts of
     pending tasks by it; the search reads infeasibility from
-    ``store.infeasible``.  The path cost is not passed: the search prunes
-    on the larger of the node's ``f`` and ``g`` plus ``dual_cp`` itself, so
-    a cap on the remaining cost would only repeat that test.  A
-    ``dual_cp`` of 0 adds nothing, and the pop still prunes on ``f``, which
-    holds the model dual: an adapter whose bound is all there returns 0.
+    ``store.infeasible``.  ``reads_primal`` says whether ``build`` reads
+    the primal at all.  An adapter whose ``build`` gives the same store
+    for a state under every primal sets it to False, and CABS then reuses
+    the state's propagated store under a later incumbent; the default,
+    True, is always sound, and reuses it only under the same one.  The
+    path cost is not passed: the search prunes on the larger of the
+    node's ``f`` and ``g`` plus ``dual_cp`` itself, so a cap on the
+    remaining cost would only repeat that test.  A ``dual_cp`` of 0 adds
+    nothing, and the pop still prunes on ``f``, which holds the model
+    dual: an adapter whose bound is all there returns 0.
 
     The search calls ``dual_cp`` only on a feasible store, so an adapter
     need not guard an empty domain.  It calls it for a popped state under
@@ -490,6 +495,8 @@ class PropagationAdapter(ABC):
     successor veto is handed the state it produced, not its parent, and
     reduces to domain lookups.
     """
+
+    reads_primal = True
 
     @abstractmethod
     def build(self, state, primal: Cost = INFINITY) -> Tuple[DomainStore, List[Propagator]]:

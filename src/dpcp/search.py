@@ -21,9 +21,11 @@ individually.  The CP dual of a successor is evaluated under the parent's
 propagated domains, which remain valid for every successor.
 
 CABS restarts duplicate detection with each pass, but what propagation
-found for a popped state carries over one pass: a state popped again under
-the same incumbent, in this pass or the last, reuses its propagated store
-(or its prune) instead of building and propagating its CP model afresh.
+found for a popped state carries over one pass: a state popped again in
+this pass or the last reuses its propagated store (or its prune) instead
+of building and propagating its CP model afresh.  It does so under any
+later incumbent when the adapter's ``build`` ignores the primal, and
+otherwise only under the same incumbent.
 """
 
 from __future__ import annotations
@@ -161,8 +163,10 @@ class _SolveContext:
         self.counter = itertools.count()
         self.started = time.perf_counter()
         # CABS only: ``state -> (primal, h, store)`` for the states popped
-        # in the current pass and in the last one (see ``expand``), which
-        # stay empty with propagation off.  ``this_pass`` stays None in A*.
+        # in the current pass and in the last one, reused under a later
+        # primal too unless the adapter's ``build`` reads it (see
+        # ``expand``).  They stay empty with propagation off, and
+        # ``this_pass`` stays None in A*.
         self.last_pass: dict = {}
         self.this_pass: Optional[dict] = None
 
@@ -279,10 +283,13 @@ class _SolveContext:
         incumbent it was propagated under, its CP dual (``INFINITY`` when
         infeasible), and its store, or None if the store pruned it.  As
         ``build`` is deterministic for equal states and primals, a later pop
-        of the state under the same primal, in this pass or the next, reuses
-        the entry (counted in ``reused``) and takes exactly the decisions a
-        fresh store would: a pruned entry only while ``g + h`` still prunes
-        it, and a store (kept also where ``f`` pruned) after a new ``dual_cp``.
+        of the state in this pass or the next reuses the entry (counted in
+        ``reused``) under the same primal, or under any later one when the
+        adapter's ``reads_primal`` is False: its ``build`` then gives the
+        same store whatever the primal.  The reused entry takes exactly the
+        decisions a fresh store would: a pruned entry only while ``g + h``
+        still prunes it under the current primal, which only falls, and a
+        store (kept also where ``f`` pruned) after a new ``dual_cp``.
         """
         model, state, m = self.model, node.state, self.metrics
         if self.mode is PropagationMode.OFF:
@@ -292,7 +299,7 @@ class _SolveContext:
         entry = None if table is None else table.get(state) or self.last_pass.pop(state, None)
         if (
             entry is not None
-            and entry[0] == primal
+            and (entry[0] == primal or not adapter.reads_primal)
             and (entry[2] is not None or add(node.g, entry[1]) >= primal)
         ):
             _, h, store = entry
@@ -396,9 +403,11 @@ def cabs(
     ``width`` best nodes by (f, larger g, insertion order).  The incumbent persists across
     passes while duplicate detection restarts per pass.  Expansion counts
     accumulate across passes.  With propagation on, what propagation found
-    for each popped state carries over one pass: a state popped again under
-    the same incumbent reuses it (see ``_SolveContext.expand``), which
-    leaves the search unchanged and only saves ``propagation_calls``.
+    for each popped state carries over one pass: a state popped again
+    reuses it, under any later incumbent if the adapter's ``build`` ignores
+    the primal and under the same one otherwise (see
+    ``_SolveContext.expand``).  That leaves the search unchanged and only
+    saves ``propagation_calls``.
 
     A pass that never discards a node at the width cut is exhaustive, even
     if it improved the incumbent, so it proves the final incumbent optimal

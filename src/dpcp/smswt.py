@@ -89,6 +89,9 @@ class SmsModel(DpModel):
     def __init__(self, instance: SmsInstance):
         self.instance = instance
         self._full = (1 << instance.n) - 1
+        # ``(w, r, p - d)`` per job: a job started at ``s`` is ``s + p - d``
+        # late, and the bounds here and in ``SmsAdapter`` weigh that by ``w``.
+        self.tardiness_terms = tuple((j.w, j.r, j.p - j.d) for j in instance.jobs)
         # The clock, each finish and each live start bound end by the latest
         # deadline, which bounds every tardiness term.
         latest = max((j.deadline for j in instance.jobs), default=0)
@@ -146,11 +149,17 @@ class SmsModel(DpModel):
 
     def dual(self, state: SmsState) -> Cost:
         """Tardiness sum if every pending job started as early as possible."""
-        jobs = self.instance.jobs
+        terms = self.tardiness_terms
         t = state.time
         total = 0
-        for i in iter_bits(state.unscheduled):
-            total += jobs[i].w * max(0, max(jobs[i].r, t) + jobs[i].p - jobs[i].d)
+        mask = state.unscheduled
+        while mask:
+            low = mask & -mask
+            w, r, slack = terms[low.bit_length() - 1]
+            late = (r if r > t else t) + slack
+            if late > 0:
+                total += w * late
+            mask ^= low
         return total
 
     def state_signature(self, state: SmsState):
@@ -160,15 +169,21 @@ class SmsModel(DpModel):
 class SmsAdapter(PropagationAdapter):
     """CP view: one start variable per pending job plus non-overlap."""
 
+    reads_primal = False
+
     def __init__(self, model: SmsModel):
         self.model = model
         self.instance = model.instance
-        jobs = model.instance.jobs
+        terms = model.tardiness_terms
+
+        def tardiness(store, i):
+            w, _r, slack = terms[i]
+            late = store.lbs[i] + slack
+            return w * late if late > 0 else 0
+
         # One sum per store: a child's pending set is its parent's less the
         # chosen job, so its bound is the parent's total less one term.
-        self._tardiness_sum = StoreSum(
-            lambda store, i: jobs[i].w * max(0, store.lbs[i] + jobs[i].p - jobs[i].d)
-        )
+        self._tardiness_sum = StoreSum(tardiness)
 
     def build(self, state: SmsState, primal: Cost = INFINITY):
         jobs = self.instance.jobs

@@ -283,6 +283,8 @@ class TsptwAdapter(PropagationAdapter):
     the bound are the model's (``TsptwModel.leave_costs`` and ``dual``).
     """
 
+    reads_primal = False
+
     def __init__(self, model: TsptwModel):
         self.model = model
         self.instance = model.instance

@@ -1,7 +1,8 @@
 """The adapter contract: successor vetoes are domain lookups on the
 successor state, the RCPSP CP dual equals its latest pending finish and
-envelopes taken separately, and a CP dual reused across siblings equals
-the one summed afresh.
+envelopes taken separately, a CP dual reused across siblings equals the
+one summed afresh, and an adapter that declares ``reads_primal = False``
+builds and propagates the same store under every primal.
 
 The reference functions below recompute each transition from the parent
 state, the way the vetoes did before they were handed the successor; the
@@ -13,6 +14,8 @@ a veto is a domain lookup, whether or not the child is a dead end.
 """
 
 import random
+
+import pytest
 
 from dpcp import (
     INFINITY,
@@ -33,6 +36,7 @@ from conftest import (
     random_sms_instance,
     random_tsptw_instance,
     rcpsp_fields,
+    store_domains,
 )
 
 MODES = (propagate_once, propagate_fixpoint)
@@ -238,3 +242,58 @@ def test_sms_sibling_dual_cp_matches_fresh_sum():
         )
         checked, lifted = checked + c, lifted + v
     assert checked > 5000 and lifted > 500, (checked, lifted)
+
+
+ADAPTERS = {
+    "smswt": (
+        lambda rng: smswt.SmsModel(random_sms_instance(rng, rng.randint(3, 7))),
+        smswt.SmsAdapter,
+    ),
+    "tsptw": (
+        lambda rng: tsptw.TsptwModel(random_tsptw_instance(rng, rng.randint(3, 7))),
+        tsptw.TsptwAdapter,
+    ),
+    "rcpsp": (lambda rng: rcpsp.RcpspModel(random_rcpsp_instance(rng, 7)), rcpsp.RcpspAdapter),
+}
+
+
+@pytest.mark.parametrize(
+    "family", sorted(f for f, (_, adapter) in ADAPTERS.items() if not adapter.reads_primal)
+)
+def test_primal_free_build_ignores_the_primal(family):
+    # CABS reuses such an adapter's store under a later primal, so the
+    # store built and propagated under any primal must be the same one.
+    draw, make_adapter = ADAPTERS[family]
+    rng = random.Random(family)
+    checked = 0
+    for _ in range(30):
+        model = draw(rng)
+        adapter = make_adapter(model)
+        values = enumerate_state_values(model)
+        optimum = values[model.target_state()]
+        states = [s for s in values if not model.is_base(s)]
+        for state in rng.sample(states, min(8, len(states))):
+            primals = (INFINITY, optimum, model.dual(state), 0)
+            for propagate in (None,) + MODES:
+                keys = []
+                for primal in primals:
+                    store, props = adapter.build(state, primal)
+                    if propagate is not None:
+                        propagate(store, props)
+                    keys.append((store_domains(store), store.infeasible))
+                assert keys.count(keys[0]) == len(keys), (state, propagate)
+            checked += 1
+    assert checked > 150, checked
+
+
+def test_rcpsp_build_reads_the_primal():
+    # Each pending task must finish by the incumbent, so a small primal
+    # moves the latest starts.
+    assert rcpsp.RcpspAdapter.reads_primal is True
+    draw, make_adapter = ADAPTERS["rcpsp"]
+    model = draw(random.Random(0))
+    adapter = make_adapter(model)
+    root = model.target_state()
+    free, _props = adapter.build(root, INFINITY)
+    capped, _props = adapter.build(root, 1)
+    assert store_domains(free) != store_domains(capped)

@@ -154,9 +154,12 @@ def trajectory(result):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_cabs_reuse_leaves_the_search_unchanged(monkeypatch, family, mode):
     """Reusing a state's propagated store or prune from this pass or the
-    last changes no decision; it only replaces propagation calls."""
+    last changes no decision; it only replaces propagation calls.  The
+    SMS and TSPTW adapters, whose ``build`` ignores the primal, reuse
+    strictly more than a table keyed on the primal too would, and RCPSP's,
+    which reads it, exactly as much."""
     draw, make_model, make_adapter, _ = FAMILIES[family]
-    reused = 0
+    reused = keyed_reused = 0
     for inst in draw():
         model = make_model(inst)
         shipped = cabs(model, make_adapter(model), mode=mode)
@@ -166,9 +169,18 @@ def test_cabs_reuse_leaves_the_search_unchanged(monkeypatch, family, mode):
                 lambda ctx: setattr(ctx, "this_pass", Forgetful()),
             )
             fresh = cabs(model, make_adapter(model), mode=mode)
+        with monkeypatch.context() as patch:
+            patch.setattr(make_adapter, "reads_primal", True)
+            keyed = cabs(model, make_adapter(model), mode=mode)
         assert fresh.metrics.reused == 0
-        assert trajectory(shipped) == trajectory(fresh)
+        assert trajectory(shipped) == trajectory(fresh) == trajectory(keyed)
         calls = shipped.metrics.propagation_calls + shipped.metrics.reused
         assert calls == fresh.metrics.propagation_calls
+        assert calls == keyed.metrics.propagation_calls + keyed.metrics.reused
         reused += shipped.metrics.reused
-    assert reused > 0
+        keyed_reused += keyed.metrics.reused
+    assert keyed_reused > 0
+    if family == "rcpsp":
+        assert reused == keyed_reused
+    else:
+        assert reused > keyed_reused, (reused, keyed_reused)
