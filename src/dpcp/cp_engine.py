@@ -1,8 +1,9 @@
 """Small constraint-propagation engine: integer domains and propagators.
 
-The engine owns a per-solve ``DomainStore`` of integer interval domains,
-kept as two bound lists, and a handful of stateless propagator
-descriptors:
+The engine owns a per-pop ``DomainStore`` of integer interval domains,
+kept as two bound lists and a bit mask of live variables, and a handful
+of stateless propagator descriptors, which an adapter may build once and
+post on every store:
 
 * ``Disjunctive`` -- non-overlapping jobs, filtered by edge-finding,
 * ``Cumulative``  -- capacity-limited tasks, filtered by time-table
@@ -20,9 +21,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from operator import gt, itemgetter
-from typing import Callable, Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
-from .core import iter_bits
 from .cost import Cost, INFINITY
 
 
@@ -32,7 +32,7 @@ class AdapterFailure(Exception):
 
 class DomainStore:
     """Interval domains ``[lbs[x], ubs[x]]`` with a sticky infeasibility
-    flag.
+    flag and a bit mask of live variables.
 
     The two bound lists are the whole state, as no model needs a hole in a
     domain, and the only way to read a domain.  A propagator reads them
@@ -41,17 +41,25 @@ class DomainStore:
     ``set_ub`` or ``mark_infeasible``, so the monotone-shrink invariant,
     emptiness detection, and the change revision counter live in one
     place.  A store is owned by a single solve; sharing is read-only.
+
+    ``live`` has bit ``x`` set when variable ``x`` takes part in this
+    store's state: ``Disjunctive`` and ``Cumulative`` skip every item whose
+    variable is dead, so one propagator built over all of a model's
+    variables serves every state.  The default, ``-1``, has every bit set.
+    ``PrecedenceLe`` ignores the mask, and a dead variable's domain is
+    still checked for emptiness.
     """
 
-    __slots__ = ("lbs", "ubs", "infeasible", "revision")
+    __slots__ = ("lbs", "ubs", "infeasible", "revision", "live")
 
-    def __init__(self, lbs: List[int], ubs: List[int]):
+    def __init__(self, lbs: List[int], ubs: List[int], live: int = -1):
         if len(lbs) != len(ubs):
             raise AdapterFailure(f"{len(lbs)} lower bounds for {len(ubs)} upper bounds")
         self.lbs = lbs
         self.ubs = ubs
         self.infeasible = any(map(gt, lbs, ubs))
         self.revision = 0
+        self.live = live
 
     def bounds(self, lo: int, hi: int) -> Tuple[List[int], List[int]]:
         """The bound lists themselves, after checking that ids ``lo..hi``
@@ -145,9 +153,10 @@ class Disjunctive:
     leave cost) gets a relaxation: shrinking a job preserves disjointness,
     so every deduction made here is sound for the longer jobs.
 
-    Jobs of duration zero impose nothing and are skipped.  One application
-    runs the overload check, a lower-bound lifting pass, and the same pass
-    on the time-reversed jobs for upper bounds, all from the entry bounds.
+    Jobs of duration zero impose nothing and are skipped, and so are jobs
+    whose variable is not in ``store.live``.  One application runs the
+    overload check, a lower-bound lifting pass, and the same pass on the
+    time-reversed jobs for upper bounds, all from the entry bounds.
     """
 
     def __init__(self, items: Iterable[Tuple[int, int]]):
@@ -159,9 +168,10 @@ class Disjunctive:
         if store.infeasible:
             return
         lbs, ubs = store.bounds(self._lo, self._hi)
+        live = store.live
         jobs, mirrored = [], []
         for v, p in self.items:
-            if p <= 0:
+            if p <= 0 or not live >> v & 1:
                 continue
             est, lct = lbs[v], ubs[v] + p
             jobs.append((est, p, lct, v))
@@ -270,45 +280,48 @@ class Cumulative:
     """Capacity-limited tasks filtered by time-table reasoning.
 
     Tasks are ``(start_var, duration, usage)`` with constant durations and
-    usages.  A task whose bounds pin part of its execution occupies that
-    compulsory part in every schedule; stacking compulsory parts gives a
-    lower profile of guaranteed usage.  Tasks are swept past profile
-    segments that would overflow the capacity together with their own
-    usage (excluding their own compulsory contribution).
+    usages; a task whose variable is not in ``store.live`` is skipped, so
+    one object over all of a resource's users serves every state.  A live
+    task whose bounds pin part of its execution occupies that compulsory
+    part in every schedule; stacking compulsory parts gives a lower profile
+    of guaranteed usage.  Live tasks are swept past profile segments that
+    would overflow the capacity together with their own usage (excluding
+    their own compulsory contribution).
     """
 
     def __init__(self, tasks: Iterable[Tuple[int, int, int]], capacity: int):
         self.capacity = capacity
-        # Tasks that use nothing constrain nothing; one that alone exceeds
-        # the capacity makes every store infeasible.
-        self._live = [t for t in tasks if t[1] > 0 and t[2] > 0]
-        self._lo, self._hi, self._overfull = 0, -1, False
-        if self._live:
-            ids, _durations, usages = zip(*self._live)
-            self._lo, self._hi = min(ids), max(ids)
-            self._overfull = max(usages) > capacity
+        # Tasks that use nothing constrain nothing.
+        self.tasks = [t for t in tasks if t[1] > 0 and t[2] > 0]
+        # A live task that alone exceeds the capacity empties the store.
+        self._overfull = [v for v, _p, u in self.tasks if u > capacity]
+        ids = [v for v, _p, _u in self.tasks]
+        self._lo, self._hi = (min(ids), max(ids)) if ids else (0, -1)
 
     def propagate(self, store: DomainStore) -> None:
         if store.infeasible:
             return
-        if self._overfull:
-            store.mark_infeasible()
-            return
-        live = self._live
-        if not live:
-            return
         lbs, ubs = store.bounds(self._lo, self._hi)
+        live = store.live
+        for v in self._overfull:
+            if live >> v & 1:
+                store.mark_infeasible()
+                return
         capacity = self.capacity
         # The compulsory part of a task is [ub, lb + p) when ub < lb + p.
-        bounds = []
+        # New bounds come from the entry bounds alone, so they are
+        # snapshotted here, before a write can move them: two tasks may
+        # share a variable.
+        entry = []
         events: dict = {}
-        for v, p, u in live:
-            lb, ub = lbs[v], ubs[v]
-            bounds.append((lb, ub))
-            end = lb + p
-            if ub < end:
-                events[ub] = events.get(ub, 0) + u
-                events[end] = events.get(end, 0) - u
+        for v, p, u in self.tasks:
+            if live >> v & 1:
+                lb, ub = lbs[v], ubs[v]
+                entry.append((v, p, u, lb, ub))
+                end = lb + p
+                if ub < end:
+                    events[ub] = events.get(ub, 0) + u
+                    events[end] = events.get(end, 0) - u
         if not events:
             return
         # Maximal segments (a, b, height) of nonzero compulsory usage.
@@ -326,54 +339,47 @@ class Cumulative:
                     top = height
         if not segments:
             return
-        # New bounds come from the entry bounds alone, so each is written
-        # as soon as it is known; the sweeps only raise lb and lower ub,
-        # and an unmoved bound is not written.  A task that fits on top of
-        # the highest segment cannot be moved.
-        for (v, p, u), (lb, ub) in zip(live, bounds):
+        # Each bound is written as soon as it is known; the sweeps only
+        # raise lb and lower ub, and an unmoved bound is not written.  A
+        # task that fits on top of the highest segment cannot be moved.
+        # Each sweep pushes the task past every segment whose height, less
+        # the task's own compulsory usage there, exceeds ``limit``.  The
+        # compulsory part ``[ub, lb + p)`` covers segment ``[a, b)`` when
+        # ``ub <= a`` and ``b <= lb + p``; without a compulsory part no
+        # segment passes that test.
+        for v, p, u, lb, ub in entry:
             if top + u <= capacity:
                 continue
-            new_lb, new_ub = self._sweep(segments, lb, ub, p, u, capacity - u)
+            limit = capacity - u
+            end = lb + p
+            new_lb = lb
+            for a, b, h in segments:
+                if a >= new_lb + p:
+                    break
+                if b <= new_lb:
+                    continue
+                if ub <= a and b <= end:
+                    h -= u
+                if h > limit:
+                    new_lb = b
             if new_lb != lb:
                 store.set_lb(v, new_lb)
                 if store.infeasible:
                     return
+            new_ub = ub
+            for a, b, h in reversed(segments):
+                if b <= new_ub:
+                    break
+                if a >= new_ub + p:
+                    continue
+                if ub <= a and b <= end:
+                    h -= u
+                if h > limit:
+                    new_ub = a - p
             if new_ub != ub:
                 store.set_ub(v, new_ub)
                 if store.infeasible:
                     return
-
-    @staticmethod
-    def _sweep(segments, lb, ub, p, u, limit):
-        """``(lb, ub)`` of one task pushed past every segment whose height,
-        less the task's own compulsory usage there, exceeds ``limit``.
-
-        The task's compulsory part ``[ub, lb + p)`` covers segment
-        ``[a, b)`` when ``ub <= a`` and ``b <= lb + p``; without a
-        compulsory part (``ub >= lb + p``) no segment passes that test.
-        """
-        end = lb + p
-        new_lb = lb
-        for a, b, h in segments:
-            if a >= new_lb + p:
-                break
-            if b <= new_lb:
-                continue
-            if ub <= a and b <= end:
-                h -= u
-            if h > limit:
-                new_lb = b
-        new_ub = ub
-        for a, b, h in reversed(segments):
-            if b <= new_ub:
-                break
-            if a >= new_ub + p:
-                continue
-            if ub <= a and b <= end:
-                h -= u
-            if h > limit:
-                new_ub = a - p
-        return new_lb, new_ub
 
 
 Propagator = Union[PrecedenceLe, Disjunctive, Cumulative]
@@ -429,40 +435,6 @@ def ect_envelope_max(tasks: Sequence[Tuple[int, Sequence[int]]], capacities: Seq
     return best
 
 
-class StoreSum:
-    """``sum(term(store, i) for i in mask)`` with a one-entry memo.
-
-    The memo holds the last sum computed in full, keyed on the store's
-    identity, its ``revision`` and the mask.  A call with the same key
-    returns it, and a call whose mask drops one bit of the memo's returns
-    it less that bit's term, so the children bounded under one parent
-    store cost O(1) each.  Any other call sums afresh and replaces the
-    memo.  The memo keeps a reference to its store, so no later store can
-    take its identity.
-    """
-
-    __slots__ = ("_term", "_store", "_revision", "_mask", "_total")
-
-    def __init__(self, term: Callable[[DomainStore, int], int]):
-        self._term = term
-        self._store = None
-        self._revision = self._mask = self._total = 0
-
-    def __call__(self, store: DomainStore, mask: int) -> int:
-        if store is self._store and store.revision == self._revision:
-            gone = self._mask ^ mask
-            if not gone:
-                return self._total
-            if not gone & mask and not gone & (gone - 1):
-                return self._total - self._term(store, gone.bit_length() - 1)
-        term = self._term
-        total = 0
-        for i in iter_bits(mask):
-            total += term(store, i)
-        self._store, self._revision, self._mask, self._total = store, store.revision, mask, total
-        return total
-
-
 class PropagationAdapter(ABC):
     """Bridge from a DP model's states to a CP model over a domain store.
 
@@ -487,9 +459,18 @@ class PropagationAdapter(ABC):
     neither the registry nor the model dual has rejected: the parent's
     domains remain valid for every successor, which is what makes the
     per-successor bound sound.  So an adapter may reuse one sum per store,
-    keyed on the store's identity and ``revision`` (``StoreSum``); a
-    reused value must equal the one computed afresh, whatever the call
-    order.
+    keyed on the store's identity and ``revision`` (as ``SmsAdapter``
+    does); a reused value must equal the one computed afresh, whatever the
+    call order.
+
+    ``build`` returns the propagators together with the store.  Where they
+    do not depend on the state, an adapter builds them once, over all of
+    its variables, and returns the same list on every call; the store's
+    ``live`` mask then tells ``Disjunctive`` and ``Cumulative`` which
+    variables to skip (SMS and RCPSP do this).  TSPTW's job durations are
+    its state's leave costs, so it builds its ``Disjunctive`` per call.
+    The pair also lets a profiler wrap each propagator a store is
+    propagated with (``perfbench/tracing.py``).
 
     The transition rule lives only in the model's ``successors``, so the
     successor veto is handed the state it produced, not its parent, and

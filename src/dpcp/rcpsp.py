@@ -357,9 +357,11 @@ class RcpspModel(DpModel):
 
 class RcpspAdapter(PropagationAdapter):
     """CP view: fixed starts for scheduled tasks, and for pending ones
-    windows whose latest start lets them finish by the incumbent;
-    capacity propagators fed with the running tasks as fixed blocks, and
-    all precedence links."""
+    windows whose latest start lets them finish by the incumbent; one
+    capacity propagator per resource over all of its users, which skips
+    the finished tasks (the store's ``live`` mask holds the pending and
+    running ones), and all precedence links.  The propagators are built
+    once."""
 
     def __init__(self, model: RcpspModel):
         self.model = model
@@ -367,31 +369,26 @@ class RcpspAdapter(PropagationAdapter):
         inst = self.instance
         tasks = inst.tasks
         self._durations = model._durations
-        self._precedences = PrecedenceLe((i, tasks[i].duration, j) for i, j in inst.precedences)
         self._energies = model._energies
-        # Per resource, the (task, duration, usage) rows of its users.
-        self._members = [
-            [(i, t.duration, t.usages[r]) for i, t in enumerate(tasks) if t.usages[r] > 0]
-            for r in range(inst.n_resources)
+        self._props = [
+            Cumulative([(i, t.duration, t.usages[r]) for i, t in enumerate(tasks)], cap)
+            for r, cap in enumerate(inst.capacities)
         ]
+        self._props.append(
+            PrecedenceLe((i, tasks[i].duration, j) for i, j in inst.precedences)
+        )
 
     def build(self, state: RcpspState, primal: Cost = INFINITY):
         inst = self.instance
-        starts, time, scheduled = state.starts, state.time, state.scheduled
+        starts, time = state.starts, state.time
         # A pending task must finish by the horizon, and by the incumbent.
         finish_by = min(inst.horizon, primal)
         lbs = [time if s is None else s for s in starts]
         ubs = [finish_by - p if s is None else s for s, p in zip(starts, self._durations)]
-        store = DomainStore(lbs, ubs)
-        live = ~scheduled  # pending tasks, and the running ones below
+        live = ~state.scheduled  # pending tasks, and the running ones below
         for j in state.running:
             live |= 1 << j
-        props: list = [
-            Cumulative([m for m in members if live >> m[0] & 1], cap)
-            for members, cap in zip(self._members, inst.capacities)
-        ]
-        props.append(self._precedences)
-        return store, props
+        return DomainStore(lbs, ubs, live), self._props
 
     def dual_cp(self, state: RcpspState, store: DomainStore) -> Cost:
         # The latest earliest finish of a pending task, and the completion

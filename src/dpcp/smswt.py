@@ -10,9 +10,10 @@ started now.  As a DIDP state constraint would, ``successors`` drops each
 child that is a dead end by that rule, so only the target state, or a
 state built by hand, is ever found dead when it is expanded.
 
-The propagation side builds one start variable per unscheduled job over
-its live window and a single non-overlap constraint; its dual bound is the
-tardiness sum if every job started at its propagated earliest start.
+The propagation side has one start variable per job, live over its
+window while the job is pending, and a single non-overlap constraint over
+all jobs, built once per adapter; its dual bound is the tardiness sum if
+every pending job started at its propagated earliest start.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, check_ceiling
-from .cp_engine import (
-    Disjunctive,
-    DomainStore,
-    PropagationAdapter,
-    StoreSum,
-)
+from .cp_engine import Disjunctive, DomainStore, PropagationAdapter
 from .parsing import read_instance
 
 
@@ -167,38 +163,60 @@ class SmsModel(DpModel):
 
 
 class SmsAdapter(PropagationAdapter):
-    """CP view: one start variable per pending job plus non-overlap."""
+    """CP view: one start variable per job, live while the job is pending,
+    and one non-overlap constraint over all jobs, built once."""
 
     reads_primal = False
 
     def __init__(self, model: SmsModel):
         self.model = model
         self.instance = model.instance
-        terms = model.tardiness_terms
-
-        def tardiness(store, i):
-            w, _r, slack = terms[i]
-            late = store.lbs[i] + slack
-            return w * late if late > 0 else 0
-
-        # One sum per store: a child's pending set is its parent's less the
-        # chosen job, so its bound is the parent's total less one term.
-        self._tardiness_sum = StoreSum(tardiness)
+        self._terms = model.tardiness_terms
+        self._props = [Disjunctive((i, job.p) for i, job in enumerate(self.instance.jobs))]
+        # ``(store, revision, pending mask, total)`` of the last sum taken
+        # in full: a child's pending set is its parent's less the chosen
+        # job, so its bound under the parent's store is the parent's total
+        # less one term.  The memo holds its store, so no later store can
+        # take that identity.
+        self._memo = (None, 0, 0, 0)
 
     def build(self, state: SmsState, primal: Cost = INFINITY):
         jobs = self.instance.jobs
         lbs = [0] * len(jobs)  # scheduled jobs keep the inert [0, 0]
         ubs = [0] * len(jobs)
-        items = []
         for i in iter_bits(state.unscheduled):
             job = jobs[i]
             lbs[i] = max(job.r, state.time)
             ubs[i] = job.deadline - job.p
-            items.append((i, job.p))
-        return DomainStore(lbs, ubs), [Disjunctive(items)]
+        return DomainStore(lbs, ubs, state.unscheduled), self._props
 
     def dual_cp(self, state: SmsState, store: DomainStore) -> Cost:
-        return self._tardiness_sum(store, state.unscheduled)
+        """Tardiness sum if every pending job started at its propagated
+        earliest start."""
+        mask = state.unscheduled
+        terms, lbs = self._terms, store.lbs
+        memo_store, revision, memo_mask, total = self._memo
+        if store is memo_store and store.revision == revision:
+            gone = memo_mask ^ mask
+            if not gone:
+                return total
+            if not gone & mask and not gone & (gone - 1):
+                i = gone.bit_length() - 1
+                w, _r, slack = terms[i]
+                late = lbs[i] + slack
+                return total - w * late if late > 0 else total
+        total = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            w, _r, slack = terms[i]
+            late = lbs[i] + slack
+            if late > 0:
+                total += w * late
+            rest ^= low
+        self._memo = (store, store.revision, mask, total)
+        return total
 
     def is_succ_infeasible(self, label: int, succ: SmsState, store: DomainStore) -> bool:
         # The job finishes at the successor's clock; the transition dies

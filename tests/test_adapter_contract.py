@@ -1,8 +1,11 @@
 """The adapter contract: successor vetoes are domain lookups on the
 successor state, the RCPSP CP dual equals its latest pending finish and
 envelopes taken separately, a CP dual reused across siblings equals the
-one summed afresh, and an adapter that declares ``reads_primal = False``
-builds and propagates the same store under every primal.
+one summed afresh, an adapter that declares ``reads_primal = False``
+builds and propagates the same store under every primal, and the SMS and
+RCPSP propagators, built once and told by the store's ``live`` mask which
+variables to skip, propagate as the per-state ones built over the live
+variables alone would.
 
 The reference functions below recompute each transition from the parent
 state, the way the vetoes did before they were handed the successor; the
@@ -19,6 +22,10 @@ import pytest
 
 from dpcp import (
     INFINITY,
+    Cumulative,
+    Disjunctive,
+    DomainStore,
+    PrecedenceLe,
     enumerate_state_values,
     is_finite,
     propagate_fixpoint,
@@ -297,3 +304,95 @@ def test_rcpsp_build_reads_the_primal():
     free, _props = adapter.build(root, INFINITY)
     capped, _props = adapter.build(root, 1)
     assert store_domains(free) != store_domains(capped)
+
+
+def reference_sms_build(adapter, state):
+    """The SMS store and a ``Disjunctive`` over the pending jobs alone,
+    every variable live."""
+    jobs = adapter.instance.jobs
+    lbs, ubs, items = [0] * len(jobs), [0] * len(jobs), []
+    for i in iter_bits(state.unscheduled):
+        lbs[i], ubs[i] = max(jobs[i].r, state.time), jobs[i].deadline - jobs[i].p
+        items.append((i, jobs[i].p))
+    return DomainStore(lbs, ubs), [Disjunctive(items)]
+
+
+def reference_rcpsp_build(adapter, state, primal):
+    """The RCPSP store and one ``Cumulative`` per resource over its pending
+    and running users alone, every variable live, then the precedences."""
+    inst = adapter.instance
+    _scheduled, running, _estimate = rcpsp_fields(inst, state)
+    finish_by = min(inst.horizon, primal)
+    lbs, ubs, present = [], [], []
+    for i, (s, task) in enumerate(zip(state.starts, inst.tasks)):
+        lbs.append(state.time if s is None else s)
+        ubs.append(finish_by - task.duration if s is None else s)
+        if s is None or i in running:
+            present.append(i)
+    props = [
+        Cumulative([(i, inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in present], cap)
+        for r, cap in enumerate(inst.capacities)
+    ]
+    props.append(PrecedenceLe((i, inst.tasks[i].duration, j) for i, j in inst.precedences))
+    return DomainStore(lbs, ubs), props
+
+
+def assert_masked_build_matches_reference(model, adapter, reference, primals):
+    """On every reachable state under each primal and driver, ``build``
+    returns the adapter's one propagator list, and propagating it gives
+    the reference's bounds and flag.  Returns the counts of tightened and
+    infeasible outcomes."""
+    props_once = adapter.build(model.target_state())[1]
+    tightened = infeasible = 0
+    for state in enumerate_state_values(model):
+        for primal in primals:
+            for propagate in MODES:
+                store, props = adapter.build(state, primal)
+                assert props is props_once
+                expected, reference_props = reference(adapter, state, primal)
+                entry = store_domains(expected)
+                assert store_domains(store) == entry, state
+                if not store.infeasible:
+                    propagate(store, props)
+                if not expected.infeasible:
+                    propagate(expected, reference_props)
+                assert store_domains(store) == store_domains(expected), (state, primal)
+                assert store.infeasible == expected.infeasible, (state, primal)
+                infeasible += expected.infeasible
+                tightened += not expected.infeasible and store_domains(expected) != entry
+    return tightened, infeasible
+
+
+def test_sms_masked_disjunctive_matches_per_state_build():
+    rng = random.Random(127)
+    tightened = infeasible = 0
+    for _ in range(20):
+        model = smswt.SmsModel(random_sms_instance(rng, rng.randint(3, 9)))
+        t, i = assert_masked_build_matches_reference(
+            model,
+            smswt.SmsAdapter(model),
+            lambda adapter, state, _primal: reference_sms_build(adapter, state),
+            (INFINITY,),
+        )
+        tightened, infeasible = tightened + t, infeasible + i
+    assert tightened > 1500 and infeasible > 100, (tightened, infeasible)
+
+
+def test_rcpsp_masked_cumulative_matches_per_state_build():
+    # A finished task's fixed block ends by the state's clock, where every
+    # live window starts, so on reachable states skipping it saves time
+    # without moving a bound.  What this catches is a mask that leaves out
+    # a running task.
+    rng = random.Random(131)
+    tightened = infeasible = 0
+    for _ in range(30):
+        model = rcpsp.RcpspModel(random_rcpsp_instance(rng, 9, 5))
+        optimum = enumerate_state_values(model)[model.target_state()]
+        t, i = assert_masked_build_matches_reference(
+            model,
+            rcpsp.RcpspAdapter(model),
+            reference_rcpsp_build,
+            (INFINITY, optimum, optimum - 1),
+        )
+        tightened, infeasible = tightened + t, infeasible + i
+    assert tightened > 4000 and infeasible > 10000, (tightened, infeasible)

@@ -476,6 +476,109 @@ def test_cumulative_out_of_range_id_raises(bad):
             cls([(0, 2, 1), (bad, 2, 1)], 2).propagate(store)
 
 
+def test_cumulative_repeated_variable_uses_entry_bounds():
+    # Tasks 1 and 2 share variable 0.  Both sweeps start from its entry
+    # window [3, 4]: task 1 is lifted to 4, and task 2, which would then run
+    # on [4, 5) next to task 1's compulsory part, is lifted to 5, emptying
+    # the domain.  A sweep that read the bounds task 1 had just written
+    # would leave [4, 4] feasible.
+    tasks = [(1, 1, 1), (0, 2, 1), (0, 1, 1)]
+    for cls in (ReferenceCumulative, Cumulative):
+        store = store_of([(3, 4), (3, 3)])
+        cls(tasks, 1).propagate(store)
+        assert store.infeasible, cls
+
+
+# --- the live mask ------------------------------------------------------------
+
+def store_with_live(domains, live):
+    store = store_of(domains)
+    store.live = live
+    return store
+
+
+def test_store_defaults_to_every_variable_live():
+    store = store_of([(0, 1), (0, 1)])
+    assert store.live == -1
+    assert DomainStore([0], [1], 0b1).live == 0b1
+
+
+def test_disjunctive_skips_dead_variables():
+    # Both jobs pinned at 0 overload, and job 1 lifts job 0 to 4; with
+    # variable 1 dead neither happens.
+    props = [Disjunctive([(0, 5), (1, 3)])]
+    for domains, live in (([(0, 0), (0, 0)], 0b01), ([(0, 10), (1, 2)], 0b01)):
+        store = propagate_once(store_with_live(domains, live), props)
+        assert not store.infeasible and store.revision == 0
+        assert store_domains(store) == domains
+    # With variable 0 dead, job 1 alone is unchanged as well.
+    store = propagate_once(store_with_live([(0, 0), (0, 0)], 0b10), props)
+    assert not store.infeasible and store.revision == 0
+
+
+def test_cumulative_skips_dead_variables():
+    # Task 0's compulsory block lifts task 1 to 6; dead, it lifts nothing.
+    store = store_with_live([(2, 2), (0, 8)], 0b10)
+    Cumulative([(0, 4, 2), (1, 3, 1)], 2).propagate(store)
+    assert store_domains(store) == [(2, 2), (0, 8)] and store.revision == 0
+    # Two pinned blocks of usage 2 overload capacity 2 only while both live.
+    tasks = [(0, 3, 2), (1, 3, 2)]
+    for live, infeasible in ((-1, True), (0b11, True), (0b01, False), (0b10, False), (0, False)):
+        store = store_with_live([(0, 0), (0, 0)], live)
+        Cumulative(tasks, 2).propagate(store)
+        assert store.infeasible is infeasible, live
+
+
+def test_cumulative_overfull_task_empties_only_a_store_where_it_is_live():
+    # Task 0 alone uses 3 of capacity 2: one object over both tasks fails
+    # a store exactly when variable 0 is live.
+    prop = Cumulative([(0, 2, 3), (1, 2, 1)], 2)
+    for live, infeasible in ((-1, True), (0b01, True), (0b11, True), (0b10, False), (0, False)):
+        store = store_with_live([(0, 5), (0, 5)], live)
+        prop.propagate(store)
+        assert store.infeasible is infeasible, live
+        assert store_domains(store) == [(0, 5), (0, 5)]
+
+
+def test_live_mask_matches_propagators_over_the_live_items():
+    # A propagator over every item, on a store with a random live mask,
+    # does what one built over the live items alone does on a store where
+    # every variable is live; dead domains are never touched.
+    rng = random.Random(2323)
+    outcomes = {"infeasible": 0, "tightened": 0, "unchanged": 0}
+    for _ in range(3000):
+        k = rng.randint(1, 7)
+        cap = rng.randint(1, 4)
+        domains = []
+        for _ in range(k):
+            lo = rng.randint(0, 12)
+            domains.append((lo, lo + rng.randint(0, 5)))
+        live = rng.getrandbits(k)
+        if rng.random() < 0.5:
+            items = [(v, rng.randint(0, 6)) for v in range(k)]
+            full, alive = Disjunctive(items), Disjunctive(
+                [item for item in items if live >> item[0] & 1]
+            )
+        else:
+            items = [(v, rng.randint(0, 6), rng.randint(0, cap)) for v in range(k)]
+            full, alive = Cumulative(items, cap), Cumulative(
+                [item for item in items if live >> item[0] & 1], cap
+            )
+        got = store_with_live(domains, live)
+        full.propagate(got)
+        expected = store_of(domains)
+        alive.propagate(expected)
+        assert snapshot(got) == snapshot(expected), (domains, items, live)
+        for v in range(k):
+            if not live >> v & 1:
+                assert (got.lbs[v], got.ubs[v]) == domains[v]
+        if expected.infeasible:
+            outcomes["infeasible"] += 1
+        else:
+            outcomes["tightened" if expected.revision else "unchanged"] += 1
+    assert min(outcomes.values()) >= 200, outcomes
+
+
 def test_ect_envelope_examples():
     assert one_resource_envelope([(0, 3, 2)], 2) == 3
     assert one_resource_envelope([(0, 3, 2), (4, 2, 2)], 2) == 6
