@@ -278,9 +278,12 @@ class TsptwModel(DpModel):
 class TsptwAdapter(PropagationAdapter):
     """CP view over the remaining tour.
 
-    Variable ids are the location ids: an arrival per location, live only
-    for the unvisited set and the current location.  The durations and
-    the bound are the model's (``TsptwModel.leave_costs`` and ``dual``).
+    Variable ids are the location ids: an arrival per location, with a
+    window only for the unvisited set and the current location.  The
+    durations and the bound are the model's (``TsptwModel.leave_costs``
+    and ``dual``).  The durations depend on the state, so ``build`` makes
+    its ``Disjunctive`` per call, over those locations alone, and the
+    store keeps the default ``live`` mask.
     """
 
     reads_primal = False
