@@ -445,7 +445,8 @@ class PropagationAdapter(ABC):
     the primal at all.  An adapter whose ``build`` gives the same store
     for a state under every primal sets it to False, and CABS then reuses
     the state's propagated store under a later incumbent; the default,
-    True, is always sound, and reuses it only under the same one.  The
+    True, is always sound: CABS then drops every stored outcome when the
+    incumbent improves, and reuses one only under the same incumbent.  The
     path cost is not passed: the search prunes on the larger of the
     node's ``f`` and ``g`` plus ``dual_cp`` itself, so a cap on the
     remaining cost would only repeat that test.  A ``dual_cp`` of 0 adds

@@ -33,7 +33,7 @@ class RunMetrics:
     An expansion is a popped, non-stale, non-base state whose successor
     enumeration actually ran; a state pruned by its propagated store
     counts in ``pruned_by_cp`` instead, and one pruned on its own ``f``
-    in neither.  ``generated`` counts successor candidates handed to the
+    (in every propagation mode) in neither.  ``generated`` counts successor candidates handed to the
     admission test.  With propagation on, each popped,
     non-stale, non-base state either builds and propagates its CP model
     (``propagation_calls``) or, in CABS, reuses what propagation found for

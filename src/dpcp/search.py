@@ -13,19 +13,19 @@ Each generated successor is admitted in this order, cheapest test first:
 4. only if ``f <= primal`` is its search node created, the registered
    nodes it dominates evicted (marked stale), and the node stored.
 
-With propagation enabled, the expanded state's CP model is built and
-propagated once (or to a fixed point); the state can be pruned outright by
-infeasibility or by its bound against the incumbent, the larger of its
-``f`` and ``g`` plus its CP dual, and surviving successors are filtered
-individually.  The CP dual of a successor is evaluated under the parent's
-propagated domains, which remain valid for every successor.
+Every mode prunes a popped state when the larger of its ``f`` and ``g``
+plus its CP dual reaches the incumbent; ``off`` has no CP term.  With
+propagation on, the state's CP model is built and propagated once (or to a
+fixed point), an infeasible store prunes it outright, and surviving
+successors are filtered individually.  The CP dual of a successor is
+evaluated under the parent's propagated domains, which remain valid for
+every successor.
 
 CABS restarts duplicate detection with each pass, but what propagation
 found for a popped state carries over one pass: a state popped again in
 this pass or the last reuses its propagated store (or its prune) instead
-of building and propagating its CP model afresh.  It does so under any
-later incumbent when the adapter's ``build`` ignores the primal, and
-otherwise only under the same incumbent.
+of building and propagating its CP model afresh, under a later incumbent
+only if the adapter's ``build`` ignores the primal.
 """
 
 from __future__ import annotations
@@ -162,11 +162,9 @@ class _SolveContext:
         self.best_dual: Optional[Cost] = None
         self.counter = itertools.count()
         self.started = time.perf_counter()
-        # CABS only: ``state -> (primal, h, store)`` for the states popped
-        # in the current pass and in the last one, reused under a later
-        # primal too unless the adapter's ``build`` reads it (see
-        # ``expand``).  They stay empty with propagation off, and
-        # ``this_pass`` stays None in A*.
+        # CABS only: ``state -> (h, store)`` for the states popped in the
+        # current pass and in the last one (see ``expand``).  They stay
+        # empty with propagation off, and ``this_pass`` stays None in A*.
         self.last_pass: dict = {}
         self.this_pass: Optional[dict] = None
 
@@ -214,6 +212,12 @@ class _SolveContext:
             self.primal = total
             self.incumbent = node
             self.metrics.incumbent_trace.append((self.elapsed(), total))
+            # No CABS entry made under an older primal that ``build`` reads
+            # is of use.  A pass records its root first, so ``this_pass`` is
+            # empty here only with propagation off.
+            if self.this_pass and self.adapter.reads_primal:
+                self.this_pass.clear()
+                self.last_pass.clear()
 
     def exhausted(self) -> SolveStatus:
         """Status once nothing is left to search."""
@@ -266,74 +270,68 @@ class _SolveContext:
         return admitted
 
     def expand(self, node: SearchNode):
-        """``(successors, store)`` of a popped node, or None if propagation
-        pruned it.
+        """``(successors, store)`` of a popped node, or None if it is pruned.
 
-        With propagation off, ``successors`` is the model's and ``store``
-        is None.  Otherwise the node's CP model is built and propagated;
-        the node is pruned if the store is infeasible or ``g`` plus its CP
-        dual, or else its own ``f``, cannot beat the incumbent, and each
-        successor the store vetoes is dropped.  ``store`` then holds the
+        Every mode prunes the node when the larger of its ``f`` and ``g``
+        plus its CP dual reaches the incumbent, which may have fallen since
+        its admission; with propagation off there is no CP term and
+        ``store`` is None.  Otherwise the node's CP model is built and
+        propagated (an infeasible store gives an infinite CP dual), each
+        successor the store vetoes is dropped, and ``store`` holds the
         node's propagated domains, for each successor's CP dual.  Counts
         the expansion only when the model's successor enumeration runs; a
         pop pruned by its store and each vetoed successor count toward
         ``pruned_by_cp`` instead, and a pop pruned on its ``f`` in neither.
 
-        In CABS, each pop records ``(primal, h, store)`` for its state: the
-        incumbent it was propagated under, its CP dual (``INFINITY`` when
-        infeasible), and its store, or None if the store pruned it.  As
-        ``build`` is deterministic for equal states and primals, a later pop
-        of the state in this pass or the next reuses the entry (counted in
-        ``reused``) under the same primal, or under any later one when the
-        adapter's ``reads_primal`` is False: its ``build`` then gives the
-        same store whatever the primal.  The reused entry takes exactly the
-        decisions a fresh store would: a pruned entry only while ``g + h``
-        still prunes it under the current primal, which only falls, and a
-        store (kept also where ``f`` pruned) after a new ``dual_cp``.
+        In CABS, each propagated pop records ``(h, store)`` for its state:
+        its CP dual (``INFINITY`` when infeasible) and its store, or None if
+        the store pruned it.  ``build`` is deterministic for equal states
+        and primals, and ``offer_incumbent`` empties the tables at each new
+        incumbent if ``build`` reads it, so a later pop of the state in this
+        pass or the next reuses the entry (counted in ``reused``).  It takes
+        exactly the decisions a fresh store would: a pruned entry only while
+        ``g + h`` still prunes it under the current primal, which only
+        falls, and a store (kept also where ``f`` pruned) after a new
+        ``dual_cp``.
         """
-        model, state, m = self.model, node.state, self.metrics
-        if self.mode is PropagationMode.OFF:
-            m.expansions += 1
-            return model.successors(state), None
-        adapter, primal, table = self.adapter, self.primal, self.this_pass
-        entry = None if table is None else table.get(state) or self.last_pass.pop(state, None)
-        if (
-            entry is not None
-            and (entry[0] == primal or not adapter.reads_primal)
-            and (entry[2] is not None or add(node.g, entry[1]) >= primal)
-        ):
-            _, h, store = entry
-            if store is not None:
-                h = adapter.dual_cp(state, store)
-            m.reused += 1
-        else:
-            started = time.perf_counter()
-            store, props = adapter.build(state, primal)
-            if not store.infeasible:
-                if self.mode is PropagationMode.FIXPOINT:
-                    propagate_fixpoint(store, props)
-                else:
-                    propagate_once(store, props)
-            m.propagation_calls += 1
-            m.propagation_time += time.perf_counter() - started
-            h = INFINITY if store.infeasible else adapter.dual_cp(state, store)
-        reach = add(node.g, h)
-        bound = max(node.f, reach)
-        if table is not None:
-            table[state] = (primal, h, store if reach < primal else None)
-        if node.parent is None:
-            # Only at the root is this bound one on the global optimum.
-            self.note_dual(bound)
-        if bound >= primal:
-            m.pruned_by_cp += reach >= primal
+        model, state, m, primal = self.model, node.state, self.metrics, self.primal
+        store = None
+        if self.mode is not PropagationMode.OFF:
+            adapter, table = self.adapter, self.this_pass
+            entry = None if table is None else table.get(state) or self.last_pass.pop(state, None)
+            if entry is not None and (entry[1] is not None or add(node.g, entry[0]) >= primal):
+                h, store = entry
+                if store is not None:
+                    h = adapter.dual_cp(state, store)
+                m.reused += 1
+            else:
+                started = time.perf_counter()
+                store, props = adapter.build(state, primal)
+                if not store.infeasible:
+                    if self.mode is PropagationMode.FIXPOINT:
+                        propagate_fixpoint(store, props)
+                    else:
+                        propagate_once(store, props)
+                m.propagation_calls += 1
+                m.propagation_time += time.perf_counter() - started
+                h = INFINITY if store.infeasible else adapter.dual_cp(state, store)
+            reach = add(node.g, h)
+            if table is not None:
+                table[state] = (h, store if reach < primal else None)
+            if node.parent is None:
+                # Only at the root is this bound one on the global optimum.
+                self.note_dual(max(node.f, reach))
+            if reach >= primal:
+                m.pruned_by_cp += 1
+                return None
+        if node.f >= primal:
             return None
         m.expansions += 1
-        succs = []
-        for weight, label, succ in model.successors(state):
-            if adapter.is_succ_infeasible(label, succ, store):
-                m.pruned_by_cp += 1
-            else:
-                succs.append((weight, label, succ))
+        succs = model.successors(state)
+        if store is not None:
+            kept = [t for t in succs if not adapter.is_succ_infeasible(t[1], t[2], store)]
+            m.pruned_by_cp += len(succs) - len(kept)
+            succs = kept
         return succs, store
 
     def finish(self) -> SolveResult:
@@ -407,7 +405,9 @@ def cabs(
     reuses it, under any later incumbent if the adapter's ``build`` ignores
     the primal and under the same one otherwise (see
     ``_SolveContext.expand``).  That leaves the search unchanged and only
-    saves ``propagation_calls``.
+    saves ``propagation_calls``.  A pop differs between propagation modes
+    only in what propagation adds: ``off`` prunes a pop on its own ``f``
+    exactly as the other modes do.
 
     A pass that never discards a node at the width cut is exhaustive, even
     if it improved the incumbent, so it proves the final incumbent optimal
@@ -415,11 +415,11 @@ def cabs(
     node leaves the pass only in these ways:
 
     * it is pruned against the primal current at that moment, by
-      ``f > primal`` at admission or by its CP bound or infeasibility at
-      expansion (a vetoed successor has no feasible completion); the
-      primal only falls during the pass, so it is never below the final
-      primal, and the pruned node cannot lead to anything cheaper than
-      the final primal;
+      ``f > primal`` at admission, or at the pop by its CP bound or
+      infeasibility or on its own ``f`` (a vetoed successor has no
+      feasible completion); the primal only falls during the pass, so it
+      is never below the final primal, and the pruned node cannot lead to
+      anything cheaper than the final primal;
     * the registry rejects it, or later evicts it, in favour of a
       registered node of the same pass that dominates it at no larger
       path cost; that node sits in a layer, so it is itself expanded or

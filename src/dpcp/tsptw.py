@@ -120,9 +120,6 @@ class TsptwModel(DpModel):
         longest = max((c for row in instance.travel for c in row if c is not None), default=0)
         check_ceiling(instance.n * longest)
         self._to = instance.min_to
-        # The last set passed to ``dual`` with its entered sum, written in
-        # one assignment so that a concurrent solve never reads a torn memo.
-        self._sums = (-1, 0)
         # Built by the first ``leave_costs``, so that set-up spends nothing.
         self._by_travel = None
         # For each location j, the latest arrival at j from which each other
@@ -198,11 +195,12 @@ class TsptwModel(DpModel):
 
         Over ``M``, the unvisited set plus the current location, that is
         the larger of ``min_to[0] + S_to(M) - min_to[location]`` and the
-        sum of ``leave_costs``, or ``INFINITY`` where there are none.  The
-        children of one state share ``M``, so the last ``M``'s entered sum
-        is kept.  A location with no arc in has the term ``INFINITY``, and
-        the bound is capped there.  The depot alone (only in a one-location
-        instance) is a finished tour that enters and leaves nothing: 0.
+        sum of ``leave_costs``, or ``INFINITY`` where there are none.
+        ``leave_costs`` has one item per location of ``M``, so one loop
+        sums both.  A location with no arc in has the term ``INFINITY``,
+        and the bound is capped there.  The depot alone (only in a
+        one-location instance) is a finished tour that enters and leaves
+        nothing: 0.
         """
         here = state.location
         mask = state.unvisited | (1 << here)
@@ -211,14 +209,12 @@ class TsptwModel(DpModel):
         items = self.leave_costs(state)
         if items is None:
             return INFINITY
-        sums_mask, to_sum = self._sums
-        if mask != sums_mask:
-            to_sum = 0
-            for i in iter_bits(mask):
-                to_sum += self._to[i]
-            self._sums = (mask, to_sum)
-        into = self._to[0] + to_sum - self._to[here]
-        return min(INFINITY, max(into, sum(c for _i, c in items)))
+        to = self._to
+        to_sum = leave = 0
+        for i, c in items:
+            to_sum += to[i]
+            leave += c
+        return min(INFINITY, max(to[0] + to_sum - to[here], leave))
 
     def leave_costs(self, state: TsptwState) -> Optional[List[Tuple[int, int]]]:
         """``(i, c_i)`` for each ``i`` in ``M``, ascending, where ``c_i`` is
