@@ -156,7 +156,10 @@ class Disjunctive:
     Jobs of duration zero impose nothing and are skipped, and so are jobs
     whose variable is not in ``store.live``.  One application runs the
     overload check, a lower-bound lifting pass, and the same pass on the
-    time-reversed jobs for upper bounds, all from the entry bounds.
+    time-reversed jobs for upper bounds, all from the entry bounds.  When
+    every job has the same est, the reversed jobs all have the same lct:
+    their one window holds every job, so that pass could only repeat the
+    overload test of the first, and it is skipped.
     """
 
     def __init__(self, items: Iterable[Tuple[int, int]]):
@@ -169,20 +172,19 @@ class Disjunctive:
             return
         lbs, ubs = store.bounds(self._lo, self._hi)
         live = store.live
-        jobs, mirrored = [], []
-        for v, p in self.items:
-            if p <= 0 or not live >> v & 1:
-                continue
-            est, lct = lbs[v], ubs[v] + p
-            jobs.append((est, p, lct, v))
-            mirrored.append((-lct, p, -est, v))
+        jobs = [(lbs[v], p, ubs[v] + p, v) for v, p in self.items if p > 0 and live >> v & 1]
         if not jobs:
             return
         lifts = _edge_find_lower(jobs)
-        drops = _edge_find_lower(mirrored) if lifts is not None else None
-        if drops is None:
+        if lifts is None:
             store.mark_infeasible()
             return
+        drops = {}
+        if _common_est(jobs) is None:
+            drops = _edge_find_lower([(-lct, p, -est, v) for est, p, lct, v in jobs])
+            if drops is None:
+                store.mark_infeasible()
+                return
         for v, new_est in lifts.items():
             store.set_lb(v, new_est)
             if store.infeasible:
@@ -218,7 +220,18 @@ def _edge_find_lower(jobs):
     needs the exact test over prefix arrays built once per edge: prefixes
     with ``a > est_i`` are settled by the last of them, the rest by a
     suffix maximum of ``a + E``.  Total cost is O(n^2 log n).
+
+    When every job has the same est ``e`` (an SMS state whose pending jobs
+    are all released), ``ECT(T_b)`` is ``e + P(T_b)``, with ``P`` the total
+    duration, and the exact test reduces to ``p_i > b - ECT(T_b)``.  So
+    one sort by lct and one prefix pass give every window's slack ``b -
+    ECT(T_b)``, a negative one is an overload, and each job is lifted at
+    the largest window below its lct whose slack is under ``p_i``: O(n log
+    n) plus a scan down the windows per job.
     """
+    est = _common_est(jobs)
+    if est is not None:
+        return _edge_find_common_est(jobs, est)
     by_est_desc = sorted(jobs, key=itemgetter(0), reverse=True)
     by_lct_desc = sorted(jobs, key=itemgetter(2), reverse=True)
     floor = by_est_desc[-1][0]  # below every a + E
@@ -274,6 +287,40 @@ def _edge_find_lower(jobs):
             outside.append(by_lct_desc[pos])
             pos += 1
     return {job[3]: lifted[job] for job in jobs if job in lifted} if lifted else {}
+
+
+def _common_est(jobs):
+    """The est that every job has, or None."""
+    est = jobs[0][0]
+    for job in jobs:
+        if job[0] != est:
+            return None
+    return est
+
+
+def _edge_find_common_est(jobs, est):
+    """``_edge_find_lower`` for jobs that all have est ``est``."""
+    lcts, slacks = [], []  # each window's b and b - ECT(T_b), ascending
+    energy = 0
+    for _est, p, lct, _key in sorted(jobs, key=itemgetter(2)):
+        energy += p
+        slack = lct - est - energy
+        if slack < 0:
+            return None
+        if lcts and lcts[-1] == lct:
+            slacks[-1] = slack
+        else:
+            lcts.append(lct)
+            slacks.append(slack)
+    lifts = {}
+    for _est, p, lct, key in jobs:
+        k = bisect_left(lcts, lct)
+        while k:
+            k -= 1
+            if p > slacks[k]:
+                lifts[key] = lcts[k] - slacks[k]
+                break
+    return lifts
 
 
 class Cumulative:

@@ -33,19 +33,21 @@ class RunMetrics:
     An expansion is a popped, non-stale, non-base state whose successor
     enumeration actually ran; a state pruned by its propagated store
     counts in ``pruned_by_cp`` instead, and one pruned on its own ``f``
-    (in every propagation mode) in neither.  ``generated`` counts successor candidates handed to the
-    admission test.  With propagation on, each popped,
-    non-stale, non-base state either builds and propagates its CP model
-    (``propagation_calls``) or, in CABS, reuses what propagation found for
-    it earlier (``reused``): under any incumbent when the adapter's
-    ``build`` ignores it, under the same incumbent otherwise.  Traces carry
-    wall-clock offsets;
-    incumbent costs are strictly decreasing and dual bounds non-decreasing.
+    (in every propagation mode) in ``pruned_by_f``, so the pops number
+    ``expansions + pruned_by_f`` with propagation off.  ``generated``
+    counts successor candidates handed to the admission test.  With
+    propagation on, each popped, non-stale, non-base state either builds
+    and propagates its CP model (``propagation_calls``) or, in CABS, reuses
+    what propagation found for it earlier (``reused``): under any incumbent
+    when the adapter's ``build`` ignores it, under the same incumbent
+    otherwise.  Traces carry wall-clock offsets; incumbent costs are
+    strictly decreasing and dual bounds non-decreasing.
     """
 
     expansions: int = 0
     generated: int = 0
     pruned_by_cp: int = 0
+    pruned_by_f: int = 0
     propagation_calls: int = 0
     reused: int = 0
     propagation_time: float = 0.0

@@ -281,7 +281,8 @@ class _SolveContext:
         node's propagated domains, for each successor's CP dual.  Counts
         the expansion only when the model's successor enumeration runs; a
         pop pruned by its store and each vetoed successor count toward
-        ``pruned_by_cp`` instead, and a pop pruned on its ``f`` in neither.
+        ``pruned_by_cp`` instead, and a pop pruned on its ``f`` toward
+        ``pruned_by_f``.
 
         In CABS, each propagated pop records ``(h, store)`` for its state:
         its CP dual (``INFINITY`` when infeasible) and its store, or None if
@@ -325,6 +326,7 @@ class _SolveContext:
                 m.pruned_by_cp += 1
                 return None
         if node.f >= primal:
+            m.pruned_by_f += 1
             return None
         m.expansions += 1
         succs = model.successors(state)

@@ -164,15 +164,24 @@ class SmsModel(DpModel):
 
 class SmsAdapter(PropagationAdapter):
     """CP view: one start variable per job, live while the job is pending,
-    and one non-overlap constraint over all jobs, built once."""
+    and one non-overlap constraint over all jobs, built once.
+
+    A pending job's window is ``[max(r, t), deadline - p]`` at clock ``t``;
+    ``build`` fills it from ``(r, deadline - p)`` pairs taken once here, and
+    the veto reads the bound lists directly, as the label is a job id that
+    the model produced.
+    """
 
     reads_primal = False
 
     def __init__(self, model: SmsModel):
         self.model = model
         self.instance = model.instance
+        jobs = self.instance.jobs
         self._terms = model.tardiness_terms
-        self._props = [Disjunctive((i, job.p) for i, job in enumerate(self.instance.jobs))]
+        self._windows = tuple((job.r, job.deadline - job.p) for job in jobs)
+        self._durations = tuple(job.p for job in jobs)
+        self._props = [Disjunctive(enumerate(self._durations))]
         # ``(store, revision, pending mask, total)`` of the last sum taken
         # in full: a child's pending set is its parent's less the chosen
         # job, so its bound under the parent's store is the parent's total
@@ -181,13 +190,18 @@ class SmsAdapter(PropagationAdapter):
         self._memo = (None, 0, 0, 0)
 
     def build(self, state: SmsState, primal: Cost = INFINITY):
-        jobs = self.instance.jobs
-        lbs = [0] * len(jobs)  # scheduled jobs keep the inert [0, 0]
-        ubs = [0] * len(jobs)
-        for i in iter_bits(state.unscheduled):
-            job = jobs[i]
-            lbs[i] = max(job.r, state.time)
-            ubs[i] = job.deadline - job.p
+        windows = self._windows
+        lbs = [0] * len(windows)  # scheduled jobs keep the inert [0, 0]
+        ubs = [0] * len(windows)
+        t = state.time
+        mask = state.unscheduled
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            r, latest = windows[i]
+            lbs[i] = r if r > t else t
+            ubs[i] = latest
+            mask ^= low
         return DomainStore(lbs, ubs, state.unscheduled), self._props
 
     def dual_cp(self, state: SmsState, store: DomainStore) -> Cost:
@@ -221,7 +235,8 @@ class SmsAdapter(PropagationAdapter):
     def is_succ_infeasible(self, label: int, succ: SmsState, store: DomainStore) -> bool:
         # The job finishes at the successor's clock; the transition dies
         # when its start was propagated out of the job's domain.
-        return not store.contains(label, succ.time - self.instance.jobs[label].p)
+        start = succ.time - self._durations[label]
+        return not store.lbs[label] <= start <= store.ubs[label]
 
 
 def exact_optimum(instance: SmsInstance) -> Optional[int]:

@@ -134,6 +134,24 @@ def test_sms_veto_matches_transition_reference():
     assert checked > 3000 and vetoed > 1000, (checked, vetoed)
 
 
+def test_sms_veto_reads_the_bounds_as_contains_does():
+    # The veto reads the bound lists directly; it must agree with the
+    # range-checked ``contains`` at the start the successor's clock gives.
+    rng = random.Random(109)
+    checked = vetoed = 0
+    for _ in range(10):
+        model = smswt.SmsModel(random_sms_instance(rng, rng.randint(6, 9)))
+        adapter = smswt.SmsAdapter(model)
+        for state, store in propagated_stores(model, adapter, tight_total):
+            for _w, label, succ in model.successors(state):
+                start = succ.time - model.instance.jobs[label].p
+                new = adapter.is_succ_infeasible(label, succ, store)
+                assert new == (not store.contains(label, start)), (state, label)
+                checked += 1
+                vetoed += new
+    assert checked > 5000 and vetoed > 500, (checked, vetoed)
+
+
 def test_tsptw_veto_matches_transition_reference():
     rng = random.Random(103)
     checked = vetoed = 0

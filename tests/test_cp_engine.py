@@ -322,10 +322,82 @@ def test_edge_finder_matches_cubic_reference_at_workload_sizes():
     )
 
 
+def common_est_job_set(rng, n):
+    """``n`` jobs that share one est, as the pending jobs of an SMS state
+    do once all are released.  Windows are drawn about as wide as the
+    total duration, so overloads, lifts and unchanged sets are all
+    common."""
+    est = rng.randint(0, 40)
+    ps = [rng.randint(1, 10) for _ in range(n)]
+    span = int(sum(ps) * rng.uniform(0.7, 1.3))
+    return [
+        (est, p, est + p + rng.randint(0, span), key) for key, p in enumerate(ps)
+    ]
+
+
+def test_edge_finder_common_est_matches_cubic_reference():
+    rng = random.Random(2025)
+    job_sets = [common_est_job_set(rng, rng.randint(1, 16)) for _ in range(1500)]
+    assert all(cp_engine._common_est(js) == js[0][0] for js in job_sets)
+    assert_matches_cubic_reference(job_sets)
+
+
+def reference_disjunctive(store, items):
+    """Both passes of ``Disjunctive`` through the cubic reference finder,
+    with no pass skipped."""
+    lbs, ubs, live = store.lbs, store.ubs, store.live
+    jobs = [(lbs[v], p, ubs[v] + p, v) for v, p in items if p > 0 and live >> v & 1]
+    if not jobs:
+        return
+    lifts = reference_edge_find_lower(jobs)
+    drops = reference_edge_find_lower([(-lct, p, -est, v) for est, p, lct, v in jobs])
+    if lifts is None or drops is None:
+        store.mark_infeasible()
+        return
+    for v, new_est in lifts.items():
+        store.set_lb(v, new_est)
+    durations = {v: p for _est, p, _lct, v in jobs}
+    for v, new_mirror_est in drops.items():
+        store.set_ub(v, -new_mirror_est - durations[v])
+
+
+def test_disjunctive_common_est_store_matches_both_reference_passes():
+    # Live jobs with a duration share one est; dead variables and
+    # zero-duration items get any window, so they must be skipped both in
+    # the edge-finding and in the test that skips the mirrored pass.
+    rng = random.Random(1604)
+    outcomes = {"infeasible": 0, "tightened": 0, "unchanged": 0}
+    for _ in range(1500):
+        k = rng.randint(1, 16)
+        est = rng.randint(0, 40)
+        ps = [0 if rng.random() < 0.1 else rng.randint(1, 10) for _ in range(k)]
+        span = int(sum(ps) * rng.uniform(0.7, 1.3))
+        live = rng.getrandbits(k)
+        domains = []
+        for v, p in enumerate(ps):
+            if p and live >> v & 1:
+                domains.append((est, est + rng.randint(0, span)))
+            else:
+                lo = rng.randint(0, 60)
+                domains.append((lo, lo + rng.randint(0, 20)))
+        items = list(enumerate(ps))
+        expected = store_with_live(domains, live)
+        reference_disjunctive(expected, items)
+        got = store_with_live(domains, live)
+        Disjunctive(items).propagate(got)
+        assert snapshot(got) == snapshot(expected), (domains, live, items)
+        if expected.infeasible:
+            outcomes["infeasible"] += 1
+        else:
+            outcomes["tightened" if expected.revision else "unchanged"] += 1
+    assert min(outcomes.values()) >= 150, outcomes
+
+
 def test_disjunctive_vardur_matches_reference(monkeypatch):
     # Starts at ids 0..k-1 next to k more variables, each job's duration
     # being the lower bound of its partner at k..2k-1.  The upper bounds
-    # are drawn but unused, keeping the draws of every set.
+    # are drawn but unused, keeping the draws of every set.  The patch
+    # replaces the whole finder, its common-est case included.
     rng = random.Random(77)
     changed = infeasible = 0
     for _ in range(600):

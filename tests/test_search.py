@@ -574,6 +574,50 @@ def test_cabs_tables_emptied_at_a_new_incumbent_only_where_build_reads_it(
         assert after == (before if not make_adapter.reads_primal else (0, 0))
 
 
+def test_each_pop_counts_once(monkeypatch):
+    """Each non-base pop is an expansion, a pop pruned by its store, or a
+    pop pruned on its own ``f``, and counts in exactly one of
+    ``expansions``, ``pruned_by_cp`` and ``pruned_by_f``; so ``off``'s pops
+    are ``expansions + pruned_by_f``, which the propagating modes count as
+    ``propagation_calls + reused``."""
+    original = _SolveContext.expand
+    seen = {"store": 0, "f": 0}
+    tally = {}
+
+    def expand(ctx, node):
+        m = ctx.metrics
+        before = (m.expansions, m.pruned_by_cp, m.pruned_by_f)
+        out = original(ctx, node)
+        grew = (m.expansions - before[0], m.pruned_by_cp - before[1], m.pruned_by_f - before[2])
+        if out is not None:
+            # Vetoed successors add to ``pruned_by_cp`` too.
+            assert grew[0] == 1 and grew[2] == 0, grew
+            assert out[1] is not None or grew[1] == 0, grew
+        else:
+            assert grew in ((0, 1, 0), (0, 0, 1)), grew
+            seen["store" if grew[1] else "f"] += 1
+            tally["by_store"] += grew[1]
+        tally["pops"] += 1
+        return out
+
+    monkeypatch.setattr(_SolveContext, "expand", expand)
+    for kind, (make, make_adapter) in sorted(PINNED_KINDS.items()):
+        for seed in range(12):
+            model = make(random.Random(seed))
+            for solver in (astar, cabs):
+                for mode in ALL_MODES:
+                    adapter = None if mode is PropagationMode.OFF else make_adapter(model)
+                    tally.update(pops=0, by_store=0)
+                    m = solver(model, adapter, mode=mode).metrics
+                    key = (kind, seed, solver.__name__, mode)
+                    assert tally["pops"] == m.expansions + m.pruned_by_f + tally["by_store"], key
+                    if adapter is None:
+                        assert tally["by_store"] == 0, key
+                    else:
+                        assert tally["pops"] == m.propagation_calls + m.reused, key
+    assert min(seen.values()) > 50, seen
+
+
 # --- cross-mode agreement and admissibility ----------------------------------
 
 def test_all_modes_agree_with_oracle_small_sweep():
