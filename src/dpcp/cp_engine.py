@@ -506,10 +506,7 @@ class PropagationAdapter(ABC):
     same store, for each successor that the store does not veto and that
     neither the registry nor the model dual has rejected: the parent's
     domains remain valid for every successor, which is what makes the
-    per-successor bound sound.  So an adapter may reuse one sum per store,
-    keyed on the store's identity and ``revision`` (as ``SmsAdapter``
-    does); a reused value must equal the one computed afresh, whatever the
-    call order.
+    per-successor bound sound.
 
     ``build`` returns the propagators together with the store.  Where they
     do not depend on the state, an adapter builds them once, over all of

@@ -10,10 +10,24 @@ started now.  As a DIDP state constraint would, ``successors`` drops each
 child that is a dead end by that rule, so only the target state, or a
 state built by hand, is ever found dead when it is expanded.
 
+The dual bound (``SmsModel.bound``) is the larger of two lower bounds on
+the pending jobs' weighted tardiness, each over one earliest start per
+job.  The separable sum charges each job as if it started at its own
+earliest start.  The queue term sees the one machine: weighted tardiness
+is at least weighted lateness, and with every release relaxed to the
+smallest earliest start ``t0`` the jobs' ``sum w*C`` is at least that of
+the WSPT order started at ``t0`` (Smith's rule: Smith, *Naval Research
+Logistics Quarterly*, 1956), less ``sum w*d``.  That order depends on the
+jobs alone, so it is built once per model.  A feasible completion has
+``sum w*C`` at most the pending jobs' ``sum w*deadline``, so a WSPT sum
+above that proves that none exists, and the bound is then ``INFINITY``.
+Below it, the queue term is at most ``sum w*(deadline - d)``, so a path
+cost plus the bound stays within the ceiling the model checks.
+
 The propagation side has one start variable per job, live over its
 window while the job is pending, and a single non-overlap constraint over
-all jobs, built once per adapter; its dual bound is the tardiness sum if
-every pending job started at its propagated earliest start.
+all jobs, built once per adapter; its dual bound is the same function
+over the propagated earliest starts.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import List, NamedTuple, Optional, Tuple
 
 from .core import DpModel, iter_bits
@@ -85,13 +100,24 @@ class SmsModel(DpModel):
     def __init__(self, instance: SmsInstance):
         self.instance = instance
         self._full = (1 << instance.n) - 1
-        # ``(w, r, p - d)`` per job: a job started at ``s`` is ``s + p - d``
-        # late, and the bounds here and in ``SmsAdapter`` weigh that by ``w``.
-        self.tardiness_terms = tuple((j.w, j.r, j.p - j.d) for j in instance.jobs)
+        jobs = instance.jobs
+        self.releases = tuple(j.r for j in jobs)
+        # Smith's WSPT order, by exact cross products: ``i`` goes first when
+        # ``p_i / w_i < p_j / w_j``, and a zero weight goes last.  Jobs that
+        # tie may go in either order without changing the WSPT sum.
+        order = sorted(
+            enumerate(jobs), key=cmp_to_key(lambda a, b: a[1].p * b[1].w - b[1].p * a[1].w)
+        )
+        # ``bound`` reads one row per job in that order:
+        # ``(bit, i, w, p, p - d, w * d, w * (deadline - d))``.
+        self.wspt_rows = tuple(
+            (1 << i, i, j.w, j.p, j.p - j.d, j.w * j.d, j.w * (j.deadline - j.d))
+            for i, j in order
+        )
         # The clock, each finish and each live start bound end by the latest
         # deadline, which bounds every tardiness term.
-        latest = max((j.deadline for j in instance.jobs), default=0)
-        check_ceiling(sum(j.w * max(0, max(j.r, latest) + j.p - j.d) for j in instance.jobs))
+        latest = max((j.deadline for j in jobs), default=0)
+        check_ceiling(sum(j.w * max(0, max(j.r, latest) + j.p - j.d) for j in jobs))
 
     def target_state(self) -> SmsState:
         return SmsState(self._full, 0)
@@ -144,19 +170,43 @@ class SmsModel(DpModel):
         return a.time <= b.time
 
     def dual(self, state: SmsState) -> Cost:
-        """Tardiness sum if every pending job started as early as possible."""
-        terms = self.tardiness_terms
-        t = state.time
-        total = 0
-        mask = state.unscheduled
-        while mask:
-            low = mask & -mask
-            w, r, slack = terms[low.bit_length() - 1]
-            late = (r if r > t else t) + slack
-            if late > 0:
-                total += w * late
-            mask ^= low
-        return total
+        """``bound`` with each pending job's earliest start ``max(r, t)``."""
+        return self.bound(state.unscheduled, self.releases, state.time)
+
+    def bound(self, mask: int, floor, t: int) -> Cost:
+        """Lower bound on the weighted tardiness of the jobs in ``mask``,
+        each starting no earlier than ``max(floor[i], t)``.
+
+        The larger of the separable sum, each job started at its own
+        earliest start, and the queue term, ``WSPT(t0) - sum w*d`` with
+        ``t0`` the smallest earliest start; ``INFINITY`` when ``WSPT(t0)``
+        passes the pending jobs' ``sum w*deadline`` (see the module
+        docstring).  One pass over the WSPT rows: each pending job
+        completes at ``t0`` plus ``done``, the pending durations up to and
+        including its own.
+        """
+        separable = weight = done = queue = room = 0
+        t0 = INFINITY
+        for row in self.wspt_rows:
+            if mask & row[0]:
+                _bit, i, w, p, slack, wd, wroom = row
+                est = floor[i]
+                if est < t:
+                    est = t
+                if est < t0:
+                    t0 = est
+                late = est + slack
+                if late > 0:
+                    separable += w * late
+                weight += w
+                done += p
+                queue += w * done - wd
+                room += wroom
+        # ``queue`` held ``sum w*(done - d)``, the WSPT sum started at 0.
+        queue += weight * t0
+        if queue > room:
+            return INFINITY
+        return queue if queue > separable else separable
 
     def state_signature(self, state: SmsState):
         return state.unscheduled
@@ -178,16 +228,9 @@ class SmsAdapter(PropagationAdapter):
         self.model = model
         self.instance = model.instance
         jobs = self.instance.jobs
-        self._terms = model.tardiness_terms
         self._windows = tuple((job.r, job.deadline - job.p) for job in jobs)
         self._durations = tuple(job.p for job in jobs)
         self._props = [Disjunctive(enumerate(self._durations))]
-        # ``(store, revision, pending mask, total)`` of the last sum taken
-        # in full: a child's pending set is its parent's less the chosen
-        # job, so its bound under the parent's store is the parent's total
-        # less one term.  The memo holds its store, so no later store can
-        # take that identity.
-        self._memo = (None, 0, 0, 0)
 
     def build(self, state: SmsState, primal: Cost = INFINITY):
         windows = self._windows
@@ -205,32 +248,10 @@ class SmsAdapter(PropagationAdapter):
         return DomainStore(lbs, ubs, state.unscheduled), self._props
 
     def dual_cp(self, state: SmsState, store: DomainStore) -> Cost:
-        """Tardiness sum if every pending job started at its propagated
-        earliest start."""
-        mask = state.unscheduled
-        terms, lbs = self._terms, store.lbs
-        memo_store, revision, memo_mask, total = self._memo
-        if store is memo_store and store.revision == revision:
-            gone = memo_mask ^ mask
-            if not gone:
-                return total
-            if not gone & mask and not gone & (gone - 1):
-                i = gone.bit_length() - 1
-                w, _r, slack = terms[i]
-                late = lbs[i] + slack
-                return total - w * late if late > 0 else total
-        total = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            w, _r, slack = terms[i]
-            late = lbs[i] + slack
-            if late > 0:
-                total += w * late
-            rest ^= low
-        self._memo = (store, store.revision, mask, total)
-        return total
+        """The model's ``bound`` with each pending job's earliest start its
+        propagated lower bound, or the state's clock if that is later (a
+        successor is bounded under its parent's store)."""
+        return self.model.bound(state.unscheduled, store.lbs, state.time)
 
     def is_succ_infeasible(self, label: int, succ: SmsState, store: DomainStore) -> bool:
         # The job finishes at the successor's clock; the transition dies

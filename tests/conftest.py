@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 from dpcp import (
@@ -175,6 +176,26 @@ def sms_blocked(instance: smswt.SmsInstance, state) -> bool:
         for i, job in enumerate(instance.jobs)
         if state.unscheduled >> i & 1
     )
+
+
+def reference_sms_bound(instance: smswt.SmsInstance, mask: int, ests) -> int:
+    """The SMS dual bound written out from its definition: the larger of
+    the separable tardiness sum at the earliest starts ``ests[i]`` and
+    ``WSPT(t0) - sum w*d``, the pending jobs sorted by ``p / w`` as exact
+    fractions (zero weights last) and run back to back from the smallest
+    earliest start; ``INFINITY`` when the WSPT sum passes ``sum
+    w*deadline``, which no feasible completion does."""
+    pending = [i for i in range(instance.n) if mask >> i & 1]
+    jobs = instance.jobs
+    separable = sum(jobs[i].w * max(0, ests[i] + jobs[i].p - jobs[i].d) for i in pending)
+    clock = min((ests[i] for i in pending), default=0)
+    weighted_completion = 0
+    for i in sorted(pending, key=lambda i: (jobs[i].w == 0, Fraction(jobs[i].p, jobs[i].w or 1))):
+        clock += jobs[i].p
+        weighted_completion += jobs[i].w * clock
+    if weighted_completion > sum(jobs[i].w * jobs[i].deadline for i in pending):
+        return INFINITY
+    return max(separable, weighted_completion - sum(jobs[i].w * jobs[i].d for i in pending))
 
 
 def tsptw_blocked(instance: tsptw.TsptwInstance, state) -> bool:

@@ -1,7 +1,7 @@
 """The adapter contract: successor vetoes are domain lookups on the
 successor state, the RCPSP CP dual equals its latest pending finish and
-envelopes taken separately, a CP dual reused across siblings equals the
-one summed afresh, an adapter that declares ``reads_primal = False``
+envelopes taken separately, the SMS CP dual equals its bound written
+out from the definition in any call order, an adapter that declares ``reads_primal = False``
 builds and propagates the same store under every primal, and the SMS and
 RCPSP propagators, built once and told by the store's ``live`` mask which
 variables to skip, propagate as the per-state ones built over the live
@@ -43,6 +43,7 @@ from conftest import (
     random_sms_instance,
     random_tsptw_instance,
     rcpsp_fields,
+    reference_sms_bound,
     store_domains,
 )
 
@@ -83,11 +84,10 @@ def reference_rcpsp_dual_cp(adapter, state, store):
 
 
 def reference_sms_dual_cp(adapter, state, store):
-    jobs = adapter.instance.jobs
-    return sum(
-        jobs[i].w * max(0, store.lbs[i] + jobs[i].p - jobs[i].d)
-        for i in iter_bits(state.unscheduled)
-    )
+    # A successor is bounded under its parent's store, whose lower bounds
+    # may lie before the successor's clock.
+    ests = [max(lb, state.time) for lb in store.lbs]
+    return reference_sms_bound(adapter.instance, state.unscheduled, ests)
 
 
 def propagated_stores(model, adapter, primal_of):
@@ -218,7 +218,7 @@ def raise_one_lower_bound(store, ids):
 
 
 def assert_sibling_sums_fresh(model, adapter, reference, term_ids, seed):
-    """``dual_cp`` against a from-scratch sum: in the search's order (the
+    """``dual_cp`` against a from-scratch reference: in the search's order (the
     parent, then each successor it does not veto, under the parent's
     store), shuffled among the previous store's calls, and again after a
     lower bound moves."""
@@ -256,8 +256,9 @@ def test_sms_sibling_dual_cp_matches_fresh_sum():
     for k in range(12):
         model = smswt.SmsModel(random_sms_instance(rng, rng.randint(3, 7)))
         adapter = smswt.SmsAdapter(model)
-        # Lifting a pending job's start moves its tardiness term once the
-        # job would finish past its due date.
+        # Lifting a pending job's start moves its separable term once the
+        # job would finish past its due date, and the queue term when it
+        # was the smallest earliest start.
         c, v = assert_sibling_sums_fresh(
             model,
             adapter,

@@ -1,5 +1,5 @@
 """Differential and metamorphic checks at sizes the exhaustive oracles
-refuse (n = 12-16).
+refuse (n = 12-16, and n = 20 for SMS).
 
 With no oracle to compare against, the answers are checked against each
 other: both algorithms reach one status and cost in every propagation
@@ -34,6 +34,14 @@ def sms_instances():
         config = smswt.SmsGeneratorConfig(
             n=n, tau=0.4, rho=0.05, phi=0.9, seed=rng.randrange(2**30)
         )
+        yield smswt.generate_instances(config)[0]
+
+
+def sms20_instances():
+    # n = 20, as tight as ``sms_instances``: two infeasible draws and three
+    # optimal ones, seeds taken from ``random.Random(20)``.
+    for seed in (557975189, 363736680, 57939200, 883739050, 161078798):
+        config = smswt.SmsGeneratorConfig(n=20, tau=0.4, rho=0.05, phi=0.9, seed=seed)
         yield smswt.generate_instances(config)[0]
 
 
@@ -72,6 +80,7 @@ def rcpsp_relabel(inst, perm):
 
 FAMILIES = {
     "smswt": (sms_instances, smswt.SmsModel, smswt.SmsAdapter, sms_relabel),
+    "smswt-n20": (sms20_instances, smswt.SmsModel, smswt.SmsAdapter, sms_relabel),
     "tsptw": (tsptw_instances, tsptw.TsptwModel, tsptw.TsptwAdapter, tsptw_relabel),
     "rcpsp": (rcpsp_instances, rcpsp.RcpspModel, rcpsp.RcpspAdapter, rcpsp_relabel),
 }

@@ -36,7 +36,11 @@ def test_final_gap_recomputable_from_last_traces():
     from dpcp import SolveLimits, SolveStatus, cabs
     from dpcp.smswt import SmsInstance, SmsJob, SmsModel
 
-    jobs = tuple(SmsJob(p, 0, p, 60, 2) for p in (2, 3, 4, 2, 3, 4))
+    # With every release 0 the root dual would equal the optimum, and CABS
+    # would end before the expansion cap; releases keep the cap firing.
+    jobs = tuple(
+        SmsJob(p, r, p + r, 60, 2) for p, r in zip((2, 3, 4, 2, 3, 4), (4, 0, 0, 4, 4, 0))
+    )
     model = SmsModel(SmsInstance(jobs))
 
     optimal = cabs(model)
@@ -51,7 +55,7 @@ def test_final_gap_recomputable_from_last_traces():
     assert capped.incumbent is not None
     assert capped.metrics.final_gap == optimality_gap(
         capped.cost, capped.metrics.dual_trace[-1][1]
-    )
+    ) > 0
 
     starved = cabs(model, limits=SolveLimits(expansion_cap=0))
     assert starved.incumbent is None

@@ -5,14 +5,17 @@ import random
 import pytest
 
 from dpcp import (
+    INFINITY,
     Disjunctive,
     SolveStatus,
     astar,
     brute_force_value,
     enumerate_state_values,
     is_finite,
+    propagate_fixpoint,
     propagate_once,
 )
+from dpcp.cli import main
 from dpcp.cost import MAX_COST, CostOverflow
 from dpcp.smswt import (
     SmsAdapter,
@@ -30,7 +33,9 @@ from conftest import (
     check_dropped_children_dead,
     expand_once,
     random_sms_instance,
+    reference_sms_bound,
     sms_blocked,
+    solve_all_modes,
     vetoed,
 )
 
@@ -100,8 +105,128 @@ def test_dual_examples():
     assert model_of(*TWO_JOB).dual(SmsState(0, 9)) == 0
     model = model_of((2, 0, 1, 99, 3))
     assert model.dual(model.target_state()) == 3
+    # No job can finish before its due date, so tardiness is lateness and
+    # the queue term is exact: the WSPT order (job 1, then job 0) costs
+    # 2 * (3 - 3) + 1 * (5 - 2) = 3.
     two = model_of(*TWO_JOB)
-    assert two.dual(two.target_state()) == 0
+    assert two.dual(two.target_state()) == 3 == permutation_optimum(two.instance)
+    # Three unit jobs due at their duration: the separable sum charges each
+    # as if it started at 0, which costs 0, while on one machine the second
+    # and third finish 1 and 2 late.  From clock 4, two of them finish at
+    # 5 and 6.
+    three = model_of((1, 0, 1, 9, 1), (1, 0, 1, 9, 1), (1, 0, 1, 9, 1))
+    assert three.dual(three.target_state()) == 3 == permutation_optimum(three.instance)
+    assert three.dual(SmsState(0b011, 4)) == 4 + 5
+    # A zero-weight job still holds the machine, but WSPT runs it last.
+    zero = model_of((5, 0, 1, 20, 0), (1, 0, 1, 20, 2))
+    assert zero.dual(zero.target_state()) == 0
+
+
+def test_wspt_order_compares_exact_ratios():
+    # p / w is 1 + 1/k for job 0 and 1 + 1/(k + 1) for job 1, one part in
+    # k**2 apart, which a float quotient cannot tell apart.  Job 1 must
+    # go first: the other order costs exactly 1 more, and a bound taken
+    # over it would pass the optimum.  Every job is late in any order.
+    k = 10**8
+    assert (k + 1) / k == (k + 2) / (k + 1)
+    model = model_of((k + 1, 0, 1, 3 * k, k), (k + 2, 0, 1, 3 * k, k + 1))
+    assert [row[1] for row in model.wspt_rows] == [1, 0]
+    assert model.dual(model.target_state()) == permutation_optimum(model.instance)
+
+
+def test_root_dual_exact_when_every_job_is_late():
+    # With every release 0 and every due date at most the duration, every
+    # job is late in any order, so tardiness is lateness and WSPT is
+    # optimal: the root dual is the optimum.  Weights of 0 and tied
+    # ratios included.
+    rng = random.Random(41)
+    for _ in range(120):
+        jobs = []
+        for _ in range(rng.randint(1, 7)):
+            p = rng.choice((1, 2, 3, 4, 6))
+            jobs.append((p, 0, rng.randint(0, p), 60, rng.randint(0, 3)))
+        model = model_of(*jobs)
+        assert model.dual(model.target_state()) == permutation_optimum(model.instance), jobs
+
+
+def tie_prone_instance(rng):
+    """An SMS draw with weights 0-3 and durations whose ratios tie often,
+    windows from loose to infeasible."""
+    jobs = []
+    for _ in range(rng.randint(2, 7)):
+        p = rng.choice((1, 2, 3, 4, 6))
+        r = rng.randint(0, 12)
+        d = r + p + rng.randint(-2, 8)
+        deadline = max(d, r + p) + rng.randint(0, 20)
+        jobs.append(SmsJob(p=p, r=r, d=d, deadline=deadline, w=rng.randint(0, 3)))
+    return SmsInstance(tuple(jobs))
+
+
+def test_bounds_below_oracle_with_zero_weights_and_ties():
+    # Both bounds at or below the exhaustive value of every reachable
+    # state; the CP one under the state's store after one pass and after
+    # a fixed point, for the state and for each successor the store does
+    # not veto, as the search bounds it.  Each also equals the bound
+    # written out from its definition.
+    rng = random.Random(43)
+    checked = queue_wins = dead = 0
+    for k in range(200):
+        inst = random_sms_instance(rng, rng.randint(3, 7)) if k % 2 else tie_prone_instance(rng)
+        model = SmsModel(inst)
+        adapter = SmsAdapter(model)
+        values = enumerate_state_values(model)
+        for state, value in values.items():
+            dp = model.dual(state)
+            ests = [max(j.r, state.time) for j in inst.jobs]
+            assert dp == reference_sms_bound(inst, state.unscheduled, ests)
+            assert dp <= value, (inst, state)
+            if model.is_base(state):
+                continue
+            checked += 1
+            separable = sum(
+                j.w * max(0, max(j.r, state.time) + j.p - j.d)
+                for i, j in enumerate(inst.jobs)
+                if state.unscheduled >> i & 1
+            )
+            queue_wins += dp > separable
+            dead += dp == INFINITY
+            for propagate in (propagate_once, propagate_fixpoint):
+                store, props = adapter.build(state)
+                if not store.infeasible:
+                    propagate(store, props)
+                if store.infeasible:
+                    assert value == INFINITY, (inst, state)
+                    continue
+                assert dp <= adapter.dual_cp(state, store) <= value, (inst, state)
+                for _w, label, succ in model.successors(state):
+                    if not adapter.is_succ_infeasible(label, succ, store):
+                        assert adapter.dual_cp(succ, store) <= values[succ], (inst, state, succ)
+    # 8,891 states, 5,438 where the queue term wins and 99 that only the
+    # bound finds dead.
+    assert checked > 8000 and queue_wins > 5000 and dead > 90, (checked, queue_wins, dead)
+
+
+def test_queue_term_past_the_cost_ceiling_is_a_dead_end(tmp_path, capsys):
+    # Six jobs of 5 cannot all finish by 10, but the dead-end rule passes
+    # the root and its children: in each, every pending job can still
+    # start by its latest start 5.  The root's WSPT sum passes the jobs'
+    # ``sum w*deadline``, and its queue term, 75 * w, would pass the
+    # model's cost ceiling, 60 * w, and MAX_COST with it.  The bound reads
+    # that as a dead end, and every algorithm and mode ends Infeasible,
+    # also through the command line.
+    w = MAX_COST // 60
+    job = {"p": 5, "r": 0, "d": 5, "deadline": 10, "w": w}
+    model = model_of(*[(5, 0, 5, 10, w)] * 6)
+    assert model.dual(model.target_state()) == INFINITY
+    for key, result in solve_all_modes(model, SmsAdapter(model)).items():
+        assert (result.status, result.cost) == (SolveStatus.INFEASIBLE, None), key
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps({"n": 6, "jobs": [job] * 6}))
+    for algo in ("astar", "cabs"):
+        for mode in ("off", "once", "fixpoint"):
+            argv = ["solve", str(path), "--problem", "smswt", "--algo", algo]
+            assert main(argv + ["--propagation", mode]) == 0
+            assert json.loads(capsys.readouterr().out)["status"] == "Infeasible"
 
 
 def test_build_window():
