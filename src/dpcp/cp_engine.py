@@ -455,33 +455,6 @@ def propagate_fixpoint(store: DomainStore, props: Sequence[Propagator]) -> Domai
     return store
 
 
-def ect_envelope_max(tasks: Sequence[Tuple[int, Sequence[int]]], capacities: Sequence[int]) -> int:
-    """Largest earliest-completion envelope over several resources, from
-    one sort.
-
-    ``tasks`` are ``(lb_start, energies)`` with one ``usage * duration``
-    per resource.  For each resource of capacity ``C`` the envelope is the
-    largest ``min_lb + ceil(sum(energy) / C)`` over non-empty task subsets.
-    Only suffix sets by start lower bound need evaluating: replacing any
-    subset by all tasks with ``lb >= min_lb`` of that subset can only add
-    energy at the same left edge.  Tasks tied in ``lb`` may come in any order: the suffix
-    ending at the last of them holds the most energy at that left edge,
-    so the maximum does not depend on it.
-    """
-    by_lb_desc = sorted(tasks, key=itemgetter(0), reverse=True)
-    best = 0
-    for r, capacity in enumerate(capacities):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        energy = 0
-        for lb, energies in by_lb_desc:
-            energy += energies[r]
-            cand = lb + -(-energy // capacity)
-            if cand > best:
-                best = cand
-    return best
-
-
 class PropagationAdapter(ABC):
     """Bridge from a DP model's states to a CP model over a domain store.
 
@@ -498,7 +471,9 @@ class PropagationAdapter(ABC):
     node's ``f`` and ``g`` plus ``dual_cp`` itself, so a cap on the
     remaining cost would only repeat that test.  A ``dual_cp`` of 0 adds
     nothing, and the pop still prunes on ``f``, which holds the model
-    dual: an adapter whose bound is all there returns 0.
+    dual: an adapter whose bound is all there returns 0.  Where the model
+    bounds a state over one earliest start per pending task (SMS, RCPSP),
+    ``dual_cp`` is that bound over the store's lower bounds.
 
     The search calls ``dual_cp`` only on a feasible store, so an adapter
     need not guard an empty domain.  It calls it for a popped state under

@@ -12,14 +12,14 @@ the target's estimate equals the final makespan.
 A state is derived once, from its parent, and carries what every layer
 reads of it: the bit mask of its scheduled tasks (its signature), the
 tasks still running at its clock, and its makespan estimate.  So the
-successor rule, dominance, both dual bounds and the CP build read those
+successor rule, dominance, the dual bound and the CP build read those
 fields instead of rescanning all n starts.
 
-Dual bounds, both the model's own (critical path, resource energy) and the
-propagation-based ones (latest pending finish and completion envelope over
-the propagated start bounds), naturally bound the total makespan; they are
-converted to remaining cost by subtracting the state's current estimate,
-floored at 0.
+The dual bound (``RcpspModel.bound``) is a makespan floor over one
+earliest start per pending task, converted to remaining cost by
+subtracting the state's estimate, floored at 0.  ``off`` and the
+propagating modes use the same function: the model dual starts every
+pending task at the clock, the CP dual at its propagated lower bound.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, check_ceiling
-from .cp_engine import (
-    Cumulative,
-    DomainStore,
-    PrecedenceLe,
-    PropagationAdapter,
-    ect_envelope_max,
-)
+from .cp_engine import Cumulative, DomainStore, PrecedenceLe, PropagationAdapter
 from .parsing import ParseError, all_int_tokens, read_instance
 
 
@@ -98,10 +92,6 @@ class RcpspInstance:
     def n(self) -> int:
         return len(self.tasks)
 
-    @property
-    def n_resources(self) -> int:
-        return len(self.capacities)
-
     def _topological_order(self) -> Tuple[int, ...]:
         indeg = [len(p) for p in self.predecessors]
         order = [i for i in range(self.n) if indeg[i] == 0]
@@ -158,7 +148,7 @@ class RcpspModel(DpModel):
     running tasks, left-shift pruning drops a candidate that another
     candidate finishes before, ``dominates`` compares states of equal
     signature by their clocks and the dominator's running tasks, and
-    ``dual`` takes precomputed tails and energies over the pending tasks.
+    ``bound`` takes precomputed tails and energies over the pending tasks.
     """
 
     def __init__(self, instance: RcpspInstance):
@@ -190,6 +180,7 @@ class RcpspModel(DpModel):
             tails[i] = durations[i] + max((tails[j] for j in instance.successors[i]), default=0)
         self._tails = tuple(tails)
         self._energies = tuple(tuple(u * t.duration for u in t.usages) for t in tasks)
+        self._zeros = (0,) * instance.n
         self._longest_first = tuple(sorted(range(instance.n), key=lambda i: -durations[i]))
         # One tuple per running set, shared by every state that has it.  A
         # race between solves sharing the model at worst stores an equal
@@ -337,19 +328,42 @@ class RcpspModel(DpModel):
         return True
 
     def dual(self, state: RcpspState) -> Cost:
-        """Critical-path and resource-energy floors on the pending work, as
-        remaining cost."""
-        scheduled = state.scheduled
-        pending = [i for i in range(len(self._tails)) if not scheduled >> i & 1]
-        tails, energies = self._tails, self._energies
-        floor = max([tails[i] for i in pending], default=0)
-        for energy, cap in zip(
-            map(sum, zip(*[energies[i] for i in pending])), self.instance.capacities
-        ):
-            need = -(-energy // cap)
-            if need > floor:
-                floor = need
-        return max(0, state.time + floor - state.estimate)
+        """``bound`` with every pending task's earliest start the clock."""
+        return self.bound(state, self._zeros)
+
+    def bound(self, state: RcpspState, floor: Sequence[int]) -> Cost:
+        """Lower bound on the remaining makespan of ``state``, each pending
+        task ``i`` starting no earlier than ``est = max(floor[i], time)``:
+        starts never decrease along a path, so this holds also when
+        ``floor`` is the store of a successor's parent.
+
+        The makespan is at least ``est + tail`` of each pending task, whose
+        successors are all pending, and, per resource of capacity ``C``,
+        ``est + ceil(E / C)`` of each set of pending tasks, ``est`` its
+        smallest and ``E`` its energy.  Only the suffix sets by ``est``
+        need evaluating, ties in any order: the suffix from a set's
+        smallest ``est`` holds the set and has the same left edge.
+        """
+        scheduled, time = state.scheduled, state.time
+        tails = self._tails
+        latest = 0
+        pending = []
+        for i, lb in enumerate(floor):
+            if not scheduled >> i & 1:
+                est = lb if lb > time else time
+                if est + tails[i] > latest:
+                    latest = est + tails[i]
+                pending.append((est, i))
+        pending.sort(reverse=True)
+        energies = self._energies
+        for r, cap in enumerate(self.instance.capacities):
+            energy = 0
+            for est, i in pending:
+                energy += energies[i][r]
+                envelope = est - (-energy // cap)
+                if envelope > latest:
+                    latest = envelope
+        return max(0, latest - state.estimate)
 
     def state_signature(self, state: RcpspState):
         return state.scheduled
@@ -369,7 +383,6 @@ class RcpspAdapter(PropagationAdapter):
         inst = self.instance
         tasks = inst.tasks
         self._durations = model._durations
-        self._energies = model._energies
         self._props = [
             Cumulative([(i, t.duration, t.usages[r]) for i, t in enumerate(tasks)], cap)
             for r, cap in enumerate(inst.capacities)
@@ -391,17 +404,10 @@ class RcpspAdapter(PropagationAdapter):
         return DomainStore(lbs, ubs, live), self._props
 
     def dual_cp(self, state: RcpspState, store: DomainStore) -> Cost:
-        # The latest earliest finish of a pending task, and the completion
-        # envelope, each bound the makespan.
-        finish = 0
-        pending = []
-        for s, lb, p, e in zip(state.starts, store.lbs, self._durations, self._energies):
-            if s is None:
-                pending.append((lb, e))
-                if lb + p > finish:
-                    finish = lb + p
-        envelope = ect_envelope_max(pending, self.instance.capacities)
-        return max(0, max(finish, envelope) - state.estimate)
+        """The model's ``bound`` with each pending task's earliest start its
+        propagated lower bound, or the state's clock if that is later (a
+        successor is bounded under its parent's store)."""
+        return self.model.bound(state, store.lbs)
 
     def is_succ_infeasible(self, label: int, succ: RcpspState, store: DomainStore) -> bool:
         return not store.contains(label, succ.starts[label])

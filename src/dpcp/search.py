@@ -10,8 +10,11 @@ Each generated successor is admitted in this order, cheapest test first:
    and the CP dual bound; the CP dual is computed only when propagation
    is on and ``g`` plus the model dual does not exceed the incumbent (so
    the CP dual cannot rescue a child the model dual already rejects);
-4. only if ``f <= primal`` is its search node created, the registered
-   nodes it dominates evicted (marked stale), and the node stored.
+4. only if ``f <= primal`` and ``f`` is finite is its search node
+   created, the registered nodes it dominates evicted (marked stale), and
+   the node stored: a bound of ``INFINITY``, from either dual, proves that
+   the child has no completion, so it is declined also while there is no
+   incumbent.
 
 Every mode prunes a popped state when the larger of its ``f`` and ``g``
 plus its CP dual reaches the incumbent; ``off`` has no CP term.  With
@@ -37,7 +40,7 @@ from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from .core import DpModel, SolveLimits, SolveResult, SolveStatus
-from .cost import Cost, INFINITY, add
+from .cost import MAX_COST, Cost, INFINITY, add
 from .cp_engine import PropagationAdapter, propagate_fixpoint, propagate_once
 from .metrics import RunMetrics, optimality_gap
 
@@ -192,12 +195,14 @@ class _SolveContext:
         drop the older ones."""
         self.last_pass, self.this_pass = self.this_pass or {}, {}
 
-    def make_root(self) -> SearchNode:
-        target = self.model.target_state()
-        g0 = self.model.root_cost()
-        f0 = add(g0, self.model.dual(target))
-        root = SearchNode(target, g0, f0, seq=next(self.counter))
+    def make_root(self, registry: Registry) -> SearchNode:
+        """The root node, bounded by the model dual and registered."""
+        model = self.model
+        target = model.target_state()
+        g0 = model.root_cost()
+        root = SearchNode(target, g0, add(g0, model.dual(target)), seq=next(self.counter))
         self.note_dual(root.f)
+        registry.register(model, target, g0, lambda: root)
         return root
 
     def note_dual(self, value: Cost) -> None:
@@ -245,18 +250,21 @@ class _SolveContext:
         if expanded is None:
             return []
         succs, store = expanded
-        adapter, primal, counter = self.adapter, self.primal, self.counter
+        adapter, counter = self.adapter, self.counter
+        # A bound of INFINITY proves that a child has no completion, so it
+        # is declined also while the incumbent is INFINITY.
+        limit = min(self.primal, MAX_COST)
 
         def bounded(g, label, state):
             h = model.dual(state)
-            if add(g, h) > primal:
+            if add(g, h) > limit:
                 return None
             if store is not None:
                 h_cp = adapter.dual_cp(state, store)
                 if h_cp > h:
                     h = h_cp
             f = add(g, h)
-            if f > primal:
+            if f > limit:
                 return None
             return SearchNode(state, g, f, parent=node, label=label, seq=next(counter))
 
@@ -370,8 +378,7 @@ def astar(
     mode = _resolve_mode(mode, adapter)
     ctx = _SolveContext(model, adapter, limits or SolveLimits(), mode)
     registry = Registry()
-    root = ctx.make_root()
-    registry.register(model, root.state, root.g, lambda: root)
+    root = ctx.make_root(registry)
     heap = [(root.f, -root.g, root.seq, root)]
     while ctx.status is None:
         if not heap:
@@ -422,6 +429,8 @@ def cabs(
       feasible completion); the primal only falls during the pass, so it
       is never below the final primal, and the pruned node cannot lead to
       anything cheaper than the final primal;
+    * it is declined at admission with an ``f`` of ``INFINITY``, which
+      proves that it has no feasible completion;
     * the registry rejects it, or later evicts it, in favour of a
       registered node of the same pass that dominates it at no larger
       path cost; that node sits in a layer, so it is itself expanded or
@@ -444,9 +453,7 @@ def cabs(
         ctx.metrics.beam_widths.append(width)
         ctx.start_pass()
         registry = Registry()
-        root = ctx.make_root()
-        registry.register(model, root.state, root.g, lambda: root)
-        layer: List[SearchNode] = [root]
+        layer: List[SearchNode] = [ctx.make_root(registry)]
         min_cut_f: Optional[Cost] = None  # smallest f discarded at the width cut
         while layer and ctx.status is None:
             candidates: List[SearchNode] = []

@@ -171,11 +171,12 @@ class SmsModel(DpModel):
 
     def dual(self, state: SmsState) -> Cost:
         """``bound`` with each pending job's earliest start ``max(r, t)``."""
-        return self.bound(state.unscheduled, self.releases, state.time)
+        return self.bound(state, self.releases)
 
-    def bound(self, mask: int, floor, t: int) -> Cost:
-        """Lower bound on the weighted tardiness of the jobs in ``mask``,
-        each starting no earlier than ``max(floor[i], t)``.
+    def bound(self, state: SmsState, floor) -> Cost:
+        """Lower bound on the weighted tardiness of the pending jobs of
+        ``state``, each starting no earlier than ``max(floor[i], t)`` at
+        the state's clock ``t``.
 
         The larger of the separable sum, each job started at its own
         earliest start, and the queue term, ``WSPT(t0) - sum w*d`` with
@@ -185,6 +186,7 @@ class SmsModel(DpModel):
         completes at ``t0`` plus ``done``, the pending durations up to and
         including its own.
         """
+        mask, t = state
         separable = weight = done = queue = room = 0
         t0 = INFINITY
         for row in self.wspt_rows:
@@ -251,7 +253,7 @@ class SmsAdapter(PropagationAdapter):
         """The model's ``bound`` with each pending job's earliest start its
         propagated lower bound, or the state's clock if that is later (a
         successor is bounded under its parent's store)."""
-        return self.model.bound(state.unscheduled, store.lbs, state.time)
+        return self.model.bound(state, store.lbs)
 
     def is_succ_infeasible(self, label: int, succ: SmsState, store: DomainStore) -> bool:
         # The job finishes at the successor's clock; the transition dies

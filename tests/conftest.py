@@ -20,7 +20,6 @@ from dpcp import (
     propagate_once,
 )
 from dpcp import rcpsp, smswt, tsptw
-from dpcp.cp_engine import ect_envelope_max
 from dpcp.search import SearchNode, _SolveContext
 
 SMS_TAUS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -92,6 +91,20 @@ def critical_path_length(instance: rcpsp.RcpspInstance, mask: int) -> int:
                 if cand > longest.get(j, 0):
                     longest[j] = cand
     return best
+
+
+def rcpsp_tails(instance: rcpsp.RcpspInstance):
+    """Each task's longest duration sum along a precedence chain starting
+    at it, by memoised recursion over ``instance.successors``."""
+    tails = {}
+
+    def tail(i):
+        if i not in tails:
+            after = [tail(j) for j in instance.successors[i]]
+            tails[i] = instance.tasks[i].duration + max(after, default=0)
+        return tails[i]
+
+    return [tail(i) for i in range(instance.n)]
 
 
 def energy_ceiling(instance: rcpsp.RcpspInstance, mask: int) -> int:
@@ -349,9 +362,15 @@ def store_domains(store: DomainStore):
 
 
 def one_resource_envelope(tasks, capacity):
-    """``ect_envelope_max`` over ``(lb, duration, usage)`` tasks on one
-    resource."""
-    return ect_envelope_max([(lb, (u * p,)) for lb, p, u in tasks], (capacity,))
+    """The largest ``lb + ceil(E / capacity)`` over ``(lb, duration,
+    usage)`` tasks on one resource, ``lb`` the smallest start bound of a
+    set and ``E`` its energy, taken over the suffix sets by ``lb`` of its
+    own sort; 0 without tasks."""
+    best = energy = 0
+    for lb, p, u in sorted(tasks, key=lambda t: -t[0]):
+        energy += u * p
+        best = max(best, lb + -(-energy // capacity))
+    return best
 
 
 def micro_disjunctive(rng: random.Random):

@@ -1,8 +1,9 @@
 """The adapter contract: successor vetoes are domain lookups on the
-successor state, the RCPSP CP dual equals its latest pending finish and
-envelopes taken separately, the SMS CP dual equals its bound written
-out from the definition in any call order, an adapter that declares ``reads_primal = False``
-builds and propagates the same store under every primal, and the SMS and
+successor state, the RCPSP CP dual equals its tails and envelopes over
+the propagated earliest starts taken separately, the SMS CP dual equals
+its bound written out from the definition in any call order, an adapter
+that declares ``reads_primal = False`` builds and propagates the same
+store under every primal, and the SMS and
 RCPSP propagators, built once and told by the store's ``live`` mask which
 variables to skip, propagate as the per-state ones built over the live
 variables alone would.
@@ -43,6 +44,7 @@ from conftest import (
     random_sms_instance,
     random_tsptw_instance,
     rcpsp_fields,
+    rcpsp_tails,
     reference_sms_bound,
     store_domains,
 )
@@ -69,15 +71,16 @@ def reference_rcpsp_veto(adapter, label, state, store):
 
 
 def reference_rcpsp_dual_cp(adapter, state, store):
-    """Latest pending finish and each resource's envelope, taken
-    separately."""
+    """Each pending task's earliest start plus its tail, and each
+    resource's envelope over those starts, taken separately.  A pending
+    task's earliest start is its lower bound, or the clock if that is
+    later: a successor is bounded under its parent's store."""
     inst = adapter.instance
-    pending = [i for i, s in enumerate(state.starts) if s is None]
-    total = 0
-    for i in pending:
-        total = max(total, store.lbs[i] + inst.tasks[i].duration)
+    tails = rcpsp_tails(inst)
+    ests = {i: max(store.lbs[i], state.time) for i, s in enumerate(state.starts) if s is None}
+    total = max((est + tails[i] for i, est in ests.items()), default=0)
     for r, cap in enumerate(inst.capacities):
-        tasks = [(store.lbs[i], inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in pending]
+        tasks = [(est, inst.tasks[i].duration, inst.tasks[i].usages[r]) for i, est in ests.items()]
         total = max(total, one_resource_envelope(tasks, cap))
     _scheduled, _running, estimate = rcpsp_fields(inst, state)
     return max(0, total - estimate)

@@ -14,7 +14,7 @@ from dpcp import (
 )
 
 from dpcp import cp_engine
-from dpcp.cp_engine import _edge_find_lower, ect_envelope_max
+from dpcp.cp_engine import _edge_find_lower
 
 from conftest import (
     MICRO_FAMILIES,
@@ -674,35 +674,6 @@ def test_ect_envelope_against_subset_brute_force():
         tasks = [(rng.randint(0, 20), rng.randint(1, 6), rng.randint(0, 4)) for _ in range(k)]
         cap = rng.randint(1, 4)
         assert one_resource_envelope(tasks, cap) == brute_force_envelope(tasks, cap)
-
-
-def reference_ect_envelope(tasks, capacity):
-    """Per-resource envelope with its own sort: the oracle for one
-    resource of ``ect_envelope_max``."""
-    best = 0
-    energy = 0
-    for lb, p, u in sorted(tasks, key=lambda t: -t[0]):
-        energy += u * p
-        best = max(best, lb + -(-energy // capacity))
-    return best
-
-
-def test_ect_envelope_max_matches_per_resource_reference():
-    rng = random.Random(808)
-    for _ in range(3000):
-        caps = [rng.randint(1, 6) for _ in range(rng.randint(0, 3))]
-        tasks = []
-        for _ in range(rng.randint(0, 9)):
-            # Few distinct lower bounds, so ties are common.
-            lb = rng.randint(0, 12) if rng.random() < 0.5 else rng.choice((0, 4, 8))
-            tasks.append((lb, rng.randint(1, 8), [rng.randint(0, c) for c in caps]))
-        per_resource = [
-            reference_ect_envelope([(lb, p, us[r]) for lb, p, us in tasks], cap)
-            for r, cap in enumerate(caps)
-        ]
-        expected = max(per_resource, default=0)
-        got = ect_envelope_max([(lb, tuple(u * p for u in us)) for lb, p, us in tasks], caps)
-        assert got == expected, (tasks, caps)
 
 
 # --- propagator soundness & drivers -----------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from conftest import (
     one_resource_envelope,
     random_rcpsp_instance,
     rcpsp_fields,
+    rcpsp_tails,
     reference_rcpsp_dominates,
     solve_all_modes,
     vetoed,
@@ -148,6 +150,53 @@ def test_dual_matches_two_floor_reference():
             assert model.dual(state) == reference_dual(model, state), state
             checked += 1
     assert checked > 2000, checked
+
+
+def brute_force_bound(inst, state, floor):
+    """``RcpspModel.bound`` from its definition: each pending task starts
+    no earlier than its floor and the clock; tails come from their own
+    recursion, and each envelope is taken over every non-empty set of
+    pending tasks."""
+    tails = rcpsp_tails(inst)
+    est = {i: max(floor[i], state.time) for i, s in enumerate(state.starts) if s is None}
+    best = max((est[i] + tails[i] for i in est), default=0)
+    for r, cap in enumerate(inst.capacities):
+        for k in range(1, len(est) + 1):
+            for subset in combinations(est, k):
+                energy = sum(inst.tasks[i].usages[r] * inst.tasks[i].duration for i in subset)
+                best = max(best, min(est[i] for i in subset) + -(-energy // cap))
+    _scheduled, _running, estimate = rcpsp_fields(inst, state)
+    return max(0, best - estimate)
+
+
+def test_bound_matches_brute_force():
+    # Precedences run between shuffled task ids, so the topological order
+    # is not the id order, and few distinct floors make ties common.
+    rng = random.Random(808)
+    checked = positive = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        caps = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+        tasks = [(rng.randint(1, 8), [rng.randint(0, c) for c in caps]) for _ in range(n)]
+        ids = rng.sample(range(n), n)
+        precedences = [
+            (ids[a], ids[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3
+        ]
+        inst = instance_of(tasks, caps, precedences)
+        model = RcpspModel(inst)
+        for _ in range(5):
+            time = rng.randint(0, 12)
+            starts = [rng.randint(0, time) if rng.random() < 0.4 else None for _ in range(n)]
+            state = model.make_state(starts, time)
+            floor = [
+                rng.randint(0, 20) if rng.random() < 0.5 else rng.choice((0, 4, 8))
+                for _ in range(n)
+            ]
+            want = brute_force_bound(inst, state, floor)
+            assert model.bound(state, floor) == want, (inst.to_json(), starts, time, floor)
+            checked += 1
+            positive += want > 0
+    assert checked == 2000 and positive > 1000, (checked, positive)
 
 
 def test_path_cost_telescopes_to_makespan():

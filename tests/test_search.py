@@ -551,6 +551,47 @@ def test_propagation_that_adds_nothing_changes_no_search_count():
                     assert got == want, (kind, seed, solver.__name__, mode)
 
 
+class DeadChildren(smswt.SmsModel):
+    """``two_job_model``'s model, or with ``dead_by_dual`` one whose dual
+    proves every child of the target a dead end."""
+
+    def __init__(self, instance, dead_by_dual):
+        super().__init__(instance)
+        self.dead_by_dual = dead_by_dual
+
+    def dual(self, state):
+        if self.dead_by_dual and state != self.target_state():
+            return INFINITY
+        return super().dual(state)
+
+
+class DeadChildrenCp(AddsNothing):
+    """``AddsNothing`` whose CP dual proves every child a dead end."""
+
+    def dual_cp(self, state, store):
+        return 0 if state == self.model.target_state() else INFINITY
+
+
+@pytest.mark.parametrize("algo", [astar, cabs])
+@pytest.mark.parametrize(
+    "mode, source",
+    [(PropagationMode.OFF, "dual"), (PropagationMode.ONCE, "dual"),
+     (PropagationMode.ONCE, "dual_cp")],
+)
+def test_child_with_infinite_bound_is_declined_without_incumbent(algo, mode, source):
+    # A child bounded by INFINITY, from either dual, is never stored, so
+    # the search ends after popping the root alone, before any incumbent.
+    model = DeadChildren(two_job_model().instance, dead_by_dual=source == "dual")
+    adapter = {"dual": AddsNothing, "dual_cp": DeadChildrenCp}[source](model)
+    result = algo(model, None if mode is PropagationMode.OFF else adapter, mode=mode)
+    m = result.metrics
+    pops = m.expansions + m.pruned_by_f if mode is PropagationMode.OFF else (
+        m.propagation_calls + m.reused
+    )
+    assert result.status is SolveStatus.INFEASIBLE
+    assert (m.generated, pops, m.pruned_by_f, m.pruned_by_cp) == (2, 1, 0, 0)
+
+
 @pytest.mark.parametrize("kind", sorted(PINNED_KINDS))
 def test_cabs_tables_emptied_at_a_new_incumbent_only_where_build_reads_it(
     monkeypatch, kind
