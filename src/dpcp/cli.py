@@ -46,11 +46,6 @@ PROBLEMS = {
     "rcpsp": Problem(rcpsp, rcpsp.RcpspModel, rcpsp.RcpspAdapter, rcpsp.ordering_optimum),
     "tsptw": Problem(tsptw, tsptw.TsptwModel, tsptw.TsptwAdapter, tsptw.exact_optimum),
 }
-MODES = {
-    "off": PropagationMode.OFF,
-    "once": PropagationMode.ONCE,
-    "fixpoint": PropagationMode.FIXPOINT,
-}
 ORACLE_CAP = 10  # largest n the exhaustive oracles accept
 
 CSV_COLUMNS = [
@@ -120,7 +115,7 @@ def _solve_verified(model, adapter, algo: str, propagation: str, limits: SolveLi
     """
     solver = astar if algo == "astar" else cabs
     started = time.perf_counter()
-    result = solver(model, adapter, limits, MODES[propagation])
+    result = solver(model, adapter, limits, PropagationMode(propagation))
     wall = time.perf_counter() - started
     if result.incumbent is not None:
         cost, labels = result.incumbent
@@ -199,7 +194,7 @@ def _bench_row(row: dict) -> dict:
     try:
         if out["algo"] not in ("astar", "cabs"):
             raise UnknownFormat(f"unknown algorithm {out['algo']}")
-        if out["propagation"] not in MODES:
+        if out["propagation"] not in {m.value for m in PropagationMode}:
             raise UnknownFormat(f"unknown propagation mode {out['propagation']}")
         model, adapter = _build(row["problem"], row["instance"])
         limits = _limits_from(
@@ -265,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--problem", choices=tuple(PROBLEMS), required=True)
     solve.add_argument("--algo", choices=("astar", "cabs"), default="cabs")
-    solve.add_argument("--propagation", choices=tuple(MODES), default="once")
+    solve.add_argument(
+        "--propagation", choices=[m.value for m in PropagationMode], default="once"
+    )
     solve.add_argument("--time-limit", type=float, default=None, metavar="SEC")
     solve.add_argument("--mem-limit", type=float, default=None, metavar="MB")
     solve.add_argument("--expansion-cap", type=int, default=None, metavar="N")

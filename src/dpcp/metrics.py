@@ -38,7 +38,7 @@ class RunMetrics:
     counts successor candidates handed to the admission test.  With
     propagation on, each popped, non-stale, non-base state either builds
     and propagates its CP model (``propagation_calls``) or, in CABS, reuses
-    what propagation found for it earlier (``reused``): under any incumbent
+    the store propagated for it earlier (``reused``): under any incumbent
     when the adapter's ``build`` ignores it, under the same incumbent
     otherwise.  Traces carry wall-clock offsets; incumbent costs are
     strictly decreasing and dual bounds non-decreasing.

@@ -48,7 +48,9 @@ def read_instance(path: str, from_json: Callable, parse_native: Optional[Callabl
             return from_json(doc)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}", path, exc.lineno) from exc
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc}", path) from exc
+    except (OSError, TypeError, ValueError) as exc:
         raise ParseError(str(exc), path) from exc
     if parse_native is None:
         raise UnknownFormat(f"{path}: not JSON, the only format of this problem")

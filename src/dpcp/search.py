@@ -24,11 +24,11 @@ successors are filtered individually.  The CP dual of a successor is
 evaluated under the parent's propagated domains, which remain valid for
 every successor.
 
-CABS restarts duplicate detection with each pass, but what propagation
-found for a popped state carries over one pass: a state popped again in
-this pass or the last reuses its propagated store (or its prune) instead
-of building and propagating its CP model afresh, under a later incumbent
-only if the adapter's ``build`` ignores the primal.
+CABS restarts duplicate detection with each pass, but a popped state's
+propagated store carries over one pass: a state popped again in this pass
+or the last reuses that store, whatever it decided at the earlier pop,
+instead of building and propagating its CP model afresh, under a later
+incumbent only if the adapter's ``build`` ignores the primal.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ from .metrics import RunMetrics, optimality_gap
 # (smswt), 8-9% high for rcpsp, and for tsptw from 11% high (A*, off) to
 # 24% low (CABS, once, where the short-lived propagation lists in the peak
 # are spread over the fewest stored nodes).  CABS counts each entry of its
-# tables of propagation outcomes as a node too, which is conservative: at
-# their largest on the perfbench instance ``sms-tight:55`` (CABS, once),
-# 4,993 entries held about 340 B each by ``tracemalloc``.
+# tables of propagated stores as a node too, which is about 5% low for
+# them: at their largest on the perfbench instance ``sms-tight:55`` (CABS,
+# once), emptying the tables' 229 entries freed 536 B each by
+# ``tracemalloc``.
 NODE_ESTIMATE_BYTES = 512
 
 
@@ -165,9 +166,10 @@ class _SolveContext:
         self.best_dual: Optional[Cost] = None
         self.counter = itertools.count()
         self.started = time.perf_counter()
-        # CABS only: ``state -> (h, store)`` for the states popped in the
-        # current pass and in the last one (see ``expand``).  They stay
-        # empty with propagation off, and ``this_pass`` stays None in A*.
+        # CABS only: ``state -> store``, the propagated store (infeasible
+        # ones included) of each state popped in the current pass and in
+        # the last one (see ``expand``).  They stay empty with propagation
+        # off, and ``this_pass`` stays None in A*.
         self.last_pass: dict = {}
         self.this_pass: Optional[dict] = None
 
@@ -191,7 +193,7 @@ class _SolveContext:
         return None
 
     def start_pass(self) -> None:
-        """Begin a CABS pass: keep the last pass's propagation outcomes and
+        """Begin a CABS pass: keep the last pass's propagated stores and
         drop the older ones."""
         self.last_pass, self.this_pass = self.this_pass or {}, {}
 
@@ -292,26 +294,20 @@ class _SolveContext:
         ``pruned_by_cp`` instead, and a pop pruned on its ``f`` toward
         ``pruned_by_f``.
 
-        In CABS, each propagated pop records ``(h, store)`` for its state:
-        its CP dual (``INFINITY`` when infeasible) and its store, or None if
-        the store pruned it.  ``build`` is deterministic for equal states
-        and primals, and ``offer_incumbent`` empties the tables at each new
-        incumbent if ``build`` reads it, so a later pop of the state in this
-        pass or the next reuses the entry (counted in ``reused``).  It takes
-        exactly the decisions a fresh store would: a pruned entry only while
-        ``g + h`` still prunes it under the current primal, which only
-        falls, and a store (kept also where ``f`` pruned) after a new
-        ``dual_cp``.
+        In CABS, each propagating pop keeps its state's propagated store,
+        infeasible or not, whatever it decided.  ``build`` is deterministic
+        for equal states and primals, and ``offer_incumbent`` empties the
+        tables at each new incumbent if ``build`` reads it, so a later pop
+        of the state in this pass or the next takes the kept store (counted
+        in ``reused``) in place of a fresh one, and the CP dual computed
+        from it gives exactly the decisions a fresh store would.
         """
         model, state, m, primal = self.model, node.state, self.metrics, self.primal
         store = None
         if self.mode is not PropagationMode.OFF:
             adapter, table = self.adapter, self.this_pass
-            entry = None if table is None else table.get(state) or self.last_pass.pop(state, None)
-            if entry is not None and (entry[1] is not None or add(node.g, entry[0]) >= primal):
-                h, store = entry
-                if store is not None:
-                    h = adapter.dual_cp(state, store)
+            store = None if table is None else table.get(state) or self.last_pass.pop(state, None)
+            if store is not None:
                 m.reused += 1
             else:
                 started = time.perf_counter()
@@ -323,10 +319,10 @@ class _SolveContext:
                         propagate_once(store, props)
                 m.propagation_calls += 1
                 m.propagation_time += time.perf_counter() - started
-                h = INFINITY if store.infeasible else adapter.dual_cp(state, store)
-            reach = add(node.g, h)
             if table is not None:
-                table[state] = (h, store if reach < primal else None)
+                table[state] = store
+            h = INFINITY if store.infeasible else adapter.dual_cp(state, store)
+            reach = add(node.g, h)
             if node.parent is None:
                 # Only at the root is this bound one on the global optimum.
                 self.note_dual(max(node.f, reach))
@@ -409,12 +405,12 @@ def cabs(
     pass doubling the width of the one before; each layer keeps the
     ``width`` best nodes by (f, larger g, insertion order).  The incumbent persists across
     passes while duplicate detection restarts per pass.  Expansion counts
-    accumulate across passes.  With propagation on, what propagation found
-    for each popped state carries over one pass: a state popped again
-    reuses it, under any later incumbent if the adapter's ``build`` ignores
-    the primal and under the same one otherwise (see
-    ``_SolveContext.expand``).  That leaves the search unchanged and only
-    saves ``propagation_calls``.  A pop differs between propagation modes
+    accumulate across passes.  With propagation on, each popped state's
+    propagated store carries over one pass: a state popped again reuses
+    it, whatever it decided before, under any later incumbent if the
+    adapter's ``build`` ignores the primal and under the same one
+    otherwise (see ``_SolveContext.expand``).  That leaves the search
+    unchanged and only saves ``propagation_calls``.  A pop differs between propagation modes
     only in what propagation adds: ``off`` prunes a pop on its own ``f``
     exactly as the other modes do.
 

@@ -32,13 +32,12 @@ from conftest import (
     MICRO_FAMILIES,
     ReferenceRcpspModel,
     check_micro_model,
-    one_resource_envelope,
     random_rcpsp_instance,
     random_sms_instance,
     random_tsptw_instance,
     solve_all_modes,
 )
-from test_cp_engine import brute_force_envelope
+from test_rcpsp import brute_force_envelope
 
 DATA = Path(__file__).parent / "data"
 
@@ -236,16 +235,30 @@ def test_criterion_8_cabs_anytime_and_completeness():
 
 
 def test_criterion_9_envelope_matches_subset_brute_force():
-    with criterion(9, "completion envelope equals subset brute force on 1000 random inputs"):
+    with criterion(9, "RCPSP completion envelope equals subset brute force on 1000 random inputs"):
         rng = random.Random(5)
+        binding = 0
         for _ in range(1000):
             k = rng.randint(1, 10)
+            cap = rng.randint(1, 5)
             tasks = [
-                (rng.randint(0, 30), rng.randint(1, 8), rng.randint(0, 5))
+                (rng.randint(0, 30), rng.randint(1, 8), rng.randint(0, cap))
                 for _ in range(k)
             ]
-            cap = rng.randint(1, 5)
-            assert one_resource_envelope(tasks, cap) == brute_force_envelope(tasks, cap)
+            # One resource and no precedences: each task's tail is its
+            # duration, and at the root the start floors are the ``lb``s.
+            inst = rcpsp.RcpspInstance(
+                [rcpsp.RcpspTask(p, (u,)) for _lb, p, u in tasks], (cap,), ()
+            )
+            model = rcpsp.RcpspModel(inst)
+            root = model.target_state()
+            got = root.estimate + model.bound(root, [lb for lb, _p, _u in tasks])
+            envelope = brute_force_envelope(tasks, cap)
+            tails = max(lb + p for lb, p, _u in tasks)
+            assert got == max(envelope, tails), (tasks, cap)
+            binding += envelope > tails
+        # The envelope, not a tail, is the bound on many of the inputs.
+        assert binding > 150, binding
 
 
 def test_criterion_10_format_round_trips():

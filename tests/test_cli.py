@@ -53,8 +53,10 @@ def test_load_instance_maps_bad_json_to_parse_error(tmp_path, module, doc, key, 
         text = json.dumps({k: v for k, v in doc.items() if k != key})
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         module.load_instance(str(bad))
+    if damage == "missing-key":
+        assert f"missing field '{key}'" in str(err.value)
 
 
 def test_solve_tsptw_optimal(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 
@@ -20,7 +19,6 @@ from conftest import (
     MICRO_FAMILIES,
     check_micro_model,
     domain_values,
-    one_resource_envelope,
     random_domain,
     store_domains,
     store_of,
@@ -649,31 +647,6 @@ def test_live_mask_matches_propagators_over_the_live_items():
         else:
             outcomes["tightened" if expected.revision else "unchanged"] += 1
     assert min(outcomes.values()) >= 200, outcomes
-
-
-def test_ect_envelope_examples():
-    assert one_resource_envelope([(0, 3, 2)], 2) == 3
-    assert one_resource_envelope([(0, 3, 2), (4, 2, 2)], 2) == 6
-    assert one_resource_envelope([], 2) == 0
-
-
-def brute_force_envelope(tasks, capacity):
-    best = 0
-    for k in range(1, len(tasks) + 1):
-        for subset in combinations(tasks, k):
-            energy = sum(u * p for _lb, p, u in subset)
-            lo = min(lb for lb, _p, _u in subset)
-            best = max(best, lo + -(-energy // capacity))
-    return best
-
-
-def test_ect_envelope_against_subset_brute_force():
-    rng = random.Random(5)
-    for _ in range(200):
-        k = rng.randint(1, 8)
-        tasks = [(rng.randint(0, 20), rng.randint(1, 6), rng.randint(0, 4)) for _ in range(k)]
-        cap = rng.randint(1, 4)
-        assert one_resource_envelope(tasks, cap) == brute_force_envelope(tasks, cap)
 
 
 # --- propagator soundness & drivers -----------------------------------------

@@ -5,7 +5,7 @@ With no oracle to compare against, the answers are checked against each
 other: both algorithms reach one status and cost in every propagation
 mode, relabelling the jobs, locations (the depot stays 0) or tasks leaves
 the optimum unchanged, and scaling every SMS weight by k scales it by k.
-CABS's reuse of propagation outcomes across passes is checked against
+CABS's reuse of propagated stores across passes is checked against
 the same search with reuse switched off.
 """
 
@@ -140,7 +140,7 @@ def test_sms_weight_scaling_scales_the_optimum(k):
 
 
 class Forgetful(dict):
-    """A table of propagation outcomes that never returns an entry."""
+    """A table of propagated stores that never returns an entry."""
 
     def get(self, key, default=None):
         return default
@@ -162,11 +162,11 @@ def trajectory(result):
 @pytest.mark.parametrize("mode", [PropagationMode.ONCE, PropagationMode.FIXPOINT])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_cabs_reuse_leaves_the_search_unchanged(monkeypatch, family, mode):
-    """Reusing a state's propagated store or prune from this pass or the
-    last changes no decision; it only replaces propagation calls.  The
-    SMS and TSPTW adapters, whose ``build`` ignores the primal, reuse
-    strictly more than a table keyed on the primal too would, and RCPSP's,
-    which reads it, exactly as much."""
+    """Reusing a state's propagated store from this pass or the last,
+    whatever that store decided at the earlier pop, changes no decision;
+    it only replaces propagation calls.  The SMS and TSPTW adapters, whose
+    ``build`` ignores the primal, reuse strictly more than a table keyed on
+    the primal too would, and RCPSP's, which reads it, exactly as much."""
     draw, make_model, make_adapter, _ = FAMILIES[family]
     reused = keyed_reused = 0
     for inst in draw():
@@ -193,3 +193,39 @@ def test_cabs_reuse_leaves_the_search_unchanged(monkeypatch, family, mode):
         assert reused == keyed_reused
     else:
         assert reused > keyed_reused, (reused, keyed_reused)
+
+
+@pytest.mark.parametrize("mode", [PropagationMode.ONCE, PropagationMode.FIXPOINT])
+@pytest.mark.parametrize("family", ["smswt", "tsptw"])
+def test_cabs_builds_a_state_at_most_once_per_two_passes(monkeypatch, family, mode):
+    """Where ``build`` ignores the primal, a state popped again in the same
+    CABS pass or the next reuses its kept store, whatever that store
+    decided at the earlier pop: its CP model is never built twice within
+    two consecutive passes.  The fourth ``sms_instances`` draw has a state
+    whose store pruned its pop and that is popped again, at a smaller path
+    cost, in the next pass."""
+    draw, make_model, make_adapter, _ = FAMILIES[family]
+    assert not make_adapter.reads_primal
+    start_pass = _SolveContext.start_pass
+    passes = 0
+
+    def counted(ctx):
+        nonlocal passes
+        passes += 1
+        start_pass(ctx)
+
+    monkeypatch.setattr(_SolveContext, "start_pass", counted)
+    reused = 0
+    for inst in draw():
+        model = make_model(inst)
+        adapter = make_adapter(model)
+        built = {}  # state -> the pass of its latest build
+
+        def build(state, primal, inner=adapter.build, built=built):
+            assert built.get(state, -2) < passes - 1, state
+            built[state] = passes
+            return inner(state, primal)
+
+        adapter.build = build
+        reused += cabs(model, adapter, mode=mode).metrics.reused
+    assert reused > 0

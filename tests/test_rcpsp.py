@@ -152,6 +152,19 @@ def test_dual_matches_two_floor_reference():
     assert checked > 2000, checked
 
 
+def brute_force_envelope(tasks, capacity):
+    """The largest ``lb + ceil(E / capacity)`` over every non-empty set of
+    ``(lb, duration, usage)`` tasks, ``lb`` its smallest and ``E`` its
+    energy; 0 without tasks."""
+    best = 0
+    for k in range(1, len(tasks) + 1):
+        for subset in combinations(tasks, k):
+            energy = sum(u * p for _lb, p, u in subset)
+            lo = min(lb for lb, _p, _u in subset)
+            best = max(best, lo + -(-energy // capacity))
+    return best
+
+
 def brute_force_bound(inst, state, floor):
     """``RcpspModel.bound`` from its definition: each pending task starts
     no earlier than its floor and the clock; tails come from their own
@@ -161,10 +174,8 @@ def brute_force_bound(inst, state, floor):
     est = {i: max(floor[i], state.time) for i, s in enumerate(state.starts) if s is None}
     best = max((est[i] + tails[i] for i in est), default=0)
     for r, cap in enumerate(inst.capacities):
-        for k in range(1, len(est) + 1):
-            for subset in combinations(est, k):
-                energy = sum(inst.tasks[i].usages[r] * inst.tasks[i].duration for i in subset)
-                best = max(best, min(est[i] for i in subset) + -(-energy // cap))
+        tasks = [(est[i], inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in est]
+        best = max(best, brute_force_envelope(tasks, cap))
     _scheduled, _running, estimate = rcpsp_fields(inst, state)
     return max(0, best - estimate)
 
@@ -278,6 +289,21 @@ def test_dual_cp_envelope_component():
     assert adapter.dual_cp(state, store) == max(
         0, expected - state.estimate
     )
+
+
+def test_ect_envelope_examples():
+    assert one_resource_envelope([(0, 3, 2)], 2) == 3
+    assert one_resource_envelope([(0, 3, 2), (4, 2, 2)], 2) == 6
+    assert one_resource_envelope([], 2) == 0
+
+
+def test_ect_envelope_against_subset_brute_force():
+    rng = random.Random(5)
+    for _ in range(200):
+        k = rng.randint(1, 8)
+        tasks = [(rng.randint(0, 20), rng.randint(1, 6), rng.randint(0, 4)) for _ in range(k)]
+        cap = rng.randint(1, 4)
+        assert one_resource_envelope(tasks, cap) == brute_force_envelope(tasks, cap)
 
 
 def test_succ_infeasible_when_upper_side_cut():

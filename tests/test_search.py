@@ -68,7 +68,7 @@ def test_astar_memory_limit():
 
 def solve_with_peak_registry(monkeypatch, solve):
     """``solve()`` and the largest number of nodes its registries held,
-    counting each entry of the CABS tables of propagation outcomes as one.
+    counting each entry of the CABS tables of propagated stores as one.
 
     Sampled after each registration and at each limit check: a pruned pop
     grows a table without registering anything.
