@@ -46,6 +46,7 @@ PROBLEMS = {
     "rcpsp": Problem(rcpsp, rcpsp.RcpspModel, rcpsp.RcpspAdapter, rcpsp.ordering_optimum),
     "tsptw": Problem(tsptw, tsptw.TsptwModel, tsptw.TsptwAdapter, tsptw.exact_optimum),
 }
+SOLVERS = {"astar": astar, "cabs": cabs}
 ORACLE_CAP = 10  # largest n the exhaustive oracles accept
 
 CSV_COLUMNS = [
@@ -97,7 +98,8 @@ def _limits_from(time_limit, mem_limit_mb, expansion_cap) -> SolveLimits:
     memory_limit = None
     if mem_limit_mb is not None:
         limit_bytes = mem_limit_mb * 1024 * 1024
-        if not 0 < limit_bytes < math.inf:
+        # SolveLimits sees only the bytes, so it cannot reject a boolean.
+        if isinstance(mem_limit_mb, bool) or not 0 < limit_bytes < math.inf:
             raise ValueError(
                 f"memory limit must be positive and finite, got {mem_limit_mb} MB"
             )
@@ -113,9 +115,8 @@ def _solve_verified(model, adapter, algo: str, propagation: str, limits: SolveLi
 
     A replay that disagrees is a solver bug and raises ``RuntimeError``.
     """
-    solver = astar if algo == "astar" else cabs
     started = time.perf_counter()
-    result = solver(model, adapter, limits, PropagationMode(propagation))
+    result = SOLVERS[algo](model, adapter, limits, PropagationMode(propagation))
     wall = time.perf_counter() - started
     if result.incumbent is not None:
         cost, labels = result.incumbent
@@ -192,11 +193,15 @@ def _bench_row(row: dict) -> dict:
     out["algo"] = str(row.get("algo", "cabs"))
     out["propagation"] = str(row.get("propagation", "once"))
     try:
-        if out["algo"] not in ("astar", "cabs"):
+        if out["algo"] not in SOLVERS:
             raise UnknownFormat(f"unknown algorithm {out['algo']}")
         if out["propagation"] not in {m.value for m in PropagationMode}:
             raise UnknownFormat(f"unknown propagation mode {out['propagation']}")
-        model, adapter = _build(row["problem"], row["instance"])
+        try:
+            path, kind = row["instance"], row["problem"]
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from exc
+        model, adapter = _build(kind, path)
         limits = _limits_from(
             row.get("time_limit"), row.get("mem_limit_mb"), row.get("expansion_cap")
         )
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", parents=[], help="solve one instance")
     solve.add_argument("instance")
     solve.add_argument("--problem", choices=tuple(PROBLEMS), required=True)
-    solve.add_argument("--algo", choices=("astar", "cabs"), default="cabs")
+    solve.add_argument("--algo", choices=tuple(SOLVERS), default="cabs")
     solve.add_argument(
         "--propagation", choices=[m.value for m in PropagationMode], default="once"
     )

@@ -123,7 +123,8 @@ class SolveLimits:
 
     ``memory_limit`` is in bytes and is enforced against a fixed per-node
     estimate of solver bookkeeping, not real process memory.  An
-    ``expansion_cap`` of 0 is allowed and forbids any expansion.
+    ``expansion_cap`` of 0 is allowed and forbids any expansion.  No limit
+    may be a boolean, and ``expansion_cap`` must be an ``int``.
     """
 
     time_limit: Optional[float] = None
@@ -131,13 +132,18 @@ class SolveLimits:
     expansion_cap: Optional[int] = None
 
     def __post_init__(self):
+        # ``bool`` subclasses ``int``, so the comparisons below would accept it.
+        for name, value in vars(self).items():
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value}")
         # ``not x > 0`` also rejects NaN, which no elapsed time would reach.
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
         if self.memory_limit is not None and not self.memory_limit > 0:
             raise ValueError("memory_limit must be positive")
-        if self.expansion_cap is not None and self.expansion_cap < 0:
-            raise ValueError("expansion_cap must be >= 0")
+        cap = self.expansion_cap
+        if cap is not None and not (isinstance(cap, int) and cap >= 0):
+            raise ValueError(f"expansion_cap must be an integer >= 0, got {cap!r}")
 
 
 @dataclass

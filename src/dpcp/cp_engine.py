@@ -5,7 +5,8 @@ kept as two bound lists and a bit mask of live variables, and a handful
 of stateless propagator descriptors, which an adapter may build once and
 post on every store:
 
-* ``Disjunctive`` -- non-overlapping jobs, filtered by edge-finding,
+* ``Disjunctive`` -- non-overlapping jobs, filtered by an overload check
+  and edge-finding on earliest starts,
 * ``Cumulative``  -- capacity-limited tasks, filtered by time-table
   reasoning over compulsory parts,
 * ``PrecedenceLe`` -- an ordered list of ``start_i + offset <= start_j``
@@ -155,11 +156,8 @@ class Disjunctive:
 
     Jobs of duration zero impose nothing and are skipped, and so are jobs
     whose variable is not in ``store.live``.  One application runs the
-    overload check, a lower-bound lifting pass, and the same pass on the
-    time-reversed jobs for upper bounds, all from the entry bounds.  When
-    every job has the same est, the reversed jobs all have the same lct:
-    their one window holds every job, so that pass could only repeat the
-    overload test of the first, and it is skipped.
+    overload check and one pass lifting earliest starts, both from the
+    entry bounds; latest starts are read, never written.
     """
 
     def __init__(self, items: Iterable[Tuple[int, int]]):
@@ -179,19 +177,8 @@ class Disjunctive:
         if lifts is None:
             store.mark_infeasible()
             return
-        drops = {}
-        if _common_est(jobs) is None:
-            drops = _edge_find_lower([(-lct, p, -est, v) for est, p, lct, v in jobs])
-            if drops is None:
-                store.mark_infeasible()
-                return
         for v, new_est in lifts.items():
             store.set_lb(v, new_est)
-            if store.infeasible:
-                return
-        durations = {v: p for _est, p, _lct, v in jobs} if drops else {}
-        for v, new_mirror_est in drops.items():
-            store.set_ub(v, -new_mirror_est - durations[v])
             if store.infeasible:
                 return
 
@@ -384,8 +371,6 @@ class Cumulative:
                 segments.append((a, b, height))
                 if height > top:
                     top = height
-        if not segments:
-            return
         # Each bound is written as soon as it is known; the sweeps only
         # raise lb and lower ub, and an unmoved bound is not written.  A
         # task that fits on top of the highest segment cannot be moved.

@@ -474,6 +474,43 @@ def test_bench_rows_with_non_string_algo_or_mode_are_errors(tmp_path):
     assert len(summaries) == 4
 
 
+def test_bench_rows_missing_instance_or_problem_name_the_field(tmp_path):
+    inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
+    manifest = [
+        {"problem": "smswt"},
+        {"instance": str(inst)},
+        {"instance": str(inst), "problem": "smswt"},
+    ]
+    mpath = write_json(tmp_path / "manifest.json", manifest)
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 0
+    rows = [r for r in csv.DictReader(out.read_text().splitlines())
+            if r["instance"] != "[summary]"]
+    assert [r["status"] for r in rows] == ["Error", "Error", "Optimal"]
+    assert [r["error"] for r in rows] == [
+        "missing field 'instance'", "missing field 'problem'", ""
+    ]
+
+
+def test_bench_rejects_boolean_limits_and_fractional_expansion_cap(tmp_path):
+    inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
+    limits = [
+        ("time_limit", True), ("mem_limit_mb", True), ("expansion_cap", True),
+        ("expansion_cap", 1.5),
+    ]
+    manifest = [{"instance": str(inst), "problem": "smswt", key: value}
+                for key, value in limits]
+    mpath = write_json(tmp_path / "manifest.json", manifest)
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 0
+    rows = [r for r in csv.DictReader(out.read_text().splitlines())
+            if r["instance"] != "[summary]"]
+    assert [r["status"] for r in rows] == ["Error"] * len(limits)
+    assert all(r["expansions"] == "" for r in rows)
+    assert "time_limit" in rows[0]["error"] and "memory limit" in rows[1]["error"]
+    assert all("expansion_cap" in r["error"] for r in rows[2:])
+
+
 @pytest.mark.parametrize("manifest", [{"foo": 1}, [1, 2]])
 def test_bench_malformed_manifest(tmp_path, capsys, manifest):
     mpath = write_json(tmp_path / "manifest.json", manifest)

@@ -7,6 +7,7 @@ from dpcp import (
     INFINITY,
     InvalidTransition,
     NotBase,
+    SolveLimits,
     astar,
     brute_force_value,
     enumerate_state_values,
@@ -101,3 +102,16 @@ def test_replay_matches_reported_cost():
         if result.incumbent is not None:
             cost, labels = result.incumbent
             assert evaluate_solution(model, labels) == cost
+
+
+@pytest.mark.parametrize("name", ["time_limit", "memory_limit", "expansion_cap"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_limits_reject_booleans(name, flag):
+    with pytest.raises(ValueError, match=name):
+        SolveLimits(**{name: flag})
+
+
+@pytest.mark.parametrize("cap", [1.5, 2.0, "3"])
+def test_expansion_cap_must_be_an_integer(cap):
+    with pytest.raises(ValueError, match="expansion_cap"):
+        SolveLimits(expansion_cap=cap)
