@@ -201,6 +201,9 @@ def _bench_row(row: dict) -> dict:
             path, kind = row["instance"], row["problem"]
         except KeyError as exc:
             raise ValueError(f"missing field {exc}") from exc
+        # ``open`` would take an integer as a file descriptor.
+        if not isinstance(path, str):
+            raise ValueError(f"instance must be a path string, got {path!r}")
         model, adapter = _build(kind, path)
         limits = _limits_from(
             row.get("time_limit"), row.get("mem_limit_mb"), row.get("expansion_cap")

@@ -92,8 +92,14 @@ class DpModel(ABC):
         """
 
     @abstractmethod
-    def dual(self, state) -> Cost:
-        """Admissible lower bound on the optimal remaining cost."""
+    def dual(self, state, floor: Optional[Sequence[int]] = None) -> Cost:
+        """Admissible lower bound on the optimal remaining cost.
+
+        ``floor``, if given, is a propagated store's ``lbs``: a valid
+        earliest start per variable, by the model's own ids.  A model may
+        raise each pending variable's earliest start to ``floor[i]`` or
+        ignore the floor; a floor never weakens the bound.
+        """
 
     @abstractmethod
     def state_signature(self, state) -> Hashable:

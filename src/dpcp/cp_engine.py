@@ -458,15 +458,16 @@ class PropagationAdapter(ABC):
     nothing, and the pop still prunes on ``f``, which holds the model
     dual: an adapter whose bound is all there returns 0.  Where the model
     bounds a state over one earliest start per pending task (SMS, RCPSP),
-    ``dual_cp`` is that bound over the store's lower bounds.
+    ``dual_cp`` is the model's ``dual`` floored by the store's lower
+    bounds.
 
-    The search calls ``dual_cp`` only on a feasible store, so an adapter
-    need not guard an empty domain.  It calls it for a popped state under
-    its own propagated store, then, in generation order and under that
-    same store, for each successor that the store does not veto and that
-    neither the registry nor the model dual has rejected: the parent's
-    domains remain valid for every successor, which is what makes the
-    per-successor bound sound.
+    A store is laid out over the model's variables: ``lbs[i]`` bounds the
+    variable of the model's job, task or location ``i``.  The search
+    passes a popped state's ``lbs`` as the floor of each surviving
+    successor's model ``dual``, as the parent's domains remain valid for
+    every successor; so ``dual_cp`` bounds popped states only, each under
+    its own store.  The search calls it only on a feasible store, so an
+    adapter need not guard an empty domain.
 
     ``build`` returns the propagators together with the store.  Where they
     do not depend on the state, an adapter builds them once, over all of
@@ -491,8 +492,8 @@ class PropagationAdapter(ABC):
 
     @abstractmethod
     def dual_cp(self, state, store: DomainStore) -> Cost:
-        """Lower bound on remaining cost of ``state`` under ``store``,
-        which is feasible."""
+        """Lower bound on remaining cost of a popped ``state`` under its
+        own propagated ``store``, which is feasible."""
 
     @abstractmethod
     def is_succ_infeasible(self, label, succ, store: DomainStore) -> bool:

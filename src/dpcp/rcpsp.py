@@ -15,11 +15,11 @@ tasks still running at its clock, and its makespan estimate.  So the
 successor rule, dominance, the dual bound and the CP build read those
 fields instead of rescanning all n starts.
 
-The dual bound (``RcpspModel.bound``) is a makespan floor over one
+The dual bound (``RcpspModel.dual``) is a makespan floor over one
 earliest start per pending task, converted to remaining cost by
 subtracting the state's estimate, floored at 0.  ``off`` and the
-propagating modes use the same function: the model dual starts every
-pending task at the clock, the CP dual at its propagated lower bound.
+propagating modes use the same function, the latter with a propagated
+store's lower bounds as the floor of each pending task's earliest start.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class RcpspModel(DpModel):
     running tasks, left-shift pruning drops a candidate that another
     candidate finishes before, ``dominates`` compares states of equal
     signature by their clocks and the dominator's running tasks, and
-    ``bound`` takes precomputed tails and energies over the pending tasks.
+    ``dual`` takes precomputed tails and energies over the pending tasks.
     """
 
     def __init__(self, instance: RcpspInstance):
@@ -327,15 +327,11 @@ class RcpspModel(DpModel):
                 return False
         return True
 
-    def dual(self, state: RcpspState) -> Cost:
-        """``bound`` with every pending task's earliest start the clock."""
-        return self.bound(state, self._zeros)
-
-    def bound(self, state: RcpspState, floor: Sequence[int]) -> Cost:
+    def dual(self, state: RcpspState, floor: Optional[Sequence[int]] = None) -> Cost:
         """Lower bound on the remaining makespan of ``state``, each pending
-        task ``i`` starting no earlier than ``est = max(floor[i], time)``:
-        starts never decrease along a path, so this holds also when
-        ``floor`` is the store of a successor's parent.
+        task ``i`` starting no earlier than ``est = max(floor[i], time)``,
+        the clock without a floor: starts never decrease along a path, so
+        this holds also when ``floor`` is the store of a successor's parent.
 
         The makespan is at least ``est + tail`` of each pending task, whose
         successors are all pending, and, per resource of capacity ``C``,
@@ -348,7 +344,7 @@ class RcpspModel(DpModel):
         tails = self._tails
         latest = 0
         pending = []
-        for i, lb in enumerate(floor):
+        for i, lb in enumerate(floor or self._zeros):
             if not scheduled >> i & 1:
                 est = lb if lb > time else time
                 if est + tails[i] > latest:
@@ -404,10 +400,9 @@ class RcpspAdapter(PropagationAdapter):
         return DomainStore(lbs, ubs, live), self._props
 
     def dual_cp(self, state: RcpspState, store: DomainStore) -> Cost:
-        """The model's ``bound`` with each pending task's earliest start its
-        propagated lower bound, or the state's clock if that is later (a
-        successor is bounded under its parent's store)."""
-        return self.model.bound(state, store.lbs)
+        """The model's ``dual`` of a popped state, floored by the lower
+        bounds of its own propagated store."""
+        return self.model.dual(state, store.lbs)
 
     def is_succ_infeasible(self, label: int, succ: RcpspState, store: DomainStore) -> bool:
         return not store.contains(label, succ.starts[label])

@@ -6,23 +6,20 @@ Each generated successor is admitted in this order, cheapest test first:
 
 1. its path cost ``g`` and state signature are computed;
 2. it is dropped if a registered node dominates it at no larger ``g``;
-3. otherwise its bound ``f`` is ``g`` plus the larger of the model dual
-   and the CP dual bound; the CP dual is computed only when propagation
-   is on and ``g`` plus the model dual does not exceed the incumbent (so
-   the CP dual cannot rescue a child the model dual already rejects);
+3. otherwise its bound ``f`` is ``g`` plus the model dual, one call per
+   child; with propagation on, the dual's floor is the parent's
+   propagated lower bounds, which remain valid for every successor;
 4. only if ``f <= primal`` and ``f`` is finite is its search node
    created, the registered nodes it dominates evicted (marked stale), and
-   the node stored: a bound of ``INFINITY``, from either dual, proves that
-   the child has no completion, so it is declined also while there is no
-   incumbent.
+   the node stored: a bound of ``INFINITY`` proves that the child has no
+   completion, so it is declined also while there is no incumbent.
 
 Every mode prunes a popped state when the larger of its ``f`` and ``g``
 plus its CP dual reaches the incumbent; ``off`` has no CP term.  With
 propagation on, the state's CP model is built and propagated once (or to a
 fixed point), an infeasible store prunes it outright, and surviving
-successors are filtered individually.  The CP dual of a successor is
-evaluated under the parent's propagated domains, which remain valid for
-every successor.
+successors are filtered individually.  The adapter's ``dual_cp`` bounds
+popped states only.
 
 CABS restarts duplicate detection with each pass, but a popped state's
 propagated store carries over one pass: a state popped again in this pass
@@ -252,20 +249,14 @@ class _SolveContext:
         if expanded is None:
             return []
         succs, store = expanded
-        adapter, counter = self.adapter, self.counter
+        counter = self.counter
+        floor = None if store is None else store.lbs
         # A bound of INFINITY proves that a child has no completion, so it
         # is declined also while the incumbent is INFINITY.
         limit = min(self.primal, MAX_COST)
 
         def bounded(g, label, state):
-            h = model.dual(state)
-            if add(g, h) > limit:
-                return None
-            if store is not None:
-                h_cp = adapter.dual_cp(state, store)
-                if h_cp > h:
-                    h = h_cp
-            f = add(g, h)
+            f = add(g, model.dual(state, floor))
             if f > limit:
                 return None
             return SearchNode(state, g, f, parent=node, label=label, seq=next(counter))
@@ -288,11 +279,11 @@ class _SolveContext:
         ``store`` is None.  Otherwise the node's CP model is built and
         propagated (an infeasible store gives an infinite CP dual), each
         successor the store vetoes is dropped, and ``store`` holds the
-        node's propagated domains, for each successor's CP dual.  Counts
-        the expansion only when the model's successor enumeration runs; a
-        pop pruned by its store and each vetoed successor count toward
-        ``pruned_by_cp`` instead, and a pop pruned on its ``f`` toward
-        ``pruned_by_f``.
+        node's propagated domains, the floor of each successor's dual.
+        Counts the expansion only when the model's successor enumeration
+        runs; a pop pruned by its store and each vetoed successor count
+        toward ``pruned_by_cp`` instead, and a pop pruned on its ``f``
+        toward ``pruned_by_f``.
 
         In CABS, each propagating pop keeps its state's propagated store,
         infeasible or not, whatever it decided.  ``build`` is deterministic

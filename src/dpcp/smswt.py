@@ -10,9 +10,10 @@ started now.  As a DIDP state constraint would, ``successors`` drops each
 child that is a dead end by that rule, so only the target state, or a
 state built by hand, is ever found dead when it is expanded.
 
-The dual bound (``SmsModel.bound``) is the larger of two lower bounds on
+The dual bound (``SmsModel.dual``) is the larger of two lower bounds on
 the pending jobs' weighted tardiness, each over one earliest start per
-job.  The separable sum charges each job as if it started at its own
+job: ``max(r, t)``, or a propagated store's lower bound if that is
+later.  The separable sum charges each job as if it started at its own
 earliest start.  The queue term sees the one machine: weighted tardiness
 is at least weighted lateness, and with every release relaxed to the
 smallest earliest start ``t0`` the jobs' ``sum w*C`` is at least that of
@@ -26,8 +27,8 @@ cost plus the bound stays within the ceiling the model checks.
 
 The propagation side has one start variable per job, live over its
 window while the job is pending, and a single non-overlap constraint over
-all jobs, built once per adapter; its dual bound is the same function
-over the propagated earliest starts.
+all jobs, built once per adapter; its store's lower bounds are the
+floor of ``dual``.
 """
 
 from __future__ import annotations
@@ -108,10 +109,10 @@ class SmsModel(DpModel):
         order = sorted(
             enumerate(jobs), key=cmp_to_key(lambda a, b: a[1].p * b[1].w - b[1].p * a[1].w)
         )
-        # ``bound`` reads one row per job in that order:
-        # ``(bit, i, w, p, p - d, w * d, w * (deadline - d))``.
+        # ``dual`` reads one row per job in that order:
+        # ``(bit, i, r, w, p, p - d, w * d, w * (deadline - d))``.
         self.wspt_rows = tuple(
-            (1 << i, i, j.w, j.p, j.p - j.d, j.w * j.d, j.w * (j.deadline - j.d))
+            (1 << i, i, j.r, j.w, j.p, j.p - j.d, j.w * j.d, j.w * (j.deadline - j.d))
             for i, j in order
         )
         # The clock, each finish and each live start bound end by the latest
@@ -169,14 +170,10 @@ class SmsModel(DpModel):
     def dominates(self, a: SmsState, b: SmsState) -> bool:
         return a.time <= b.time
 
-    def dual(self, state: SmsState) -> Cost:
-        """``bound`` with each pending job's earliest start ``max(r, t)``."""
-        return self.bound(state, self.releases)
-
-    def bound(self, state: SmsState, floor) -> Cost:
+    def dual(self, state: SmsState, floor=None) -> Cost:
         """Lower bound on the weighted tardiness of the pending jobs of
-        ``state``, each starting no earlier than ``max(floor[i], t)`` at
-        the state's clock ``t``.
+        ``state``, each starting no earlier than ``max(r, t)`` at the
+        state's clock ``t``, nor before ``floor[i]`` if a floor is given.
 
         The larger of the separable sum, each job started at its own
         earliest start, and the queue term, ``WSPT(t0) - sum w*d`` with
@@ -187,12 +184,15 @@ class SmsModel(DpModel):
         including its own.
         """
         mask, t = state
+        floor = self.releases if floor is None else floor
         separable = weight = done = queue = room = 0
         t0 = INFINITY
         for row in self.wspt_rows:
             if mask & row[0]:
-                _bit, i, w, p, slack, wd, wroom = row
+                _bit, i, r, w, p, slack, wd, wroom = row
                 est = floor[i]
+                if est < r:
+                    est = r
                 if est < t:
                     est = t
                 if est < t0:
@@ -250,10 +250,9 @@ class SmsAdapter(PropagationAdapter):
         return DomainStore(lbs, ubs, state.unscheduled), self._props
 
     def dual_cp(self, state: SmsState, store: DomainStore) -> Cost:
-        """The model's ``bound`` with each pending job's earliest start its
-        propagated lower bound, or the state's clock if that is later (a
-        successor is bounded under its parent's store)."""
-        return self.model.bound(state, store.lbs)
+        """The model's ``dual`` of a popped state, floored by the lower
+        bounds of its own propagated store."""
+        return self.model.dual(state, store.lbs)
 
     def is_succ_infeasible(self, label: int, succ: SmsState, store: DomainStore) -> bool:
         # The job finishes at the successor's clock; the transition dies

@@ -189,9 +189,10 @@ class TsptwModel(DpModel):
     def dominates(self, a: TsptwState, b: TsptwState) -> bool:
         return a.time <= b.time
 
-    def dual(self, state: TsptwState) -> Cost:
+    def dual(self, state: TsptwState, floor=None) -> Cost:
         """Cheapest-arc relaxation: every remaining location must still be
-        entered once and left once in time.
+        entered once and left once in time.  The floor is ignored: each
+        location's earliest leave is read from the state alone.
 
         Over ``M``, the unvisited set plus the current location, that is
         the larger of ``min_to[0] + S_to(M) - min_to[location]`` and the

@@ -252,7 +252,7 @@ def test_criterion_9_envelope_matches_subset_brute_force():
             )
             model = rcpsp.RcpspModel(inst)
             root = model.target_state()
-            got = root.estimate + model.bound(root, [lb for lb, _p, _u in tasks])
+            got = root.estimate + model.dual(root, [lb for lb, _p, _u in tasks])
             envelope = brute_force_envelope(tasks, cap)
             tails = max(lb + p for lb, p, _u in tasks)
             assert got == max(envelope, tails), (tasks, cap)

@@ -3,7 +3,8 @@ successor state, the RCPSP CP dual equals its tails and envelopes over
 the propagated earliest starts taken separately, the SMS CP dual equals
 its bound written out from the definition in any call order, an adapter
 that declares ``reads_primal = False`` builds and propagates the same
-store under every primal, and the SMS and
+store under every primal, a model's dual never falls as its floor rises
+and stays admissible under a parent's store, and the SMS and
 RCPSP propagators, built once and told by the store's ``live`` mask which
 variables to skip, propagate as the per-state ones built over the live
 variables alone would.
@@ -194,7 +195,8 @@ def test_rcpsp_veto_matches_transition_reference():
 def test_rcpsp_dual_cp_matches_reference():
     # After any single pass or fixed point, with and without an incumbent
     # cap, dual_cp equals the reference bound, also for successors
-    # evaluated under their parent's store, as the search does.
+    # evaluated under their parent's store, the floor the search bounds
+    # them with.
     checked = 0
     for _inst, model in rcpsp_cases(109, 30):
         adapter = rcpsp.RcpspAdapter(model)
@@ -221,10 +223,11 @@ def raise_one_lower_bound(store, ids):
 
 
 def assert_sibling_sums_fresh(model, adapter, reference, term_ids, seed):
-    """``dual_cp`` against a from-scratch reference: in the search's order (the
-    parent, then each successor it does not veto, under the parent's
-    store), shuffled among the previous store's calls, and again after a
-    lower bound moves."""
+    """``dual_cp`` against a from-scratch reference: on the parent, then on
+    each successor it does not veto, under the parent's store (the bound
+    the search gives a successor, ``model.dual`` over that store's lower
+    bounds, is the same call), shuffled among the previous store's calls,
+    and again after a lower bound moves."""
     rng = random.Random(seed)
     checked = lifted = 0
     previous = []
@@ -284,6 +287,58 @@ ADAPTERS = {
     ),
     "rcpsp": (lambda rng: rcpsp.RcpspModel(random_rcpsp_instance(rng, 7)), rcpsp.RcpspAdapter),
 }
+
+
+@pytest.mark.parametrize("family", sorted(ADAPTERS))
+def test_dual_floor_contract(family):
+    """``model.dual(state, floor)``, the one bound the search gives a child.
+
+    SMS and RCPSP: an all-zero floor gives ``dual(state)``, and raising
+    any ``floor[i]`` never lowers the bound.  TSPTW ignores the floor.
+    Every model: with a popped state's propagated store as the floor, each
+    successor the store does not veto, and the state itself, is bounded at
+    or below its exhaustive value (n <= 7).
+    """
+    draw, make_adapter = ADAPTERS[family]
+    rng = random.Random(f"floor:{family}")
+    monotone = raised = admissible = 0
+    for _ in range(25):
+        model = draw(rng)
+        adapter = make_adapter(model)
+        n = model.instance.n
+        values = enumerate_state_values(model)
+        states = [s for s in values if not model.is_base(s)]
+        for state in rng.sample(states, min(10, len(states))):
+            plain = model.dual(state)
+            assert model.dual(state, [0] * n) == plain, state
+            floor = [rng.randint(0, 40) for _ in range(n)]
+            for _ in range(4):
+                before = model.dual(state, floor)
+                floor[rng.randrange(n)] += rng.randint(1, 15)
+                after = model.dual(state, floor)
+                if family == "tsptw":
+                    assert before == after == plain, (state, floor)
+                else:
+                    assert plain <= before <= after, (state, floor)
+                    raised += after > before
+                monotone += 1
+            for propagate in MODES:
+                store, props = adapter.build(state)
+                if not store.infeasible:
+                    propagate(store, props)
+                if store.infeasible:
+                    continue
+                family_states = [state] + [
+                    succ
+                    for _w, label, succ in model.successors(state)
+                    if not adapter.is_succ_infeasible(label, succ, store)
+                ]
+                for bounded in family_states:
+                    assert model.dual(bounded, store.lbs) <= values[bounded], (state, bounded)
+                    admissible += 1
+    assert monotone > 500 and admissible > 400, (monotone, admissible)
+    # A raised floor moves the SMS and RCPSP bounds often enough to test.
+    assert family == "tsptw" or raised > 150, raised
 
 
 @pytest.mark.parametrize(

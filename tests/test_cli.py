@@ -492,6 +492,29 @@ def test_bench_rows_missing_instance_or_problem_name_the_field(tmp_path):
     ]
 
 
+def test_bench_rows_whose_instance_is_not_a_string_are_errors(tmp_path, capsys):
+    # ``open`` takes an integer, and a boolean, as a file descriptor: 0
+    # would read standard input and 1 would close standard output, so the
+    # rows below must fail before any file is opened, and the bench must
+    # still print every row.
+    inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
+    manifest = [
+        {"instance": 0, "problem": "smswt"},
+        {"instance": True, "problem": "smswt"},
+        {"instance": str(inst), "problem": "smswt"},
+    ]
+    mpath = write_json(tmp_path / "manifest.json", manifest)
+    assert main(["bench", str(mpath)]) == 0
+    rows = [r for r in csv.DictReader(capsys.readouterr().out.splitlines())
+            if r["instance"] != "[summary]"]
+    assert [r["status"] for r in rows] == ["Error", "Error", "Optimal"]
+    assert [r["error"] for r in rows] == [
+        "instance must be a path string, got 0",
+        "instance must be a path string, got True",
+        "",
+    ]
+
+
 def test_bench_rejects_boolean_limits_and_fractional_expansion_cap(tmp_path):
     inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
     limits = [

@@ -166,7 +166,7 @@ def brute_force_envelope(tasks, capacity):
 
 
 def brute_force_bound(inst, state, floor):
-    """``RcpspModel.bound`` from its definition: each pending task starts
+    """``RcpspModel.dual`` from its definition: each pending task starts
     no earlier than its floor and the clock; tails come from their own
     recursion, and each envelope is taken over every non-empty set of
     pending tasks."""
@@ -204,7 +204,7 @@ def test_bound_matches_brute_force():
                 for _ in range(n)
             ]
             want = brute_force_bound(inst, state, floor)
-            assert model.bound(state, floor) == want, (inst.to_json(), starts, time, floor)
+            assert model.dual(state, floor) == want, (inst.to_json(), starts, time, floor)
             checked += 1
             positive += want > 0
     assert checked == 2000 and positive > 1000, (checked, positive)

@@ -456,13 +456,15 @@ def pinned_runs():
 
 
 def test_pinned_search_counts(monkeypatch):
-    """Exact counts on the pinned runs, and ``model.dual`` and ``dual_cp``
-    run for a child only once the registry's dominance test let it through.
+    """Exact counts on the pinned runs; ``model.dual`` runs for a child
+    only once the registry's dominance test let it through, and at most
+    once, and ``dual_cp`` runs for popped states only.
 
     The dominance test is recounted here from the registry's buckets.  A
     ``dual_cp`` call is a child's unless its state is the one that first
     used its store (the expanded state's own bound, asked again when CABS
-    reuses the store); roots are registered and bounded once.
+    reuses the store); roots are registered and bounded once.  The model
+    duals that ``dual_cp`` makes itself are not counted.
     """
     assert {k[3] for k in PINNED_COUNTS} == {m.value for m in ALL_MODES}
     original = Registry.register
@@ -470,6 +472,7 @@ def test_pinned_search_counts(monkeypatch):
     for key, model, adapter in pinned_runs():
         counts = {"offered": 0, "passed": 0, "dual": 0, "dual_cp": 0}
         stores = {}
+        in_dual_cp = []
 
         def register(reg, model, state, g, *args, **kwargs):
             counts["offered"] += 1
@@ -478,16 +481,21 @@ def test_pinned_search_counts(monkeypatch):
                 counts["passed"] += 1
             return original(reg, model, state, g, *args, **kwargs)
 
-        def dual(state, inner=model.dual):
-            counts["dual"] += 1
-            return inner(state)
+        def dual(state, floor=None, inner=model.dual):
+            if not in_dual_cp:
+                counts["dual"] += 1
+            return inner(state, floor)
 
         def dual_cp(state, store, inner=adapter and adapter.dual_cp):
             # The store is held, so that no id is reused.
             owner = stores.setdefault(id(store), (store, state))[1]
             if state != owner:
                 counts["dual_cp"] += 1
-            return inner(state, store)
+            in_dual_cp.append(state)
+            try:
+                return inner(state, store)
+            finally:
+                in_dual_cp.pop()
 
         monkeypatch.setattr(Registry, "register", register)
         model.dual = dual
@@ -502,15 +510,16 @@ def test_pinned_search_counts(monkeypatch):
         )
         assert got == PINNED_COUNTS[key], key
         assert counts["dual"] <= counts["passed"], (key, counts)
-        assert counts["dual_cp"] <= counts["passed"], (key, counts)
+        assert counts["dual_cp"] == 0, (key, counts)
         rejected_somewhere |= counts["passed"] < counts["offered"]
     # The registry rejected children on these runs, so the check has teeth.
     assert rejected_somewhere
 
 
 class AddsNothing(PropagationAdapter):
-    """An adapter whose propagation adds nothing: an unconstrained store,
-    no propagators, a CP dual of 0 and no veto."""
+    """An adapter whose propagation adds nothing: a store whose lower
+    bounds are a floor of zeros over the model's variables, no
+    propagators, a CP dual of 0 and no veto."""
 
     reads_primal = False
 
@@ -518,7 +527,8 @@ class AddsNothing(PropagationAdapter):
         self.model = model
 
     def build(self, state, primal=INFINITY):
-        return DomainStore([], []), []
+        n = self.model.instance.n
+        return DomainStore([0] * n, [0] * n), []
 
     def dual_cp(self, state, store):
         return 0
@@ -559,17 +569,21 @@ class DeadChildren(smswt.SmsModel):
         super().__init__(instance)
         self.dead_by_dual = dead_by_dual
 
-    def dual(self, state):
+    def dual(self, state, floor=None):
         if self.dead_by_dual and state != self.target_state():
             return INFINITY
-        return super().dual(state)
+        return super().dual(state, floor)
 
 
 class DeadChildrenCp(AddsNothing):
-    """``AddsNothing`` whose CP dual proves every child a dead end."""
+    """``AddsNothing`` whose store's earliest starts pass every deadline,
+    so that the model dual over that floor proves every child a dead
+    end; its CP dual of 0 lets the target be expanded."""
 
-    def dual_cp(self, state, store):
-        return 0 if state == self.model.target_state() else INFINITY
+    def build(self, state, primal=INFINITY):
+        jobs = self.model.instance.jobs
+        late = [max(j.deadline for j in jobs) + 1] * len(jobs)
+        return DomainStore(late, list(late)), []
 
 
 @pytest.mark.parametrize("algo", [astar, cabs])
@@ -579,8 +593,10 @@ class DeadChildrenCp(AddsNothing):
      (PropagationMode.ONCE, "dual_cp")],
 )
 def test_child_with_infinite_bound_is_declined_without_incumbent(algo, mode, source):
-    # A child bounded by INFINITY, from either dual, is never stored, so
-    # the search ends after popping the root alone, before any incumbent.
+    # A child bounded by INFINITY, by the model dual alone or through the
+    # floor of its parent's store (the ``dual_cp`` case, named for the CP
+    # side the floor comes from), is never stored, so the search ends
+    # after popping the root alone, before any incumbent.
     model = DeadChildren(two_job_model().instance, dead_by_dual=source == "dual")
     adapter = {"dual": AddsNothing, "dual_cp": DeadChildrenCp}[source](model)
     result = algo(model, None if mode is PropagationMode.OFF else adapter, mode=mode)
@@ -684,8 +700,8 @@ def test_successor_bounds_admissible_under_parent_store():
 
     Each non-base enumerated state's store is built without an incumbent
     cap and propagated once, and separately to a fixed point; every
-    successor the store does not veto must have ``max(model dual, CP dual
-    under that store)`` at most its exact value.
+    successor the store does not veto must have its model dual, floored
+    by the store's lower bounds, at most its exact value.
     """
     rng = random.Random(31)
     kinds = {
@@ -714,7 +730,7 @@ def test_successor_bounds_admissible_under_parent_store():
                     for _w, label, succ in model.successors(state):
                         if adapter.is_succ_infeasible(label, succ, store):
                             continue
-                        bound = max(model.dual(succ), adapter.dual_cp(succ, store))
+                        bound = model.dual(succ, store.lbs)
                         assert bound <= values[succ], (kind, state, label)
                         checked += 1
         assert checked > 0, kind
