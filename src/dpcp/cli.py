@@ -93,6 +93,11 @@ def _build(kind: str, path: str):
 
 
 def _limits_from(time_limit, mem_limit_mb, expansion_cap) -> SolveLimits:
+    # A manifest row may hold any JSON value here; a boolean passes this
+    # test and is rejected below or by SolveLimits.
+    for name, value in (("time_limit", time_limit), ("mem_limit_mb", mem_limit_mb)):
+        if value is not None and not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
     if time_limit is not None and math.isinf(time_limit):
         raise ValueError(f"time_limit must be finite, got {time_limit}")
     memory_limit = None
@@ -204,6 +209,8 @@ def _bench_row(row: dict) -> dict:
         # ``open`` would take an integer as a file descriptor.
         if not isinstance(path, str):
             raise ValueError(f"instance must be a path string, got {path!r}")
+        if not isinstance(kind, str):
+            raise ValueError(f"problem must be a string, got {kind!r}")
         model, adapter = _build(kind, path)
         limits = _limits_from(
             row.get("time_limit"), row.get("mem_limit_mb"), row.get("expansion_cap")

@@ -443,6 +443,7 @@ def propagate_fixpoint(store: DomainStore, props: Sequence[Propagator]) -> Domai
 class PropagationAdapter(ABC):
     """Bridge from a DP model's states to a CP model over a domain store.
 
+    A model's adapter implements ``build`` and ``is_succ_infeasible``.
     ``build`` is deterministic for equal states and primal bounds.  The
     primal is passed in so that an adapter may cap the latest starts of
     pending tasks by it; the search reads infeasibility from
@@ -454,12 +455,10 @@ class PropagationAdapter(ABC):
     incumbent improves, and reuses one only under the same incumbent.  The
     path cost is not passed: the search prunes on the larger of the
     node's ``f`` and ``g`` plus ``dual_cp`` itself, so a cap on the
-    remaining cost would only repeat that test.  A ``dual_cp`` of 0 adds
-    nothing, and the pop still prunes on ``f``, which holds the model
-    dual: an adapter whose bound is all there returns 0.  Where the model
-    bounds a state over one earliest start per pending task (SMS, RCPSP),
-    ``dual_cp`` is the model's ``dual`` floored by the store's lower
-    bounds.
+    remaining cost would only repeat that test.  ``dual_cp`` defaults to
+    the model's ``dual`` floored by the store's lower bounds (SMS, RCPSP).
+    TSPTW's model ignores the floor, so its adapter returns 0: that adds
+    nothing, and the pop still prunes on ``f``, which holds the model dual.
 
     A store is laid out over the model's variables: ``lbs[i]`` bounds the
     variable of the model's job, task or location ``i``.  The search
@@ -485,15 +484,19 @@ class PropagationAdapter(ABC):
 
     reads_primal = True
 
+    def __init__(self, model):
+        self.model = model
+        self.instance = model.instance
+
     @abstractmethod
     def build(self, state, primal: Cost = INFINITY) -> Tuple[DomainStore, List[Propagator]]:
         """CP variables, domains, and propagators representing ``state``
         against the incumbent cost ``primal``."""
 
-    @abstractmethod
     def dual_cp(self, state, store: DomainStore) -> Cost:
         """Lower bound on remaining cost of a popped ``state`` under its
         own propagated ``store``, which is feasible."""
+        return self.model.dual(state, store.lbs)
 
     @abstractmethod
     def is_succ_infeasible(self, label, succ, store: DomainStore) -> bool:

@@ -371,11 +371,11 @@ class RcpspAdapter(PropagationAdapter):
     capacity propagator per resource over all of its users, which skips
     the finished tasks (the store's ``live`` mask holds the pending and
     running ones), and all precedence links.  The propagators are built
-    once."""
+    once.  ``dual_cp`` is the default, ``RcpspModel.dual`` floored by the
+    store's earliest starts."""
 
     def __init__(self, model: RcpspModel):
-        self.model = model
-        self.instance = model.instance
+        super().__init__(model)
         inst = self.instance
         tasks = inst.tasks
         self._durations = model._durations
@@ -398,11 +398,6 @@ class RcpspAdapter(PropagationAdapter):
         for j in state.running:
             live |= 1 << j
         return DomainStore(lbs, ubs, live), self._props
-
-    def dual_cp(self, state: RcpspState, store: DomainStore) -> Cost:
-        """The model's ``dual`` of a popped state, floored by the lower
-        bounds of its own propagated store."""
-        return self.model.dual(state, store.lbs)
 
     def is_succ_infeasible(self, label: int, succ: RcpspState, store: DomainStore) -> bool:
         return not store.contains(label, succ.starts[label])

@@ -66,15 +66,14 @@ class SearchNode:
     """Search node: state, path cost ``g``, bound ``f`` on the cost of any
     solution through it, and parent link."""
 
-    __slots__ = ("state", "g", "f", "parent", "label", "seq", "stale")
+    __slots__ = ("state", "g", "f", "parent", "label", "stale")
 
-    def __init__(self, state, g: Cost, f: Cost, parent=None, label=None, seq: int = 0):
+    def __init__(self, state, g: Cost, f: Cost, parent=None, label=None):
         self.state = state
         self.g = g
         self.f = f
         self.parent = parent
         self.label = label
-        self.seq = seq
         self.stale = False
 
     def path_labels(self) -> Tuple[int, ...]:
@@ -161,7 +160,6 @@ class _SolveContext:
         self.primal: Cost = INFINITY
         self.incumbent: Optional[SearchNode] = None
         self.best_dual: Optional[Cost] = None
-        self.counter = itertools.count()
         self.started = time.perf_counter()
         # CABS only: ``state -> store``, the propagated store (infeasible
         # ones included) of each state popped in the current pass and in
@@ -199,7 +197,7 @@ class _SolveContext:
         model = self.model
         target = model.target_state()
         g0 = model.root_cost()
-        root = SearchNode(target, g0, add(g0, model.dual(target)), seq=next(self.counter))
+        root = SearchNode(target, g0, add(g0, model.dual(target)))
         self.note_dual(root.f)
         registry.register(model, target, g0, lambda: root)
         return root
@@ -249,7 +247,6 @@ class _SolveContext:
         if expanded is None:
             return []
         succs, store = expanded
-        counter = self.counter
         floor = None if store is None else store.lbs
         # A bound of INFINITY proves that a child has no completion, so it
         # is declined also while the incumbent is INFINITY.
@@ -259,7 +256,7 @@ class _SolveContext:
             f = add(g, model.dual(state, floor))
             if f > limit:
                 return None
-            return SearchNode(state, g, f, parent=node, label=label, seq=next(counter))
+            return SearchNode(state, g, f, parent=node, label=label)
 
         admitted = []
         for weight, label, state in succs:
@@ -366,12 +363,13 @@ def astar(
     ctx = _SolveContext(model, adapter, limits or SolveLimits(), mode)
     registry = Registry()
     root = ctx.make_root(registry)
-    heap = [(root.f, -root.g, root.seq, root)]
+    tick = itertools.count()
+    heap = [(root.f, -root.g, next(tick), root)]
     while ctx.status is None:
         if not heap:
             ctx.status = ctx.exhausted()
             break
-        f, _neg_g, _seq, node = heappop(heap)
+        f, _neg_g, _tick, node = heappop(heap)
         if node.stale:
             ctx.metrics.stale_skips += 1
             continue
@@ -380,7 +378,7 @@ def astar(
             break
         ctx.note_dual(min(ctx.primal, f))
         for child in ctx.process(node, registry):
-            heappush(heap, (child.f, -child.g, child.seq, child))
+            heappush(heap, (child.f, -child.g, next(tick), child))
     return ctx.finish()
 
 
@@ -394,7 +392,7 @@ def cabs(
 
     Runs repeated layered beam passes at widths 1, 2, 4, and so on, each
     pass doubling the width of the one before; each layer keeps the
-    ``width`` best nodes by (f, larger g, insertion order).  The incumbent persists across
+    ``width`` best nodes by (f, larger g, creation order).  The incumbent persists across
     passes while duplicate detection restarts per pass.  Expansion counts
     accumulate across passes.  With propagation on, each popped state's
     propagated store carries over one pass: a state popped again reuses
@@ -451,7 +449,8 @@ def cabs(
                 candidates += ctx.process(node, registry)
                 if ctx.status is not None:
                     break
-            candidates.sort(key=lambda n: (n.f, -n.g, n.seq))
+            # Stable: ties keep the creation order of ``candidates``.
+            candidates.sort(key=lambda n: (n.f, -n.g))
             if len(candidates) > width:
                 cut_f = candidates[width].f
                 if min_cut_f is None or cut_f < min_cut_f:

@@ -221,14 +221,14 @@ class SmsAdapter(PropagationAdapter):
     A pending job's window is ``[max(r, t), deadline - p]`` at clock ``t``;
     ``build`` fills it from ``(r, deadline - p)`` pairs taken once here, and
     the veto reads the bound lists directly, as the label is a job id that
-    the model produced.
+    the model produced.  ``dual_cp`` is the default, ``SmsModel.dual``
+    floored by the store's earliest starts.
     """
 
     reads_primal = False
 
     def __init__(self, model: SmsModel):
-        self.model = model
-        self.instance = model.instance
+        super().__init__(model)
         jobs = self.instance.jobs
         self._windows = tuple((job.r, job.deadline - job.p) for job in jobs)
         self._durations = tuple(job.p for job in jobs)
@@ -248,11 +248,6 @@ class SmsAdapter(PropagationAdapter):
             ubs[i] = latest
             mask ^= low
         return DomainStore(lbs, ubs, state.unscheduled), self._props
-
-    def dual_cp(self, state: SmsState, store: DomainStore) -> Cost:
-        """The model's ``dual`` of a popped state, floored by the lower
-        bounds of its own propagated store."""
-        return self.model.dual(state, store.lbs)
 
     def is_succ_infeasible(self, label: int, succ: SmsState, store: DomainStore) -> bool:
         # The job finishes at the successor's clock; the transition dies

@@ -280,14 +280,11 @@ class TsptwAdapter(PropagationAdapter):
     durations and the bound are the model's (``TsptwModel.leave_costs``
     and ``dual``).  The durations depend on the state, so ``build`` makes
     its ``Disjunctive`` per call, over those locations alone, and the
-    store keeps the default ``live`` mask.
+    store keeps the default ``live`` mask.  The one adapter that
+    overrides ``dual_cp``: its store adds nothing to the model's bound.
     """
 
     reads_primal = False
-
-    def __init__(self, model: TsptwModel):
-        self.model = model
-        self.instance = model.instance
 
     def build(self, state: TsptwState, primal: Cost = INFINITY):
         windows, t = self.instance.windows, state.time
@@ -304,7 +301,9 @@ class TsptwAdapter(PropagationAdapter):
         return DomainStore(lbs, ubs), [Disjunctive(items)]
 
     def dual_cp(self, state: TsptwState, store: DomainStore) -> Cost:
-        # Nothing in the store moves the bound: it is all in the model dual.
+        """0: ``TsptwModel.dual`` ignores the floor, so under any store it
+        equals the admission bound that the node's ``f`` already holds, and
+        recomputing its leave costs at each pop would only cost time."""
         return 0
 
     def is_succ_infeasible(self, label: int, succ: TsptwState, store: DomainStore) -> bool:

@@ -7,7 +7,8 @@ store under every primal, a model's dual never falls as its floor rises
 and stays admissible under a parent's store, and the SMS and
 RCPSP propagators, built once and told by the store's ``live`` mask which
 variables to skip, propagate as the per-state ones built over the live
-variables alone would.
+variables alone would, and an adapter that supplies only ``build`` and
+the veto gets the model's floored dual as its ``dual_cp`` and solves.
 
 The reference functions below recompute each transition from the parent
 state, the way the vetoes did before they were handed the successor; the
@@ -28,6 +29,10 @@ from dpcp import (
     Disjunctive,
     DomainStore,
     PrecedenceLe,
+    PropagationAdapter,
+    PropagationMode,
+    SolveStatus,
+    cabs,
     enumerate_state_values,
     is_finite,
     propagate_fixpoint,
@@ -473,3 +478,73 @@ def test_rcpsp_masked_cumulative_matches_per_state_build():
         )
         tightened, infeasible = tightened + t, infeasible + i
     assert tightened > 4000 and infeasible > 10000, (tightened, infeasible)
+
+
+class MinimalSmsAdapter(PropagationAdapter):
+    """Only what a model must supply: the per-state reference build, and a
+    veto on the start the successor's clock implies."""
+
+    def build(self, state, primal=INFINITY):
+        return reference_sms_build(self, state)
+
+    def is_succ_infeasible(self, label, succ, store):
+        return not store.contains(label, succ.time - self.instance.jobs[label].p)
+
+
+class MinimalRcpspAdapter(PropagationAdapter):
+    """Only what a model must supply: the per-state reference build, and a
+    veto on the successor's start for the task it placed."""
+
+    def build(self, state, primal=INFINITY):
+        return reference_rcpsp_build(self, state, primal)
+
+    def is_succ_infeasible(self, label, succ, store):
+        return not store.contains(label, succ.starts[label])
+
+
+MINIMAL = {
+    "smswt": (
+        lambda rng: smswt.SmsModel(random_sms_instance(rng, rng.randint(3, 8))),
+        MinimalSmsAdapter,
+        smswt.SmsAdapter,
+        smswt.permutation_optimum,
+    ),
+    "rcpsp": (
+        lambda rng: rcpsp.RcpspModel(random_rcpsp_instance(rng, 8, 3)),
+        MinimalRcpspAdapter,
+        rcpsp.RcpspAdapter,
+        rcpsp.ordering_optimum,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MINIMAL))
+def test_minimal_adapter_needs_only_build_and_veto(family):
+    """``dual_cp`` defaults to the model's ``dual`` floored by the store's
+    lower bounds: an adapter with only ``build`` and the veto gets it on
+    sampled states, and CABS ``once`` with it reaches the oracle.  The
+    shipped adapter keeps the default too (TSPTW's alone returns 0)."""
+    draw, minimal, shipped, oracle = MINIMAL[family]
+    assert shipped.dual_cp is PropagationAdapter.dual_cp
+    rng = random.Random(f"minimal:{family}")
+    compared = 0
+    for _ in range(6):
+        model = draw(rng)
+        adapter = minimal(model)
+        assert adapter.instance is model.instance
+        states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
+        for state in rng.sample(states, min(20, len(states))):
+            store, props = adapter.build(state)
+            if not store.infeasible:
+                propagate_once(store, props)
+            if store.infeasible:
+                continue
+            assert adapter.dual_cp(state, store) == model.dual(state, store.lbs), state
+            compared += 1
+        want = oracle(model.instance)
+        result = cabs(model, adapter, mode=PropagationMode.ONCE)
+        if want == INFINITY:
+            assert result.status is SolveStatus.INFEASIBLE
+        else:
+            assert (result.status, result.cost) == (SolveStatus.OPTIMAL, want)
+    assert compared > 50, compared

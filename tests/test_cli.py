@@ -534,6 +534,28 @@ def test_bench_rejects_boolean_limits_and_fractional_expansion_cap(tmp_path):
     assert all("expansion_cap" in r["error"] for r in rows[2:])
 
 
+def test_bench_rows_with_ill_typed_fields_name_the_field(tmp_path):
+    inst = write_json(tmp_path / "two.json", TWO_JOB_SMS)
+    manifest = [
+        {"instance": str(inst), "problem": ["smswt"]},
+        {"instance": str(inst), "problem": "smswt", "time_limit": "5"},
+        {"instance": str(inst), "problem": "smswt", "mem_limit_mb": "3"},
+        {"instance": str(inst), "problem": "smswt", "time_limit": 5, "mem_limit_mb": 3},
+    ]
+    mpath = write_json(tmp_path / "manifest.json", manifest)
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 0
+    rows = [r for r in csv.DictReader(out.read_text().splitlines())
+            if r["instance"] != "[summary]"]
+    assert [r["status"] for r in rows] == ["Error", "Error", "Error", "Optimal"]
+    assert [r["error"] for r in rows] == [
+        "problem must be a string, got ['smswt']",
+        "time_limit must be a number, got '5'",
+        "mem_limit_mb must be a number, got '3'",
+        "",
+    ]
+
+
 @pytest.mark.parametrize("manifest", [{"foo": 1}, [1, 2]])
 def test_bench_malformed_manifest(tmp_path, capsys, manifest):
     mpath = write_json(tmp_path / "manifest.json", manifest)

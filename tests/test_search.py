@@ -523,11 +523,8 @@ class AddsNothing(PropagationAdapter):
 
     reads_primal = False
 
-    def __init__(self, model):
-        self.model = model
-
     def build(self, state, primal=INFINITY):
-        n = self.model.instance.n
+        n = self.instance.n
         return DomainStore([0] * n, [0] * n), []
 
     def dual_cp(self, state, store):
