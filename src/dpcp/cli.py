@@ -93,17 +93,13 @@ def _build(kind: str, path: str):
 
 
 def _limits_from(time_limit, mem_limit_mb, expansion_cap) -> SolveLimits:
-    # A manifest row may hold any JSON value here; a boolean passes this
-    # test and is rejected below or by SolveLimits.
-    for name, value in (("time_limit", time_limit), ("mem_limit_mb", mem_limit_mb)):
-        if value is not None and not isinstance(value, (int, float)):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-    if time_limit is not None and math.isinf(time_limit):
-        raise ValueError(f"time_limit must be finite, got {time_limit}")
+    # A manifest row may hold any JSON value here.  SolveLimits checks the
+    # time limit and the cap, but sees only the bytes of the memory limit.
     memory_limit = None
     if mem_limit_mb is not None:
+        if not isinstance(mem_limit_mb, (int, float)):
+            raise ValueError(f"mem_limit_mb must be a number, got {mem_limit_mb!r}")
         limit_bytes = mem_limit_mb * 1024 * 1024
-        # SolveLimits sees only the bytes, so it cannot reject a boolean.
         if isinstance(mem_limit_mb, bool) or not 0 < limit_bytes < math.inf:
             raise ValueError(
                 f"memory limit must be positive and finite, got {mem_limit_mb} MB"
@@ -121,7 +117,7 @@ def _solve_verified(model, adapter, algo: str, propagation: str, limits: SolveLi
     A replay that disagrees is a solver bug and raises ``RuntimeError``.
     """
     started = time.perf_counter()
-    result = SOLVERS[algo](model, adapter, limits, PropagationMode(propagation))
+    result = SOLVERS[algo](model, adapter, limits, propagation)
     wall = time.perf_counter() - started
     if result.incumbent is not None:
         cost, labels = result.incumbent

@@ -129,8 +129,9 @@ class SolveLimits:
 
     ``memory_limit`` is in bytes and is enforced against a fixed per-node
     estimate of solver bookkeeping, not real process memory.  An
-    ``expansion_cap`` of 0 is allowed and forbids any expansion.  No limit
-    may be a boolean, and ``expansion_cap`` must be an ``int``.
+    ``expansion_cap`` of 0 is allowed and forbids any expansion.  A limit
+    that is not a positive finite number (for the cap, an ``int`` >= 0),
+    or that is a boolean, raises a ``ValueError`` naming the field.
     """
 
     time_limit: Optional[float] = None
@@ -138,17 +139,18 @@ class SolveLimits:
     expansion_cap: Optional[int] = None
 
     def __post_init__(self):
-        # ``bool`` subclasses ``int``, so the comparisons below would accept it.
-        for name, value in vars(self).items():
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value}")
-        # ``not x > 0`` also rejects NaN, which no elapsed time would reach.
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError("time_limit must be positive")
-        if self.memory_limit is not None and not self.memory_limit > 0:
-            raise ValueError("memory_limit must be positive")
+        # ``bool`` subclasses ``int``, and ``not 0 < x < inf`` also rejects
+        # NaN, which no elapsed time would reach.
+        for name in ("time_limit", "memory_limit"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not 0 < value < float("inf"):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         cap = self.expansion_cap
-        if cap is not None and not (isinstance(cap, int) and cap >= 0):
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
             raise ValueError(f"expansion_cap must be an integer >= 0, got {cap!r}")
 
 

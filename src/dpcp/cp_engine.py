@@ -14,7 +14,9 @@ post on every store:
 
 Propagators only ever shrink domains; an emptied domain flips the store's
 ``infeasible`` flag, which is sticky.  Drivers run the propagators either
-once each in registration order or to a fixed point.
+once each in registration order or to a fixed point.  A model's
+``PropagationAdapter`` is its ``build``: the successor veto is shared, the
+start the model gives a transition tested against its variable's domain.
 """
 
 from __future__ import annotations
@@ -46,14 +48,14 @@ class DomainStore:
     ``live`` has bit ``x`` set when variable ``x`` takes part in this
     store's state: ``Disjunctive`` and ``Cumulative`` skip every item whose
     variable is dead, so one propagator built over all of a model's
-    variables serves every state.  The default, ``-1``, has every bit set.
-    ``PrecedenceLe`` ignores the mask, and a dead variable's domain is
-    still checked for emptiness.
+    variables serves every state.  Every store names its live variables;
+    ``-1`` has every bit set.  ``PrecedenceLe`` ignores the mask, and a
+    dead variable's domain is still checked for emptiness.
     """
 
     __slots__ = ("lbs", "ubs", "infeasible", "revision", "live")
 
-    def __init__(self, lbs: List[int], ubs: List[int], live: int = -1):
+    def __init__(self, lbs: List[int], ubs: List[int], live: int):
         if len(lbs) != len(ubs):
             raise AdapterFailure(f"{len(lbs)} lower bounds for {len(ubs)} upper bounds")
         self.lbs = lbs
@@ -443,20 +445,21 @@ def propagate_fixpoint(store: DomainStore, props: Sequence[Propagator]) -> Domai
 class PropagationAdapter(ABC):
     """Bridge from a DP model's states to a CP model over a domain store.
 
-    A model's adapter implements ``build`` and ``is_succ_infeasible``.
-    ``build`` is deterministic for equal states and primal bounds.  The
-    primal is passed in so that an adapter may cap the latest starts of
-    pending tasks by it; the search reads infeasibility from
-    ``store.infeasible``.  ``reads_primal`` says whether ``build`` reads
-    the primal at all.  An adapter whose ``build`` gives the same store
-    for a state under every primal sets it to False, and CABS then reuses
-    the state's propagated store under a later incumbent; the default,
-    True, is always sound: CABS then drops every stored outcome when the
-    incumbent improves, and reuses one only under the same incumbent.  The
-    path cost is not passed: the search prunes on the larger of the
-    node's ``f`` and ``g`` plus ``dual_cp`` itself, so a cap on the
-    remaining cost would only repeat that test.  ``dual_cp`` defaults to
-    the model's ``dual`` floored by the store's lower bounds (SMS, RCPSP).
+    A model's adapter implements ``build`` alone, and the model supplies
+    ``start(label, succ)``, the value the transition ``label`` into ``succ``
+    gives CP variable ``label``.  ``build`` is deterministic for equal
+    states and primal bounds.  The primal is passed in so that an adapter
+    may cap the latest starts of pending tasks by it; the search reads
+    infeasibility from ``store.infeasible``.  ``reads_primal`` says whether
+    ``build`` reads the primal at all.  An adapter whose ``build`` gives the
+    same store for a state under every primal sets it to False, and CABS
+    then reuses the state's propagated store under a later incumbent; the
+    default, True, is always sound: CABS then drops every stored outcome
+    when the incumbent improves, and reuses one only under the same
+    incumbent.  The path cost is not passed: the search prunes on the larger
+    of the node's ``f`` and ``g`` plus ``dual_cp`` itself, so a cap on the
+    remaining cost would only repeat that test.  ``dual_cp`` defaults to the
+    model's ``dual`` floored by the store's lower bounds (SMS, RCPSP).
     TSPTW's model ignores the floor, so its adapter returns 0: that adds
     nothing, and the pop still prunes on ``f``, which holds the model dual.
 
@@ -478,8 +481,8 @@ class PropagationAdapter(ABC):
     propagated with (``perfbench/tracing.py``).
 
     The transition rule lives only in the model's ``successors``, so the
-    successor veto is handed the state it produced, not its parent, and
-    reduces to domain lookups.
+    successor veto is handed the state it produced, not its parent, and is
+    one ``contains`` test of the start that state gives its variable.
     """
 
     reads_primal = True
@@ -498,7 +501,7 @@ class PropagationAdapter(ABC):
         own propagated ``store``, which is feasible."""
         return self.model.dual(state, store.lbs)
 
-    @abstractmethod
     def is_succ_infeasible(self, label, succ, store: DomainStore) -> bool:
         """True when ``store``, the parent's propagated store, rules out the
         transition ``label`` that produced ``succ``."""
+        return not store.contains(label, self.model.start(label, succ))

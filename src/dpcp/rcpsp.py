@@ -327,6 +327,10 @@ class RcpspModel(DpModel):
                 return False
         return True
 
+    def start(self, label: int, succ: RcpspState) -> int:
+        """The start ``succ`` gives task ``label``."""
+        return succ.starts[label]
+
     def dual(self, state: RcpspState, floor: Optional[Sequence[int]] = None) -> Cost:
         """Lower bound on the remaining makespan of ``state``, each pending
         task ``i`` starting no earlier than ``est = max(floor[i], time)``,
@@ -371,8 +375,8 @@ class RcpspAdapter(PropagationAdapter):
     capacity propagator per resource over all of its users, which skips
     the finished tasks (the store's ``live`` mask holds the pending and
     running ones), and all precedence links.  The propagators are built
-    once.  ``dual_cp`` is the default, ``RcpspModel.dual`` floored by the
-    store's earliest starts."""
+    once.  The veto and ``dual_cp`` are the defaults, over
+    ``RcpspModel.start`` and ``RcpspModel.dual``."""
 
     def __init__(self, model: RcpspModel):
         super().__init__(model)
@@ -398,9 +402,6 @@ class RcpspAdapter(PropagationAdapter):
         for j in state.running:
             live |= 1 << j
         return DomainStore(lbs, ubs, live), self._props
-
-    def is_succ_infeasible(self, label: int, succ: RcpspState, store: DomainStore) -> bool:
-        return not store.contains(label, succ.starts[label])
 
 
 def ordering_optimum(instance: RcpspInstance) -> int:

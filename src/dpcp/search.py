@@ -34,7 +34,7 @@ import enum
 import itertools
 import time
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from .core import DpModel, SolveLimits, SolveResult, SolveStatus
 from .cost import MAX_COST, Cost, INFINITY, add
@@ -139,9 +139,10 @@ class Registry:
         return node
 
 
-def _resolve_mode(mode: Optional[PropagationMode], adapter) -> PropagationMode:
+def _resolve_mode(mode: Union[PropagationMode, str, None], adapter) -> PropagationMode:
     if mode is None:
         return PropagationMode.ONCE if adapter is not None else PropagationMode.OFF
+    mode = PropagationMode(mode)
     if mode is not PropagationMode.OFF and adapter is None:
         raise ValueError(f"propagation mode {mode.value} requires an adapter")
     return mode
@@ -351,7 +352,7 @@ def astar(
     model: DpModel,
     adapter: Optional[PropagationAdapter] = None,
     limits: Optional[SolveLimits] = None,
-    mode: Optional[PropagationMode] = None,
+    mode: Union[PropagationMode, str, None] = None,
 ) -> SolveResult:
     """Best-first search; pops minimum f, ties broken by larger g then FIFO.
 
@@ -386,7 +387,7 @@ def cabs(
     model: DpModel,
     adapter: Optional[PropagationAdapter] = None,
     limits: Optional[SolveLimits] = None,
-    mode: Optional[PropagationMode] = None,
+    mode: Union[PropagationMode, str, None] = None,
 ) -> SolveResult:
     """Complete anytime beam search with a doubling width.
 

@@ -170,6 +170,10 @@ class SmsModel(DpModel):
     def dominates(self, a: SmsState, b: SmsState) -> bool:
         return a.time <= b.time
 
+    def start(self, label: int, succ: SmsState) -> int:
+        """The start of job ``label``, which finishes at ``succ``'s clock."""
+        return succ.time - self.instance.jobs[label].p
+
     def dual(self, state: SmsState, floor=None) -> Cost:
         """Lower bound on the weighted tardiness of the pending jobs of
         ``state``, each starting no earlier than ``max(r, t)`` at the
@@ -219,10 +223,9 @@ class SmsAdapter(PropagationAdapter):
     and one non-overlap constraint over all jobs, built once.
 
     A pending job's window is ``[max(r, t), deadline - p]`` at clock ``t``;
-    ``build`` fills it from ``(r, deadline - p)`` pairs taken once here, and
-    the veto reads the bound lists directly, as the label is a job id that
-    the model produced.  ``dual_cp`` is the default, ``SmsModel.dual``
-    floored by the store's earliest starts.
+    ``build`` fills it from ``(r, deadline - p)`` pairs taken once here.
+    The veto and ``dual_cp`` are the defaults, over ``SmsModel.start`` and
+    ``SmsModel.dual``.
     """
 
     reads_primal = False
@@ -231,8 +234,7 @@ class SmsAdapter(PropagationAdapter):
         super().__init__(model)
         jobs = self.instance.jobs
         self._windows = tuple((job.r, job.deadline - job.p) for job in jobs)
-        self._durations = tuple(job.p for job in jobs)
-        self._props = [Disjunctive(enumerate(self._durations))]
+        self._props = [Disjunctive((i, job.p) for i, job in enumerate(jobs))]
 
     def build(self, state: SmsState, primal: Cost = INFINITY):
         windows = self._windows
@@ -248,12 +250,6 @@ class SmsAdapter(PropagationAdapter):
             ubs[i] = latest
             mask ^= low
         return DomainStore(lbs, ubs, state.unscheduled), self._props
-
-    def is_succ_infeasible(self, label: int, succ: SmsState, store: DomainStore) -> bool:
-        # The job finishes at the successor's clock; the transition dies
-        # when its start was propagated out of the job's domain.
-        start = succ.time - self._durations[label]
-        return not store.lbs[label] <= start <= store.ubs[label]
 
 
 def exact_optimum(instance: SmsInstance) -> Optional[int]:

@@ -189,6 +189,10 @@ class TsptwModel(DpModel):
     def dominates(self, a: TsptwState, b: TsptwState) -> bool:
         return a.time <= b.time
 
+    def start(self, label: int, succ: TsptwState) -> int:
+        """The arrival at location ``label``, ``succ``'s clock."""
+        return succ.time
+
     def dual(self, state: TsptwState, floor=None) -> Cost:
         """Cheapest-arc relaxation: every remaining location must still be
         entered once and left once in time.  The floor is ignored: each
@@ -279,9 +283,9 @@ class TsptwAdapter(PropagationAdapter):
     window only for the unvisited set and the current location.  The
     durations and the bound are the model's (``TsptwModel.leave_costs``
     and ``dual``).  The durations depend on the state, so ``build`` makes
-    its ``Disjunctive`` per call, over those locations alone, and the
-    store keeps the default ``live`` mask.  The one adapter that
-    overrides ``dual_cp``: its store adds nothing to the model's bound.
+    its ``Disjunctive`` per call, over those locations alone, which the
+    store's ``live`` mask names.  The veto is the default; the one adapter
+    that overrides ``dual_cp``: its store adds nothing to the model's bound.
     """
 
     reads_primal = False
@@ -291,23 +295,20 @@ class TsptwAdapter(PropagationAdapter):
         lbs = [0] * len(windows)  # locations off the remaining tour keep [0, 0]
         ubs = [0] * len(windows)
         items = self.model.leave_costs(state)
-        if items is None:
-            store = DomainStore(lbs, ubs)
-            store.mark_infeasible()
-            return store, []
-        for i, _c in items:
+        for i, _c in items or ():
             r, d = windows[i]
             lbs[i], ubs[i] = (t if t > r else r), d
-        return DomainStore(lbs, ubs), [Disjunctive(items)]
+        store = DomainStore(lbs, ubs, state.unvisited | 1 << state.location)
+        if items is None:
+            store.mark_infeasible()
+            return store, []
+        return store, [Disjunctive(items)]
 
     def dual_cp(self, state: TsptwState, store: DomainStore) -> Cost:
         """0: ``TsptwModel.dual`` ignores the floor, so under any store it
         equals the admission bound that the node's ``f`` already holds, and
         recomputing its leave costs at each pop would only cost time."""
         return 0
-
-    def is_succ_infeasible(self, label: int, succ: TsptwState, store: DomainStore) -> bool:
-        return not store.contains(label, succ.time)
 
 
 def exact_optimum(instance: TsptwInstance) -> Optional[int]:

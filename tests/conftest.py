@@ -352,8 +352,8 @@ def random_domain(rng: random.Random, max_value: int = 11, max_size: int = 12):
 
 
 def store_of(domains) -> DomainStore:
-    """A fresh store over ``(lo, hi)`` intervals."""
-    return DomainStore([lo for lo, _hi in domains], [hi for _lo, hi in domains])
+    """A fresh store over ``(lo, hi)`` intervals, every variable live."""
+    return DomainStore([lo for lo, _hi in domains], [hi for _lo, hi in domains], -1)
 
 
 def store_domains(store: DomainStore):

@@ -7,8 +7,9 @@ store under every primal, a model's dual never falls as its floor rises
 and stays admissible under a parent's store, and the SMS and
 RCPSP propagators, built once and told by the store's ``live`` mask which
 variables to skip, propagate as the per-state ones built over the live
-variables alone would, and an adapter that supplies only ``build`` and
-the veto gets the model's floored dual as its ``dual_cp`` and solves.
+variables alone would, and an adapter that supplies only ``build`` gets
+the veto over the model's ``start`` and the model's floored dual as its
+``dual_cp``, and solves.
 
 The reference functions below recompute each transition from the parent
 state, the way the vetoes did before they were handed the successor; the
@@ -141,24 +142,6 @@ def test_sms_veto_matches_transition_reference():
         )
         checked, vetoed = checked + c, vetoed + v
     assert checked > 3000 and vetoed > 1000, (checked, vetoed)
-
-
-def test_sms_veto_reads_the_bounds_as_contains_does():
-    # The veto reads the bound lists directly; it must agree with the
-    # range-checked ``contains`` at the start the successor's clock gives.
-    rng = random.Random(109)
-    checked = vetoed = 0
-    for _ in range(10):
-        model = smswt.SmsModel(random_sms_instance(rng, rng.randint(6, 9)))
-        adapter = smswt.SmsAdapter(model)
-        for state, store in propagated_stores(model, adapter, tight_total):
-            for _w, label, succ in model.successors(state):
-                start = succ.time - model.instance.jobs[label].p
-                new = adapter.is_succ_infeasible(label, succ, store)
-                assert new == (not store.contains(label, start)), (state, label)
-                checked += 1
-                vetoed += new
-    assert checked > 5000 and vetoed > 500, (checked, vetoed)
 
 
 def test_tsptw_veto_matches_transition_reference():
@@ -396,7 +379,23 @@ def reference_sms_build(adapter, state):
     for i in iter_bits(state.unscheduled):
         lbs[i], ubs[i] = max(jobs[i].r, state.time), jobs[i].deadline - jobs[i].p
         items.append((i, jobs[i].p))
-    return DomainStore(lbs, ubs), [Disjunctive(items)]
+    return DomainStore(lbs, ubs, -1), [Disjunctive(items)]
+
+
+def reference_tsptw_build(adapter, state):
+    """The TSPTW store, a window for the unvisited locations and the current
+    one, every variable live, and a ``Disjunctive`` over those locations
+    with the model's leave costs as durations."""
+    windows = adapter.instance.windows
+    lbs, ubs = [0] * len(windows), [0] * len(windows)
+    for i in iter_bits(state.unvisited | 1 << state.location):
+        lbs[i], ubs[i] = max(windows[i][0], state.time), windows[i][1]
+    store = DomainStore(lbs, ubs, -1)
+    items = adapter.model.leave_costs(state)
+    if items is None:
+        store.mark_infeasible()
+        return store, []
+    return store, [Disjunctive(items)]
 
 
 def reference_rcpsp_build(adapter, state, primal):
@@ -416,7 +415,7 @@ def reference_rcpsp_build(adapter, state, primal):
         for r, cap in enumerate(inst.capacities)
     ]
     props.append(PrecedenceLe((i, inst.tasks[i].duration, j) for i, j in inst.precedences))
-    return DomainStore(lbs, ubs), props
+    return DomainStore(lbs, ubs, -1), props
 
 
 def assert_masked_build_matches_reference(model, adapter, reference, primals):
@@ -481,25 +480,27 @@ def test_rcpsp_masked_cumulative_matches_per_state_build():
 
 
 class MinimalSmsAdapter(PropagationAdapter):
-    """Only what a model must supply: the per-state reference build, and a
-    veto on the start the successor's clock implies."""
+    """Only what a model's adapter must supply: the per-state reference
+    build."""
 
     def build(self, state, primal=INFINITY):
         return reference_sms_build(self, state)
 
-    def is_succ_infeasible(self, label, succ, store):
-        return not store.contains(label, succ.time - self.instance.jobs[label].p)
+
+class MinimalTsptwAdapter(PropagationAdapter):
+    """The per-state reference build alone, with the default ``dual_cp``
+    in place of the shipped adapter's 0."""
+
+    def build(self, state, primal=INFINITY):
+        return reference_tsptw_build(self, state)
 
 
 class MinimalRcpspAdapter(PropagationAdapter):
-    """Only what a model must supply: the per-state reference build, and a
-    veto on the successor's start for the task it placed."""
+    """Only what a model's adapter must supply: the per-state reference
+    build."""
 
     def build(self, state, primal=INFINITY):
         return reference_rcpsp_build(self, state, primal)
-
-    def is_succ_infeasible(self, label, succ, store):
-        return not store.contains(label, succ.starts[label])
 
 
 MINIMAL = {
@@ -508,6 +509,12 @@ MINIMAL = {
         MinimalSmsAdapter,
         smswt.SmsAdapter,
         smswt.permutation_optimum,
+    ),
+    "tsptw": (
+        lambda rng: tsptw.TsptwModel(random_tsptw_instance(rng, rng.randint(3, 7))),
+        MinimalTsptwAdapter,
+        tsptw.TsptwAdapter,
+        tsptw.permutation_optimum,
     ),
     "rcpsp": (
         lambda rng: rcpsp.RcpspModel(random_rcpsp_instance(rng, 8, 3)),
@@ -519,16 +526,21 @@ MINIMAL = {
 
 
 @pytest.mark.parametrize("family", sorted(MINIMAL))
-def test_minimal_adapter_needs_only_build_and_veto(family):
-    """``dual_cp`` defaults to the model's ``dual`` floored by the store's
-    lower bounds: an adapter with only ``build`` and the veto gets it on
-    sampled states, and CABS ``once`` with it reaches the oracle.  The
-    shipped adapter keeps the default too (TSPTW's alone returns 0)."""
+def test_minimal_adapter_needs_only_build(family):
+    """``build`` is the one abstract method.  ``dual_cp`` defaults to the
+    model's ``dual`` floored by the store's lower bounds: an adapter with
+    only ``build`` gets it on sampled states, and CABS ``once`` with it and
+    the default veto reaches the oracle.  No shipped adapter defines the
+    veto, so the ``*_veto_matches_transition_reference`` tests check the
+    default; the SMS and RCPSP adapters keep the default ``dual_cp`` too
+    (TSPTW's alone returns 0)."""
     draw, minimal, shipped, oracle = MINIMAL[family]
-    assert shipped.dual_cp is PropagationAdapter.dual_cp
+    assert PropagationAdapter.__abstractmethods__ == {"build"}
+    assert "is_succ_infeasible" not in vars(shipped)
+    assert (shipped.dual_cp is PropagationAdapter.dual_cp) == (family != "tsptw")
     rng = random.Random(f"minimal:{family}")
     compared = 0
-    for _ in range(6):
+    for _ in range(10):
         model = draw(rng)
         adapter = minimal(model)
         assert adapter.instance is model.instance

@@ -111,6 +111,15 @@ def test_limits_reject_booleans(name, flag):
         SolveLimits(**{name: flag})
 
 
+@pytest.mark.parametrize("name", ["time_limit", "memory_limit"])
+@pytest.mark.parametrize("value", ["5", [1], float("inf"), -float("inf")])
+def test_limits_reject_non_numbers_and_infinity(name, value):
+    # The one validator for every caller: no limit is compared with a string,
+    # and an infinite one is refused as ``dpcp solve`` refuses it.
+    with pytest.raises(ValueError, match=name):
+        SolveLimits(**{name: value})
+
+
 @pytest.mark.parametrize("cap", [1.5, 2.0, "3"])
 def test_expansion_cap_must_be_an_integer(cap):
     with pytest.raises(ValueError, match="expansion_cap"):

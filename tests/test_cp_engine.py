@@ -51,7 +51,7 @@ def test_empty_domain_at_construction_flags_store():
 
 def test_unequal_bound_lists_raise_adapter_failure():
     with pytest.raises(AdapterFailure):
-        DomainStore([0, 1], [5])
+        DomainStore([0, 1], [5], -1)
 
 
 def test_infeasibility_is_sticky():
@@ -594,12 +594,6 @@ def store_with_live(domains, live):
     store = store_of(domains)
     store.live = live
     return store
-
-
-def test_store_defaults_to_every_variable_live():
-    store = store_of([(0, 1), (0, 1)])
-    assert store.live == -1
-    assert DomainStore([0], [1], 0b1).live == 0b1
 
 
 def test_disjunctive_skips_dead_variables():

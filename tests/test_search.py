@@ -334,6 +334,28 @@ def test_mode_requires_adapter():
         astar(two_job_model(), None, mode=PropagationMode.ONCE)
 
 
+def test_mode_given_by_value_is_the_member():
+    # A mode's value reads as the member: "off" propagates nothing even with
+    # an adapter, and searches as no adapter does.  Any other string is a
+    # ValueError, never a silent ``once``.
+    model = smswt.SmsModel(random_sms_instance(random.Random(3), 6))
+    adapter = smswt.SmsAdapter(model)
+    for solver in (astar, cabs):
+        for mode in PropagationMode:
+            want, got = solver(model, adapter, mode=mode), solver(model, adapter, mode=mode.value)
+            assert solve_counts(got) == solve_counts(want), (solver.__name__, mode)
+            assert got.metrics.propagation_calls == want.metrics.propagation_calls
+        assert solver(model, adapter, mode="once").metrics.propagation_calls > 0
+        off = solver(model, adapter, mode="off")
+        assert off.metrics.propagation_calls == 0
+        assert solve_counts(solver(model, None, mode="off")) == solve_counts(off)
+        for bad in ("bogus", "ONCE", 1):
+            with pytest.raises(ValueError):
+                solver(model, adapter, mode=bad)
+        with pytest.raises(ValueError):
+            solver(model, None, mode="once")
+
+
 # --- pinned search counts ------------------------------------------------------
 
 PINNED_KINDS = {
@@ -525,7 +547,7 @@ class AddsNothing(PropagationAdapter):
 
     def build(self, state, primal=INFINITY):
         n = self.instance.n
-        return DomainStore([0] * n, [0] * n), []
+        return DomainStore([0] * n, [0] * n, -1), []
 
     def dual_cp(self, state, store):
         return 0
@@ -580,7 +602,7 @@ class DeadChildrenCp(AddsNothing):
     def build(self, state, primal=INFINITY):
         jobs = self.model.instance.jobs
         late = [max(j.deadline for j in jobs) + 1] * len(jobs)
-        return DomainStore(late, list(late)), []
+        return DomainStore(late, list(late), -1), []
 
 
 @pytest.mark.parametrize("algo", [astar, cabs])

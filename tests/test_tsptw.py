@@ -37,6 +37,7 @@ from conftest import (
     check_dropped_children_dead,
     random_tsptw_instance,
     solve_all_modes,
+    store_domains,
     tsptw_blocked,
     vetoed,
 )
@@ -244,6 +245,11 @@ def test_build_arrival_windows_respect_time():
     store, _props = adapter.build(TsptwState(0b110, 0, 5))
     assert (store.lbs[1], store.ubs[1]) == (7, 50)
     assert (store.lbs[2], store.ubs[2]) == (5, 60)
+    assert store.live == 0b111  # the unvisited set and the current location
+    # At location 1 with 2 unvisited, the depot has no window and is dead.
+    store, _props = adapter.build(TsptwState(0b100, 1, 9))
+    assert store.live == 0b110
+    assert store_domains(store) == [(0, 0), (9, 50), (9, 60)]
 
 
 def test_depot_leg_dropped_when_cannot_be_last():
