@@ -161,7 +161,8 @@ class SolveResult:
     ``incumbent`` is ``(cost, labels)`` for the best solution found; its
     label sequence replays from the target state to a base state with a
     total cost equal to the reported cost.  ``root_dual`` is the best dual
-    bound established for the target state.
+    bound established for the target state: the optimum once it is proven,
+    ``INFINITY`` once infeasibility is.
     """
 
     status: SolveStatus

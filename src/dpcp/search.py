@@ -332,10 +332,9 @@ class _SolveContext:
     def finish(self) -> SolveResult:
         status = self.status
         m = self.metrics
-        if status is SolveStatus.OPTIMAL:
+        if status is SolveStatus.OPTIMAL or status is SolveStatus.INFEASIBLE:
+            # Proven: the optimum, or INFINITY, the primal with no incumbent.
             self.note_dual(self.primal)
-            m.final_gap = 0.0
-        elif status is SolveStatus.INFEASIBLE:
             m.final_gap = 0.0
         else:
             primal = self.primal if self.incumbent is not None else None

@@ -353,8 +353,8 @@ def parse_matrix(text: str, path: str = "<tsptw>") -> TsptwInstance:
 
     Layout: the location count, an n-by-n integer travel matrix, then one
     window line per location holding ``release deadline`` with an optional
-    leading 1-based id (detected by column count).  Fractional values are
-    rejected.
+    leading 1-based id (detected by column count).  The k-th window line's
+    id must be k.  Fractional values are rejected.
     """
     rows: List[Tuple[int, List[str]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -392,7 +392,9 @@ def parse_matrix(text: str, path: str = "<tsptw>") -> TsptwInstance:
     else:
         raise ParseError("window lines must uniformly have 2 or 3 columns", path)
     windows = []
-    for lineno, toks in window_rows:
+    for k, (lineno, toks) in enumerate(window_rows, start=1):
+        if offset and int_token(toks[0], path, lineno) != k:
+            raise ParseError(f"window line {k} has id {toks[0]}, expected {k}", path, lineno)
         r = int_token(toks[offset], path, lineno)
         d = int_token(toks[offset + 1], path, lineno)
         windows.append((r, d))

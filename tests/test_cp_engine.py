@@ -260,6 +260,23 @@ def reference_edge_find_lower(jobs):
     return lifts
 
 
+@pytest.mark.parametrize(
+    "est_i, expected",
+    [
+        # i packs with A and B in [0, 10]: B from 5, A from 0, then i.
+        (1, {}),
+        # i from 6 and B from 5 overrun [5, 10]: i follows T_10 = {A, B}.
+        (6, {"i": 7}),
+    ],
+)
+def test_edge_finder_exact_test_outcomes(est_i, expected):
+    # At b = 10, ECT(T_b) is 7 and the slack 3.  Job i starts before 7, is
+    # longer than the slack and could finish alone by 10, so only the exact
+    # test over T_b decides it.
+    jobs = [(0, 2, 10, "A"), (5, 2, 10, "B"), (est_i, 4, 20, "i")]
+    assert _edge_find_lower(jobs) == reference_edge_find_lower(jobs) == expected
+
+
 def random_job_set(rng, n, p_share):
     """``n`` jobs ``(est, p, lct, key)`` with ``p`` up to ``1/p_share`` of
     the horizon; a third of the sets draw est and lct from three values

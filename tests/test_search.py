@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from dpcp import (
     propagate_once,
 )
 from dpcp import rcpsp, smswt, tsptw
+from dpcp.cli import PROBLEMS
 from dpcp.search import NODE_ESTIMATE_BYTES, SearchNode, _SolveContext
 
 from conftest import (
@@ -29,6 +31,8 @@ from conftest import (
     random_tsptw_instance,
     solve_all_modes,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def two_job_model():
@@ -218,6 +222,19 @@ def test_cabs_infeasible():
     result = cabs(infeasible_model())
     assert result.status is SolveStatus.INFEASIBLE
     assert result.incumbent is None
+
+
+@pytest.mark.parametrize("kind, name", [("tsptw", "dead_root_tsptw.txt"), ("smswt", "dead_root_sms.json")])
+def test_proven_infeasible_run_reports_infinite_dual(kind, name):
+    # An exhausted search without an incumbent proves that no completion
+    # exists, so the dual ends at INFINITY in every mode, also under off,
+    # where the root's own bound is finite.
+    problem = PROBLEMS[kind]
+    model = problem.model(problem.module.load_instance(str(DATA / name)))
+    for key, result in solve_all_modes(model, problem.adapter(model)).items():
+        assert result.status is SolveStatus.INFEASIBLE and result.cost is None, key
+        assert result.root_dual == INFINITY, key
+        assert result.metrics.dual_trace[-1][1] == INFINITY, key
 
 
 def admit(reg, model, state, g):

@@ -19,6 +19,7 @@ from dpcp import (
     propagate_fixpoint,
     propagate_once,
 )
+from dpcp.cli import main
 from dpcp.core import iter_bits
 from dpcp.cost import MAX_COST, CostOverflow
 from dpcp.parsing import ParseError
@@ -197,8 +198,8 @@ def test_dropped_children_have_no_completion():
 
 
 def test_dual_matches_per_state_sum():
-    # The model keeps the last set's entered sum.  Taken in the search's
-    # order, a state and then each of its successors, every value must
+    # Taken in the search's order, a state and then each of its successors
+    # (a dual that kept a memo across them would go stale), every value must
     # equal the bound taken afresh, with each leave cost found by scanning
     # its whole row, also where a cheapest arc is INFINITY or missing.
     rng = random.Random(131)
@@ -372,6 +373,23 @@ def test_parse_matrix_two_columns():
     text = "2\n0 5\n5 0\n0 9\n1 8\n"
     inst = parse_matrix(text)
     assert inst.windows == ((0, 9), (1, 8))
+
+
+@pytest.mark.parametrize("ids, line", [((2, 1, 3), 5), ((7, 7, 7), 5), ((1, 3, 2), 6)])
+def test_parse_matrix_rejects_window_ids_out_of_order(tmp_path, capsys, ids, line):
+    # The k-th window line must carry id k, or its window would go to
+    # another location than the id names.
+    windows = ["0 100", "0 5", "0 100"]
+    text = "3\n0 1 3\n1 0 3\n3 3 0\n" + "".join(
+        f"{i} {w}\n" for i, w in zip(ids, windows)
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(text, "ids.txt")
+    assert exc.value.line == line
+    bad = tmp_path / "ids.txt"
+    bad.write_text(text)
+    assert main(["solve", str(bad), "--problem", "tsptw"]) == 1
+    assert capsys.readouterr().err.startswith("dpcp: error")
 
 
 def test_parse_matrix_rejects_fractional():
