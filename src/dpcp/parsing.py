@@ -2,9 +2,9 @@
 
 ``read_instance`` is the one loader: each model's ``load_instance`` calls
 it, and the CLI and the benchmark call those.  It reads the file once and
-decides the format from the content alone (text that starts with ``{`` is
-JSON, anything else goes to the model's native parser), so the file's
-suffix never matters.  Every malformed or unreadable file ends in
+decides the format from the content alone (text that starts with ``{`` or
+``[`` is JSON, anything else goes to the model's native parser), so the
+file's suffix never matters.  Every malformed or unreadable file ends in
 ``ParseError``; a format the model cannot read ends in ``UnknownFormat``.
 """
 
@@ -41,8 +41,10 @@ def read_instance(path: str, from_json: Callable, parse_native: Optional[Callabl
     try:
         with open(path) as fh:
             text = fh.read()
-        if text.lstrip().startswith("{"):
+        if text.lstrip().startswith(("{", "[")):
             doc = json.loads(text, parse_float=_not_integer, parse_constant=_not_integer)
+            if not isinstance(doc, dict):
+                raise ParseError("instance JSON must be an object", path)
             if "true" in text or "false" in text:  # the walk costs more than the parse
                 _reject_booleans(doc)
             return from_json(doc)

@@ -6,9 +6,11 @@ The model visits one location at a time: a state is the unvisited set, the
 current location, and the clock.  A state is a dead end as soon as some
 unvisited location cannot be reached within its window even along the
 all-pairs shortest travel paths.  As a DIDP state constraint would,
-``successors`` drops each child that is a dead end by that rule, so only
-the target state, or a state built by hand, is ever found dead when it is
-expanded, and every arrival in a built store is within its window.
+``successors`` tests that rule once, on each child, and drops the dead
+ones, so every arrival in a built store is within its window.  A dead
+target, or a dead state built by hand, has no successors: each child
+fails that test, as no child reaches a stranded location sooner than its
+parent could.
 
 The dual bound is the larger of two cheapest-arc sums: every remaining
 location is entered once, and left once along an arc it can still take
@@ -157,21 +159,19 @@ class TsptwModel(DpModel):
         Child ``j`` at arrival ``a`` is dead when a location ``k`` it leaves
         unvisited has no path from ``j`` or ``a + shortest[j][k] > d_k``.
         The first pair of ``j``'s ascending latest arrivals whose ``k`` is
-        still unvisited holds the smallest of them, so it decides.
+        still unvisited holds the smallest of them, so it decides.  That is
+        the model's one dead-end test, and a dead ``state`` has no children
+        that pass it: a location stranded from here misses its window by
+        its direct arc, and by the triangle inequality is stranded from
+        every other child.
         """
         inst = self.instance
         t = state.time
-        shortest, travel = inst.shortest[state.location], inst.travel[state.location]
-        windows, latest = inst.windows, self._latest
+        travel, windows, latest = inst.travel[state.location], inst.windows, self._latest
         mask = state.unvisited
         out = []
         for j in iter_bits(mask):
             r, d = windows[j]
-            # Dead end when some unvisited location misses its window even
-            # via the shortest possible travel.
-            sp = shortest[j]
-            if sp is None or t + sp > d:
-                return []
             arc = travel[j]
             if arc is not None and t + arc <= d:
                 a = t + arc
@@ -351,10 +351,11 @@ def permutation_optimum(instance: TsptwInstance) -> Cost:
 def parse_matrix(text: str, path: str = "<tsptw>") -> TsptwInstance:
     """Parse the whitespace matrix format.
 
-    Layout: the location count, an n-by-n integer travel matrix, then one
-    window line per location holding ``release deadline`` with an optional
-    leading 1-based id (detected by column count).  The k-th window line's
-    id must be k.  Fractional values are rejected.
+    Layout: the location count, an n-by-n integer travel matrix, then, on
+    the lines after the last travel value, one window line per location
+    holding ``release deadline`` with an optional leading 1-based id
+    (detected by column count).  The k-th window line's id must be k.
+    Fractional values are rejected.
     """
     rows: List[Tuple[int, List[str]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -364,24 +365,19 @@ def parse_matrix(text: str, path: str = "<tsptw>") -> TsptwInstance:
     flat = [(lineno, tok) for lineno, toks in rows for tok in toks]
     if not flat:
         raise ParseError("empty file", path)
-    pos = 0
-    lineno, tok = flat[pos]
+    lineno, tok = flat[0]
     n = int_token(tok, path, lineno)
-    pos += 1
     if n < 1:
         raise ParseError("location count must be >= 1", path, lineno)
-    if len(flat) - pos < n * n:
+    end = 1 + n * n
+    if len(flat) < end:
         raise ParseError("truncated travel matrix", path)
-    matrix = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lineno, tok = flat[pos]
-            pos += 1
-            row.append(int_token(tok, path, lineno))
-        matrix.append(row)
-    consumed_linenos = {flat[k][0] for k in range(pos)}
-    window_rows = [(lineno, toks) for lineno, toks in rows if lineno not in consumed_linenos]
+    cells = [int_token(tok, path, lineno) for lineno, tok in flat[1:end]]
+    matrix = [cells[i * n : (i + 1) * n] for i in range(n)]
+    last = flat[end - 1][0]
+    if end < len(flat) and flat[end][0] == last:
+        raise ParseError("extra tokens after the travel matrix", path, last)
+    window_rows = [(lineno, toks) for lineno, toks in rows if lineno > last]
     if len(window_rows) != n:
         raise ParseError(f"expected {n} window lines, got {len(window_rows)}", path)
     widths = {len(toks) for _ln, toks in window_rows}

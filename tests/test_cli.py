@@ -43,12 +43,14 @@ def small_rcpsp_json() -> dict:
     ],
     ids=["smswt", "tsptw", "rcpsp"],
 )
-@pytest.mark.parametrize("damage", ["truncated", "missing-key"])
+@pytest.mark.parametrize("damage", ["truncated", "missing-key", "not-an-object"])
 def test_load_instance_maps_bad_json_to_parse_error(tmp_path, module, doc, key, damage):
     # The library loader is the CLI's loader, so it maps errors the same way.
     doc = doc()
     if damage == "truncated":
         text = json.dumps(doc)[:-3]
+    elif damage == "not-an-object":
+        text = "[1, 2]"
     else:
         text = json.dumps({k: v for k, v in doc.items() if k != key})
     bad = tmp_path / "bad.json"
@@ -57,6 +59,8 @@ def test_load_instance_maps_bad_json_to_parse_error(tmp_path, module, doc, key, 
         module.load_instance(str(bad))
     if damage == "missing-key":
         assert f"missing field '{key}'" in str(err.value)
+    if damage == "not-an-object":
+        assert "instance JSON must be an object" in str(err.value)
 
 
 def test_solve_tsptw_optimal(tmp_path, capsys):

@@ -197,6 +197,47 @@ def test_dropped_children_have_no_completion():
     assert kept > 2500 and omitted > 800, (kept, omitted)
 
 
+def test_successors_on_hand_built_states():
+    # Any valid state, reachable or not: an unvisited set without the depot
+    # or the current location, any location and any clock, on instances
+    # with missing arcs and on one where no path reaches location 2.  The
+    # children must be the unfiltered ones less the blocked, so a blocked
+    # state, whose unfiltered transition is empty, has none, also where
+    # some direct arc from it reaches its location in time.
+    rng = random.Random(34)
+    instances = []
+    for _ in range(60):
+        inst = random_tsptw_instance(rng, rng.randint(2, 9), widths=rng.choice([(8, 30), (30, 80)]))
+        cut = {(i, j) for i in range(inst.n) for j in range(inst.n) if rng.random() < 0.15}
+        instances.append(TsptwInstance(without_arcs(inst.travel, cut), inst.windows))
+    travel = [[None, 3, 4, 2, 6], [5, None, 2, 6, 1], [7, 1, None, 3, 2],
+              [2, 4, 5, None, 3], [4, 2, 6, 1, None]]
+    instances.append(TsptwInstance(without_arcs(travel, {(i, 2) for i in range(5)}), [(0, 100)] * 5))
+    assert instances[-1].shortest[0][2] is None
+    blocked = blocked_with_moves = kept = dropped = 0
+    for inst in instances:
+        model, unfiltered = TsptwModel(inst), UnfilteredTsptwModel(inst)
+        horizon = max(d for _r, d in inst.windows[1:])
+        for _ in range(400):
+            here = rng.randrange(inst.n)
+            mask = sum(1 << k for k in range(1, inst.n) if k != here and rng.random() < 0.5)
+            state = TsptwState(mask, here, rng.randint(0, horizon))
+            children = unfiltered.successors(state)
+            expected = [c for c in children if not tsptw_blocked(inst, c[2])]
+            assert model.successors(state) == expected, (inst.to_json(), state)
+            if tsptw_blocked(inst, state):
+                blocked += 1
+                arcs = inst.travel[here]
+                blocked_with_moves += any(
+                    arcs[j] is not None and state.time + arcs[j] <= inst.windows[j][1]
+                    for j in iter_bits(mask)
+                )
+            kept += len(expected)
+            dropped += len(children) - len(expected)
+    counts = (blocked, blocked_with_moves, kept, dropped)
+    assert blocked > 8000 and blocked_with_moves > 3000 and kept > 10000 and dropped > 3500, counts
+
+
 def test_dual_matches_per_state_sum():
     # Taken in the search's order, a state and then each of its successors
     # (a dual that kept a memo across them would go stale), every value must
@@ -390,6 +431,28 @@ def test_parse_matrix_rejects_window_ids_out_of_order(tmp_path, capsys, ids, lin
     bad.write_text(text)
     assert main(["solve", str(bad), "--problem", "tsptw"]) == 1
     assert capsys.readouterr().err.startswith("dpcp: error")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        (DATA / "extra_tokens_tsptw.txt").read_text(),
+        "3\n0 1 3 9\n1 0 3\n3 3 0\n1 0 100\n2 0 5\n3 0 100\n",
+    ],
+    ids=["last-matrix-line", "first-matrix-line"],
+)
+def test_parse_matrix_rejects_tokens_after_the_matrix(tmp_path, capsys, text):
+    # Tokens past the n * n travel values, appended to the last matrix line
+    # or shifted there by a stray token on an earlier one, must not be
+    # dropped with that line.
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(text, "extra.txt")
+    assert exc.value.line == 4 and "extra tokens after the travel matrix" in str(exc.value)
+    bad = tmp_path / "extra.txt"
+    bad.write_text(text)
+    assert main(["solve", str(bad), "--problem", "tsptw"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpcp: error") and "extra.txt:4" in err
 
 
 def test_parse_matrix_rejects_fractional():
