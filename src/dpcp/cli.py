@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 from . import rcpsp, smswt, tsptw
 from .core import SolveLimits, SolveStatus, evaluate_solution
 from .cost import CostOverflow, cost_to_json
-from .parsing import ParseError, UnknownFormat
+from .parsing import ParseError, UnknownFormat, parse_json
 from .search import PropagationMode, astar, cabs
 
 
@@ -230,11 +230,10 @@ def _bench_row(row: dict) -> dict:
 
 def _cmd_bench(args) -> int:
     try:
-        manifest = json.loads(Path(args.manifest).read_text())
+        text = Path(args.manifest).read_text()
     except OSError as exc:
         raise ParseError(str(exc), args.manifest) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}", args.manifest, exc.lineno) from exc
+    manifest = parse_json(text, args.manifest)
     rows = manifest.get("runs") if isinstance(manifest, dict) else manifest
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ParseError(

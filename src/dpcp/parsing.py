@@ -42,14 +42,12 @@ def read_instance(path: str, from_json: Callable, parse_native: Optional[Callabl
         with open(path) as fh:
             text = fh.read()
         if text.lstrip().startswith(("{", "[")):
-            doc = json.loads(text, parse_float=_not_integer, parse_constant=_not_integer)
+            doc = parse_json(text, path, parse_float=_not_integer, parse_constant=_not_integer)
             if not isinstance(doc, dict):
                 raise ParseError("instance JSON must be an object", path)
             if "true" in text or "false" in text:  # the walk costs more than the parse
                 _reject_booleans(doc)
             return from_json(doc)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}", path, exc.lineno) from exc
     except KeyError as exc:
         raise ParseError(f"missing field {exc}", path) from exc
     except (OSError, TypeError, ValueError) as exc:
@@ -57,6 +55,18 @@ def read_instance(path: str, from_json: Callable, parse_native: Optional[Callabl
     if parse_native is None:
         raise UnknownFormat(f"{path}: not JSON, the only format of this problem")
     return parse_native(text, path)
+
+
+def parse_json(text: str, path: str, **options):
+    """``json.loads(text, **options)``, with each failure a ``ParseError``:
+    the decoder recurses once per nesting level and gives up near
+    Python's recursion limit."""
+    try:
+        return json.loads(text, **options)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc}", path, exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply", path) from exc
 
 
 def _not_integer(token: str):

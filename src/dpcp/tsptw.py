@@ -14,17 +14,20 @@ parent could.
 
 The dual bound is the larger of two cheapest-arc sums: every remaining
 location is entered once, and left once along an arc it can still take
-in time (``leave_costs``).  The CP model is an arrival per remaining
-location under a non-overlap constraint that takes each leave cost as a
-duration.  Its store is infeasible where the dual is ``INFINITY``, and
-its CP dual is 0: the search prunes a popped node on its own ``f``.
+in time.  One scan over per-location rows built on first use sums both;
+a row leaves out each arc that no arrival can take (every arrival is at
+least the release), and ``leave_costs`` is the scan's list, kept for the
+adapter's durations.  The CP model is an arrival per remaining location
+under a non-overlap constraint that takes each leave cost as a duration.
+Its store is infeasible where the dual is ``INFINITY``, and its CP dual
+is 0: the search prunes a popped node on its own ``f``.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import DpModel, iter_bits
+from .core import DpModel
 from .cost import Cost, INFINITY, check_ceiling
 from .cp_engine import Disjunctive, DomainStore, PropagationAdapter
 from .parsing import ParseError, int_token, read_instance
@@ -121,23 +124,7 @@ class TsptwModel(DpModel):
         # each the longest arc or less; ``dual`` caps its entered sum.
         longest = max((c for row in instance.travel for c in row if c is not None), default=0)
         check_ceiling(instance.n * longest)
-        self._to = instance.min_to
-        # Built by the first ``leave_costs``, so that set-up spends nothing.
-        self._by_travel = None
-        # For each location j, the latest arrival at j from which each other
-        # location k is still reachable in time, ``d_k - shortest[j][k]``,
-        # as ``(latest, k)`` pairs in ascending order.  A missing path gets
-        # -1, below every arrival (each is at least 0), so it reads as a
-        # missed window.  The depot is never unvisited, so it has no pair.
-        windows, shortest = instance.windows, instance.shortest
-        self._latest = tuple(
-            sorted(
-                (-1 if shortest[j][k] is None else windows[k][1] - shortest[j][k], k)
-                for k in range(1, instance.n)
-                if k != j
-            )
-            for j in range(instance.n)
-        )
+        self._table = None  # built on first use, so set-up spends nothing
 
     def target_state(self) -> TsptwState:
         mask = ((1 << self.instance.n) - 1) & ~1
@@ -157,33 +144,31 @@ class TsptwModel(DpModel):
         less the children that are dead ends themselves.
 
         Child ``j`` at arrival ``a`` is dead when a location ``k`` it leaves
-        unvisited has no path from ``j`` or ``a + shortest[j][k] > d_k``.
-        The first pair of ``j``'s ascending latest arrivals whose ``k`` is
-        still unvisited holds the smallest of them, so it decides.  That is
-        the model's one dead-end test, and a dead ``state`` has no children
-        that pass it: a location stranded from here misses its window by
-        its direct arc, and by the triangle inequality is stranded from
-        every other child.
+        unvisited has no path from ``j`` or ``a + shortest[j][k] > d_k``:
+        the first of ``j``'s dead-end pairs whose ``k`` is unvisited
+        decides.  A dead ``state`` has no children that pass that test: a
+        location stranded from here misses its window by its direct arc,
+        and by the triangle inequality is stranded from every other child.
         """
-        inst = self.instance
-        t = state.time
-        travel, windows, latest = inst.travel[state.location], inst.windows, self._latest
-        mask = state.unvisited
+        _rows, latest, bits = self._table or self._build_table()
+        windows = self.instance.windows
+        mask, here, t = state
         out = []
-        for j in iter_bits(mask):
-            r, d = windows[j]
-            arc = travel[j]
-            if arc is not None and t + arc <= d:
+        for j, arc in enumerate(self.instance.travel[here]):
+            bit = bits[j]
+            if mask & bit and arc is not None:
+                r, d = windows[j]
                 a = t + arc
-                if a < r:
-                    a = r
-                for limit, k in latest[j]:
-                    if mask >> k & 1:
-                        break
-                else:
-                    limit = a  # j is the last location left: never dead
-                if a <= limit:
-                    out.append((arc, j, TsptwState(mask ^ (1 << j), j, a)))
+                if a <= d:
+                    if a < r:
+                        a = r
+                    for limit, k in latest[j]:
+                        if mask & k:
+                            break
+                    else:
+                        limit = a  # j is the last location left: never dead
+                    if a <= limit:
+                        out.append((arc, j, TsptwState(mask ^ bit, j, a)))
         return out
 
     def dominates(self, a: TsptwState, b: TsptwState) -> bool:
@@ -199,78 +184,92 @@ class TsptwModel(DpModel):
         location's earliest leave is read from the state alone.
 
         Over ``M``, the unvisited set plus the current location, that is
-        the larger of ``min_to[0] + S_to(M) - min_to[location]`` and the
-        sum of ``leave_costs``, or ``INFINITY`` where there are none.
-        ``leave_costs`` has one item per location of ``M``, so one loop
-        sums both.  A location with no arc in has the term ``INFINITY``,
-        and the bound is capped there.  The depot alone (only in a
-        one-location instance) is a finished tour that enters and leaves
-        nothing: 0.
+        the larger of ``min_to`` summed over the depot and the unvisited
+        set and the sum of ``leave_costs`` (``INFINITY`` if there are none),
+        which one scan sums.  The depot alone (only in a one-location
+        instance) is a finished tour that enters and leaves nothing: 0.
         """
-        here = state.location
-        mask = state.unvisited | (1 << here)
-        if mask == 1:
-            return 0
-        items = self.leave_costs(state)
-        if items is None:
-            return INFINITY
-        to = self._to
-        to_sum = leave = 0
-        for i, c in items:
-            to_sum += to[i]
-            leave += c
-        return min(INFINITY, max(to[0] + to_sum - to[here], leave))
+        bound = self._scan(state) if state.unvisited or state.location else 0
+        return INFINITY if bound is None else bound
 
     def leave_costs(self, state: TsptwState) -> Optional[List[Tuple[int, int]]]:
         """``(i, c_i)`` for each ``i`` in ``M``, ascending, where ``c_i`` is
         the cheapest arc out of ``i`` that a completion may still take, or
-        None if some ``i`` has none.
+        None if some ``i`` has none: ``dual``'s scan, listing its terms for
+        the adapter's durations.
 
         ``i`` is left no earlier than ``a_i = max(r_i, t)``, toward an
         unvisited ``j`` that must be reached by ``d_j``: only arcs with
         ``a_i + c_ij <= d_j`` count (arc elimination by time windows,
         Dumas, Desrosiers, Gelinas and Solomon, *Operations Research*,
-        1995).  The depot is a target only where ``i`` may be last, entered
-        after each other unvisited ``k`` by ``a_k + min_to[i] <= d_i``, and
-        its leg is not tested against a window, as no tour's is.
+        1995).  The depot is a target, with no window, only where ``i`` may
+        be last: each other unvisited ``k`` has ``a_k + min_to[i] <= d_i``.
         """
-        windows, to = self.instance.windows, self._to
-        t, here, unvisited = state.time, state.location, state.unvisited
-        by_travel = self._by_travel or self._build_by_travel()
-        # The two largest earliest arrivals over the unvisited set decide
-        # each depot leg (-INFINITY stands for none).
-        first = second = first_at = -INFINITY
-        live = []
-        for i in iter_bits(unvisited | (1 << here)):
-            r, d = windows[i]
-            a = t if t > r else r
-            live.append((i, a, d))
-            if i != here:
-                if a > first:
-                    first, second, first_at = a, first, i
-                elif a > second:
-                    second = a
-        items = []
-        for i, a, d in live:
-            # Bit 0, the depot, is a target where i may be last.
-            targets = unvisited | ((second if i == first_at else first) + to[i] <= d)
-            for c, j, due in by_travel[i]:
-                if targets >> j & 1 and a + c <= due:
-                    items.append((i, c))
-                    break
-            else:
-                return None
-        return items
+        items: List[Tuple[int, int]] = []
+        return None if self._scan(state, items) is None else items
 
-    def _build_by_travel(self):
-        """Each location's arcs as ``(travel, head, deadline)``, cheapest
-        first; the depot's deadline is ``INFINITY``: no window drops it."""
-        due = [INFINITY] + [d for _r, d in self.instance.windows[1:]]
-        self._by_travel = by_travel = [
-            sorted((c, j, due[j]) for j, c in enumerate(row) if c is not None)
-            for row in self.instance.travel
-        ]
-        return by_travel
+    def _scan(self, state: TsptwState, items=None) -> Optional[Cost]:
+        """``dual``'s bound, or None; appends each ``(i, c_i)`` to ``items``."""
+        rows = (self._table or self._build_table())[0]
+        unvisited, here, t = state
+        # The entered sum, and the two largest releases over the unvisited
+        # set (-INFINITY stands for none); raised to the clock, they are
+        # the two largest earliest arrivals, which decide each depot leg.
+        entered = rows[0][4]
+        first = second = -INFINITY
+        first_bit = 0
+        for bit, _i, r, _d, to_i, _arcs in rows:
+            if unvisited & bit:
+                entered += to_i
+                if r > first:
+                    first, second, first_bit = r, first, bit
+                elif r > second:
+                    second = r
+        if t > first > -INFINITY:
+            first = t
+        if t > second > -INFINITY:
+            second = t
+        leave = 0
+        remaining = unvisited | rows[here][0]
+        for bit, i, r, d, to_i, arcs in rows:
+            if remaining & bit:
+                a = t if t > r else r
+                # Bit 0, the depot, is a target where i may be last.
+                targets = unvisited | ((second if bit == first_bit else first) + to_i <= d)
+                for c, head, due in arcs:
+                    if targets & head and a + c <= due:
+                        leave += c
+                        if items is not None:
+                            items.append((i, c))
+                        break
+                else:
+                    return None
+        return min(INFINITY, max(entered, leave))
+
+    def _build_table(self):
+        """``(rows, latest, bits)``, built whole before its one write, so a
+        solve that shares the model sees all of it or none of it.
+
+        ``bits[k]`` is ``1 << k``, shared by every entry.  Row ``i`` is
+        ``(bits[i], i, r_i, d_i, min_to[i], arcs)``: ``(c_ij, bits[j], d_j)``
+        cheapest first, the depot's deadline ``INFINITY``, less each arc
+        with ``r_i + c_ij > d_j``, which no arrival at ``i`` can take.
+        ``latest[i]`` holds ``(d_k - shortest[i][k], bits[k])``, ascending,
+        for each other ``k`` but the depot: the latest arrival at ``i`` that
+        still reaches ``k`` in time, or -1, below every arrival, if none."""
+        inst = self.instance
+        bits = tuple(1 << k for k in range(inst.n))
+        due = (INFINITY,) + tuple(d for _r, d in inst.windows[1:])
+        rows, latest = [], []
+        for i, (row, reach, (r, d)) in enumerate(zip(inst.travel, inst.shortest, inst.windows)):
+            arcs = [
+                (c, b, dj) for c, b, dj in zip(row, bits, due) if c is not None and r + c <= dj
+            ]
+            rows.append((bits[i], i, r, d, inst.min_to[i], tuple(sorted(arcs))))
+            pairs = [(-1 if s is None else dk - s, b) for s, dk, b in zip(reach, due, bits)]
+            latest.append(tuple(sorted(pairs[1:i] + pairs[i + 1 :])))  # neither depot nor i
+        self._table = table = (tuple(rows), tuple(latest), bits)
+        return table
 
     def state_signature(self, state: TsptwState):
         return (state.unvisited, state.location)

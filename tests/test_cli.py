@@ -572,3 +572,37 @@ def test_bench_unwritable_output(tmp_path, capsys):
     out = tmp_path / "missing" / "runs.csv"
     assert main(["bench", str(mpath), "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith("dpcp: error")
+
+
+DEEP = 200_000  # nesting levels, far past Python's recursion limit
+
+
+def test_solve_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"c": ' + "[" * DEEP + "]" * DEEP + "}")
+    with pytest.raises(ParseError, match="JSON nested too deeply"):
+        tsptw.load_instance(str(deep))
+    assert main(["solve", str(deep), "--problem", "tsptw"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpcp: error") and "JSON nested too deeply" in err
+
+
+def test_bench_deeply_nested_manifest_is_a_parse_error(tmp_path, capsys):
+    # A row whose instance is such a file stays an Error row, and a
+    # manifest nested as deeply ends the whole bench.
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"c": ' + "[" * DEEP + "]" * DEEP + "}")
+    good = write_json(tmp_path / "good.json", TINY_TSPTW_JSON)
+    rows = [{"instance": str(path), "problem": "tsptw"} for path in (deep, good)]
+    mpath = write_json(tmp_path / "manifest.json", rows)
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 0
+    with out.open() as fh:
+        got = [r for r in csv.DictReader(fh) if r["instance"] != "[summary]"]
+    assert [r["status"] for r in got] == ["Error", "Optimal"]
+    assert "JSON nested too deeply" in got[0]["error"]
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * DEEP + "]" * DEEP)
+    assert main(["bench", str(nested)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpcp: error") and "JSON nested too deeply" in err

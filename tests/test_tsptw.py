@@ -270,6 +270,64 @@ def test_dual_matches_per_state_sum():
     assert checked > 500 and infinite > 100, (checked, infinite)
 
 
+def test_dual_and_leave_costs_on_hand_built_states():
+    # Any valid state, reachable or not: an unvisited set without the depot
+    # or the current location, any location, and a clock up to past the
+    # horizon.  The instances have removed and zero-travel arcs, arcs that
+    # no arrival can take (``r_i + c > d_j``), arcs that meet their head's
+    # deadline exactly from the tail's release (``r_i + c == d_j``), on
+    # every fourth a location with no exit, and on every other a depot
+    # deadline.  Every value must equal the one found by scanning whole
+    # rows, so a table that keeps out one arc that some arrival can take
+    # fails here; the floors make sure that such arcs decide some states.
+    rng = random.Random(38)
+    none = late = exact = 0
+    for k in range(120):
+        n = rng.randint(2, 9)
+        inst = random_tsptw_instance(rng, n, widths=rng.choice([(0, 20), (8, 30), (30, 80)]))
+        windows = list(inst.windows)
+        if k % 2:
+            windows[0] = (0, rng.randint(10, 80))
+        travel = [list(row) for row in inst.travel]
+        for row in travel:  # about 15% of the arcs removed and 10% free
+            for j, c in enumerate(row):
+                if c is not None and rng.random() < 0.25:
+                    row[j] = None if rng.random() < 0.6 else 0
+        for _ in range(n * n):
+            i, j = rng.sample(range(n), 2)
+            if j and 0 <= windows[j][1] - windows[i][0] <= 20:
+                travel[i][j] = windows[j][1] - windows[i][0]
+        if k % 4 == 0:
+            travel[rng.randrange(n)] = [None] * n
+        inst = TsptwInstance(travel, windows)
+        model = TsptwModel(inst)
+        # Locations whose cheapest arc no arrival can take.
+        unusable = set()
+        for i, row in enumerate(travel):
+            c, j = min(((c, j) for j, c in enumerate(row) if c is not None), default=(0, 0))
+            if j and windows[i][0] + c > windows[j][1]:
+                unusable.add(i)
+        horizon = max(d for _r, d in windows)
+        for _ in range(300):
+            here = rng.randrange(n)
+            mask = sum(1 << j for j in range(1, n) if j != here and rng.random() < 0.5)
+            state = TsptwState(mask, here, rng.randint(0, horizon + 20))
+            items = model.leave_costs(state)
+            assert items == reference_leave_costs(inst, state), (inst.to_json(), state)
+            assert model.dual(state) == reference_dual(model, state), (inst.to_json(), state)
+            if items is None:
+                none += 1
+                continue
+            late += any(i in unusable for i, _c in items)
+            exact += any(
+                state.time <= windows[i][0] and windows[i][0] + c == windows[j][1]
+                for i, c in items
+                for j in iter_bits(mask)
+                if travel[i][j] == c
+            )
+    assert none > 15000 and late > 2000 and exact > 1000, (none, late, exact)
+
+
 def test_build_duration_domains():
     # One arrival per location, and the leave costs as durations.
     model = triangle_model()
@@ -682,32 +740,43 @@ def test_admission_rejects_children_over_the_travel_budget():
     assert over > 100, over
 
 
+CALLS = ("dual", "leave_costs", "successors")
+
+
 def test_dual_memo_consistent_under_interleaved_calls():
-    # A model may be shared by concurrent solves, so another solve's
-    # ``dual`` may run between any two attribute writes of this one.  The
-    # only write ``dual`` makes is the first ``leave_costs``'s build of the
-    # arcs by travel; the probe model runs ``dual`` on a drawn state right
-    # after it.  Every value, the probe's and the callers', must equal a
-    # fresh model's.
+    # A model may be shared by concurrent solves, so another solve's call
+    # may run between any two attribute writes of this one.  The only
+    # write the model makes after set-up is the first call's build of its
+    # table, whether ``dual`` or ``successors`` makes that call; the probe
+    # model runs ``dual``, ``leave_costs`` and ``successors`` on a drawn
+    # state right after it.  Every value, the probe's and the callers',
+    # must equal a fresh model's.
     rng = random.Random(67)
     for _ in range(20):
         inst = random_tsptw_instance(rng, rng.randint(4, 7))
         fresh = TsptwModel(inst)
         states = list(enumerate_state_values(fresh))
-        values = []
-        probes = []
 
-        class Probing(TsptwModel):
-            def __setattr__(self, name, value):
-                object.__setattr__(self, name, value)
-                if name == "_by_travel" and value is not None:
-                    state = rng.choice(states)
-                    probes.append(state)
-                    values.append((state, self.dual(state)))
+        def outputs(model, state, order):
+            got = {name: getattr(model, name)(state) for name in order}
+            return tuple(got[name] for name in CALLS)
 
-        model = Probing(inst)
-        for state in states:
-            values.append((state, model.dual(state)))
-        assert len(probes) == 1, probes
-        for state, value in values:
-            assert value == fresh.dual(state), state
+        for first in ("dual", "successors"):
+            order = (first,) + tuple(name for name in CALLS if name != first)
+            values = []
+            probes = []
+
+            class Probing(TsptwModel):
+                def __setattr__(self, name, value):
+                    object.__setattr__(self, name, value)
+                    if name == "_table" and value is not None:
+                        state = rng.choice(states)
+                        probes.append(state)
+                        values.append((state, outputs(self, state, order)))
+
+            model = Probing(inst)
+            for state in states:
+                values.append((state, outputs(model, state, order)))
+            assert len(probes) == 1, (order, probes)
+            for state, value in values:
+                assert value == outputs(fresh, state, order), (order, state)
