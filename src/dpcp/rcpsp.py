@@ -15,8 +15,10 @@ tasks still running at its clock, and its makespan estimate.  So the
 successor rule, dominance, the dual bound and the CP build read those
 fields instead of rescanning all n starts.
 
-The dual bound (``RcpspModel.dual``) is a makespan floor over one
-earliest start per pending task, converted to remaining cost by
+The dual bound (``RcpspModel.dual``) is the largest of three makespan
+floors: critical paths and energy envelopes over one earliest start per
+pending task, and a clash sequence of pending tasks that can never overlap
+and so run one after another.  It is converted to remaining cost by
 subtracting the state's estimate, floored at 0.  ``off`` and the
 propagating modes use the same function, the latter with a propagated
 store's lower bounds as the floor of each pending task's earliest start.
@@ -60,9 +62,6 @@ class RcpspInstance:
     ):
         self.tasks: Tuple[RcpspTask, ...] = tuple(tasks)
         self.capacities: Tuple[int, ...] = tuple(capacities)
-        self.precedences: Tuple[Tuple[int, int], ...] = tuple(
-            (int(i), int(j)) for i, j in precedences
-        )
         n = len(self.tasks)
         if n == 0:
             raise ValueError("instance needs at least one task")
@@ -78,11 +77,17 @@ class RcpspInstance:
         self.successors: Tuple[Tuple[int, ...], ...]
         preds: List[List[int]] = [[] for _ in range(n)]
         succs: List[List[int]] = [[] for _ in range(n)]
-        for i, j in self.precedences:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError(f"bad precedence pair ({i}, {j})")
+        pairs = []
+        for pair in precedences:
+            i, j = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else (None, None)
+            # Two distinct task ids; a JSON string is no id.
+            ids = type(i) is int and type(j) is int
+            if not ids or not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ValueError(f"bad precedence pair {pair!r}")
+            pairs.append((i, j))
             preds[j].append(i)
             succs[i].append(j)
+        self.precedences: Tuple[Tuple[int, int], ...] = tuple(pairs)
         self.predecessors = tuple(tuple(p) for p in preds)
         self.successors = tuple(tuple(s) for s in succs)
         self.horizon = sum(t.duration for t in self.tasks)
@@ -117,9 +122,7 @@ class RcpspInstance:
     @staticmethod
     def from_json(data: dict) -> "RcpspInstance":
         tasks = [RcpspTask(t["p"], tuple(t["u"])) for t in data["tasks"]]
-        return RcpspInstance(
-            tasks, tuple(data["capacities"]), [tuple(p) for p in data["precedences"]]
-        )
+        return RcpspInstance(tasks, tuple(data["capacities"]), data["precedences"])
 
 
 class RcpspState(NamedTuple):
@@ -148,7 +151,8 @@ class RcpspModel(DpModel):
     running tasks, left-shift pruning drops a candidate that another
     candidate finishes before, ``dominates`` compares states of equal
     signature by their clocks and the dominator's running tasks, and
-    ``dual`` takes precomputed tails and energies over the pending tasks.
+    ``dual`` takes precomputed tails, energies and clash masks over the
+    pending tasks.
     """
 
     def __init__(self, instance: RcpspInstance):
@@ -182,6 +186,7 @@ class RcpspModel(DpModel):
         self._energies = tuple(tuple(u * t.duration for u in t.usages) for t in tasks)
         self._zeros = (0,) * instance.n
         self._longest_first = tuple(sorted(range(instance.n), key=lambda i: -durations[i]))
+        self._clash = None  # built on the first ``dual``, so set-up spends nothing
         # One tuple per running set, shared by every state that has it.  A
         # race between solves sharing the model at worst stores an equal
         # tuple twice.
@@ -343,6 +348,12 @@ class RcpspModel(DpModel):
         smallest and ``E`` its energy.  Only the suffix sets by ``est``
         need evaluating, ties in any order: the suffix from a set's
         smallest ``est`` holds the set and has the same left edge.
+
+        Pending tasks that pairwise clash (``_build_clash``) run one after
+        another from the clock, or from the finish of a running task that
+        clashes with each of them, as none starts before the clock.  The
+        set is chosen greedily, longest first (after Mingozzi et al.'s
+        node-packing bound, 1998); this floor ignores ``floor``.
         """
         scheduled, time = state.scheduled, state.time
         tails = self._tails
@@ -363,7 +374,52 @@ class RcpspModel(DpModel):
                 envelope = est - (-energy // cap)
                 if envelope > latest:
                     latest = envelope
+        clash, order = self._clash or self._build_clash()
+        starts, durations = state.starts, self._durations
+        todo = self._full & ~scheduled
+        anchors = [(time, todo)]
+        anchors += [(starts[j] + durations[j], todo & clash[j]) for j in state.running]
+        for finish, candidates in anchors:
+            # Greedy: after a task is kept, only the tasks it clashes with
+            # stay candidates.
+            for bit, p, row in order:
+                if candidates & bit:
+                    finish += p
+                    candidates &= row
+                    if not candidates:
+                        break
+            if finish > latest:
+                latest = finish
         return max(0, latest - state.estimate)
+
+    def _build_clash(self):
+        """``(clash, order)``, built whole before its one write: ``clash[i]``
+        masks the tasks that never overlap ``i``, as some resource cannot
+        hold both or precedences chain them; ``order`` holds ``(1 << i,
+        p_i, clash[i])`` longest first, ties by id."""
+        inst = self.instance
+        n, usages, succs = inst.n, self._usages, inst.successors
+        clash, down, up = [0] * n, [0] * n, [0] * n
+        for r, cap in enumerate(inst.capacities):
+            # By rising usage the threshold ``cap - u_ir`` falls, so the
+            # mask of the tasks above it only grows.
+            by_use = sorted(range(n), key=lambda i: usages[i][r])
+            above, k = 0, n
+            for i in by_use:
+                while k and usages[by_use[k - 1]][r] + usages[i][r] > cap:
+                    k -= 1
+                    above |= 1 << by_use[k]
+                clash[i] |= above
+        for i in reversed(inst.topo_order):
+            for j in succs[i]:
+                down[i] |= down[j] | 1 << j
+        for i in inst.topo_order:
+            for j in succs[i]:
+                up[j] |= up[i] | 1 << i
+        clash = [c | d | u for c, d, u in zip(clash, down, up)]
+        order = tuple((1 << i, self._durations[i], clash[i]) for i in self._longest_first)
+        self._clash = table = (tuple(clash), order)
+        return table
 
     def state_signature(self, state: RcpspState):
         return state.scheduled

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from dpcp import (
@@ -118,6 +119,47 @@ def energy_ceiling(instance: rcpsp.RcpspInstance, mask: int) -> int:
         cand = -(-energy // cap)
         if cand > best:
             best = cand
+    return best
+
+
+def rcpsp_clash_floor(instance: rcpsp.RcpspInstance, state) -> int:
+    """The clash-sequence makespan floor of ``state``, from its definition.
+
+    Two tasks clash when some resource cannot hold both at once, or when a
+    chain of precedences leads from one to the other.  Pending tasks that
+    pairwise clash run one after another, each no earlier than the clock,
+    and no earlier than the finish of a running task that clashes with all
+    of them.  Each set is chosen greedily: the candidates longest first,
+    ties by id, each kept if it clashes with every task kept before it.
+    The floor is the largest anchor plus its set's durations, over the
+    clock with every pending task a candidate, and each running task with
+    the pending tasks that clash with it.
+    """
+    tasks, caps = instance.tasks, instance.capacities
+
+    @lru_cache(maxsize=None)
+    def reaches(a, b):
+        return any(j == b or reaches(j, b) for j in instance.successors[a])
+
+    def clash(a, b):
+        over = any(ua + ub > c for ua, ub, c in zip(tasks[a].usages, tasks[b].usages, caps))
+        return over or reaches(a, b) or reaches(b, a)
+
+    pending = sorted(
+        (i for i, s in enumerate(state.starts) if s is None),
+        key=lambda i: (-tasks[i].duration, i),
+    )
+    anchors = [(state.time, pending)]
+    for j, s in enumerate(state.starts):
+        if s is not None and s + tasks[j].duration > state.time:
+            anchors.append((s + tasks[j].duration, [i for i in pending if clash(i, j)]))
+    best = 0
+    for anchor, candidates in anchors:
+        kept = []
+        for i in candidates:
+            if all(clash(i, k) for k in kept):
+                kept.append(i)
+        best = max(best, anchor + sum(tasks[i].duration for i in kept))
     return best
 
 

@@ -35,6 +35,7 @@ from conftest import (
     random_rcpsp_instance,
     random_sms_instance,
     random_tsptw_instance,
+    rcpsp_clash_floor,
     solve_all_modes,
 )
 from test_rcpsp import brute_force_envelope
@@ -255,9 +256,11 @@ def test_criterion_9_envelope_matches_subset_brute_force():
             got = root.estimate + model.dual(root, [lb for lb, _p, _u in tasks])
             envelope = brute_force_envelope(tasks, cap)
             tails = max(lb + p for lb, p, _u in tasks)
-            assert got == max(envelope, tails), (tasks, cap)
-            binding += envelope > tails
-        # The envelope, not a tail, is the bound on many of the inputs.
+            clash = rcpsp_clash_floor(inst, root)
+            assert got == max(envelope, tails, clash), (tasks, cap)
+            binding += envelope > max(tails, clash)
+        # The envelope, not a tail or the clash floor, is the bound on many
+        # of the inputs.
         assert binding > 150, binding
 
 

@@ -50,6 +50,7 @@ from conftest import (
     random_rcpsp_instance,
     random_sms_instance,
     random_tsptw_instance,
+    rcpsp_clash_floor,
     rcpsp_fields,
     rcpsp_tails,
     reference_sms_bound,
@@ -78,14 +79,15 @@ def reference_rcpsp_veto(adapter, label, state, store):
 
 
 def reference_rcpsp_dual_cp(adapter, state, store):
-    """Each pending task's earliest start plus its tail, and each
-    resource's envelope over those starts, taken separately.  A pending
-    task's earliest start is its lower bound, or the clock if that is
-    later: a successor is bounded under its parent's store."""
+    """Each pending task's earliest start plus its tail, each resource's
+    envelope over those starts, and the clash-sequence floor, taken
+    separately.  A pending task's earliest start is its lower bound, or
+    the clock if that is later: a successor is bounded under its parent's
+    store."""
     inst = adapter.instance
     tails = rcpsp_tails(inst)
     ests = {i: max(store.lbs[i], state.time) for i, s in enumerate(state.starts) if s is None}
-    total = max((est + tails[i] for i, est in ests.items()), default=0)
+    total = max([est + tails[i] for i, est in ests.items()] + [rcpsp_clash_floor(inst, state)])
     for r, cap in enumerate(inst.capacities):
         tasks = [(est, inst.tasks[i].duration, inst.tasks[i].usages[r]) for i, est in ests.items()]
         total = max(total, one_resource_envelope(tasks, cap))

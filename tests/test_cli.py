@@ -128,6 +128,18 @@ def test_solve_rejects_non_integer_json_numbers(tmp_path, capsys, problem, doc, 
     assert err.startswith("dpcp: error") and token in err
 
 
+@pytest.mark.parametrize(
+    "pair, shown", [([0, "1"], "[0, '1']"), ([0], "[0]"), ("01", "'01'")]
+)
+def test_solve_rejects_malformed_precedence_pairs(tmp_path, capsys, pair, shown):
+    # A task id must be a JSON integer, as every other integer field is.
+    doc = {"tasks": [{"p": 2, "u": [1]}, {"p": 2, "u": [1]}], "capacities": [2]}
+    bad = write_json(tmp_path / "bad.json", dict(doc, precedences=[pair]))
+    assert main(["solve", str(bad), "--problem", "rcpsp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpcp: error") and f"bad precedence pair {shown}" in err
+
+
 def test_solve_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

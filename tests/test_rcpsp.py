@@ -33,6 +33,7 @@ from conftest import (
     energy_ceiling,
     one_resource_envelope,
     random_rcpsp_instance,
+    rcpsp_clash_floor,
     rcpsp_fields,
     rcpsp_tails,
     reference_rcpsp_dominates,
@@ -131,17 +132,18 @@ def test_dual_bound_helpers():
 
 
 def reference_dual(model, state):
-    """Critical-path and energy floors, each as remaining cost on its own,
-    the larger taken."""
+    """Critical-path, energy and clash-sequence floors, each as remaining
+    cost on its own, the largest taken."""
     inst = model.instance
     mask = sum(1 << i for i, s in enumerate(state.starts) if s is None)
     _scheduled, _running, estimate = rcpsp_fields(inst, state)
     chain = max(0, state.time + critical_path_length(inst, mask) - estimate)
     energy = max(0, state.time + energy_ceiling(inst, mask) - estimate)
-    return max(chain, energy)
+    clash = max(0, rcpsp_clash_floor(inst, state) - estimate)
+    return max(chain, energy, clash)
 
 
-def test_dual_matches_two_floor_reference():
+def test_dual_matches_three_floor_reference():
     rng = random.Random(21)
     checked = 0
     for _ in range(20):
@@ -168,11 +170,12 @@ def brute_force_envelope(tasks, capacity):
 def brute_force_bound(inst, state, floor):
     """``RcpspModel.dual`` from its definition: each pending task starts
     no earlier than its floor and the clock; tails come from their own
-    recursion, and each envelope is taken over every non-empty set of
-    pending tasks."""
+    recursion, each envelope is taken over every non-empty set of pending
+    tasks, and the clash-sequence floor, which ignores ``floor``, comes
+    from its own reference."""
     tails = rcpsp_tails(inst)
     est = {i: max(floor[i], state.time) for i, s in enumerate(state.starts) if s is None}
-    best = max((est[i] + tails[i] for i in est), default=0)
+    best = max([est[i] + tails[i] for i in est] + [rcpsp_clash_floor(inst, state)])
     for r, cap in enumerate(inst.capacities):
         tasks = [(est[i], inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in est]
         best = max(best, brute_force_envelope(tasks, cap))
@@ -500,6 +503,46 @@ def test_cp_bounds_below_oracle_values():
             )
             assert finish - state.estimate <= value
             assert adapter.dual_cp(state, store) <= value
+
+
+def test_dual_admissible_on_every_reachable_state():
+    """At every state the unpruned model reaches, the bound is at most the
+    state's exact value plain and floored by the state's own ``once`` and
+    ``fixpoint`` stores, and each child that the store does not veto is
+    bounded at most at its own value under that store, as the search
+    bounds it.  Usages near half a capacity and dense precedences make the
+    clash floor bind."""
+    rng = random.Random(39)
+    checked = exact = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        caps = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+        tasks = [(rng.randint(1, 6), [rng.randint(0, c) for c in caps]) for _ in range(n)]
+        ids = rng.sample(range(n), n)
+        density = rng.uniform(0, 0.6)
+        precedences = [
+            (ids[a], ids[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < density
+        ]
+        model = ReferenceRcpspModel(instance_of(tasks, caps, precedences), left_shift=False)
+        adapter = RcpspAdapter(model)
+        values = enumerate_state_values(model)
+        for state, value in values.items():
+            if model.is_base(state):
+                continue
+            bound = model.dual(state)
+            assert bound <= value, (tasks, caps, precedences, state)
+            exact += bound == value
+            checked += 1
+            for propagate in (propagate_once, propagate_fixpoint):
+                store, props = adapter.build(state)
+                propagate(store, props)
+                if store.infeasible:
+                    continue
+                assert model.dual(state, store.lbs) <= value, (tasks, caps, precedences, state)
+                for _w, label, child in model.successors(state):
+                    if not adapter.is_succ_infeasible(label, child, store):
+                        assert model.dual(child, store.lbs) <= values[child], (state, child)
+    assert checked > 3000 and exact > checked // 2, (checked, exact)
 
 
 def test_validation_rejects_bad_instances():

@@ -450,38 +450,41 @@ PINNED_COUNTS = {
     ("tsptw", 13, "cabs", "off"): ("Optimal", 65, 63, 103, 0, 1, 4),
     ("tsptw", 13, "cabs", "once"): ("Optimal", 65, 63, 103, 0, 1, 4),
     ("tsptw", 13, "cabs", "fixpoint"): ("Optimal", 65, 63, 103, 0, 1, 4),
-    ("rcpsp", 0, "astar", "off"): ("Optimal", 26, 35, 62, 0, 1, 0),
-    ("rcpsp", 0, "astar", "once"): ("Optimal", 26, 30, 56, 0, 0, 0),
-    ("rcpsp", 0, "astar", "fixpoint"): ("Optimal", 26, 30, 56, 0, 0, 0),
-    ("rcpsp", 0, "cabs", "off"): ("Optimal", 26, 86, 155, 0, 1, 4),
-    ("rcpsp", 0, "cabs", "once"): ("Optimal", 26, 51, 108, 21, 0, 4),
-    ("rcpsp", 0, "cabs", "fixpoint"): ("Optimal", 26, 24, 53, 13, 0, 3),
-    ("rcpsp", 8, "astar", "off"): ("Optimal", 9, 40, 73, 0, 0, 0),
-    ("rcpsp", 8, "astar", "once"): ("Optimal", 9, 28, 49, 0, 0, 0),
-    ("rcpsp", 8, "astar", "fixpoint"): ("Optimal", 9, 28, 49, 0, 0, 0),
-    ("rcpsp", 8, "cabs", "off"): ("Optimal", 9, 95, 181, 0, 5, 5),
-    ("rcpsp", 8, "cabs", "once"): ("Optimal", 9, 24, 64, 23, 1, 4),
-    ("rcpsp", 8, "cabs", "fixpoint"): ("Optimal", 9, 24, 64, 23, 1, 4),
-    ("rcpsp", 12, "astar", "off"): ("Optimal", 21, 155, 360, 0, 2, 0),
-    ("rcpsp", 12, "astar", "once"): ("Optimal", 21, 97, 255, 0, 5, 0),
-    ("rcpsp", 12, "astar", "fixpoint"): ("Optimal", 21, 97, 255, 0, 5, 0),
-    ("rcpsp", 12, "cabs", "off"): ("Optimal", 21, 330, 803, 0, 32, 6),
-    ("rcpsp", 12, "cabs", "once"): ("Optimal", 21, 266, 667, 85, 39, 7),
-    ("rcpsp", 12, "cabs", "fixpoint"): ("Optimal", 21, 262, 657, 83, 40, 7),
-    ("rcpsp", 16, "astar", "off"): ("Optimal", 15, 45, 78, 0, 1, 0),
-    ("rcpsp", 16, "astar", "once"): ("Optimal", 15, 43, 76, 0, 0, 0),
-    ("rcpsp", 16, "astar", "fixpoint"): ("Optimal", 15, 43, 76, 0, 0, 0),
-    ("rcpsp", 16, "cabs", "off"): ("Optimal", 15, 88, 149, 0, 0, 4),
-    ("rcpsp", 16, "cabs", "once"): ("Optimal", 15, 82, 171, 32, 8, 5),
-    ("rcpsp", 16, "cabs", "fixpoint"): ("Optimal", 15, 82, 171, 32, 8, 5),
+    # RCPSP's bound takes the clash-sequence floor in every mode: pending
+    # tasks that can never overlap run one after another.  It cuts every
+    # RCPSP count, and A* now expands alike in all three modes.
+    ("rcpsp", 0, "astar", "off"): ("Optimal", 26, 14, 28, 0, 0, 0),
+    ("rcpsp", 0, "astar", "once"): ("Optimal", 26, 14, 28, 0, 0, 0),
+    ("rcpsp", 0, "astar", "fixpoint"): ("Optimal", 26, 14, 28, 0, 0, 0),
+    ("rcpsp", 0, "cabs", "off"): ("Optimal", 26, 8, 17, 0, 0, 2),
+    ("rcpsp", 0, "cabs", "once"): ("Optimal", 26, 8, 17, 1, 0, 2),
+    ("rcpsp", 0, "cabs", "fixpoint"): ("Optimal", 26, 8, 17, 1, 0, 2),
+    ("rcpsp", 8, "astar", "off"): ("Optimal", 9, 10, 21, 0, 0, 0),
+    ("rcpsp", 8, "astar", "once"): ("Optimal", 9, 10, 21, 0, 0, 0),
+    ("rcpsp", 8, "astar", "fixpoint"): ("Optimal", 9, 10, 21, 0, 0, 0),
+    ("rcpsp", 8, "cabs", "off"): ("Optimal", 9, 5, 15, 0, 0, 2),
+    ("rcpsp", 8, "cabs", "once"): ("Optimal", 9, 5, 15, 1, 0, 2),
+    ("rcpsp", 8, "cabs", "fixpoint"): ("Optimal", 9, 5, 15, 1, 0, 2),
+    ("rcpsp", 12, "astar", "off"): ("Optimal", 21, 21, 54, 0, 0, 0),
+    ("rcpsp", 12, "astar", "once"): ("Optimal", 21, 21, 54, 0, 0, 0),
+    ("rcpsp", 12, "astar", "fixpoint"): ("Optimal", 21, 21, 54, 0, 0, 0),
+    ("rcpsp", 12, "cabs", "off"): ("Optimal", 21, 59, 138, 0, 1, 4),
+    ("rcpsp", 12, "cabs", "once"): ("Optimal", 21, 59, 138, 1, 1, 4),
+    ("rcpsp", 12, "cabs", "fixpoint"): ("Optimal", 21, 56, 131, 4, 1, 4),
+    ("rcpsp", 16, "astar", "off"): ("Optimal", 15, 11, 22, 0, 0, 0),
+    ("rcpsp", 16, "astar", "once"): ("Optimal", 15, 11, 22, 0, 0, 0),
+    ("rcpsp", 16, "astar", "fixpoint"): ("Optimal", 15, 11, 22, 0, 0, 0),
+    ("rcpsp", 16, "cabs", "off"): ("Optimal", 15, 7, 14, 0, 0, 2),
+    ("rcpsp", 16, "cabs", "once"): ("Optimal", 15, 7, 14, 1, 0, 2),
+    ("rcpsp", 16, "cabs", "fixpoint"): ("Optimal", 15, 7, 14, 1, 0, 2),
     # n = 6.  CABS + once sees the incumbent cap in its single pass, so it
     # equals CABS + fixpoint.
-    ("rcpsp", 23, "astar", "off"): ("Optimal", 11, 15, 24, 0, 0, 0),
-    ("rcpsp", 23, "astar", "once"): ("Optimal", 11, 14, 23, 0, 0, 0),
-    ("rcpsp", 23, "astar", "fixpoint"): ("Optimal", 11, 14, 23, 0, 0, 0),
-    ("rcpsp", 23, "cabs", "off"): ("Optimal", 11, 27, 48, 0, 0, 3),
-    ("rcpsp", 23, "cabs", "once"): ("Optimal", 11, 20, 38, 5, 0, 3),
-    ("rcpsp", 23, "cabs", "fixpoint"): ("Optimal", 11, 20, 38, 5, 0, 3),
+    ("rcpsp", 23, "astar", "off"): ("Optimal", 11, 12, 20, 0, 0, 0),
+    ("rcpsp", 23, "astar", "once"): ("Optimal", 11, 12, 20, 0, 0, 0),
+    ("rcpsp", 23, "astar", "fixpoint"): ("Optimal", 11, 12, 20, 0, 0, 0),
+    ("rcpsp", 23, "cabs", "off"): ("Optimal", 11, 6, 11, 0, 0, 2),
+    ("rcpsp", 23, "cabs", "once"): ("Optimal", 11, 6, 11, 1, 0, 2),
+    ("rcpsp", 23, "cabs", "fixpoint"): ("Optimal", 11, 6, 11, 1, 0, 2),
 }
 
 
@@ -661,7 +664,9 @@ def test_cabs_tables_emptied_at_a_new_incumbent_only_where_build_reads_it(
             improved.append((before, (len(ctx.this_pass), len(ctx.last_pass))))
 
     monkeypatch.setattr(_SolveContext, "offer_incumbent", offer_incumbent)
-    for seed in range(13):
+    # RCPSP's bound is tight enough that few draws improve an incumbent
+    # after a pass with none: of these, seeds 88, 132, 155, 156 and 157.
+    for seed in range(160):
         model = make(random.Random(seed))
         cabs(model, make_adapter(model), mode=PropagationMode.ONCE)
     # Some improvements came while both tables held entries.
