@@ -30,18 +30,23 @@ def optimality_gap(primal: Optional[Cost], dual: Cost) -> float:
 class RunMetrics:
     """Counters and anytime traces for one solve.
 
-    An expansion is a popped, non-stale, non-base state whose successor
-    enumeration actually ran; a state pruned by its propagated store
-    counts in ``pruned_by_cp`` instead, and one pruned on its own ``f``
-    (in every propagation mode) in ``pruned_by_f``, so the pops number
-    ``expansions + pruned_by_f`` with propagation off.  ``generated``
-    counts successor candidates handed to the admission test.  With
-    propagation on, each popped, non-stale, non-base state either builds
-    and propagates its CP model (``propagation_calls``) or, in CABS, reuses
-    the store propagated for it earlier (``reused``): under any incumbent
-    when the adapter's ``build`` ignores it, under the same incumbent
-    otherwise.  Traces carry wall-clock offsets; incumbent costs are
-    strictly decreasing and dual bounds non-decreasing.
+    An expansion is a popped, non-stale, non-base state that was not
+    pruned; it counts once whether its successors were enumerated or, in
+    CABS, replayed from an earlier pop of the state.  A state pruned by its
+    propagated store counts in ``pruned_by_cp`` instead, and one pruned on
+    its own ``f`` (in every propagation mode) in ``pruned_by_f``, so the
+    pops number ``expansions + pruned_by_f`` with propagation off.
+    ``generated`` counts successor candidates handed to the admission test.
+    In CABS, ``reused`` counts the pops, in every propagation mode, that
+    found their state's expansion kept from an earlier pop in this pass or
+    the last: with propagation on, each other pop builds and propagates its
+    CP model (``propagation_calls``), so the pops number
+    ``propagation_calls + reused``; a kept store is replayed under any
+    incumbent when the adapter's ``build`` ignores it, under the same
+    incumbent otherwise.  ``peak_kept_children`` is the largest number of
+    successors those kept expansions held at once (0 in A*).  Traces carry
+    wall-clock offsets; incumbent costs are strictly decreasing and dual
+    bounds non-decreasing.
     """
 
     expansions: int = 0
@@ -50,6 +55,7 @@ class RunMetrics:
     pruned_by_f: int = 0
     propagation_calls: int = 0
     reused: int = 0
+    peak_kept_children: int = 0
     propagation_time: float = 0.0
     base_pops: int = 0
     stale_skips: int = 0

@@ -22,10 +22,13 @@ successors are filtered individually.  The adapter's ``dual_cp`` bounds
 popped states only.
 
 CABS restarts duplicate detection with each pass, but a popped state's
-propagated store carries over one pass: a state popped again in this pass
-or the last reuses that store, whatever it decided at the earlier pop,
-instead of building and propagating its CP model afresh, under a later
-incumbent only if the adapter's ``build`` ignores the primal.
+expansion carries over one pass, in every propagation mode: a state
+popped again in this pass or the last replays what its first pop
+computed (its propagated store and CP dual, its successors after the
+veto and each admitted child's bound) instead of asking the model and the
+adapter again, under a later incumbent only if the adapter's ``build``
+ignores the primal.  Admission, dominance and the pruning tests still run
+at every pop, so the search is the one without the replay.
 """
 
 from __future__ import annotations
@@ -49,17 +52,44 @@ from .metrics import RunMetrics, optimality_gap
 # (smswt), 8-9% high for rcpsp, and for tsptw from 11% high (A*, off) to
 # 24% low (CABS, once, where the short-lived propagation lists in the peak
 # are spread over the fewest stored nodes).  CABS counts each entry of its
-# tables of propagated stores as a node too, which is about 5% low for
-# them: at their largest on the perfbench instance ``sms-tight:55`` (CABS,
-# once), emptying the tables' 229 entries freed 536 B each by
-# ``tracemalloc``.
+# tables of kept expansions as a node too, and each successor an entry
+# keeps at ``CHILD_ESTIMATE_BYTES``.  At the start of a pass, where the
+# tables hold the last pass's entries, on the perfbench instances
+# ``sms-tight:55`` and ``tsptw-wide:0..5`` (CABS, off and once), dropping
+# the kept successors freed 141-206 B each by ``tracemalloc`` (174-206 B
+# on all but the smallest table), and then dropping the entries freed
+# 604-696 B each under once, store included, and 202-236 B under off
+# (433 and 130 B on the smallest table): the tables' charge was 11% low on
+# ``sms-tight:55`` under once and 18% high under off.
 NODE_ESTIMATE_BYTES = 512
+CHILD_ESTIMATE_BYTES = 200
 
 
 class PropagationMode(enum.Enum):
     OFF = "off"
     ONCE = "once"
     FIXPOINT = "fixpoint"
+
+
+class _Expansion:
+    """One state's expansion, kept in the CABS tables for its later pops.
+
+    ``store`` and ``cp_dual`` are None with propagation off.  ``succs``
+    stays None until a pop of the state expands it; then it holds the
+    successors that survived the veto, ``vetoed`` the number of the others,
+    and ``bounds`` one slot per successor for its model dual under the
+    store's floor, filled when the registry first lets it through to
+    bounding.
+    """
+
+    __slots__ = ("store", "cp_dual", "succs", "vetoed", "bounds")
+
+    def __init__(self, store, cp_dual):
+        self.store = store
+        self.cp_dual = cp_dual
+        self.succs = None
+        self.vetoed = 0
+        self.bounds = None
 
 
 class SearchNode:
@@ -162,12 +192,15 @@ class _SolveContext:
         self.incumbent: Optional[SearchNode] = None
         self.best_dual: Optional[Cost] = None
         self.started = time.perf_counter()
-        # CABS only: ``state -> store``, the propagated store (infeasible
-        # ones included) of each state popped in the current pass and in
-        # the last one (see ``expand``).  They stay empty with propagation
-        # off, and ``this_pass`` stays None in A*.
+        # CABS only: ``state -> _Expansion`` of each state popped in the
+        # current pass and in the last one (see ``expand``), in every mode;
+        # ``this_pass`` stays None in A*.  ``kept_children`` counts the
+        # successors that the entries of both tables hold.
         self.last_pass: dict = {}
         self.this_pass: Optional[dict] = None
+        self.kept_children = 0
+        # Only a store built under an older primal can mislead a later pop.
+        self.reads_primal = mode is not PropagationMode.OFF and adapter.reads_primal
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.started
@@ -181,16 +214,20 @@ class _SolveContext:
         if lim.memory_limit is not None:
             # Every live open-list or layer entry is a registered node, and
             # the per-node estimate is calibrated on the registry size.  An
-            # entry of the CABS tables counts as a node.
+            # entry of the CABS tables counts as a node, and each successor
+            # it keeps as a child.
             stored = registry.size + len(self.last_pass) + len(self.this_pass or ())
-            estimate = stored * NODE_ESTIMATE_BYTES
+            estimate = stored * NODE_ESTIMATE_BYTES + self.kept_children * CHILD_ESTIMATE_BYTES
             if estimate > lim.memory_limit:
                 return SolveStatus.MEMORY_LIMIT
         return None
 
     def start_pass(self) -> None:
-        """Begin a CABS pass: keep the last pass's propagated stores and
-        drop the older ones."""
+        """Begin a CABS pass: keep the last pass's expansions and drop the
+        older ones."""
+        self.kept_children -= sum(
+            len(entry.succs) for entry in self.last_pass.values() if entry.succs is not None
+        )
         self.last_pass, self.this_pass = self.this_pass or {}, {}
 
     def make_root(self, registry: Registry) -> SearchNode:
@@ -216,11 +253,12 @@ class _SolveContext:
             self.incumbent = node
             self.metrics.incumbent_trace.append((self.elapsed(), total))
             # No CABS entry made under an older primal that ``build`` reads
-            # is of use.  A pass records its root first, so ``this_pass`` is
-            # empty here only with propagation off.
-            if self.this_pass and self.adapter.reads_primal:
+            # is of use.  A pass records its root first, so ``this_pass``
+            # holds entries here in CABS and is None in A*.
+            if self.reads_primal and self.this_pass:
                 self.this_pass.clear()
                 self.last_pass.clear()
+                self.kept_children = 0
 
     def exhausted(self) -> SolveStatus:
         """Status once nothing is left to search."""
@@ -234,7 +272,8 @@ class _SolveContext:
         its children are offered to the registry in generation order, and
         the admitted ones are returned in that order.  A child's bound is
         computed only once the registry's dominance test has passed
-        (see the module docstring for the order).
+        (see the module docstring for the order), and in CABS only the
+        first time for each kept expansion.
         """
         model = self.model
         if model.is_base(node.state):
@@ -247,29 +286,50 @@ class _SolveContext:
         expanded = self.expand(node)
         if expanded is None:
             return []
-        succs, store = expanded
+        succs, store, bounds = expanded
         floor = None if store is None else store.lbs
         # A bound of INFINITY proves that a child has no completion, so it
         # is declined also while the incumbent is INFINITY.
         limit = min(self.primal, MAX_COST)
 
-        def bounded(g, label, state):
-            f = add(g, model.dual(state, floor))
+        def bounded(g, label, state, h):
+            f = add(g, h)
             if f > limit:
                 return None
             return SearchNode(state, g, f, parent=node, label=label)
 
         admitted = []
-        for weight, label, state in succs:
+        if bounds is None:
+            # A*: each child that passes dominance is bounded afresh.
+            for weight, label, state in succs:
+                self.metrics.generated += 1
+                g = add(node.g, weight)
+                child = registry.register(
+                    model, state, g, lambda: bounded(g, label, state, model.dual(state, floor))
+                )
+                if child is not None:
+                    admitted.append(child)
+            return admitted
+
+        def kept_bound(i, state):
+            h = bounds[i]
+            if h is None:
+                h = bounds[i] = model.dual(state, floor)
+            return h
+
+        for i, (weight, label, state) in enumerate(succs):
             self.metrics.generated += 1
             g = add(node.g, weight)
-            child = registry.register(model, state, g, lambda: bounded(g, label, state))
+            child = registry.register(
+                model, state, g, lambda: bounded(g, label, state, kept_bound(i, state))
+            )
             if child is not None:
                 admitted.append(child)
         return admitted
 
     def expand(self, node: SearchNode):
-        """``(successors, store)`` of a popped node, or None if it is pruned.
+        """``(successors, store, bounds)`` of a popped node, or None if it is
+        pruned.
 
         Every mode prunes the node when the larger of its ``f`` and ``g``
         plus its CP dual reaches the incumbent, which may have fallen since
@@ -278,27 +338,31 @@ class _SolveContext:
         propagated (an infeasible store gives an infinite CP dual), each
         successor the store vetoes is dropped, and ``store`` holds the
         node's propagated domains, the floor of each successor's dual.
-        Counts the expansion only when the model's successor enumeration
-        runs; a pop pruned by its store and each vetoed successor count
-        toward ``pruned_by_cp`` instead, and a pop pruned on its ``f``
-        toward ``pruned_by_f``.
+        Counts the expansion only when the node is not pruned; a pop pruned
+        by its store and each vetoed successor count toward
+        ``pruned_by_cp`` instead, and a pop pruned on its ``f`` toward
+        ``pruned_by_f``.  ``bounds`` is None in A*.
 
-        In CABS, each propagating pop keeps its state's propagated store,
-        infeasible or not, whatever it decided.  ``build`` is deterministic
-        for equal states and primals, and ``offer_incumbent`` empties the
-        tables at each new incumbent if ``build`` reads it, so a later pop
-        of the state in this pass or the next takes the kept store (counted
-        in ``reused``) in place of a fresh one, and the CP dual computed
-        from it gives exactly the decisions a fresh store would.
+        In CABS, each pop keeps its state's ``_Expansion``, whatever it
+        decided, and in every mode a later pop of the state in this pass or
+        the next replays it (counted in ``reused``): the store and CP dual,
+        the successors and veto count once a pop has expanded the state,
+        and ``bounds``, the children's model duals computed so far.  Each
+        is deterministic in the state and its store, ``build`` in the state
+        and the primal, and ``offer_incumbent`` empties the tables at each
+        new incumbent if ``build`` reads it, so the replay gives exactly
+        the decisions and counts of a fresh expansion.
         """
         model, state, m, primal = self.model, node.state, self.metrics, self.primal
-        store = None
-        if self.mode is not PropagationMode.OFF:
-            adapter, table = self.adapter, self.this_pass
-            store = None if table is None else table.get(state) or self.last_pass.pop(state, None)
-            if store is not None:
-                m.reused += 1
-            else:
+        table = self.this_pass
+        entry = None if table is None else table.get(state) or self.last_pass.pop(state, None)
+        if entry is not None:
+            m.reused += 1
+            store, cp_dual = entry.store, entry.cp_dual
+        else:
+            store = cp_dual = None
+            if self.mode is not PropagationMode.OFF:
+                adapter = self.adapter
                 started = time.perf_counter()
                 store, props = adapter.build(state, primal)
                 if not store.infeasible:
@@ -308,10 +372,13 @@ class _SolveContext:
                         propagate_once(store, props)
                 m.propagation_calls += 1
                 m.propagation_time += time.perf_counter() - started
+                cp_dual = INFINITY if store.infeasible else adapter.dual_cp(state, store)
             if table is not None:
-                table[state] = store
-            h = INFINITY if store.infeasible else adapter.dual_cp(state, store)
-            reach = add(node.g, h)
+                entry = _Expansion(store, cp_dual)
+        if table is not None:
+            table[state] = entry
+        if store is not None:
+            reach = add(node.g, cp_dual)
             if node.parent is None:
                 # Only at the root is this bound one on the global optimum.
                 self.note_dual(max(node.f, reach))
@@ -322,12 +389,23 @@ class _SolveContext:
             m.pruned_by_f += 1
             return None
         m.expansions += 1
+        if entry is not None and entry.succs is not None:
+            m.pruned_by_cp += entry.vetoed
+            return entry.succs, store, entry.bounds
         succs = model.successors(state)
+        vetoed = 0
         if store is not None:
-            kept = [t for t in succs if not adapter.is_succ_infeasible(t[1], t[2], store)]
-            m.pruned_by_cp += len(succs) - len(kept)
+            kept = [t for t in succs if not self.adapter.is_succ_infeasible(t[1], t[2], store)]
+            vetoed = len(succs) - len(kept)
+            m.pruned_by_cp += vetoed
             succs = kept
-        return succs, store
+        if entry is None:
+            return succs, store, None
+        entry.succs, entry.vetoed, entry.bounds = succs, vetoed, [None] * len(succs)
+        self.kept_children += len(succs)
+        if self.kept_children > m.peak_kept_children:
+            m.peak_kept_children = self.kept_children
+        return succs, store, entry.bounds
 
     def finish(self) -> SolveResult:
         status = self.status
@@ -394,13 +472,14 @@ def cabs(
     pass doubling the width of the one before; each layer keeps the
     ``width`` best nodes by (f, larger g, creation order).  The incumbent persists across
     passes while duplicate detection restarts per pass.  Expansion counts
-    accumulate across passes.  With propagation on, each popped state's
-    propagated store carries over one pass: a state popped again reuses
+    accumulate across passes.  In every propagation mode, each popped
+    state's expansion carries over one pass: a state popped again replays
     it, whatever it decided before, under any later incumbent if the
-    adapter's ``build`` ignores the primal and under the same one
-    otherwise (see ``_SolveContext.expand``).  That leaves the search
-    unchanged and only saves ``propagation_calls``.  A pop differs between propagation modes
-    only in what propagation adds: ``off`` prunes a pop on its own ``f``
+    adapter's ``build`` ignores the primal (or there is no propagation)
+    and under the same one otherwise (see ``_SolveContext.expand``).  That
+    leaves the search and its counts unchanged and only saves calls to the
+    model and the adapter.  A pop differs between propagation modes only
+    in what propagation adds: ``off`` prunes a pop on its own ``f``
     exactly as the other modes do.
 
     A pass that never discards a node at the width cut is exhaustive, even

@@ -369,7 +369,7 @@ def expand_once(model, adapter, state, g=0, primal=INFINITY):
     ctx = _SolveContext(model, adapter, SolveLimits(), PropagationMode.ONCE)
     ctx.primal = primal
     expanded = ctx.expand(SearchNode(state, g, g))
-    succs, store = expanded if expanded is not None else ([], None)
+    succs, store, _bounds = expanded if expanded is not None else ([], None, None)
     return list(succs), ctx.best_dual, store
 
 

@@ -5,16 +5,18 @@ With no oracle to compare against, the answers are checked against each
 other: both algorithms reach one status and cost in every propagation
 mode, relabelling the jobs, locations (the depot stays 0) or tasks leaves
 the optimum unchanged, and scaling every SMS weight by k scales it by k.
-CABS's reuse of propagated stores across passes is checked against
-the same search with reuse switched off.
+CABS's replay of kept expansions across passes is checked against the
+same search with the replay switched off.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from dpcp import (
     PropagationMode,
+    Registry,
     SolveStatus,
     astar,
     cabs,
@@ -140,7 +142,7 @@ def test_sms_weight_scaling_scales_the_optimum(k):
 
 
 class Forgetful(dict):
-    """A table of propagated stores that never returns an entry."""
+    """A CABS table of kept expansions that never returns an entry."""
 
     def get(self, key, default=None):
         return default
@@ -159,37 +161,88 @@ def trajectory(result):
     )
 
 
-@pytest.mark.parametrize("mode", [PropagationMode.ONCE, PropagationMode.FIXPOINT])
+def pops(result, mode):
+    """The non-base pops of a solve, as its counters split them."""
+    m = result.metrics
+    if mode is PropagationMode.OFF:
+        return m.expansions + m.pruned_by_f
+    return m.propagation_calls + m.reused
+
+
+def traced_cabs(patch, model, adapter, mode):
+    """``cabs``'s result, the children it admitted in order as
+    ``(parent state, label, state, g, f)``, and its model's calls to
+    ``successors`` and ``dual``."""
+    admitted, calls = [], {"successors": 0, "dual": 0}
+    register = Registry.register
+
+    def recorded(registry, *args):
+        node = register(registry, *args)
+        if node is not None and node.parent is not None:
+            admitted.append((node.parent.state, node.label, node.state, node.g, node.f))
+        return node
+
+    def counted(name):
+        inner = getattr(type(model), name).__get__(model)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return call
+
+    patch.setattr(Registry, "register", recorded)
+    for name in calls:
+        patch.setattr(model, name, counted(name))
+    return cabs(model, adapter, mode=mode), admitted, calls
+
+
+@pytest.mark.parametrize("mode", list(PropagationMode))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_cabs_reuse_leaves_the_search_unchanged(monkeypatch, family, mode):
-    """Reusing a state's propagated store from this pass or the last,
-    whatever that store decided at the earlier pop, changes no decision;
-    it only replaces propagation calls.  The SMS and TSPTW adapters, whose
-    ``build`` ignores the primal, reuse strictly more than a table keyed on
-    the primal too would, and RCPSP's, which reads it, exactly as much."""
+    """Replaying a state's expansion from this pass or the last, whatever
+    it decided at the earlier pop, changes no decision, in any propagation
+    mode: every trajectory and every admitted child is that of the search
+    without the tables, which calls the model's ``successors`` and
+    ``dual`` strictly more often and, with propagation on, propagates at
+    every pop.  The SMS and TSPTW adapters, whose ``build`` ignores the
+    primal, reuse strictly more than a table keyed on the primal too
+    would, and RCPSP's, which reads it, exactly as much; with propagation
+    off no table depends on the primal."""
     draw, make_model, make_adapter, _ = FAMILIES[family]
     reused = keyed_reused = 0
+    shipped_calls, fresh_calls = Counter(), Counter()
     for inst in draw():
         model = make_model(inst)
-        shipped = cabs(model, make_adapter(model), mode=mode)
+
+        def adapter():
+            return None if mode is PropagationMode.OFF else make_adapter(model)
+
+        with monkeypatch.context() as patch:
+            shipped, shipped_admitted, calls = traced_cabs(patch, model, adapter(), mode)
+            shipped_calls.update(calls)
         with monkeypatch.context() as patch:
             patch.setattr(
                 _SolveContext, "start_pass",
                 lambda ctx: setattr(ctx, "this_pass", Forgetful()),
             )
-            fresh = cabs(model, make_adapter(model), mode=mode)
+            fresh, fresh_admitted, calls = traced_cabs(patch, model, adapter(), mode)
+            fresh_calls.update(calls)
         with monkeypatch.context() as patch:
             patch.setattr(make_adapter, "reads_primal", True)
-            keyed = cabs(model, make_adapter(model), mode=mode)
+            keyed = cabs(model, adapter(), mode=mode)
         assert fresh.metrics.reused == 0
         assert trajectory(shipped) == trajectory(fresh) == trajectory(keyed)
-        calls = shipped.metrics.propagation_calls + shipped.metrics.reused
-        assert calls == fresh.metrics.propagation_calls
-        assert calls == keyed.metrics.propagation_calls + keyed.metrics.reused
+        assert shipped_admitted == fresh_admitted
+        assert pops(shipped, mode) == pops(fresh, mode) == pops(keyed, mode)
+        if mode is not PropagationMode.OFF:
+            assert fresh.metrics.propagation_calls == pops(fresh, mode)
         reused += shipped.metrics.reused
         keyed_reused += keyed.metrics.reused
+    for name in ("successors", "dual"):
+        assert shipped_calls[name] < fresh_calls[name], (name, shipped_calls, fresh_calls)
     assert keyed_reused > 0
-    if family == "rcpsp":
+    if family == "rcpsp" or mode is PropagationMode.OFF:
         assert reused == keyed_reused
     else:
         assert reused > keyed_reused, (reused, keyed_reused)

@@ -21,7 +21,7 @@ from dpcp import (
 )
 from dpcp import rcpsp, smswt, tsptw
 from dpcp.cli import PROBLEMS
-from dpcp.search import NODE_ESTIMATE_BYTES, SearchNode, _SolveContext
+from dpcp.search import CHILD_ESTIMATE_BYTES, NODE_ESTIMATE_BYTES, SearchNode, _SolveContext
 
 from conftest import (
     ALL_MODES,
@@ -71,22 +71,32 @@ def test_astar_memory_limit():
 
 
 def solve_with_peak_registry(monkeypatch, solve):
-    """``solve()`` and the largest number of nodes its registries held,
-    counting each entry of the CABS tables of propagated stores as one.
+    """``solve()``, the largest number of nodes its registries held,
+    counting each entry of the CABS tables of kept expansions as one, and
+    the largest memory estimate it reached: those nodes at
+    ``NODE_ESTIMATE_BYTES`` each plus each successor the tables kept at
+    ``CHILD_ESTIMATE_BYTES``.
 
     Sampled after each registration and at each limit check: a pruned pop
-    grows a table without registering anything.
+    grows a table without registering anything.  The kept successors are
+    counted by scanning the tables, and the search's running count must
+    agree.
     """
-    peak = 0
+    peak_nodes = peak_bytes = 0
     init, register, limit_status = (
         _SolveContext.__init__, Registry.register, _SolveContext.limit_status
     )
     contexts = []
 
     def sample(registry):
-        nonlocal peak
+        nonlocal peak_nodes, peak_bytes
         ctx = contexts[-1]
-        peak = max(peak, registry.size + len(ctx.last_pass) + len(ctx.this_pass or ()))
+        entries = [*ctx.last_pass.values(), *(ctx.this_pass or {}).values()]
+        kept = sum(len(e.succs) for e in entries if e.succs is not None)
+        assert kept == ctx.kept_children
+        nodes = registry.size + len(entries)
+        peak_nodes = max(peak_nodes, nodes)
+        peak_bytes = max(peak_bytes, nodes * NODE_ESTIMATE_BYTES + kept * CHILD_ESTIMATE_BYTES)
 
     def created(self, *args):
         init(self, *args)
@@ -106,7 +116,7 @@ def solve_with_peak_registry(monkeypatch, solve):
         patch.setattr(Registry, "register", tracked)
         patch.setattr(_SolveContext, "limit_status", checked)
         result = solve()
-    return result, peak
+    return result, peak_nodes, peak_bytes
 
 
 def solve_counts(result):
@@ -117,13 +127,10 @@ def solve_counts(result):
     )
 
 
-@pytest.mark.parametrize("algo", [astar, cabs])
-@pytest.mark.parametrize("mode", [PropagationMode.OFF, PropagationMode.ONCE])
-@pytest.mark.parametrize("family", ["sms", "tsptw"])
-def test_memory_limit_counts_each_stored_node_once(monkeypatch, algo, mode, family):
-    # A budget of a solve's own peak stored-node count never stops it;
-    # half of it does.  The instances are sized so that more than 50 nodes
-    # are stored at once although dead-end children are never generated.
+def memory_instance(family, mode):
+    """The model and adapter (None under ``off``) of the memory-limit tests:
+    sized so that more than 50 nodes are stored at once although dead-end
+    children are never generated."""
     rng = random.Random(0)
     if family == "sms":
         model = smswt.SmsModel(random_sms_instance(rng, 11))
@@ -133,15 +140,40 @@ def test_memory_limit_counts_each_stored_node_once(monkeypatch, algo, mode, fami
         adapter = tsptw.TsptwAdapter(model)
     if mode is PropagationMode.OFF:
         adapter = None
-    unlimited, peak = solve_with_peak_registry(
+    return model, adapter
+
+
+@pytest.mark.parametrize("algo", [astar, cabs])
+@pytest.mark.parametrize("mode", [PropagationMode.OFF, PropagationMode.ONCE])
+@pytest.mark.parametrize("family", ["sms", "tsptw"])
+def test_memory_limit_counts_each_stored_node_once(monkeypatch, algo, mode, family):
+    # A budget of a solve's own peak estimate, its stored nodes and the
+    # successors its CABS tables keep, never stops it; half of it does.
+    model, adapter = memory_instance(family, mode)
+    unlimited, peak, budget = solve_with_peak_registry(
         monkeypatch, lambda: algo(model, adapter, mode=mode)
     )
     assert unlimited.status is SolveStatus.OPTIMAL and peak > 50
-    budget = peak * NODE_ESTIMATE_BYTES
     limited = algo(model, adapter, limits=SolveLimits(memory_limit=budget), mode=mode)
     assert solve_counts(limited) == solve_counts(unlimited)
     halved = algo(model, adapter, limits=SolveLimits(memory_limit=budget // 2), mode=mode)
     assert halved.status is SolveStatus.MEMORY_LIMIT
+
+
+@pytest.mark.parametrize("mode", [PropagationMode.OFF, PropagationMode.ONCE])
+@pytest.mark.parametrize("family", ["sms", "tsptw"])
+def test_memory_limit_charges_the_kept_children(monkeypatch, mode, family):
+    # The successors that CABS keeps for replay cost memory too: a budget
+    # that covers the peak count of stored nodes and table entries alone,
+    # and so never stopped a solve that charged only those, stops it.
+    model, adapter = memory_instance(family, mode)
+    unlimited, peak, _ = solve_with_peak_registry(
+        monkeypatch, lambda: cabs(model, adapter, mode=mode)
+    )
+    assert unlimited.status is SolveStatus.OPTIMAL
+    assert unlimited.metrics.peak_kept_children > 0
+    limits = SolveLimits(memory_limit=peak * NODE_ESTIMATE_BYTES)
+    assert cabs(model, adapter, limits=limits, mode=mode).status is SolveStatus.MEMORY_LIMIT
 
 
 def test_time_limit_statuses():
