@@ -97,10 +97,10 @@ def _limits_from(time_limit, mem_limit_mb, expansion_cap) -> SolveLimits:
     # time limit and the cap, but sees only the bytes of the memory limit.
     memory_limit = None
     if mem_limit_mb is not None:
-        if not isinstance(mem_limit_mb, (int, float)):
+        if isinstance(mem_limit_mb, bool) or not isinstance(mem_limit_mb, (int, float)):
             raise ValueError(f"mem_limit_mb must be a number, got {mem_limit_mb!r}")
         limit_bytes = mem_limit_mb * 1024 * 1024
-        if isinstance(mem_limit_mb, bool) or not 0 < limit_bytes < math.inf:
+        if not 0 < limit_bytes < math.inf:
             raise ValueError(
                 f"memory limit must be positive and finite, got {mem_limit_mb} MB"
             )

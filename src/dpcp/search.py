@@ -21,14 +21,16 @@ fixed point), an infeasible store prunes it outright, and surviving
 successors are filtered individually.  The adapter's ``dual_cp`` bounds
 popped states only.
 
-CABS restarts duplicate detection with each pass, but a popped state's
-expansion carries over one pass, in every propagation mode: a state
-popped again in this pass or the last replays what its first pop
-computed (its propagated store and CP dual, its successors after the
-veto and each admitted child's bound) instead of asking the model and the
-adapter again, under a later incumbent only if the adapter's ``build``
-ignores the primal.  Admission, dominance and the pruning tests still run
-at every pop, so the search is the one without the replay.
+Both drivers share one pop step: each pop's expansion is one record (its
+propagated store and CP dual, its successors after the veto and each
+admitted child's bound), and the children are bounded and admitted in one
+loop over it.  A* drops the record with the pop.  CABS restarts duplicate
+detection with each pass, but keeps the records for one pass, in every
+propagation mode: a state popped again in this pass or the last replays
+what its first pop computed instead of asking the model and the adapter
+again, under a later incumbent only if the adapter's ``build`` ignores the
+primal.  Admission, dominance and the pruning tests still run at every
+pop, so the search is the one without the replay.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ class PropagationMode(enum.Enum):
 
 
 class _Expansion:
-    """One state's expansion, kept in the CABS tables for its later pops.
+    """The record of one pop's expansion, which ``expand`` hands to
+    ``process``; A* drops it with the pop, CABS keeps it in its tables for
+    the state's later pops.
 
     ``store`` and ``cp_dual`` are None with propagation off.  ``succs``
     stays None until a pop of the state expands it; then it holds the
@@ -185,7 +189,6 @@ class _SolveContext:
         self.model = model
         self.adapter = adapter
         self.limits = limits
-        self.mode = mode
         self.metrics = RunMetrics()
         self.status: Optional[SolveStatus] = None
         self.primal: Cost = INFINITY
@@ -194,13 +197,21 @@ class _SolveContext:
         self.started = time.perf_counter()
         # CABS only: ``state -> _Expansion`` of each state popped in the
         # current pass and in the last one (see ``expand``), in every mode;
-        # ``this_pass`` stays None in A*.  ``kept_children`` counts the
-        # successors that the entries of both tables hold.
+        # ``this_pass`` stays None in A*, which keeps no record.
+        # ``kept_children`` counts the successors that the entries of both
+        # tables hold.
         self.last_pass: dict = {}
         self.this_pass: Optional[dict] = None
         self.kept_children = 0
         # Only a store built under an older primal can mislead a later pop.
         self.reads_primal = mode is not PropagationMode.OFF and adapter.reads_primal
+        # The propagation driver, None when off.  Looked up here, at each
+        # solve, so that a driver rebound on this module is the one called.
+        self.propagate = {
+            PropagationMode.OFF: None,
+            PropagationMode.ONCE: propagate_once,
+            PropagationMode.FIXPOINT: propagate_fixpoint,
+        }[mode]
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.started
@@ -271,9 +282,10 @@ class _SolveContext:
         against the limits (a fired limit sets ``status``) and expanded;
         its children are offered to the registry in generation order, and
         the admitted ones are returned in that order.  A child's bound is
-        computed only once the registry's dominance test has passed
-        (see the module docstring for the order), and in CABS only the
-        first time for each kept expansion.
+        computed only once the registry's dominance test has passed (see
+        the module docstring for the order), and only the first time for
+        its expansion record: in A* the record lives for this pop, in CABS
+        it is kept for the state's later pops.
         """
         model = self.model
         if model.is_base(node.state):
@@ -283,72 +295,55 @@ class _SolveContext:
         self.status = self.limit_status(registry)
         if self.status is not None:
             return []
-        expanded = self.expand(node)
-        if expanded is None:
+        entry = self.expand(node)
+        if entry is None:
             return []
-        succs, store, bounds = expanded
-        floor = None if store is None else store.lbs
+        floor = None if entry.store is None else entry.store.lbs
+        bounds = entry.bounds
         # A bound of INFINITY proves that a child has no completion, so it
         # is declined also while the incumbent is INFINITY.
         limit = min(self.primal, MAX_COST)
-
-        def bounded(g, label, state, h):
-            f = add(g, h)
-            if f > limit:
-                return None
-            return SearchNode(state, g, f, parent=node, label=label)
-
         admitted = []
-        if bounds is None:
-            # A*: each child that passes dominance is bounded afresh.
-            for weight, label, state in succs:
-                self.metrics.generated += 1
-                g = add(node.g, weight)
-                child = registry.register(
-                    model, state, g, lambda: bounded(g, label, state, model.dual(state, floor))
-                )
-                if child is not None:
-                    admitted.append(child)
-            return admitted
-
-        def kept_bound(i, state):
-            h = bounds[i]
-            if h is None:
-                h = bounds[i] = model.dual(state, floor)
-            return h
-
-        for i, (weight, label, state) in enumerate(succs):
+        for i, (weight, label, state) in enumerate(entry.succs):
             self.metrics.generated += 1
             g = add(node.g, weight)
-            child = registry.register(
-                model, state, g, lambda: bounded(g, label, state, kept_bound(i, state))
-            )
+
+            def build():
+                h = bounds[i]
+                if h is None:
+                    h = bounds[i] = model.dual(state, floor)
+                f = add(g, h)
+                if f > limit:
+                    return None
+                return SearchNode(state, g, f, parent=node, label=label)
+
+            child = registry.register(model, state, g, build)
             if child is not None:
                 admitted.append(child)
         return admitted
 
-    def expand(self, node: SearchNode):
-        """``(successors, store, bounds)`` of a popped node, or None if it is
-        pruned.
+    def expand(self, node: SearchNode) -> Optional[_Expansion]:
+        """The ``_Expansion`` of a popped node, or None if it is pruned.
 
         Every mode prunes the node when the larger of its ``f`` and ``g``
         plus its CP dual reaches the incumbent, which may have fallen since
-        its admission; with propagation off there is no CP term and
-        ``store`` is None.  Otherwise the node's CP model is built and
-        propagated (an infeasible store gives an infinite CP dual), each
-        successor the store vetoes is dropped, and ``store`` holds the
+        its admission; with propagation off there is no CP term and the
+        record's ``store`` is None.  Otherwise the node's CP model is built
+        and propagated (an infeasible store gives an infinite CP dual),
+        each successor the store vetoes is dropped, and ``store`` holds the
         node's propagated domains, the floor of each successor's dual.
         Counts the expansion only when the node is not pruned; a pop pruned
         by its store and each vetoed successor count toward
         ``pruned_by_cp`` instead, and a pop pruned on its ``f`` toward
-        ``pruned_by_f``.  ``bounds`` is None in A*.
+        ``pruned_by_f``.
 
-        In CABS, each pop keeps its state's ``_Expansion``, whatever it
-        decided, and in every mode a later pop of the state in this pass or
-        the next replays it (counted in ``reused``): the store and CP dual,
-        the successors and veto count once a pop has expanded the state,
-        and ``bounds``, the children's model duals computed so far.  Each
-        is deterministic in the state and its store, ``build`` in the state
+        Each pop has one record.  A* builds it afresh and drops it with the
+        pop.  CABS keeps it in its tables, whatever the pop decided, and in
+        every mode a later pop of the state in this pass or the next
+        replays it (counted in ``reused``): the store and CP dual, the
+        successors and veto count once a pop has expanded the state, and
+        ``bounds``, the children's model duals computed so far.  Each is
+        deterministic in the state and its store, ``build`` in the state
         and the primal, and ``offer_incumbent`` empties the tables at each
         new incumbent if ``build`` reads it, so the replay gives exactly
         the decisions and counts of a fresh expansion.
@@ -358,27 +353,23 @@ class _SolveContext:
         entry = None if table is None else table.get(state) or self.last_pass.pop(state, None)
         if entry is not None:
             m.reused += 1
-            store, cp_dual = entry.store, entry.cp_dual
         else:
             store = cp_dual = None
-            if self.mode is not PropagationMode.OFF:
+            if self.propagate is not None:
                 adapter = self.adapter
                 started = time.perf_counter()
                 store, props = adapter.build(state, primal)
                 if not store.infeasible:
-                    if self.mode is PropagationMode.FIXPOINT:
-                        propagate_fixpoint(store, props)
-                    else:
-                        propagate_once(store, props)
+                    self.propagate(store, props)
                 m.propagation_calls += 1
                 m.propagation_time += time.perf_counter() - started
                 cp_dual = INFINITY if store.infeasible else adapter.dual_cp(state, store)
-            if table is not None:
-                entry = _Expansion(store, cp_dual)
+            entry = _Expansion(store, cp_dual)
         if table is not None:
             table[state] = entry
+        store = entry.store
         if store is not None:
-            reach = add(node.g, cp_dual)
+            reach = add(node.g, entry.cp_dual)
             if node.parent is None:
                 # Only at the root is this bound one on the global optimum.
                 self.note_dual(max(node.f, reach))
@@ -389,23 +380,19 @@ class _SolveContext:
             m.pruned_by_f += 1
             return None
         m.expansions += 1
-        if entry is not None and entry.succs is not None:
-            m.pruned_by_cp += entry.vetoed
-            return entry.succs, store, entry.bounds
-        succs = model.successors(state)
-        vetoed = 0
-        if store is not None:
-            kept = [t for t in succs if not self.adapter.is_succ_infeasible(t[1], t[2], store)]
-            vetoed = len(succs) - len(kept)
-            m.pruned_by_cp += vetoed
-            succs = kept
-        if entry is None:
-            return succs, store, None
-        entry.succs, entry.vetoed, entry.bounds = succs, vetoed, [None] * len(succs)
-        self.kept_children += len(succs)
-        if self.kept_children > m.peak_kept_children:
-            m.peak_kept_children = self.kept_children
-        return succs, store, entry.bounds
+        if entry.succs is None:
+            succs = model.successors(state)
+            if store is not None:
+                kept = [t for t in succs if not self.adapter.is_succ_infeasible(t[1], t[2], store)]
+                entry.vetoed = len(succs) - len(kept)
+                succs = kept
+            entry.succs, entry.bounds = succs, [None] * len(succs)
+            if table is not None:
+                self.kept_children += len(succs)
+                if self.kept_children > m.peak_kept_children:
+                    m.peak_kept_children = self.kept_children
+        m.pruned_by_cp += entry.vetoed
+        return entry
 
     def finish(self) -> SolveResult:
         status = self.status

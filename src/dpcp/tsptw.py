@@ -2,6 +2,9 @@
 
 A tour starts and ends at the depot (location 0), visiting every other
 location exactly once inside its window; arriving early waits for free.
+The depot's own window is read and validated like any other but not
+enforced: a tour leaves the depot at time 0, whatever its release, and
+may return after its deadline.
 The model visits one location at a time: a state is the unvisited set, the
 current location, and the clock.  A state is a dead end as soon as some
 unvisited location cannot be reached within its window even along the

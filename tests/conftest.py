@@ -368,9 +368,10 @@ def expand_once(model, adapter, state, g=0, primal=INFINITY):
     """
     ctx = _SolveContext(model, adapter, SolveLimits(), PropagationMode.ONCE)
     ctx.primal = primal
-    expanded = ctx.expand(SearchNode(state, g, g))
-    succs, store, _bounds = expanded if expanded is not None else ([], None, None)
-    return list(succs), ctx.best_dual, store
+    entry = ctx.expand(SearchNode(state, g, g))
+    if entry is None:
+        return [], ctx.best_dual, None
+    return list(entry.succs), ctx.best_dual, entry.store
 
 
 def vetoed(adapter, state, label, store) -> bool:

@@ -546,7 +546,7 @@ def test_bench_rejects_boolean_limits_and_fractional_expansion_cap(tmp_path):
             if r["instance"] != "[summary]"]
     assert [r["status"] for r in rows] == ["Error"] * len(limits)
     assert all(r["expansions"] == "" for r in rows)
-    assert "time_limit" in rows[0]["error"] and "memory limit" in rows[1]["error"]
+    assert "time_limit" in rows[0]["error"] and "mem_limit_mb" in rows[1]["error"]
     assert all("expansion_cap" in r["error"] for r in rows[2:])
 
 

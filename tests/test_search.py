@@ -725,7 +725,7 @@ def test_each_pop_counts_once(monkeypatch):
         if out is not None:
             # Vetoed successors add to ``pruned_by_cp`` too.
             assert grew[0] == 1 and grew[2] == 0, grew
-            assert out[1] is not None or grew[1] == 0, grew
+            assert out.store is not None or grew[1] == 0, grew
         else:
             assert grew in ((0, 1, 0), (0, 0, 1)), grew
             seen["store" if grew[1] else "f"] += 1
@@ -749,6 +749,54 @@ def test_each_pop_counts_once(monkeypatch):
                     else:
                         assert tally["pops"] == m.propagation_calls + m.reused, key
     assert min(seen.values()) > 50, seen
+
+
+def test_astar_keeps_no_expansion_and_bounds_each_child_once(monkeypatch):
+    """A* drops each pop's expansion record with the pop: it replays
+    nothing and keeps no successor.  Each child that the registry lets
+    through to ``build`` is bounded by exactly one ``model.dual`` call, and
+    the root's bound is the only other call."""
+    register = Registry.register
+    calls = {"dual": 0, "builds": 0, "children": 0}
+
+    def counted_register(registry, model, state, g, build):
+        def counted_build():
+            before = calls["dual"]
+            node = build()
+            is_root = node is not None and node.parent is None
+            assert calls["dual"] - before == (0 if is_root else 1)
+            calls["builds"] += 1
+            calls["children"] += not is_root
+            return node
+
+        return register(registry, model, state, g, counted_build)
+
+    monkeypatch.setattr(Registry, "register", counted_register)
+    bounded = 0
+    for kind, (make, make_adapter) in sorted(PINNED_KINDS.items()):
+        for seed in range(12):
+            for mode in ALL_MODES:
+                model = make(random.Random(seed))
+                dual = model.dual
+
+                def counted_dual(*args, _dual=dual):
+                    calls["dual"] += 1
+                    return _dual(*args)
+
+                monkeypatch.setattr(model, "dual", counted_dual)
+                # An equal model of its own, so that ``dual_cp``'s calls to
+                # the model dual are not counted.
+                adapter = None
+                if mode is not PropagationMode.OFF:
+                    adapter = make_adapter(make(random.Random(seed)))
+                calls.update(dual=0, builds=0, children=0)
+                m = astar(model, adapter, mode=mode).metrics
+                key = (kind, seed, mode)
+                assert (m.reused, m.peak_kept_children) == (0, 0), key
+                assert calls["dual"] == calls["builds"] == calls["children"] + 1, key
+                assert calls["children"] <= m.generated, key
+                bounded += calls["children"]
+    assert bounded > 1000, bounded
 
 
 # --- cross-mode agreement and admissibility ----------------------------------
