@@ -36,7 +36,9 @@ class RunMetrics:
     propagated store counts in ``pruned_by_cp`` instead, and one pruned on
     its own ``f`` (in every propagation mode) in ``pruned_by_f``, so the
     pops number ``expansions + pruned_by_f`` with propagation off.
-    ``generated`` counts successor candidates handed to the admission test.
+    ``generated`` counts successor candidates handed to the admission test,
+    and ``dominated`` those of them that the registry's dominance test
+    dropped before they were bounded.
     In CABS, ``reused`` counts the pops, in every propagation mode, that
     found their state's expansion kept from an earlier pop in this pass or
     the last: with propagation on, each other pop builds and propagates its
@@ -51,6 +53,7 @@ class RunMetrics:
 
     expansions: int = 0
     generated: int = 0
+    dominated: int = 0
     pruned_by_cp: int = 0
     pruned_by_f: int = 0
     propagation_calls: int = 0

@@ -2,17 +2,20 @@
 
 Both drivers keep a registry of the search nodes of encountered states,
 bucketed by state signature; the node is the only record of a state.
-Each generated successor is admitted in this order, cheapest test first:
+Each generated successor is admitted in this order, cheapest test first,
+all in one loop of ``_SolveContext.process``:
 
-1. its path cost ``g`` and state signature are computed;
-2. it is dropped if a registered node dominates it at no larger ``g``;
+1. its path cost ``g`` is computed;
+2. it is dropped if ``Registry.dominated`` finds a stored node that
+   dominates it at no larger ``g``;
 3. otherwise its bound ``f`` is ``g`` plus the model dual, one call per
    child; with propagation on, the dual's floor is the parent's
    propagated lower bounds, which remain valid for every successor;
 4. only if ``f <= primal`` and ``f`` is finite is its search node
-   created, the registered nodes it dominates evicted (marked stale), and
-   the node stored: a bound of ``INFINITY`` proves that the child has no
-   completion, so it is declined also while there is no incumbent.
+   created and handed to ``Registry.register``, which evicts the stored
+   nodes it dominates (marking them stale) and stores it: a bound of
+   ``INFINITY`` proves that the child has no completion, so it is
+   declined also while there is no incumbent.
 
 Every mode prunes a popped state when the larger of its ``f`` and ``g``
 plus its CP dual reaches the incumbent; ``off`` has no CP term.  With
@@ -22,15 +25,15 @@ successors are filtered individually.  The adapter's ``dual_cp`` bounds
 popped states only.
 
 Both drivers share one pop step: each pop's expansion is one record (its
-propagated store and CP dual, its successors after the veto and each
-admitted child's bound), and the children are bounded and admitted in one
-loop over it.  A* drops the record with the pop.  CABS restarts duplicate
-detection with each pass, but keeps the records for one pass, in every
-propagation mode: a state popped again in this pass or the last replays
-what its first pop computed instead of asking the model and the adapter
-again, under a later incumbent only if the adapter's ``build`` ignores the
-primal.  Admission, dominance and the pruning tests still run at every
-pop, so the search is the one without the replay.
+propagated store and CP dual, its successors after the veto and the model
+dual of each child bounded so far), and the loop above runs over it.  A*
+drops the record with the pop.  CABS restarts duplicate detection with
+each pass, but keeps the records for one pass, in every propagation mode:
+a state popped again in this pass or the last replays what its first pop
+computed instead of asking the model and the adapter again, under a later
+incumbent only if the adapter's ``build`` ignores the primal.  Admission,
+dominance and the pruning tests still run at every pop, so the search is
+the one without the replay.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import enum
 import itertools
 import time
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .core import DpModel, SolveLimits, SolveResult, SolveStatus
 from .cost import MAX_COST, Cost, INFINITY, add
@@ -123,37 +126,33 @@ class SearchNode:
 class Registry:
     """Dominance-aware duplicate detection, bucketed by state signature.
 
-    The buckets hold the admitted search nodes themselves.  ``register`` is
-    the single admission step: it tests dominance first and builds the
-    node only for a state that survives it.
+    The buckets hold the stored search nodes themselves.  ``dominated`` is
+    the test a child must pass before it is bounded, and ``register``
+    stores the node of a child that passed it and was bounded within the
+    incumbent.
     """
 
     def __init__(self):
         self._buckets = {}
         self.size = 0
 
-    def register(
-        self, model: DpModel, state, g: Cost, build: Callable[[], Optional[SearchNode]]
-    ) -> Optional[SearchNode]:
-        """Admit ``state`` at path cost ``g``, or return None.
-
-        The state is rejected if a stored node dominates it at no larger
-        path cost; this test has no side effects.  Only then is ``build``
-        called: it returns the state's node, or None to decline the state
-        (a child whose ``f`` exceeds the incumbent), and then nothing is
-        stored or evicted.  On admission the stored nodes that the state
-        dominates at no larger cost are evicted and marked stale, so that
-        the drivers skip them lazily.  Returns the admitted node.
-        """
-        sig = model.state_signature(state)
-        bucket = self._buckets.get(sig)
+    def dominated(self, model: DpModel, state, g: Cost) -> bool:
+        """Whether a stored node dominates ``state`` at no larger path
+        cost.  Has no side effects."""
+        bucket = self._buckets.get(model.state_signature(state))
         if bucket is not None:
             for old in bucket:
                 if old.g <= g and model.dominates(old.state, state):
-                    return None
-        node = build()
-        if node is None:
-            return None
+                    return True
+        return False
+
+    def register(self, model: DpModel, node: SearchNode) -> SearchNode:
+        """Store ``node`` and return it, evicting the stored nodes that it
+        dominates at no larger path cost: they are marked stale, so that
+        the drivers skip them lazily."""
+        state, g = node.state, node.g
+        sig = model.state_signature(state)
+        bucket = self._buckets.get(sig)
         if bucket is None:
             # An exact-size list: appending to an empty one would reserve
             # room for four entries in every new bucket.
@@ -248,7 +247,7 @@ class _SolveContext:
         g0 = model.root_cost()
         root = SearchNode(target, g0, add(g0, model.dual(target)))
         self.note_dual(root.f)
-        registry.register(model, target, g0, lambda: root)
+        registry.register(model, root)
         return root
 
     def note_dual(self, value: Cost) -> None:
@@ -280,16 +279,15 @@ class _SolveContext:
 
         A base node is offered as the incumbent.  Any other node is checked
         against the limits (a fired limit sets ``status``) and expanded;
-        its children are offered to the registry in generation order, and
-        the admitted ones are returned in that order.  A child's bound is
-        computed only once the registry's dominance test has passed (see
-        the module docstring for the order), and only the first time for
-        its expansion record: in A* the record lives for this pop, in CABS
-        it is kept for the state's later pops.
+        its children take the module docstring's admission steps in
+        generation order, and the admitted ones are returned in that order.
+        A child's model dual is computed only the first time for its
+        expansion record: in A* the record lives for this pop, in CABS it
+        is kept for the state's later pops.
         """
-        model = self.model
+        model, m = self.model, self.metrics
         if model.is_base(node.state):
-            self.metrics.base_pops += 1
+            m.base_pops += 1
             self.offer_incumbent(node)
             return []
         self.status = self.limit_status(registry)
@@ -305,21 +303,17 @@ class _SolveContext:
         limit = min(self.primal, MAX_COST)
         admitted = []
         for i, (weight, label, state) in enumerate(entry.succs):
-            self.metrics.generated += 1
+            m.generated += 1
             g = add(node.g, weight)
-
-            def build():
-                h = bounds[i]
-                if h is None:
-                    h = bounds[i] = model.dual(state, floor)
-                f = add(g, h)
-                if f > limit:
-                    return None
-                return SearchNode(state, g, f, parent=node, label=label)
-
-            child = registry.register(model, state, g, build)
-            if child is not None:
-                admitted.append(child)
+            if registry.dominated(model, state, g):
+                m.dominated += 1
+                continue
+            h = bounds[i]
+            if h is None:
+                h = bounds[i] = model.dual(state, floor)
+            f = add(g, h)
+            if f <= limit:
+                admitted.append(registry.register(model, SearchNode(state, g, f, node, label)))
         return admitted
 
     def expand(self, node: SearchNode) -> Optional[_Expansion]:

@@ -54,6 +54,10 @@ class SmsJob:
     w: int  # tardiness weight
 
     def __post_init__(self):
+        for name in ("p", "r", "d", "deadline", "w"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.p < 1:
             raise ValueError("job duration must be >= 1")
         if self.r < 0:

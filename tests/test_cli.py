@@ -294,6 +294,21 @@ def test_oracle_too_large(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("field", ["d", "deadline"])
+@pytest.mark.parametrize("value", ["9", None], ids=["string", "null"])
+def test_sms_job_fields_must_be_integers(tmp_path, capsys, command, field, value):
+    # JSON's parser lets strings and null through; the job must refuse them
+    # before the model computes with them.
+    doc = json.loads(json.dumps(TWO_JOB_SMS))
+    doc["jobs"][1][field] = value
+    bad = write_json(tmp_path / "bad.json", doc)
+    assert main([command, str(bad), "--problem", "smswt"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpcp: error")
+    assert f"{field} must be an integer, got {value!r}" in err
+
+
 def late_job(w: int, deadline: int = 100) -> dict:
     """A job that finishes 2 units past its due date when started at 0."""
     return {"p": 3, "r": 0, "d": 1, "deadline": deadline, "w": w}

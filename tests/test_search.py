@@ -270,8 +270,11 @@ def test_proven_infeasible_run_reports_infinite_dual(kind, name):
 
 
 def admit(reg, model, state, g):
-    """Register ``state`` with a plain node, as the drivers do for a root."""
-    return reg.register(model, state, g, lambda: SearchNode(state, g, g))
+    """Offer ``state`` at path cost ``g`` as ``process`` offers a child, with
+    ``f = g``: its registered node, or None if the dominance test drops it."""
+    if reg.dominated(model, state, g):
+        return None
+    return reg.register(model, SearchNode(state, g, g))
 
 
 def test_register_admission_cases():
@@ -290,28 +293,32 @@ def test_register_admission_cases():
     assert not admit(reg, model, smswt.SmsState(0b10, 5), 2)
 
 
-def test_register_builds_only_after_dominance_and_may_decline():
+def test_dominated_has_no_side_effects_and_only_register_stores():
     model = two_job_model()
     reg = Registry()
     old = SearchNode(smswt.SmsState(0b10, 4), 5, 5)
-    assert reg.register(model, old.state, old.g, lambda: old) is old
-    built = []
-    dominated = smswt.SmsState(0b10, 6)
-    assert reg.register(model, dominated, 5, lambda: built.append(1)) is None
-    assert built == []
-    # A declined state is neither stored nor allowed to evict.
+    assert reg.register(model, old) is old
+    stored = {sig: list(bucket) for sig, bucket in reg._buckets.items()}
+    assert reg.dominated(model, smswt.SmsState(0b10, 6), 5)
+    # A state that would evict ``old`` passes the test; as long as its node
+    # is never registered (a child over the incumbent), it is neither
+    # stored nor allowed to evict.
     better = smswt.SmsState(0b10, 2)
-    assert reg.register(model, better, 5, lambda: None) is None
+    assert not reg.dominated(model, better, 5)
+    assert {sig: list(bucket) for sig, bucket in reg._buckets.items()} == stored
     assert reg.size == 1 and not old.stale
+    # Had ``better`` been stored, it would dominate this state.
+    assert not reg.dominated(model, smswt.SmsState(0b10, 3), 5)
 
 
 def test_register_eviction_marks_stale():
     model = two_job_model()
     reg = Registry()
     old = SearchNode(smswt.SmsState(0b10, 9), 5, 5)
-    assert reg.register(model, old.state, old.g, lambda: old)
+    assert reg.register(model, old) is old
     new = SearchNode(smswt.SmsState(0b10, 4), 5, 5)
-    assert reg.register(model, new.state, new.g, lambda: new)
+    assert not reg.dominated(model, new.state, new.g)
+    assert reg.register(model, new) is new
     assert old.stale and not new.stale
     assert reg.size == 1
 
@@ -532,28 +539,30 @@ def pinned_runs():
 def test_pinned_search_counts(monkeypatch):
     """Exact counts on the pinned runs; ``model.dual`` runs for a child
     only once the registry's dominance test let it through, and at most
-    once, and ``dual_cp`` runs for popped states only.
+    once, ``dual_cp`` runs for popped states only, and ``dominated``
+    counts the children that the dominance test dropped.
 
     The dominance test is recounted here from the registry's buckets.  A
     ``dual_cp`` call is a child's unless its state is the one that first
     used its store (the expanded state's own bound, asked again when CABS
-    reuses the store); roots are registered and bounded once.  The model
-    duals that ``dual_cp`` makes itself are not counted.
+    reuses the store); each root (one per CABS pass) is registered and
+    bounded once, without the test.  The model duals that ``dual_cp``
+    makes itself are not counted.
     """
     assert {k[3] for k in PINNED_COUNTS} == {m.value for m in ALL_MODES}
-    original = Registry.register
+    original = Registry.dominated
     rejected_somewhere = False
     for key, model, adapter in pinned_runs():
         counts = {"offered": 0, "passed": 0, "dual": 0, "dual_cp": 0}
         stores = {}
         in_dual_cp = []
 
-        def register(reg, model, state, g, *args, **kwargs):
+        def dominated(reg, model, state, g):
             counts["offered"] += 1
             bucket = reg._buckets.get(model.state_signature(state), ())
             if not any(e.g <= g and model.dominates(e.state, state) for e in bucket):
                 counts["passed"] += 1
-            return original(reg, model, state, g, *args, **kwargs)
+            return original(reg, model, state, g)
 
         def dual(state, floor=None, inner=model.dual):
             if not in_dual_cp:
@@ -571,7 +580,7 @@ def test_pinned_search_counts(monkeypatch):
             finally:
                 in_dual_cp.pop()
 
-        monkeypatch.setattr(Registry, "register", register)
+        monkeypatch.setattr(Registry, "dominated", dominated)
         model.dual = dual
         if adapter is not None:
             adapter.dual_cp = dual_cp
@@ -583,7 +592,9 @@ def test_pinned_search_counts(monkeypatch):
             m.pruned_by_cp, m.stale_skips, len(m.beam_widths),
         )
         assert got == PINNED_COUNTS[key], key
-        assert counts["dual"] <= counts["passed"], (key, counts)
+        assert m.dominated == counts["offered"] - counts["passed"], (key, counts)
+        roots = len(m.beam_widths) if key[2] == "cabs" else 1
+        assert counts["dual"] <= counts["passed"] + roots, (key, counts)
         assert counts["dual_cp"] == 0, (key, counts)
         rejected_somewhere |= counts["passed"] < counts["offered"]
     # The registry rejected children on these runs, so the check has teeth.
@@ -753,25 +764,20 @@ def test_each_pop_counts_once(monkeypatch):
 
 def test_astar_keeps_no_expansion_and_bounds_each_child_once(monkeypatch):
     """A* drops each pop's expansion record with the pop: it replays
-    nothing and keeps no successor.  Each child that the registry lets
-    through to ``build`` is bounded by exactly one ``model.dual`` call, and
-    the root's bound is the only other call."""
-    register = Registry.register
-    calls = {"dual": 0, "builds": 0, "children": 0}
+    nothing and keeps no successor.  Each child that passes the registry's
+    dominance test is bounded by exactly one ``model.dual`` call before the
+    next child is tested, and the root's bound is the only other call."""
+    dominated = Registry.dominated
+    calls = {"dual": 0, "children": 0}
 
-    def counted_register(registry, model, state, g, build):
-        def counted_build():
-            before = calls["dual"]
-            node = build()
-            is_root = node is not None and node.parent is None
-            assert calls["dual"] - before == (0 if is_root else 1)
-            calls["builds"] += 1
-            calls["children"] += not is_root
-            return node
+    def counted_dominated(registry, model, state, g):
+        # Every child that passed before this one, and the root, is bounded.
+        assert calls["dual"] == calls["children"] + 1
+        out = dominated(registry, model, state, g)
+        calls["children"] += not out
+        return out
 
-        return register(registry, model, state, g, counted_build)
-
-    monkeypatch.setattr(Registry, "register", counted_register)
+    monkeypatch.setattr(Registry, "dominated", counted_dominated)
     bounded = 0
     for kind, (make, make_adapter) in sorted(PINNED_KINDS.items()):
         for seed in range(12):
@@ -789,12 +795,12 @@ def test_astar_keeps_no_expansion_and_bounds_each_child_once(monkeypatch):
                 adapter = None
                 if mode is not PropagationMode.OFF:
                     adapter = make_adapter(make(random.Random(seed)))
-                calls.update(dual=0, builds=0, children=0)
+                calls.update(dual=0, children=0)
                 m = astar(model, adapter, mode=mode).metrics
                 key = (kind, seed, mode)
                 assert (m.reused, m.peak_kept_children) == (0, 0), key
-                assert calls["dual"] == calls["builds"] == calls["children"] + 1, key
-                assert calls["children"] <= m.generated, key
+                assert calls["dual"] == calls["children"] + 1, key
+                assert calls["children"] == m.generated - m.dominated, key
                 bounded += calls["children"]
     assert bounded > 1000, bounded
 

@@ -702,15 +702,15 @@ def test_travel_lower_bounds_never_move():
 
 
 class OfferLog(Registry):
-    """A registry that records the states offered to it."""
+    """A registry that records the states offered to its dominance test."""
 
     def __init__(self):
         super().__init__()
         self.offered = []
 
-    def register(self, model, state, g, build):
+    def dominated(self, model, state, g):
         self.offered.append(state)
-        return super().register(model, state, g, build)
+        return super().dominated(model, state, g)
 
 
 def test_admission_rejects_children_over_the_travel_budget():
