@@ -46,7 +46,9 @@ class RunMetrics:
     ``propagation_calls + reused``; a kept store is replayed under any
     incumbent when the adapter's ``build`` ignores it, under the same
     incumbent otherwise.  ``peak_kept_children`` is the largest number of
-    successors those kept expansions held at once (0 in A*).  Traces carry
+    successors those kept expansions held at once (0 in A*).
+    ``peak_stored`` is the largest number of search nodes the registry
+    stored at once (in CABS, the largest over its passes).  Traces carry
     wall-clock offsets; incumbent costs are strictly decreasing and dual
     bounds non-decreasing.
     """
@@ -59,6 +61,7 @@ class RunMetrics:
     propagation_calls: int = 0
     reused: int = 0
     peak_kept_children: int = 0
+    peak_stored: int = 0
     propagation_time: float = 0.0
     base_pops: int = 0
     stale_skips: int = 0

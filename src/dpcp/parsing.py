@@ -87,6 +87,14 @@ def _reject_booleans(doc) -> None:
             stack.extend(value)
 
 
+def require_int(name: str, value) -> int:
+    """``value`` if it is an ``int``; otherwise a ``ValueError`` that names
+    the field and the value (a JSON string such as ``"9"`` is no number)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def int_token(token: str, path: str, line: Optional[int] = None) -> int:
     """Parse a strictly integral token (fractional values are rejected)."""
     if not _INT_RE.match(token):

@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, check_ceiling
 from .cp_engine import Cumulative, DomainStore, PrecedenceLe, PropagationAdapter
-from .parsing import ParseError, all_int_tokens, read_instance
+from .parsing import ParseError, all_int_tokens, read_instance, require_int
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ class RcpspTask:
     usages: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.duration < 1:
+        if require_int("task duration", self.duration) < 1:
             raise ValueError("task duration must be >= 1")
-        if any(u < 0 for u in self.usages):
+        if any(require_int("usage", u) < 0 for u in self.usages):
             raise ValueError("usages must be >= 0")
 
 
@@ -65,7 +65,7 @@ class RcpspInstance:
         n = len(self.tasks)
         if n == 0:
             raise ValueError("instance needs at least one task")
-        if any(c < 1 for c in self.capacities):
+        if any(require_int("capacity", c) < 1 for c in self.capacities):
             raise ValueError("capacities must be >= 1")
         for t in self.tasks:
             if len(t.usages) != len(self.capacities):

@@ -1,7 +1,8 @@
 """Best-first and anytime-beam solvers over the model contract.
 
 Both drivers keep a registry of the search nodes of encountered states,
-bucketed by state signature; the node is the only record of a state.
+bucketed by state signature; the node is the only record of a state, and
+each bucket is a chain of nodes linked through their ``sibling`` slot.
 Each generated successor is admitted in this order, cheapest test first,
 all in one loop of ``_SolveContext.process``:
 
@@ -39,7 +40,6 @@ the one without the replay.
 from __future__ import annotations
 
 import enum
-import itertools
 import time
 from heapq import heappop, heappush
 from typing import List, Optional, Tuple, Union
@@ -50,13 +50,14 @@ from .cp_engine import PropagationAdapter, propagate_fixpoint, propagate_once
 from .metrics import RunMetrics, optimality_gap
 
 # Fixed per-node bookkeeping estimate used for the memory limit.  Measured
-# as the ``tracemalloc`` peak of a solve over its peak registry size
-# (``perfbench/run.py --trace 1``, seed 1, CPython 3.11 on x86-64), a
-# stored node costs 407-446 B for smswt, 460-675 B for tsptw and 471-472 B
-# for rcpsp, with propagation off and on: the estimate is up to 26% high
-# (smswt), 8-9% high for rcpsp, and for tsptw from 11% high (A*, off) to
-# 24% low (CABS, once, where the short-lived propagation lists in the peak
-# are spread over the fewest stored nodes).  CABS counts each entry of its
+# as the ``tracemalloc`` peak of an A* solve without propagation over its
+# ``RunMetrics.peak_stored``, on the 16 instances per model of the seed-1
+# ``mixed-off`` plan of ``perfbench/`` (CPython 3.11 on x86-64), a stored
+# node costs 402 B for smswt (349-593 B per solve), 335 B for tsptw
+# (310-621 B) and 500 B for rcpsp (471-599 B), its open-list slot and its
+# key's share included: the estimate is 27% high for smswt, 53% high for
+# tsptw and 2% high for rcpsp.  A propagated store lives for its pop only,
+# except in the CABS tables, charged below.  CABS counts each entry of its
 # tables of kept expansions as a node too, and each successor an entry
 # keeps at ``CHILD_ESTIMATE_BYTES``.  At the start of a pass, where the
 # tables hold the last pass's entries, on the perfbench instances
@@ -101,9 +102,14 @@ class _Expansion:
 
 class SearchNode:
     """Search node: state, path cost ``g``, bound ``f`` on the cost of any
-    solution through it, and parent link."""
+    solution through it, and parent link.
 
-    __slots__ = ("state", "g", "f", "parent", "label", "stale")
+    ``sibling`` links the stored nodes of one state signature in the
+    registry, oldest first; ``stale`` marks a node that the registry
+    evicted.
+    """
+
+    __slots__ = ("state", "g", "f", "parent", "label", "stale", "sibling")
 
     def __init__(self, state, g: Cost, f: Cost, parent=None, label=None):
         self.state = state
@@ -112,6 +118,7 @@ class SearchNode:
         self.parent = parent
         self.label = label
         self.stale = False
+        self.sibling = None
 
     def path_labels(self) -> Tuple[int, ...]:
         labels = []
@@ -126,10 +133,12 @@ class SearchNode:
 class Registry:
     """Dominance-aware duplicate detection, bucketed by state signature.
 
-    The buckets hold the stored search nodes themselves.  ``dominated`` is
-    the test a child must pass before it is bounded, and ``register``
-    stores the node of a child that passed it and was bounded within the
-    incumbent.
+    Each bucket is a chain of the stored search nodes themselves: the
+    signature maps to its oldest stored node, and each node's ``sibling``
+    to the next one stored.  ``dominated`` is the test a child must pass
+    before it is bounded, and ``register`` stores the node of a child that
+    passed it and was bounded within the incumbent.  ``size`` counts the
+    stored nodes.
     """
 
     def __init__(self):
@@ -139,35 +148,39 @@ class Registry:
     def dominated(self, model: DpModel, state, g: Cost) -> bool:
         """Whether a stored node dominates ``state`` at no larger path
         cost.  Has no side effects."""
-        bucket = self._buckets.get(model.state_signature(state))
-        if bucket is not None:
-            for old in bucket:
-                if old.g <= g and model.dominates(old.state, state):
-                    return True
+        old = self._buckets.get(model.state_signature(state))
+        while old is not None:
+            if old.g <= g and model.dominates(old.state, state):
+                return True
+            old = old.sibling
         return False
 
     def register(self, model: DpModel, node: SearchNode) -> SearchNode:
-        """Store ``node`` and return it, evicting the stored nodes that it
-        dominates at no larger path cost: they are marked stale, so that
-        the drivers skip them lazily."""
+        """Store ``node`` at the tail of its chain and return it, evicting
+        the stored nodes that it dominates at no larger path cost: they are
+        unlinked and marked stale, so that the drivers skip them lazily."""
         state, g = node.state, node.g
         sig = model.state_signature(state)
-        bucket = self._buckets.get(sig)
-        if bucket is None:
-            # An exact-size list: appending to an empty one would reserve
-            # room for four entries in every new bucket.
-            self._buckets[sig] = [node]
-            self.size += 1
-            return node
-        kept = []
-        for old in bucket:
+        buckets = self._buckets
+        old = buckets.get(sig)
+        prev = None  # the last node kept in the chain
+        while old is not None:
+            nxt = old.sibling
             if g <= old.g and model.dominates(state, old.state):
                 old.stale = True
+                old.sibling = None
                 self.size -= 1
+                if prev is None:
+                    buckets[sig] = nxt
+                else:
+                    prev.sibling = nxt
             else:
-                kept.append(old)
-        kept.append(node)
-        self._buckets[sig] = kept
+                prev = old
+            old = nxt
+        if prev is None:
+            buckets[sig] = node
+        else:
+            prev.sibling = node
         self.size += 1
         return node
 
@@ -248,6 +261,8 @@ class _SolveContext:
         root = SearchNode(target, g0, add(g0, model.dual(target)))
         self.note_dual(root.f)
         registry.register(model, root)
+        if registry.size > self.metrics.peak_stored:
+            self.metrics.peak_stored = registry.size
         return root
 
     def note_dual(self, value: Cost) -> None:
@@ -314,6 +329,8 @@ class _SolveContext:
             f = add(g, h)
             if f <= limit:
                 admitted.append(registry.register(model, SearchNode(state, g, f, node, label)))
+                if registry.size > m.peak_stored:
+                    m.peak_stored = registry.size
         return admitted
 
     def expand(self, node: SearchNode) -> Optional[_Expansion]:
@@ -414,6 +431,10 @@ def astar(
 ) -> SolveResult:
     """Best-first search; pops minimum f, ties broken by larger g then FIFO.
 
+    The open list keeps one FIFO list of nodes per ``(f, -g)`` key and a
+    heap of the keys whose list is not empty, so it stores no entry per
+    node beyond the list slot; popping the oldest node of the smallest key
+    is exactly the order of a heap of ``(f, -g, push count)`` entries.
     Returns the proven optimum (or infeasibility) unless a limit fires.
     Optimality is declared when a popped node cannot beat the incumbent
     (``f >= primal``) or the open list empties.
@@ -422,22 +443,47 @@ def astar(
     ctx = _SolveContext(model, adapter, limits or SolveLimits(), mode)
     registry = Registry()
     root = ctx.make_root(registry)
-    tick = itertools.count()
-    heap = [(root.f, -root.g, next(tick), root)]
+    # ``lists`` maps each key to its nodes, oldest first, and ``keys`` is
+    # the heap of its keys.  ``front`` is the list last popped from and
+    # ``head`` the number of its nodes popped; if a smaller key comes first
+    # before ``front`` is drained, those nodes are cut off it.
+    key = (root.f, -root.g)
+    lists = {key: [root]}
+    keys = [key]
+    front_key = front = None
+    head = 0
     while ctx.status is None:
-        if not heap:
+        if not keys:
             ctx.status = ctx.exhausted()
             break
-        f, _neg_g, _tick, node = heappop(heap)
+        key = keys[0]
+        if key is not front_key:
+            if head:
+                del front[:head]
+            front_key, front, head = key, lists[key], 0
+        node = front[head]
+        head += 1
+        if head == len(front):
+            heappop(keys)
+            del lists[key]
+            front_key = None
+            head = 0
         if node.stale:
             ctx.metrics.stale_skips += 1
             continue
+        f = node.f
         if ctx.incumbent is not None and f >= ctx.primal:
             ctx.status = SolveStatus.OPTIMAL
             break
         ctx.note_dual(min(ctx.primal, f))
         for child in ctx.process(node, registry):
-            heappush(heap, (child.f, -child.g, next(tick), child))
+            key = (child.f, -child.g)
+            nodes = lists.get(key)
+            if nodes is None:
+                lists[key] = [child]
+                heappush(keys, key)
+            else:
+                nodes.append(child)
     return ctx.finish()
 
 

@@ -42,7 +42,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, check_ceiling
 from .cp_engine import Disjunctive, DomainStore, PropagationAdapter
-from .parsing import read_instance
+from .parsing import read_instance, require_int
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,7 @@ class SmsJob:
 
     def __post_init__(self):
         for name in ("p", "r", "d", "deadline", "w"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.p < 1:
             raise ValueError("job duration must be >= 1")
         if self.r < 0:

@@ -33,7 +33,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .core import DpModel
 from .cost import Cost, INFINITY, check_ceiling
 from .cp_engine import Disjunctive, DomainStore, PropagationAdapter
-from .parsing import ParseError, int_token, read_instance
+from .parsing import ParseError, int_token, read_instance, require_int
 
 
 class TsptwInstance:
@@ -58,16 +58,16 @@ class TsptwInstance:
                 if i == j or c is None:
                     clean.append(None)
                 else:
-                    if c < 0:
+                    if require_int("travel time", c) < 0:
                         raise ValueError("travel times must be >= 0")
-                    clean.append(int(c))
+                    clean.append(c)
             rows.append(tuple(clean))
         self.travel: Tuple[Tuple[Optional[int], ...], ...] = tuple(rows)
         wins = []
         for r, d in windows:
-            if r < 0 or d < r:
+            if require_int("window bound", r) < 0 or require_int("window bound", d) < r:
                 raise ValueError(f"bad window [{r}, {d}]")
-            wins.append((int(r), int(d)))
+            wins.append((r, d))
         self.windows: Tuple[Tuple[int, int], ...] = tuple(wins)
         self.shortest = self._all_pairs_shortest()
         self.min_to = tuple(
@@ -123,6 +123,7 @@ class TsptwState(NamedTuple):
 class TsptwModel(DpModel):
     def __init__(self, instance: TsptwInstance):
         self.instance = instance
+        self._n = instance.n
         # A tour, and the leave-cost sum in ``dual``, has at most n terms,
         # each the longest arc or less; ``dual`` caps its entered sum.
         longest = max((c for row in instance.travel for c in row if c is not None), default=0)
@@ -275,7 +276,8 @@ class TsptwModel(DpModel):
         return table
 
     def state_signature(self, state: TsptwState):
-        return (state.unvisited, state.location)
+        # One int per (unvisited, location) pair: no location id reaches n.
+        return state.unvisited * self._n + state.location
 
 
 class TsptwAdapter(PropagationAdapter):

@@ -374,6 +374,17 @@ def expand_once(model, adapter, state, g=0, primal=INFINITY):
     return list(entry.succs), ctx.best_dual, entry.store
 
 
+def registry_chain(registry, sig) -> list:
+    """The nodes a ``Registry`` stores under signature ``sig``, in chain
+    order (oldest first); empty if it stores none."""
+    chain = []
+    node = registry._buckets.get(sig)
+    while node is not None:
+        chain.append(node)
+        node = node.sibling
+    return chain
+
+
 def vetoed(adapter, state, label, store) -> bool:
     """The adapter's veto on the model's transition ``label`` out of
     ``state``, handed the successor state the model produces."""

@@ -309,6 +309,35 @@ def test_sms_job_fields_must_be_integers(tmp_path, capsys, command, field, value
     assert f"{field} must be an integer, got {value!r}" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize(
+    "problem, doc, where, value, name",
+    [
+        ("tsptw", lambda: TINY_TSPTW_JSON, ("c", 1, 2), "4", "travel time"),
+        ("tsptw", lambda: TINY_TSPTW_JSON, ("windows", 2, 1), "100", "window bound"),
+        ("tsptw", lambda: TINY_TSPTW_JSON, ("windows", 1, 0), None, "window bound"),
+        ("rcpsp", small_rcpsp_json, ("tasks", 1, "p"), "2", "task duration"),
+        ("rcpsp", small_rcpsp_json, ("tasks", 0, "u", 1), "1", "usage"),
+        ("rcpsp", small_rcpsp_json, ("capacities", 0), "3", "capacity"),
+    ],
+    ids=["travel", "deadline", "null-release", "duration", "usage", "capacity"],
+)
+def test_numbers_written_as_strings_are_named(tmp_path, capsys, command, problem, doc, where, value, name):
+    # JSON's parser lets strings and null through; the instance must refuse
+    # them, naming the field and the value, before anything compares them.
+    doc = json.loads(json.dumps(doc()))
+    *outer, last = where
+    parent = doc
+    for key in outer:
+        parent = parent[key]
+    parent[last] = value
+    bad = write_json(tmp_path / "bad.json", doc)
+    assert main([command, str(bad), "--problem", problem]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpcp: error") and "Traceback" not in err
+    assert f"{name} must be an integer, got {value!r}" in err
+
+
 def late_job(w: int, deadline: int = 100) -> dict:
     """A job that finishes 2 units past its due date when started at 0."""
     return {"p": 3, "r": 0, "d": 1, "deadline": deadline, "w": w}

@@ -398,6 +398,17 @@ def test_parse_psplib_rejects_garbage():
         parse_psplib("not a psplib file", "bad.sm")
 
 
+def test_instance_numbers_must_be_integers():
+    with pytest.raises(ValueError, match="task duration must be an integer, got '2'"):
+        RcpspTask("2", (1,))
+    with pytest.raises(ValueError, match="usage must be an integer, got '1'"):
+        RcpspTask(2, ("1",))
+    with pytest.raises(ValueError, match="capacity must be an integer, got None"):
+        RcpspInstance([RcpspTask(2, (1,))], (None,), [])
+    with pytest.raises(ValueError, match="task duration must be an integer, got '2'"):
+        RcpspInstance.from_json({"tasks": [{"p": "2", "u": [1]}], "capacities": [1], "precedences": []})
+
+
 def test_json_roundtrip_and_equal_solve():
     inst = parse_psplib((DATA / "small.sm").read_text(), "small.sm")
     again = RcpspInstance.from_json(json.loads(json.dumps(inst.to_json())))

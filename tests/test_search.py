@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from dpcp import (
     propagate_once,
 )
 from dpcp import rcpsp, smswt, tsptw
-from dpcp.cli import PROBLEMS
+from dpcp.cli import PROBLEMS, main
 from dpcp.search import CHILD_ESTIMATE_BYTES, NODE_ESTIMATE_BYTES, SearchNode, _SolveContext
 
 from conftest import (
@@ -29,6 +30,7 @@ from conftest import (
     random_rcpsp_instance,
     random_sms_instance,
     random_tsptw_instance,
+    registry_chain,
     solve_all_modes,
 )
 
@@ -51,6 +53,59 @@ def test_astar_two_job_optimal():
     assert result.status is SolveStatus.OPTIMAL
     assert result.cost == 3
     assert result.solution == (1, 0)
+
+
+class TieModel(dpcp.DpModel):
+    """A hand-built search space: ``SUCC[state]`` lists its children as
+    ``(weight, child)`` and ``DUAL[state]`` is its bound.  No state is a
+    base state, so A* pops every admitted node.
+
+    The root's children ``a``, ``b`` and ``c`` tie at (f, g) = (5, 1), as
+    do ``ae`` and ``bg``, pushed later; ``z`` has f 5 at the smaller g 0.
+    ``ad`` has the smaller f 2, so it comes off while ``b`` and ``c`` still
+    wait under the key it interrupted, and ``adf``, pushed after ``ad``
+    left the open list, ties with ``ad`` and comes off next.
+    """
+
+    SUCC = {
+        "r": [(1, "a"), (1, "b"), (1, "c"), (0, "z")],
+        "a": [(1, "ad"), (0, "ae")],
+        "ad": [(0, "adf")],
+        "b": [(0, "bg")],
+    }
+    DUAL = {"r": 5, "a": 4, "b": 4, "c": 4, "z": 5, "ad": 0, "ae": 4, "adf": 0, "bg": 4}
+
+    def __init__(self):
+        self.popped = []
+
+    def target_state(self):
+        return "r"
+
+    def is_base(self, state):
+        return False
+
+    def base_cost(self, state):
+        return INFINITY
+
+    def successors(self, state):
+        self.popped.append(state)
+        return [(w, child, child) for w, child in self.SUCC.get(state, [])]
+
+    def dominates(self, a, b):
+        return a == b
+
+    def dual(self, state, floor=None):
+        return self.DUAL[state]
+
+    def state_signature(self, state):
+        return state
+
+
+def test_astar_pops_smallest_f_then_larger_g_then_push_order():
+    model = TieModel()
+    result = astar(model)
+    assert result.status is SolveStatus.INFEASIBLE
+    assert model.popped == ["r", "a", "ad", "adf", "b", "c", "ae", "bg", "z"]
 
 
 def test_astar_infeasible():
@@ -298,14 +353,14 @@ def test_dominated_has_no_side_effects_and_only_register_stores():
     reg = Registry()
     old = SearchNode(smswt.SmsState(0b10, 4), 5, 5)
     assert reg.register(model, old) is old
-    stored = {sig: list(bucket) for sig, bucket in reg._buckets.items()}
+    stored = {sig: registry_chain(reg, sig) for sig in reg._buckets}
     assert reg.dominated(model, smswt.SmsState(0b10, 6), 5)
     # A state that would evict ``old`` passes the test; as long as its node
     # is never registered (a child over the incumbent), it is neither
     # stored nor allowed to evict.
     better = smswt.SmsState(0b10, 2)
     assert not reg.dominated(model, better, 5)
-    assert {sig: list(bucket) for sig, bucket in reg._buckets.items()} == stored
+    assert {sig: registry_chain(reg, sig) for sig in reg._buckets} == stored
     assert reg.size == 1 and not old.stale
     # Had ``better`` been stored, it would dominate this state.
     assert not reg.dominated(model, smswt.SmsState(0b10, 3), 5)
@@ -333,12 +388,88 @@ def test_registry_never_holds_mutually_rejecting_entries():
         # No stored node may dominate another at no larger cost.
         violations = sum(
             1
-            for bucket in reg._buckets.values()
+            for bucket in (registry_chain(reg, sig) for sig in reg._buckets)
             for a in bucket
             for b in bucket
             if a is not b and a.g <= b.g and model.dominates(a.state, b.state)
         )
         assert violations == 0
+
+
+class ListRegistry:
+    """Reference for ``Registry``: each bucket a list of the stored nodes,
+    oldest first, rebuilt without the evicted ones at each ``register``."""
+
+    def __init__(self):
+        self.buckets = {}
+        self.size = 0
+
+    def dominated(self, model, state, g):
+        bucket = self.buckets.get(model.state_signature(state), [])
+        return any(old.g <= g and model.dominates(old.state, state) for old in bucket)
+
+    def register(self, model, node):
+        sig = model.state_signature(node.state)
+        kept = []
+        for old in self.buckets.get(sig, []):
+            if node.g <= old.g and model.dominates(node.state, old.state):
+                old.stale = True
+                self.size -= 1
+            else:
+                kept.append(old)
+        self.buckets[sig] = kept + [node]
+        self.size += 1
+        return node
+
+
+def reachable_states(model, limit):
+    """Up to ``limit`` states reachable from the target, breadth first."""
+    seen, frontier = [model.target_state()], [model.target_state()]
+    while frontier and len(seen) < limit:
+        frontier = [s for state in frontier for _w, _l, s in model.successors(state)]
+        seen += frontier[: limit - len(seen)]
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["smswt", "tsptw", "rcpsp"])
+def test_registry_chains_match_list_buckets(kind):
+    """Random ``dominated``/``register`` sequences give the same answers,
+    the same ``model.dominates`` calls, the same stored nodes in the same
+    order, the same stale marks and the same ``size`` through ``Registry``
+    as through the list-based reference; an evicted node leaves its chain."""
+    rng = random.Random(f"registry:{kind}")
+    for _ in range(12):
+        if kind == "smswt":
+            model = smswt.SmsModel(random_sms_instance(rng, 5))
+        elif kind == "tsptw":
+            model = tsptw.TsptwModel(random_tsptw_instance(rng, 5, widths=(20, 60)))
+        else:
+            model = rcpsp.RcpspModel(random_rcpsp_instance(rng, 5, 4))
+        states = reachable_states(model, 40)
+        ops = [(rng.choice(states), rng.randint(0, 12), rng.random() < 0.7) for _ in range(120)]
+        runs = []
+        for registry in (Registry(), ListRegistry()):
+            calls, answers, nodes = [], [], []
+            inner = model.dominates
+            model.dominates = lambda a, b: calls.append((a, b)) or inner(a, b)
+            for state, g, test in ops:
+                if test:
+                    answers.append(registry.dominated(model, state, g))
+                else:
+                    nodes.append(registry.register(model, SearchNode(state, g, g)))
+            del model.dominates
+            runs.append((registry, calls, answers, nodes))
+        (chain, calls, answers, chain_nodes), (ref, ref_calls, ref_answers, ref_nodes) = runs
+        assert answers == ref_answers
+        assert calls == ref_calls
+        index = {id(node): i for i, node in enumerate(chain_nodes)}
+        got = {sig: [index[id(n)] for n in registry_chain(chain, sig)] for sig in chain._buckets}
+        ref_index = {id(node): i for i, node in enumerate(ref_nodes)}
+        want = {sig: [ref_index[id(n)] for n in bucket] for sig, bucket in ref.buckets.items()}
+        assert got == want
+        assert [n.stale for n in chain_nodes] == [n.stale for n in ref_nodes]
+        assert all(n.sibling is None for n in chain_nodes if n.stale)
+        assert chain.size == ref.size == sum(len(b) for b in want.values())
 
 
 # --- propagation at expansion ------------------------------------------------
@@ -559,7 +690,7 @@ def test_pinned_search_counts(monkeypatch):
 
         def dominated(reg, model, state, g):
             counts["offered"] += 1
-            bucket = reg._buckets.get(model.state_signature(state), ())
+            bucket = registry_chain(reg, model.state_signature(state))
             if not any(e.g <= g and model.dominates(e.state, state) for e in bucket):
                 counts["passed"] += 1
             return original(reg, model, state, g)
@@ -716,6 +847,41 @@ def test_cabs_tables_emptied_at_a_new_incumbent_only_where_build_reads_it(
     assert any(this and last for (this, last), _ in improved), improved
     for before, after in improved:
         assert after == (before if not make_adapter.reads_primal else (0, 0))
+
+
+def test_peak_stored_is_the_largest_registry_size(monkeypatch, capsys):
+    """``peak_stored`` is the largest ``Registry.size`` that any call of
+    ``register`` left, over all CABS passes, and ``solve --json`` reports
+    it."""
+    original = Registry.register
+    sizes = []
+
+    def register(reg, model, node):
+        out = original(reg, model, node)
+        sizes.append(reg.size)
+        return out
+
+    monkeypatch.setattr(Registry, "register", register)
+    evicted_somewhere = False
+    for kind, (make, make_adapter) in sorted(PINNED_KINDS.items()):
+        for seed in range(8):
+            model = make(random.Random(seed))
+            for solver in (astar, cabs):
+                for mode in (PropagationMode.OFF, PropagationMode.ONCE):
+                    adapter = None if mode is PropagationMode.OFF else make_adapter(model)
+                    sizes.clear()
+                    m = solver(model, adapter, mode=mode).metrics
+                    assert m.peak_stored == max(sizes), (kind, seed, solver.__name__, mode)
+                    if solver is astar:
+                        evicted_somewhere |= max(sizes) < len(sizes)
+    # Some A* registries evicted nodes, so the peak is not the count of stores.
+    assert evicted_somewhere
+    assert main(["solve", str(DATA / "tiny_sms.json"), "--problem", "smswt", "--algo", "cabs"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    model = smswt.SmsModel(smswt.load_instance(str(DATA / "tiny_sms.json")))
+    sizes.clear()
+    cabs(model, smswt.SmsAdapter(model))
+    assert report["metrics"]["peak_stored"] == max(sizes) > 1
 
 
 def test_each_pop_counts_once(monkeypatch):

@@ -538,6 +538,30 @@ def test_instance_validation():
         TsptwInstance([[0, 1], [1, 0]], [(5, 2), (0, 5)])
 
 
+def test_state_signature_is_one_int_per_unvisited_set_and_location():
+    model = TsptwModel(random_tsptw_instance(random.Random(5), 6, widths=(40, 90)))
+    states, frontier = set(), [model.target_state()]
+    while frontier:
+        states.update(frontier)
+        frontier = [s for state in frontier for _w, _l, s in model.successors(state)]
+    pairs = {}
+    for state in states:
+        pairs.setdefault(model.state_signature(state), set()).add((state.unvisited, state.location))
+    assert all(type(sig) is int and len(p) == 1 for sig, p in pairs.items())
+    assert len(pairs) == len({(s.unvisited, s.location) for s in states}) > 20
+
+
+def test_instance_numbers_must_be_integers():
+    with pytest.raises(ValueError, match="travel time must be an integer, got '1'"):
+        TsptwInstance([[0, "1"], [1, 0]], [(0, 5), (0, 5)])
+    with pytest.raises(ValueError, match="window bound must be an integer, got '5'"):
+        TsptwInstance([[0, 1], [1, 0]], [(0, 5), (0, "5")])
+    with pytest.raises(ValueError, match="window bound must be an integer, got None"):
+        TsptwInstance([[0, 1], [1, 0]], [(None, 5), (0, 5)])
+    with pytest.raises(ValueError, match="travel time must be an integer, got 1.5"):
+        TsptwInstance([[0, 1.5], [1, 0]], [(0, 5), (0, 5)])
+
+
 def test_oracle_equivalence_all_modes_small():
     rng = random.Random(33)
     for _ in range(15):
