@@ -95,6 +95,18 @@ def require_int(name: str, value) -> int:
     return value
 
 
+def require_list(name: str, value, length: Optional[int] = None):
+    """``value`` if it is a list or tuple, of ``length`` items if given;
+    otherwise a ``ValueError`` that names the field and the value (a
+    number where a list belongs would fail later on ``len`` or ``iter``,
+    naming neither)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"{name} must be a list of {length} items, got {value!r}")
+    return value
+
+
 def int_token(token: str, path: str, line: Optional[int] = None) -> int:
     """Parse a strictly integral token (fractional values are rejected)."""
     if not _INT_RE.match(token):

@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, check_ceiling
 from .cp_engine import Cumulative, DomainStore, PrecedenceLe, PropagationAdapter
-from .parsing import ParseError, all_int_tokens, read_instance, require_int
+from .parsing import ParseError, all_int_tokens, read_instance, require_int, require_list
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,13 @@ class RcpspInstance:
 
     @staticmethod
     def from_json(data: dict) -> "RcpspInstance":
-        tasks = [RcpspTask(t["p"], tuple(t["u"])) for t in data["tasks"]]
-        return RcpspInstance(tasks, tuple(data["capacities"]), data["precedences"])
+        tasks = []
+        for t in require_list("tasks", data["tasks"]):
+            if not isinstance(t, dict):
+                raise ValueError(f"task must be an object, got {t!r}")
+            tasks.append(RcpspTask(t["p"], tuple(require_list("task usages", t["u"]))))
+        capacities = require_list("capacities", data["capacities"])
+        return RcpspInstance(tasks, capacities, require_list("precedences", data["precedences"]))
 
 
 class RcpspState(NamedTuple):

@@ -15,15 +15,18 @@ target, or a dead state built by hand, has no successors: each child
 fails that test, as no child reaches a stranded location sooner than its
 parent could.
 
-The dual bound is the larger of two cheapest-arc sums: every remaining
-location is entered once, and left once along an arc it can still take
-in time.  One scan over per-location rows built on first use sums both;
-a row leaves out each arc that no arrival can take (every arrival is at
-least the release), and ``leave_costs`` is the scan's list, kept for the
-adapter's durations.  The CP model is an arrival per remaining location
-under a non-overlap constraint that takes each leave cost as a duration.
-Its store is infeasible where the dual is ``INFINITY``, and its CP dual
-is 0: the search prunes a popped node on its own ``f``.
+The dual bound is the larger of two cheapest-arc sums over the arcs a
+completion can still take in time: every unvisited location is entered
+once, from another unvisited location or the current one, and the depot
+last; every remaining location is left once.  One scan over
+per-location rows built on first use sums both; a row leaves out each
+arc that no arrival can take (every arrival is at least the release,
+and the tour leaves the depot at 0), and ``leave_costs`` is the scan's
+list, kept for the adapter's durations.  The CP model is an arrival per
+remaining location under a non-overlap constraint that takes each leave
+cost as a duration.  Its store is infeasible where the dual is
+``INFINITY``, and its CP dual is 0: the search prunes a popped node on
+its own ``f``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .core import DpModel
 from .cost import Cost, INFINITY, check_ceiling
 from .cp_engine import Disjunctive, DomainStore, PropagationAdapter
-from .parsing import ParseError, int_token, read_instance, require_int
+from .parsing import ParseError, int_token, read_instance, require_int, require_list
 
 
 class TsptwInstance:
@@ -44,14 +47,14 @@ class TsptwInstance:
         travel: Sequence[Sequence[Optional[int]]],
         windows: Sequence[Tuple[int, int]],
     ):
-        n = len(travel)
+        n = len(require_list("travel matrix", travel))
         if n < 1:
             raise ValueError("instance needs at least the depot")
-        if len(windows) != n:
+        if len(require_list("windows", windows)) != n:
             raise ValueError("window count must match location count")
         rows = []
         for i, row in enumerate(travel):
-            if len(row) != n:
+            if len(require_list("travel row", row)) != n:
                 raise ValueError("travel matrix must be square")
             clean = []
             for j, c in enumerate(row):
@@ -64,7 +67,8 @@ class TsptwInstance:
             rows.append(tuple(clean))
         self.travel: Tuple[Tuple[Optional[int], ...], ...] = tuple(rows)
         wins = []
-        for r, d in windows:
+        for window in windows:
+            r, d = require_list("window", window, 2)
             if require_int("window bound", r) < 0 or require_int("window bound", d) < r:
                 raise ValueError(f"bad window [{r}, {d}]")
             wins.append((r, d))
@@ -108,10 +112,10 @@ class TsptwInstance:
 
     @staticmethod
     def from_json(data: dict) -> "TsptwInstance":
-        travel = data["c"]
+        travel = require_list("travel matrix", data["c"])
         if "n" in data and data["n"] != len(travel):
             raise ValueError("matrix size does not match 'n'")
-        return TsptwInstance(travel, [tuple(w) for w in data["windows"]])
+        return TsptwInstance(travel, data["windows"])
 
 
 class TsptwState(NamedTuple):
@@ -124,8 +128,8 @@ class TsptwModel(DpModel):
     def __init__(self, instance: TsptwInstance):
         self.instance = instance
         self._n = instance.n
-        # A tour, and the leave-cost sum in ``dual``, has at most n terms,
-        # each the longest arc or less; ``dual`` caps its entered sum.
+        # A tour, and each of the entered and leave sums in ``dual``, has
+        # at most n terms, each the longest arc or less.
         longest = max((c for row in instance.travel for c in row if c is not None), default=0)
         check_ceiling(instance.n * longest)
         self._table = None  # built on first use, so set-up spends nothing
@@ -187,11 +191,25 @@ class TsptwModel(DpModel):
         entered once and left once in time.  The floor is ignored: each
         location's earliest leave is read from the state alone.
 
-        Over ``M``, the unvisited set plus the current location, that is
-        the larger of ``min_to`` summed over the depot and the unvisited
-        set and the sum of ``leave_costs`` (``INFINITY`` if there are none),
-        which one scan sums.  The depot alone (only in a one-location
-        instance) is a finished tour that enters and leaves nothing: 0.
+        ``M`` is the unvisited set ``U`` plus the current location, and
+        ``s`` in ``M`` is left no earlier than ``max(t, r_s)``; the depot's
+        release does not hold, as a tour leaves it at time 0.  The bound is
+        the larger of two sums, which one scan takes:
+
+        - entered: for each ``j`` in ``U``, the cheapest arc ``s -> j``
+          from ``M`` less ``j`` with ``max(t, r_s) + c_sj <= d_j``, plus
+          the cheapest arc into the depot from ``U``, or from here once
+          ``U`` is empty;
+        - left: the sum of ``leave_costs``.
+
+        Either is ``INFINITY`` where some location has no such arc.  Each
+        completion enters every ``j`` in ``U`` once, from its predecessor
+        ``s`` in ``M``, which it leaves no earlier than ``max(t, r_s)``
+        and which reaches ``j`` by ``d_j``, and it enters the depot last,
+        from ``U``; so the entered sum is admissible, and never below
+        ``min_to`` summed over the depot and ``U``.  The depot alone (only
+        in a one-location instance) is a finished tour that enters and
+        leaves nothing: 0.
         """
         bound = self._scan(state) if state.unvisited or state.location else 0
         return INFINITY if bound is None else bound
@@ -199,32 +217,60 @@ class TsptwModel(DpModel):
     def leave_costs(self, state: TsptwState) -> Optional[List[Tuple[int, int]]]:
         """``(i, c_i)`` for each ``i`` in ``M``, ascending, where ``c_i`` is
         the cheapest arc out of ``i`` that a completion may still take, or
-        None if some ``i`` has none: ``dual``'s scan, listing its terms for
-        the adapter's durations.
+        None if some ``i`` has none: ``dual``'s scan, listing its leave
+        terms for the adapter's durations and skipping the entered sum, as
+        a popped state's ``f`` already holds the bound.
 
-        ``i`` is left no earlier than ``a_i = max(r_i, t)``, toward an
-        unvisited ``j`` that must be reached by ``d_j``: only arcs with
-        ``a_i + c_ij <= d_j`` count (arc elimination by time windows,
-        Dumas, Desrosiers, Gelinas and Solomon, *Operations Research*,
-        1995).  The depot is a target, with no window, only where ``i`` may
-        be last: each other unvisited ``k`` has ``a_k + min_to[i] <= d_i``.
+        ``i`` is left no earlier than ``a_i = max(r_i, t)`` (the depot at
+        ``t``, whatever its release), toward an unvisited ``j`` that must
+        be reached by ``d_j``: only arcs with ``a_i + c_ij <= d_j`` count
+        (arc elimination by time windows, Dumas, Desrosiers, Gelinas and
+        Solomon, *Operations Research*, 1995).  The depot is a target, with
+        no window, only where ``i`` may be last: each other unvisited ``k``
+        has ``a_k + min_to[i] <= d_i``.
         """
         items: List[Tuple[int, int]] = []
         return None if self._scan(state, items) is None else items
 
     def _scan(self, state: TsptwState, items=None) -> Optional[Cost]:
-        """``dual``'s bound, or None; appends each ``(i, c_i)`` to ``items``."""
+        """``dual``'s bound, or None; given ``items``, the leave sum alone,
+        with each ``(i, c_i)`` appended to ``items``.
+
+        Each kept arc ``s -> j`` has ``r_s + c_sj <= d_j``, so it is in
+        time from ``s``'s earliest leave ``max(t, r_s)`` exactly where
+        ``t + c_sj <= d_j``."""
         rows = (self._table or self._build_table())[0]
         unvisited, here, t = state
-        # The entered sum, and the two largest releases over the unvisited
-        # set (-INFINITY stands for none); raised to the clock, they are
-        # the two largest earliest arrivals, which decide each depot leg.
-        entered = rows[0][4]
+        remaining = unvisited | rows[here][0]
+        entered = 0
+        if items is None:
+            # The depot is entered last, from an unvisited location, or
+            # from here once none is left; it has no deadline.
+            sources = unvisited or remaining
+            for c, tail in rows[0][5]:
+                if sources & tail:
+                    entered = c
+                    break
+            else:
+                return None
+        # The two largest releases over the unvisited set (-INFINITY
+        # stands for none); raised to the clock, they are the two largest
+        # earliest arrivals, which decide each depot leg.
         first = second = -INFINITY
         first_bit = 0
-        for bit, _i, r, _d, to_i, _arcs in rows:
+        for bit, _i, r, d, _to_i, ins, _arcs in rows:
             if unvisited & bit:
-                entered += to_i
+                if items is None:
+                    # The cheapest in-arc from M; each later one costs as
+                    # much or more, so if this one is late, all are.
+                    for c, tail in ins:
+                        if remaining & tail:
+                            break
+                    else:
+                        return None
+                    if t + c > d:
+                        return None
+                    entered += c
                 if r > first:
                     first, second, first_bit = r, first, bit
                 elif r > second:
@@ -234,42 +280,51 @@ class TsptwModel(DpModel):
         if t > second > -INFINITY:
             second = t
         leave = 0
-        remaining = unvisited | rows[here][0]
-        for bit, i, r, d, to_i, arcs in rows:
+        for bit, i, _r, d, to_i, _ins, arcs in rows:
             if remaining & bit:
-                a = t if t > r else r
                 # Bit 0, the depot, is a target where i may be last.
                 targets = unvisited | ((second if bit == first_bit else first) + to_i <= d)
                 for c, head, due in arcs:
-                    if targets & head and a + c <= due:
+                    if targets & head and t + c <= due:
                         leave += c
                         if items is not None:
                             items.append((i, c))
                         break
                 else:
                     return None
-        return min(INFINITY, max(entered, leave))
+        return entered if entered > leave else leave
 
     def _build_table(self):
         """``(rows, latest, bits)``, built whole before its one write, so a
         solve that shares the model sees all of it or none of it.
 
         ``bits[k]`` is ``1 << k``, shared by every entry.  Row ``i`` is
-        ``(bits[i], i, r_i, d_i, min_to[i], arcs)``: ``(c_ij, bits[j], d_j)``
+        ``(bits[i], i, r_i, d_i, min_to[i], ins, arcs)``, with the depot's
+        release taken as 0, as a tour leaves it at time 0.  ``arcs`` holds
+        ``(c_ij, bits[j], d_j)`` and ``ins`` holds ``(c_si, bits[s])``,
         cheapest first, the depot's deadline ``INFINITY``, less each arc
-        with ``r_i + c_ij > d_j``, which no arrival at ``i`` can take.
-        ``latest[i]`` holds ``(d_k - shortest[i][k], bits[k])``, ascending,
-        for each other ``k`` but the depot: the latest arrival at ``i`` that
-        still reaches ``k`` in time, or -1, below every arrival, if none."""
+        ``s -> j`` with ``r_s + c_sj > d_j``, which no arrival at ``s`` can
+        take.  ``latest[i]`` holds ``(d_k - shortest[i][k], bits[k])``,
+        ascending, for each other ``k`` but the depot: the latest arrival
+        at ``i`` that still reaches ``k`` in time, or -1, below every
+        arrival, if none."""
         inst = self.instance
         bits = tuple(1 << k for k in range(inst.n))
+        release = (0,) + tuple(r for r, _d in inst.windows[1:])
         due = (INFINITY,) + tuple(d for _r, d in inst.windows[1:])
+        kept = [
+            (c, i, j)
+            for i, row in enumerate(inst.travel)
+            for j, c in enumerate(row)
+            if c is not None and release[i] + c <= due[j]
+        ]
+        outs, ins = [[] for _ in bits], [[] for _ in bits]
+        for c, i, j in sorted(kept):
+            outs[i].append((c, bits[j], due[j]))
+            ins[j].append((c, bits[i]))
         rows, latest = [], []
-        for i, (row, reach, (r, d)) in enumerate(zip(inst.travel, inst.shortest, inst.windows)):
-            arcs = [
-                (c, b, dj) for c, b, dj in zip(row, bits, due) if c is not None and r + c <= dj
-            ]
-            rows.append((bits[i], i, r, d, inst.min_to[i], tuple(sorted(arcs))))
+        for i, (reach, (_r, d)) in enumerate(zip(inst.shortest, inst.windows)):
+            rows.append((bits[i], i, release[i], d, inst.min_to[i], tuple(ins[i]), tuple(outs[i])))
             pairs = [(-1 if s is None else dk - s, b) for s, dk, b in zip(reach, due, bits)]
             latest.append(tuple(sorted(pairs[1:i] + pairs[i + 1 :])))  # neither depot nor i
         self._table = table = (tuple(rows), tuple(latest), bits)
@@ -302,6 +357,7 @@ class TsptwAdapter(PropagationAdapter):
         for i, _c in items or ():
             r, d = windows[i]
             lbs[i], ubs[i] = (t if t > r else r), d
+        lbs[state.location] = t  # reached at the clock: the depot at 0, whatever its release
         store = DomainStore(lbs, ubs, state.unvisited | 1 << state.location)
         if items is None:
             store.mark_infeasible()

@@ -338,6 +338,48 @@ def test_numbers_written_as_strings_are_named(tmp_path, capsys, command, problem
     assert f"{name} must be an integer, got {value!r}" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize(
+    "problem, doc, where, value, message",
+    [
+        ("tsptw", lambda: TINY_TSPTW_JSON, ("c",), 5, "travel matrix must be a list, got 5"),
+        ("tsptw", lambda: TINY_TSPTW_JSON, ("c", 1), 7, "travel row must be a list, got 7"),
+        ("tsptw", lambda: TINY_TSPTW_JSON, ("windows",), 5, "windows must be a list, got 5"),
+        ("tsptw", lambda: TINY_TSPTW_JSON, ("windows", 1), 5, "window must be a list, got 5"),
+        ("tsptw", lambda: TINY_TSPTW_JSON, ("windows", 1), [0, 5, 9],
+         "window must be a list of 2 items, got [0, 5, 9]"),
+        ("tsptw", lambda: TINY_TSPTW_JSON, ("c", 1, 2), [4], "travel time must be an integer, got [4]"),
+        ("rcpsp", small_rcpsp_json, ("tasks",), 5, "tasks must be a list, got 5"),
+        ("rcpsp", small_rcpsp_json, ("tasks", 1), 5, "task must be an object, got 5"),
+        ("rcpsp", small_rcpsp_json, ("tasks", 0, "u"), 2, "task usages must be a list, got 2"),
+        ("rcpsp", small_rcpsp_json, ("capacities",), 3, "capacities must be a list, got 3"),
+        ("rcpsp", small_rcpsp_json, ("precedences",), 5, "precedences must be a list, got 5"),
+        ("rcpsp", small_rcpsp_json, ("tasks", 1, "p"), [2], "task duration must be an integer, got [2]"),
+    ],
+    ids=[
+        "travel-matrix", "travel-row", "windows", "window", "long-window", "travel-time-list",
+        "tasks", "task", "usages", "capacities", "precedences", "duration-list",
+    ],
+)
+def test_lists_and_numbers_in_each_others_place_are_named(
+    tmp_path, capsys, command, problem, doc, where, value, message
+):
+    # A number where the instance expects a list, or the reverse, must end
+    # in an error that names the field and the value, not in whatever
+    # ``len`` or ``iter`` says about an int.
+    doc = json.loads(json.dumps(doc()))
+    *outer, last = where
+    parent = doc
+    for key in outer:
+        parent = parent[key]
+    parent[last] = value
+    bad = write_json(tmp_path / "bad.json", doc)
+    assert main([command, str(bad), "--problem", problem]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpcp: error") and "Traceback" not in err
+    assert message in err, err
+
+
 def late_job(w: int, deadline: int = 100) -> dict:
     """A job that finishes 2 units past its due date when started at 0."""
     return {"p": 3, "r": 0, "d": 1, "deadline": deadline, "w": w}

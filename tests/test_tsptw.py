@@ -129,6 +129,12 @@ def test_depot_only_instance_has_zero_dual():
         assert result.root_dual == result.cost == 0, key
 
 
+def leave_time(inst, s, t):
+    """The earliest time a completion leaves location ``s`` at clock ``t``:
+    the depot's release does not hold, as a tour leaves it at time 0."""
+    return t if s == 0 else max(t, inst.windows[s][0])
+
+
 def reference_leave_costs(inst, state):
     """The cheapest arc out of each location in ``M`` that stays in time,
     found by scanning its whole row; None if one location has none."""
@@ -136,7 +142,7 @@ def reference_leave_costs(inst, state):
     arrival = {j: max(t, inst.windows[j][0]) for j in iter_bits(state.unvisited)}
     items = []
     for i in iter_bits(state.unvisited | 1 << state.location):
-        a, d = max(t, inst.windows[i][0]), inst.windows[i][1]
+        a, d = leave_time(inst, i, t), inst.windows[i][1]
         may_be_last = all(arrival[k] + inst.min_to[i] <= d for k in arrival if k != i)
         costs = [
             c
@@ -150,11 +156,46 @@ def reference_leave_costs(inst, state):
     return items
 
 
+def reference_entered(inst, state):
+    """The cheapest arc into each unvisited location ``j`` from ``M``
+    less ``j`` that reaches it in time, plus the cheapest into the depot
+    from the unvisited set, or from here once it is empty, found by
+    scanning whole columns; ``INFINITY`` if one location has none."""
+    t = state.time
+    sources = list(iter_bits(state.unvisited | 1 << state.location))
+    total = 0
+    for j in iter_bits(state.unvisited):
+        costs = [
+            inst.travel[s][j]
+            for s in sources
+            if s != j
+            and inst.travel[s][j] is not None
+            and leave_time(inst, s, t) + inst.travel[s][j] <= inst.windows[j][1]
+        ]
+        if not costs:
+            return INFINITY
+        total += min(costs)
+    last = list(iter_bits(state.unvisited)) or [state.location]
+    costs = [inst.travel[s][0] for s in last if inst.travel[s][0] is not None]
+    return total + min(costs) if costs else INFINITY
+
+
 def reference_dual(model, state):
     """The cheapest-arc relaxation summed afresh for one state."""
     inst = model.instance
     if state.unvisited == 0 and state.location == 0:
         return 0
+    items = reference_leave_costs(inst, state)
+    into = reference_entered(inst, state)
+    if items is None or into == INFINITY:
+        return INFINITY
+    return max(into, sum(c for _i, c in items))
+
+
+def min_to_dual(inst, state):
+    """The bound whose entered sum took each location's cheapest arc in,
+    from any location and at any time: ``min_to`` over the depot and the
+    unvisited set."""
     items = reference_leave_costs(inst, state)
     if items is None:
         return INFINITY
@@ -242,7 +283,8 @@ def test_dual_matches_per_state_sum():
     # Taken in the search's order, a state and then each of its successors
     # (a dual that kept a memo across them would go stale), every value must
     # equal the bound taken afresh, with each leave cost found by scanning
-    # its whole row, also where a cheapest arc is INFINITY or missing.
+    # its whole row and each entered cost its whole column, also where a
+    # cheapest arc is INFINITY or missing.
     rng = random.Random(131)
     instances = [random_tsptw_instance(rng, rng.randint(3, 7)) for _ in range(30)]
     travel = [[None, 3, 4, 2, 6], [5, None, 2, 6, 1], [7, 1, None, 3, 2],
@@ -278,8 +320,9 @@ def test_dual_and_leave_costs_on_hand_built_states():
     # deadline exactly from the tail's release (``r_i + c == d_j``), on
     # every fourth a location with no exit, and on every other a depot
     # deadline.  Every value must equal the one found by scanning whole
-    # rows, so a table that keeps out one arc that some arrival can take
-    # fails here; the floors make sure that such arcs decide some states.
+    # rows and columns, so a table that keeps out one arc that some arrival
+    # can take fails here; the floors make sure that such arcs decide some
+    # states.
     rng = random.Random(38)
     none = late = exact = 0
     for k in range(120):
@@ -665,6 +708,79 @@ def test_dual_dominates_entered_left_bound():
             checked += 1
             above += value > old
     assert checked > 2000 and above > 500, (checked, above)
+
+
+def test_dual_dominates_min_to_bound():
+    # Each entered cost is the cheapest arc into its location from the
+    # locations a completion may still leave, in time, so it is never
+    # below ``min_to``, the cheapest from anywhere; on states built at
+    # later clocks too, where fewer arcs stay in time.
+    rng = random.Random(79)
+    checked = above = 0
+    for inst in varied_tsptw_instances(rng, 60):
+        model = TsptwModel(inst)
+        states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
+        for state in states + [s._replace(time=s.time + rng.randint(0, 30)) for s in states]:
+            old = min_to_dual(inst, state)
+            value = model.dual(state)
+            assert value >= old, (inst.to_json(), state)
+            checked += 1
+            above += value > old
+    assert checked > 8000 and above > 4000, (checked, above)
+
+
+def depot_release_instances(rng, count):
+    """``varied_tsptw_instances`` with the depot released at 1-60."""
+    out = []
+    for inst in varied_tsptw_instances(rng, count):
+        d = inst.windows[0][1]
+        windows = [(rng.randint(1, min(60, d)), d)] + list(inst.windows[1:])
+        out.append(TsptwInstance(inst.travel, windows))
+    return out
+
+
+def test_depot_release_does_not_delay_the_tour(capsys):
+    # A tour leaves the depot at time 0, whatever the depot's release: on
+    # the fixture, location 1 is due at 5 and reached at 5 only straight
+    # from the depot, while the depot is released at 50.  Every algorithm
+    # and mode must agree with the oracle, on the fixture and on draws
+    # whose depot release keeps out of time some arc from the depot that
+    # a tour leaving at 0 takes in time.
+    path = str(DATA / "depot_release_tsptw.txt")
+    for algo in ("astar", "cabs"):
+        for mode in ("off", "once", "fixpoint"):
+            assert main(["solve", path, "--problem", "tsptw", "--algo", algo, "--propagation", mode]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert (report["status"], report["cost"], report["root_dual"]) == ("Optimal", 14, 14), (algo, mode)
+    assert main(["oracle", path, "--problem", "tsptw"]) == 0
+    assert capsys.readouterr().out.strip() == "14"
+    # The depot, released at 50 and due at 52, is left at 0 for location 1,
+    # reached at 45.  A store that started the depot at 50 would push
+    # location 1 past the depot's 45-long leave, beyond 1's deadline 60,
+    # and read the root infeasible in the propagating modes.
+    model = TsptwModel(TsptwInstance([[None, 45], [10, None]], [(50, 52), (45, 60)]))
+    store, _props = TsptwAdapter(model).build(model.target_state())
+    assert store_domains(store) == [(0, 52), (45, 60)]
+    for key, result in solve_all_modes(model, TsptwAdapter(model)).items():
+        assert (result.status, result.cost, result.root_dual) == (SolveStatus.OPTIMAL, 55, 55), key
+    rng = random.Random(83)
+    solved = late = 0
+    for inst in depot_release_instances(rng, 80):
+        model = TsptwModel(inst)
+        oracle = permutation_optimum(inst)
+        for key, result in solve_all_modes(model, TsptwAdapter(model)).items():
+            if is_finite(oracle):
+                assert (result.status, result.cost) == (SolveStatus.OPTIMAL, oracle), (inst.to_json(), key)
+            else:
+                assert result.status is SolveStatus.INFEASIBLE, (inst.to_json(), key)
+        for state in enumerate_state_values(model):
+            assert model.dual(state) == reference_dual(model, state), (inst.to_json(), state)
+        solved += is_finite(oracle)
+        r0 = inst.windows[0][0]
+        late += any(
+            c is not None and c <= d < r0 + c for c, (_r, d) in zip(inst.travel[0][1:], inst.windows[1:])
+        )
+    assert solved > 40 and late > 25, (solved, late)
 
 
 def test_propagated_windows_keep_oracle_arrivals():
