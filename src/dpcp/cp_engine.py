@@ -451,8 +451,10 @@ class PropagationAdapter(ABC):
     of the node's ``f`` and ``g`` plus ``dual_cp`` itself, so a cap on the
     remaining cost would only repeat that test.  ``dual_cp`` defaults to the
     model's ``dual`` floored by the store's lower bounds (SMS, RCPSP).
-    TSPTW's model ignores the floor, so its adapter returns 0: that adds
-    nothing, and the pop still prunes on ``f``, which holds the model dual.
+    TSPTW's model ignores the floor, so its adapter returns the model's
+    relaxation solved exactly under the store instead; a ``dual_cp`` of 0
+    would add nothing, as the pop still prunes on ``f``, which holds the
+    model dual.
 
     A store is laid out over the model's variables: ``lbs[i]`` bounds the
     variable of the model's job, task or location ``i``.  The search

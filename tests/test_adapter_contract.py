@@ -535,7 +535,7 @@ def test_minimal_adapter_needs_only_build(family):
     the default veto reaches the oracle.  No shipped adapter defines the
     veto, so the ``*_veto_matches_transition_reference`` tests check the
     default; the SMS and RCPSP adapters keep the default ``dual_cp`` too
-    (TSPTW's alone returns 0)."""
+    (TSPTW's alone solves its model's relaxation exactly under the store)."""
     draw, minimal, shipped, oracle = MINIMAL[family]
     assert PropagationAdapter.__abstractmethods__ == {"build"}
     assert "is_succ_infeasible" not in vars(shipped)

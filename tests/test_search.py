@@ -592,38 +592,43 @@ PINNED_COUNTS = {
     ("smswt", 5, "cabs", "off"): ("Optimal", 176, 164, 814, 0, 11, 5),
     ("smswt", 5, "cabs", "once"): ("Optimal", 176, 162, 812, 7, 11, 5),
     ("smswt", 5, "cabs", "fixpoint"): ("Optimal", 176, 162, 812, 7, 11, 5),
-    # TSPTW's dual tests each leave arc and each entered arc against the
-    # time windows: a location is entered only from the unvisited set or
-    # the current location, by an arc that reaches it by its deadline.
-    # That entered half lowers every TSPTW expansion count, every
-    # generated count but A*'s on seeds 0 and 2, CABS's stale skips on
-    # seed 9 (2 to 0) and CABS's passes on seed 2 (3 to 2).  A CABS pop
-    # pruned on its own ``f``, not by its store, counts in no
-    # ``pruned_by_cp``.
-    ("tsptw", 0, "astar", "off"): ("Optimal", 95, 19, 27, 0, 0, 0),
-    ("tsptw", 0, "astar", "once"): ("Optimal", 95, 19, 27, 0, 0, 0),
-    ("tsptw", 0, "astar", "fixpoint"): ("Optimal", 95, 19, 27, 0, 0, 0),
-    ("tsptw", 0, "cabs", "off"): ("Optimal", 95, 40, 58, 0, 0, 3),
-    ("tsptw", 0, "cabs", "once"): ("Optimal", 95, 40, 58, 0, 0, 3),
-    ("tsptw", 0, "cabs", "fixpoint"): ("Optimal", 95, 40, 58, 0, 0, 3),
+    # TSPTW's dual reduces the rows, then the columns, of the arcs a
+    # completion can still take (the current location leaves for the
+    # depot only once nothing is left unvisited, and the depot is entered
+    # only from a location that may be last).  That bound lowers every
+    # expansion and generated count of seeds 0, 9 and 13, and CABS's
+    # passes on seed 13 (4 to 3).  The stale skips on seed 13 fall from 1
+    # to 0 in A* and CABS, and CABS's on seed 9 rise from 0 to 1.  Seed 2,
+    # whose instance is infeasible, is unchanged.  A CABS pop pruned on its
+    # own ``f``, not by its store, counts in no ``pruned_by_cp``.  With
+    # propagation on, the CP dual of a pop is that relaxation solved
+    # exactly under its store (``TsptwModel.assignment``): it prunes pops
+    # of seeds 0, 9 and 13 in CABS (expansions 38, 66, 34 -> 29, 63, 24)
+    # and one of seed 13 in A* (15 -> 14), in ``once`` and ``fixpoint``.
+    ("tsptw", 0, "astar", "off"): ("Optimal", 95, 16, 24, 0, 0, 0),
+    ("tsptw", 0, "astar", "once"): ("Optimal", 95, 16, 24, 0, 0, 0),
+    ("tsptw", 0, "astar", "fixpoint"): ("Optimal", 95, 16, 24, 0, 0, 0),
+    ("tsptw", 0, "cabs", "off"): ("Optimal", 95, 38, 56, 0, 0, 3),
+    ("tsptw", 0, "cabs", "once"): ("Optimal", 95, 29, 42, 4, 0, 3),
+    ("tsptw", 0, "cabs", "fixpoint"): ("Optimal", 95, 29, 42, 4, 0, 3),
     ("tsptw", 2, "astar", "off"): ("Infeasible", None, 8, 10, 0, 0, 0),
     ("tsptw", 2, "astar", "once"): ("Infeasible", None, 8, 10, 0, 0, 0),
     ("tsptw", 2, "astar", "fixpoint"): ("Infeasible", None, 8, 10, 0, 0, 0),
     ("tsptw", 2, "cabs", "off"): ("Infeasible", None, 13, 17, 0, 0, 2),
     ("tsptw", 2, "cabs", "once"): ("Infeasible", None, 13, 17, 0, 0, 2),
     ("tsptw", 2, "cabs", "fixpoint"): ("Infeasible", None, 13, 17, 0, 0, 2),
-    ("tsptw", 9, "astar", "off"): ("Optimal", 67, 29, 47, 0, 0, 0),
-    ("tsptw", 9, "astar", "once"): ("Optimal", 67, 29, 47, 0, 0, 0),
-    ("tsptw", 9, "astar", "fixpoint"): ("Optimal", 67, 29, 47, 0, 0, 0),
-    ("tsptw", 9, "cabs", "off"): ("Optimal", 67, 73, 123, 0, 0, 4),
-    ("tsptw", 9, "cabs", "once"): ("Optimal", 67, 73, 123, 0, 0, 4),
-    ("tsptw", 9, "cabs", "fixpoint"): ("Optimal", 67, 73, 123, 0, 0, 4),
-    ("tsptw", 13, "astar", "off"): ("Optimal", 65, 17, 29, 0, 1, 0),
-    ("tsptw", 13, "astar", "once"): ("Optimal", 65, 17, 29, 0, 1, 0),
-    ("tsptw", 13, "astar", "fixpoint"): ("Optimal", 65, 17, 29, 0, 1, 0),
-    ("tsptw", 13, "cabs", "off"): ("Optimal", 65, 50, 81, 0, 1, 4),
-    ("tsptw", 13, "cabs", "once"): ("Optimal", 65, 50, 81, 0, 1, 4),
-    ("tsptw", 13, "cabs", "fixpoint"): ("Optimal", 65, 50, 81, 0, 1, 4),
+    ("tsptw", 9, "astar", "off"): ("Optimal", 67, 23, 38, 0, 0, 0),
+    ("tsptw", 9, "astar", "once"): ("Optimal", 67, 23, 38, 0, 0, 0),
+    ("tsptw", 9, "astar", "fixpoint"): ("Optimal", 67, 23, 38, 0, 0, 0),
+    ("tsptw", 9, "cabs", "off"): ("Optimal", 67, 66, 113, 0, 1, 4),
+    ("tsptw", 9, "cabs", "once"): ("Optimal", 67, 63, 110, 7, 1, 4),
+    ("tsptw", 9, "cabs", "fixpoint"): ("Optimal", 67, 63, 110, 7, 1, 4),
+    ("tsptw", 13, "astar", "off"): ("Optimal", 65, 15, 26, 0, 0, 0),
+    ("tsptw", 13, "astar", "once"): ("Optimal", 65, 14, 26, 1, 0, 0),
+    ("tsptw", 13, "astar", "fixpoint"): ("Optimal", 65, 14, 26, 1, 0, 0),
+    ("tsptw", 13, "cabs", "off"): ("Optimal", 65, 34, 55, 0, 0, 3),
+    ("tsptw", 13, "cabs", "once"): ("Optimal", 65, 24, 43, 6, 0, 3),
+    ("tsptw", 13, "cabs", "fixpoint"): ("Optimal", 65, 24, 43, 6, 0, 3),
     # RCPSP's bound takes the clash-sequence floor in every mode: pending
     # tasks that can never overlap run one after another.  It cuts every
     # RCPSP count, and A* now expands alike in all three modes.

@@ -88,6 +88,35 @@ def test_model_refuses_tours_that_could_pass_max_cost():
         TsptwModel(TsptwInstance(longer, windows))
 
 
+def four_locations(leg):
+    """Locations 2 and 3 are entered only from 1, which leaves for the
+    depot free of travel; 0, 2 and 3 leave only for 1.  No tour exists,
+    yet no location is stranded, and every row and column of the target's
+    arcs has an entry."""
+    travel = [[None, leg, None, None], [0, None, leg, leg], [None, leg, None, None], [None, leg, None, None]]
+    return TsptwInstance(travel, [(0, 10**30)] * 4)
+
+
+def test_bound_above_the_dearest_completion_proves_none():
+    # Rows: u = (leg, 0, leg, leg).  Columns: 1 is entered from 0, 2 or 3
+    # at reduced cost 0, 2 and 3 only from 1 at leg - 0, the depot from 1
+    # at 0.  So the reduction reads 5 * leg at the target, above the
+    # 4 * leg that a completion of its four locations could cost at most:
+    # the dual is INFINITY.  Were it 5 * leg, then at leg = MAX_COST // 4,
+    # which the ceiling of n times the longest arc accepts, the root's f
+    # would pass MAX_COST and the solve would raise CostOverflow; every
+    # algorithm and mode proves the instance infeasible instead.
+    model = TsptwModel(four_locations(1))
+    target = model.target_state()
+    assert model.leave_costs(target) == [(0, 1), (1, 0), (2, 1), (3, 1)]
+    assert model.dual(target) == reference_dual(model, target) == INFINITY
+    assert permutation_optimum(model.instance) == INFINITY
+    model = TsptwModel(four_locations(MAX_COST // 4))
+    assert model.dual(model.target_state()) == INFINITY
+    for key, result in solve_all_modes(model, TsptwAdapter(model)).items():
+        assert result.status is SolveStatus.INFEASIBLE, key
+
+
 def test_base_cost_returns_to_depot():
     model = triangle_model()
     assert model.base_cost(TsptwState(0, 1, 9)) == 2
@@ -104,14 +133,34 @@ def test_dominates_requires_smaller_time():
 
 
 def test_dual_examples():
+    # TRIANGLE, wide windows, at the target (U = {1, 2}, here the depot).
+    # Rows, the cheapest arc out of each location of M in A: the depot
+    # leaves only for U while U is non-empty, u_0 = min(c01, c02) = 2;
+    # 1 and 2 may each be last, u_1 = min(c12, c10) = min(4, 2) = 2 and
+    # u_2 = min(c21, c20) = min(4, 3) = 3.  Columns, the least c_sj - u_s:
+    # v_1 = min(c01 - u_0, c21 - u_2) = min(0, 1) = 0,
+    # v_2 = min(c02 - u_0, c12 - u_1) = min(1, 2) = 1, and the depot
+    # v_0 = min(c10 - u_1, c20 - u_2) = min(0, 0) = 0.  So the bound is
+    # 2 + 2 + 3 + 1 = 8, above the entered sum 2 + 3 + 2 = 7 and the leave
+    # sum 7, and below the optimum 9 (0 -> 1 -> 2 -> 0).
     model = triangle_model()
     target = model.target_state()
-    assert model.dual(target) == 7
+    assert model.leave_costs(target) == [(0, 2), (1, 2), (2, 3)]
+    assert model.dual(target) == 8
+    assert separate_halves_dual(model.instance, target) == 7
     assert permutation_optimum(model.instance) == 9
-    # Symmetric matrix and wide windows: entering and leaving agree.
+    # min_to, each location's cheapest arc in from any source: the column
+    # minima of the whole matrix, 2 + 2 + 3 = 7, below the reduction.
     inst = model.instance
     assert inst.min_to[0] + inst.min_to[1] + inst.min_to[2] == 7
-    assert model.leave_costs(target) == [(0, 2), (1, 2), (2, 3)]
+    # At 1 with only 2 left (clock 2): here leaves for U alone, u_1 =
+    # c12 = 4 (the depot leg c10 = 2 counted while here could target the
+    # depot), and 2 only for the depot, u_2 = c20 = 3.  v_2 = c12 - u_1 =
+    # 0 and v_0 = c20 - u_2 = 0, so the bound is 7, the cost of the one
+    # completion 1 -> 2 -> 0; the halves taken apart read 4 + 3 and 2 + 3.
+    state = TsptwState(0b100, 1, 2)
+    assert model.leave_costs(state) == [(1, 4), (2, 3)]
+    assert model.dual(state) == separate_halves_dual(model.instance, state) == 7
     # Single remaining leg: the bound is that leg, back to the depot.
     state = TsptwState(0, 1, 5)
     assert model.leave_costs(state) == [(1, 2)]
@@ -135,9 +184,88 @@ def leave_time(inst, s, t):
     return t if s == 0 else max(t, inst.windows[s][0])
 
 
+def members(mask, n):
+    """The locations whose bits ``mask`` holds, ascending."""
+    return [k for k in range(n) if mask >> k & 1]
+
+
+def completion_arcs(inst, state):
+    """A, listed from its definition: ``(s, j, c)`` for each arc that some
+    completion of ``state`` may still take.  M is the unvisited set U plus
+    the current location, and ``s`` in M is left no earlier than
+    ``leave_time``.  An arc into ``j`` in U leaves M and reaches ``j`` by
+    its deadline.  An arc into the depot leaves a location that may be
+    last: here once U is empty, or a location ``s`` of U that each other
+    location of U, reached at its earliest, may precede, its cheapest arc
+    in (``min_to[s]``) still in time for ``s``."""
+    t = state.time
+    unvisited = members(state.unvisited, inst.n)
+    arrival = {k: max(t, inst.windows[k][0]) for k in unvisited}
+    arcs = []
+    for s in unvisited + [state.location]:
+        if s == state.location:
+            may_be_last = not unvisited
+        else:
+            d = inst.windows[s][1]
+            may_be_last = all(arrival[k] + inst.min_to[s] <= d for k in unvisited if k != s)
+        for j, c in enumerate(inst.travel[s]):
+            if c is None:
+                continue
+            if j in arrival and leave_time(inst, s, t) + c <= inst.windows[j][1]:
+                arcs.append((s, j, c))
+            elif j == 0 and may_be_last:
+                arcs.append((s, j, c))
+    return arcs
+
+
 def reference_leave_costs(inst, state):
-    """The cheapest arc out of each location in ``M`` that stays in time,
-    found by scanning its whole row; None if one location has none."""
+    """``(s, u_s)`` for each ``s`` in M, ascending, where ``u_s`` is the
+    cheapest arc out of ``s`` in A (its row minimum); None if a row of A
+    is empty."""
+    arcs = completion_arcs(inst, state)
+    items = []
+    for s in members(state.unvisited | 1 << state.location, inst.n):
+        row = [c for tail, _j, c in arcs if tail == s]
+        if not row:
+            return None
+        items.append((s, min(row)))
+    return items
+
+
+def reference_dual(model, state):
+    """The bound taken afresh for one state: reduce A's rows, then its
+    columns.  ``v_j`` is the least ``c_sj - u_s`` over the arcs into ``j``
+    (U and the depot), and the bound is ``sum(u) + sum(v)``, or the
+    entered sum (the column minima of A itself) where that is larger;
+    ``INFINITY`` if a row or a column of A is empty, or if the reduction
+    passes |M| times the longest arc, the most a completion can cost."""
+    inst = model.instance
+    if state.unvisited == 0 and state.location == 0:
+        return 0
+    items = reference_leave_costs(inst, state)
+    if items is None:
+        return INFINITY
+    u = dict(items)
+    arcs = completion_arcs(inst, state)
+    entered = reduced = 0
+    for j in members(state.unvisited, inst.n) + [0]:
+        column = [(c, c - u[s]) for s, head, c in arcs if head == j]
+        if not column:
+            return INFINITY
+        entered += min(c for c, _r in column)
+        reduced += min(r for _c, r in column)
+    longest = max((c for row in inst.travel for c in row if c is not None), default=0)
+    if sum(u.values()) + reduced > len(u) * longest:
+        return INFINITY
+    return max(entered, sum(u.values()) + reduced)
+
+
+def separate_leave_costs(inst, state):
+    """The leave terms of ``separate_halves_dual``: the cheapest arc out of
+    each location in M that stays in time, where every location, here
+    included, may target the depot when each location of U, reached at
+    its earliest, may precede it by its cheapest arc in; None if one
+    location has none."""
     t = state.time
     arrival = {j: max(t, inst.windows[j][0]) for j in iter_bits(state.unvisited)}
     items = []
@@ -156,14 +284,20 @@ def reference_leave_costs(inst, state):
     return items
 
 
-def reference_entered(inst, state):
-    """The cheapest arc into each unvisited location ``j`` from ``M``
-    less ``j`` that reaches it in time, plus the cheapest into the depot
-    from the unvisited set, or from here once it is empty, found by
-    scanning whole columns; ``INFINITY`` if one location has none."""
+def separate_halves_dual(inst, state):
+    """The bound before the reduction: the larger of the entered sum and
+    the sum of ``separate_leave_costs``, each taken apart.  The entered
+    sum takes the cheapest arc into each unvisited ``j`` from M less ``j``
+    that reaches it in time, plus the cheapest into the depot from U, or
+    from here once U is empty."""
+    if state.unvisited == 0 and state.location == 0:
+        return 0
+    items = separate_leave_costs(inst, state)
+    if items is None:
+        return INFINITY
     t = state.time
     sources = list(iter_bits(state.unvisited | 1 << state.location))
-    total = 0
+    into = 0
     for j in iter_bits(state.unvisited):
         costs = [
             inst.travel[s][j]
@@ -174,29 +308,19 @@ def reference_entered(inst, state):
         ]
         if not costs:
             return INFINITY
-        total += min(costs)
+        into += min(costs)
     last = list(iter_bits(state.unvisited)) or [state.location]
     costs = [inst.travel[s][0] for s in last if inst.travel[s][0] is not None]
-    return total + min(costs) if costs else INFINITY
-
-
-def reference_dual(model, state):
-    """The cheapest-arc relaxation summed afresh for one state."""
-    inst = model.instance
-    if state.unvisited == 0 and state.location == 0:
-        return 0
-    items = reference_leave_costs(inst, state)
-    into = reference_entered(inst, state)
-    if items is None or into == INFINITY:
+    if not costs:
         return INFINITY
-    return max(into, sum(c for _i, c in items))
+    return max(into + min(costs), sum(c for _i, c in items))
 
 
 def min_to_dual(inst, state):
     """The bound whose entered sum took each location's cheapest arc in,
     from any location and at any time: ``min_to`` over the depot and the
-    unvisited set."""
-    items = reference_leave_costs(inst, state)
+    unvisited set, against the sum of ``separate_leave_costs``."""
+    items = separate_leave_costs(inst, state)
     if items is None:
         return INFINITY
     into = inst.min_to[0]
@@ -371,6 +495,73 @@ def test_dual_and_leave_costs_on_hand_built_states():
     assert none > 15000 and late > 2000 and exact > 1000, (none, late, exact)
 
 
+def reference_assignment(inst, state, floor):
+    """The exact bound from its definition: the least cost of a perfect
+    matching of M onto U and the depot over the arcs of A that ``s``
+    still takes when it leaves no earlier than ``floor[s]`` too, found by
+    assigning M's rows to columns one at a time over every subset of the
+    columns used; ``INFINITY`` where there is none, or where it passes
+    |M| times the longest arc."""
+    if state.unvisited == 0 and state.location == 0:
+        return 0
+    t = state.time
+    rows = members(state.unvisited | 1 << state.location, inst.n)
+    cols = members(state.unvisited, inst.n) + [0]
+    cost = {
+        (s, j): c
+        for s, j, c in completion_arcs(inst, state)
+        if j == 0 or max(leave_time(inst, s, t), floor[s]) + c <= inst.windows[j][1]
+    }
+    best = {0: 0}  # columns used -> least cost of the rows so far
+    for s in rows:
+        nxt = {}
+        for used, acc in best.items():
+            for k, j in enumerate(cols):
+                if not used >> k & 1 and (s, j) in cost:
+                    key, value = used | 1 << k, acc + cost[s, j]
+                    if value < nxt.get(key, INFINITY):
+                        nxt[key] = value
+        best = nxt
+    value = best.get((1 << len(cols)) - 1, INFINITY)
+    longest = max((c for row in inst.travel for c in row if c is not None), default=0)
+    return INFINITY if value > len(rows) * longest else value
+
+
+def test_assignment_matches_definition():
+    # On every enumerated state and each of its successors, under a zero
+    # floor, the state's propagated store and that store raised at random:
+    # ``assignment`` is the least-cost matching, never below ``dual``, and
+    # never lower for the raised floor; under the first two, valid for the
+    # state and its successors, never above the exhaustive value.  The
+    # draws have missing and free arcs, so the exact solve finds no
+    # matching on some states and passes the dual's reduction on others.
+    rng = random.Random(45)
+    checked = above = infinite = 0
+    for _ in range(40):
+        inst = with_zero_arcs(rng, random_tsptw_instance(rng, rng.randint(3, 7)))
+        model = TsptwModel(inst)
+        adapter = TsptwAdapter(model)
+        exhaustive = enumerate_state_values(model)
+        for state in exhaustive:
+            store, props = adapter.build(state)
+            propagate_once(store, props)
+            raised = [lb + rng.randint(0, 12) for lb in store.lbs]
+            for bounded in [state] + [succ for _w, _l, succ in model.successors(state)]:
+                plain = model.dual(bounded)
+                values = []
+                for floor in ([0] * inst.n, store.lbs, raised):
+                    value = model.assignment(bounded, floor)
+                    assert value == reference_assignment(inst, bounded, floor), (bounded, floor)
+                    assert value >= plain, (bounded, floor)
+                    assert floor is raised or value <= exhaustive[bounded], (bounded, floor)
+                    values.append(value)
+                    checked += 1
+                    above += value > plain
+                    infinite += not is_finite(value)
+                assert values[2] >= values[1], (bounded, store.lbs, raised)
+    assert checked > 3000 and above > 300 and infinite > 300, (checked, above, infinite)
+
+
 def test_build_duration_domains():
     # One arrival per location, and the leave costs as durations.
     model = triangle_model()
@@ -451,15 +642,19 @@ def test_empty_duration_domain_flags_store():
 
 
 def test_dual_cp_target_and_single_leg():
-    # The model dual holds the whole bound, and the CP dual adds nothing:
-    # on the target and on a single remaining leg, whose duration and
-    # bound are that leg.
+    # The CP dual solves the model's relaxation exactly.  At the target,
+    # A (test_dual_examples) has no arc from a location to itself and none
+    # from the depot to the depot, so the only perfect matchings of
+    # M = {0, 1, 2} onto {1, 2, depot} are 0 -> 1, 1 -> 2, 2 -> 0
+    # (2 + 4 + 3) and 0 -> 2, 2 -> 1, 1 -> 0 (3 + 4 + 2): 9, the optimum,
+    # above the reduction's 8.  On a single remaining leg, the duration
+    # and both bounds are that leg.
     model = triangle_model()
     adapter = TsptwAdapter(model)
-    for state, bound in ((model.target_state(), 7), (TsptwState(0, 1, 5), 2)):
+    for state, bound, exact in ((model.target_state(), 8, 9), (TsptwState(0, 1, 5), 2, 2)):
         store, props = adapter.build(state)
         assert model.dual(state) == bound
-        assert adapter.dual_cp(state, store) == 0
+        assert adapter.dual_cp(state, store) == exact
     assert props[0].items == [(1, 2)]
 
 
@@ -727,6 +922,29 @@ def test_dual_dominates_min_to_bound():
             checked += 1
             above += value > old
     assert checked > 8000 and above > 4000, (checked, above)
+
+
+def test_dual_dominates_separate_halves_bound():
+    # Each row term is at least its location's separate leave term, as A
+    # keeps no arc that the separate leave terms drop (here no longer
+    # targets the depot while U is non-empty), and each column term is
+    # at least 0; the entered sum takes its depot leg only from locations
+    # that may be last.  So the dual is never below the larger of the two
+    # halves taken apart, and above it on over a quarter of the
+    # enumerated states (3,490 of 12,474 here); on states built at later
+    # clocks too, where fewer arcs stay in time.
+    rng = random.Random(89)
+    checked = above = 0
+    for inst in varied_tsptw_instances(rng, 120):
+        model = TsptwModel(inst)
+        states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
+        for state in states + [s._replace(time=s.time + rng.randint(0, 30)) for s in states]:
+            old = separate_halves_dual(inst, state)
+            value = model.dual(state)
+            assert value >= old, (inst.to_json(), state)
+            checked += 1
+            above += value > old
+    assert checked > 12000 and above > checked // 4, (checked, above)
 
 
 def depot_release_instances(rng, count):
