@@ -151,10 +151,7 @@ class Disjunctive:
     """A set of jobs that must not overlap, filtered by edge-finding.
 
     Each item is ``(start_var, duration)`` with a constant duration, as
-    edge-finding is defined over fixed processing times.  A model whose
-    true durations may exceed the one it passes (TSPTW hands over each
-    leave cost) gets a relaxation: shrinking a job preserves disjointness,
-    so every deduction made here is sound for the longer jobs.
+    edge-finding is defined over fixed processing times.
 
     Jobs of duration zero impose nothing and are skipped, and so are jobs
     whose variable is not in ``store.live``.  One application runs the
@@ -468,10 +465,10 @@ class PropagationAdapter(ABC):
     do not depend on the state, an adapter builds them once, over all of
     its variables, and returns the same list on every call; the store's
     ``live`` mask then tells ``Disjunctive`` and ``Cumulative`` which
-    variables to skip (SMS and RCPSP do this).  TSPTW's job durations are
-    its state's leave costs, so it builds its ``Disjunctive`` per call.
-    The pair also lets a profiler wrap each propagator a store is
-    propagated with (``perfbench/tracing.py``).
+    variables to skip (SMS and RCPSP do this).  TSPTW's list is empty:
+    its store is the windows of the remaining tour.  The pair also lets a
+    profiler wrap each propagator a store is propagated with
+    (``perfbench/tracing.py``).
 
     The transition rule lives only in the model's ``successors``, so the
     successor veto is handed the state it produced, not its parent, and is

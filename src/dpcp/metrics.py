@@ -45,8 +45,11 @@ class RunMetrics:
     CP model (``propagation_calls``), so the pops number
     ``propagation_calls + reused``; a kept store is replayed under any
     incumbent when the adapter's ``build`` ignores it, under the same
-    incumbent otherwise.  ``peak_kept_children`` is the largest number of
-    successors those kept expansions held at once (0 in A*).
+    incumbent otherwise.  ``pops`` is that number, set once when the
+    solve ends from the counters above; a base pop, a stale skip and the
+    pop at which a limit fires are not counted.  ``peak_kept_children``
+    is the largest number of successors those kept expansions held at
+    once (0 in A*).
     ``peak_stored`` is the largest number of search nodes the registry
     stored at once (in CABS, the largest over its passes).  Traces carry
     wall-clock offsets; incumbent costs are strictly decreasing and dual
@@ -58,6 +61,7 @@ class RunMetrics:
     dominated: int = 0
     pruned_by_cp: int = 0
     pruned_by_f: int = 0
+    pops: int = 0
     propagation_calls: int = 0
     reused: int = 0
     peak_kept_children: int = 0

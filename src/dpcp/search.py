@@ -408,6 +408,10 @@ class _SolveContext:
     def finish(self) -> SolveResult:
         status = self.status
         m = self.metrics
+        if self.propagate is None:
+            m.pops = m.expansions + m.pruned_by_f
+        else:
+            m.pops = m.propagation_calls + m.reused
         if status is SolveStatus.OPTIMAL or status is SolveStatus.INFEASIBLE:
             # Proven: the optimum, or INFINITY, the primal with no incumbent.
             self.note_dual(self.primal)

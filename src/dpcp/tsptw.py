@@ -21,23 +21,21 @@ Karel, *Operations Research*, 1963): each remaining location is left
 once and each unvisited one, then the depot, entered once.  One scan over
 per-location rows built on first use takes it; a row leaves out each arc
 that no arrival can take (every arrival is at least the release, and the
-tour leaves the depot at 0), and ``leave_costs`` is the scan's row
-minima, kept for the adapter's durations.  The CP model is an arrival per
-remaining location under a non-overlap constraint that takes each leave
-cost as a duration.  Its store is infeasible where the dual is
-``INFINITY``.  Its CP dual solves the same relaxation exactly, as an
-assignment problem over the arcs that the store's earliest arrivals
-leave (``assignment``): at most once per popped state, where the model
-dual runs once per child.
+tour leaves the depot at 0).  The CP model is an arrival per remaining
+location in its window, raised to the clock, with no propagator: every
+child's arrival is in its window already.  Its CP dual solves the dual's
+relaxation exactly, as an assignment problem over the same arcs
+(``assignment``), and reads ``INFINITY`` wherever the dual does: at most
+once per popped state, where the model dual runs once per child.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import DpModel
+from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, check_ceiling
-from .cp_engine import Disjunctive, DomainStore, PropagationAdapter
+from .cp_engine import DomainStore, PropagationAdapter
 from .parsing import ParseError, int_token, read_instance, require_int, require_list
 
 
@@ -198,20 +196,23 @@ class TsptwModel(DpModel):
         ``M`` is the unvisited set ``U`` plus the current location, and
         ``s`` in ``M`` is left no earlier than ``max(t, r_s)`` (the depot
         at ``t``, whatever its release).  ``A`` holds each arc ``s -> j``
-        from ``M`` into ``U`` with ``max(t, r_s) + c_sj <= d_j``, and each
-        ``s -> depot`` where ``s`` may be last (see ``leave_costs``).  Each
-        ``u_s`` is the cheapest arc out of ``s`` in ``A`` (``leave_costs``),
-        and each ``v_j``, for ``j`` in ``U`` and the depot, the least
-        ``c_sj - u_s`` over the arcs of ``A`` into ``j``.  The bound is
-        ``sum(u) + sum(v)``, or the entered sum (each column's cheapest
-        arc in ``A``) where that is larger; ``INFINITY`` where a row or a
-        column of ``A`` is empty.  Every completion is a perfect matching
-        of ``M`` onto ``U`` and the depot by arcs of ``A``, and on those
-        ``c_sj >= u_s + v_j``: so both sums are admissible.  A completion
-        takes ``|M|`` arcs, none longer than the longest, so a bound above
-        ``|M|`` longest arcs proves that none exists: ``INFINITY`` too.
-        The depot alone (only in a one-location instance) is a finished
-        tour that enters and leaves nothing: 0.
+        from ``M`` into ``U`` with ``max(t, r_s) + c_sj <= d_j`` (arc
+        elimination by time windows, Dumas, Desrosiers, Gelinas and
+        Solomon, *Operations Research*, 1995), and each ``s -> depot``
+        where ``s`` may be last: the current location once ``U`` is
+        empty, and an ``s`` in ``U`` where each other ``k`` in ``U`` has
+        ``max(t, r_k) + min_to[s] <= d_s``.  Each ``u_s`` is the cheapest
+        arc out of ``s`` in ``A``, and each ``v_j``, for ``j`` in ``U``
+        and the depot, the least ``c_sj - u_s`` over the arcs of ``A``
+        into ``j``.  The bound is ``sum(u) + sum(v)``, or the entered sum
+        (each column's cheapest arc in ``A``) where that is larger;
+        ``INFINITY`` where a row or a column of ``A`` is empty.  Every
+        completion is a perfect matching of ``M`` onto ``U`` and the depot
+        by arcs of ``A``, and on those ``c_sj >= u_s + v_j``: so both sums
+        are admissible.  A completion takes ``|M|`` arcs, none longer than
+        the longest, so a bound above ``|M|`` longest arcs proves that none
+        exists: ``INFINITY`` too.  The depot alone (only in a one-location
+        instance) is a finished tour that enters and leaves nothing: 0.
         """
         bound = self._scan(state) if state.unvisited or state.location else 0
         return INFINITY if bound is None else bound
@@ -228,29 +229,9 @@ class TsptwModel(DpModel):
         bound = self._scan(state, floor=floor) if state.unvisited or state.location else 0
         return INFINITY if bound is None else bound
 
-    def leave_costs(self, state: TsptwState) -> Optional[List[Tuple[int, int]]]:
-        """``(i, c_i)`` for each ``i`` in ``M``, ascending, where ``c_i`` is
-        the cheapest arc out of ``i`` that a completion may still take, or
-        None if some ``i`` has none: ``dual``'s row minima, listed for the
-        adapter's durations, without the column pass, as a popped state's
-        ``f`` already holds the bound.
-
-        ``i`` is left no earlier than ``a_i = max(r_i, t)`` (the depot at
-        ``t``, whatever its release), toward an unvisited ``j`` that must
-        be reached by ``d_j``: only arcs with ``a_i + c_ij <= d_j`` count
-        (arc elimination by time windows, Dumas, Desrosiers, Gelinas and
-        Solomon, *Operations Research*, 1995).  The depot is a target, with
-        no window, only where ``i`` may be last: the current location once
-        nothing is left unvisited, and an unvisited ``i`` where each other
-        unvisited ``k`` has ``a_k + min_to[i] <= d_i``.
-        """
-        items: List[Tuple[int, int]] = []
-        return None if self._scan(state, items) is None else items
-
-    def _scan(self, state: TsptwState, items=None, floor=None) -> Optional[Cost]:
-        """``dual``'s bound, or None; given ``items``, the row sum alone,
-        with each ``(i, u_i)`` appended to ``items``; given ``floor``,
-        ``assignment``'s bound, which ``_assign`` takes on from the rows.
+    def _scan(self, state: TsptwState, floor=None) -> Optional[Cost]:
+        """``dual``'s bound, or None; given ``floor``, ``assignment``'s
+        bound, which ``_assign`` takes on from the rows.
 
         The rows come first, as each ``v_j`` reads them.  Each kept arc
         ``s -> j`` has ``r_s + c_sj <= d_j``, so it is in time from ``s``'s
@@ -295,14 +276,10 @@ class TsptwModel(DpModel):
                         break
                 else:
                     return None
-                if items is not None:
-                    items.append((i, c))
                 u[i] = c
                 rows_sum += c
                 if c > top:
                     top = c
-        if items is not None:
-            return rows_sum
         if floor is not None:
             bound = self._assign(state, floor, u, last, top)
             if bound is None or bound > remaining.bit_count() * self._longest:
@@ -483,44 +460,37 @@ class TsptwModel(DpModel):
 
 
 class TsptwAdapter(PropagationAdapter):
-    """CP view over the remaining tour.
+    """CP view over the remaining tour: its windows, and no propagator.
 
     Variable ids are the location ids: an arrival per location, with a
-    window only for the unvisited set and the current location.  Each
-    location's duration is its row minimum in the model's dual
-    (``TsptwModel.leave_costs``): the cheapest arc out of it that a
-    completion may still take, toward the unvisited set alone while the
-    current location has any left.  The admission bound is the model's
-    ``dual``, whose column pass the durations leave out.  The durations
-    depend on the state, so ``build`` makes its ``Disjunctive`` per call,
-    over those locations alone, which the store's ``live`` mask names.
-    The veto is the default; the one adapter that overrides ``dual_cp``,
-    with the model's relaxation solved exactly under the store
-    (``TsptwModel.assignment``).
+    window only for the unvisited set and the current location, which the
+    store's ``live`` mask names.  An unvisited window starts at the clock
+    where that is later than the release, and the current location is
+    reached at the clock.  ``successors`` keeps only children that arrive
+    inside their windows, so the default veto drops none.  The one
+    adapter that overrides ``dual_cp``, with the model's relaxation solved
+    exactly under the store (``TsptwModel.assignment``).
     """
 
     reads_primal = False
 
     def build(self, state: TsptwState, primal: Cost = INFINITY):
-        windows, t = self.instance.windows, state.time
+        windows, t, here = self.instance.windows, state.time, state.location
         lbs = [0] * len(windows)  # locations off the remaining tour keep [0, 0]
         ubs = [0] * len(windows)
-        items = self.model.leave_costs(state)
-        for i, _c in items or ():
+        for i in iter_bits(state.unvisited):
             r, d = windows[i]
             lbs[i], ubs[i] = (t if t > r else r), d
-        lbs[state.location] = t  # reached at the clock: the depot at 0, whatever its release
-        store = DomainStore(lbs, ubs, state.unvisited | 1 << state.location)
-        if items is None:
-            store.mark_infeasible()
-            return store, []
-        return store, [Disjunctive(items)]
+        # Reached at the clock: the depot at 0, whatever its release.
+        lbs[here], ubs[here] = t, windows[here][1]
+        return DomainStore(lbs, ubs, state.unvisited | 1 << here), []
 
     def dual_cp(self, state: TsptwState, store: DomainStore) -> Cost:
         """The assignment bound under the store (``TsptwModel.assignment``):
-        the model's relaxation solved exactly, over the arcs that the
-        store's earliest arrivals leave, where the node's ``f`` holds the
-        row and column reduction of that relaxation.  An assignment
+        the model's relaxation solved exactly, where the node's ``f`` holds
+        the row and column reduction of that relaxation.  The windows'
+        lower bounds drop no arc of it, as each arc kept already leaves in
+        time from the clock and from its tail's release.  An assignment
         relaxation inside a CP model's cost bound is the cost-based
         filtering of Focacci, Lodi and Milano (CP 1999).  It prunes a pop
         only against an incumbent, or where no matching exists, so A*,

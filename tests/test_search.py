@@ -937,6 +937,40 @@ def test_each_pop_counts_once(monkeypatch):
     assert min(seen.values()) > 50, seen
 
 
+def test_pops_counts_each_non_base_pop(monkeypatch, capsys):
+    """``RunMetrics.pops`` is the number of pops that reach ``expand``, for
+    A* and CABS in every mode on all three models, also where an expansion
+    cap stops the solve: the pop at which a limit fires reaches no
+    ``expand`` and is not counted.  ``solve`` reports it."""
+    original = _SolveContext.expand
+    calls = [0]
+
+    def expand(ctx, node):
+        calls[0] += 1
+        return original(ctx, node)
+
+    monkeypatch.setattr(_SolveContext, "expand", expand)
+    capped = 0
+    for kind, (make, make_adapter) in sorted(PINNED_KINDS.items()):
+        for seed in range(6):
+            model = make(random.Random(seed))
+            for solver in (astar, cabs):
+                for mode in ALL_MODES:
+                    for cap in (None, 3):
+                        adapter = None if mode is PropagationMode.OFF else make_adapter(model)
+                        calls[0] = 0
+                        result = solver(model, adapter, SolveLimits(expansion_cap=cap), mode=mode)
+                        key = (kind, seed, solver.__name__, mode, cap)
+                        assert result.metrics.pops == calls[0] > 0, key
+                        capped += result.status is SolveStatus.EXPANSION_LIMIT
+    assert capped > 50, capped
+    monkeypatch.undo()
+    assert main(["solve", str(DATA / "tiny_sms.json"), "--problem", "smswt", "--algo", "cabs"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    model = smswt.SmsModel(smswt.load_instance(str(DATA / "tiny_sms.json")))
+    assert report["metrics"]["pops"] == cabs(model, smswt.SmsAdapter(model)).metrics.pops > 0
+
+
 def test_astar_keeps_no_expansion_and_bounds_each_child_once(monkeypatch):
     """A* drops each pop's expansion record with the pop: it replays
     nothing and keeps no successor.  Each child that passes the registry's

@@ -6,7 +6,6 @@ import pytest
 
 from dpcp import (
     INFINITY,
-    Disjunctive,
     PropagationMode,
     Registry,
     SearchNode,
@@ -108,7 +107,7 @@ def test_bound_above_the_dearest_completion_proves_none():
     # algorithm and mode proves the instance infeasible instead.
     model = TsptwModel(four_locations(1))
     target = model.target_state()
-    assert model.leave_costs(target) == [(0, 1), (1, 0), (2, 1), (3, 1)]
+    assert reference_leave_costs(model.instance, target) == [(0, 1), (1, 0), (2, 1), (3, 1)]
     assert model.dual(target) == reference_dual(model, target) == INFINITY
     assert permutation_optimum(model.instance) == INFINITY
     model = TsptwModel(four_locations(MAX_COST // 4))
@@ -145,8 +144,8 @@ def test_dual_examples():
     # sum 7, and below the optimum 9 (0 -> 1 -> 2 -> 0).
     model = triangle_model()
     target = model.target_state()
-    assert model.leave_costs(target) == [(0, 2), (1, 2), (2, 3)]
-    assert model.dual(target) == 8
+    assert reference_leave_costs(model.instance, target) == [(0, 2), (1, 2), (2, 3)]
+    assert model.dual(target) == reference_dual(model, target) == 8
     assert separate_halves_dual(model.instance, target) == 7
     assert permutation_optimum(model.instance) == 9
     # min_to, each location's cheapest arc in from any source: the column
@@ -159,11 +158,11 @@ def test_dual_examples():
     # 0 and v_0 = c20 - u_2 = 0, so the bound is 7, the cost of the one
     # completion 1 -> 2 -> 0; the halves taken apart read 4 + 3 and 2 + 3.
     state = TsptwState(0b100, 1, 2)
-    assert model.leave_costs(state) == [(1, 4), (2, 3)]
+    assert reference_leave_costs(inst, state) == [(1, 4), (2, 3)]
     assert model.dual(state) == separate_halves_dual(model.instance, state) == 7
     # Single remaining leg: the bound is that leg, back to the depot.
     state = TsptwState(0, 1, 5)
-    assert model.leave_costs(state) == [(1, 2)]
+    assert reference_leave_costs(inst, state) == [(1, 2)]
     assert model.dual(state) == model.base_cost(state) == 2
 
 
@@ -423,7 +422,9 @@ def test_dual_matches_per_state_sum():
         instances.append(TsptwInstance(without_arcs(travel, arcs), windows))
     no_entry, no_depot_entry, no_exit = instances[-3:]
     assert no_entry.min_to[2] == no_depot_entry.min_to[0] == INFINITY
-    assert TsptwModel(no_exit).leave_costs(TsptwModel(no_exit).target_state()) is None
+    target = TsptwModel(no_exit).target_state()
+    assert reference_leave_costs(no_exit, target) is None
+    assert TsptwModel(no_exit).dual(target) == INFINITY
     checked = infinite = 0
     for inst in instances:
         model = TsptwModel(inst)
@@ -443,10 +444,10 @@ def test_dual_and_leave_costs_on_hand_built_states():
     # no arrival can take (``r_i + c > d_j``), arcs that meet their head's
     # deadline exactly from the tail's release (``r_i + c == d_j``), on
     # every fourth a location with no exit, and on every other a depot
-    # deadline.  Every value must equal the one found by scanning whole
+    # deadline.  Every dual must equal the one found by scanning whole
     # rows and columns, so a table that keeps out one arc that some arrival
     # can take fails here; the floors make sure that such arcs decide some
-    # states.
+    # states' row minima (the reference's leave costs).
     rng = random.Random(38)
     none = late = exact = 0
     for k in range(120):
@@ -479,8 +480,7 @@ def test_dual_and_leave_costs_on_hand_built_states():
             here = rng.randrange(n)
             mask = sum(1 << j for j in range(1, n) if j != here and rng.random() < 0.5)
             state = TsptwState(mask, here, rng.randint(0, horizon + 20))
-            items = model.leave_costs(state)
-            assert items == reference_leave_costs(inst, state), (inst.to_json(), state)
+            items = reference_leave_costs(inst, state)
             assert model.dual(state) == reference_dual(model, state), (inst.to_json(), state)
             if items is None:
                 none += 1
@@ -562,16 +562,6 @@ def test_assignment_matches_definition():
     assert checked > 3000 and above > 300 and infinite > 300, (checked, above, infinite)
 
 
-def test_build_duration_domains():
-    # One arrival per location, and the leave costs as durations.
-    model = triangle_model()
-    adapter = TsptwAdapter(model)
-    store, props = adapter.build(model.target_state())
-    assert len(store.lbs) == len(store.ubs) == 3
-    assert len(props) == 1 and isinstance(props[0], Disjunctive)
-    assert props[0].items == [(0, 2), (1, 2), (2, 3)]
-
-
 def test_build_arrival_windows_respect_time():
     inst = TsptwInstance(TRIANGLE, [(0, 100), (7, 50), (0, 60)])
     model = TsptwModel(inst)
@@ -594,9 +584,18 @@ def test_depot_leg_dropped_when_cannot_be_last():
         [(0, 100), (0, 10), (50, 100)],
     )
     model = TsptwModel(inst)
-    costs = dict(model.leave_costs(model.target_state()))
+    target = model.target_state()
+    costs = dict(reference_leave_costs(inst, target))
     assert costs[1] == 2  # c(1,0)=1 dropped
     assert costs[2] == 1  # c(2,0)=1 kept
+    assert model.dual(target) == reference_dual(model, target)
+    # Without the arc 1 -> 2, 1's row is empty: the dual and the CP dual
+    # prove the target dead, where a kept depot leg would read finite.
+    cut = TsptwModel(TsptwInstance(without_arcs(inst.travel, {(1, 2)}), inst.windows))
+    assert reference_leave_costs(cut.instance, target) is None
+    assert cut.dual(target) == INFINITY
+    store, _props = TsptwAdapter(cut).build(target)
+    assert TsptwAdapter(cut).dual_cp(target, store) == INFINITY
 
 
 def test_depot_leg_kept_for_latest_point_window():
@@ -607,9 +606,16 @@ def test_depot_leg_kept_for_latest_point_window():
         [(0, 100), (0, 50), (20, 20)],
     )
     model = TsptwModel(inst)
-    costs = dict(model.leave_costs(model.target_state()))
+    target = model.target_state()
+    costs = dict(reference_leave_costs(inst, target))
     assert costs[2] == 1
     assert costs[1] == 1
+    assert model.dual(target) == reference_dual(model, target)
+    # Without the arc 2 -> 1, the depot leg is 2's one arc, and the tour
+    # 0 -> 1 -> 2 -> 0 (4 + 2 + 1) remains: a dropped leg would read INFINITY.
+    cut = TsptwModel(TsptwInstance(without_arcs(inst.travel, {(2, 1)}), inst.windows))
+    assert reference_leave_costs(cut.instance, target) == [(0, 4), (1, 1), (2, 1)]
+    assert cut.dual(target) == reference_dual(cut, target) <= permutation_optimum(cut.instance) == 7
 
 
 def test_shared_travel_value_survives_depot_drop():
@@ -622,23 +628,12 @@ def test_shared_travel_value_survives_depot_drop():
     model = TsptwModel(inst)
     adapter = TsptwAdapter(model)
     state = TsptwState(0b100, 1, 4)  # at 1 after visiting it, 2 pending
-    assert dict(model.leave_costs(state))[1] == 7
+    assert dict(reference_leave_costs(inst, state))[1] == 7
+    assert model.dual(state) == reference_dual(model, state)
     store, props = adapter.build(state)
     propagate_once(store, props)
     assert not store.infeasible
     assert not vetoed(adapter, state, 2, store)
-
-
-def test_empty_duration_domain_flags_store():
-    # Only the depot remains reachable from 1, and 1 cannot be last.
-    inst = TsptwInstance(
-        [[0, 4, None], [7, 0, None], [9, 3, 0]],
-        [(0, 100), (0, 10), (50, 100)],
-    )
-    model = TsptwModel(inst)
-    adapter = TsptwAdapter(model)
-    store, _props = adapter.build(model.target_state())
-    assert store.infeasible
 
 
 def test_dual_cp_target_and_single_leg():
@@ -647,15 +642,14 @@ def test_dual_cp_target_and_single_leg():
     # from the depot to the depot, so the only perfect matchings of
     # M = {0, 1, 2} onto {1, 2, depot} are 0 -> 1, 1 -> 2, 2 -> 0
     # (2 + 4 + 3) and 0 -> 2, 2 -> 1, 1 -> 0 (3 + 4 + 2): 9, the optimum,
-    # above the reduction's 8.  On a single remaining leg, the duration
-    # and both bounds are that leg.
+    # above the reduction's 8.  On a single remaining leg, both bounds are
+    # that leg.
     model = triangle_model()
     adapter = TsptwAdapter(model)
     for state, bound, exact in ((model.target_state(), 8, 9), (TsptwState(0, 1, 5), 2, 2)):
         store, props = adapter.build(state)
         assert model.dual(state) == bound
         assert adapter.dual_cp(state, store) == exact
-    assert props[0].items == [(1, 2)]
 
 
 def test_depot_drop_strictly_raises_travel_bound():
@@ -668,34 +662,11 @@ def test_depot_drop_strictly_raises_travel_bound():
     )
     model = TsptwModel(inst)
     target = model.target_state()
-    assert dict(model.leave_costs(target))[1] == 6
+    assert dict(reference_leave_costs(inst, target))[1] == 6
     assert model.dual(target) == 4 + 6 + 9 > entered_left_dual(inst, target) == 10
     loose = TsptwModel(TsptwInstance(inst.travel, [(0, 100), (0, 100), (0, 100)]))
-    assert dict(loose.leave_costs(target))[1] == 1
+    assert dict(reference_leave_costs(loose.instance, target))[1] == 1
     assert model.dual(target) > loose.dual(target)
-
-
-def test_succ_infeasible_when_arrival_lifted_away():
-    # Location 2 is pinned at [1, 1] and occupies [1, 4); location 1 cannot
-    # be visited before it, so non-overlap lifts 1's arrival to 4, past the
-    # direct arrival time 2: visiting 1 first is filtered.  The model never
-    # generates that child, as location 2 is missed from there; the veto is
-    # checked on the unfiltered transition, which does.
-    inst = TsptwInstance(
-        [[0, 2, 1], [2, 0, 2], [3, 3, 0]],
-        [(0, 100), (0, 20), (1, 1)],
-    )
-    model = TsptwModel(inst)
-    state = model.target_state()
-    assert [label for _w, label, _s in model.successors(state)] == [2]
-    adapter = TsptwAdapter(UnfilteredTsptwModel(inst))
-    store, props = adapter.build(state)
-    propagate_once(store, props)
-    assert store.lbs[1] == 4
-    assert vetoed(adapter, state, 1, store)
-    assert not vetoed(adapter, state, 2, store)
-    # The filtered move is genuinely useless, the optimum visits 2 first.
-    assert permutation_optimum(inst) == 6
 
 
 def test_parse_matrix_fixture_three_columns():
@@ -1026,14 +997,12 @@ def test_propagated_windows_keep_oracle_arrivals():
 
 
 def test_travel_lower_bounds_never_move():
-    # A built store holds one arrival per location, and its Disjunctive
-    # takes the model's leave costs as durations; the store is infeasible
-    # from the start exactly where there are none.  Nothing writes a
-    # duration, so propagation leaves them as built.  Hand-built states
-    # at random clocks reach the None case often; every other instance has
-    # arcs free of travel.
+    # A built store holds one arrival per location and comes with no
+    # propagator, so neither ``propagate_once`` nor ``propagate_fixpoint``
+    # moves a bound of it.  Hand-built states at random clocks are among
+    # them; every other instance has arcs free of travel.
     rng = random.Random(59)
-    checked = empty = 0
+    checked = 0
     for k in range(70):
         inst = random_tsptw_instance(rng, rng.randint(3, 7))
         if k % 2:
@@ -1043,20 +1012,66 @@ def test_travel_lower_bounds_never_move():
         states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
         states += [s._replace(time=s.time + rng.randint(0, 40)) for s in states]
         for state in states:
-            items = model.leave_costs(state)
-            assert items == reference_leave_costs(inst, state), state
             for driver in (propagate_once, propagate_fixpoint):
                 store, props = adapter.build(state, rng.choice((INFINITY, rng.randint(0, 90))))
                 assert len(store.lbs) == len(store.ubs) == inst.n
-                if items is None:
-                    assert store.infeasible and props == [], state
-                    empty += 1
-                    continue
-                assert [p.items for p in props] == [items], state
+                assert props == [], state
+                built = store_domains(store)
                 driver(store, props)
-                assert props[0].items == items, state
+                assert store_domains(store) == built, state
                 checked += 1
-    assert checked > 800 and empty > 100, (checked, empty)
+    assert checked > 800, checked
+
+
+def test_windows_store_adds_nothing_to_the_state():
+    # ``build`` returns the windows of the remaining tour and no
+    # propagator: an unvisited location's window starts at the later of
+    # the clock and its release, and the current location, the depot too
+    # whatever its release, is reached at the clock.  Each arc of A leaves
+    # in time from there already, so the CP dual under the store is the
+    # assignment under a zero floor; and each child's arrival is in its
+    # window, so the veto drops none.  A state with an empty row of A (the
+    # reference's leave costs are None) reads INFINITY, the one pop prune
+    # it gets.  On every enumerated state and on copies at later clocks,
+    # of draws with narrow and wide windows and missing and free arcs;
+    # every third has a depot release.
+    rng = random.Random(149)
+    checked = empty = infinite = children = 0
+    for k in range(60):
+        inst = random_tsptw_instance(rng, rng.randint(3, 7), widths=rng.choice([(8, 30), (30, 80)]))
+        cut = {(i, j) for i in range(inst.n) for j in range(inst.n) if rng.random() < 0.15}
+        windows = list(inst.windows)
+        if k % 3 == 0:
+            windows[0] = (rng.randint(1, 40), windows[0][1])
+        inst = with_zero_arcs(rng, TsptwInstance(without_arcs(inst.travel, cut), windows))
+        model = TsptwModel(inst)
+        adapter = TsptwAdapter(model)
+        zero = [0] * inst.n
+        states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
+        states += [s._replace(time=s.time + rng.randint(1, 40)) for s in states]
+        for state in states:
+            t, here = state.time, state.location
+            store, props = adapter.build(state)
+            assert props == [] and store.live == state.unvisited | 1 << here, state
+            want = [(0, 0)] * inst.n
+            for i in iter_bits(state.unvisited):
+                want[i] = (max(t, inst.windows[i][0]), inst.windows[i][1])
+            want[here] = (t, inst.windows[here][1])
+            assert store_domains(store) == want, state
+            if store.infeasible:
+                continue  # a window closed before the clock: no search pops it
+            value = adapter.dual_cp(state, store)
+            assert value == model.assignment(state, zero), state
+            if reference_leave_costs(inst, state) is None:
+                assert value == INFINITY, state
+                empty += 1
+            for _w, label, succ in model.successors(state):
+                assert not adapter.is_succ_infeasible(label, succ, store), (state, label)
+                children += 1
+            checked += 1
+            infinite += not is_finite(value)
+    counts = (checked, empty, infinite, children)
+    assert checked > 2000 and empty > 250 and infinite > 450 and children > 3000, counts
 
 
 class OfferLog(Registry):
@@ -1098,7 +1113,7 @@ def test_admission_rejects_children_over_the_travel_budget():
     assert over > 100, over
 
 
-CALLS = ("dual", "leave_costs", "successors")
+CALLS = ("dual", "assignment", "successors")
 
 
 def test_dual_memo_consistent_under_interleaved_calls():
@@ -1106,9 +1121,9 @@ def test_dual_memo_consistent_under_interleaved_calls():
     # may run between any two attribute writes of this one.  The only
     # write the model makes after set-up is the first call's build of its
     # table, whether ``dual`` or ``successors`` makes that call; the probe
-    # model runs ``dual``, ``leave_costs`` and ``successors`` on a drawn
-    # state right after it.  Every value, the probe's and the callers',
-    # must equal a fresh model's.
+    # model runs ``dual``, ``assignment`` under a zero floor and
+    # ``successors`` on a drawn state right after it.  Every value, the
+    # probe's and the callers', must equal a fresh model's.
     rng = random.Random(67)
     for _ in range(20):
         inst = random_tsptw_instance(rng, rng.randint(4, 7))
@@ -1116,7 +1131,10 @@ def test_dual_memo_consistent_under_interleaved_calls():
         states = list(enumerate_state_values(fresh))
 
         def outputs(model, state, order):
-            got = {name: getattr(model, name)(state) for name in order}
+            got = {}
+            for name in order:
+                args = (state, [0] * inst.n) if name == "assignment" else (state,)
+                got[name] = getattr(model, name)(*args)
             return tuple(got[name] for name in CALLS)
 
         for first in ("dual", "successors"):
