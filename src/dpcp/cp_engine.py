@@ -26,7 +26,7 @@ from bisect import bisect_left
 from operator import gt, itemgetter
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .cost import Cost, INFINITY
+from .cost import Cost
 
 
 class AdapterFailure(Exception):
@@ -50,7 +50,8 @@ class DomainStore:
     variable is dead, so one propagator built over all of a model's
     variables serves every state.  Every store names its live variables;
     ``-1`` has every bit set.  ``PrecedenceLe`` ignores the mask, and a
-    dead variable's domain is still checked for emptiness.
+    dead variable's domain is still checked for emptiness.  A store may
+    have no variable at all (TSPTW's).
     """
 
     __slots__ = ("lbs", "ubs", "infeasible", "revision", "live")
@@ -435,23 +436,17 @@ class PropagationAdapter(ABC):
 
     A model's adapter implements ``build`` alone, and the model supplies
     ``start(label, succ)``, the value the transition ``label`` into ``succ``
-    gives CP variable ``label``.  ``build`` is deterministic for equal
-    states and primal bounds.  The primal is passed in so that an adapter
-    may cap the latest starts of pending tasks by it; the search reads
-    infeasibility from ``store.infeasible``.  ``reads_primal`` says whether
-    ``build`` reads the primal at all.  An adapter whose ``build`` gives the
-    same store for a state under every primal sets it to False, and CABS
-    then reuses the state's propagated store under a later incumbent; the
-    default, True, is always sound: CABS then drops every stored outcome
-    when the incumbent improves, and reuses one only under the same
-    incumbent.  The path cost is not passed: the search prunes on the larger
-    of the node's ``f`` and ``g`` plus ``dual_cp`` itself, so a cap on the
-    remaining cost would only repeat that test.  ``dual_cp`` defaults to the
-    model's ``dual`` floored by the store's lower bounds (SMS, RCPSP).
-    TSPTW's model ignores the floor, so its adapter returns the model's
-    relaxation solved exactly under the store instead; a ``dual_cp`` of 0
-    would add nothing, as the pop still prunes on ``f``, which holds the
-    model dual.
+    gives CP variable ``label``.  ``build`` reads the state alone and is
+    deterministic in it, so CABS replays a state's propagated store under
+    any later incumbent; the search reads infeasibility from
+    ``store.infeasible``.  Neither the incumbent nor the path cost is
+    passed: the search prunes on the larger of the node's ``f`` and ``g``
+    plus ``dual_cp`` itself, so a cap on the remaining cost would only
+    repeat that test.  ``dual_cp`` defaults to the model's ``dual`` floored
+    by the store's lower bounds (SMS, RCPSP).  TSPTW's model ignores the
+    floor, so its adapter returns the model's relaxation solved exactly
+    instead; a ``dual_cp`` of 0 would add nothing, as the pop still prunes
+    on ``f``, which holds the model dual.
 
     A store is laid out over the model's variables: ``lbs[i]`` bounds the
     variable of the model's job, task or location ``i``.  The search
@@ -465,26 +460,23 @@ class PropagationAdapter(ABC):
     do not depend on the state, an adapter builds them once, over all of
     its variables, and returns the same list on every call; the store's
     ``live`` mask then tells ``Disjunctive`` and ``Cumulative`` which
-    variables to skip (SMS and RCPSP do this).  TSPTW's list is empty:
-    its store is the windows of the remaining tour.  The pair also lets a
-    profiler wrap each propagator a store is propagated with
-    (``perfbench/tracing.py``).
+    variables to skip (SMS and RCPSP do this).  TSPTW's store has no
+    variable and its list no propagator: all it does is ``dual_cp``.  The
+    pair also lets a profiler wrap each propagator a store is propagated
+    with (``perfbench/tracing.py``).
 
     The transition rule lives only in the model's ``successors``, so the
     successor veto is handed the state it produced, not its parent, and is
     one ``contains`` test of the start that state gives its variable.
     """
 
-    reads_primal = True
-
     def __init__(self, model):
         self.model = model
         self.instance = model.instance
 
     @abstractmethod
-    def build(self, state, primal: Cost = INFINITY) -> Tuple[DomainStore, List[Propagator]]:
-        """CP variables, domains, and propagators representing ``state``
-        against the incumbent cost ``primal``."""
+    def build(self, state) -> Tuple[DomainStore, List[Propagator]]:
+        """CP variables, domains, and propagators representing ``state``."""
 
     def dual_cp(self, state, store: DomainStore) -> Cost:
         """Lower bound on remaining cost of a popped ``state`` under its

@@ -44,10 +44,9 @@ class RunMetrics:
     the last: with propagation on, each other pop builds and propagates its
     CP model (``propagation_calls``), so the pops number
     ``propagation_calls + reused``; a kept store is replayed under any
-    incumbent when the adapter's ``build`` ignores it, under the same
-    incumbent otherwise.  ``pops`` is that number, set once when the
-    solve ends from the counters above; a base pop, a stale skip and the
-    pop at which a limit fires are not counted.  ``peak_kept_children``
+    incumbent, as ``build`` reads the state alone.  ``pops`` is that
+    number, set once when the solve ends from the counters above; a base
+    pop, a stale skip and the pop at which a limit fires are not counted.  ``peak_kept_children``
     is the largest number of successors those kept expansions held at
     once (0 in A*).
     ``peak_stored`` is the largest number of search nodes the registry

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import DpModel, iter_bits
-from .cost import Cost, INFINITY, check_ceiling
+from .cost import Cost, check_ceiling
 from .cp_engine import Cumulative, DomainStore, PrecedenceLe, PropagationAdapter
 from .parsing import ParseError, all_int_tokens, read_instance, require_int, require_list
 
@@ -432,7 +432,7 @@ class RcpspModel(DpModel):
 
 class RcpspAdapter(PropagationAdapter):
     """CP view: fixed starts for scheduled tasks, and for pending ones
-    windows whose latest start lets them finish by the incumbent; one
+    windows whose latest start lets them finish by the horizon; one
     capacity propagator per resource over all of its users, which skips
     the finished tasks (the store's ``live`` mask holds the pending and
     running ones), and all precedence links.  The propagators are built
@@ -452,11 +452,10 @@ class RcpspAdapter(PropagationAdapter):
             PrecedenceLe((i, tasks[i].duration, j) for i, j in inst.precedences)
         )
 
-    def build(self, state: RcpspState, primal: Cost = INFINITY):
-        inst = self.instance
+    def build(self, state: RcpspState):
         starts, time = state.starts, state.time
-        # A pending task must finish by the horizon, and by the incumbent.
-        finish_by = min(inst.horizon, primal)
+        # A pending task must finish by the horizon.
+        finish_by = self.instance.horizon
         lbs = [time if s is None else s for s in starts]
         ubs = [finish_by - p if s is None else s for s, p in zip(starts, self._durations)]
         live = ~state.scheduled  # pending tasks, and the running ones below

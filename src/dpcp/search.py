@@ -31,10 +31,10 @@ dual of each child bounded so far), and the loop above runs over it.  A*
 drops the record with the pop.  CABS restarts duplicate detection with
 each pass, but keeps the records for one pass, in every propagation mode:
 a state popped again in this pass or the last replays what its first pop
-computed instead of asking the model and the adapter again, under a later
-incumbent only if the adapter's ``build`` ignores the primal.  Admission,
-dominance and the pruning tests still run at every pop, so the search is
-the one without the replay.
+computed instead of asking the model and the adapter again, under any
+later incumbent, as a pop's CP model depends on its state alone.
+Admission, dominance and the pruning tests still run at every pop, so the
+search is the one without the replay.
 """
 
 from __future__ import annotations
@@ -215,8 +215,6 @@ class _SolveContext:
         self.last_pass: dict = {}
         self.this_pass: Optional[dict] = None
         self.kept_children = 0
-        # Only a store built under an older primal can mislead a later pop.
-        self.reads_primal = mode is not PropagationMode.OFF and adapter.reads_primal
         # The propagation driver, None when off.  Looked up here, at each
         # solve, so that a driver rebound on this module is the one called.
         self.propagate = {
@@ -271,19 +269,13 @@ class _SolveContext:
             self.metrics.dual_trace.append((self.elapsed(), value))
 
     def offer_incumbent(self, node: SearchNode) -> None:
-        """Record a popped base node if it improves the incumbent."""
+        """Record a popped base node if it improves the incumbent.  The
+        CABS tables are kept: no record depends on the incumbent."""
         total = add(node.g, self.model.base_cost(node.state))
         if total < self.primal:
             self.primal = total
             self.incumbent = node
             self.metrics.incumbent_trace.append((self.elapsed(), total))
-            # No CABS entry made under an older primal that ``build`` reads
-            # is of use.  A pass records its root first, so ``this_pass``
-            # holds entries here in CABS and is None in A*.
-            if self.reads_primal and self.this_pass:
-                self.this_pass.clear()
-                self.last_pass.clear()
-                self.kept_children = 0
 
     def exhausted(self) -> SolveStatus:
         """Status once nothing is left to search."""
@@ -354,10 +346,9 @@ class _SolveContext:
         replays it (counted in ``reused``): the store and CP dual, the
         successors and veto count once a pop has expanded the state, and
         ``bounds``, the children's model duals computed so far.  Each is
-        deterministic in the state and its store, ``build`` in the state
-        and the primal, and ``offer_incumbent`` empties the tables at each
-        new incumbent if ``build`` reads it, so the replay gives exactly
-        the decisions and counts of a fresh expansion.
+        deterministic in the state and its store, and ``build`` in the
+        state alone, so under any incumbent the replay gives exactly the
+        decisions and counts of a fresh expansion.
         """
         model, state, m, primal = self.model, node.state, self.metrics, self.primal
         table = self.this_pass
@@ -369,7 +360,7 @@ class _SolveContext:
             if self.propagate is not None:
                 adapter = self.adapter
                 started = time.perf_counter()
-                store, props = adapter.build(state, primal)
+                store, props = adapter.build(state)
                 if not store.infeasible:
                     self.propagate(store, props)
                 m.propagation_calls += 1
@@ -505,13 +496,11 @@ def cabs(
     passes while duplicate detection restarts per pass.  Expansion counts
     accumulate across passes.  In every propagation mode, each popped
     state's expansion carries over one pass: a state popped again replays
-    it, whatever it decided before, under any later incumbent if the
-    adapter's ``build`` ignores the primal (or there is no propagation)
-    and under the same one otherwise (see ``_SolveContext.expand``).  That
-    leaves the search and its counts unchanged and only saves calls to the
-    model and the adapter.  A pop differs between propagation modes only
-    in what propagation adds: ``off`` prunes a pop on its own ``f``
-    exactly as the other modes do.
+    it, whatever it decided before, under any later incumbent (see
+    ``_SolveContext.expand``).  That leaves the search and its counts
+    unchanged and only saves calls to the model and the adapter.  A pop
+    differs between propagation modes only in what propagation adds:
+    ``off`` prunes a pop on its own ``f`` exactly as the other modes do.
 
     A pass that never discards a node at the width cut is exhaustive, even
     if it improved the incumbent, so it proves the final incumbent optimal

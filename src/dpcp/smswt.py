@@ -230,15 +230,13 @@ class SmsAdapter(PropagationAdapter):
     ``SmsModel.dual``.
     """
 
-    reads_primal = False
-
     def __init__(self, model: SmsModel):
         super().__init__(model)
         jobs = self.instance.jobs
         self._windows = tuple((job.r, job.deadline - job.p) for job in jobs)
         self._props = [Disjunctive((i, job.p) for i, job in enumerate(jobs))]
 
-    def build(self, state: SmsState, primal: Cost = INFINITY):
+    def build(self, state: SmsState):
         windows = self._windows
         lbs = [0] * len(windows)  # scheduled jobs keep the inert [0, 0]
         ubs = [0] * len(windows)
@@ -304,14 +302,19 @@ class SmsGeneratorConfig:
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        # The chained test is false for NaN too; an infinite span has no
-        # integer width.
-        if not 0 < self.rho < math.inf:
-            raise ValueError("rho must be finite and > 0")
-        if not 0 < self.phi < math.inf:
-            raise ValueError("phi must be finite and > 0")
         if self.n < 1 or self.count < 1:
             raise ValueError("n and count must be >= 1")
+        # A span is the knob times a duration sum of at most 10 * n, and an
+        # infinite span has no integer width.  The chained tests are false
+        # for NaN too.
+        for name in ("rho", "phi"):
+            knob = getattr(self, name)
+            try:
+                finite = 0 < knob < math.inf and knob * 10 * self.n < math.inf
+            except OverflowError:  # n itself is past the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be > 0 and {name} * 10 * n finite")
 
 
 def generate_instances(config: SmsGeneratorConfig) -> List[SmsInstance]:

@@ -10,7 +10,7 @@ current location, and the clock.  A state is a dead end as soon as some
 unvisited location cannot be reached within its window even along the
 all-pairs shortest travel paths.  As a DIDP state constraint would,
 ``successors`` tests that rule once, on each child, and drops the dead
-ones, so every arrival in a built store is within its window.  A dead
+ones, so every child arrives within its window.  A dead
 target, or a dead state built by hand, has no successors: each child
 fails that test, as no child reaches a stranded location sooner than its
 parent could.
@@ -21,9 +21,9 @@ Karel, *Operations Research*, 1963): each remaining location is left
 once and each unvisited one, then the depot, entered once.  One scan over
 per-location rows built on first use takes it; a row leaves out each arc
 that no arrival can take (every arrival is at least the release, and the
-tour leaves the depot at 0).  The CP model is an arrival per remaining
-location in its window, raised to the clock, with no propagator: every
-child's arrival is in its window already.  Its CP dual solves the dual's
+tour leaves the depot at 0).  The CP model has no variable and no
+propagator: every child's arrival is in its window already, and no window
+drops an arc that the rows keep.  Its CP dual solves the dual's
 relaxation exactly, as an assignment problem over the same arcs
 (``assignment``), and reads ``INFINITY`` wherever the dual does: at most
 once per popped state, where the model dual runs once per child.
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import DpModel, iter_bits
+from .core import DpModel
 from .cost import Cost, INFINITY, check_ceiling
 from .cp_engine import DomainStore, PropagationAdapter
 from .parsing import ParseError, int_token, read_instance, require_int, require_list
@@ -125,6 +125,9 @@ class TsptwState(NamedTuple):
 
 
 class TsptwModel(DpModel):
+    """The visit-one-location-at-a-time model.  It has no ``start``, as
+    ``TsptwAdapter``'s store has no variable for a veto to test."""
+
     def __init__(self, instance: TsptwInstance):
         self.instance = instance
         self._n = instance.n
@@ -184,10 +187,6 @@ class TsptwModel(DpModel):
     def dominates(self, a: TsptwState, b: TsptwState) -> bool:
         return a.time <= b.time
 
-    def start(self, label: int, succ: TsptwState) -> int:
-        """The arrival at location ``label``, ``succ``'s clock."""
-        return succ.time
-
     def dual(self, state: TsptwState, floor=None) -> Cost:
         """Assignment relaxation over the arcs a completion may still
         take, reduced by rows, then by columns.  The floor is ignored:
@@ -217,21 +216,18 @@ class TsptwModel(DpModel):
         bound = self._scan(state) if state.unvisited or state.location else 0
         return INFINITY if bound is None else bound
 
-    def assignment(self, state: TsptwState, floor: Sequence[int]) -> Cost:
-        """``dual``'s relaxation solved exactly, over fewer arcs: the least
-        cost of a perfect matching of ``M`` onto ``U`` and the depot by
-        arcs of ``A`` that each ``s`` still takes when it leaves no earlier
-        than ``floor[s]`` too (``floor`` is a store's lower bounds, one per
-        location), or ``INFINITY`` where there is none or it passes
-        ``|M|`` longest arcs.  Never below ``dual``, and never lower for a
-        higher floor, as raising a floor only drops arcs.  About four
-        times the cost of ``dual`` (``_assign``)."""
-        bound = self._scan(state, floor=floor) if state.unvisited or state.location else 0
+    def assignment(self, state: TsptwState) -> Cost:
+        """``dual``'s relaxation solved exactly: the least cost of a
+        perfect matching of ``M`` onto ``U`` and the depot by arcs of
+        ``A``, or ``INFINITY`` where there is none or it passes ``|M|``
+        longest arcs.  Never below ``dual``.  About four times the cost of
+        ``dual`` (``_assign``)."""
+        bound = self._scan(state, exact=True) if state.unvisited or state.location else 0
         return INFINITY if bound is None else bound
 
-    def _scan(self, state: TsptwState, floor=None) -> Optional[Cost]:
-        """``dual``'s bound, or None; given ``floor``, ``assignment``'s
-        bound, which ``_assign`` takes on from the rows.
+    def _scan(self, state: TsptwState, exact: bool = False) -> Optional[Cost]:
+        """``dual``'s bound, or None; if ``exact``, ``assignment``'s bound,
+        which ``_assign`` takes on from the rows.
 
         The rows come first, as each ``v_j`` reads them.  Each kept arc
         ``s -> j`` has ``r_s + c_sj <= d_j``, so it is in time from ``s``'s
@@ -280,8 +276,8 @@ class TsptwModel(DpModel):
                 rows_sum += c
                 if c > top:
                     top = c
-        if floor is not None:
-            bound = self._assign(state, floor, u, last, top)
+        if exact:
+            bound = self._assign(state, u, last, top)
             if bound is None or bound > remaining.bit_count() * self._longest:
                 return None
             return bound
@@ -315,16 +311,14 @@ class TsptwModel(DpModel):
             return None  # above the dearest completion: there is none
         return entered if entered > bound else bound
 
-    def _assign(self, state: TsptwState, floor, u, last, top) -> Optional[Cost]:
+    def _assign(self, state: TsptwState, u, last, top) -> Optional[Cost]:
         """``assignment``'s bound before its ceiling test, or None: the
         least-cost perfect matching of ``M`` onto ``U`` and the depot over
-        ``A_f``, each arc of ``A`` that ``s`` still takes in time when it
-        leaves at ``max(t, floor[s])``, found from the scan's row minima
-        ``u`` over ``A`` (so each ``u_s`` is at most every arc out of ``s``
-        in ``A_f``), the depot's sources ``last`` and the largest ``u``,
-        ``top``.
+        ``A``, found from the scan's row minima ``u``, the depot's sources
+        ``last`` and the largest ``u``, ``top``.  As in ``_scan``, an arc
+        ``s -> j`` of a kept row is in ``A`` where ``t + c_sj <= d_j``.
 
-        The columns take ``v_j``, the least ``c_sj - u_s`` over ``A_f``,
+        The columns take ``v_j``, the least ``c_sj - u_s`` over ``A``,
         as in ``_scan``, and each column is matched to that arc's source
         where it is free; then each unmatched row is matched to a free
         column by a zero reduced-cost arc, if it has one, or else by the
@@ -332,15 +326,14 @@ class TsptwModel(DpModel):
         ``u`` and ``v`` are moved so that the path's arcs cost exactly
         ``u_s + v_j`` and none less (Hungarian method, Kuhn, *Naval Research
         Logistics Quarterly*, 1955).  Each step keeps ``c_sj >= u_s + v_j``
-        on ``A_f`` and raises ``sum(u) + sum(v)`` by the path's length; at
+        on ``A`` and raises ``sum(u) + sum(v)`` by the path's length; at
         the end ``M`` is matched whole and the sum is the matching's cost.
-        A row that reaches no free column proves ``A_f`` has no perfect
+        A row that reaches no free column proves ``A`` has no perfect
         matching: None.  Entries of ``u`` and ``v`` off ``M`` and off the
         columns stay 0."""
         rows = self._table[0]
         unvisited, here, t = state
         n = self._n
-        leave = [t if f < t else f for f in floor]
         v = [0] * n
         row_of = [-1] * n
         col_of = [-1] * n
@@ -356,7 +349,7 @@ class TsptwModel(DpModel):
             for c, tail, s in ins:
                 if t + c > d or best is not None and c - top >= best:
                     break
-                if sources & tail and leave[s] + c <= d:
+                if sources & tail:
                     rc = c - u[s]
                     # A zero from a row still free is taken at once.
                     if best is None or rc < best or not rc and col_of[s] < 0:
@@ -379,9 +372,9 @@ class TsptwModel(DpModel):
             else:
                 targets[i] = unvisited | 1 if last & bit else unvisited
             if col_of[i] < 0:
-                ui, tg, lt = u[i], targets[i], leave[i]
+                ui, tg = u[i], targets[i]
                 for c, head, due, j in arcs:
-                    if row_of[j] < 0 and tg & head and lt + c <= due and c - ui == v[j]:
+                    if row_of[j] < 0 and tg & head and t + c <= due and c - ui == v[j]:
                         row_of[j], col_of[i] = i, j
                         break
                 else:
@@ -390,9 +383,9 @@ class TsptwModel(DpModel):
             dist, pred, done = {}, {}, {}
             i, d0 = i0, 0
             while True:
-                ui, tg, lt = u[i], targets[i], leave[i]
+                ui, tg = u[i], targets[i]
                 for c, head, due, j in rows[i][6]:
-                    if tg & head and lt + c <= due and j not in done:
+                    if tg & head and t + c <= due and j not in done:
                         nd = d0 + c - ui - v[j]
                         if nd < dist.get(j, INFINITY):
                             dist[j] = nd
@@ -460,42 +453,35 @@ class TsptwModel(DpModel):
 
 
 class TsptwAdapter(PropagationAdapter):
-    """CP view over the remaining tour: its windows, and no propagator.
+    """CP view with no variable and no propagator; all it adds is its
+    ``dual_cp``, the model's relaxation solved exactly
+    (``TsptwModel.assignment``).
 
-    Variable ids are the location ids: an arrival per location, with a
-    window only for the unvisited set and the current location, which the
-    store's ``live`` mask names.  An unvisited window starts at the clock
-    where that is later than the release, and the current location is
-    reached at the clock.  ``successors`` keeps only children that arrive
-    inside their windows, so the default veto drops none.  The one
-    adapter that overrides ``dual_cp``, with the model's relaxation solved
-    exactly under the store (``TsptwModel.assignment``).
+    ``successors`` keeps only children that arrive inside their windows,
+    and each arc the relaxation keeps leaves in time from the clock and
+    from its tail's release, so a window store would veto no child and
+    drop no arc.  ``build`` returns one empty store, built here; nothing
+    writes to it.  An assignment relaxation inside a CP model's cost bound
+    is the cost-based filtering of Focacci, Lodi and Milano (CP 1999).
     """
 
-    reads_primal = False
+    def __init__(self, model: TsptwModel):
+        super().__init__(model)
+        self._store = DomainStore([], [], 0)
 
-    def build(self, state: TsptwState, primal: Cost = INFINITY):
-        windows, t, here = self.instance.windows, state.time, state.location
-        lbs = [0] * len(windows)  # locations off the remaining tour keep [0, 0]
-        ubs = [0] * len(windows)
-        for i in iter_bits(state.unvisited):
-            r, d = windows[i]
-            lbs[i], ubs[i] = (t if t > r else r), d
-        # Reached at the clock: the depot at 0, whatever its release.
-        lbs[here], ubs[here] = t, windows[here][1]
-        return DomainStore(lbs, ubs, state.unvisited | 1 << here), []
+    def build(self, state: TsptwState):
+        return self._store, []
 
     def dual_cp(self, state: TsptwState, store: DomainStore) -> Cost:
-        """The assignment bound under the store (``TsptwModel.assignment``):
-        the model's relaxation solved exactly, where the node's ``f`` holds
-        the row and column reduction of that relaxation.  The windows'
-        lower bounds drop no arc of it, as each arc kept already leaves in
-        time from the clock and from its tail's release.  An assignment
-        relaxation inside a CP model's cost bound is the cost-based
-        filtering of Focacci, Lodi and Milano (CP 1999).  It prunes a pop
-        only against an incumbent, or where no matching exists, so A*,
-        which has no incumbent before its last pop, gains little from it."""
-        return self.model.assignment(state, store.lbs)
+        """The assignment bound, where the node's ``f`` holds the row and
+        column reduction of the same relaxation.  It prunes a pop only
+        against an incumbent, or where no matching exists, so A*, which
+        has no incumbent before its last pop, gains little from it."""
+        return self.model.assignment(state)
+
+    def is_succ_infeasible(self, label, succ, store: DomainStore) -> bool:
+        """False: the store has no variable to test."""
+        return False
 
 
 def exact_optimum(instance: TsptwInstance) -> Optional[int]:

@@ -1,9 +1,8 @@
 """The adapter contract: successor vetoes are domain lookups on the
 successor state, the RCPSP CP dual equals its tails and envelopes over
 the propagated earliest starts taken separately, the SMS CP dual equals
-its bound written out from the definition in any call order, an adapter
-that declares ``reads_primal = False`` builds and propagates the same
-store under every primal, a model's dual never falls as its floor rises
+its bound written out from the definition in any call order, ``build``
+reads the state alone, a model's dual never falls as its floor rises
 and stays admissible under a parent's store, and the SMS and
 RCPSP propagators, built once and told by the store's ``live`` mask which
 variables to skip, propagate as the per-state ones built over the live
@@ -35,7 +34,6 @@ from dpcp import (
     SolveStatus,
     cabs,
     enumerate_state_values,
-    is_finite,
     propagate_fixpoint,
     propagate_once,
 )
@@ -66,9 +64,10 @@ def reference_sms_veto(adapter, label, state, store):
 
 
 def reference_tsptw_veto(adapter, label, state, store):
+    # The TSPTW store has no variable: the reference reads the window.
     inst = adapter.instance
     arc = inst.travel[state.location][label]
-    return not store.contains(label, max(state.time + arc, inst.windows[label][0]))
+    return max(state.time + arc, inst.windows[label][0]) > inst.windows[label][1]
 
 
 def reference_rcpsp_veto(adapter, label, state, store):
@@ -102,15 +101,21 @@ def reference_sms_dual_cp(adapter, state, store):
     return reference_sms_bound(adapter.instance, state.unscheduled, ests)
 
 
-def propagated_stores(model, adapter, primal_of):
+def propagated_stores(model, adapter, deadline_of=None):
     """``(state, store)`` for every non-base enumerated state and
-    propagation mode, built once without and once with an incumbent cap."""
+    propagation mode.  Given ``deadline_of(state, value)``, each store is
+    also yielded with every pending task's window cut to finish by that
+    deadline before it is propagated, for stores tighter than ``build``
+    gives."""
     for state, value in enumerate_state_values(model).items():
         if model.is_base(state):
             continue
-        for primal in (INFINITY, primal_of(state, value)):
+        deadlines = (None,) if deadline_of is None else (None, deadline_of(state, value))
+        for deadline in deadlines:
             for propagate in MODES:
-                store, props = adapter.build(state, primal)
+                store, props = adapter.build(state)
+                if deadline is not None:
+                    finish_by(store, state, adapter.instance, deadline)
                 if store.infeasible:
                     continue
                 propagate(store, props)
@@ -118,9 +123,17 @@ def propagated_stores(model, adapter, primal_of):
                     yield state, store
 
 
-def assert_vetoes_agree(model, adapter, reference, primal_of):
+def finish_by(store, state, inst, deadline):
+    """Cut each pending RCPSP task's latest start so that it finishes by
+    ``deadline``."""
+    for i, s in enumerate(state.starts):
+        if s is None:
+            store.set_ub(i, deadline - inst.tasks[i].duration)
+
+
+def assert_vetoes_agree(model, adapter, reference, deadline_of=None):
     checked = vetoed = 0
-    for state, store in propagated_stores(model, adapter, primal_of):
+    for state, store in propagated_stores(model, adapter, deadline_of):
         for _w, label, succ in model.successors(state):
             new = adapter.is_succ_infeasible(label, succ, store)
             assert new == reference(adapter, label, state, store), (state, label)
@@ -129,19 +142,12 @@ def assert_vetoes_agree(model, adapter, reference, primal_of):
     return checked, vetoed
 
 
-def tight_total(state, value):
-    # An incumbent equal to the best completion at path cost 0.
-    return value if is_finite(value) else INFINITY
-
-
 def test_sms_veto_matches_transition_reference():
     rng = random.Random(101)
     checked = vetoed = 0
-    for _ in range(12):
+    for _ in range(30):
         model = UnfilteredSmsModel(random_sms_instance(rng, rng.randint(3, 7)))
-        c, v = assert_vetoes_agree(
-            model, smswt.SmsAdapter(model), reference_sms_veto, tight_total
-        )
+        c, v = assert_vetoes_agree(model, smswt.SmsAdapter(model), reference_sms_veto)
         checked, vetoed = checked + c, vetoed + v
     assert checked > 3000 and vetoed > 1000, (checked, vetoed)
 
@@ -151,11 +157,9 @@ def test_tsptw_veto_matches_transition_reference():
     checked = vetoed = 0
     for _ in range(120):
         model = UnfilteredTsptwModel(random_tsptw_instance(rng, rng.randint(3, 7)))
-        c, v = assert_vetoes_agree(
-            model, tsptw.TsptwAdapter(model), reference_tsptw_veto, tight_total
-        )
+        c, v = assert_vetoes_agree(model, tsptw.TsptwAdapter(model), reference_tsptw_veto)
         checked, vetoed = checked + c, vetoed + v
-    # Every child's arrival is in its window, and the store is the windows.
+    # Every child's arrival is in its window, and the adapter vetoes none.
     assert checked > 1500 and vetoed == 0, (checked, vetoed)
 
 
@@ -167,9 +171,9 @@ def rcpsp_cases(seed, count):
         yield inst, ReferenceRcpspModel(inst, left_shift=False)
 
 
-def rcpsp_makespan_cap(state, value):
-    # An incumbent equal to the best makespan below the state: the path
-    # cost to a state equals its makespan estimate.
+def rcpsp_best_makespan(state, value):
+    # The best makespan below the state: the path cost to a state equals
+    # its makespan estimate.
     return state.estimate + value
 
 
@@ -177,21 +181,21 @@ def test_rcpsp_veto_matches_transition_reference():
     checked = vetoed = 0
     for _inst, model in rcpsp_cases(107, 30):
         c, v = assert_vetoes_agree(
-            model, rcpsp.RcpspAdapter(model), reference_rcpsp_veto, rcpsp_makespan_cap
+            model, rcpsp.RcpspAdapter(model), reference_rcpsp_veto, rcpsp_best_makespan
         )
         checked, vetoed = checked + c, vetoed + v
     assert checked > 8000 and vetoed > 80, (checked, vetoed)
 
 
 def test_rcpsp_dual_cp_matches_reference():
-    # After any single pass or fixed point, with and without an incumbent
-    # cap, dual_cp equals the reference bound, also for successors
-    # evaluated under their parent's store, the floor the search bounds
-    # them with.
+    # After any single pass or fixed point, with and without the windows
+    # cut to the best makespan, dual_cp equals the reference bound, also
+    # for successors evaluated under their parent's store, the floor the
+    # search bounds them with.
     checked = 0
     for _inst, model in rcpsp_cases(109, 30):
         adapter = rcpsp.RcpspAdapter(model)
-        for state, store in propagated_stores(model, adapter, rcpsp_makespan_cap):
+        for state, store in propagated_stores(model, adapter, rcpsp_best_makespan):
             for bounded in [state] + [succ for _w, _l, succ in model.successors(state)]:
                 assert adapter.dual_cp(bounded, store) == reference_rcpsp_dual_cp(
                     adapter, bounded, store
@@ -229,7 +233,7 @@ def assert_sibling_sums_fresh(model, adapter, reference, term_ids, seed):
             assert adapter.dual_cp(state, store) == reference(adapter, state, store), state
             checked += 1
 
-    for state, store in propagated_stores(model, adapter, tight_total):
+    for state, store in propagated_stores(model, adapter):
         family = [state] + [
             succ
             for _w, label, succ in model.successors(state)
@@ -250,7 +254,7 @@ def assert_sibling_sums_fresh(model, adapter, reference, term_ids, seed):
 def test_sms_sibling_dual_cp_matches_fresh_sum():
     rng = random.Random(113)
     checked = lifted = 0
-    for k in range(12):
+    for k in range(24):
         model = smswt.SmsModel(random_sms_instance(rng, rng.randint(3, 7)))
         adapter = smswt.SmsAdapter(model)
         # Lifting a pending job's start moves its separable term once the
@@ -332,46 +336,29 @@ def test_dual_floor_contract(family):
     assert family == "tsptw" or raised > 150, raised
 
 
-@pytest.mark.parametrize(
-    "family", sorted(f for f, (_, adapter) in ADAPTERS.items() if not adapter.reads_primal)
-)
-def test_primal_free_build_ignores_the_primal(family):
-    # CABS reuses such an adapter's store under a later primal, so the
-    # store built and propagated under any primal must be the same one.
+@pytest.mark.parametrize("family", sorted(ADAPTERS))
+def test_build_reads_the_state_alone(family):
+    # CABS replays a state's store under any later incumbent, so two
+    # builds of equal states must give the same store, built and
+    # propagated.
     draw, make_adapter = ADAPTERS[family]
     rng = random.Random(family)
     checked = 0
     for _ in range(30):
         model = draw(rng)
         adapter = make_adapter(model)
-        values = enumerate_state_values(model)
-        optimum = values[model.target_state()]
-        states = [s for s in values if not model.is_base(s)]
+        states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
         for state in rng.sample(states, min(8, len(states))):
-            primals = (INFINITY, optimum, model.dual(state), 0)
             for propagate in (None,) + MODES:
                 keys = []
-                for primal in primals:
-                    store, props = adapter.build(state, primal)
+                for copy in (state, type(state)(*state), state):
+                    store, props = adapter.build(copy)
                     if propagate is not None:
                         propagate(store, props)
                     keys.append((store_domains(store), store.infeasible))
                 assert keys.count(keys[0]) == len(keys), (state, propagate)
             checked += 1
     assert checked > 150, checked
-
-
-def test_rcpsp_build_reads_the_primal():
-    # Each pending task must finish by the incumbent, so a small primal
-    # moves the latest starts.
-    assert rcpsp.RcpspAdapter.reads_primal is True
-    draw, make_adapter = ADAPTERS["rcpsp"]
-    model = draw(random.Random(0))
-    adapter = make_adapter(model)
-    root = model.target_state()
-    free, _props = adapter.build(root, INFINITY)
-    capped, _props = adapter.build(root, 1)
-    assert store_domains(free) != store_domains(capped)
 
 
 def reference_sms_build(adapter, state):
@@ -386,7 +373,7 @@ def reference_sms_build(adapter, state):
 
 
 def reference_tsptw_build(adapter, state):
-    """The TSPTW store, a window for the unvisited locations and the current
+    """A TSPTW store, a window for the unvisited locations and the current
     one, every variable live, and no propagator."""
     windows = adapter.instance.windows
     lbs, ubs = [0] * len(windows), [0] * len(windows)
@@ -395,16 +382,15 @@ def reference_tsptw_build(adapter, state):
     return DomainStore(lbs, ubs, -1), []
 
 
-def reference_rcpsp_build(adapter, state, primal):
+def reference_rcpsp_build(adapter, state):
     """The RCPSP store and one ``Cumulative`` per resource over its pending
     and running users alone, every variable live, then the precedences."""
     inst = adapter.instance
     _scheduled, running, _estimate = rcpsp_fields(inst, state)
-    finish_by = min(inst.horizon, primal)
     lbs, ubs, present = [], [], []
     for i, (s, task) in enumerate(zip(state.starts, inst.tasks)):
         lbs.append(state.time if s is None else s)
-        ubs.append(finish_by - task.duration if s is None else s)
+        ubs.append(inst.horizon - task.duration if s is None else s)
         if s is None or i in running:
             present.append(i)
     props = [
@@ -415,27 +401,31 @@ def reference_rcpsp_build(adapter, state, primal):
     return DomainStore(lbs, ubs, -1), props
 
 
-def assert_masked_build_matches_reference(model, adapter, reference, primals):
-    """On every reachable state under each primal and driver, ``build``
-    returns the adapter's one propagator list, and propagating it gives
-    the reference's bounds and flag.  Returns the counts of tightened and
-    infeasible outcomes."""
+def assert_masked_build_matches_reference(model, adapter, reference, deadlines=(None,)):
+    """On every reachable state under each driver, ``build`` returns the
+    adapter's one propagator list, and propagating it gives the
+    reference's bounds and flag, also with both stores' pending windows
+    first cut to finish by each given deadline (RCPSP).  Returns the
+    counts of tightened and infeasible outcomes."""
     props_once = adapter.build(model.target_state())[1]
     tightened = infeasible = 0
     for state in enumerate_state_values(model):
-        for primal in primals:
+        for deadline in deadlines:
             for propagate in MODES:
-                store, props = adapter.build(state, primal)
+                store, props = adapter.build(state)
                 assert props is props_once
-                expected, reference_props = reference(adapter, state, primal)
+                expected, reference_props = reference(adapter, state)
+                if deadline is not None:
+                    finish_by(store, state, adapter.instance, deadline)
+                    finish_by(expected, state, adapter.instance, deadline)
                 entry = store_domains(expected)
                 assert store_domains(store) == entry, state
                 if not store.infeasible:
                     propagate(store, props)
                 if not expected.infeasible:
                     propagate(expected, reference_props)
-                assert store_domains(store) == store_domains(expected), (state, primal)
-                assert store.infeasible == expected.infeasible, (state, primal)
+                assert store_domains(store) == store_domains(expected), (state, deadline)
+                assert store.infeasible == expected.infeasible, (state, deadline)
                 infeasible += expected.infeasible
                 tightened += not expected.infeasible and store_domains(expected) != entry
     return tightened, infeasible
@@ -447,10 +437,7 @@ def test_sms_masked_disjunctive_matches_per_state_build():
     for _ in range(20):
         model = smswt.SmsModel(random_sms_instance(rng, rng.randint(3, 9)))
         t, i = assert_masked_build_matches_reference(
-            model,
-            smswt.SmsAdapter(model),
-            lambda adapter, state, _primal: reference_sms_build(adapter, state),
-            (INFINITY,),
+            model, smswt.SmsAdapter(model), reference_sms_build
         )
         tightened, infeasible = tightened + t, infeasible + i
     assert tightened > 1500 and infeasible > 100, (tightened, infeasible)
@@ -470,7 +457,7 @@ def test_rcpsp_masked_cumulative_matches_per_state_build():
             model,
             rcpsp.RcpspAdapter(model),
             reference_rcpsp_build,
-            (INFINITY, optimum, optimum - 1),
+            (None, optimum, optimum - 1),
         )
         tightened, infeasible = tightened + t, infeasible + i
     assert tightened > 4000 and infeasible > 10000, (tightened, infeasible)
@@ -480,16 +467,24 @@ class MinimalSmsAdapter(PropagationAdapter):
     """Only what a model's adapter must supply: the per-state reference
     build."""
 
-    def build(self, state, primal=INFINITY):
+    def build(self, state):
         return reference_sms_build(self, state)
 
 
-class MinimalTsptwAdapter(PropagationAdapter):
-    """The per-state reference build alone, with the default ``dual_cp``,
-    the model's floored dual, in place of the shipped adapter's exact
-    assignment."""
+class ArrivalTsptwModel(tsptw.TsptwModel):
+    """``TsptwModel`` with the ``start`` that the default veto reads, which
+    the shipped model leaves out: its adapter's store has no variable."""
 
-    def build(self, state, primal=INFINITY):
+    def start(self, label, succ):
+        return succ.time
+
+
+class MinimalTsptwAdapter(PropagationAdapter):
+    """The per-state reference build alone, a window store, with the
+    default veto and ``dual_cp``, the model's floored dual, in place of
+    the shipped adapter's exact assignment."""
+
+    def build(self, state):
         return reference_tsptw_build(self, state)
 
 
@@ -497,8 +492,8 @@ class MinimalRcpspAdapter(PropagationAdapter):
     """Only what a model's adapter must supply: the per-state reference
     build."""
 
-    def build(self, state, primal=INFINITY):
-        return reference_rcpsp_build(self, state, primal)
+    def build(self, state):
+        return reference_rcpsp_build(self, state)
 
 
 MINIMAL = {
@@ -509,7 +504,7 @@ MINIMAL = {
         smswt.permutation_optimum,
     ),
     "tsptw": (
-        lambda rng: tsptw.TsptwModel(random_tsptw_instance(rng, rng.randint(3, 7))),
+        lambda rng: ArrivalTsptwModel(random_tsptw_instance(rng, rng.randint(3, 7))),
         MinimalTsptwAdapter,
         tsptw.TsptwAdapter,
         tsptw.permutation_optimum,
@@ -528,13 +523,14 @@ def test_minimal_adapter_needs_only_build(family):
     """``build`` is the one abstract method.  ``dual_cp`` defaults to the
     model's ``dual`` floored by the store's lower bounds: an adapter with
     only ``build`` gets it on sampled states, and CABS ``once`` with it and
-    the default veto reaches the oracle.  No shipped adapter defines the
-    veto, so the ``*_veto_matches_transition_reference`` tests check the
-    default; the SMS and RCPSP adapters keep the default ``dual_cp`` too
-    (TSPTW's alone solves its model's relaxation exactly under the store)."""
+    the default veto reaches the oracle.  The SMS and RCPSP adapters keep
+    the default veto, which the ``*_veto_matches_transition_reference``
+    tests check, and the default ``dual_cp``.  TSPTW's adapter alone
+    overrides both: its store has no variable to veto on, and its CP dual
+    solves its model's relaxation exactly."""
     draw, minimal, shipped, oracle = MINIMAL[family]
     assert PropagationAdapter.__abstractmethods__ == {"build"}
-    assert "is_succ_infeasible" not in vars(shipped)
+    assert ("is_succ_infeasible" in vars(shipped)) == (family == "tsptw")
     assert (shipped.dual_cp is PropagationAdapter.dual_cp) == (family != "tsptw")
     rng = random.Random(f"minimal:{family}")
     compared = 0

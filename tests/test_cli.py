@@ -255,14 +255,24 @@ def test_generate_deterministic_and_tau_zero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("knob", ["--rho", "--phi"])
-@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
 def test_generate_rejects_non_finite_spans(tmp_path, capsys, knob, value):
-    args = ["generate", "smswt", "--n", "5", knob, value, "--output-dir", str(tmp_path)]
+    # 1e308 is finite, but its span over any duration sum above 1 is not.
+    args = ["generate", "smswt", "--n", "3", knob, value, "--output-dir", str(tmp_path)]
     assert main(args) == 1
     err = capsys.readouterr().err
     # The error names the knob, not an integer conversion deep inside.
     assert err.startswith("dpcp: error") and knob[2:] in err, err
+    assert "Traceback" not in err
     assert not list(tmp_path.glob("*.json"))
+
+
+def test_generate_rejects_n_past_the_float_range(tmp_path, capsys):
+    # No span over 10 * n duration units is finite, whatever the knobs.
+    args = ["generate", "smswt", "--n", "1" + "0" * 400, "--output-dir", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpcp: error") and "Traceback" not in err, err
 
 
 def test_generate_rejects_other_kinds(tmp_path):

@@ -6,8 +6,6 @@ from pathlib import Path
 import pytest
 
 from dpcp import (
-    PropagationMode,
-    SolveLimits,
     SolveStatus,
     astar,
     enumerate_state_values,
@@ -25,7 +23,6 @@ from dpcp.rcpsp import (
     ordering_optimum,
     parse_psplib,
 )
-from dpcp.search import SearchNode, _SolveContext
 
 from conftest import (
     ReferenceRcpspModel,
@@ -242,13 +239,6 @@ def test_build_objective_and_fixed_starts():
     assert (store.lbs[1], store.ubs[1]) == (3, latest)
     assert (store.lbs[0], store.ubs[0]) == (3, 3)
     assert len(store.lbs) == inst.n
-    store, _props = adapter.build(state, primal=12)
-    assert store.ubs[1] == min(latest, 12 - 2)
-    assert (store.lbs[0], store.ubs[0]) == (3, 3)
-    # An incumbent of 4 leaves the pending task no start that lets it
-    # finish by then.
-    store, _props = adapter.build(state, primal=4)
-    assert store.ubs[1] == 2 and store.infeasible
 
 
 def test_dual_cp_precedence_lift():
@@ -325,50 +315,16 @@ def test_succ_infeasible_when_upper_side_cut():
     assert not vetoed(adapter, state, 1, store)
 
 
-def test_tight_primal_kills_state_via_objective_cap():
-    # The delayed task cannot finish within primal 7, so its capped window
-    # empties the store: the whole state is pruned, not just one successor.
-    inst = instance_of([(5, (1,)), (3, (1,))], (1,))
-    model = RcpspModel(inst)
-    adapter = RcpspAdapter(model)
-    state = model.make_state((0, None), 0)
-    store, props = adapter.build(state, primal=7)
-    propagate_once(store, props)
-    assert store.infeasible
-    # A search pops the state and prunes it there, without asking for a CP
-    # dual under the empty store: its successors are never enumerated.
-    ctx = _SolveContext(model, adapter, SolveLimits(), PropagationMode.ONCE)
-    ctx.primal = 7
-    assert ctx.expand(SearchNode(state, state.estimate, state.estimate)) is None
-    assert (ctx.metrics.pruned_by_cp, ctx.metrics.expansions) == (1, 0)
-
-
-def test_single_pass_sees_incumbent_cap():
-    # The cap is in the initial windows, so Cumulative already sweeps
-    # under it: with primal 6 the long task's window [0, 1] has the
-    # compulsory part [1, 5), which leaves the short one no start in [0, 3].
-    inst = instance_of([(5, (1,)), (3, (1,))], (1,))
-    model = RcpspModel(inst)
-    adapter = RcpspAdapter(model)
-    state = model.target_state()
-    for propagate in (propagate_once, propagate_fixpoint):
-        store, props = adapter.build(state, primal=6)
-        assert propagate(store, props).infeasible
-        # At the optimum 8 both fit, and the envelope 0 + 8 / 1 beats the
-        # estimate 5 by 3.
-        store, props = adapter.build(state, primal=8)
-        assert not propagate(store, props).infeasible
-        assert adapter.dual_cp(state, store) == 3
-
-
 def test_succ_infeasible_via_fixpoint_time_table():
-    # Tight primal shrinks the long task's window until it has a compulsory
-    # part, which then sweeps the short task past its greedy slot.
+    # Windows cut to finish by 8 give the long task a compulsory part,
+    # which then sweeps the short task past its greedy slot.
     inst = instance_of([(6, (1,)), (3, (1,))], (1,))
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
     state = model.target_state()
-    store, props = adapter.build(state, primal=8)
+    store, props = adapter.build(state)
+    store.set_ub(0, 8 - 6)
+    store.set_ub(1, 8 - 3)
     propagate_fixpoint(store, props)
     assert vetoed(adapter, state, 1, store)
 

@@ -495,23 +495,17 @@ def test_dual_and_leave_costs_on_hand_built_states():
     assert none > 15000 and late > 2000 and exact > 1000, (none, late, exact)
 
 
-def reference_assignment(inst, state, floor):
+def reference_assignment(inst, state):
     """The exact bound from its definition: the least cost of a perfect
-    matching of M onto U and the depot over the arcs of A that ``s``
-    still takes when it leaves no earlier than ``floor[s]`` too, found by
+    matching of M onto U and the depot over the arcs of A, found by
     assigning M's rows to columns one at a time over every subset of the
     columns used; ``INFINITY`` where there is none, or where it passes
     |M| times the longest arc."""
     if state.unvisited == 0 and state.location == 0:
         return 0
-    t = state.time
     rows = members(state.unvisited | 1 << state.location, inst.n)
     cols = members(state.unvisited, inst.n) + [0]
-    cost = {
-        (s, j): c
-        for s, j, c in completion_arcs(inst, state)
-        if j == 0 or max(leave_time(inst, s, t), floor[s]) + c <= inst.windows[j][1]
-    }
+    cost = {(s, j): c for s, j, c in completion_arcs(inst, state)}
     best = {0: 0}  # columns used -> least cost of the rows so far
     for s in rows:
         nxt = {}
@@ -528,52 +522,27 @@ def reference_assignment(inst, state, floor):
 
 
 def test_assignment_matches_definition():
-    # On every enumerated state and each of its successors, under a zero
-    # floor, the state's propagated store and that store raised at random:
-    # ``assignment`` is the least-cost matching, never below ``dual``, and
-    # never lower for the raised floor; under the first two, valid for the
-    # state and its successors, never above the exhaustive value.  The
-    # draws have missing and free arcs, so the exact solve finds no
-    # matching on some states and passes the dual's reduction on others.
+    # On every enumerated state and each of its successors, ``assignment``
+    # is the least-cost matching, never below ``dual`` and never above the
+    # exhaustive value.  The draws have missing and free arcs, so the
+    # exact solve finds no matching on some states and passes the dual's
+    # reduction on others.
     rng = random.Random(45)
     checked = above = infinite = 0
-    for _ in range(40):
+    for _ in range(120):
         inst = with_zero_arcs(rng, random_tsptw_instance(rng, rng.randint(3, 7)))
         model = TsptwModel(inst)
-        adapter = TsptwAdapter(model)
         exhaustive = enumerate_state_values(model)
         for state in exhaustive:
-            store, props = adapter.build(state)
-            propagate_once(store, props)
-            raised = [lb + rng.randint(0, 12) for lb in store.lbs]
             for bounded in [state] + [succ for _w, _l, succ in model.successors(state)]:
                 plain = model.dual(bounded)
-                values = []
-                for floor in ([0] * inst.n, store.lbs, raised):
-                    value = model.assignment(bounded, floor)
-                    assert value == reference_assignment(inst, bounded, floor), (bounded, floor)
-                    assert value >= plain, (bounded, floor)
-                    assert floor is raised or value <= exhaustive[bounded], (bounded, floor)
-                    values.append(value)
-                    checked += 1
-                    above += value > plain
-                    infinite += not is_finite(value)
-                assert values[2] >= values[1], (bounded, store.lbs, raised)
+                value = model.assignment(bounded)
+                assert value == reference_assignment(inst, bounded), bounded
+                assert plain <= value <= exhaustive[bounded], bounded
+                checked += 1
+                above += value > plain
+                infinite += not is_finite(value)
     assert checked > 3000 and above > 300 and infinite > 300, (checked, above, infinite)
-
-
-def test_build_arrival_windows_respect_time():
-    inst = TsptwInstance(TRIANGLE, [(0, 100), (7, 50), (0, 60)])
-    model = TsptwModel(inst)
-    adapter = TsptwAdapter(model)
-    store, _props = adapter.build(TsptwState(0b110, 0, 5))
-    assert (store.lbs[1], store.ubs[1]) == (7, 50)
-    assert (store.lbs[2], store.ubs[2]) == (5, 60)
-    assert store.live == 0b111  # the unvisited set and the current location
-    # At location 1 with 2 unvisited, the depot has no window and is dead.
-    store, _props = adapter.build(TsptwState(0b100, 1, 9))
-    assert store.live == 0b110
-    assert store_domains(store) == [(0, 0), (9, 50), (9, 60)]
 
 
 def test_depot_leg_dropped_when_cannot_be_last():
@@ -944,12 +913,10 @@ def test_depot_release_does_not_delay_the_tour(capsys):
     assert main(["oracle", path, "--problem", "tsptw"]) == 0
     assert capsys.readouterr().out.strip() == "14"
     # The depot, released at 50 and due at 52, is left at 0 for location 1,
-    # reached at 45.  A store that started the depot at 50 would push
-    # location 1 past the depot's 45-long leave, beyond 1's deadline 60,
-    # and read the root infeasible in the propagating modes.
+    # reached at 45.  A tour that started at the depot's release would
+    # reach location 1 at 95, past its deadline 60, and read the root
+    # infeasible.
     model = TsptwModel(TsptwInstance([[None, 45], [10, None]], [(50, 52), (45, 60)]))
-    store, _props = TsptwAdapter(model).build(model.target_state())
-    assert store_domains(store) == [(0, 52), (45, 60)]
     for key, result in solve_all_modes(model, TsptwAdapter(model)).items():
         assert (result.status, result.cost, result.root_dual) == (SolveStatus.OPTIMAL, 55, 55), key
     rng = random.Random(83)
@@ -973,8 +940,8 @@ def test_depot_release_does_not_delay_the_tour(capsys):
 
 
 def test_propagated_windows_keep_oracle_arrivals():
-    # Any arrival time realised by a feasible completion must survive in
-    # the propagated window of its location.
+    # Any arrival time realised by a feasible completion must survive: the
+    # adapter vetoes no child whose completion is feasible.
     rng = random.Random(41)
     checked = 0
     for _ in range(10):
@@ -987,20 +954,19 @@ def test_propagated_windows_keep_oracle_arrivals():
                 continue
             store, props = adapter.build(state)
             propagate_once(store, props)
-            if store.infeasible:
-                continue
+            assert not store.infeasible, state
             for _w, label, succ in model.successors(state):
                 if is_finite(values.get(succ, INFINITY)):
                     checked += 1
-                    assert store.contains(label, succ.time)
+                    assert not adapter.is_succ_infeasible(label, succ, store), (state, label)
     assert checked > 50
 
 
 def test_travel_lower_bounds_never_move():
-    # A built store holds one arrival per location and comes with no
-    # propagator, so neither ``propagate_once`` nor ``propagate_fixpoint``
-    # moves a bound of it.  Hand-built states at random clocks are among
-    # them; every other instance has arcs free of travel.
+    # ``build`` returns one store with no variable and no propagator, so
+    # neither ``propagate_once`` nor ``propagate_fixpoint`` moves it or
+    # empties it.  Hand-built states at random clocks are among them;
+    # every other instance has arcs free of travel.
     rng = random.Random(59)
     checked = 0
     for k in range(70):
@@ -1009,32 +975,30 @@ def test_travel_lower_bounds_never_move():
             inst = with_zero_arcs(rng, inst)
         model = TsptwModel(inst)
         adapter = TsptwAdapter(model)
+        first, _props = adapter.build(model.target_state())
         states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
         states += [s._replace(time=s.time + rng.randint(0, 40)) for s in states]
         for state in states:
             for driver in (propagate_once, propagate_fixpoint):
-                store, props = adapter.build(state, rng.choice((INFINITY, rng.randint(0, 90))))
-                assert len(store.lbs) == len(store.ubs) == inst.n
-                assert props == [], state
-                built = store_domains(store)
+                store, props = adapter.build(state)
+                assert store is first and props == [], state
                 driver(store, props)
-                assert store_domains(store) == built, state
+                assert (store.lbs, store.ubs, store.live) == ([], [], 0), state
+                assert (store.infeasible, store.revision) == (False, 0), state
                 checked += 1
     assert checked > 800, checked
 
 
 def test_windows_store_adds_nothing_to_the_state():
-    # ``build`` returns the windows of the remaining tour and no
-    # propagator: an unvisited location's window starts at the later of
-    # the clock and its release, and the current location, the depot too
-    # whatever its release, is reached at the clock.  Each arc of A leaves
-    # in time from there already, so the CP dual under the store is the
-    # assignment under a zero floor; and each child's arrival is in its
-    # window, so the veto drops none.  A state with an empty row of A (the
-    # reference's leave costs are None) reads INFINITY, the one pop prune
-    # it gets.  On every enumerated state and on copies at later clocks,
-    # of draws with narrow and wide windows and missing and free arcs;
-    # every third has a depot release.
+    # ``build`` returns a store with no variable and no propagator.  Each
+    # arc of A leaves in time from the clock and from its tail's release,
+    # so no window would drop one: the CP dual is the assignment.  Each
+    # child's arrival is in its window, so the veto drops none.  A state
+    # with an empty row of A (the reference's leave costs are None) reads
+    # INFINITY, the one pop prune it gets without an incumbent.  On every
+    # enumerated state and on copies at later clocks, of draws with narrow
+    # and wide windows and missing and free arcs; every third has a depot
+    # release.
     rng = random.Random(149)
     checked = empty = infinite = children = 0
     for k in range(60):
@@ -1046,22 +1010,13 @@ def test_windows_store_adds_nothing_to_the_state():
         inst = with_zero_arcs(rng, TsptwInstance(without_arcs(inst.travel, cut), windows))
         model = TsptwModel(inst)
         adapter = TsptwAdapter(model)
-        zero = [0] * inst.n
         states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
         states += [s._replace(time=s.time + rng.randint(1, 40)) for s in states]
         for state in states:
-            t, here = state.time, state.location
             store, props = adapter.build(state)
-            assert props == [] and store.live == state.unvisited | 1 << here, state
-            want = [(0, 0)] * inst.n
-            for i in iter_bits(state.unvisited):
-                want[i] = (max(t, inst.windows[i][0]), inst.windows[i][1])
-            want[here] = (t, inst.windows[here][1])
-            assert store_domains(store) == want, state
-            if store.infeasible:
-                continue  # a window closed before the clock: no search pops it
+            assert props == [] and store_domains(store) == [] and not store.infeasible, state
             value = adapter.dual_cp(state, store)
-            assert value == model.assignment(state, zero), state
+            assert value == model.assignment(state), state
             if reference_leave_costs(inst, state) is None:
                 assert value == INFINITY, state
                 empty += 1
@@ -1121,8 +1076,8 @@ def test_dual_memo_consistent_under_interleaved_calls():
     # may run between any two attribute writes of this one.  The only
     # write the model makes after set-up is the first call's build of its
     # table, whether ``dual`` or ``successors`` makes that call; the probe
-    # model runs ``dual``, ``assignment`` under a zero floor and
-    # ``successors`` on a drawn state right after it.  Every value, the
+    # model runs ``dual``, ``assignment`` and ``successors`` on a drawn
+    # state right after it.  Every value, the
     # probe's and the callers', must equal a fresh model's.
     rng = random.Random(67)
     for _ in range(20):
@@ -1133,8 +1088,7 @@ def test_dual_memo_consistent_under_interleaved_calls():
         def outputs(model, state, order):
             got = {}
             for name in order:
-                args = (state, [0] * inst.n) if name == "assignment" else (state,)
-                got[name] = getattr(model, name)(*args)
+                got[name] = getattr(model, name)(state)
             return tuple(got[name] for name in CALLS)
 
         for first in ("dual", "successors"):
