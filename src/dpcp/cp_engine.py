@@ -12,11 +12,13 @@ post on every store:
 * ``PrecedenceLe`` -- an ordered list of ``start_i + offset <= start_j``
   arcs, each applied once by bounds arithmetic.
 
-Propagators only ever shrink domains; an emptied domain flips the store's
-``infeasible`` flag, which is sticky.  Drivers run the propagators either
-once each in registration order or to a fixed point.  A model's
-``PropagationAdapter`` is its ``build``: the successor veto is shared, the
-start the model gives a transition tested against its variable's domain.
+Propagators only ever lift lower bounds, the earliest starts every model
+dual reads as its floor; upper bounds are read, never lowered.  An emptied
+domain flips the store's ``infeasible`` flag, which is sticky.  Drivers
+run the propagators either once each in registration order or to a fixed
+point.  A model's ``PropagationAdapter`` is its ``build``: the successor
+veto is shared, the start the model gives a transition tested against its
+variable's domain.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ class DomainStore:
     The two bound lists are the whole state, as no model needs a hole in a
     domain, and the only way to read a domain.  A propagator reads them
     through ``bounds``, which checks its id range once; an adapter reads
-    the variables it filled itself.  Every write goes through ``set_lb``,
-    ``set_ub`` or ``mark_infeasible``, so the monotone-shrink invariant,
-    emptiness detection, and the change revision counter live in one
-    place.  A store is owned by a single solve; sharing is read-only.
+    the variables it filled itself.  Every write goes through ``set_lb``
+    or ``mark_infeasible``, so the monotone-shrink invariant, emptiness
+    detection, and the change revision counter live in one place; ``ubs``
+    stays as ``build`` laid it out.  A store is owned by a single solve;
+    sharing is read-only.
 
     ``live`` has bit ``x`` set when variable ``x`` takes part in this
     store's state: ``Disjunctive`` and ``Cumulative`` skip every item whose
@@ -70,8 +73,7 @@ class DomainStore:
         are in range.
 
         While the store is feasible no domain is empty, so a propagator
-        reads bounds from them directly; writes still go through
-        ``set_lb``/``set_ub``.
+        reads bounds from them directly; writes still go through ``set_lb``.
         """
         if lo < 0 or hi >= len(self.lbs):
             raise AdapterFailure(f"variable ids {lo}..{hi} out of range")
@@ -100,27 +102,15 @@ class DomainStore:
         if v > self.ubs[x]:
             self.infeasible = True
 
-    def set_ub(self, x: int, v: int) -> None:
-        """Shrink the upper bound of ``x`` down to ``v`` (no-op if weaker)."""
-        if self.infeasible:
-            return
-        if not 0 <= x < len(self.ubs):
-            raise AdapterFailure(f"variable id {x} out of range")
-        if v >= self.ubs[x]:
-            return
-        self.ubs[x] = v
-        self.revision += 1
-        if v < self.lbs[x]:
-            self.infeasible = True
-
 
 class PrecedenceLe:
     """``start_i + offset <= start_j`` for each ``(i, offset, j)`` arc.
 
     The arcs are applied once each, in list order: lift ``lbs[j]`` to
-    ``lbs[i] + offset``, then cut ``ubs[i]`` to ``ubs[j] - offset``, each arc
-    seeing the shrinks of the arcs before it.  One call therefore does what
-    one single-arc propagator per arc, run in sequence, would do.
+    ``lbs[i] + offset``, each arc seeing the lifts of the arcs before it.
+    One call therefore does what one single-arc propagator per arc, run in
+    sequence, would do.  Only ``set_lb`` reads a latest start, to detect
+    an emptied domain.
     """
 
     def __init__(self, arcs: Iterable[Tuple[int, int, int]]):
@@ -134,16 +124,11 @@ class PrecedenceLe:
     def propagate(self, store: DomainStore) -> None:
         if store.infeasible:
             return
-        lbs, ubs = store.bounds(self._lo, self._hi)
+        lbs, _ubs = store.bounds(self._lo, self._hi)
         for i, offset, j in self.arcs:
             v = lbs[i] + offset
             if v > lbs[j]:
                 store.set_lb(j, v)
-                if store.infeasible:
-                    return
-            v = ubs[j] - offset
-            if v < ubs[i]:
-                store.set_ub(i, v)
                 if store.infeasible:
                     return
 
@@ -309,9 +294,9 @@ class Cumulative:
     one object over all of a resource's users serves every state.  A live
     task whose bounds pin part of its execution occupies that compulsory
     part in every schedule; stacking compulsory parts gives a lower profile
-    of guaranteed usage.  Live tasks are swept past profile segments that
-    would overflow the capacity together with their own usage (excluding
-    their own compulsory contribution).
+    of guaranteed usage.  Each live task's earliest start is swept past the
+    profile segments that would overflow the capacity together with its
+    own usage (excluding its own compulsory contribution).
     """
 
     def __init__(self, tasks: Iterable[Tuple[int, int, int]], capacity: int):
@@ -362,14 +347,13 @@ class Cumulative:
                 segments.append((a, b, height))
                 if height > top:
                     top = height
-        # Each bound is written as soon as it is known; the sweeps only
-        # raise lb and lower ub, and an unmoved bound is not written.  A
-        # task that fits on top of the highest segment cannot be moved.
-        # Each sweep pushes the task past every segment whose height, less
-        # the task's own compulsory usage there, exceeds ``limit``.  The
-        # compulsory part ``[ub, lb + p)`` covers segment ``[a, b)`` when
-        # ``ub <= a`` and ``b <= lb + p``; without a compulsory part no
-        # segment passes that test.
+        # Each lb is written as soon as it is known, and an unmoved one is
+        # not written.  A task that fits on top of the highest segment
+        # cannot be moved.  The sweep pushes the task past every segment
+        # whose height, less the task's own compulsory usage there,
+        # exceeds ``limit``.  The compulsory part ``[ub, lb + p)`` covers
+        # segment ``[a, b)`` when ``ub <= a`` and ``b <= lb + p``; without
+        # a compulsory part no segment passes that test.
         for v, p, u, lb, ub in entry:
             if top + u <= capacity:
                 continue
@@ -387,20 +371,6 @@ class Cumulative:
                     new_lb = b
             if new_lb != lb:
                 store.set_lb(v, new_lb)
-                if store.infeasible:
-                    return
-            new_ub = ub
-            for a, b, h in reversed(segments):
-                if b <= new_ub:
-                    break
-                if a >= new_ub + p:
-                    continue
-                if ub <= a and b <= end:
-                    h -= u
-                if h > limit:
-                    new_ub = a - p
-            if new_ub != ub:
-                store.set_ub(v, new_ub)
                 if store.infeasible:
                     return
 

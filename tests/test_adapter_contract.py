@@ -106,7 +106,8 @@ def propagated_stores(model, adapter, deadline_of=None):
     propagation mode.  Given ``deadline_of(state, value)``, each store is
     also yielded with every pending task's window cut to finish by that
     deadline before it is propagated, for stores tighter than ``build``
-    gives."""
+    gives.  Propagation lifts lower bounds alone, so every store leaves
+    with the upper bounds ``build``, or the cut, gave it."""
     for state, value in enumerate_state_values(model).items():
         if model.is_base(state):
             continue
@@ -115,20 +116,24 @@ def propagated_stores(model, adapter, deadline_of=None):
             for propagate in MODES:
                 store, props = adapter.build(state)
                 if deadline is not None:
-                    finish_by(store, state, adapter.instance, deadline)
+                    store = finish_by(store, state, adapter.instance, deadline)
                 if store.infeasible:
                     continue
+                entry_ubs = list(store.ubs)
                 propagate(store, props)
+                assert store.ubs == entry_ubs, state
                 if not store.infeasible:
                     yield state, store
 
 
 def finish_by(store, state, inst, deadline):
-    """Cut each pending RCPSP task's latest start so that it finishes by
-    ``deadline``."""
-    for i, s in enumerate(state.starts):
-        if s is None:
-            store.set_ub(i, deadline - inst.tasks[i].duration)
+    """``store`` with each pending RCPSP task's latest start cut so that it
+    finishes by ``deadline``, as a new store over the same lower bounds."""
+    cut_ubs = [
+        min(ub, deadline - task.duration) if s is None else ub
+        for s, ub, task in zip(state.starts, store.ubs, inst.tasks)
+    ]
+    return DomainStore(store.lbs, cut_ubs, store.live)
 
 
 def assert_vetoes_agree(model, adapter, reference, deadline_of=None):
@@ -179,7 +184,7 @@ def rcpsp_best_makespan(state, value):
 
 def test_rcpsp_veto_matches_transition_reference():
     checked = vetoed = 0
-    for _inst, model in rcpsp_cases(107, 30):
+    for _inst, model in rcpsp_cases(107, 60):
         c, v = assert_vetoes_agree(
             model, rcpsp.RcpspAdapter(model), reference_rcpsp_veto, rcpsp_best_makespan
         )
@@ -416,8 +421,8 @@ def assert_masked_build_matches_reference(model, adapter, reference, deadlines=(
                 assert props is props_once
                 expected, reference_props = reference(adapter, state)
                 if deadline is not None:
-                    finish_by(store, state, adapter.instance, deadline)
-                    finish_by(expected, state, adapter.instance, deadline)
+                    store = finish_by(store, state, adapter.instance, deadline)
+                    expected = finish_by(expected, state, adapter.instance, deadline)
                 entry = store_domains(expected)
                 assert store_domains(store) == entry, state
                 if not store.infeasible:

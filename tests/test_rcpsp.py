@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dpcp import (
+    DomainStore,
     SolveStatus,
     astar,
     enumerate_state_values,
@@ -301,14 +302,14 @@ def test_ect_envelope_against_subset_brute_force():
 
 def test_succ_infeasible_when_upper_side_cut():
     # Membership fails on the upper side once the window is cut below the
-    # greedy slot, the way an incumbent cap would cut it.
+    # greedy slot, as a deadline would cut it.
     inst = instance_of([(5, (1,)), (3, (1,))], (1,))
     model = RcpspModel(inst)
     adapter = RcpspAdapter(model)
     state = model.make_state((0, None), 0)
     assert model.earliest_time(state, 1) == 5
     store, _props = adapter.build(state)
-    store.set_ub(1, 4)
+    store = DomainStore(store.lbs, [store.ubs[0], 4], store.live)
     assert vetoed(adapter, state, 1, store)
     store, props = adapter.build(state)
     propagate_once(store, props)
@@ -323,8 +324,7 @@ def test_succ_infeasible_via_fixpoint_time_table():
     adapter = RcpspAdapter(model)
     state = model.target_state()
     store, props = adapter.build(state)
-    store.set_ub(0, 8 - 6)
-    store.set_ub(1, 8 - 3)
+    store = DomainStore(store.lbs, [8 - 6, 8 - 3], store.live)
     propagate_fixpoint(store, props)
     assert vetoed(adapter, state, 1, store)
 
