@@ -16,9 +16,9 @@ Propagators only ever lift lower bounds, the earliest starts every model
 dual reads as its floor; upper bounds are read, never lowered.  An emptied
 domain flips the store's ``infeasible`` flag, which is sticky.  Drivers
 run the propagators either once each in registration order or to a fixed
-point.  A model's ``PropagationAdapter`` is its ``build``: the successor
-veto is shared, the start the model gives a transition tested against its
-variable's domain.
+point.  A model's ``PropagationAdapter`` is its ``build``: the default
+successor veto drops nothing, and a model whose store can rule out a
+child overrides it (SMS).
 """
 
 from __future__ import annotations
@@ -404,19 +404,17 @@ def propagate_fixpoint(store: DomainStore, props: Sequence[Propagator]) -> Domai
 class PropagationAdapter(ABC):
     """Bridge from a DP model's states to a CP model over a domain store.
 
-    A model's adapter implements ``build`` alone, and the model supplies
-    ``start(label, succ)``, the value the transition ``label`` into ``succ``
-    gives CP variable ``label``.  ``build`` reads the state alone and is
-    deterministic in it, so CABS replays a state's propagated store under
-    any later incumbent; the search reads infeasibility from
-    ``store.infeasible``.  Neither the incumbent nor the path cost is
-    passed: the search prunes on the larger of the node's ``f`` and ``g``
-    plus ``dual_cp`` itself, so a cap on the remaining cost would only
-    repeat that test.  ``dual_cp`` defaults to the model's ``dual`` floored
-    by the store's lower bounds (SMS, RCPSP).  TSPTW's model ignores the
-    floor, so its adapter returns the model's relaxation solved exactly
-    instead; a ``dual_cp`` of 0 would add nothing, as the pop still prunes
-    on ``f``, which holds the model dual.
+    A model's adapter implements ``build`` alone.  ``build`` reads the
+    state alone and is deterministic in it, so CABS replays a state's
+    propagated store under any later incumbent; the search reads
+    infeasibility from ``store.infeasible``.  Neither the incumbent nor
+    the path cost is passed: the search prunes on the larger of the node's
+    ``f`` and ``g`` plus ``dual_cp`` itself, so a cap on the remaining cost
+    would only repeat that test.  ``dual_cp`` defaults to the model's
+    ``dual`` floored by the store's lower bounds (SMS, RCPSP).  TSPTW's
+    model ignores the floor, so its adapter returns the model's relaxation
+    solved exactly instead; a ``dual_cp`` of 0 would add nothing, as the
+    pop still prunes on ``f``, which holds the model dual.
 
     A store is laid out over the model's variables: ``lbs[i]`` bounds the
     variable of the model's job, task or location ``i``.  The search
@@ -435,9 +433,9 @@ class PropagationAdapter(ABC):
     pair also lets a profiler wrap each propagator a store is propagated
     with (``perfbench/tracing.py``).
 
-    The transition rule lives only in the model's ``successors``, so the
-    successor veto is handed the state it produced, not its parent, and is
-    one ``contains`` test of the start that state gives its variable.
+    The search asks ``is_succ_infeasible`` about every successor of a
+    propagated pop; the default drops nothing.  SMS overrides it with a
+    domain lookup on the state the transition produced.
     """
 
     def __init__(self, model):
@@ -455,5 +453,5 @@ class PropagationAdapter(ABC):
 
     def is_succ_infeasible(self, label, succ, store: DomainStore) -> bool:
         """True when ``store``, the parent's propagated store, rules out the
-        transition ``label`` that produced ``succ``."""
-        return not store.contains(label, self.model.start(label, succ))
+        transition ``label`` that produced ``succ``; here never."""
+        return False

@@ -34,21 +34,19 @@ class RunMetrics:
     pruned; it counts once whether its successors were enumerated or, in
     CABS, replayed from an earlier pop of the state.  A state pruned by its
     propagated store counts in ``pruned_by_cp`` instead, and one pruned on
-    its own ``f`` (in every propagation mode) in ``pruned_by_f``, so the
-    pops number ``expansions + pruned_by_f`` with propagation off.
-    ``generated`` counts successor candidates handed to the admission test,
-    and ``dominated`` those of them that the registry's dominance test
-    dropped before they were bounded.
-    In CABS, ``reused`` counts the pops, in every propagation mode, that
-    found their state's expansion kept from an earlier pop in this pass or
-    the last: with propagation on, each other pop builds and propagates its
-    CP model (``propagation_calls``), so the pops number
-    ``propagation_calls + reused``; a kept store is replayed under any
-    incumbent, as ``build`` reads the state alone.  ``pops`` is that
-    number, set once when the solve ends from the counters above; a base
-    pop, a stale skip and the pop at which a limit fires are not counted.  ``peak_kept_children``
-    is the largest number of successors those kept expansions held at
-    once (0 in A*).
+    its own ``f`` (in every propagation mode) in ``pruned_by_f``.
+    ``pops`` counts each of those pops, not a base pop, a stale skip or the
+    pop at which a limit fires: ``expansions + pruned_by_f`` with
+    propagation off.  ``generated`` counts successor candidates handed to
+    the admission test, and ``dominated`` those of them that the
+    registry's dominance test dropped before they were bounded.  In CABS,
+    ``reused`` counts the pops, in every propagation mode, that found
+    their state's expansion kept from an earlier pop in this pass or the
+    last: with propagation on, each other pop builds and propagates its CP
+    model (``propagation_calls``), so the pops number ``propagation_calls
+    + reused``; a kept store is replayed under any incumbent, as ``build``
+    reads the state alone.  ``peak_kept_children`` is the largest number
+    of successors those kept expansions held at once (0 in A*).
     ``peak_stored`` is the largest number of search nodes the registry
     stored at once (in CABS, the largest over its passes).  Traces carry
     wall-clock offsets; incumbent costs are strictly decreasing and dual

@@ -337,10 +337,6 @@ class RcpspModel(DpModel):
                 return False
         return True
 
-    def start(self, label: int, succ: RcpspState) -> int:
-        """The start ``succ`` gives task ``label``."""
-        return succ.starts[label]
-
     def dual(self, state: RcpspState, floor: Optional[Sequence[int]] = None) -> Cost:
         """Lower bound on the remaining makespan of ``state``, each pending
         task ``i`` starting no earlier than ``est = max(floor[i], time)``,
@@ -432,12 +428,23 @@ class RcpspModel(DpModel):
 
 class RcpspAdapter(PropagationAdapter):
     """CP view: fixed starts for scheduled tasks, and for pending ones
-    windows whose latest start lets them finish by the horizon; one
-    capacity propagator per resource over all of its users, which skips
-    the finished tasks (the store's ``live`` mask holds the pending and
-    running ones), and all precedence links.  The propagators are built
-    once.  The veto and ``dual_cp`` are the defaults, over
-    ``RcpspModel.start`` and ``RcpspModel.dual``."""
+    windows ``[time, horizon - p]``; one capacity propagator per resource
+    over all of its users, which skips the finished tasks (the store's
+    ``live`` mask holds the pending and running ones), and all precedence
+    links, built once.  ``dual_cp`` is the default.
+
+    The default veto drops nothing, and no veto could: a reachable
+    state's store is never empty and holds the start each child gives its
+    task.  A child starts its task at ``earliest_time``, no later than the
+    latest finish of the parent's scheduled tasks.  As each start is at
+    most the latest finish before it, those tasks cover ``[0, latest
+    finish]`` with no gap, so that finish is at most their total duration.
+    Add the remaining tasks to the child's partial schedule one at a time,
+    in precedence order, each at the latest finish so far: that schedule
+    ends by the horizon, the sum of all durations, so it solves the
+    parent's CP model, and sound propagators keep every solution.  So
+    propagation acts only through the floors and ``dual_cp``.
+    """
 
     def __init__(self, model: RcpspModel):
         super().__init__(model)

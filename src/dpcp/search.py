@@ -335,10 +335,10 @@ class _SolveContext:
         and propagated (an infeasible store gives an infinite CP dual),
         each successor the store vetoes is dropped, and ``store`` holds the
         node's propagated domains, the floor of each successor's dual.
-        Counts the expansion only when the node is not pruned; a pop pruned
-        by its store and each vetoed successor count toward
-        ``pruned_by_cp`` instead, and a pop pruned on its ``f`` toward
-        ``pruned_by_f``.
+        Counts the pop, and the expansion only when the node is not
+        pruned; a pop pruned by its store and each vetoed successor count
+        toward ``pruned_by_cp`` instead, and a pop pruned on its ``f``
+        toward ``pruned_by_f``.
 
         Each pop has one record.  A* builds it afresh and drops it with the
         pop.  CABS keeps it in its tables, whatever the pop decided, and in
@@ -351,6 +351,7 @@ class _SolveContext:
         decisions and counts of a fresh expansion.
         """
         model, state, m, primal = self.model, node.state, self.metrics, self.primal
+        m.pops += 1
         table = self.this_pass
         entry = None if table is None else table.get(state) or self.last_pass.pop(state, None)
         if entry is not None:
@@ -399,10 +400,6 @@ class _SolveContext:
     def finish(self) -> SolveResult:
         status = self.status
         m = self.metrics
-        if self.propagate is None:
-            m.pops = m.expansions + m.pruned_by_f
-        else:
-            m.pops = m.propagation_calls + m.reused
         if status is SolveStatus.OPTIMAL or status is SolveStatus.INFEASIBLE:
             # Proven: the optimum, or INFINITY, the primal with no incumbent.
             self.note_dual(self.primal)

@@ -172,10 +172,6 @@ class SmsModel(DpModel):
     def dominates(self, a: SmsState, b: SmsState) -> bool:
         return a.time <= b.time
 
-    def start(self, label: int, succ: SmsState) -> int:
-        """The start of job ``label``, which finishes at ``succ``'s clock."""
-        return succ.time - self.instance.jobs[label].p
-
     def dual(self, state: SmsState, floor=None) -> Cost:
         """Lower bound on the weighted tardiness of the pending jobs of
         ``state``, each starting no earlier than ``max(r, t)`` at the
@@ -226,14 +222,17 @@ class SmsAdapter(PropagationAdapter):
 
     A pending job's window is ``[max(r, t), deadline - p]`` at clock ``t``;
     ``build`` fills it from ``(r, deadline - p)`` pairs taken once here.
-    The veto and ``dual_cp`` are the defaults, over ``SmsModel.start`` and
-    ``SmsModel.dual``.
+    ``dual_cp`` is the default.  The veto tests the start a child gives
+    its job, the child's clock less the job's duration, against the job's
+    domain; as ``successors`` drops a child past its latest start, it
+    fires only where edge-finding lifted that earliest start past it.
     """
 
     def __init__(self, model: SmsModel):
         super().__init__(model)
         jobs = self.instance.jobs
         self._windows = tuple((job.r, job.deadline - job.p) for job in jobs)
+        self._durations = tuple(job.p for job in jobs)
         self._props = [Disjunctive((i, job.p) for i, job in enumerate(jobs))]
 
     def build(self, state: SmsState):
@@ -250,6 +249,9 @@ class SmsAdapter(PropagationAdapter):
             ubs[i] = latest
             mask ^= low
         return DomainStore(lbs, ubs, state.unscheduled), self._props
+
+    def is_succ_infeasible(self, label: int, succ: SmsState, store: DomainStore) -> bool:
+        return not store.contains(label, succ.time - self._durations[label])
 
 
 def exact_optimum(instance: SmsInstance) -> Optional[int]:

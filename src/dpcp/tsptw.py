@@ -125,8 +125,7 @@ class TsptwState(NamedTuple):
 
 
 class TsptwModel(DpModel):
-    """The visit-one-location-at-a-time model.  It has no ``start``, as
-    ``TsptwAdapter``'s store has no variable for a veto to test."""
+    """The visit-one-location-at-a-time model."""
 
     def __init__(self, instance: TsptwInstance):
         self.instance = instance
@@ -460,9 +459,10 @@ class TsptwAdapter(PropagationAdapter):
     ``successors`` keeps only children that arrive inside their windows,
     and each arc the relaxation keeps leaves in time from the clock and
     from its tail's release, so a window store would veto no child and
-    drop no arc.  ``build`` returns one empty store, built here; nothing
-    writes to it.  An assignment relaxation inside a CP model's cost bound
-    is the cost-based filtering of Focacci, Lodi and Milano (CP 1999).
+    drop no arc: the default veto, which drops nothing, loses nothing.
+    ``build`` returns one empty store, built here; nothing writes to it.
+    An assignment relaxation inside a CP model's cost bound is the
+    cost-based filtering of Focacci, Lodi and Milano (CP 1999).
     """
 
     def __init__(self, model: TsptwModel):
@@ -478,10 +478,6 @@ class TsptwAdapter(PropagationAdapter):
         against an incumbent, or where no matching exists, so A*, which
         has no incumbent before its last pop, gains little from it."""
         return self.model.assignment(state)
-
-    def is_succ_infeasible(self, label, succ, store: DomainStore) -> bool:
-        """False: the store has no variable to test."""
-        return False
 
 
 def exact_optimum(instance: TsptwInstance) -> Optional[int]:

@@ -1,14 +1,15 @@
-"""The adapter contract: successor vetoes are domain lookups on the
-successor state, the RCPSP CP dual equals its tails and envelopes over
-the propagated earliest starts taken separately, the SMS CP dual equals
-its bound written out from the definition in any call order, ``build``
-reads the state alone, a model's dual never falls as its floor rises
-and stays admissible under a parent's store, and the SMS and
+"""The adapter contract: the SMS veto is a domain lookup on the
+successor state, an RCPSP store of a reachable state is never empty and
+holds every child's start, the RCPSP CP dual equals its tails and
+envelopes over the propagated earliest starts taken separately, the SMS
+CP dual equals its bound written out from the definition in any call
+order, ``build`` reads the state alone, a model's dual never falls as its
+floor rises and stays admissible under a parent's store, and the SMS and
 RCPSP propagators, built once and told by the store's ``live`` mask which
 variables to skip, propagate as the per-state ones built over the live
-variables alone would, and an adapter that supplies only ``build`` gets
-the veto over the model's ``start`` and the model's floored dual as its
-``dual_cp``, and solves.
+variables alone would, and an adapter that supplies only ``build`` gets a
+veto that drops nothing and the model's floored dual as its ``dual_cp``,
+and solves.
 
 The reference functions below recompute each transition from the parent
 state, the way the vetoes did before they were handed the successor; the
@@ -19,7 +20,9 @@ models in ``conftest``, a superset of the children the models generate:
 a veto is a domain lookup, whether or not the child is a dead end.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,7 @@ from dpcp import (
     PropagationAdapter,
     PropagationMode,
     SolveStatus,
+    astar,
     cabs,
     enumerate_state_values,
     propagate_fixpoint,
@@ -68,13 +72,6 @@ def reference_tsptw_veto(adapter, label, state, store):
     inst = adapter.instance
     arc = inst.travel[state.location][label]
     return max(state.time + arc, inst.windows[label][0]) > inst.windows[label][1]
-
-
-def reference_rcpsp_veto(adapter, label, state, store):
-    slot = adapter.model.earliest_time(state, label)
-    if slot is None:
-        return True
-    return not store.contains(label, slot)
 
 
 def reference_rcpsp_dual_cp(adapter, state, store):
@@ -136,9 +133,9 @@ def finish_by(store, state, inst, deadline):
     return DomainStore(store.lbs, cut_ubs, store.live)
 
 
-def assert_vetoes_agree(model, adapter, reference, deadline_of=None):
+def assert_vetoes_agree(model, adapter, reference):
     checked = vetoed = 0
-    for state, store in propagated_stores(model, adapter, deadline_of):
+    for state, store in propagated_stores(model, adapter):
         for _w, label, succ in model.successors(state):
             new = adapter.is_succ_infeasible(label, succ, store)
             assert new == reference(adapter, label, state, store), (state, label)
@@ -182,14 +179,68 @@ def rcpsp_best_makespan(state, value):
     return state.estimate + value
 
 
-def test_rcpsp_veto_matches_transition_reference():
-    checked = vetoed = 0
-    for _inst, model in rcpsp_cases(107, 60):
-        c, v = assert_vetoes_agree(
-            model, rcpsp.RcpspAdapter(model), reference_rcpsp_veto, rcpsp_best_makespan
-        )
-        checked, vetoed = checked + c, vetoed + v
-    assert checked > 8000 and vetoed > 80, (checked, vetoed)
+def test_rcpsp_stores_hold_every_child_start():
+    """No RCPSP veto could fire: propagated once or to a fixed point, the
+    store of every enumerated state is feasible and holds the start each
+    child gives its task (the proof is in ``RcpspAdapter``'s docstring).  A cap on the
+    latest starts below ``horizon - p`` would break it."""
+    stores = children = 0
+    for _inst, model in rcpsp_cases(107, 80):
+        adapter = rcpsp.RcpspAdapter(model)
+        for state in enumerate_state_values(model):
+            if model.is_base(state):
+                continue
+            succs = model.successors(state)
+            for propagate in MODES:
+                store, props = adapter.build(state)
+                propagate(store, props)
+                assert not store.infeasible, state
+                for _w, label, succ in succs:
+                    start = succ.starts[label]
+                    assert store.lbs[label] <= start <= store.ubs[label], (state, label)
+                    children += 1
+                stores += 1
+    assert stores > 10000 and children > 15000, (stores, children)
+
+
+class CheckedRcpspAdapter(rcpsp.RcpspAdapter):
+    """``RcpspAdapter`` that asserts, at each veto the search asks for,
+    that the parent's store holds the child's start, and counts its
+    ``dual_cp`` calls, one per feasible store."""
+
+    checks = dual_cps = 0
+
+    def dual_cp(self, state, store):
+        self.dual_cps += 1
+        return super().dual_cp(state, store)
+
+    def is_succ_infeasible(self, label, succ, store):
+        assert store.lbs[label] <= succ.starts[label] <= store.ubs[label], (succ, label)
+        self.checks += 1
+        return False
+
+
+def load_perfbench_gen():
+    """``perfbench/gen.py``, the benchmark's seeded instance generators."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_rcpsp_search_stores_hold_every_child_start(index):
+    # On the benchmark's ``rcpsp-sparse`` pool instances (n = 12), where
+    # enumeration is out of reach, A* ``fixpoint`` finds every store it
+    # builds feasible and holding each child's start.
+    doc = load_perfbench_gen().rcpsp(random.Random(f"rcpsp-sparse:{index}"), 12, 3, 0.1)
+    model = rcpsp.RcpspModel(rcpsp.RcpspInstance.from_json(doc))
+    adapter = CheckedRcpspAdapter(model)
+    result = astar(model, adapter, mode=PropagationMode.FIXPOINT)
+    assert result.status is SolveStatus.OPTIMAL
+    assert adapter.dual_cps == result.metrics.propagation_calls > 0
+    assert adapter.checks > 0
 
 
 def test_rcpsp_dual_cp_matches_reference():
@@ -476,14 +527,6 @@ class MinimalSmsAdapter(PropagationAdapter):
         return reference_sms_build(self, state)
 
 
-class ArrivalTsptwModel(tsptw.TsptwModel):
-    """``TsptwModel`` with the ``start`` that the default veto reads, which
-    the shipped model leaves out: its adapter's store has no variable."""
-
-    def start(self, label, succ):
-        return succ.time
-
-
 class MinimalTsptwAdapter(PropagationAdapter):
     """The per-state reference build alone, a window store, with the
     default veto and ``dual_cp``, the model's floored dual, in place of
@@ -509,7 +552,7 @@ MINIMAL = {
         smswt.permutation_optimum,
     ),
     "tsptw": (
-        lambda rng: ArrivalTsptwModel(random_tsptw_instance(rng, rng.randint(3, 7))),
+        lambda rng: tsptw.TsptwModel(random_tsptw_instance(rng, rng.randint(3, 7))),
         MinimalTsptwAdapter,
         tsptw.TsptwAdapter,
         tsptw.permutation_optimum,
@@ -528,14 +571,13 @@ def test_minimal_adapter_needs_only_build(family):
     """``build`` is the one abstract method.  ``dual_cp`` defaults to the
     model's ``dual`` floored by the store's lower bounds: an adapter with
     only ``build`` gets it on sampled states, and CABS ``once`` with it and
-    the default veto reaches the oracle.  The SMS and RCPSP adapters keep
-    the default veto, which the ``*_veto_matches_transition_reference``
-    tests check, and the default ``dual_cp``.  TSPTW's adapter alone
-    overrides both: its store has no variable to veto on, and its CP dual
-    solves its model's relaxation exactly."""
+    the default veto, which drops nothing, reaches the oracle.  SMS's
+    adapter alone overrides the veto, which
+    ``test_sms_veto_matches_transition_reference`` checks; TSPTW's alone
+    overrides ``dual_cp``, solving its model's relaxation exactly."""
     draw, minimal, shipped, oracle = MINIMAL[family]
     assert PropagationAdapter.__abstractmethods__ == {"build"}
-    assert ("is_succ_infeasible" in vars(shipped)) == (family == "tsptw")
+    assert ("is_succ_infeasible" in vars(shipped)) == (family == "smswt")
     assert (shipped.dual_cp is PropagationAdapter.dual_cp) == (family != "tsptw")
     rng = random.Random(f"minimal:{family}")
     compared = 0

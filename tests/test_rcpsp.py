@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from dpcp import (
-    DomainStore,
     SolveStatus,
     astar,
     enumerate_state_values,
@@ -36,7 +35,6 @@ from conftest import (
     rcpsp_tails,
     reference_rcpsp_dominates,
     solve_all_modes,
-    vetoed,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -298,35 +296,6 @@ def test_ect_envelope_against_subset_brute_force():
         tasks = [(rng.randint(0, 20), rng.randint(1, 6), rng.randint(0, 4)) for _ in range(k)]
         cap = rng.randint(1, 4)
         assert one_resource_envelope(tasks, cap) == brute_force_envelope(tasks, cap)
-
-
-def test_succ_infeasible_when_upper_side_cut():
-    # Membership fails on the upper side once the window is cut below the
-    # greedy slot, as a deadline would cut it.
-    inst = instance_of([(5, (1,)), (3, (1,))], (1,))
-    model = RcpspModel(inst)
-    adapter = RcpspAdapter(model)
-    state = model.make_state((0, None), 0)
-    assert model.earliest_time(state, 1) == 5
-    store, _props = adapter.build(state)
-    store = DomainStore(store.lbs, [store.ubs[0], 4], store.live)
-    assert vetoed(adapter, state, 1, store)
-    store, props = adapter.build(state)
-    propagate_once(store, props)
-    assert not vetoed(adapter, state, 1, store)
-
-
-def test_succ_infeasible_via_fixpoint_time_table():
-    # Windows cut to finish by 8 give the long task a compulsory part,
-    # which then sweeps the short task past its greedy slot.
-    inst = instance_of([(6, (1,)), (3, (1,))], (1,))
-    model = RcpspModel(inst)
-    adapter = RcpspAdapter(model)
-    state = model.target_state()
-    store, props = adapter.build(state)
-    store = DomainStore(store.lbs, [8 - 6, 8 - 3], store.live)
-    propagate_fixpoint(store, props)
-    assert vetoed(adapter, state, 1, store)
 
 
 def test_parse_psplib_fixture():

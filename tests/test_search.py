@@ -756,9 +756,6 @@ class AddsNothing(PropagationAdapter):
     def dual_cp(self, state, store):
         return 0
 
-    def is_succ_infeasible(self, label, succ, store):
-        return False
-
 
 def test_propagation_that_adds_nothing_changes_no_search_count():
     """A pop differs between modes only in what propagation adds.
