@@ -42,7 +42,8 @@ class DomainStore:
     The two bound lists are the whole state, as no model needs a hole in a
     domain, and the only way to read a domain.  A propagator reads them
     through ``bounds``, which checks its id range once; an adapter reads
-    the variables it filled itself.  Every write goes through ``set_lb``
+    the variables it filled itself, as SMS's veto reads a job's lower
+    bound.  Every write goes through ``set_lb``
     or ``mark_infeasible``, so the monotone-shrink invariant, emptiness
     detection, and the change revision counter live in one place; ``ubs``
     stays as ``build`` laid it out.  A store is owned by a single solve;
@@ -78,11 +79,6 @@ class DomainStore:
         if lo < 0 or hi >= len(self.lbs):
             raise AdapterFailure(f"variable ids {lo}..{hi} out of range")
         return self.lbs, self.ubs
-
-    def contains(self, x: int, v: int) -> bool:
-        if not 0 <= x < len(self.lbs):
-            raise AdapterFailure(f"variable id {x} out of range")
-        return self.lbs[x] <= v <= self.ubs[x]
 
     def mark_infeasible(self) -> None:
         if not self.infeasible:
@@ -435,7 +431,7 @@ class PropagationAdapter(ABC):
 
     The search asks ``is_succ_infeasible`` about every successor of a
     propagated pop; the default drops nothing.  SMS overrides it with a
-    domain lookup on the state the transition produced.
+    lower-bound lookup on the state the transition produced.
     """
 
     def __init__(self, model):

@@ -27,7 +27,7 @@ store's lower bounds as the floor of each pending task's earliest start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import DpModel, iter_bits
 from .cost import Cost, check_ceiling
@@ -47,11 +47,30 @@ class RcpspTask:
             raise ValueError("usages must be >= 0")
 
 
+def topological_order(nodes: Iterable[int], successors) -> Optional[List[int]]:
+    """Kahn's order of ``nodes`` under an arc from each ``i`` to each
+    ``j`` in ``successors[i]``, sources first in the order of ``nodes``,
+    or None if the arcs close a cycle.  A repeated arc orders as one."""
+    indegree = dict.fromkeys(nodes, 0)
+    for i in indegree:
+        for j in successors[i]:
+            indegree[j] += 1
+    order = [i for i, d in indegree.items() if d == 0]
+    for i in order:  # grows while it is walked
+        for j in successors[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                order.append(j)
+    return order if len(order) == len(indegree) else None
+
+
 class RcpspInstance:
     """Immutable instance with derived precedence structure.
 
-    Validates that the precedence graph is acyclic and that no single task
-    exceeds a resource capacity (such an instance could never be scheduled).
+    Validates that no single task exceeds a resource capacity (such an
+    instance could never be scheduled) and that the precedence graph is
+    acyclic; ``topo_order`` is the graph's ``topological_order``, which
+    the model's tails are computed along.
     """
 
     def __init__(
@@ -91,26 +110,14 @@ class RcpspInstance:
         self.predecessors = tuple(tuple(p) for p in preds)
         self.successors = tuple(tuple(s) for s in succs)
         self.horizon = sum(t.duration for t in self.tasks)
-        self.topo_order = self._topological_order()
+        order = topological_order(range(n), self.successors)
+        if order is None:
+            raise ValueError("precedence graph has a cycle")
+        self.topo_order: Tuple[int, ...] = tuple(order)
 
     @property
     def n(self) -> int:
         return len(self.tasks)
-
-    def _topological_order(self) -> Tuple[int, ...]:
-        indeg = [len(p) for p in self.predecessors]
-        order = [i for i in range(self.n) if indeg[i] == 0]
-        head = 0
-        while head < len(order):
-            i = order[head]
-            head += 1
-            for j in self.successors[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    order.append(j)
-        if len(order) != self.n:
-            raise ValueError("precedence graph has a cycle")
-        return tuple(order)
 
     def to_json(self) -> dict:
         return {
@@ -523,9 +530,13 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
     """Parse a single-mode PSPLIB .sm file.
 
     Reads the job count, precedence relations, per-job durations and
-    resource requests, and renewable-resource availabilities.  Dummy
-    zero-duration jobs (the supersource/sink, and any others) are stripped
-    with their precedences contracted through them.
+    resource requests, and renewable-resource availabilities.  Each
+    section's rows are its all-integer lines up to the ``***`` line that
+    closes it.  Zero-duration jobs are dummies, wherever they sit in the
+    graph: the supersource and sink, and any others.  They are contracted,
+    so real job ``a`` precedes real job ``b`` exactly when a path leads
+    from ``a`` to ``b`` through dummies alone.  A cycle is a parse error,
+    also one through dummies alone, which contraction would drop.
     """
     lines = text.splitlines()
     n_jobs = None
@@ -555,49 +566,40 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
     if n_jobs is None or n_renew is None or None in (prec_at, req_at, avail_at):
         raise ParseError("missing a required section", path)
 
+    def rows(header: int):
+        # (line number, integers) for each row of the section under header.
+        for idx in range(header + 1, len(lines)):
+            row = all_int_tokens(lines[idx])
+            if row is not None:
+                yield idx + 1, row
+            elif lines[idx].startswith("***"):
+                return
+
     successors: Dict[int, List[int]] = {}
-    for idx in range(prec_at + 1, len(lines)):
-        row = all_int_tokens(lines[idx])
-        if row is None:
-            if lines[idx].startswith("***"):
-                break
-            continue  # header line
+    for line, row in rows(prec_at):
         if len(row) < 3:
-            raise ParseError("short precedence row", path, idx + 1)
+            raise ParseError("short precedence row", path, line)
         job, _mode, nsucc = row[0], row[1], row[2]
-        succ = row[3:]
-        if len(succ) != nsucc:
-            raise ParseError("successor count mismatch", path, idx + 1)
+        if len(row) - 3 != nsucc:
+            raise ParseError("successor count mismatch", path, line)
         if job in successors:
-            raise ParseError(f"second precedence row for job {job}", path, idx + 1)
-        successors[job] = succ
+            raise ParseError(f"second precedence row for job {job}", path, line)
+        successors[job] = row[3:]
 
     durations: Dict[int, int] = {}
     usages: Dict[int, List[int]] = {}
-    for idx in range(req_at + 1, len(lines)):
-        row = all_int_tokens(lines[idx])
-        if row is None:
-            if lines[idx].startswith("***"):
-                break
-            continue
+    for line, row in rows(req_at):
         if len(row) < 3 + n_renew:
-            raise ParseError("short request/duration row", path, idx + 1)
+            raise ParseError("short request/duration row", path, line)
         job = row[0]
         if job in durations:
-            raise ParseError(f"second request/duration row for job {job}", path, idx + 1)
+            raise ParseError(f"second request/duration row for job {job}", path, line)
         if row[2] < 0:
-            raise ParseError("negative duration", path, idx + 1)
+            raise ParseError("negative duration", path, line)
         durations[job] = row[2]
         usages[job] = row[3 : 3 + n_renew]
 
-    capacities: Optional[List[int]] = None
-    for idx in range(avail_at + 1, len(lines)):
-        if lines[idx].startswith("***"):
-            break
-        row = all_int_tokens(lines[idx])
-        if row is not None:
-            capacities = row[:n_renew]
-            break
+    capacities = next((row[:n_renew] for _line, row in rows(avail_at)), None)
     if capacities is None or len(capacities) < n_renew:
         raise ParseError("missing resource availabilities", path)
 
@@ -606,47 +608,34 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
             f"expected {n_jobs} request/duration rows, got {len(durations)}", path
         )
 
-    # Contract zero-duration dummies: connect their predecessors to their
-    # successors, then drop them.
-    preds: Dict[int, Set[int]] = {j: set() for j in durations}
-    succs: Dict[int, Set[int]] = {j: set() for j in durations}
     for job, slist in successors.items():
         if job not in durations:
             raise ParseError(f"precedence row for job {job} has no request row", path)
         for s in slist:
             if s not in durations:
                 raise ParseError(f"successor {s} of job {job} unknown", path)
-            succs[job].add(s)
-            preds[s].add(job)
-    # Check the whole graph for a cycle first: contracting one through a
-    # dummy would drop it silently.  On an acyclic graph the contraction
-    # below cannot create a self-loop.
-    indegree = {j: len(preds[j]) for j in durations}
-    ready = [j for j, d in indegree.items() if d == 0]
-    for j in ready:
-        for s in succs[j]:
-            indegree[s] -= 1
-            if indegree[s] == 0:
-                ready.append(s)
-    if len(ready) != len(durations):
+    for job in durations:
+        successors.setdefault(job, [])
+    order = topological_order(durations, successors)
+    if order is None:
         raise ParseError("precedence relations contain a cycle", path)
-    for dummy in sorted(j for j in durations if durations[j] == 0):
-        dummy_preds = preds.pop(dummy)
-        dummy_succs = succs.pop(dummy)
-        for a in dummy_preds:
-            succs[a].discard(dummy)
-            succs[a].update(dummy_succs)
-        for b in dummy_succs:
-            preds[b].discard(dummy)
-            preds[b].update(dummy_preds)
+    # The real jobs a job reaches directly or through dummies alone are its
+    # real successors and those its dummy successors reach, which walking
+    # the order backwards has already collected.
+    reach: Dict[int, Set[int]] = {}
+    for job in reversed(order):
+        jobs = reach[job] = set()
+        for s in successors[job]:
+            if durations[s]:
+                jobs.add(s)
+            else:
+                jobs |= reach[s]
 
     real = sorted(j for j in durations if durations[j] > 0)
     if not real:
         raise ParseError("no non-dummy jobs", path)
     index = {job: k for k, job in enumerate(real)}
-    edges = sorted(
-        (index[a], index[b]) for a in real for b in succs.get(a, ()) if b in index
-    )
+    edges = sorted((index[a], index[b]) for a in real for b in reach[a])
     try:
         tasks = [RcpspTask(durations[j], tuple(usages[j])) for j in real]
         return RcpspInstance(tasks, tuple(capacities), edges)

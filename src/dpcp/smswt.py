@@ -224,8 +224,11 @@ class SmsAdapter(PropagationAdapter):
     ``build`` fills it from ``(r, deadline - p)`` pairs taken once here.
     ``dual_cp`` is the default.  The veto tests the start a child gives
     its job, the child's clock less the job's duration, against the job's
-    domain; as ``successors`` drops a child past its latest start, it
-    fires only where edge-finding lifted that earliest start past it.
+    earliest start alone, so it fires only where edge-finding lifted that
+    earliest start past it.  The latest start never decides: ``successors``
+    returns no child from a state in which a pending job would miss its
+    deadline, so a child's job finishes by its deadline and starts by
+    ``deadline - p``, its upper bound.
     """
 
     def __init__(self, model: SmsModel):
@@ -251,7 +254,7 @@ class SmsAdapter(PropagationAdapter):
         return DomainStore(lbs, ubs, state.unscheduled), self._props
 
     def is_succ_infeasible(self, label: int, succ: SmsState, store: DomainStore) -> bool:
-        return not store.contains(label, succ.time - self._durations[label])
+        return store.lbs[label] > succ.time - self._durations[label]
 
 
 def exact_optimum(instance: SmsInstance) -> Optional[int]:

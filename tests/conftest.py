@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 from dpcp import (
     Cumulative,
@@ -22,6 +24,17 @@ from dpcp import (
 )
 from dpcp import rcpsp, smswt, tsptw
 from dpcp.search import SearchNode, _SolveContext
+
+
+def load_perfbench_gen():
+    """``perfbench/gen.py``, the benchmark's seeded instance generators,
+    loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 SMS_TAUS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 SMS_RHOS = (0.05, 0.25, 0.5)

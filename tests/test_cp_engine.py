@@ -32,8 +32,6 @@ def test_interval_basics():
     assert store.lbs[0] == 2 and store.ubs[0] == 9
     store.set_lb(0, 4)
     assert (store.lbs[0], store.ubs[0]) == (4, 9)
-    assert store.contains(0, 4) and store.contains(0, 9)
-    assert not store.contains(0, 3) and not store.contains(0, 10)
     store.set_lb(0, 3)  # weaker: no-op
     assert store.lbs[0] == 4
     store.set_lb(0, 9)
@@ -65,14 +63,8 @@ def test_infeasibility_is_sticky():
 def test_bad_variable_id_raises_adapter_failure(x):
     # 3 is the variable count; -1 must not wrap around to the last variable.
     store = store_of([(0, 1), (5, 9), (2, 4)])
-    calls = {
-        "contains": lambda: store.contains(x, 3),
-        "set_lb": lambda: store.set_lb(x, 3),
-    }
-    for name, call in calls.items():
-        with pytest.raises(AdapterFailure):
-            call()
-            pytest.fail(f"{name}({x}) did not raise")
+    with pytest.raises(AdapterFailure):
+        store.set_lb(x, 3)
     assert store_domains(store) == [(0, 1), (5, 9), (2, 4)]
     assert store.revision == 0 and not store.infeasible
 

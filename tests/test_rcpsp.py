@@ -28,6 +28,7 @@ from conftest import (
     ReferenceRcpspModel,
     critical_path_length,
     energy_ceiling,
+    load_perfbench_gen,
     one_resource_envelope,
     random_rcpsp_instance,
     rcpsp_clash_floor,
@@ -316,6 +317,80 @@ def test_parse_psplib_contracts_interior_dummies():
     assert inst.n == 3
     assert [t.duration for t in inst.tasks] == [4, 3, 2]
     assert inst.precedences == ((1, 2),)
+
+
+def dummy_paths(arcs, durations, a):
+    """The jobs reachable from job ``a`` along ``arcs`` through
+    zero-duration jobs alone, whatever their own durations, each with the
+    fewest zero-duration jobs on such a path."""
+    hops = {}
+    frontier = [(b, 0) for b in arcs[a]]
+    while frontier:
+        b, k = frontier.pop()
+        if b in hops and hops[b] <= k:
+            continue
+        hops[b] = k
+        if durations[b] == 0:
+            frontier.extend((c, k + 1) for c in arcs[b])
+    return hops
+
+
+def test_parse_psplib_contraction_matches_its_definition():
+    # Real job a precedes real job b exactly when a path leads from a to b
+    # through zero-duration jobs alone.  Benchmark draws, rendered as
+    # PSPLIB, with random tasks set to duration 0, put dummies inside the
+    # graph and in chains, next to the rendering's source and sink.
+    gen = load_perfbench_gen()
+    rng = random.Random(67)
+    chained = cycles = 0
+    for k in range(150):
+        doc = gen.rcpsp(random.Random(f"contraction:{k}"), 20, 2, 0.2)
+        n = len(doc["tasks"])
+        for i in rng.sample(range(n), rng.randint(n // 2, n - 1)):
+            doc["tasks"][i]["p"] = 0
+        text = gen.to_psplib_text(doc)
+        # The rendering's job ids: 1 is the source, task i is i + 2, and
+        # n + 2 is the sink.
+        durations = {1: 0, n + 2: 0}
+        durations.update((i + 2, t["p"]) for i, t in enumerate(doc["tasks"]))
+        arcs = {j: [] for j in durations}
+        for i, j in doc["precedences"]:
+            arcs[i + 2].append(j + 2)
+        for j in range(2, n + 2):
+            if not any(j == b for bs in arcs.values() for b in bs):
+                arcs[1].append(j)
+            arcs[j] = arcs[j] or [n + 2]
+        real = sorted(j for j, p in durations.items() if p > 0)
+        index = {j: x for x, j in enumerate(real)}
+        want = set()
+        for a in real:
+            for b, k_hops in dummy_paths(arcs, durations, a).items():
+                if b in index:
+                    want.add((index[a], index[b]))
+                    chained += k_hops >= 2
+        inst = parse_psplib(text, "contracted.sm")
+        assert [t.duration for t in inst.tasks] == [durations[j] for j in real]
+        assert set(inst.precedences) == want, k
+
+        # An arc back from a zero-duration task to one that reaches it
+        # through zero-duration tasks alone closes a cycle of dummies,
+        # which contraction would drop.
+        zero = [i for i, t in enumerate(doc["tasks"]) if t["p"] == 0]
+        back = [
+            (d, e)
+            for e in zero
+            for d in dummy_paths(arcs, durations, e + 2)
+            if d - 2 in zero and d - 2 != e
+        ]
+        if back:
+            d, e = rng.choice(back)
+            doc["precedences"].append([d - 2, e])
+            with pytest.raises(ParseError, match="precedence relations contain a cycle"):
+                parse_psplib(gen.to_psplib_text(doc), "cycle.sm")
+            cycles += 1
+    # Many precedences pass through two dummies or more in a row, and many
+    # draws close a cycle.
+    assert chained > 50 and cycles > 50, (chained, cycles)
 
 
 def test_parse_psplib_rejects_garbage():
