@@ -14,11 +14,12 @@ post on every store:
 
 Propagators only ever lift lower bounds, the earliest starts every model
 dual reads as its floor; upper bounds are read, never lowered.  An emptied
-domain flips the store's ``infeasible`` flag, which is sticky.  Drivers
-run the propagators either once each in registration order or to a fixed
-point.  A model's ``PropagationAdapter`` is its ``build``: the default
-successor veto drops nothing, and a model whose store can rule out a
-child overrides it (SMS).
+domain flips the store's ``infeasible`` flag, which is sticky: the store
+ignores every later write, and the drivers, which run the propagators
+either once each in registration order or to a fixed point, stop at it,
+so no propagator tests the flag.  A model's ``PropagationAdapter`` is its
+``build``: the default successor veto drops nothing, and a model whose
+store can rule out a child overrides it (SMS).
 """
 
 from __future__ import annotations
@@ -43,11 +44,12 @@ class DomainStore:
     domain, and the only way to read a domain.  A propagator reads them
     through ``bounds``, which checks its id range once; an adapter reads
     the variables it filled itself, as SMS's veto reads a job's lower
-    bound.  Every write goes through ``set_lb``
-    or ``mark_infeasible``, so the monotone-shrink invariant, emptiness
-    detection, and the change revision counter live in one place; ``ubs``
-    stays as ``build`` laid it out.  A store is owned by a single solve;
-    sharing is read-only.
+    bound.  Every write goes through ``set_lb`` or ``mark_infeasible``, so
+    the monotone-shrink invariant, emptiness detection, and the change
+    revision counter live in one place; ``ubs`` stays as ``build`` laid it
+    out.  Once empty, the store ignores every write: a propagator that
+    carries on after emptying it changes nothing.  A store is owned by a
+    single solve; sharing is read-only.
 
     ``live`` has bit ``x`` set when variable ``x`` takes part in this
     store's state: ``Disjunctive`` and ``Cumulative`` skip every item whose
@@ -73,8 +75,9 @@ class DomainStore:
         """The bound lists themselves, after checking that ids ``lo..hi``
         are in range.
 
-        While the store is feasible no domain is empty, so a propagator
-        reads bounds from them directly; writes still go through ``set_lb``.
+        A propagator reads bounds from them directly, as the drivers call
+        it only while the store is feasible and no domain is empty; writes
+        still go through ``set_lb``.
         """
         if lo < 0 or hi >= len(self.lbs):
             raise AdapterFailure(f"variable ids {lo}..{hi} out of range")
@@ -86,7 +89,8 @@ class DomainStore:
             self.revision += 1
 
     def set_lb(self, x: int, v: int) -> None:
-        """Shrink the lower bound of ``x`` up to ``v`` (no-op if weaker)."""
+        """Shrink the lower bound of ``x`` up to ``v`` (no-op if weaker, or
+        if the store is already empty)."""
         if self.infeasible:
             return
         if not 0 <= x < len(self.lbs):
@@ -118,15 +122,11 @@ class PrecedenceLe:
             self._hi = max(max(tails), max(heads))
 
     def propagate(self, store: DomainStore) -> None:
-        if store.infeasible:
-            return
         lbs, _ubs = store.bounds(self._lo, self._hi)
         for i, offset, j in self.arcs:
             v = lbs[i] + offset
             if v > lbs[j]:
                 store.set_lb(j, v)
-                if store.infeasible:
-                    return
 
 
 class Disjunctive:
@@ -147,8 +147,6 @@ class Disjunctive:
         self._lo, self._hi = (min(ids), max(ids)) if ids else (0, -1)
 
     def propagate(self, store: DomainStore) -> None:
-        if store.infeasible:
-            return
         lbs, ubs = store.bounds(self._lo, self._hi)
         live = store.live
         jobs = [(lbs[v], p, ubs[v] + p, v) for v, p in self.items if p > 0 and live >> v & 1]
@@ -160,8 +158,6 @@ class Disjunctive:
             return
         for v, new_est in lifts.items():
             store.set_lb(v, new_est)
-            if store.infeasible:
-                return
 
 
 def _edge_find_lower(jobs):
@@ -305,8 +301,6 @@ class Cumulative:
         self._lo, self._hi = (min(ids), max(ids)) if ids else (0, -1)
 
     def propagate(self, store: DomainStore) -> None:
-        if store.infeasible:
-            return
         lbs, ubs = store.bounds(self._lo, self._hi)
         live = store.live
         for v in self._overfull:
@@ -367,8 +361,6 @@ class Cumulative:
                     new_lb = b
             if new_lb != lb:
                 store.set_lb(v, new_lb)
-                if store.infeasible:
-                    return
 
 
 Propagator = Union[PrecedenceLe, Disjunctive, Cumulative]
@@ -378,7 +370,8 @@ def propagate_once(store: DomainStore, props: Sequence[Propagator]) -> DomainSto
     """Apply each propagator exactly once, in order.
 
     Later propagators see the shrinks of earlier ones.  Infeasibility is a
-    store flag, never an exception.
+    store flag, never an exception; this driver and ``propagate_fixpoint``
+    alone read it, and call no propagator on an empty store.
     """
     for p in props:
         if store.infeasible:

@@ -530,40 +530,43 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
     """Parse a single-mode PSPLIB .sm file.
 
     Reads the job count, precedence relations, per-job durations and
-    resource requests, and renewable-resource availabilities.  Each
-    section's rows are its all-integer lines up to the ``***`` line that
-    closes it.  Zero-duration jobs are dummies, wherever they sit in the
-    graph: the supersource and sink, and any others.  They are contracted,
-    so real job ``a`` precedes real job ``b`` exactly when a path leads
-    from ``a`` to ``b`` through dummies alone.  A cycle is a parse error,
-    also one through dummies alone, which contraction would drop.
+    resource requests, and renewable-resource availabilities.  Each of
+    the five lines that name them must appear once, and every job needs
+    a precedence row and a request row.  Each section's rows are its
+    all-integer lines up to the ``***`` line that closes it.
+    Zero-duration jobs are dummies, wherever they sit in the graph: the
+    supersource and sink, and any others.  They are contracted, so real
+    job ``a`` precedes real job ``b`` exactly when a path leads from ``a``
+    to ``b`` through dummies alone.  A cycle is a parse error, also one
+    through dummies alone, which contraction would drop.
     """
     lines = text.splitlines()
-    n_jobs = None
-    n_renew = None
-    prec_at = None
-    req_at = None
-    avail_at = None
+    at: Dict[str, int] = {}  # each named line's index; a second is an error
     for idx, line in enumerate(lines):
         low = line.lower()
         if "jobs (incl." in low:
-            try:
-                n_jobs = int(line.split(":")[1].strip())
-            except (IndexError, ValueError):
-                raise ParseError("bad job-count line", path, idx + 1)
+            kind = "job-count"
         elif "- renewable" in low:
-            toks = line.split(":")
-            try:
-                n_renew = int(toks[1].split()[0])
-            except (IndexError, ValueError):
-                raise ParseError("bad renewable-resource line", path, idx + 1)
+            kind = "renewable-resource"
         elif "precedence relations" in low:
-            prec_at = idx
+            kind = "precedence-relations"
         elif "requests/durations" in low:
-            req_at = idx
+            kind = "requests/durations"
         elif "resourceavailabilities" in low:
-            avail_at = idx
-    if n_jobs is None or n_renew is None or None in (prec_at, req_at, avail_at):
+            kind = "resource-availabilities"
+        else:
+            continue
+        if kind in at:
+            raise ParseError(f"second {kind} line", path, idx + 1)
+        at[kind] = idx
+        try:
+            if kind == "job-count":
+                n_jobs = int(line.split(":")[1].strip())
+            elif kind == "renewable-resource":
+                n_renew = int(line.split(":")[1].split()[0])
+        except (IndexError, ValueError):
+            raise ParseError(f"bad {kind} line", path, idx + 1)
+    if len(at) < 5:
         raise ParseError("missing a required section", path)
 
     def rows(header: int):
@@ -576,7 +579,7 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
                 return
 
     successors: Dict[int, List[int]] = {}
-    for line, row in rows(prec_at):
+    for line, row in rows(at["precedence-relations"]):
         if len(row) < 3:
             raise ParseError("short precedence row", path, line)
         job, _mode, nsucc = row[0], row[1], row[2]
@@ -588,7 +591,7 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
 
     durations: Dict[int, int] = {}
     usages: Dict[int, List[int]] = {}
-    for line, row in rows(req_at):
+    for line, row in rows(at["requests/durations"]):
         if len(row) < 3 + n_renew:
             raise ParseError("short request/duration row", path, line)
         job = row[0]
@@ -599,7 +602,7 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
         durations[job] = row[2]
         usages[job] = row[3 : 3 + n_renew]
 
-    capacities = next((row[:n_renew] for _line, row in rows(avail_at)), None)
+    capacities = next((row[:n_renew] for _line, row in rows(at["resource-availabilities"])), None)
     if capacities is None or len(capacities) < n_renew:
         raise ParseError("missing resource availabilities", path)
 
@@ -615,7 +618,8 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
             if s not in durations:
                 raise ParseError(f"successor {s} of job {job} unknown", path)
     for job in durations:
-        successors.setdefault(job, [])
+        if job not in successors:
+            raise ParseError(f"no precedence row for job {job}", path)
     order = topological_order(durations, successors)
     if order is None:
         raise ParseError("precedence relations contain a cycle", path)

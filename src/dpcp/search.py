@@ -332,7 +332,8 @@ class _SolveContext:
         plus its CP dual reaches the incumbent, which may have fallen since
         its admission; with propagation off there is no CP term and the
         record's ``store`` is None.  Otherwise the node's CP model is built
-        and propagated (an infeasible store gives an infinite CP dual),
+        and handed to the driver, which leaves a store empty at build as it
+        is (an infeasible store gives an infinite CP dual),
         each successor the store vetoes is dropped, and ``store`` holds the
         node's propagated domains, the floor of each successor's dual.
         Counts the pop, and the expansion only when the node is not
@@ -362,8 +363,7 @@ class _SolveContext:
                 adapter = self.adapter
                 started = time.perf_counter()
                 store, props = adapter.build(state)
-                if not store.infeasible:
-                    self.propagate(store, props)
+                self.propagate(store, props)
                 m.propagation_calls += 1
                 m.propagation_time += time.perf_counter() - started
                 cp_dual = INFINITY if store.infeasible else adapter.dual_cp(state, store)

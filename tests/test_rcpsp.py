@@ -393,6 +393,35 @@ def test_parse_psplib_contraction_matches_its_definition():
     assert chained > 50 and cycles > 50, (chained, cycles)
 
 
+SECTION_LINES = {
+    "job-count": "jobs (incl. supersource/sink ):  6",
+    "renewable-resource": "  - renewable                 :  1   R",
+    "precedence-relations": "PRECEDENCE RELATIONS:",
+    "requests/durations": "REQUESTS/DURATIONS:",
+    "resource-availabilities": "RESOURCEAVAILABILITIES:",
+}
+
+
+@pytest.mark.parametrize("kind", SECTION_LINES)
+def test_parse_psplib_rejects_a_second_section_line(kind):
+    # A later line must not replace the first: a second precedence header
+    # would drop every precedence, and a second resource line resource 2.
+    text = (DATA / "small.sm").read_text() + SECTION_LINES[kind] + "\n"
+    n_lines = text.count("\n")
+    with pytest.raises(ParseError, match=f"small.sm:{n_lines}: second {kind} line$"):
+        parse_psplib(text, "small.sm")
+
+
+def test_parse_psplib_rejects_a_job_without_precedence_row():
+    # Without job 2's row, its arc to job 4, the precedence (0, 2) between
+    # real tasks, would vanish.
+    row = "   2        1          1           4\n"
+    text = (DATA / "small.sm").read_text()
+    assert row in text
+    with pytest.raises(ParseError, match="small.sm: no precedence row for job 2$"):
+        parse_psplib(text.replace(row, ""), "small.sm")
+
+
 def test_parse_psplib_rejects_garbage():
     with pytest.raises(ParseError):
         parse_psplib("not a psplib file", "bad.sm")
