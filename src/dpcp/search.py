@@ -185,22 +185,19 @@ class Registry:
         return node
 
 
-def _resolve_mode(mode: Union[PropagationMode, str, None], adapter) -> PropagationMode:
-    if mode is None:
-        return PropagationMode.ONCE if adapter is not None else PropagationMode.OFF
-    mode = PropagationMode(mode)
-    if mode is not PropagationMode.OFF and adapter is None:
-        raise ValueError(f"propagation mode {mode.value} requires an adapter")
-    return mode
-
-
 class _SolveContext:
-    """State shared by the two drivers for one solve."""
+    """State shared by the two drivers for one solve.  ``mode`` None means
+    ``once`` with an adapter and ``off`` without one."""
 
     def __init__(self, model, adapter, limits, mode):
+        if mode is None:
+            mode = PropagationMode.ONCE if adapter is not None else PropagationMode.OFF
+        mode = PropagationMode(mode)
+        if mode is not PropagationMode.OFF and adapter is None:
+            raise ValueError(f"propagation mode {mode.value} requires an adapter")
         self.model = model
         self.adapter = adapter
-        self.limits = limits
+        self.limits = limits or SolveLimits()
         self.metrics = RunMetrics()
         self.status: Optional[SolveStatus] = None
         self.primal: Cost = INFINITY
@@ -425,41 +422,30 @@ def astar(
 
     The open list keeps one FIFO list of nodes per ``(f, -g)`` key and a
     heap of the keys whose list is not empty, so it stores no entry per
-    node beyond the list slot; popping the oldest node of the smallest key
+    node beyond the list slot; popping the front of the smallest key's list
     is exactly the order of a heap of ``(f, -g, push count)`` entries.
     Returns the proven optimum (or infeasibility) unless a limit fires.
     Optimality is declared when a popped node cannot beat the incumbent
     (``f >= primal``) or the open list empties.
     """
-    mode = _resolve_mode(mode, adapter)
-    ctx = _SolveContext(model, adapter, limits or SolveLimits(), mode)
+    ctx = _SolveContext(model, adapter, limits, mode)
     registry = Registry()
     root = ctx.make_root(registry)
     # ``lists`` maps each key to its nodes, oldest first, and ``keys`` is
-    # the heap of its keys.  ``front`` is the list last popped from and
-    # ``head`` the number of its nodes popped; if a smaller key comes first
-    # before ``front`` is drained, those nodes are cut off it.
+    # the heap of its keys; a key leaves both once its list is empty.
     key = (root.f, -root.g)
     lists = {key: [root]}
     keys = [key]
-    front_key = front = None
-    head = 0
     while ctx.status is None:
         if not keys:
             ctx.status = ctx.exhausted()
             break
         key = keys[0]
-        if key is not front_key:
-            if head:
-                del front[:head]
-            front_key, front, head = key, lists[key], 0
-        node = front[head]
-        head += 1
-        if head == len(front):
+        nodes = lists[key]
+        node = nodes.pop(0)
+        if not nodes:
             heappop(keys)
             del lists[key]
-            front_key = None
-            head = 0
         if node.stale:
             ctx.metrics.stale_skips += 1
             continue
@@ -527,8 +513,7 @@ def cabs(
     notes ``min(primal, smallest cut f)`` as a dual bound.  A pass that a
     limit stops gives no bound.
     """
-    mode = _resolve_mode(mode, adapter)
-    ctx = _SolveContext(model, adapter, limits or SolveLimits(), mode)
+    ctx = _SolveContext(model, adapter, limits, mode)
     width = 1
     while ctx.status is None:
         ctx.metrics.beam_widths.append(width)

@@ -284,13 +284,13 @@ def test_dual_cp_envelope_component():
     )
 
 
-def test_ect_envelope_examples():
+def test_one_resource_envelope_examples():
     assert one_resource_envelope([(0, 3, 2)], 2) == 3
     assert one_resource_envelope([(0, 3, 2), (4, 2, 2)], 2) == 6
     assert one_resource_envelope([], 2) == 0
 
 
-def test_ect_envelope_against_subset_brute_force():
+def test_one_resource_envelope_against_subset_brute_force():
     rng = random.Random(5)
     for _ in range(200):
         k = rng.randint(1, 8)

@@ -1,3 +1,5 @@
+import dataclasses
+import heapq
 import json
 import random
 from pathlib import Path
@@ -106,6 +108,75 @@ def test_astar_pops_smallest_f_then_larger_g_then_push_order():
     result = astar(model)
     assert result.status is SolveStatus.INFEASIBLE
     assert model.popped == ["r", "a", "ad", "adf", "b", "c", "ae", "bg", "z"]
+
+
+def reference_astar(model, adapter, mode):
+    """A* whose open list is one heap of ``(f, -g, push count, node)``
+    entries, the order that ``astar``'s docstring promises, over the same
+    ``_SolveContext``."""
+    ctx = _SolveContext(model, adapter, None, mode)
+    registry = Registry()
+    root = ctx.make_root(registry)
+    heap = [(root.f, -root.g, 0, root)]
+    pushes = 1
+    while ctx.status is None:
+        if not heap:
+            ctx.status = ctx.exhausted()
+            break
+        node = heapq.heappop(heap)[3]
+        if node.stale:
+            ctx.metrics.stale_skips += 1
+            continue
+        if ctx.incumbent is not None and node.f >= ctx.primal:
+            ctx.status = SolveStatus.OPTIMAL
+            break
+        ctx.note_dual(min(ctx.primal, node.f))
+        for child in ctx.process(node, registry):
+            heapq.heappush(heap, (child.f, -child.g, pushes, child))
+            pushes += 1
+    return ctx.finish()
+
+
+def metric_counts(metrics):
+    """Every field of a ``RunMetrics`` but its times."""
+    out = {f.name: getattr(metrics, f.name) for f in dataclasses.fields(metrics)}
+    del out["propagation_time"]
+    for name in ("incumbent_trace", "dual_trace"):
+        out[name] = [cost for _, cost in out[name]]
+    return out
+
+
+@pytest.mark.parametrize("make, make_adapter", [
+    (lambda rng: smswt.SmsModel(random_sms_instance(rng, 12)), smswt.SmsAdapter),
+    (lambda rng: tsptw.TsptwModel(random_tsptw_instance(rng, 12)), tsptw.TsptwAdapter),
+    (lambda rng: rcpsp.RcpspModel(random_rcpsp_instance(rng, 12)), rcpsp.RcpspAdapter),
+], ids=["smswt", "tsptw", "rcpsp"])
+def test_astar_pops_as_one_heap_of_push_counts(monkeypatch, make, make_adapter):
+    """On seeded draws under ``off`` and ``once``, ``astar`` processes the
+    same nodes in the same order as ``reference_astar`` and ends with every
+    count equal; some of the draws skip stale nodes."""
+    original = _SolveContext.process
+    processed = []
+
+    def process(ctx, node, registry):
+        processed.append((node.state, node.g, node.f))
+        return original(ctx, node, registry)
+
+    monkeypatch.setattr(_SolveContext, "process", process)
+    stale = 0
+    for seed in range(20):
+        for mode in (PropagationMode.OFF, PropagationMode.ONCE):
+            runs = []
+            for solve in (astar, reference_astar):
+                model = make(random.Random(seed))
+                adapter = None if mode is PropagationMode.OFF else make_adapter(model)
+                processed.clear()
+                result = solve(model, adapter, mode=mode)
+                runs.append((list(processed), result.status, result.incumbent,
+                             metric_counts(result.metrics)))
+            assert runs[0] == runs[1], (seed, mode)
+            stale += result.metrics.stale_skips
+    assert stale > 0
 
 
 def test_astar_infeasible():
@@ -829,7 +900,7 @@ def test_child_with_infinite_bound_is_declined_without_incumbent(algo, mode, sou
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_KINDS))
-def test_cabs_tables_emptied_at_a_new_incumbent_only_where_build_reads_it(
+def test_cabs_tables_keep_every_entry_at_a_new_incumbent(
     monkeypatch, kind
 ):
     """No ``build`` reads the incumbent, so no kind's CABS tables are
