@@ -42,7 +42,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, check_ceiling
 from .cp_engine import Disjunctive, DomainStore, PropagationAdapter
-from .parsing import read_instance, require_int
+from .parsing import read_instance, require_int, require_list
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,14 @@ class SmsInstance:
 
     @staticmethod
     def from_json(data: dict) -> "SmsInstance":
-        jobs = tuple(
-            SmsJob(p=j["p"], r=j["r"], d=j["d"], deadline=j["deadline"], w=j["w"])
-            for j in data["jobs"]
-        )
+        jobs = []
+        for j in require_list("jobs", data["jobs"]):
+            if not isinstance(j, dict):
+                raise ValueError(f"job must be an object, got {j!r}")
+            jobs.append(SmsJob(p=j["p"], r=j["r"], d=j["d"], deadline=j["deadline"], w=j["w"]))
         if "n" in data and data["n"] != len(jobs):
             raise ValueError("job count does not match 'n'")
-        return SmsInstance(jobs)
+        return SmsInstance(tuple(jobs))
 
 
 class SmsState(NamedTuple):

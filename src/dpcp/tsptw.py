@@ -8,7 +8,9 @@ may return after its deadline.
 The model visits one location at a time: a state is the unvisited set, the
 current location, and the clock.  A state is a dead end as soon as some
 unvisited location cannot be reached within its window even along the
-all-pairs shortest travel paths.  As a DIDP state constraint would,
+all-pairs shortest travel paths.  An instance holds its validated input
+alone: the model derives those paths, with the rest of its table, on
+first use.  As a DIDP state constraint would,
 ``successors`` tests that rule once, on each child, and drops the dead
 ones, so every child arrives within its window.  A dead
 target, or a dead state built by hand, has no successors: each child
@@ -40,7 +42,8 @@ from .parsing import ParseError, int_token, read_instance, require_int, require_
 
 
 class TsptwInstance:
-    """Travel matrix (None marks a missing arc) plus visit windows."""
+    """Travel matrix (None marks a missing arc) plus visit windows, as
+    validated; loading derives nothing from them."""
 
     def __init__(
         self,
@@ -73,35 +76,10 @@ class TsptwInstance:
                 raise ValueError(f"bad window [{r}, {d}]")
             wins.append((r, d))
         self.windows: Tuple[Tuple[int, int], ...] = tuple(wins)
-        self.shortest = self._all_pairs_shortest()
-        self.min_to = tuple(
-            min((c for c in col if c is not None), default=INFINITY) for col in zip(*rows)
-        )
 
     @property
     def n(self) -> int:
         return len(self.travel)
-
-    def _all_pairs_shortest(self):
-        n = self.n
-        dist: List[List[Optional[int]]] = [
-            [0 if i == j else self.travel[i][j] for j in range(n)] for i in range(n)
-        ]
-        for k in range(n):
-            dk = dist[k]
-            for i in range(n):
-                dik = dist[i][k]
-                if dik is None:
-                    continue
-                di = dist[i]
-                for j in range(n):
-                    dkj = dk[j]
-                    if dkj is None:
-                        continue
-                    alt = dik + dkj
-                    if di[j] is None or alt < di[j]:
-                        di[j] = alt
-        return tuple(tuple(row) for row in dist)
 
     def to_json(self) -> dict:
         return {
@@ -212,8 +190,7 @@ class TsptwModel(DpModel):
         exists: ``INFINITY`` too.  The depot alone (only in a one-location
         instance) is a finished tour that enters and leaves nothing: 0.
         """
-        bound = self._scan(state) if state.unvisited or state.location else 0
-        return INFINITY if bound is None else bound
+        return self._scan(state) if state.unvisited or state.location else 0
 
     def assignment(self, state: TsptwState) -> Cost:
         """``dual``'s relaxation solved exactly: the least cost of a
@@ -221,12 +198,11 @@ class TsptwModel(DpModel):
         ``A``, or ``INFINITY`` where there is none or it passes ``|M|``
         longest arcs.  Never below ``dual``.  About four times the cost of
         ``dual`` (``_assign``)."""
-        bound = self._scan(state, exact=True) if state.unvisited or state.location else 0
-        return INFINITY if bound is None else bound
+        return self._scan(state, exact=True) if state.unvisited or state.location else 0
 
-    def _scan(self, state: TsptwState, exact: bool = False) -> Optional[Cost]:
-        """``dual``'s bound, or None; if ``exact``, ``assignment``'s bound,
-        which ``_assign`` takes on from the rows.
+    def _scan(self, state: TsptwState, exact: bool = False) -> Cost:
+        """``dual``'s bound; if ``exact``, ``assignment``'s bound, which
+        ``_assign`` takes on from the rows.
 
         The rows come first, as each ``v_j`` reads them.  Each kept arc
         ``s -> j`` has ``r_s + c_sj <= d_j``, so it is in time from ``s``'s
@@ -270,16 +246,15 @@ class TsptwModel(DpModel):
                     if targets & head and t + c <= due:
                         break
                 else:
-                    return None
+                    return INFINITY
                 u[i] = c
                 rows_sum += c
                 if c > top:
                     top = c
         if exact:
+            # INFINITY is above every ceiling that check_ceiling admits.
             bound = self._assign(state, u, last, top)
-            if bound is None or bound > remaining.bit_count() * self._longest:
-                return None
-            return bound
+            return INFINITY if bound > remaining.bit_count() * self._longest else bound
         # Columns: for each j in U and the depot, its cheapest arc in A
         # (the entered term) and v_j, its least c_sj - u_s over A.
         entered = cols_sum = 0
@@ -303,15 +278,15 @@ class TsptwModel(DpModel):
                     if not best:
                         break
             if best is None:
-                return None
+                return INFINITY
             cols_sum += best
         bound = rows_sum + cols_sum
         if bound > remaining.bit_count() * self._longest:
-            return None  # above the dearest completion: there is none
+            return INFINITY  # above the dearest completion: there is none
         return entered if entered > bound else bound
 
-    def _assign(self, state: TsptwState, u, last, top) -> Optional[Cost]:
-        """``assignment``'s bound before its ceiling test, or None: the
+    def _assign(self, state: TsptwState, u, last, top) -> Cost:
+        """``assignment``'s bound before its ceiling test: the
         least-cost perfect matching of ``M`` onto ``U`` and the depot over
         ``A``, found from the scan's row minima ``u``, the depot's sources
         ``last`` and the largest ``u``, ``top``.  As in ``_scan``, an arc
@@ -328,8 +303,8 @@ class TsptwModel(DpModel):
         on ``A`` and raises ``sum(u) + sum(v)`` by the path's length; at
         the end ``M`` is matched whole and the sum is the matching's cost.
         A row that reaches no free column proves ``A`` has no perfect
-        matching: None.  Entries of ``u`` and ``v`` off ``M`` and off the
-        columns stay 0."""
+        matching: ``INFINITY``.  Entries of ``u`` and ``v`` off ``M`` and
+        off the columns stay 0."""
         rows = self._table[0]
         unvisited, here, t = state
         n = self._n
@@ -356,7 +331,7 @@ class TsptwModel(DpModel):
                         if not rc and col_of[s] < 0:
                             break
             if best is None:
-                return None
+                return INFINITY
             v[j] = best
             if col_of[arg] < 0:
                 col_of[arg] = j
@@ -390,7 +365,7 @@ class TsptwModel(DpModel):
                             dist[j] = nd
                             pred[j] = i
                 if not dist:
-                    return None
+                    return INFINITY
                 j = min(dist, key=dist.__getitem__)
                 d0 = done[j] = dist.pop(j)
                 i = row_of[j]
@@ -416,18 +391,31 @@ class TsptwModel(DpModel):
 
         ``bits[k]`` is ``1 << k``, shared by every entry.  Row ``i`` is
         ``(bits[i], i, r_i, d_i, min_to[i], ins, arcs)``, with the depot's
-        release taken as 0, as a tour leaves it at time 0.  ``arcs`` holds
-        ``(c_ij, bits[j], d_j, j)`` and ``ins`` holds ``(c_si, bits[s], s)``,
-        cheapest first, the depot's deadline ``INFINITY``, less each arc
-        ``s -> j`` with ``r_s + c_sj > d_j``, which no arrival at ``s`` can
-        take.  ``latest[i]`` holds ``(d_k - shortest[i][k], bits[k])``,
-        ascending, for each other ``k`` but the depot: the latest arrival
-        at ``i`` that still reaches ``k`` in time, or -1, below every
-        arrival, if none."""
+        release taken as 0, as a tour leaves it at time 0; ``min_to[i]``
+        is the cheapest arc into ``i`` from any location, ``INFINITY`` if
+        none enters it.  ``arcs`` holds ``(c_ij, bits[j], d_j, j)`` and
+        ``ins`` holds ``(c_si, bits[s], s)``, cheapest first, the depot's
+        deadline ``INFINITY``, less each arc ``s -> j`` with
+        ``r_s + c_sj > d_j``, which no arrival at ``s`` can take.
+        ``latest[i]`` holds ``(d_k - shortest[i][k], bits[k])``, ascending,
+        for each other ``k`` but the depot: the latest arrival at ``i`` that
+        still reaches ``k`` in time, or -1, below every arrival, if none.
+        ``shortest`` is the least travel along any path, by Floyd and
+        Warshall's relaxation through each location in turn, ``INFINITY``
+        where no path leads."""
         inst = self.instance
         bits = tuple(1 << k for k in range(inst.n))
         release = (0,) + tuple(r for r, _d in inst.windows[1:])
         due = (INFINITY,) + tuple(d for _r, d in inst.windows[1:])
+        shortest = [[INFINITY if c is None else c for c in row] for row in inst.travel]
+        min_to = [min(col) for col in zip(*shortest)]
+        for k, via in enumerate(shortest):
+            for dist in shortest:
+                to_k = dist[k]
+                if to_k < INFINITY:
+                    for j, c in enumerate(via):
+                        if to_k + c < dist[j]:
+                            dist[j] = to_k + c
         kept = [
             (c, i, j)
             for i, row in enumerate(inst.travel)
@@ -439,9 +427,9 @@ class TsptwModel(DpModel):
             outs[i].append((c, bits[j], due[j], j))
             ins[j].append((c, bits[i], i))
         rows, latest = [], []
-        for i, (reach, (_r, d)) in enumerate(zip(inst.shortest, inst.windows)):
-            rows.append((bits[i], i, release[i], d, inst.min_to[i], tuple(ins[i]), tuple(outs[i])))
-            pairs = [(-1 if s is None else dk - s, b) for s, dk, b in zip(reach, due, bits)]
+        for i, (reach, (_r, d)) in enumerate(zip(shortest, inst.windows)):
+            rows.append((bits[i], i, release[i], d, min_to[i], tuple(ins[i]), tuple(outs[i])))
+            pairs = [(dk - s if s < INFINITY else -1, b) for s, dk, b in zip(reach, due, bits)]
             latest.append(tuple(sorted(pairs[1:i] + pairs[i + 1 :])))  # neither depot nor i
         self._table = table = (tuple(rows), tuple(latest), bits)
         return table

@@ -266,10 +266,45 @@ def reference_sms_bound(instance: smswt.SmsInstance, mask: int, ests) -> int:
     return max(separable, weighted_completion - sum(jobs[i].w * jobs[i].d for i in pending))
 
 
+@lru_cache(maxsize=1024)
+def tsptw_shortest(instance: tsptw.TsptwInstance):
+    """``dist[s][k]``, the least travel from ``s`` to ``k`` along any path
+    (0 from a location to itself), None where no path leads: every arc is
+    relaxed from every source until no distance falls."""
+    arcs = [
+        (i, j, c)
+        for i, row in enumerate(instance.travel)
+        for j, c in enumerate(row)
+        if c is not None
+    ]
+    dist = [[0 if s == k else None for k in range(instance.n)] for s in range(instance.n)]
+    changed = True
+    while changed:
+        changed = False
+        for row in dist:
+            for i, j, c in arcs:
+                if row[i] is not None and (row[j] is None or row[i] + c < row[j]):
+                    row[j] = row[i] + c
+                    changed = True
+    return tuple(tuple(row) for row in dist)
+
+
+@lru_cache(maxsize=1024)
+def tsptw_min_to(instance: tsptw.TsptwInstance):
+    """Each location's cheapest arc in from any location, ``INFINITY``
+    where no arc enters it."""
+    best = [INFINITY] * instance.n
+    for row in instance.travel:
+        for j, c in enumerate(row):
+            if c is not None and c < best[j]:
+                best[j] = c
+    return tuple(best)
+
+
 def tsptw_blocked(instance: tsptw.TsptwInstance, state) -> bool:
     """The TSPTW dead-end rule: some unvisited location has no path from
     here, or misses its window even along the shortest path."""
-    row = instance.shortest[state.location]
+    row = tsptw_shortest(instance)[state.location]
     return any(
         row[k] is None or state.time + row[k] > instance.windows[k][1]
         for k in range(instance.n)

@@ -365,10 +365,14 @@ def test_numbers_written_as_strings_are_named(tmp_path, capsys, command, problem
         ("rcpsp", small_rcpsp_json, ("capacities",), 3, "capacities must be a list, got 3"),
         ("rcpsp", small_rcpsp_json, ("precedences",), 5, "precedences must be a list, got 5"),
         ("rcpsp", small_rcpsp_json, ("tasks", 1, "p"), [2], "task duration must be an integer, got [2]"),
+        ("smswt", lambda: TWO_JOB_SMS, ("jobs",), 5, "jobs must be a list, got 5"),
+        ("smswt", lambda: TWO_JOB_SMS, ("jobs", 1), 5, "job must be an object, got 5"),
+        ("smswt", lambda: TWO_JOB_SMS, ("jobs",), {"a": 1}, "jobs must be a list, got {'a': 1}"),
     ],
     ids=[
         "travel-matrix", "travel-row", "windows", "window", "long-window", "travel-time-list",
         "tasks", "task", "usages", "capacities", "precedences", "duration-list",
+        "jobs", "job", "jobs-object",
     ],
 )
 def test_lists_and_numbers_in_each_others_place_are_named(

@@ -39,6 +39,8 @@ from conftest import (
     solve_all_modes,
     store_domains,
     tsptw_blocked,
+    tsptw_min_to,
+    tsptw_shortest,
     vetoed,
 )
 
@@ -151,7 +153,7 @@ def test_dual_examples():
     # min_to, each location's cheapest arc in from any source: the column
     # minima of the whole matrix, 2 + 2 + 3 = 7, below the reduction.
     inst = model.instance
-    assert inst.min_to[0] + inst.min_to[1] + inst.min_to[2] == 7
+    assert sum(tsptw_min_to(inst)) == 7
     # At 1 with only 2 left (clock 2): here leaves for U alone, u_1 =
     # c12 = 4 (the depot leg c10 = 2 counted while here could target the
     # depot), and 2 only for the depot, u_2 = c20 = 3.  v_2 = c12 - u_1 =
@@ -200,13 +202,14 @@ def completion_arcs(inst, state):
     t = state.time
     unvisited = members(state.unvisited, inst.n)
     arrival = {k: max(t, inst.windows[k][0]) for k in unvisited}
+    min_to = tsptw_min_to(inst)
     arcs = []
     for s in unvisited + [state.location]:
         if s == state.location:
             may_be_last = not unvisited
         else:
             d = inst.windows[s][1]
-            may_be_last = all(arrival[k] + inst.min_to[s] <= d for k in unvisited if k != s)
+            may_be_last = all(arrival[k] + min_to[s] <= d for k in unvisited if k != s)
         for j, c in enumerate(inst.travel[s]):
             if c is None:
                 continue
@@ -267,10 +270,11 @@ def separate_leave_costs(inst, state):
     location has none."""
     t = state.time
     arrival = {j: max(t, inst.windows[j][0]) for j in iter_bits(state.unvisited)}
+    min_to = tsptw_min_to(inst)
     items = []
     for i in iter_bits(state.unvisited | 1 << state.location):
         a, d = leave_time(inst, i, t), inst.windows[i][1]
-        may_be_last = all(arrival[k] + inst.min_to[i] <= d for k in arrival if k != i)
+        may_be_last = all(arrival[k] + min_to[i] <= d for k in arrival if k != i)
         costs = [
             c
             for j, c in enumerate(inst.travel[i])
@@ -322,19 +326,21 @@ def min_to_dual(inst, state):
     items = separate_leave_costs(inst, state)
     if items is None:
         return INFINITY
-    into = inst.min_to[0]
+    min_to = tsptw_min_to(inst)
+    into = min_to[0]
     for i in iter_bits(state.unvisited):
-        into = add(into, inst.min_to[i])
+        into = add(into, min_to[i])
     return max(into, sum(c for _i, c in items))
 
 
 def entered_left_dual(inst, state):
     """The bound before leave costs tested time windows: the larger of the
     entered sum and the cheapest arc out of each location in ``M``."""
-    into, out_of = inst.min_to[0], 0
+    min_to = tsptw_min_to(inst)
+    into, out_of = min_to[0], 0
     for i in iter_bits(state.unvisited | 1 << state.location):
         if i != state.location:
-            into = add(into, inst.min_to[i])
+            into = add(into, min_to[i])
         row = [c for c in inst.travel[i] if c is not None]
         out_of = add(out_of, min(row) if row else INFINITY)
     return max(into, out_of)
@@ -353,7 +359,7 @@ def test_dropped_children_have_no_completion():
     travel = [[None, 3, 4, 2, 6], [5, None, 2, 6, 1], [7, 1, None, 3, 2],
               [2, 4, 5, None, 3], [4, 2, 6, 1, None]]
     instances.append(TsptwInstance(without_arcs(travel, {(4, j) for j in range(5)}), [(0, 100)] * 5))
-    assert instances[-1].shortest[4][1] is None
+    assert tsptw_shortest(instances[-1])[4][1] is None
     kept = omitted = 0
     for inst in instances:
         k, o = check_dropped_children_dead(TsptwModel(inst), UnfilteredTsptwModel(inst), tsptw_blocked)
@@ -377,7 +383,7 @@ def test_successors_on_hand_built_states():
     travel = [[None, 3, 4, 2, 6], [5, None, 2, 6, 1], [7, 1, None, 3, 2],
               [2, 4, 5, None, 3], [4, 2, 6, 1, None]]
     instances.append(TsptwInstance(without_arcs(travel, {(i, 2) for i in range(5)}), [(0, 100)] * 5))
-    assert instances[-1].shortest[0][2] is None
+    assert tsptw_shortest(instances[-1])[0][2] is None
     blocked = blocked_with_moves = kept = dropped = 0
     for inst in instances:
         model, unfiltered = TsptwModel(inst), UnfilteredTsptwModel(inst)
@@ -421,7 +427,7 @@ def test_dual_matches_per_state_sum():
     for arcs in cut.values():
         instances.append(TsptwInstance(without_arcs(travel, arcs), windows))
     no_entry, no_depot_entry, no_exit = instances[-3:]
-    assert no_entry.min_to[2] == no_depot_entry.min_to[0] == INFINITY
+    assert tsptw_min_to(no_entry)[2] == tsptw_min_to(no_depot_entry)[0] == INFINITY
     target = TsptwModel(no_exit).target_state()
     assert reference_leave_costs(no_exit, target) is None
     assert TsptwModel(no_exit).dual(target) == INFINITY
