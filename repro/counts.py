@@ -57,7 +57,7 @@ INSTANCES = {
 }
 
 
-def _load_perfbench():
+def load_perfbench():
     """``(gen, workloads)`` from ``perfbench/``, loaded without writing
     bytecode there; ``workloads`` imports ``gen`` by that name."""
     names = ("gen", "workloads")
@@ -85,7 +85,7 @@ def _load_perfbench():
 def families():
     """``{name: (family, count)}``: each ``workloads.Family`` of the sweep
     and the number of its instances, from index 0, that it solves."""
-    gen, workloads = _load_perfbench()
+    gen, workloads = load_perfbench()
     out = {}
     for wl in workloads.WORKLOADS.values():
         for name, size in wl.parts.items():

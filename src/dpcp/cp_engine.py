@@ -135,21 +135,22 @@ class Disjunctive:
     Each item is ``(start_var, duration)`` with a constant duration, as
     edge-finding is defined over fixed processing times.
 
-    Jobs of duration zero impose nothing and are skipped, and so are jobs
-    whose variable is not in ``store.live``.  One application runs the
-    overload check and one pass lifting earliest starts, both from the
-    entry bounds; latest starts are read, never written.
+    Jobs whose variable is not in ``store.live`` are skipped.  One
+    application runs the overload check and one pass lifting earliest
+    starts, both from the entry bounds; latest starts are read, never
+    written.
     """
 
     def __init__(self, items: Iterable[Tuple[int, int]]):
-        self.items = list(items)
+        # Jobs of duration zero impose nothing.
+        self.items = [(v, p) for v, p in items if p > 0]
         ids = [v for v, _ in self.items]
         self._lo, self._hi = (min(ids), max(ids)) if ids else (0, -1)
 
     def propagate(self, store: DomainStore) -> None:
         lbs, ubs = store.bounds(self._lo, self._hi)
         live = store.live
-        jobs = [(lbs[v], p, ubs[v] + p, v) for v, p in self.items if p > 0 and live >> v & 1]
+        jobs = [(lbs[v], p, ubs[v] + p, v) for v, p in self.items if live >> v & 1]
         if not jobs:
             return
         lifts = _edge_find_lower(jobs)

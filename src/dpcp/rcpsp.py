@@ -526,14 +526,29 @@ def ordering_optimum(instance: RcpspInstance) -> int:
     return best
 
 
+# The named lines that every PSPLIB file holds; the nonrenewable and doubly
+# constrained resource counts may be missing.
+_REQUIRED_LINES = {
+    "job-count",
+    "renewable-resource",
+    "precedence-relations",
+    "requests/durations",
+    "resource-availabilities",
+}
+
+
 def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
     """Parse a single-mode PSPLIB .sm file.
 
     Reads the job count, precedence relations, per-job durations and
     resource requests, and renewable-resource availabilities.  Each of
-    the five lines that name them must appear once, and every job needs
-    a precedence row and a request row.  Each section's rows are its
-    all-integer lines up to the ``***`` line that closes it.
+    the five lines that name them must appear once, and so may the lines
+    that count nonrenewable and doubly constrained resources (0 where
+    missing).  Every job needs a precedence row and a request row.  Each
+    section's rows are its all-integer lines up to the ``***`` line that
+    closes it.  A request row holds the job, its mode and its duration,
+    then one value per resource of the three kinds, and the availability
+    row one value per resource; only the renewable ones are read.
     Zero-duration jobs are dummies, wherever they sit in the graph: the
     supersource and sink, and any others.  They are contracted, so real
     job ``a`` precedes real job ``b`` exactly when a path leads from ``a``
@@ -542,12 +557,17 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
     """
     lines = text.splitlines()
     at: Dict[str, int] = {}  # each named line's index; a second is an error
+    resources: Dict[str, int] = {}  # each resource line's count
     for idx, line in enumerate(lines):
         low = line.lower()
         if "jobs (incl." in low:
             kind = "job-count"
         elif "- renewable" in low:
             kind = "renewable-resource"
+        elif "- nonrenewable" in low:
+            kind = "nonrenewable-resource"
+        elif "- doubly constrained" in low:
+            kind = "doubly-constrained-resource"
         elif "precedence relations" in low:
             kind = "precedence-relations"
         elif "requests/durations" in low:
@@ -562,12 +582,16 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
         try:
             if kind == "job-count":
                 n_jobs = int(line.split(":")[1].strip())
-            elif kind == "renewable-resource":
-                n_renew = int(line.split(":")[1].split()[0])
+            elif kind.endswith("-resource"):
+                resources[kind] = int(line.split(":")[1].split()[0])
+                if resources[kind] < 0:
+                    raise ValueError
         except (IndexError, ValueError):
             raise ParseError(f"bad {kind} line", path, idx + 1)
-    if len(at) < 5:
+    if not _REQUIRED_LINES <= at.keys():
         raise ParseError("missing a required section", path)
+    n_renew = resources["renewable-resource"]
+    width = sum(resources.values())  # values per request and availability row
 
     def rows(header: int):
         # (line number, integers) for each row of the section under header.
@@ -592,8 +616,10 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
     durations: Dict[int, int] = {}
     usages: Dict[int, List[int]] = {}
     for line, row in rows(at["requests/durations"]):
-        if len(row) < 3 + n_renew:
-            raise ParseError("short request/duration row", path, line)
+        if len(row) != 3 + width:
+            raise ParseError(
+                f"request/duration row holds {len(row)} integers, not {3 + width}", path, line
+            )
         job = row[0]
         if job in durations:
             raise ParseError(f"second request/duration row for job {job}", path, line)
@@ -602,9 +628,14 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
         durations[job] = row[2]
         usages[job] = row[3 : 3 + n_renew]
 
-    capacities = next((row[:n_renew] for _line, row in rows(at["resource-availabilities"])), None)
-    if capacities is None or len(capacities) < n_renew:
+    line, available = next(rows(at["resource-availabilities"]), (None, None))
+    if available is None:
         raise ParseError("missing resource availabilities", path)
+    if len(available) != width:
+        raise ParseError(
+            f"resource availability row holds {len(available)} integers, not {width}", path, line
+        )
+    capacities = available[:n_renew]
 
     if len(durations) != n_jobs:
         raise ParseError(

@@ -26,11 +26,12 @@ from dpcp import rcpsp, smswt, tsptw
 from dpcp.search import SearchNode, _SolveContext
 
 
-def load_perfbench_gen():
-    """``perfbench/gen.py``, the benchmark's seeded instance generators,
-    loaded read-only."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+@lru_cache(maxsize=None)
+def load_counts():
+    """``repro/counts.py``, the count ledger, loaded by path.  Its
+    ``load_perfbench`` loads ``perfbench/``'s generators read-only."""
+    path = Path(__file__).resolve().parents[1] / "repro" / "counts.py"
+    spec = importlib.util.spec_from_file_location("repro_counts", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -46,7 +46,7 @@ from conftest import (
     ReferenceRcpspModel,
     UnfilteredSmsModel,
     UnfilteredTsptwModel,
-    load_perfbench_gen,
+    load_counts,
     one_resource_envelope,
     random_rcpsp_instance,
     random_sms_instance,
@@ -226,7 +226,8 @@ def test_rcpsp_search_stores_hold_every_child_start(index):
     # On the benchmark's ``rcpsp-sparse`` pool instances (n = 12), where
     # enumeration is out of reach, A* ``fixpoint`` finds every store it
     # builds feasible and holding each child's start.
-    doc = load_perfbench_gen().rcpsp(random.Random(f"rcpsp-sparse:{index}"), 12, 3, 0.1)
+    gen, _workloads = load_counts().load_perfbench()
+    doc = gen.rcpsp(random.Random(f"rcpsp-sparse:{index}"), 12, 3, 0.1)
     model = rcpsp.RcpspModel(rcpsp.RcpspInstance.from_json(doc))
     adapter = CheckedRcpspAdapter(model)
     result = astar(model, adapter, mode=PropagationMode.FIXPOINT)

@@ -1,6 +1,7 @@
 import csv
 import json
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -233,6 +234,124 @@ def test_solve_psplib_and_matrix_formats(tmp_path, capsys):
     ts_report = json.loads(capsys.readouterr().out)
     assert ts_report["cost"] == 9
     assert rc_report["status"] == "Optimal"
+
+
+class Fixture(NamedTuple):
+    """What one instance file in ``tests/data`` pins."""
+
+    problem: str
+    oracle: object  # the oracle's answer: the optimum, or "INFEASIBLE"
+    root_exact: bool  # A* without propagation bounds the root by the optimum
+    cabs: Optional[tuple]  # CABS's expansions, generated and pops, alike in every mode
+    why: str
+
+
+# Every file in ``tests/data`` that solves to an answer.  Each must solve
+# to its oracle's answer with both algorithms in every propagation mode and
+# report a root dual equal to that cost, since a dual bound that overshoots
+# the optimum anywhere in a solve raises the root dual above it; a proven-
+# infeasible run reports cost null and root dual inf, also under off, where
+# the root's own bound is finite.  Where ``root_exact`` is set, A* without
+# propagation, stopped before its first expansion, must already report the
+# optimum as its root dual.  Where ``cabs`` is set, propagation saves no
+# pop, so CABS must search alike under off, once and fixpoint; its pops are
+# off's expansions plus pruned_by_f and the other modes' propagation_calls
+# plus reused, so a pop that some mode counts nowhere, or twice, fails.
+# The two malformed files are rows of the tests that reject their damage:
+# overflow_sms.json of ``ABOVE_MAX_COST`` and extra_tokens_tsptw.txt of
+# ``test_parse_matrix_rejects_tokens_after_the_matrix`` in test_tsptw.py.
+FIXTURES = {
+    "small.sm": Fixture(
+        "rcpsp", 9, True, (4, 6, 5),
+        "the critical path is the optimum: each pending task's duration in place of its tail "
+        "reads 7, and CABS off without the pop's own f test 10 15",
+    ),
+    "dummies.sm": Fixture(
+        "rcpsp", 7, False, None,
+        "A precedes B only through a chain of two zero-duration jobs: a parser that drops "
+        "a precedence through more than one dummy reads 5",
+    ),
+    "clash_rcpsp.json": Fixture(
+        "rcpsp", 12, True, None,
+        "no two of tasks 0, 1 and 2 can overlap: a bound without the clash-sequence floor "
+        "reads 9, one with resource clashes alone 10",
+    ),
+    "tiny_sms.json": Fixture("smswt", 96, False, (7, 24, 8), "five jobs with releases"),
+    "wspt_sms.json": Fixture(
+        "smswt", 73, True, None,
+        "every job is late in any order, so the WSPT queue term is exact: the separable "
+        "sum alone reads 0",
+    ),
+    "dead_root_sms.json": Fixture("smswt", "INFEASIBLE", False, None, "the target is a dead end"),
+    "tiny_tsptw.txt": Fixture("tsptw", 9, False, None, "three locations in the matrix format"),
+    "late_arcs_tsptw.txt": Fixture(
+        "tsptw", 43, False, (4, 5, 5),
+        "location 2's cheapest arc is never in time and 3 to 4 meets 4's deadline exactly "
+        "from 3's release: a bound that keeps out an arc it must keep overshoots",
+    ),
+    "depot_release_tsptw.txt": Fixture(
+        "tsptw", 14, False, None,
+        "the depot is released at 50, but a tour leaves it at 0 and reaches location 1 by "
+        "its deadline 5 only straight from there: a tour started at the release reads Infeasible",
+    ),
+    "reduced_tsptw.txt": Fixture(
+        "tsptw", 20, True, None,
+        "the row minima sum to 13 and the column terms left after them to 7: the larger "
+        "of the entered and leave sums apart reads 13",
+    ),
+    "dead_root_tsptw.txt": Fixture("tsptw", "INFEASIBLE", False, None, "the target is a dead end"),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_oracle(capsys, name):
+    fixture = FIXTURES[name]
+    assert main(["oracle", str(DATA / name), "--problem", fixture.problem]) == 0
+    assert capsys.readouterr().out.strip() == str(fixture.oracle), fixture.why
+
+
+@pytest.mark.parametrize("mode", ["off", "once", "fixpoint"])
+@pytest.mark.parametrize("algo", ["astar", "cabs"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_solves_to_its_oracle(capsys, name, algo, mode):
+    fixture = FIXTURES[name]
+    code = main(["solve", str(DATA / name), "--problem", fixture.problem, "--algo", algo,
+                 "--propagation", mode])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    if fixture.oracle == "INFEASIBLE":
+        want = ("Infeasible", None, "inf")
+    else:
+        want = ("Optimal", fixture.oracle, fixture.oracle)
+    assert (report["status"], report["cost"], report["root_dual"]) == want, fixture.why
+    if algo == "cabs" and fixture.cabs:
+        m = report["metrics"]
+        if mode == "off":
+            pops = m["expansions"] + m["pruned_by_f"]
+        else:
+            pops = m["propagation_calls"] + m["reused"]
+        assert (m["expansions"], m["generated"], pops) == fixture.cabs, fixture.why
+
+
+@pytest.mark.parametrize("name", [name for name, f in FIXTURES.items() if f.root_exact])
+def test_fixture_root_dual_before_the_first_expansion(capsys, name):
+    fixture = FIXTURES[name]
+    code = main(["solve", str(DATA / name), "--problem", fixture.problem, "--algo", "astar",
+                 "--propagation", "off", "--expansion-cap", "0"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["root_dual"] == fixture.oracle, fixture.why
+
+
+def test_bench_solves_every_fixture_to_its_oracle(tmp_path):
+    manifest = [{"instance": str(DATA / name), "problem": f.problem} for name, f in FIXTURES.items()]
+    mpath = write_json(tmp_path / "manifest.json", manifest)
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(mpath), "--output", str(out)]) == 0
+    rows = [r for r in csv.DictReader(out.read_text().splitlines())
+            if r["instance"] != "[summary]"]
+    want = [("Infeasible", "") if f.oracle == "INFEASIBLE" else ("Optimal", str(f.oracle))
+            for f in FIXTURES.values()]
+    assert [(r["status"], r["cost"]) for r in rows] == want
 
 
 def test_generate_deterministic_and_tau_zero(tmp_path, capsys):

@@ -7,21 +7,12 @@ failure too.
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
-
-def load_counts():
-    path = Path(__file__).resolve().parents[1] / "repro" / "counts.py"
-    spec = importlib.util.spec_from_file_location("repro_counts", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_counts
 
 
 def test_small_pools_match_the_ledger():
     counts = load_counts()
-    _gen, workloads = counts._load_perfbench()
+    _gen, workloads = counts.load_perfbench()
     small = {name for wl in workloads.WORKLOADS.values() for name in wl.oracle}
     got = counts.sweep(small)
     want = {key: entry for key, entry in counts.read_ledger().items() if key.split(":")[0] in small}

@@ -11,6 +11,7 @@ same search with the replay switched off.
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +26,12 @@ from dpcp import (
     smswt,
     tsptw,
 )
+from dpcp.cli import PROBLEMS
 from dpcp.search import _SolveContext
 
 from conftest import random_rcpsp_instance, random_tsptw_instance, solve_all_modes
+
+DATA = Path(__file__).parent / "data"
 
 
 def sms_instances():
@@ -235,6 +239,22 @@ def test_cabs_reuse_leaves_the_search_unchanged(monkeypatch, family, mode):
     for name in ("successors", "dual"):
         assert shipped_calls[name] < fresh_calls[name], (name, shipped_calls, fresh_calls)
     assert reused > 0
+
+
+@pytest.mark.parametrize("mode", list(PropagationMode))
+@pytest.mark.parametrize(
+    "kind, name", [("smswt", "tiny_sms.json"), ("tsptw", "tiny_tsptw.txt"), ("rcpsp", "small.sm")]
+)
+def test_cabs_replays_kept_expansions_on_the_fixtures(kind, name, mode):
+    """CABS replays some kept expansion on each fixture, in every mode, off
+    included.  On tiny_tsptw.txt and small.sm every replay under once and
+    fixpoint comes after the incumbent has improved, so a search that
+    reuses stores only under an unchanged incumbent replays nothing there.
+    One instance cannot take ``test_cabs_reuse_leaves_the_search_unchanged``'s
+    check of fewer model calls: a replay of a pruned pop saves none."""
+    problem = PROBLEMS[kind]
+    model = problem.model(problem.module.load_instance(str(DATA / name)))
+    assert cabs(model, problem.adapter(model), mode=mode).metrics.reused > 0
 
 
 @pytest.mark.parametrize("mode", [PropagationMode.ONCE, PropagationMode.FIXPOINT])

@@ -121,9 +121,16 @@ def test_fixtures_parse_unmutated():
          "second request"),
         ("   4        1          1           6", "   4        1          1           6\n   4        1          0",
          "second precedence"),
+        # With one renewable resource declared, every row holds one value
+        # too many; reading only the first would give a one-resource instance.
+        ("  - renewable                 :  2   R", "  - renewable                 :  1   R",
+         "small.sm:29: request/duration row holds 5 integers, not 4"),
+        ("   3    2", "   3    2    1", "small.sm:38: resource availability row holds 3 integers, not 2"),
+        ("  - nonrenewable              :  0   N", "  - nonrenewable              :  1   N",
+         "request/duration row holds 5 integers, not 6"),
     ],
 )
 def test_psplib_edits_rejected(old, new, message):
     assert old in SMALL_SM
     with pytest.raises(ParseError, match=message):
-        parse_psplib(SMALL_SM.replace(old, new))
+        parse_psplib(SMALL_SM.replace(old, new), "small.sm")

@@ -28,7 +28,7 @@ from conftest import (
     ReferenceRcpspModel,
     critical_path_length,
     energy_ceiling,
-    load_perfbench_gen,
+    load_counts,
     one_resource_envelope,
     random_rcpsp_instance,
     rcpsp_clash_floor,
@@ -340,7 +340,7 @@ def test_parse_psplib_contraction_matches_its_definition():
     # through zero-duration jobs alone.  Benchmark draws, rendered as
     # PSPLIB, with random tasks set to duration 0, put dummies inside the
     # graph and in chains, next to the rendering's source and sink.
-    gen = load_perfbench_gen()
+    gen, _workloads = load_counts().load_perfbench()
     rng = random.Random(67)
     chained = cycles = 0
     for k in range(150):
@@ -396,6 +396,8 @@ def test_parse_psplib_contraction_matches_its_definition():
 SECTION_LINES = {
     "job-count": "jobs (incl. supersource/sink ):  6",
     "renewable-resource": "  - renewable                 :  1   R",
+    "nonrenewable-resource": "  - nonrenewable              :  0   N",
+    "doubly-constrained-resource": "  - doubly constrained        :  0   D",
     "precedence-relations": "PRECEDENCE RELATIONS:",
     "requests/durations": "REQUESTS/DURATIONS:",
     "resource-availabilities": "RESOURCEAVAILABILITIES:",

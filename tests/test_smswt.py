@@ -32,6 +32,7 @@ from conftest import (
     UnfilteredSmsModel,
     check_dropped_children_dead,
     expand_once,
+    load_counts,
     random_sms_instance,
     reference_sms_bound,
     sms_blocked,
@@ -337,6 +338,20 @@ def test_generator_config_validation():
             SmsGeneratorConfig(n=5, tau=0.5, rho=0.25, phi=bad)
 
 
+@pytest.mark.parametrize("knobs", [(14, 0.4, 0.05, 0.9), (16, 0.6, 0.25, 1.05), (6, 0.0, 0.5, 1.5)])
+def test_generate_draws_what_the_benchmark_draws(knobs):
+    # perfbench/gen.py's ``sms`` makes the same draws as ``dpcp generate``:
+    # one instance from ``random.Random(seed)``, and with ``count`` > 1 the
+    # k-th instance is the k-th draw from that one generator.
+    gen, _workloads = load_counts().load_perfbench()
+    for seed in range(30):
+        one = generate_instances(SmsGeneratorConfig(*knobs, seed=seed))
+        assert one == [SmsInstance.from_json(gen.sms(random.Random(seed), *knobs))], seed
+        rng = random.Random(seed)
+        draws = [SmsInstance.from_json(gen.sms(rng, *knobs)) for _ in range(3)]
+        assert generate_instances(SmsGeneratorConfig(*knobs, seed=seed, count=3)) == draws, seed
+
+
 def test_json_roundtrip():
     inst = random_sms_instance(random.Random(8), 6)
     again = SmsInstance.from_json(json.loads(json.dumps(inst.to_json())))
@@ -412,3 +427,4 @@ def test_propagation_never_filters_optimal_path():
                     g += w
                     state = s
                     break
+
