@@ -1,14 +1,14 @@
 """Count ledger: every deterministic count of one fixed solve sweep.
 
-The sweep solves every perfbench pool instance, plus ``rcpsp14``,
-``rcpsp18`` and ``rcpsp20-tight`` at ``:0..5``, under A* and CABS with
-propagation ``off``, ``once`` and ``fixpoint``, without limits.  Pool
-instances are drawn as ``perfbench/workloads.py`` draws them, from
-``perfbench/gen.py`` and ``workloads.FAMILIES``, both loaded read-only; a
-pool holds as many instances as its largest workload part, and each
-n <= 10 family ``SMALL_POOL``.  The three RCPSP families are drawn with
-``gen.rcpsp`` from ``random.Random("<name>:<k>")``, as ROADMAP's draw table
-sets out.
+The sweep solves every perfbench pool instance, plus the ``EXTRA``
+families, under A* and CABS with propagation ``off``, ``once`` and
+``fixpoint``, without limits.  Pool instances are drawn as
+``perfbench/workloads.py`` draws them, from ``perfbench/gen.py`` and
+``workloads.FAMILIES``, both loaded read-only; a pool holds as many
+instances as its largest workload part, and each n <= 10 family
+``SMALL_POOL``.  Each ``EXTRA`` family names its kind and its ``gen``
+draw, made from ``random.Random("<name>:<k>")`` as ROADMAP's draw table
+sets out: ``SMALL_POOL`` instances at n <= 10, else ``EXTRA_POOL``.
 
 ``counts.json`` holds one line per solve, sorted by its key
 ``"<family>:<index> <algo> <mode>"``: the status, the cost and every
@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import random
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -42,13 +41,16 @@ from dpcp import rcpsp, smswt, tsptw  # noqa: E402
 from dpcp.cli import PROBLEMS, SOLVERS  # noqa: E402
 from dpcp.cost import cost_to_json  # noqa: E402
 
-SMALL_POOL = 10  # instances of each n <= 10 family
-EXTRA = {  # name: gen.rcpsp's (n, resources, density), drawn at :0..5
-    "rcpsp14": (14, 3, 0.1),
-    "rcpsp18": (18, 3, 0.1),
-    "rcpsp20-tight": (20, 4, 0.2),
+SMALL_N = 10  # the most jobs, locations or tasks of a small family
+SMALL_POOL = 10  # instances of each small family
+EXTRA_POOL = 6  # instances of each larger EXTRA family
+EXTRA = {  # name: (kind, the gen function, its arguments after the Random)
+    "sms-mid-n10": ("smswt", "sms", (10, 0.6, 0.25, 1.05)),
+    "tsptw-narrow-n10": ("tsptw", "tsptw", (10, 8, 30)),
+    "rcpsp14": ("rcpsp", "rcpsp", (14, 3, 0.1)),
+    "rcpsp18": ("rcpsp", "rcpsp", (18, 3, 0.1)),
+    "rcpsp20-tight": ("rcpsp", "rcpsp", (20, 4, 0.2)),
 }
-EXTRA_POOL = 6
 CONFIGS = [(algo, mode) for algo in ("astar", "cabs") for mode in ("off", "once", "fixpoint")]
 INSTANCES = {
     "smswt": smswt.SmsInstance,
@@ -88,14 +90,29 @@ def families():
     gen, workloads = load_perfbench()
     out = {}
     for wl in workloads.WORKLOADS.values():
-        for name, size in wl.parts.items():
-            out[name] = (workloads.FAMILIES[name], max(size, out.get(name, (None, 0))[1]))
+        for name, count in wl.parts.items():
+            out[name] = (workloads.FAMILIES[name], max(count, out.get(name, (None, 0))[1]))
         for name in wl.oracle:
             out[name] = (workloads.FAMILIES[name], SMALL_POOL)
-    for name, args in EXTRA.items():
-        family = workloads.Family("rcpsp", lambda r, _index, args=args: gen.rcpsp(r, *args))
-        out[name] = (family, EXTRA_POOL)
+    for name, (kind, draw, args) in EXTRA.items():
+        family = workloads.Family(kind, lambda r, _index, d=getattr(gen, draw), a=args: d(r, *a))
+        out[name] = (family, SMALL_POOL if size(family.doc(name, 0)) <= SMALL_N else EXTRA_POOL)
     return out
+
+
+def size(doc: dict) -> int:
+    """The number of jobs, locations or tasks of a drawn document."""
+    return len(doc["tasks"]) if "tasks" in doc else doc["n"]
+
+
+def small_families() -> set:
+    """The families none of whose instances has more than ``SMALL_N``
+    jobs, locations or tasks."""
+    return {
+        name
+        for name, (family, count) in families().items()
+        if all(size(family.doc(name, index)) <= SMALL_N for index in range(count))
+    }
 
 
 def solve_counts(kind: str, doc: dict, algo: str, mode: str) -> dict:

@@ -90,24 +90,6 @@ def random_rcpsp_instance(
     return rcpsp.RcpspInstance(tasks, capacities, precedences)
 
 
-def critical_path_length(instance: rcpsp.RcpspInstance, mask: int) -> int:
-    """Longest duration sum along precedence chains within ``mask``."""
-    best = 0
-    longest = {}
-    for i in instance.topo_order:
-        if not (mask >> i & 1):
-            continue
-        base = longest.get(i, instance.tasks[i].duration)
-        if base > best:
-            best = base
-        for j in instance.successors[i]:
-            if mask >> j & 1:
-                cand = base + instance.tasks[j].duration
-                if cand > longest.get(j, 0):
-                    longest[j] = cand
-    return best
-
-
 def rcpsp_tails(instance: rcpsp.RcpspInstance):
     """Each task's longest duration sum along a precedence chain starting
     at it, by memoised recursion over ``instance.successors``."""
@@ -120,20 +102,6 @@ def rcpsp_tails(instance: rcpsp.RcpspInstance):
         return tails[i]
 
     return [tail(i) for i in range(instance.n)]
-
-
-def energy_ceiling(instance: rcpsp.RcpspInstance, mask: int) -> int:
-    """Resource-energy floor: time to fit the pending work in any order."""
-    best = 0
-    for r, cap in enumerate(instance.capacities):
-        energy = 0
-        for i in range(instance.n):
-            if mask >> i & 1:
-                energy += instance.tasks[i].usages[r] * instance.tasks[i].duration
-        cand = -(-energy // cap)
-        if cand > best:
-            best = cand
-    return best
 
 
 def rcpsp_clash_floor(instance: rcpsp.RcpspInstance, state) -> int:
@@ -190,6 +158,23 @@ def rcpsp_fields(instance: rcpsp.RcpspInstance, state):
                 running.append(i)
         estimate = max(estimate, (state.time if s is None else s) + p)
     return scheduled, tuple(running), estimate
+
+
+def reference_rcpsp_dual(instance: rcpsp.RcpspInstance, state, floor=None) -> int:
+    """``RcpspModel.dual`` from its definition: each pending task starts
+    no earlier than the clock and ``floor[i]``, if given; the makespan is
+    at least each such start plus the task's tail, each resource's
+    envelope over those starts, and the clash-sequence floor, which
+    ignores ``floor``, less the state's makespan estimate."""
+    tails = rcpsp_tails(instance)
+    floor = floor or [0] * instance.n
+    ests = {i: max(floor[i], state.time) for i, s in enumerate(state.starts) if s is None}
+    best = max([est + tails[i] for i, est in ests.items()] + [rcpsp_clash_floor(instance, state)])
+    for r, cap in enumerate(instance.capacities):
+        tasks = [(est, instance.tasks[i].duration, instance.tasks[i].usages[r]) for i, est in ests.items()]
+        best = max(best, one_resource_envelope(tasks, cap))
+    _scheduled, _running, estimate = rcpsp_fields(instance, state)
+    return max(0, best - estimate)
 
 
 def reference_rcpsp_dominates(instance: rcpsp.RcpspInstance, a, b) -> bool:

@@ -1,20 +1,114 @@
-"""The count ledger (``repro/counts.py``) on its n <= 10 pools.
+"""The count ledger (``repro/counts.py``) on its small families.
 
 The full sweep runs as its own CI step (``python repro/counts.py
---check``); this slice keeps a moved count on the small pools a Tier-1
-failure too.
+--check``); this slice, every family of n <= 10, keeps a moved count a
+Tier-1 failure too, and checks on each of its solves how the search
+spends its bounds and counts its dominance test.
 """
 
 from __future__ import annotations
 
-from conftest import load_counts
+from dpcp import Registry
+from dpcp.cli import PROBLEMS
+from dpcp.search import _SolveContext
+
+from conftest import load_counts, registry_chain
 
 
-def test_small_pools_match_the_ledger():
+def test_small_families_match_the_ledger(monkeypatch):
+    """Each solve of the n <= 10 families equals its ledger entry, and on
+    each one ``model.dual`` runs for a child only once the registry's
+    dominance test let it through, and at most once, ``dual_cp`` runs for
+    popped states only, and ``dominated`` counts the children that the
+    dominance test dropped.
+
+    The dominance test is recounted here from the registry's buckets.  A
+    ``dual_cp`` call is a child's unless its state is the one being
+    expanded; each root (one per CABS pass) is registered and bounded
+    once, without the test.  The model duals that ``dual_cp`` makes itself
+    are not counted.
+    """
     counts = load_counts()
-    _gen, workloads = counts.load_perfbench()
-    small = {name for wl in workloads.WORKLOADS.values() for name in wl.oracle}
+    tally = {}
+    popped = []
+    in_dual_cp = []
+    solve_counts = counts.solve_counts
+    expand = _SolveContext.expand
+    dominated = Registry.dominated
+
+    def counted_expand(ctx, node):
+        popped.append(node.state)
+        return expand(ctx, node)
+
+    def counted_dominated(reg, model, state, g):
+        tally["offered"] += 1
+        bucket = registry_chain(reg, model.state_signature(state))
+        if not any(e.g <= g and model.dominates(e.state, state) for e in bucket):
+            tally["passed"] += 1
+        return dominated(reg, model, state, g)
+
+    def counted_dual(inner):
+        def dual(model, state, floor=None):
+            if not in_dual_cp:
+                tally["dual"] += 1
+            return inner(model, state, floor)
+
+        return dual
+
+    def counted_dual_cp(inner):
+        def dual_cp(adapter, state, store):
+            if state != popped[-1]:
+                tally["dual_cp"] += 1
+            in_dual_cp.append(state)
+            try:
+                return inner(adapter, state, store)
+            finally:
+                in_dual_cp.pop()
+
+        return dual_cp
+
+    rejected = []
+
+    def checked_solve(kind, doc, algo, mode):
+        tally.update(offered=0, passed=0, dual=0, dual_cp=0)
+        popped.clear()
+        entry = solve_counts(kind, doc, algo, mode)
+        key = (kind, algo, mode, tally)
+        assert entry["dominated"] == tally["offered"] - tally["passed"], key
+        roots = entry["passes"] if algo == "cabs" else 1
+        assert tally["dual"] <= tally["passed"] + roots, key
+        assert tally["dual_cp"] == 0, key
+        rejected.append(tally["passed"] < tally["offered"])
+        return entry
+
+    monkeypatch.setattr(_SolveContext, "expand", counted_expand)
+    monkeypatch.setattr(Registry, "dominated", counted_dominated)
+    for problem in PROBLEMS.values():
+        monkeypatch.setattr(problem.model, "dual", counted_dual(problem.model.dual))
+        monkeypatch.setattr(problem.adapter, "dual_cp", counted_dual_cp(problem.adapter.dual_cp))
+    monkeypatch.setattr(counts, "solve_counts", checked_solve)
+    small = counts.small_families()
     got = counts.sweep(small)
     want = {key: entry for key, entry in counts.read_ledger().items() if key.split(":")[0] in small}
-    assert len(got) == len(small) * counts.SMALL_POOL * len(counts.CONFIGS) == 240
+    assert len(small) == 6
+    assert len(got) == len(small) * counts.SMALL_POOL * len(counts.CONFIGS) == len(rejected) == 360
     assert counts.moved(want, got) == []
+    # The registry rejected children on these solves, so the check has teeth.
+    assert any(rejected)
+
+
+def test_moved_prints_one_line_per_difference():
+    counts = load_counts()
+    entry = {"status": "Optimal", "cost": 9, "expansions": 4}
+    want = {"a:0 astar off": entry, "a:1 astar off": entry, "a:2 astar off": entry}
+    got = {
+        "a:0 astar off": entry,
+        "a:1 astar off": dict(entry, expansions=5),
+        "a:3 astar off": entry,
+    }
+    assert counts.moved(want, want) == []
+    assert counts.moved(want, got) == [
+        "a:1 astar off: expansions 4 -> 5",
+        "a:2 astar off: in the ledger, not solved",
+        "a:3 astar off: solved, not in the ledger",
+    ]

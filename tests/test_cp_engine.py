@@ -27,7 +27,7 @@ from conftest import (
 
 # --- domains ---------------------------------------------------------------
 
-def test_interval_basics():
+def test_set_lb_only_raises_and_empties_the_domain_past_ub():
     store = store_of([(2, 9)])
     assert store.lbs[0] == 2 and store.ubs[0] == 9
     store.set_lb(0, 4)

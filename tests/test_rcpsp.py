@@ -26,15 +26,12 @@ from dpcp.rcpsp import (
 
 from conftest import (
     ReferenceRcpspModel,
-    critical_path_length,
-    energy_ceiling,
     load_counts,
     one_resource_envelope,
     random_rcpsp_instance,
-    rcpsp_clash_floor,
     rcpsp_fields,
-    rcpsp_tails,
     reference_rcpsp_dominates,
+    reference_rcpsp_dual,
     solve_all_modes,
 )
 
@@ -119,34 +116,13 @@ def test_dominates_cases():
     assert not model.dominates(c, d)
 
 
-def test_dual_bound_helpers():
-    chain = instance_of([(2, (0,)), (3, (0,)), (4, (0,))], (9,), [(0, 1), (1, 2)])
-    assert critical_path_length(chain, 0b111) == 9
-    pair = instance_of([(3, (2,)), (3, (2,))], (2,))
-    assert energy_ceiling(pair, 0b11) == 6
-    model = RcpspModel(pair)
-    assert model.dual(model.make_state((0, 3), 3)) == 0
-
-
-def reference_dual(model, state):
-    """Critical-path, energy and clash-sequence floors, each as remaining
-    cost on its own, the largest taken."""
-    inst = model.instance
-    mask = sum(1 << i for i, s in enumerate(state.starts) if s is None)
-    _scheduled, _running, estimate = rcpsp_fields(inst, state)
-    chain = max(0, state.time + critical_path_length(inst, mask) - estimate)
-    energy = max(0, state.time + energy_ceiling(inst, mask) - estimate)
-    clash = max(0, rcpsp_clash_floor(inst, state) - estimate)
-    return max(chain, energy, clash)
-
-
 def test_dual_matches_three_floor_reference():
     rng = random.Random(21)
     checked = 0
     for _ in range(20):
         model = ReferenceRcpspModel(random_rcpsp_instance(rng, 7), left_shift=False)
         for state in enumerate_state_values(model):
-            assert model.dual(state) == reference_dual(model, state), state
+            assert model.dual(state) == reference_rcpsp_dual(model.instance, state), state
             checked += 1
     assert checked > 2000, checked
 
@@ -164,23 +140,7 @@ def brute_force_envelope(tasks, capacity):
     return best
 
 
-def brute_force_bound(inst, state, floor):
-    """``RcpspModel.dual`` from its definition: each pending task starts
-    no earlier than its floor and the clock; tails come from their own
-    recursion, each envelope is taken over every non-empty set of pending
-    tasks, and the clash-sequence floor, which ignores ``floor``, comes
-    from its own reference."""
-    tails = rcpsp_tails(inst)
-    est = {i: max(floor[i], state.time) for i, s in enumerate(state.starts) if s is None}
-    best = max([est[i] + tails[i] for i in est] + [rcpsp_clash_floor(inst, state)])
-    for r, cap in enumerate(inst.capacities):
-        tasks = [(est[i], inst.tasks[i].duration, inst.tasks[i].usages[r]) for i in est]
-        best = max(best, brute_force_envelope(tasks, cap))
-    _scheduled, _running, estimate = rcpsp_fields(inst, state)
-    return max(0, best - estimate)
-
-
-def test_bound_matches_brute_force():
+def test_floored_dual_matches_reference():
     # Precedences run between shuffled task ids, so the topological order
     # is not the id order, and few distinct floors make ties common.
     rng = random.Random(808)
@@ -203,7 +163,7 @@ def test_bound_matches_brute_force():
                 rng.randint(0, 20) if rng.random() < 0.5 else rng.choice((0, 4, 8))
                 for _ in range(n)
             ]
-            want = brute_force_bound(inst, state, floor)
+            want = reference_rcpsp_dual(inst, state, floor)
             assert model.dual(state, floor) == want, (inst.to_json(), starts, time, floor)
             checked += 1
             positive += want > 0
@@ -459,18 +419,6 @@ def test_ordering_optimum_uses_no_model_code(monkeypatch):
     assert ordering_optimum(inst) == 9
 
 
-def test_oracle_equivalence_all_modes():
-    rng = random.Random(6)
-    for _ in range(12):
-        inst = random_rcpsp_instance(rng, 6)
-        model = RcpspModel(inst)
-        adapter = RcpspAdapter(model)
-        oracle = ordering_optimum(inst)
-        for (algo, mode), result in solve_all_modes(model, adapter).items():
-            assert result.status is SolveStatus.OPTIMAL, (algo, mode)
-            assert result.cost == oracle, (algo, mode)
-
-
 def test_repeated_precedence_pair_solves_to_the_oracle():
     # A JSON instance may list a pair twice; the successor rule must still
     # wait for the predecessor once, not read the doubled pair as another task.
@@ -522,29 +470,6 @@ def test_dominance_sound_in_path_cost_form():
                         assert (
                             a.estimate + values[a] <= b.estimate + values[b]
                         )
-
-
-def test_cp_bounds_below_oracle_values():
-    rng = random.Random(16)
-    for _ in range(10):
-        inst = random_rcpsp_instance(rng, 5)
-        model = ReferenceRcpspModel(inst, left_shift=False)
-        adapter = RcpspAdapter(model)
-        for state, value in enumerate_state_values(model).items():
-            if model.is_base(state):
-                continue
-            store, props = adapter.build(state)
-            propagate_once(store, props)
-            if store.infeasible:
-                continue
-            assert model.dual(state) <= value
-            finish = max(
-                store.lbs[i] + inst.tasks[i].duration
-                for i, s in enumerate(state.starts)
-                if s is None
-            )
-            assert finish - state.estimate <= value
-            assert adapter.dual_cp(state, store) <= value
 
 
 def test_dual_admissible_on_every_reachable_state():

@@ -9,9 +9,7 @@ from dpcp import (
     Disjunctive,
     SolveStatus,
     astar,
-    brute_force_value,
     enumerate_state_values,
-    is_finite,
     propagate_fixpoint,
     propagate_once,
 )
@@ -386,25 +384,6 @@ def test_dropped_children_have_no_completion():
         k, o = check_dropped_children_dead(SmsModel(inst), UnfilteredSmsModel(inst), sms_blocked)
         kept, omitted = kept + k, omitted + o
     assert kept > 12000 and omitted > 3000, (kept, omitted)
-
-
-def test_oracle_equivalence_and_bound_chain():
-    rng = random.Random(23)
-    for _ in range(15):
-        inst = random_sms_instance(rng, rng.randint(2, 6))
-        model = SmsModel(inst)
-        adapter = SmsAdapter(model)
-        assert permutation_optimum(inst) == brute_force_value(model, model.target_state())
-        for state, value in enumerate_state_values(model).items():
-            if not is_finite(value) or model.is_base(state):
-                continue
-            store, props = adapter.build(state)
-            propagate_once(store, props)
-            if store.infeasible:
-                continue
-            dp = model.dual(state)
-            cp = adapter.dual_cp(state, store)
-            assert dp <= cp <= value
 
 
 def test_propagation_never_filters_optimal_path():
