@@ -40,6 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from dpcp import rcpsp, smswt, tsptw  # noqa: E402
 from dpcp.cli import PROBLEMS, SOLVERS  # noqa: E402
 from dpcp.cost import cost_to_json  # noqa: E402
+from dpcp.search import PropagationMode  # noqa: E402
 
 SMALL_N = 10  # the most jobs, locations or tasks of a small family
 SMALL_POOL = 10  # instances of each small family
@@ -51,7 +52,7 @@ EXTRA = {  # name: (kind, the gen function, its arguments after the Random)
     "rcpsp18": ("rcpsp", "rcpsp", (18, 3, 0.1)),
     "rcpsp20-tight": ("rcpsp", "rcpsp", (20, 4, 0.2)),
 }
-CONFIGS = [(algo, mode) for algo in ("astar", "cabs") for mode in ("off", "once", "fixpoint")]
+CONFIGS = [(algo, mode.value) for algo in SOLVERS for mode in PropagationMode]
 INSTANCES = {
     "smswt": smswt.SmsInstance,
     "tsptw": tsptw.TsptwInstance,

@@ -87,11 +87,14 @@ def _reject_booleans(doc) -> None:
             stack.extend(value)
 
 
-def require_int(name: str, value) -> int:
-    """``value`` if it is an ``int``; otherwise a ``ValueError`` that names
-    the field and the value (a JSON string such as ``"9"`` is no number)."""
+def require_int(name: str, value, floor: Optional[int] = None) -> int:
+    """``value`` if it is an ``int`` of at least ``floor``; otherwise a
+    ``ValueError`` that names the field and the value (a JSON string such
+    as ``"9"`` is no number)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if floor is not None and value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value!r}")
     return value
 
 

@@ -41,10 +41,9 @@ class RcpspTask:
     usages: Tuple[int, ...]
 
     def __post_init__(self):
-        if require_int("task duration", self.duration) < 1:
-            raise ValueError("task duration must be >= 1")
-        if any(require_int("usage", u) < 0 for u in self.usages):
-            raise ValueError("usages must be >= 0")
+        require_int("task duration", self.duration, 1)
+        for u in self.usages:
+            require_int("usage", u, 0)
 
 
 def topological_order(nodes: Iterable[int], successors) -> Optional[List[int]]:
@@ -83,15 +82,14 @@ class RcpspInstance:
         self.capacities: Tuple[int, ...] = tuple(capacities)
         n = len(self.tasks)
         if n == 0:
-            raise ValueError("instance needs at least one task")
-        if any(require_int("capacity", c) < 1 for c in self.capacities):
-            raise ValueError("capacities must be >= 1")
+            raise ValueError("tasks must be a non-empty list, got []")
+        for c in self.capacities:
+            require_int("capacity", c, 1)
         for t in self.tasks:
-            if len(t.usages) != len(self.capacities):
-                raise ValueError("task usage vector length mismatch")
+            require_list("task usages", t.usages, len(self.capacities))
             for u, c in zip(t.usages, self.capacities):
                 if u > c:
-                    raise ValueError("task usage exceeds a resource capacity")
+                    raise ValueError(f"usage must be <= its capacity {c}, got {u}")
         self.predecessors: Tuple[Tuple[int, ...], ...]
         self.successors: Tuple[Tuple[int, ...], ...]
         preds: List[List[int]] = [[] for _ in range(n)]
@@ -624,7 +622,7 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
         if job in durations:
             raise ParseError(f"second request/duration row for job {job}", path, line)
         if row[2] < 0:
-            raise ParseError("negative duration", path, line)
+            raise ParseError(f"duration must be >= 0, got {row[2]}", path, line)
         durations[job] = row[2]
         usages[job] = row[3 : 3 + n_renew]
 
@@ -667,8 +665,6 @@ def parse_psplib(text: str, path: str = "<psplib>") -> RcpspInstance:
                 jobs |= reach[s]
 
     real = sorted(j for j in durations if durations[j] > 0)
-    if not real:
-        raise ParseError("no non-dummy jobs", path)
     index = {job: k for k, job in enumerate(real)}
     edges = sorted((index[a], index[b]) for a in real for b in reach[a])
     try:

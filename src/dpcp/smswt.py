@@ -54,14 +54,11 @@ class SmsJob:
     w: int  # tardiness weight
 
     def __post_init__(self):
-        for name in ("p", "r", "d", "deadline", "w"):
-            require_int(name, getattr(self, name))
-        if self.p < 1:
-            raise ValueError("job duration must be >= 1")
-        if self.r < 0:
-            raise ValueError("release time must be >= 0")
-        if self.w < 0:
-            raise ValueError("weight must be >= 0")
+        require_int("p", self.p, 1)
+        require_int("r", self.r, 0)
+        require_int("d", self.d)
+        require_int("deadline", self.deadline)
+        require_int("w", self.w, 0)
 
 
 @dataclass(frozen=True)
@@ -88,8 +85,8 @@ class SmsInstance:
             if not isinstance(j, dict):
                 raise ValueError(f"job must be an object, got {j!r}")
             jobs.append(SmsJob(p=j["p"], r=j["r"], d=j["d"], deadline=j["deadline"], w=j["w"]))
-        if "n" in data and data["n"] != len(jobs):
-            raise ValueError("job count does not match 'n'")
+        if "n" in data and require_int("n", data["n"]) != len(jobs):
+            raise ValueError(f"n must be the job count {len(jobs)}, got {data['n']!r}")
         return SmsInstance(tuple(jobs))
 
 
@@ -308,8 +305,8 @@ class SmsGeneratorConfig:
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        if self.n < 1 or self.count < 1:
-            raise ValueError("n and count must be >= 1")
+        require_int("n", self.n, 1)
+        require_int("count", self.count, 1)
         # A span is the knob times a duration sum of at most 10 * n, and an
         # infinite span has no integer width.  The chained tests are false
         # for NaN too.

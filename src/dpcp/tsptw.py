@@ -52,29 +52,23 @@ class TsptwInstance:
     ):
         n = len(require_list("travel matrix", travel))
         if n < 1:
-            raise ValueError("instance needs at least the depot")
-        if len(require_list("windows", windows)) != n:
-            raise ValueError("window count must match location count")
+            raise ValueError("travel matrix must be a non-empty list, got []")
+        require_list("windows", windows, n)
         rows = []
         for i, row in enumerate(travel):
-            if len(require_list("travel row", row)) != n:
-                raise ValueError("travel matrix must be square")
+            require_list("travel row", row, n)
             clean = []
             for j, c in enumerate(row):
                 if i == j or c is None:
                     clean.append(None)
                 else:
-                    if require_int("travel time", c) < 0:
-                        raise ValueError("travel times must be >= 0")
-                    clean.append(c)
+                    clean.append(require_int("travel time", c, 0))
             rows.append(tuple(clean))
         self.travel: Tuple[Tuple[Optional[int], ...], ...] = tuple(rows)
         wins = []
         for window in windows:
             r, d = require_list("window", window, 2)
-            if require_int("window bound", r) < 0 or require_int("window bound", d) < r:
-                raise ValueError(f"bad window [{r}, {d}]")
-            wins.append((r, d))
+            wins.append((require_int("window bound", r, 0), require_int("window bound", d, r)))
         self.windows: Tuple[Tuple[int, int], ...] = tuple(wins)
 
     @property
@@ -91,8 +85,8 @@ class TsptwInstance:
     @staticmethod
     def from_json(data: dict) -> "TsptwInstance":
         travel = require_list("travel matrix", data["c"])
-        if "n" in data and data["n"] != len(travel):
-            raise ValueError("matrix size does not match 'n'")
+        if "n" in data and require_int("n", data["n"]) != len(travel):
+            raise ValueError(f"n must be the location count {len(travel)}, got {data['n']!r}")
         return TsptwInstance(travel, data["windows"])
 
 
@@ -525,7 +519,7 @@ def parse_matrix(text: str, path: str = "<tsptw>") -> TsptwInstance:
     lineno, tok = flat[0]
     n = int_token(tok, path, lineno)
     if n < 1:
-        raise ParseError("location count must be >= 1", path, lineno)
+        raise ParseError(f"location count must be >= 1, got {n}", path, lineno)
     end = 1 + n * n
     if len(flat) < end:
         raise ParseError("truncated travel matrix", path)

@@ -35,10 +35,12 @@ def test_evaluate_solution_empty_on_base_target():
     assert evaluate_solution(model, []) == 0
 
 
-def test_evaluate_solution_invalid_transition():
+# A label that is no successor's, and a label after the base state.
+@pytest.mark.parametrize("labels, step", [([0, 0], 1), ([1, 0, 1], 2)])
+def test_evaluate_solution_invalid_transition(labels, step):
     with pytest.raises(InvalidTransition) as exc:
-        evaluate_solution(two_job_model(), [0, 0])
-    assert exc.value.step == 1
+        evaluate_solution(two_job_model(), labels)
+    assert exc.value.step == step
 
 
 def test_evaluate_solution_not_base():
@@ -66,15 +68,6 @@ def test_brute_force_depth_cap():
     model = two_job_model()
     with pytest.raises(DepthExceeded):
         brute_force_value(model, model.target_state(), depth_cap=1)
-
-
-def test_dual_below_oracle_on_random_instances():
-    rng = random.Random(7)
-    for _ in range(30):
-        inst = random_sms_instance(rng, rng.randint(2, 6))
-        model = smswt.SmsModel(inst)
-        for state, value in enumerate_state_values(model).items():
-            assert model.dual(state) <= value
 
 
 def test_dominance_implies_cheaper_oracle_value():

@@ -7,7 +7,6 @@ Runs are derandomized, so the examples are the same on every run.
 
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -103,34 +102,3 @@ def test_fixtures_parse_unmutated():
     assert parse_matrix(TINY_TSPTW).n == 3
 
 
-@pytest.mark.parametrize(
-    "old, new, message",
-    [
-        # A dummy listing itself as a successor used to escape as a
-        # KeyError, and the cycle 2 -> 1 -> 2 through the dummy source was
-        # dropped silently by the contraction.
-        ("   1        1          2           2   3", "   1        1          3           1   2   3",
-         "cycle"),
-        ("   2        1          1           4", "   2        1          2           4   1", "cycle"),
-        # A negative duration used to drop the job from the instance, and a
-        # negative request used to escape as a ValueError.
-        ("  2      1     4       2    0", "  2      1    -4       2    0", "negative duration"),
-        ("  2      1     4       2    0", "  2      1     4      -2    0", "usages"),
-        # A second row for a job used to overwrite the first silently.
-        ("  3      1     3       1    2", "  3      1     3       1    2\n  3      1     1       0    0",
-         "second request"),
-        ("   4        1          1           6", "   4        1          1           6\n   4        1          0",
-         "second precedence"),
-        # With one renewable resource declared, every row holds one value
-        # too many; reading only the first would give a one-resource instance.
-        ("  - renewable                 :  2   R", "  - renewable                 :  1   R",
-         "small.sm:29: request/duration row holds 5 integers, not 4"),
-        ("   3    2", "   3    2    1", "small.sm:38: resource availability row holds 3 integers, not 2"),
-        ("  - nonrenewable              :  0   N", "  - nonrenewable              :  1   N",
-         "request/duration row holds 5 integers, not 6"),
-    ],
-)
-def test_psplib_edits_rejected(old, new, message):
-    assert old in SMALL_SM
-    with pytest.raises(ParseError, match=message):
-        parse_psplib(SMALL_SM.replace(old, new), "small.sm")

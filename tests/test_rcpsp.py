@@ -353,53 +353,6 @@ def test_parse_psplib_contraction_matches_its_definition():
     assert chained > 50 and cycles > 50, (chained, cycles)
 
 
-SECTION_LINES = {
-    "job-count": "jobs (incl. supersource/sink ):  6",
-    "renewable-resource": "  - renewable                 :  1   R",
-    "nonrenewable-resource": "  - nonrenewable              :  0   N",
-    "doubly-constrained-resource": "  - doubly constrained        :  0   D",
-    "precedence-relations": "PRECEDENCE RELATIONS:",
-    "requests/durations": "REQUESTS/DURATIONS:",
-    "resource-availabilities": "RESOURCEAVAILABILITIES:",
-}
-
-
-@pytest.mark.parametrize("kind", SECTION_LINES)
-def test_parse_psplib_rejects_a_second_section_line(kind):
-    # A later line must not replace the first: a second precedence header
-    # would drop every precedence, and a second resource line resource 2.
-    text = (DATA / "small.sm").read_text() + SECTION_LINES[kind] + "\n"
-    n_lines = text.count("\n")
-    with pytest.raises(ParseError, match=f"small.sm:{n_lines}: second {kind} line$"):
-        parse_psplib(text, "small.sm")
-
-
-def test_parse_psplib_rejects_a_job_without_precedence_row():
-    # Without job 2's row, its arc to job 4, the precedence (0, 2) between
-    # real tasks, would vanish.
-    row = "   2        1          1           4\n"
-    text = (DATA / "small.sm").read_text()
-    assert row in text
-    with pytest.raises(ParseError, match="small.sm: no precedence row for job 2$"):
-        parse_psplib(text.replace(row, ""), "small.sm")
-
-
-def test_parse_psplib_rejects_garbage():
-    with pytest.raises(ParseError):
-        parse_psplib("not a psplib file", "bad.sm")
-
-
-def test_instance_numbers_must_be_integers():
-    with pytest.raises(ValueError, match="task duration must be an integer, got '2'"):
-        RcpspTask("2", (1,))
-    with pytest.raises(ValueError, match="usage must be an integer, got '1'"):
-        RcpspTask(2, ("1",))
-    with pytest.raises(ValueError, match="capacity must be an integer, got None"):
-        RcpspInstance([RcpspTask(2, (1,))], (None,), [])
-    with pytest.raises(ValueError, match="task duration must be an integer, got '2'"):
-        RcpspInstance.from_json({"tasks": [{"p": "2", "u": [1]}], "capacities": [1], "precedences": []})
-
-
 def test_json_roundtrip_and_equal_solve():
     inst = parse_psplib((DATA / "small.sm").read_text(), "small.sm")
     again = RcpspInstance.from_json(json.loads(json.dumps(inst.to_json())))
@@ -510,15 +463,6 @@ def test_dual_admissible_on_every_reachable_state():
                     if not adapter.is_succ_infeasible(label, child, store):
                         assert model.dual(child, store.lbs) <= values[child], (state, child)
     assert checked > 3000 and exact > checked // 2, (checked, exact)
-
-
-def test_validation_rejects_bad_instances():
-    with pytest.raises(ValueError):
-        instance_of([(3, (5,))], (2,))  # usage above capacity
-    with pytest.raises(ValueError):
-        instance_of([(3, (1,)), (2, (1,))], (2,), [(0, 1), (1, 0)])  # cycle
-    with pytest.raises(ValueError):
-        RcpspTask(0, (1,))
 
 
 def carried_field_cases(seed, count):
