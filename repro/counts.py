@@ -17,7 +17,7 @@ integer ``RunMetrics`` counter, plus ``passes``, the number of CABS passes
 are times.  A change that moves a count commits the regenerated file, so
 its git diff lists the moved counts.
 
-    python repro/counts.py --check   # print each moved count; exit 1 if any
+    python repro/counts.py --check   # print each moved count and a summary; exit 1 if any
     python repro/counts.py --write   # regenerate counts.json
 
 The solver is imported from this checkout's ``src``.
@@ -174,6 +174,25 @@ def moved(want: dict, got: dict) -> list:
     return out
 
 
+def summary(want: dict, got: dict) -> list:
+    """One line per (family, algo, mode) with a moved solve: how many of
+    its solves moved, and its pops summed over the ledger and over the
+    sweep."""
+    groups = {}
+    for key in want.keys() | got.keys():
+        name, algo, mode = key.split()
+        group = groups.setdefault((name.rsplit(":", 1)[0], algo, mode), [0, 0, 0, 0])
+        group[0] += want.get(key) != got.get(key)
+        group[1] += 1
+        group[2] += want.get(key, {}).get("pops", 0)
+        group[3] += got.get(key, {}).get("pops", 0)
+    return [
+        f"{' '.join(group)}: {moves} of {solves} solves moved, pops {before:,} -> {after:,}"
+        for group, (moves, solves, before, after) in sorted(groups.items())
+        if moves
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     action = parser.add_mutually_exclusive_group(required=True)
@@ -187,8 +206,9 @@ def main(argv=None) -> int:
         write_ledger(got)
         print(f"wrote {len(got)} solves to {LEDGER.relative_to(ROOT)}")
         return 0
-    lines = moved(read_ledger(), got)
-    for line in lines:
+    want = read_ledger()
+    lines = moved(want, got)
+    for line in lines + summary(want, got):
         print(line)
     print(f"{len(got)} solves, {len(lines)} moved counts")
     return 1 if lines else 0

@@ -138,7 +138,8 @@ class Disjunctive:
     Jobs whose variable is not in ``store.live`` are skipped.  One
     application runs the overload check and one pass lifting earliest
     starts, both from the entry bounds; latest starts are read, never
-    written.
+    written, except once, at the root, by the model: ``SmsModel`` runs one
+    pass on its windows mirrored in time to cut its deadlines.
     """
 
     def __init__(self, items: Iterable[Tuple[int, int]]):

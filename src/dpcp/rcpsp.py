@@ -126,12 +126,14 @@ class RcpspInstance:
 
     @staticmethod
     def from_json(data: dict) -> "RcpspInstance":
+        capacities = require_list("capacities", data["capacities"])
         tasks = []
         for t in require_list("tasks", data["tasks"]):
             if not isinstance(t, dict):
                 raise ValueError(f"task must be an object, got {t!r}")
-            tasks.append(RcpspTask(t["p"], tuple(require_list("task usages", t["u"]))))
-        capacities = require_list("capacities", data["capacities"])
+            # Checked here too, so that the error shows the JSON list.
+            usages = require_list("task usages", t["u"], len(capacities))
+            tasks.append(RcpspTask(t["p"], tuple(usages)))
         return RcpspInstance(tasks, capacities, require_list("precedences", data["precedences"]))
 
 

@@ -5,10 +5,11 @@ lateness past it), and a hard deadline (latest allowed finish).  The model
 schedules one job at a time: a state is the set of still-unscheduled jobs
 plus the machine's current time.  Scheduling job ``i`` at time ``t`` starts
 it at ``max(t, r_i)`` and charges ``w_i * max(0, finish - d_i)``.  A state
-is a dead end when some pending job would miss its deadline even if it
-started now.  As a DIDP state constraint would, ``successors`` drops each
-child that is a dead end by that rule, so only the target state, or a
-state built by hand, is ever found dead when it is expanded.
+is a dead end when some pending job would miss its deadline, as cut once
+at the root (``SmsModel.table``), even if it started now.  As a DIDP
+state constraint would, ``successors`` drops each child that is a dead
+end by that rule, so only the target state, or a state built by hand, is
+ever found dead when it is expanded.
 
 The dual bound (``SmsModel.dual``) is the larger of two lower bounds on
 the pending jobs' weighted tardiness, each over one earliest start per
@@ -20,10 +21,11 @@ smallest earliest start ``t0`` the jobs' ``sum w*C`` is at least that of
 the WSPT order started at ``t0`` (Smith's rule: Smith, *Naval Research
 Logistics Quarterly*, 1956), less ``sum w*d``.  That order depends on the
 jobs alone, so it is built once per model.  A feasible completion has
-``sum w*C`` at most the pending jobs' ``sum w*deadline``, so a WSPT sum
-above that proves that none exists, and the bound is then ``INFINITY``.
-Below it, the queue term is at most ``sum w*(deadline - d)``, so a path
-cost plus the bound stays within the ceiling the model checks.
+``sum w*C`` at most the pending jobs' ``sum w*deadline``, by the cut
+deadlines, so a WSPT sum above that proves that none exists, and the
+bound is then ``INFINITY``.  Below it, the queue term is at most ``sum
+w*(deadline - d)``, so a path cost plus the bound stays within the
+ceiling the model checks.
 
 The propagation side has one start variable per job, live over its
 window while the job is pending, and a single non-overlap constraint over
@@ -41,7 +43,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .core import DpModel, iter_bits
 from .cost import Cost, INFINITY, check_ceiling
-from .cp_engine import Disjunctive, DomainStore, PropagationAdapter
+from .cp_engine import Disjunctive, DomainStore, PropagationAdapter, propagate_once
 from .parsing import read_instance, require_int, require_list
 
 
@@ -103,22 +105,50 @@ class SmsModel(DpModel):
         self._full = (1 << instance.n) - 1
         jobs = instance.jobs
         self.releases = tuple(j.r for j in jobs)
-        # Smith's WSPT order, by exact cross products: ``i`` goes first when
-        # ``p_i / w_i < p_j / w_j``, and a zero weight goes last.  Jobs that
-        # tie may go in either order without changing the WSPT sum.
-        order = sorted(
-            enumerate(jobs), key=cmp_to_key(lambda a, b: a[1].p * b[1].w - b[1].p * a[1].w)
-        )
-        # ``dual`` reads one row per job in that order:
-        # ``(bit, i, r, w, p, p - d, w * d, w * (deadline - d))``.
-        self.wspt_rows = tuple(
-            (1 << i, i, j.r, j.w, j.p, j.p - j.d, j.w * j.d, j.w * (j.deadline - j.d))
-            for i, j in order
-        )
+        self._table = None  # built on first use, so set-up spends nothing
         # The clock, each finish and each live start bound end by the latest
         # deadline, which bounds every tardiness term.
         latest = max((j.deadline for j in jobs), default=0)
         check_ceiling(sum(j.w * max(0, max(j.r, latest) + j.p - j.d) for j in jobs))
+
+    def table(self):
+        """``(deadlines, windows, wspt_rows)``, built on the first call and
+        kept.
+
+        ``deadlines`` are cut once by edge-finding on completion times: one
+        ``Disjunctive`` pass over the windows mirrored in time, job ``i``
+        starting at ``-C_i`` in ``[-deadline_i, -(r_i + p_i)]``.  Every
+        feasible schedule meets them.  An order's schedule does not depend
+        on the deadlines, so each order is feasible, at the same cost,
+        under both sets: optima, replays and oracles do not change, and
+        the bounds stay admissible on every state reachable from the
+        target.  A pass that empties the store, by an overload or a cut
+        below some job's earliest finish, cuts every deadline below its
+        job's earliest finish, so the target is a dead end.  ``windows[i]``
+        is ``(r_i, p_i, deadline_i - p_i)``.
+
+        ``wspt_rows`` are ``(bit, i, r, w, p, p - d, w * d, w * (deadline -
+        d))`` in Smith's order, by exact cross products: ``p_i / w_i <
+        p_j / w_j`` first, zero weights last, ties either way.
+        """
+        if self._table is None:
+            jobs = self.instance.jobs
+            store = DomainStore([-j.deadline for j in jobs], [-j.r - j.p for j in jobs], -1)
+            propagate_once(store, [Disjunctive((i, j.p) for i, j in enumerate(jobs))])
+            if store.infeasible:
+                deadlines = tuple(min(j.deadline, j.r + j.p - 1) for j in jobs)
+            else:
+                deadlines = tuple(-lb for lb in store.lbs)
+            windows = tuple((j.r, j.p, dl - j.p) for j, dl in zip(jobs, deadlines))
+            order = sorted(
+                enumerate(jobs), key=cmp_to_key(lambda a, b: a[1].p * b[1].w - b[1].p * a[1].w)
+            )
+            rows = tuple(
+                (1 << i, i, j.r, j.w, j.p, j.p - j.d, j.w * j.d, j.w * (deadlines[i] - j.d))
+                for i, j in order
+            )
+            self._table = (deadlines, windows, rows)
+        return self._table
 
     def target_state(self) -> SmsState:
         return SmsState(self._full, 0)
@@ -134,31 +164,31 @@ class SmsModel(DpModel):
         dead ends themselves.
 
         A child at clock ``f`` is dead when ``f`` passes the latest start
-        ``deadline - p`` of a job it leaves pending (every such job's
-        release is at or before its latest start, or the state itself is
-        dead).  So only the two smallest latest starts are kept, and each
+        ``deadline - p``, by the cut deadline, of a job it leaves pending
+        (every such job's release is at or before its latest start, or the
+        state itself is dead).  So only the two smallest latest starts are kept, and each
         child is tested against the smallest one of another job.
         """
-        jobs = self.instance.jobs
+        windows = (self._table or self.table())[1]
         t = state.time
         mask = state.unscheduled
         finishes = []
         first = second = INFINITY
         first_at = -1
         for i in iter_bits(mask):
-            job = jobs[i]
-            f = (t if t > job.r else job.r) + job.p
-            # A pending job already past its deadline can never recover:
-            # the state is a dead end regardless of order.
-            if f > job.deadline:
+            r, p, latest = windows[i]
+            start = t if t > r else r
+            # A pending job already past its latest start can never
+            # recover: the state is a dead end regardless of order.
+            if start > latest:
                 return []
-            finishes.append((i, f))
-            latest = job.deadline - job.p
+            finishes.append((i, start + p))
             if latest < first:
                 first, second, first_at = latest, first, i
             elif latest < second:
                 second = latest
         out = []
+        jobs = self.instance.jobs
         for i, f in finishes:
             if f > (second if i == first_at else first):
                 continue
@@ -187,7 +217,7 @@ class SmsModel(DpModel):
         floor = self.releases if floor is None else floor
         separable = weight = done = queue = room = 0
         t0 = INFINITY
-        for row in self.wspt_rows:
+        for row in (self._table or self.table())[2]:
             if mask & row[0]:
                 _bit, i, r, w, p, slack, wd, wroom = row
                 est = floor[i]
@@ -218,26 +248,25 @@ class SmsAdapter(PropagationAdapter):
     """CP view: one start variable per job, live while the job is pending,
     and one non-overlap constraint over all jobs, built once.
 
-    A pending job's window is ``[max(r, t), deadline - p]`` at clock ``t``;
-    ``build`` fills it from ``(r, deadline - p)`` pairs taken once here.
-    ``dual_cp`` is the default.  The veto tests the start a child gives
-    its job, the child's clock less the job's duration, against the job's
-    earliest start alone, so it fires only where edge-finding lifted that
-    earliest start past it.  The latest start never decides: ``successors``
-    returns no child from a state in which a pending job would miss its
-    deadline, so a child's job finishes by its deadline and starts by
-    ``deadline - p``, its upper bound.
+    A pending job's window is ``[max(r, t), deadline - p]`` at clock ``t``,
+    with the model's cut deadline; ``build`` reads it from the model's
+    ``windows``.  ``dual_cp`` is the default.  The veto tests the start a
+    child gives its job, the child's clock less the job's duration,
+    against the job's earliest start alone, so it fires only where
+    edge-finding lifted that earliest start past it.  The latest start
+    never decides: ``successors`` returns no child from a state in which a
+    pending job would miss its deadline, so a child's job finishes by its
+    deadline and starts by ``deadline - p``, its upper bound.
     """
 
     def __init__(self, model: SmsModel):
         super().__init__(model)
         jobs = self.instance.jobs
-        self._windows = tuple((job.r, job.deadline - job.p) for job in jobs)
         self._durations = tuple(job.p for job in jobs)
         self._props = [Disjunctive((i, job.p) for i, job in enumerate(jobs))]
 
     def build(self, state: SmsState):
-        windows = self._windows
+        windows = self.model.table()[1]
         lbs = [0] * len(windows)  # scheduled jobs keep the inert [0, 0]
         ubs = [0] * len(windows)
         t = state.time
@@ -245,7 +274,7 @@ class SmsAdapter(PropagationAdapter):
         while mask:
             low = mask & -mask
             i = low.bit_length() - 1
-            r, latest = windows[i]
+            r, _p, latest = windows[i]
             lbs[i] = r if r > t else t
             ubs[i] = latest
             mask ^= low

@@ -222,23 +222,25 @@ class ReferenceRcpspModel(rcpsp.RcpspModel):
         return super().dominates(a, b) if self.dominance else a == b
 
 
-def sms_blocked(instance: smswt.SmsInstance, state) -> bool:
-    """The SMS dead-end rule: some pending job misses its deadline even if
-    it starts now."""
+def sms_blocked(instance: smswt.SmsInstance, state, deadlines) -> bool:
+    """The SMS dead-end rule under ``deadlines``, one per job (a model's
+    cut ones): some pending job misses its deadline even if it starts
+    now."""
     return any(
-        max(state.time, job.r) + job.p > job.deadline
+        max(state.time, job.r) + job.p > deadlines[i]
         for i, job in enumerate(instance.jobs)
         if state.unscheduled >> i & 1
     )
 
 
-def reference_sms_bound(instance: smswt.SmsInstance, mask: int, ests) -> int:
+def reference_sms_bound(instance: smswt.SmsInstance, mask: int, ests, deadlines) -> int:
     """The SMS dual bound written out from its definition: the larger of
     the separable tardiness sum at the earliest starts ``ests[i]`` and
     ``WSPT(t0) - sum w*d``, the pending jobs sorted by ``p / w`` as exact
     fractions (zero weights last) and run back to back from the smallest
     earliest start; ``INFINITY`` when the WSPT sum passes ``sum
-    w*deadline``, which no feasible completion does."""
+    w*deadline`` over ``deadlines`` (a model's cut ones), which no
+    feasible completion does."""
     pending = [i for i in range(instance.n) if mask >> i & 1]
     jobs = instance.jobs
     separable = sum(jobs[i].w * max(0, ests[i] + jobs[i].p - jobs[i].d) for i in pending)
@@ -247,7 +249,7 @@ def reference_sms_bound(instance: smswt.SmsInstance, mask: int, ests) -> int:
     for i in sorted(pending, key=lambda i: (jobs[i].w == 0, Fraction(jobs[i].p, jobs[i].w or 1))):
         clock += jobs[i].p
         weighted_completion += jobs[i].w * clock
-    if weighted_completion > sum(jobs[i].w * jobs[i].deadline for i in pending):
+    if weighted_completion > sum(jobs[i].w * deadlines[i] for i in pending):
         return INFINITY
     return max(separable, weighted_completion - sum(jobs[i].w * jobs[i].d for i in pending))
 
@@ -301,10 +303,11 @@ def tsptw_blocked(instance: tsptw.TsptwInstance, state) -> bool:
 class UnfilteredSmsModel(smswt.SmsModel):
     """``SmsModel`` whose transition is written out here without the
     dead-end filter: a blocked state has no successor, and any other state
-    has one per pending job, blocked children included."""
+    has one per pending job, blocked children included.  Blocked reads
+    the model's cut deadlines."""
 
     def successors(self, state):
-        if sms_blocked(self.instance, state):
+        if sms_blocked(self.instance, state, self.table()[0]):
             return []
         out = []
         for i, job in enumerate(self.instance.jobs):

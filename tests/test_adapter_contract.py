@@ -77,7 +77,7 @@ def reference_sms_dual_cp(adapter, state, store):
     # A successor is bounded under its parent's store, whose lower bounds
     # may lie before the successor's clock.
     ests = [max(lb, state.time) for lb in store.lbs]
-    return reference_sms_bound(adapter.instance, state.unscheduled, ests)
+    return reference_sms_bound(adapter.instance, state.unscheduled, ests, adapter.model.table()[0])
 
 
 def propagated_stores(model, adapter, deadline_of=None):
@@ -393,12 +393,13 @@ def test_build_reads_the_state_alone(family):
 
 
 def reference_sms_build(adapter, state):
-    """The SMS store and a ``Disjunctive`` over the pending jobs alone,
-    every variable live."""
+    """The SMS store, each window closed by the model's cut deadline, and a
+    ``Disjunctive`` over the pending jobs alone, every variable live."""
     jobs = adapter.instance.jobs
+    deadlines = adapter.model.table()[0]
     lbs, ubs, items = [0] * len(jobs), [0] * len(jobs), []
     for i in iter_bits(state.unscheduled):
-        lbs[i], ubs[i] = max(jobs[i].r, state.time), jobs[i].deadline - jobs[i].p
+        lbs[i], ubs[i] = max(jobs[i].r, state.time), deadlines[i] - jobs[i].p
         items.append((i, jobs[i].p))
     return DomainStore(lbs, ubs, -1), [Disjunctive(items)]
 

@@ -581,7 +581,7 @@ BAD_JSON = {
         "rcpsp", ("tasks", 0, "u", 0), 4, "usage must be <= its capacity 3, got 4"
     ),
     "rcpsp-usage-count": BadJson(
-        "rcpsp", ("tasks", 0, "u"), [2], "task usages must be a list of 2 items, got (2,)"
+        "rcpsp", ("tasks", 0, "u"), [2], "task usages must be a list of 2 items, got [2]"
     ),
     "rcpsp-usages": BadJson("rcpsp", ("tasks", 0, "u"), 2, "task usages must be a list, got 2"),
     "rcpsp-capacity": BadJson("rcpsp", ("capacities", 1), 0, "capacity must be >= 1, got 0"),

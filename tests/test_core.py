@@ -4,6 +4,7 @@ import pytest
 
 from dpcp import (
     DepthExceeded,
+    DpModel,
     INFINITY,
     InvalidTransition,
     NotBase,
@@ -41,6 +42,42 @@ def test_evaluate_solution_invalid_transition(labels, step):
     with pytest.raises(InvalidTransition) as exc:
         evaluate_solution(two_job_model(), labels)
     assert exc.value.step == step
+
+
+class OnwardBaseModel(DpModel):
+    """The target ``"r"`` leads to the base state ``"b"``, which has a
+    successor of its own, the base state ``"c"``."""
+
+    def target_state(self):
+        return "r"
+
+    def is_base(self, state):
+        return state != "r"
+
+    def base_cost(self, state):
+        return 0
+
+    def successors(self, state):
+        return {"r": [(1, 0, "b")], "b": [(1, 1, "c")]}.get(state, [])
+
+    def dominates(self, a, b):
+        return a == b
+
+    def dual(self, state, floor=None):
+        return 0
+
+    def state_signature(self, state):
+        return state
+
+
+def test_evaluate_solution_stops_at_the_first_base_state():
+    # The search never expands a base node, so a replay may not either,
+    # even where the model offers a successor there.
+    model = OnwardBaseModel()
+    assert evaluate_solution(model, [0]) == 1
+    with pytest.raises(InvalidTransition) as exc:
+        evaluate_solution(model, [0, 1])
+    assert (exc.value.step, exc.value.label) == (1, 1)
 
 
 def test_evaluate_solution_not_base():

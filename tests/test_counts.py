@@ -157,3 +157,21 @@ def test_moved_prints_one_line_per_difference(got, lines):
     the sweep and a solve missing from the ledger each print one line, in
     key order."""
     assert load_counts().moved(LEDGER, got) == lines
+
+
+def test_summary_gives_moved_solves_and_pops_per_family_and_config():
+    """One line per (family, algo, mode) with a moved solve, in key order:
+    its moved solves, a solve on one side only counted, and its pops
+    summed on each side; groups that did not move print nothing."""
+    want = {
+        "a:0 astar off": dict(ENTRY, pops=1200),
+        "a:1 astar off": dict(ENTRY, pops=6),
+        "a:0 cabs off": dict(ENTRY, pops=9),
+        "b:0 astar off": dict(ENTRY, pops=5),
+    }
+    got = dict(want, **{"a:1 astar off": dict(ENTRY, pops=3), "b:1 astar off": ENTRY})
+    assert load_counts().summary(want, want) == []
+    assert load_counts().summary(want, got) == [
+        "a astar off: 1 of 2 solves moved, pops 1,206 -> 1,203",
+        "b astar off: 1 of 2 solves moved, pops 5 -> 5",
+    ]

@@ -388,10 +388,11 @@ def test_cabs_limit_stopped_dual_from_width_cuts():
         assert 0 < result.root_dual <= optimum
         assert all(v <= optimum for _t, v in result.metrics.dual_trace)
     # Without an incumbent the gap stays 1.0, but the bound is still found.
-    # Dead-end children are never generated, so an instance that keeps
-    # CABS from any incumbent within the cap is drawn at n = 24.
-    larger = smswt.SmsGeneratorConfig(n=24, tau=0.4, rho=0.05, phi=0.9, seed=1, count=2)
-    second = smswt.generate_instances(larger)[1]
+    # Dead-end children are never generated and the root cut proves some
+    # draws infeasible at once, so this one (optimum 3737) is one that
+    # keeps CABS from any incumbent within the cap.
+    other = smswt.SmsGeneratorConfig(n=20, tau=0.4, rho=0.05, phi=0.9, seed=3)
+    second = smswt.generate_instances(other)[0]
     result = cabs(smswt.SmsModel(second), limits=limits, mode=PropagationMode.OFF)
     assert result.status is SolveStatus.EXPANSION_LIMIT and result.incumbent is None
     assert result.root_dual > 0

@@ -21,6 +21,7 @@ from dpcp.smswt import (
     SmsJob,
     SmsModel,
     SmsState,
+    exact_optimum,
     generate_instances,
     permutation_optimum,
 )
@@ -128,7 +129,7 @@ def test_wspt_order_compares_exact_ratios():
     k = 10**8
     assert (k + 1) / k == (k + 2) / (k + 1)
     model = model_of((k + 1, 0, 1, 3 * k, k), (k + 2, 0, 1, 3 * k, k + 1))
-    assert [row[1] for row in model.wspt_rows] == [1, 0]
+    assert [row[1] for row in model.table()[2]] == [1, 0]
     assert model.dual(model.target_state()) == permutation_optimum(model.instance)
 
 
@@ -176,7 +177,7 @@ def test_bounds_below_oracle_with_zero_weights_and_ties():
         for state, value in values.items():
             dp = model.dual(state)
             ests = [max(j.r, state.time) for j in inst.jobs]
-            assert dp == reference_sms_bound(inst, state.unscheduled, ests)
+            assert dp == reference_sms_bound(inst, state.unscheduled, ests, model.table()[0])
             assert dp <= value, (inst, state)
             if model.is_base(state):
                 continue
@@ -199,19 +200,18 @@ def test_bounds_below_oracle_with_zero_weights_and_ties():
                 for _w, label, succ in model.successors(state):
                     if not adapter.is_succ_infeasible(label, succ, store):
                         assert adapter.dual_cp(succ, store) <= values[succ], (inst, state, succ)
-    # 8,891 states, 5,438 where the queue term wins and 99 that only the
+    # 8,726 states, 5,321 where the queue term wins and 104 that only the
     # bound finds dead.
     assert checked > 8000 and queue_wins > 5000 and dead > 90, (checked, queue_wins, dead)
 
 
 def test_queue_term_past_the_cost_ceiling_is_a_dead_end(tmp_path, capsys):
-    # Six jobs of 5 cannot all finish by 10, but the dead-end rule passes
-    # the root and its children: in each, every pending job can still
-    # start by its latest start 5.  The root's WSPT sum passes the jobs'
-    # ``sum w*deadline``, and its queue term, 75 * w, would pass the
-    # model's cost ceiling, 60 * w, and MAX_COST with it.  The bound reads
-    # that as a dead end, and every algorithm and mode ends Infeasible,
-    # also through the command line.
+    # Six jobs of 5 cannot all finish by 10.  The root cut finds that
+    # overload and makes the target a dead end, and the bound reads it as
+    # one too: the root's WSPT sum passes the jobs' ``sum w*deadline``,
+    # and its queue term, 75 * w, would pass the model's cost ceiling,
+    # 60 * w, and MAX_COST with it.  Every algorithm and mode ends
+    # Infeasible, also through the command line.
     w = MAX_COST // 60
     job = {"p": 5, "r": 0, "d": 5, "deadline": 10, "w": w}
     model = model_of(*[(5, 0, 5, 10, w)] * 6)
@@ -344,22 +344,78 @@ def test_json_roundtrip():
 
 def test_dead_end_matches_deadline_test():
     # No successor exactly when the state is blocked or every child of the
-    # unfiltered transition is.
+    # unfiltered transition is, under the model's cut deadlines.
     rng = random.Random(19)
     for _ in range(40):
         inst = random_sms_instance(rng, rng.randint(2, 6))
         model = SmsModel(inst)
+        deadlines = model.table()[0]
         n = inst.n
         for _ in range(20):
             mask = rng.randint(1, (1 << n) - 1)
             t = rng.randint(0, 60)
             state = SmsState(mask, t)
-            blocked = sms_blocked(inst, state) or all(
-                sms_blocked(inst, SmsState(mask ^ (1 << i), max(t, job.r) + job.p))
+            blocked = sms_blocked(inst, state, deadlines) or all(
+                sms_blocked(inst, SmsState(mask ^ (1 << i), max(t, job.r) + job.p), deadlines)
                 for i, job in enumerate(inst.jobs)
                 if mask >> i & 1
             )
             assert (model.successors(state) == []) == blocked
+
+
+def latest_completions(instance: SmsInstance):
+    """Each job's latest completion over every feasible job order, each
+    job started at the later of the clock and its release, or None if no
+    order is feasible: from the instance alone, by a recursion over order
+    prefixes here."""
+    jobs = instance.jobs
+    latest = [None] * len(jobs)
+    feasible = False
+
+    def rec(mask, t, path):
+        nonlocal feasible
+        if mask == 0:
+            feasible = True
+            for i, f in path:
+                if latest[i] is None or f > latest[i]:
+                    latest[i] = f
+            return
+        for i, job in enumerate(jobs):
+            f = max(t, job.r) + job.p
+            if mask >> i & 1 and f <= job.deadline:
+                rec(mask & ~(1 << i), f, path + [(i, f)])
+
+    rec((1 << len(jobs)) - 1, 0, [])
+    return latest if feasible else None
+
+
+def test_cut_deadlines_hold_for_every_feasible_order():
+    # The root cut, made on first use, against every feasible job order of
+    # tight draws at n = 4..8: no cut deadline falls below its job's
+    # latest completion, and where the cut finds no schedule (every
+    # deadline below its job's earliest finish) no order is feasible.  Some
+    # cut jobs end exactly at their cut deadline in some order, so a cut
+    # one unit deeper on any job it moved fails here.
+    cut = tight = overloaded = 0
+    for n in range(4, 9):
+        for seed in range(40):
+            inst = generate_instances(SmsGeneratorConfig(n, 0.4, 0.05, 0.9, seed=seed))[0]
+            model = SmsModel(inst)
+            SmsAdapter(model)
+            assert model._table is None  # set-up does not cut
+            deadlines = model.table()[0]
+            latest = latest_completions(inst)
+            if any(deadline < job.r + job.p for deadline, job in zip(deadlines, inst.jobs)):
+                assert latest is None and exact_optimum(inst) is None, inst
+                assert model.successors(model.target_state()) == [], inst
+                overloaded += 1
+            elif latest is not None:
+                for deadline, last, job in zip(deadlines, latest, inst.jobs):
+                    assert last <= deadline <= job.deadline, inst
+                    cut += deadline < job.deadline
+                    tight += last == deadline < job.deadline
+    # 47 cut jobs, 22 of them tight, and 69 overloaded draws of 200.
+    assert cut > 40 and tight > 20 and overloaded > 60, (cut, tight, overloaded)
 
 
 def test_dropped_children_have_no_completion():
@@ -367,7 +423,13 @@ def test_dropped_children_have_no_completion():
     kept = omitted = 0
     for _ in range(30):
         inst = random_sms_instance(rng, rng.randint(3, 8))
-        k, o = check_dropped_children_dead(SmsModel(inst), UnfilteredSmsModel(inst), sms_blocked)
+        model = SmsModel(inst)
+        deadlines = model.table()[0]
+
+        def blocked(instance, state):
+            return sms_blocked(instance, state, deadlines)
+
+        k, o = check_dropped_children_dead(model, UnfilteredSmsModel(inst), blocked)
         kept, omitted = kept + k, omitted + o
     assert kept > 12000 and omitted > 3000, (kept, omitted)
 
