@@ -27,7 +27,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from operator import gt, itemgetter
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cost import Cost
 
@@ -415,6 +415,12 @@ class PropagationAdapter(ABC):
     its own store.  The search calls it only on a feasible store, so an
     adapter need not guard an empty domain.
 
+    The adapter's second role is ``child_bounds``: asked once per
+    expanded pop, it may bound the pop's successors itself, from what its
+    ``dual_cp`` computed.  The default leaves each child to the floored
+    model ``dual`` (SMS, RCPSP); TSPTW reads each child's bound off the
+    pop's assignment duals.
+
     ``build`` returns the propagators together with the store.  Where they
     do not depend on the state, an adapter builds them once, over all of
     its variables, and returns the same list on every call; the store's
@@ -441,6 +447,15 @@ class PropagationAdapter(ABC):
         """Lower bound on remaining cost of a popped ``state`` under its
         own propagated ``store``, which is feasible."""
         return self.model.dual(state, store.lbs)
+
+    def child_bounds(self, state, store: DomainStore, succs) -> List[Optional[Cost]]:
+        """One bound slot per successor in ``succs`` of a popped ``state``
+        under its own feasible ``store``, after the veto: an admissible
+        bound on the child's remaining cost, or None.  The search fills a
+        None slot with ``model.dual(child, store.lbs)`` when the registry
+        first lets that child through, so the default, all None, bounds
+        each child by its model dual under the parent's floor, lazily."""
+        return [None] * len(succs)
 
     def is_succ_infeasible(self, label, succ, store: DomainStore) -> bool:
         """True when ``store``, the parent's propagated store, rules out the

@@ -11,7 +11,10 @@ all in one loop of ``_SolveContext.process``:
    dominates it at no larger ``g``;
 3. otherwise its bound ``f`` is ``g`` plus the model dual, one call per
    child; with propagation on, the dual's floor is the parent's
-   propagated lower bounds, which remain valid for every successor;
+   propagated lower bounds, which remain valid for every successor, and
+   the adapter's ``child_bounds`` may have bounded every child of the pop
+   already when it was expanded, as TSPTW's does from the pop's
+   assignment duals: such a child is not bounded again;
 4. only if ``f <= primal`` and ``f`` is finite is its search node
    created and handed to ``Registry.register``, which evicts the stored
    nodes it dominates (marking them stale) and stores it: a bound of
@@ -26,8 +29,8 @@ successors are filtered individually.  The adapter's ``dual_cp`` bounds
 popped states only.
 
 Both drivers share one pop step: each pop's expansion is one record (its
-propagated store and CP dual, its successors after the veto and the model
-dual of each child bounded so far), and the loop above runs over it.  A*
+propagated store and CP dual, its successors after the veto and the bound
+of each child bounded so far), and the loop above runs over it.  A*
 drops the record with the pop.  CABS restarts duplicate detection with
 each pass, but keeps the records for one pass, in every propagation mode:
 a state popped again in this pass or the last replays what its first pop
@@ -85,9 +88,10 @@ class _Expansion:
     ``store`` and ``cp_dual`` are None with propagation off.  ``succs``
     stays None until a pop of the state expands it; then it holds the
     successors that survived the veto, ``vetoed`` the number of the others,
-    and ``bounds`` one slot per successor for its model dual under the
-    store's floor, filled when the registry first lets it through to
-    bounding.
+    and ``bounds`` one slot per successor for its bound: the adapter's
+    ``child_bounds`` at the expansion, or, where that left None (always
+    with propagation off), the model dual under the store's floor, filled
+    when the registry first lets it through to bounding.
     """
 
     __slots__ = ("store", "cp_dual", "succs", "vetoed", "bounds")
@@ -286,8 +290,9 @@ class _SolveContext:
         its children take the module docstring's admission steps in
         generation order, and the admitted ones are returned in that order.
         A child's model dual is computed only the first time for its
-        expansion record: in A* the record lives for this pop, in CABS it
-        is kept for the state's later pops.
+        expansion record, and only where ``child_bounds`` left its slot
+        None: in A* the record lives for this pop, in CABS it is kept for
+        the state's later pops.
         """
         model, m = self.model, self.metrics
         if model.is_base(node.state):
@@ -331,8 +336,10 @@ class _SolveContext:
         record's ``store`` is None.  Otherwise the node's CP model is built
         and handed to the driver, which leaves a store empty at build as it
         is (an infeasible store gives an infinite CP dual),
-        each successor the store vetoes is dropped, and ``store`` holds the
-        node's propagated domains, the floor of each successor's dual.
+        each successor the store vetoes is dropped, ``store`` holds the
+        node's propagated domains, the floor of each successor's dual, and
+        the adapter's ``child_bounds`` fills the successors' bound slots
+        it can.
         Counts the pop, and the expansion only when the node is not
         pruned; a pop pruned by its store and each vetoed successor count
         toward ``pruned_by_cp`` instead, and a pop pruned on its ``f``
@@ -343,7 +350,7 @@ class _SolveContext:
         every mode a later pop of the state in this pass or the next
         replays it (counted in ``reused``): the store and CP dual, the
         successors and veto count once a pop has expanded the state, and
-        ``bounds``, the children's model duals computed so far.  Each is
+        ``bounds``, the children's bounds computed so far.  Each is
         deterministic in the state and its store, and ``build`` in the
         state alone, so under any incumbent the replay gives exactly the
         decisions and counts of a fresh expansion.
@@ -382,11 +389,15 @@ class _SolveContext:
         m.expansions += 1
         if entry.succs is None:
             succs = model.successors(state)
-            if store is not None:
-                kept = [t for t in succs if not self.adapter.is_succ_infeasible(t[1], t[2], store)]
+            if store is None:
+                bounds = [None] * len(succs)
+            else:
+                adapter = self.adapter
+                kept = [t for t in succs if not adapter.is_succ_infeasible(t[1], t[2], store)]
                 entry.vetoed = len(succs) - len(kept)
                 succs = kept
-            entry.succs, entry.bounds = succs, [None] * len(succs)
+                bounds = adapter.child_bounds(state, store, succs)
+            entry.succs, entry.bounds = succs, bounds
             if table is not None:
                 self.kept_children += len(succs)
                 if self.kept_children > m.peak_kept_children:

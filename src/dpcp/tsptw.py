@@ -27,8 +27,11 @@ tour leaves the depot at 0).  The CP model has no variable and no
 propagator: every child's arrival is in its window already, and no window
 drops an arc that the rows keep.  Its CP dual solves the dual's
 relaxation exactly, as an assignment problem over the same arcs
-(``assignment``), and reads ``INFINITY`` wherever the dual does: at most
-once per popped state, where the model dual runs once per child.
+(``assignment``), once per popped state, and reads ``INFINITY`` wherever
+the dual does.  The same assignment's final duals bound each child of
+the pop by one reduced-cost lookup (``TsptwAdapter.child_bounds``), so
+with propagation on the model dual bounds only the root; under ``off``
+it bounds every child.
 """
 
 from __future__ import annotations
@@ -186,16 +189,24 @@ class TsptwModel(DpModel):
         """
         return self._scan(state) if state.unvisited or state.location else 0
 
-    def assignment(self, state: TsptwState) -> Cost:
-        """``dual``'s relaxation solved exactly: the least cost of a
-        perfect matching of ``M`` onto ``U`` and the depot by arcs of
-        ``A``, or ``INFINITY`` where there is none or it passes ``|M|``
-        longest arcs.  Never below ``dual``.  About four times the cost of
-        ``dual`` (``_assign``)."""
-        return self._scan(state, exact=True) if state.unvisited or state.location else 0
+    def assignment(self, state: TsptwState) -> Tuple[Cost, Optional[list], Optional[list]]:
+        """``dual``'s relaxation solved exactly, with its final duals:
+        ``(value, u, v)``.  ``value`` is the least cost of a perfect
+        matching of ``M`` onto ``U`` and the depot by arcs of ``A``, or
+        ``INFINITY`` where there is none or it passes ``|M|`` longest
+        arcs; it is never below ``dual``.  ``u[s]`` for ``s`` in ``M`` and
+        ``v[j]`` for ``j`` in ``U`` and the depot (``v[0]``) are the duals
+        that ``_assign`` ends with: ``c_sj >= u_s + v_j`` on every arc of
+        ``A``, ``sum(u) + sum(v)`` is ``value``, and every other entry is
+        0.  Both are None where ``value`` is ``INFINITY``.  About four
+        times the cost of ``dual``; ``TsptwAdapter`` pays it once per
+        popped state and bounds each child from the duals."""
+        if state.unvisited or state.location:
+            return self._scan(state, exact=True)
+        return 0, [0] * self._n, [0] * self._n  # the depot alone: no row, no column
 
-    def _scan(self, state: TsptwState, exact: bool = False) -> Cost:
-        """``dual``'s bound; if ``exact``, ``assignment``'s bound, which
+    def _scan(self, state: TsptwState, exact: bool = False):
+        """``dual``'s bound; if ``exact``, ``assignment``'s triple, which
         ``_assign`` takes on from the rows.
 
         The rows come first, as each ``v_j`` reads them.  Each kept arc
@@ -240,15 +251,17 @@ class TsptwModel(DpModel):
                     if targets & head and t + c <= due:
                         break
                 else:
-                    return INFINITY
+                    return (INFINITY, None, None) if exact else INFINITY
                 u[i] = c
                 rows_sum += c
                 if c > top:
                     top = c
         if exact:
             # INFINITY is above every ceiling that check_ceiling admits.
-            bound = self._assign(state, u, last, top)
-            return INFINITY if bound > remaining.bit_count() * self._longest else bound
+            assigned = self._assign(state, u, last, top)
+            if assigned[0] > remaining.bit_count() * self._longest:
+                return INFINITY, None, None
+            return assigned
         # Columns: for each j in U and the depot, its cheapest arc in A
         # (the entered term) and v_j, its least c_sj - u_s over A.
         entered = cols_sum = 0
@@ -279,12 +292,13 @@ class TsptwModel(DpModel):
             return INFINITY  # above the dearest completion: there is none
         return entered if entered > bound else bound
 
-    def _assign(self, state: TsptwState, u, last, top) -> Cost:
-        """``assignment``'s bound before its ceiling test: the
+    def _assign(self, state: TsptwState, u, last, top):
+        """``assignment``'s ``(value, u, v)`` before its ceiling test: the
         least-cost perfect matching of ``M`` onto ``U`` and the depot over
         ``A``, found from the scan's row minima ``u``, the depot's sources
-        ``last`` and the largest ``u``, ``top``.  As in ``_scan``, an arc
-        ``s -> j`` of a kept row is in ``A`` where ``t + c_sj <= d_j``.
+        ``last`` and the largest ``u``, ``top``, with the final duals.  As
+        in ``_scan``, an arc ``s -> j`` of a kept row is in ``A`` where
+        ``t + c_sj <= d_j``.
 
         The columns take ``v_j``, the least ``c_sj - u_s`` over ``A``,
         as in ``_scan``, and each column is matched to that arc's source
@@ -296,9 +310,12 @@ class TsptwModel(DpModel):
         Logistics Quarterly*, 1955).  Each step keeps ``c_sj >= u_s + v_j``
         on ``A`` and raises ``sum(u) + sum(v)`` by the path's length; at
         the end ``M`` is matched whole and the sum is the matching's cost.
-        A row that reaches no free column proves ``A`` has no perfect
-        matching: ``INFINITY``.  Entries of ``u`` and ``v`` off ``M`` and
-        off the columns stay 0."""
+        A row that reaches no free column, or a column that no arc of
+        ``A`` enters, proves ``A`` has no perfect matching:
+        ``(INFINITY, None, None)``.  Otherwise the sum comes back with
+        ``u``, moved in place, and ``v``: the final duals, not the row
+        minima.  Entries of ``u`` and ``v`` off ``M`` and off the columns
+        stay 0."""
         rows = self._table[0]
         unvisited, here, t = state
         n = self._n
@@ -325,7 +342,7 @@ class TsptwModel(DpModel):
                         if not rc and col_of[s] < 0:
                             break
             if best is None:
-                return INFINITY
+                return INFINITY, None, None
             v[j] = best
             if col_of[arg] < 0:
                 col_of[arg] = j
@@ -359,7 +376,7 @@ class TsptwModel(DpModel):
                             dist[j] = nd
                             pred[j] = i
                 if not dist:
-                    return INFINITY
+                    return INFINITY, None, None
                 j = min(dist, key=dist.__getitem__)
                 d0 = done[j] = dist.pop(j)
                 i = row_of[j]
@@ -377,7 +394,7 @@ class TsptwModel(DpModel):
                 row_of[j], col_of[i], j = i, j, col_of[i]
                 if i == i0:
                     break
-        return sum(u) + sum(v)
+        return sum(u) + sum(v), u, v
 
     def _build_table(self):
         """``(rows, latest, bits)``, built whole before its one write, so a
@@ -434,9 +451,10 @@ class TsptwModel(DpModel):
 
 
 class TsptwAdapter(PropagationAdapter):
-    """CP view with no variable and no propagator; all it adds is its
-    ``dual_cp``, the model's relaxation solved exactly
-    (``TsptwModel.assignment``).
+    """CP view with no variable and no propagator; all it adds is the
+    model's relaxation solved exactly (``TsptwModel.assignment``), which
+    plays two roles: each popped state's ``dual_cp``, and, through
+    ``child_bounds``, the bound of each of its children.
 
     ``successors`` keeps only children that arrive inside their windows,
     and each arc the relaxation keeps leaves in time from the clock and
@@ -450,6 +468,10 @@ class TsptwAdapter(PropagationAdapter):
     def __init__(self, model: TsptwModel):
         super().__init__(model)
         self._store = DomainStore([], [], 0)
+        # ``(state, assignment(state))`` of the last ``dual_cp``, until
+        # ``child_bounds`` of the same state reads it; checked against the
+        # state, so a solve sharing the adapter never reads another's.
+        self._assigned = None
 
     def build(self, state: TsptwState):
         return self._store, []
@@ -458,8 +480,47 @@ class TsptwAdapter(PropagationAdapter):
         """The assignment bound, where the node's ``f`` holds the row and
         column reduction of the same relaxation.  It prunes a pop only
         against an incumbent, or where no matching exists, so A*, which
-        has no incumbent before its last pop, gains little from it."""
-        return self.model.assignment(state)
+        has no incumbent before its last pop, gains little from it as a
+        prune; its duals are kept for the pop's ``child_bounds``."""
+        assigned = self.model.assignment(state)
+        self._assigned = state, assigned
+        return assigned[0]
+
+    def child_bounds(self, state: TsptwState, store: DomainStore, succs):
+        """Each child ``j`` of ``state`` at ``here`` is bounded by
+        ``h_j = AP - u_here - v_j``, one lookup in the final duals of the
+        state's assignment ``(AP, u, v)``; 0 where that is negative, and
+        ``INFINITY`` where it passes the child's ``|M|`` longest arcs,
+        which keeps ``TsptwModel``'s ceiling on every ``f``.
+
+        Admissible: the child's rows are the parent's ``M`` less ``here``
+        and its columns the parent's less ``j``.  Its clock is no earlier,
+        so each arc of its ``A`` is one of the parent's, and its
+        may-be-last set only shrinks: a location that could not be last
+        in the parent, left alone in the child's ``U``, cannot follow
+        ``j`` in time, and the dead-end test of ``successors`` drops such
+        a child.  So
+        ``c_sj >= u_s + v_j`` still holds on every arc of the child's
+        ``A``.  The assignment LP has equality constraints, so its duals
+        are free in sign, and any dual-feasible ``(u, v)`` summed over the
+        child's rows and columns, ``AP - u_here - v_j``, is a lower bound
+        on the child's assignment, and so on its completions.
+
+        The duals are those the state's ``dual_cp`` left, read once and
+        dropped; a later CABS pop of a state whose first pop was pruned
+        before expanding solves the assignment again."""
+        assigned, self._assigned = self._assigned, None
+        if assigned is not None and assigned[0] == state:
+            value, u, v = assigned[1]
+        else:
+            value, u, v = self.model.assignment(state)
+        base = value - u[state.location]
+        ceiling = state.unvisited.bit_count() * self.model._longest
+        bounds = []
+        for _w, j, _child in succs:
+            h = base - v[j]
+            bounds.append(h if 0 <= h <= ceiling else 0 if h < 0 else INFINITY)
+        return bounds
 
 
 def exact_optimum(instance: TsptwInstance) -> Optional[int]:

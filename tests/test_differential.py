@@ -176,8 +176,10 @@ def pops(result, mode):
 def traced_cabs(patch, model, adapter, mode):
     """``cabs``'s result, the children it admitted in order as
     ``(parent state, label, state, g, f)``, and its model's calls to
-    ``successors`` and ``dual``."""
+    ``successors``, ``dual`` and, for TSPTW, ``assignment``."""
     admitted, calls = [], {"successors": 0, "dual": 0}
+    if hasattr(model, "assignment"):
+        calls["assignment"] = 0
     register = Registry.register
 
     def recorded(registry, *args):
@@ -207,9 +209,10 @@ def test_cabs_reuse_leaves_the_search_unchanged(monkeypatch, family, mode):
     """Replaying a state's expansion from this pass or the last, whatever
     it decided at the earlier pop, changes no decision, in any propagation
     mode: every trajectory and every admitted child is that of the search
-    without the tables, which calls the model's ``successors`` and
-    ``dual`` strictly more often and, with propagation on, propagates at
-    every pop."""
+    without the tables, which calls the model's ``successors`` strictly
+    more often, bounds strictly more often (the model's ``dual``, plus, for
+    TSPTW, the ``assignment`` whose duals bound a propagated pop's
+    children) and, with propagation on, propagates at every pop."""
     draw, make_model, make_adapter, _ = FAMILIES[family]
     reused = 0
     shipped_calls, fresh_calls = Counter(), Counter()
@@ -236,8 +239,10 @@ def test_cabs_reuse_leaves_the_search_unchanged(monkeypatch, family, mode):
         if mode is not PropagationMode.OFF:
             assert fresh.metrics.propagation_calls == pops(fresh, mode)
         reused += shipped.metrics.reused
-    for name in ("successors", "dual"):
-        assert shipped_calls[name] < fresh_calls[name], (name, shipped_calls, fresh_calls)
+    bounding = ("dual", "assignment")
+    assert shipped_calls["successors"] < fresh_calls["successors"], (shipped_calls, fresh_calls)
+    assert all(shipped_calls[name] <= fresh_calls[name] for name in bounding)
+    assert sum(shipped_calls[name] for name in bounding) < sum(fresh_calls[name] for name in bounding)
     assert reused > 0
 
 

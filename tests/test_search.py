@@ -872,21 +872,26 @@ def test_pops_counts_each_non_base_pop(monkeypatch, capsys):
 
 def test_astar_keeps_no_expansion_and_bounds_each_child_once(monkeypatch):
     """A* drops each pop's expansion record with the pop: it replays
-    nothing and keeps no successor.  Each child that passes the registry's
-    dominance test is bounded by exactly one ``model.dual`` call before the
-    next child is tested, and the root's bound is the only other call."""
+    nothing and keeps no successor.  Each child is bounded exactly once.
+    For TSPTW under propagation, every child is bounded from its parent's
+    assignment when the pop is expanded (the adapter's ``child_bounds``),
+    and the root's bound is the one ``model.dual`` call.  Otherwise each
+    child that passes the registry's dominance test is bounded by exactly
+    one ``model.dual`` call before the next child is tested, the root's
+    bound is the only other call, and ``child_bounds`` leaves every slot
+    to the search."""
     dominated = Registry.dominated
-    calls = {"dual": 0, "children": 0}
+    calls = {"dual": 0, "children": 0, "inherited": 0, "inherits": False}
 
     def counted_dominated(registry, model, state, g):
         # Every child that passed before this one, and the root, is bounded.
-        assert calls["dual"] == calls["children"] + 1
+        assert calls["dual"] == (1 if calls["inherits"] else calls["children"] + 1)
         out = dominated(registry, model, state, g)
         calls["children"] += not out
         return out
 
     monkeypatch.setattr(Registry, "dominated", counted_dominated)
-    bounded = 0
+    bounded = inherited = 0
     for kind, (make, make_adapter) in sorted(PINNED_KINDS.items()):
         for seed in range(12):
             for mode in ALL_MODES:
@@ -903,11 +908,26 @@ def test_astar_keeps_no_expansion_and_bounds_each_child_once(monkeypatch):
                 adapter = None
                 if mode is not PropagationMode.OFF:
                     adapter = make_adapter(make(random.Random(seed)))
-                calls.update(dual=0, children=0)
+                    child_bounds = adapter.child_bounds
+
+                    def counted_child_bounds(*args, _child_bounds=child_bounds):
+                        out = _child_bounds(*args)
+                        calls["inherited"] += sum(h is not None for h in out)
+                        return out
+
+                    monkeypatch.setattr(adapter, "child_bounds", counted_child_bounds)
+                inherits = kind == "tsptw" and adapter is not None
+                calls.update(dual=0, children=0, inherited=0, inherits=inherits)
                 m = astar(model, adapter, mode=mode).metrics
                 key = (kind, seed, mode)
                 assert (m.reused, m.peak_kept_children) == (0, 0), key
-                assert calls["dual"] == calls["children"] + 1, key
-                assert calls["children"] == m.generated - m.dominated, key
+                if inherits:
+                    assert calls["dual"] == 1, key
+                    assert calls["inherited"] == m.generated, key
+                else:
+                    assert calls["inherited"] == 0, key
+                    assert calls["dual"] == calls["children"] + 1, key
+                    assert calls["children"] == m.generated - m.dominated, key
                 bounded += calls["children"]
-    assert bounded > 1000, bounded
+                inherited += calls["inherited"]
+    assert bounded > 1000 and inherited > 200, (bounded, inherited)

@@ -20,7 +20,7 @@ from dpcp import (
 from dpcp.cli import main
 from dpcp.core import iter_bits
 from dpcp.cost import MAX_COST, CostOverflow
-from dpcp.search import _SolveContext
+from dpcp.search import _SolveContext, astar, cabs
 from dpcp.tsptw import (
     TsptwAdapter,
     TsptwInstance,
@@ -512,7 +512,7 @@ def test_assignment_matches_definition():
         for state in exhaustive:
             for bounded in [state] + [succ for _w, _l, succ in model.successors(state)]:
                 plain = model.dual(bounded)
-                value = model.assignment(bounded)
+                value = model.assignment(bounded)[0]
                 assert value == reference_assignment(inst, bounded), bounded
                 assert plain <= value <= exhaustive[bounded], bounded
                 checked += 1
@@ -810,7 +810,7 @@ def test_one_empty_store_adds_nothing_to_the_state():
                 assert (store.lbs, store.ubs, store.live) == ([], [], 0), state
                 assert (store.infeasible, store.revision) == (False, 0), state
             value = adapter.dual_cp(state, store)
-            assert value == model.assignment(state), state
+            assert value == model.assignment(state)[0], state
             if reference_leave_costs(inst, state) is None:
                 assert value == INFINITY, state
                 empty += 1
@@ -835,13 +835,25 @@ class OfferLog(Registry):
         return super().dominated(model, state, g)
 
 
+def inherited_bound(model, state, assigned, j):
+    """Child ``j``'s bound from its parent's assignment ``(AP, u, v)``, as
+    defined: ``AP - u_here - v_j``, 0 where that is negative, ``INFINITY``
+    where it passes the child's ``|M|`` (the parent's ``|U|``) longest
+    arcs."""
+    value, u, v = assigned
+    h = value - u[state.location] - v[j]
+    longest = max(c for row in model.instance.travel for c in row if c is not None)
+    return 0 if h < 0 else INFINITY if h > bin(state.unvisited).count("1") * longest else h
+
+
 def test_admission_rejects_children_over_the_travel_budget():
     # The CP model caps no travel sum and vetoes no child for its cost, so
-    # a child ``here -> j`` whose ``g + c(here, j) + dual`` is above the
-    # incumbent is offered to the registry, and its model dual must reject
-    # it there.
+    # a child ``here -> j`` whose ``g + c(here, j)`` plus its bound is
+    # above the incumbent is offered to the registry, and its bound must
+    # reject it there: the model dual under ``off``, and under ``once`` the
+    # bound from the parent's assignment duals.
     rng = random.Random(61)
-    over = 0
+    over = {PropagationMode.OFF: 0, PropagationMode.ONCE: 0}
     for _ in range(200):
         inst = random_tsptw_instance(rng, rng.randint(3, 7))
         model = TsptwModel(inst)
@@ -850,16 +862,114 @@ def test_admission_rejects_children_over_the_travel_budget():
             if model.is_base(state) or not is_finite(value):
                 continue
             g = rng.randint(0, 30)
-            ctx = _SolveContext(model, adapter, SolveLimits(), PropagationMode.ONCE)
-            ctx.primal = g + value + rng.randint(-5, 10)
-            registry = OfferLog()
-            admitted = {child.state for child in ctx.process(SearchNode(state, g, g), registry)}
-            for succ in registry.offered:
-                arc = inst.travel[state.location][succ.location]
-                if g + arc + reference_dual(model, succ) > ctx.primal:
-                    assert succ not in admitted, (state, succ, ctx.primal)
-                    over += 1
-    assert over > 100, over
+            primal = g + value + rng.randint(-5, 10)
+            assigned = model.assignment(state)
+            bounds = {
+                PropagationMode.OFF: lambda succ: reference_dual(model, succ),
+                PropagationMode.ONCE: lambda succ: inherited_bound(model, state, assigned, succ.location),
+            }
+            for mode, bound in bounds.items():
+                use = adapter if mode is PropagationMode.ONCE else None
+                ctx = _SolveContext(model, use, SolveLimits(), mode)
+                ctx.primal = primal
+                registry = OfferLog()
+                admitted = {child.state for child in ctx.process(SearchNode(state, g, g), registry)}
+                for succ in registry.offered:
+                    arc = inst.travel[state.location][succ.location]
+                    if g + arc + bound(succ) > primal:
+                        assert succ not in admitted, (mode, state, succ, primal)
+                        over[mode] += 1
+    assert over[PropagationMode.OFF] > 100 and over[PropagationMode.ONCE] > 50, over
+
+
+def test_children_bounds_from_the_assignment_duals_are_admissible():
+    # On every state of drawn instances at n <= 8 (narrow and wide
+    # windows, every third with its depot released late), the assignment's
+    # duals are feasible on every arc of A, by A's definition, and sum to
+    # its value.  Each successor's bound from them is exactly its
+    # definition, never above the child's own assignment, and that never
+    # above the child's exact value.  Half the states go through
+    # ``dual_cp`` first, as a pop does, and the rest ask ``child_bounds``
+    # alone, as a CABS replay of a pruned pop does.
+    rng = random.Random(59)
+    states = children = tight = below = 0
+    for k in range(36):
+        widths = ((8, 30), (30, 90))[k % 2]
+        inst = random_tsptw_instance(rng, rng.randint(3, 8), widths=widths)
+        if k % 3 == 0:
+            windows = [(rng.randint(1, 40), inst.windows[0][1])] + list(inst.windows[1:])
+            inst = TsptwInstance(inst.travel, windows)
+        model = TsptwModel(inst)
+        adapter = TsptwAdapter(model)
+        values = enumerate_state_values(model)
+        for state in values:
+            if model.is_base(state):
+                continue
+            assigned = value, u, v = model.assignment(state)
+            if not is_finite(value):
+                continue
+            for s, j, c in completion_arcs(inst, state):
+                assert c >= u[s] + v[j], (inst.to_json(), state, s, j)
+            assert sum(u) + sum(v) == value, (inst.to_json(), state)
+            store, _props = adapter.build(state)
+            if states % 2:
+                assert adapter.dual_cp(state, store) == value
+            succs = model.successors(state)
+            bounds = adapter.child_bounds(state, store, succs)
+            assert len(bounds) == len(succs)
+            for (_w, j, child), h in zip(succs, bounds):
+                exact = model.assignment(child)[0]
+                assert h == inherited_bound(model, state, assigned, j), (state, j)
+                assert h <= exact <= values[child], (inst.to_json(), state, j, h, exact)
+                tight += h == exact
+                children += 1
+            states += 1
+    counts = (states, children, tight)
+    assert states > 1500 and children > 3000 and tight > 1000, counts
+
+
+def test_children_bounds_clamp_to_zero_and_the_ceiling(monkeypatch):
+    # No state of the draws above gives a negative ``AP - u_here - v_j``
+    # or one above the child's ceiling, so the two clamps are checked on duals
+    # made up for the target of the triangle: its children 1 and 2 have
+    # ``|M|`` = 2 and a ceiling of 2 * 4.
+    model = triangle_model()
+    target = model.target_state()
+    adapter = TsptwAdapter(model)
+    succs = model.successors(target)
+    assert [j for _w, j, _child in succs] == [1, 2]
+    for v1, v2, want in ((4, -2, [0, 5]), (-6, 1, [INFINITY, 2]), (-5, 3, [8, 0])):
+        monkeypatch.setattr(model, "assignment", lambda state: (6, [3, 0, 0], [0, v1, v2]))
+        assert adapter.child_bounds(target, adapter.build(target)[0], succs) == want
+
+
+def test_off_solves_no_assignment_and_asks_for_no_child_bounds(monkeypatch):
+    # Under ``off`` neither A* nor CABS solves an assignment or asks the
+    # adapter for its children's bounds, even when handed the adapter;
+    # under ``once`` both do.
+    calls = {"assignment": 0, "child_bounds": 0}
+
+    def counted(cls, name):
+        inner = getattr(cls, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(cls, name, call)
+
+    counted(TsptwModel, "assignment")
+    counted(TsptwAdapter, "child_bounds")
+    rng = random.Random(62)
+    for _ in range(6):
+        model = TsptwModel(random_tsptw_instance(rng, 9, widths=(30, 80)))
+        for solver in (astar, cabs):
+            for adapter in (None, TsptwAdapter(model)):
+                result = solver(model, adapter, mode=PropagationMode.OFF)
+                assert result.status is not None and calls == {"assignment": 0, "child_bounds": 0}
+            solver(model, TsptwAdapter(model), mode=PropagationMode.ONCE)
+            assert min(calls.values()) > 0, calls
+            calls.update(assignment=0, child_bounds=0)
 
 
 CALLS = ("dual", "assignment", "successors")
