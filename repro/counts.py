@@ -18,7 +18,9 @@ are times.  A change that moves a count commits the regenerated file, so
 its git diff lists the moved counts.
 
     python repro/counts.py --check   # print each moved count and a summary; exit 1 if any
-    python repro/counts.py --write   # regenerate counts.json
+    python repro/counts.py --write   # print the summary, then regenerate counts.json
+
+Both end with the number of solves whose status or cost moved.
 
 The solver is imported from this checkout's ``src``.
 """
@@ -193,25 +195,38 @@ def summary(want: dict, got: dict) -> list:
     ]
 
 
+def moved_outcomes(want: dict, got: dict) -> int:
+    """The number of solves whose status or cost moved; a solve on one
+    side only counts."""
+    return sum(
+        key not in want
+        or key not in got
+        or (want[key]["status"], want[key]["cost"]) != (got[key]["status"], got[key]["cost"])
+        for key in want.keys() | got.keys()
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument(
         "--check", action="store_true", help="print each moved count, exit 1 if any"
     )
-    action.add_argument("--write", action="store_true", help="regenerate counts.json")
+    action.add_argument(
+        "--write", action="store_true", help="print the summary, then regenerate counts.json"
+    )
     args = parser.parse_args(argv)
     got = sweep()
-    if args.write:
-        write_ledger(got)
-        print(f"wrote {len(got)} solves to {LEDGER.relative_to(ROOT)}")
-        return 0
     want = read_ledger()
     lines = moved(want, got)
-    for line in lines + summary(want, got):
+    for line in (lines if args.check else []) + summary(want, got):
         print(line)
     print(f"{len(got)} solves, {len(lines)} moved counts")
-    return 1 if lines else 0
+    if args.write:
+        write_ledger(got)
+        print(f"wrote {len(got)} solves to {LEDGER.name}")
+    print(f"{moved_outcomes(want, got)} solves moved status or cost")
+    return 1 if args.check and lines else 0
 
 
 if __name__ == "__main__":

@@ -20,18 +20,19 @@ parent could.
 The dual bound reduces the matrix of arcs that a completion can still
 take in time, by rows and then by columns (Little, Murty, Sweeney and
 Karel, *Operations Research*, 1963): each remaining location is left
-once and each unvisited one, then the depot, entered once.  One scan over
-per-location rows built on first use takes it; a row leaves out each arc
-that no arrival can take (every arrival is at least the release, and the
-tour leaves the depot at 0).  The CP model has no variable and no
-propagator: every child's arrival is in its window already, and no window
-drops an arc that the rows keep.  Its CP dual solves the dual's
-relaxation exactly, as an assignment problem over the same arcs
-(``assignment``), once per popped state, and reads ``INFINITY`` wherever
-the dual does.  The same assignment's final duals bound each child of
-the pop by one reduced-cost lookup (``TsptwAdapter.child_bounds``), so
-with propagation on the model dual bounds only the root; under ``off``
-it bounds every child.
+once and each unvisited one, then the depot, entered once: a feasible
+dual of the assignment LP over those arcs.  One scan over per-location
+rows built on first use takes it; a row leaves out each arc that no
+arrival can take (every arrival is at least the release, and the tour
+leaves the depot at 0).  The CP model has no variable and no
+propagator: every child's arrival is in its window already, and no
+window drops an arc that the rows keep.  Its CP dual solves that LP
+exactly (``assignment``), once per popped state, so by weak duality it
+is never below the dual, and reads ``INFINITY`` wherever the dual does.
+The same assignment's final duals bound each child of the pop by one
+reduced-cost lookup (``TsptwAdapter.child_bounds``), so with propagation
+on the model dual bounds only the root; under ``off`` it bounds every
+child.
 """
 
 from __future__ import annotations
@@ -177,12 +178,12 @@ class TsptwModel(DpModel):
         ``max(t, r_k) + min_to[s] <= d_s``.  Each ``u_s`` is the cheapest
         arc out of ``s`` in ``A``, and each ``v_j``, for ``j`` in ``U``
         and the depot, the least ``c_sj - u_s`` over the arcs of ``A``
-        into ``j``.  The bound is ``sum(u) + sum(v)``, or the entered sum
-        (each column's cheapest arc in ``A``) where that is larger;
-        ``INFINITY`` where a row or a column of ``A`` is empty.  Every
-        completion is a perfect matching of ``M`` onto ``U`` and the depot
-        by arcs of ``A``, and on those ``c_sj >= u_s + v_j``: so both sums
-        are admissible.  A completion takes ``|M|`` arcs, none longer than
+        into ``j``.  The bound is ``sum(u) + sum(v)``, ``INFINITY`` where
+        a row or a column of ``A`` is empty.  ``c_sj >= u_s + v_j`` on
+        every arc of ``A``: ``(u, v)`` is a feasible dual of the LP that
+        ``assignment`` solves, and every completion is a perfect matching
+        of ``M`` onto ``U`` and the depot by arcs of ``A``, so the bound is
+        admissible.  A completion takes ``|M|`` arcs, none longer than
         the longest, so a bound above ``|M|`` longest arcs proves that none
         exists: ``INFINITY`` too.  The depot alone (only in a one-location
         instance) is a finished tour that enters and leaves nothing: 0.
@@ -194,11 +195,12 @@ class TsptwModel(DpModel):
         ``(value, u, v)``.  ``value`` is the least cost of a perfect
         matching of ``M`` onto ``U`` and the depot by arcs of ``A``, or
         ``INFINITY`` where there is none or it passes ``|M|`` longest
-        arcs; it is never below ``dual``.  ``u[s]`` for ``s`` in ``M`` and
-        ``v[j]`` for ``j`` in ``U`` and the depot (``v[0]``) are the duals
-        that ``_assign`` ends with: ``c_sj >= u_s + v_j`` on every arc of
-        ``A``, ``sum(u) + sum(v)`` is ``value``, and every other entry is
-        0.  Both are None where ``value`` is ``INFINITY``.  About four
+        arcs; by weak duality it is never below ``dual``.  ``u[s]`` for
+        ``s`` in ``M`` and ``v[j]`` for ``j`` in ``U`` and the depot
+        (``v[0]``) are the duals that ``_assign`` ends with:
+        ``c_sj >= u_s + v_j`` on every arc of ``A``, ``sum(u) + sum(v)`` is
+        ``value``, and every other entry is 0.  Both are None where
+        ``value`` is ``INFINITY``.  About four
         times the cost of ``dual``; ``TsptwAdapter`` pays it once per
         popped state and bounds each child from the duals."""
         if state.unvisited or state.location:
@@ -206,8 +208,8 @@ class TsptwModel(DpModel):
         return 0, [0] * self._n, [0] * self._n  # the depot alone: no row, no column
 
     def _scan(self, state: TsptwState, exact: bool = False):
-        """``dual``'s bound; if ``exact``, ``assignment``'s triple, which
-        ``_assign`` takes on from the rows.
+        """``dual``'s bound, ``sum(u) + sum(v)``; if ``exact``,
+        ``assignment``'s triple, which ``_assign`` takes on from the rows.
 
         The rows come first, as each ``v_j`` reads them.  Each kept arc
         ``s -> j`` has ``r_s + c_sj <= d_j``, so it is in time from ``s``'s
@@ -262,9 +264,8 @@ class TsptwModel(DpModel):
             if assigned[0] > remaining.bit_count() * self._longest:
                 return INFINITY, None, None
             return assigned
-        # Columns: for each j in U and the depot, its cheapest arc in A
-        # (the entered term) and v_j, its least c_sj - u_s over A.
-        entered = cols_sum = 0
+        # Columns: v_j for each j in U and the depot, its least c_sj - u_s.
+        bound = rows_sum
         for bit, _i, _r, d, _to_i, ins, _arcs in rows:
             if unvisited & bit:
                 sources = remaining
@@ -276,21 +277,16 @@ class TsptwModel(DpModel):
             for c, tail, s in ins:
                 if t + c > d or best is not None and c - top >= best:
                     break
-                if sources & tail:
-                    if best is None:
-                        entered += c
-                        best = c - u[s]
-                    elif c - u[s] < best:
-                        best = c - u[s]
+                if sources & tail and (best is None or c - u[s] < best):
+                    best = c - u[s]
                     if not best:
                         break
             if best is None:
                 return INFINITY
-            cols_sum += best
-        bound = rows_sum + cols_sum
+            bound += best
         if bound > remaining.bit_count() * self._longest:
             return INFINITY  # above the dearest completion: there is none
-        return entered if entered > bound else bound
+        return bound
 
     def _assign(self, state: TsptwState, u, last, top):
         """``assignment``'s ``(value, u, v)`` before its ceiling test: the

@@ -193,8 +193,8 @@ FIXTURES = {
     ),
     "reduced_tsptw.txt": Fixture(
         "tsptw", 20, True, None,
-        "the row minima sum to 13 and the column terms left after them to 7: the larger "
-        "of the entered and leave sums apart reads 13",
+        "the row minima sum to 13 and the column terms left after them to 7: the rows "
+        "alone read 13",
     ),
     "dead_root_tsptw.txt": Fixture("tsptw", "INFEASIBLE", False, None, "the target is a dead end"),
 }

@@ -175,3 +175,40 @@ def test_summary_gives_moved_solves_and_pops_per_family_and_config():
         "a astar off: 1 of 2 solves moved, pops 1,206 -> 1,203",
         "b astar off: 1 of 2 solves moved, pops 5 -> 5",
     ]
+
+
+def test_moved_outcomes_counts_solves_whose_status_or_cost_moved():
+    """A solve counts once whatever else moved with it, and a solve on one
+    side only counts; a moved count alone does not."""
+    counts = load_counts()
+    got = {
+        "a:0 astar off": dict(ENTRY, cost=8, status="Infeasible"),
+        "a:1 astar off": dict(ENTRY, expansions=5),
+        "a:2 astar off": ENTRY,
+    }
+    assert counts.moved_outcomes(LEDGER, LEDGER) == 0
+    assert counts.moved_outcomes(LEDGER, dict(LEDGER, **{"a:1 astar off": got["a:1 astar off"]})) == 0
+    assert counts.moved_outcomes(LEDGER, got) == 2
+
+
+@pytest.mark.parametrize("action", ["--check", "--write"])
+def test_main_prints_the_summary_and_ends_with_moved_outcomes(tmp_path, monkeypatch, capsys, action):
+    """Both actions print the summary and the moved counts, and end with
+    the solves whose status or cost moved.  ``--check`` prints each moved
+    count first and fails; ``--write`` prints the summary before it
+    overwrites the ledger, here a copy in a scratch directory.  ``sweep``
+    is replaced by a two-solve table."""
+    counts = load_counts()
+    monkeypatch.setattr(counts, "LEDGER", tmp_path / "counts.json")
+    counts.write_ledger(dict(LEDGER, **{"a:0 astar off": dict(ENTRY, pops=3)}))
+    got = dict(LEDGER, **{"a:0 astar off": dict(ENTRY, pops=5)})
+    monkeypatch.setattr(counts, "sweep", lambda: got)
+    code = counts.main([action])
+    out = capsys.readouterr().out.splitlines()
+    summary = ["a astar off: 1 of 2 solves moved, pops 3 -> 5", "2 solves, 1 moved counts"]
+    last = "0 solves moved status or cost"
+    if action == "--check":
+        assert (code, out) == (1, ["a:0 astar off: pops 3 -> 5"] + summary + [last])
+    else:
+        assert (code, out) == (0, summary + ["wrote 2 solves to counts.json", last])
+        assert counts.read_ledger() == got

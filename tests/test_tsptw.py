@@ -139,13 +139,13 @@ def test_dual_examples():
     # v_1 = min(c01 - u_0, c21 - u_2) = min(0, 1) = 0,
     # v_2 = min(c02 - u_0, c12 - u_1) = min(1, 2) = 1, and the depot
     # v_0 = min(c10 - u_1, c20 - u_2) = min(0, 0) = 0.  So the bound is
-    # 2 + 2 + 3 + 1 = 8, above the entered sum 2 + 3 + 2 = 7 and the leave
-    # sum 7, and below the optimum 9 (0 -> 1 -> 2 -> 0).
+    # 2 + 2 + 3 + 1 = 8, above the leave sum 7, and below the optimum 9
+    # (0 -> 1 -> 2 -> 0).
     model = triangle_model()
     target = model.target_state()
     assert reference_leave_costs(model.instance, target) == [(0, 2), (1, 2), (2, 3)]
     assert model.dual(target) == reference_dual(model, target) == 8
-    assert separate_halves_dual(model.instance, target) == 7
+    assert separate_leave_dual(model.instance, target) == 7
     assert permutation_optimum(model.instance) == 9
     # min_to, each location's cheapest arc in from any source: the column
     # minima of the whole matrix, 2 + 2 + 3 = 7, below the reduction.
@@ -155,10 +155,12 @@ def test_dual_examples():
     # c12 = 4 (the depot leg c10 = 2 counted while here could target the
     # depot), and 2 only for the depot, u_2 = c20 = 3.  v_2 = c12 - u_1 =
     # 0 and v_0 = c20 - u_2 = 0, so the bound is 7, the cost of the one
-    # completion 1 -> 2 -> 0; the halves taken apart read 4 + 3 and 2 + 3.
+    # completion 1 -> 2 -> 0; the leave terms taken apart, where here may
+    # still target the depot, read 2 + 3.
     state = TsptwState(0b100, 1, 2)
     assert reference_leave_costs(inst, state) == [(1, 4), (2, 3)]
-    assert model.dual(state) == separate_halves_dual(model.instance, state) == 7
+    assert model.dual(state) == 7
+    assert separate_leave_dual(model.instance, state) == 5
     # Single remaining leg: the bound is that leg, back to the depot.
     state = TsptwState(0, 1, 5)
     assert reference_leave_costs(inst, state) == [(1, 2)]
@@ -168,9 +170,11 @@ def test_dual_examples():
 def test_depot_only_instance_has_zero_dual():
     # The one-location tour is finished at the target: it enters and
     # leaves nothing, and the instance has no arc to take a minimum over.
+    # No search asks for its assignment, as the target is a base state.
     model = TsptwModel(TsptwInstance.from_json({"n": 1, "c": [[None]], "windows": [[0, 5]]}))
     target = model.target_state()
     assert model.dual(target) <= brute_force_value(model, target) == 0
+    assert model.assignment(target) == (0, [0], [0])
     for key, result in solve_all_modes(model, TsptwAdapter(model)).items():
         assert result.status is SolveStatus.OPTIMAL, key
         assert result.root_dual == result.cost == 0, key
@@ -234,10 +238,9 @@ def reference_leave_costs(inst, state):
 def reference_dual(model, state):
     """The bound taken afresh for one state: reduce A's rows, then its
     columns.  ``v_j`` is the least ``c_sj - u_s`` over the arcs into ``j``
-    (U and the depot), and the bound is ``sum(u) + sum(v)``, or the
-    entered sum (the column minima of A itself) where that is larger;
-    ``INFINITY`` if a row or a column of A is empty, or if the reduction
-    passes |M| times the longest arc, the most a completion can cost."""
+    (U and the depot), and the bound is ``sum(u) + sum(v)``; ``INFINITY``
+    if a row or a column of A is empty, or if the reduction passes |M|
+    times the longest arc, the most a completion can cost."""
     inst = model.instance
     if state.unvisited == 0 and state.location == 0:
         return 0
@@ -246,29 +249,29 @@ def reference_dual(model, state):
         return INFINITY
     u = dict(items)
     arcs = completion_arcs(inst, state)
-    entered = reduced = 0
+    reduced = 0
     for j in members(state.unvisited, inst.n) + [0]:
-        column = [(c, c - u[s]) for s, head, c in arcs if head == j]
+        column = [c - u[s] for s, head, c in arcs if head == j]
         if not column:
             return INFINITY
-        entered += min(c for c, _r in column)
-        reduced += min(r for _c, r in column)
+        reduced += min(column)
     longest = max((c for row in inst.travel for c in row if c is not None), default=0)
-    if sum(u.values()) + reduced > len(u) * longest:
-        return INFINITY
-    return max(entered, sum(u.values()) + reduced)
+    bound = sum(u.values()) + reduced
+    return INFINITY if bound > len(u) * longest else bound
 
 
-def separate_leave_costs(inst, state):
-    """The leave terms of ``separate_halves_dual``: the cheapest arc out of
-    each location in M that stays in time, where every location, here
-    included, may target the depot when each location of U, reached at
-    its earliest, may precede it by its cheapest arc in; None if one
-    location has none."""
+def separate_leave_dual(inst, state):
+    """The leave sum taken apart, the row half of the bound before the
+    reduction: the cheapest arc out of each location in M that stays in
+    time, summed, where every location, here included, may target the
+    depot when each location of U, reached at its earliest, may precede
+    it by its cheapest arc in; ``INFINITY`` if one location has none."""
+    if state.unvisited == 0 and state.location == 0:
+        return 0
     t = state.time
     arrival = {j: max(t, inst.windows[j][0]) for j in iter_bits(state.unvisited)}
     min_to = tsptw_min_to(inst)
-    items = []
+    total = 0
     for i in iter_bits(state.unvisited | 1 << state.location):
         a, d = leave_time(inst, i, t), inst.windows[i][1]
         may_be_last = all(arrival[k] + min_to[i] <= d for k in arrival if k != i)
@@ -279,41 +282,9 @@ def separate_leave_costs(inst, state):
             and ((j in arrival and a + c <= inst.windows[j][1]) or (j == 0 and may_be_last))
         ]
         if not costs:
-            return None
-        items.append((i, min(costs)))
-    return items
-
-
-def separate_halves_dual(inst, state):
-    """The bound before the reduction: the larger of the entered sum and
-    the sum of ``separate_leave_costs``, each taken apart.  The entered
-    sum takes the cheapest arc into each unvisited ``j`` from M less ``j``
-    that reaches it in time, plus the cheapest into the depot from U, or
-    from here once U is empty."""
-    if state.unvisited == 0 and state.location == 0:
-        return 0
-    items = separate_leave_costs(inst, state)
-    if items is None:
-        return INFINITY
-    t = state.time
-    sources = list(iter_bits(state.unvisited | 1 << state.location))
-    into = 0
-    for j in iter_bits(state.unvisited):
-        costs = [
-            inst.travel[s][j]
-            for s in sources
-            if s != j
-            and inst.travel[s][j] is not None
-            and leave_time(inst, s, t) + inst.travel[s][j] <= inst.windows[j][1]
-        ]
-        if not costs:
             return INFINITY
-        into += min(costs)
-    last = list(iter_bits(state.unvisited)) or [state.location]
-    costs = [inst.travel[s][0] for s in last if inst.travel[s][0] is not None]
-    if not costs:
-        return INFINITY
-    return max(into + min(costs), sum(c for _i, c in items))
+        total += min(costs)
+    return total
 
 
 def without_arcs(travel, arcs):
@@ -382,7 +353,7 @@ def test_dual_matches_per_state_sum():
     # Taken in the search's order, a state and then each of its successors
     # (a dual that kept a memo across them would go stale), every value must
     # equal the bound taken afresh, with each leave cost found by scanning
-    # its whole row and each entered cost its whole column, also where a
+    # its whole row and each column term its whole column, also where a
     # cheapest arc is INFINITY or missing.
     rng = random.Random(131)
     instances = [random_tsptw_instance(rng, rng.randint(3, 7)) for _ in range(30)]
@@ -598,9 +569,10 @@ def test_dual_cp_target_and_single_leg():
 
 
 def test_depot_drop_strictly_raises_travel_bound():
-    # Dropping an unshared cheapest depot leg lifts the leave sum above
-    # the entered sum, and so the dual: location 1 must leave by c(1,2)=6,
-    # not by the depot leg c(1,0)=1.  With wide windows both legs count.
+    # Dropping an unshared cheapest depot leg lifts the leave sum, and so
+    # the dual, above the sum of each location's cheapest arc in: location
+    # 1 must leave by c(1,2)=6, not by the depot leg c(1,0)=1.  With wide
+    # windows both legs count.
     inst = TsptwInstance(
         [[0, 4, 9], [1, 0, 6], [9, 3, 0]],
         [(0, 100), (0, 10), (50, 100)],
@@ -712,22 +684,21 @@ def test_dual_admissible_on_every_state():
         assert result.cost == result.root_dual == 6, key
 
 
-def test_dual_dominates_separate_halves_bound():
+def test_dual_dominates_separate_leave_bound():
     # Each row term is at least its location's separate leave term, as A
     # keeps no arc that the separate leave terms drop (here no longer
     # targets the depot while U is non-empty), and each column term is
-    # at least 0; the entered sum takes its depot leg only from locations
-    # that may be last.  So the dual is never below the larger of the two
-    # halves taken apart, and above it on over a quarter of the
-    # enumerated states (3,490 of 12,474 here); on states built at later
-    # clocks too, where fewer arcs stay in time.
+    # at least 0.  So the dual is never below the leave sum taken apart,
+    # and above it on over a quarter of the states checked (8,453 of
+    # 12,474 here): the enumerated states and copies of them at later
+    # clocks, where fewer arcs stay in time.
     rng = random.Random(89)
     checked = above = 0
     for inst in varied_tsptw_instances(rng, 120):
         model = TsptwModel(inst)
         states = [s for s in enumerate_state_values(model) if not model.is_base(s)]
         for state in states + [s._replace(time=s.time + rng.randint(0, 30)) for s in states]:
-            old = separate_halves_dual(inst, state)
+            old = separate_leave_dual(inst, state)
             value = model.dual(state)
             assert value >= old, (inst.to_json(), state)
             checked += 1
